@@ -51,15 +51,16 @@ import (
 //
 // The CRC is computed over the raw body before compression, so the
 // checksum still guards the decompressed payload end to end. Only
-// bulk payload frames (result/presult/fetchresult/replicate) at or
-// above lzCompressThreshold are candidates, and only when the
-// compressed form is actually smaller.
+// bulk payload frames (result/presult/fetchresult/replicate) are
+// candidates, and only when lzPack judges the saving worth the
+// decompression.
 const maxFrameBytes = 1 << 26 // 64 MiB hard cap: larger prefixes are corruption
 
-// lzCompressThreshold is the smallest body worth attempting to
-// compress; tiny control frames cost more in flag/length overhead than
-// they save.
-const lzCompressThreshold = 4096
+// frameHeadroom is the space appendFrame leaves in front of a body for
+// the header it only knows afterwards — the comp flag byte and the
+// uvarint length prefix — so the header is written backwards into it
+// instead of shifting the body.
+const frameHeadroom = 1 + binary.MaxVarintLen64
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -123,17 +124,28 @@ func appendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
-// appendFrame appends the complete wire frame for m to dst. keys is a
-// reusable scratch slice for sorting Partial (may be nil); the grown
-// scratch is returned for reuse. ext selects the bin2 layout (trailing
-// Partitions/Parts fields), trc the trace layout (trailing Trace/Spans
-// fields after those), red the reduce layout (trailing
+// appendSection appends a section in wire form (the empty section is
+// the single count byte 0).
+func appendSection(b []byte, sec section) []byte {
+	if len(sec) == 0 {
+		return append(b, 0)
+	}
+	return append(b, sec...)
+}
+
+// appendFrame encodes the complete wire frame for m into dst's storage
+// (dst must be empty; its capacity is reused) and returns the frame.
+// keys is a reusable scratch slice for sorting Partial (may be nil); the
+// grown scratch is returned for reuse. ext selects the bin2 layout
+// (trailing Partitions/Parts fields), trc the trace layout (trailing
+// Trace/Spans fields after those), red the reduce layout (trailing
 // Run/Reducers/Fetch/Bytes/Tasks/Locs fields), cmp the comp layout
 // (trailing Rep/Spills/Spilled/CompBytes/ShuffleMs fields, plus the
 // one-byte compression flag layer around the whole body), and erl the
 // early layout (trailing Total/Reps/Failovers fields last); an older
 // layout cannot carry the newer fields, so rather than silently
-// dropping them the encode fails.
+// dropping them the encode fails. Parts sections (and a reducer's
+// pre-encoded Partial) are copied in as they are.
 func appendFrame(dst []byte, m *message, keys []string, ext, trc, red, cmp, erl bool) ([]byte, []string, error) {
 	tb, ok := frameTypes[m.Type]
 	if !ok {
@@ -154,25 +166,28 @@ func appendFrame(dst []byte, m *message, keys []string, ext, trc, red, cmp, erl 
 	if !erl && (m.Total != 0 || len(m.Reps) > 0 || m.Failovers != 0) {
 		return dst, keys, fmt.Errorf("netmr: frame %q carries early fields but the peer did not negotiate %q", m.Type, capEarly)
 	}
-	// Reserve room for the length prefix after the body is built; encode
-	// the body at the end of dst and splice the prefix in front.
-	bodyStart := len(dst)
-	b := append(dst, tb)
+	var headroom [frameHeadroom]byte
+	b := append(dst[:0], headroom[:]...)
+	b = append(b, tb)
 	b = appendString(b, m.ID)
 	b = appendString(b, m.Job)
 	b = binary.AppendVarint(b, int64(m.TaskID))
 	b = binary.AppendVarint(b, int64(m.Attempt))
 	b = appendStrings(b, m.Records)
-	b = binary.AppendUvarint(b, uint64(len(m.Partial)))
-	if len(m.Partial) > 0 {
-		keys = keys[:0]
-		for k := range m.Partial {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b = appendString(b, k)
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Partial[k]))
+	if m.partialSec != nil {
+		b = append(b, m.partialSec...)
+	} else {
+		b = binary.AppendUvarint(b, uint64(len(m.Partial)))
+		if len(m.Partial) > 0 {
+			keys = keys[:0]
+			for k := range m.Partial {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				b = appendString(b, k)
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Partial[k]))
+			}
 		}
 	}
 	b = appendStrings(b, m.Jobs)
@@ -190,16 +205,7 @@ func appendFrame(dst []byte, m *message, keys []string, ext, trc, red, cmp, erl 
 		b = binary.AppendUvarint(b, uint64(len(m.Parts)))
 		for _, part := range m.Parts {
 			b = binary.AppendVarint(b, int64(part.ID))
-			b = binary.AppendUvarint(b, uint64(len(part.Partial)))
-			keys = keys[:0]
-			for k := range part.Partial {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				b = appendString(b, k)
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(part.Partial[k]))
-			}
+			b = appendSection(b, part.Partial)
 		}
 	}
 	if trc {
@@ -220,14 +226,7 @@ func appendFrame(dst []byte, m *message, keys []string, ext, trc, red, cmp, erl 
 		for _, t := range m.Tasks {
 			b = binary.AppendVarint(b, int64(t))
 		}
-		b = binary.AppendUvarint(b, uint64(len(m.Locs)))
-		for _, loc := range m.Locs {
-			b = appendString(b, loc.Addr)
-			b = binary.AppendUvarint(b, uint64(len(loc.Tasks)))
-			for _, t := range loc.Tasks {
-				b = binary.AppendVarint(b, int64(t))
-			}
-		}
+		b = appendLocs(b, m.Locs)
 	}
 	if cmp {
 		b = appendString(b, m.Rep)
@@ -239,31 +238,51 @@ func appendFrame(dst []byte, m *message, keys []string, ext, trc, red, cmp, erl 
 	}
 	if erl {
 		b = binary.AppendVarint(b, int64(m.Total))
-		b = binary.AppendUvarint(b, uint64(len(m.Reps)))
-		for _, rep := range m.Reps {
-			b = appendString(b, rep.Addr)
-			b = binary.AppendUvarint(b, uint64(len(rep.Tasks)))
-			for _, t := range rep.Tasks {
-				b = binary.AppendVarint(b, int64(t))
-			}
-		}
+		b = appendLocs(b, m.Reps)
 		b = binary.AppendVarint(b, int64(m.Failovers))
 	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[bodyStart:], crcTable))
-	if cmp {
-		b = wrapCompressed(b, bodyStart, m.Type)
-	}
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[frameHeadroom:], crcTable))
 
-	bodyLen := len(b) - bodyStart
+	// The header goes in backwards from the body: the comp flag layer
+	// (compressing the body in place when that pays), then the length.
+	start := frameHeadroom
+	if cmp {
+		flag := byte(0)
+		if compressibleFrames[m.Type] {
+			bufp := lzBufPool.Get().(*[]byte)
+			packed, ok := lzPack(binary.AppendUvarint((*bufp)[:0], uint64(len(b)-start)), b[start:])
+			if ok {
+				b = append(b[:start], packed...)
+				flag = 1
+			}
+			*bufp = packed[:0]
+			lzBufPool.Put(bufp)
+		}
+		start--
+		b[start] = flag
+	}
+	bodyLen := len(b) - start
 	if bodyLen > maxFrameBytes {
 		return dst, keys, fmt.Errorf("netmr: frame of %d bytes exceeds the %d limit", bodyLen, maxFrameBytes)
 	}
 	var prefix [binary.MaxVarintLen64]byte
 	pn := binary.PutUvarint(prefix[:], uint64(bodyLen))
-	b = append(b, prefix[:pn]...)                          // grow by prefix length
-	copy(b[bodyStart+pn:], b[bodyStart:bodyStart+bodyLen]) // shift body right
-	copy(b[bodyStart:], prefix[:pn])
-	return b, keys, nil
+	start -= pn
+	copy(b[start:], prefix[:pn])
+	return b[start:], keys, nil
+}
+
+// appendLocs appends a fetchLoc list (Locs and Reps share the shape).
+func appendLocs(b []byte, locs []fetchLoc) []byte {
+	b = binary.AppendUvarint(b, uint64(len(locs)))
+	for _, loc := range locs {
+		b = appendString(b, loc.Addr)
+		b = binary.AppendUvarint(b, uint64(len(loc.Tasks)))
+		for _, t := range loc.Tasks {
+			b = binary.AppendVarint(b, int64(t))
+		}
+	}
+	return b
 }
 
 // lzBufPool recycles compression scratch buffers across sends.
@@ -272,33 +291,6 @@ var lzBufPool = sync.Pool{
 		b := make([]byte, 0, 4096)
 		return &b
 	},
-}
-
-// wrapCompressed applies the comp flag layer to the raw checksummed
-// body at b[bodyStart:]: bulk payload frames at or above
-// lzCompressThreshold are LZ-compressed when that actually shrinks
-// them, everything else travels stored behind the one-byte flag.
-func wrapCompressed(b []byte, bodyStart int, typ string) []byte {
-	raw := b[bodyStart:]
-	if compressibleFrames[typ] && len(raw) >= lzCompressThreshold {
-		bufp := lzBufPool.Get().(*[]byte)
-		buf := (*bufp)[:0]
-		buf = append(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(len(raw)))
-		buf = lzCompress(buf, raw)
-		if len(buf) < len(raw)+1 {
-			b = append(b[:bodyStart], buf...)
-			*bufp = buf[:0]
-			lzBufPool.Put(bufp)
-			return b
-		}
-		*bufp = buf[:0]
-		lzBufPool.Put(bufp)
-	}
-	b = append(b, 0)
-	copy(b[bodyStart+1:], b[bodyStart:len(b)-1]) // shift body right one byte
-	b[bodyStart] = 0
-	return b
 }
 
 // unwrapCompressedBody strips the comp flag layer from a received frame
@@ -414,9 +406,9 @@ func (r *frameReader) strings(dst []string) ([]string, error) {
 }
 
 // pairs decodes one key/IEEE-754 pair list into a fresh map (nil when
-// empty) — the Partial field's wire shape, shared with every partition
-// of a presult frame. Freshly allocated because results outlive the next
-// recv on the master.
+// empty) — the Partial field, which only the master reads. (Parts carry
+// the same wire shape and stay undecoded: frameReader.section.) Freshly
+// allocated because results outlive the next recv on the master.
 func (r *frameReader) pairs() (map[string]float64, error) {
 	np, err := r.uvarint()
 	if err != nil {
@@ -468,10 +460,36 @@ func (r *frameReader) ints() ([]int, error) {
 	return out, nil
 }
 
+// locs decodes a fetchLoc list into a fresh slice (nil when empty).
+func (r *frameReader) locs() ([]fetchLoc, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	// Each loc costs at least its addr length byte plus a task count byte.
+	if n > uint64(len(r.s)-r.off) {
+		return nil, fmt.Errorf("netmr: loc list of %d entries overruns frame", n)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]fetchLoc, n)
+	for i := range out {
+		if out[i].Addr, err = r.string(); err != nil {
+			return nil, err
+		}
+		if out[i].Tasks, err = r.ints(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // decodeFrame parses one checksummed body into m, reusing m.Records' and
 // m.Batch's backing arrays when the caller passes them back in. All other
 // slice/map fields are freshly allocated (results outlive the next recv
-// on the master). ext selects the bin2 layout, trc the trace layout,
+// on the master); Parts sections are checked by one walk each and kept
+// as substrings of the frame's text. ext selects the bin2 layout, trc the trace layout,
 // red the reduce layout, cmp the comp layout and erl the early layout,
 // mirroring appendFrame. On comp connections the caller unwraps the
 // compression flag layer (unwrapCompressedBody) first; body here is
@@ -586,7 +604,7 @@ func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool) error {
 					return err
 				}
 				m.Parts[i].ID = int(v)
-				if m.Parts[i].Partial, err = r.pairs(); err != nil {
+				if m.Parts[i].Partial, err = r.section(); err != nil {
 					return err
 				}
 			}
@@ -638,25 +656,8 @@ func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool) error {
 		if m.Tasks, err = r.ints(); err != nil {
 			return err
 		}
-		nlocs, err := r.uvarint()
-		if err != nil {
+		if m.Locs, err = r.locs(); err != nil {
 			return err
-		}
-		// Each loc costs at least its addr length byte plus a task count
-		// byte.
-		if nlocs > uint64(len(r.s)-r.off) {
-			return fmt.Errorf("netmr: loc list of %d entries overruns frame", nlocs)
-		}
-		if nlocs > 0 {
-			m.Locs = make([]fetchLoc, nlocs)
-			for i := range m.Locs {
-				if m.Locs[i].Addr, err = r.string(); err != nil {
-					return err
-				}
-				if m.Locs[i].Tasks, err = r.ints(); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	if cmp {
@@ -688,25 +689,8 @@ func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool) error {
 			return err
 		}
 		m.Total = int(v)
-		nreps, err := r.uvarint()
-		if err != nil {
+		if m.Reps, err = r.locs(); err != nil {
 			return err
-		}
-		// Each rep costs at least its addr length byte plus a task count
-		// byte.
-		if nreps > uint64(len(r.s)-r.off) {
-			return fmt.Errorf("netmr: rep list of %d entries overruns frame", nreps)
-		}
-		if nreps > 0 {
-			m.Reps = make([]fetchLoc, nreps)
-			for i := range m.Reps {
-				if m.Reps[i].Addr, err = r.string(); err != nil {
-					return err
-				}
-				if m.Reps[i].Tasks, err = r.ints(); err != nil {
-					return err
-				}
-			}
 		}
 		if v, err = r.varint(); err != nil {
 			return err

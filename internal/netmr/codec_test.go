@@ -36,11 +36,11 @@ func codecMessages() []message {
 			{Job: "other", TaskID: -1, Records: []string{"a", "b", "c"}},
 		}},
 		{Type: "presult", TaskID: 7, Attempt: 1, Parts: []partitionPartial{
-			{ID: 0, Partial: map[string]float64{"alpha": 2, "": -1}},
-			{ID: 3, Partial: map[string]float64{"πκλ": 1e-300}},
+			{ID: 0, Partial: sectionFromMap(map[string]float64{"alpha": 2, "": -1})},
+			{ID: 3, Partial: sectionFromMap(map[string]float64{"πκλ": 1e-300})},
 		}},
 		{Type: "presult", TaskID: -2, Parts: []partitionPartial{
-			{ID: 1, Partial: nil},
+			{ID: 1, Partial: ""},
 		}},
 		{Type: "task", Job: "wc", TaskID: 1, Records: []string{"traced"}, Trace: "wc-3"},
 		{Type: "result", TaskID: 4, Attempt: 1, Partial: map[string]float64{"k": 2}, Trace: "wc-3", Spans: []spanSummary{
@@ -49,7 +49,7 @@ func codecMessages() []message {
 			{Phase: "", Start: -1.5, End: math.MaxFloat64},
 		}},
 		{Type: "presult", TaskID: 7, Trace: "", Spans: []spanSummary{{Phase: "encode", Start: 1, End: 1}}, Parts: []partitionPartial{
-			{ID: 0, Partial: map[string]float64{"a": 1}},
+			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
 		}},
 		{Type: "hello", ID: "127.0.0.1:5556", Jobs: []string{"wc"}, Caps: []string{"bin", "bin2", "reduce"}, Fetch: "127.0.0.1:7001"},
 		{Type: "helloack", Caps: []string{"bin", "bin2", "reduce"}, Reducers: 4},
@@ -61,11 +61,11 @@ func codecMessages() []message {
 				{Addr: "127.0.0.1:7002", Tasks: []int{1}},
 				{Addr: "", Tasks: nil},
 			},
-			Parts: []partitionPartial{{ID: 3, Partial: map[string]float64{"relayed": 1}}}},
+			Parts: []partitionPartial{{ID: 3, Partial: sectionFromMap(map[string]float64{"relayed": 1})}}},
 		{Type: "fetch", Run: "wc#1", TaskID: 0, Tasks: []int{0, 1, 2, -5}},
 		{Type: "fetchresult", TaskID: 0, Parts: []partitionPartial{
-			{ID: 0, Partial: map[string]float64{"a": 1}},
-			{ID: 2, Partial: nil},
+			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
+			{ID: 2, Partial: ""},
 		}},
 		{Type: "result", TaskID: 1, Attempt: 2, Partial: map[string]float64{"folded": 9}, Bytes: 123456789},
 		{Type: "reducetask", Job: "wc", TaskID: 0, Run: "wc#2",
@@ -75,7 +75,7 @@ func codecMessages() []message {
 		{Type: "morelocs", Run: "wc#2", TaskID: 3,
 			Locs:  []fetchLoc{{Addr: "127.0.0.1:7002", Tasks: []int{5}}},
 			Reps:  []fetchLoc{{Addr: "127.0.0.1:7004", Tasks: []int{5}}},
-			Parts: []partitionPartial{{ID: 6, Partial: nil}}},
+			Parts: []partitionPartial{{ID: 6, Partial: ""}}},
 		{Type: "morelocs", Run: "wc#2", TaskID: 1, Message: "abort"},
 		{Type: "result", TaskID: 2, Attempt: 1, Partial: map[string]float64{"f": 1}, Bytes: 77, Failovers: 3},
 	}
@@ -151,11 +151,6 @@ func normalize(m message) message {
 	}
 	if len(m.Parts) == 0 {
 		m.Parts = nil
-	}
-	for i := range m.Parts {
-		if len(m.Parts[i].Partial) == 0 {
-			m.Parts[i].Partial = nil
-		}
 	}
 	if len(m.Spans) == 0 {
 		m.Spans = nil

@@ -24,14 +24,14 @@ func compFrameSeeds() []message {
 		{Type: "mapdone", TaskID: 3, Attempt: 1, Run: "wc#1",
 			Rep: "127.0.0.1:7009", Spills: 2, Spilled: 4096},
 		{Type: "mapdone", TaskID: 4, Run: "wc#1",
-			Parts: []partitionPartial{{ID: 0, Partial: map[string]float64{"inline": 1}}}},
+			Parts: []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"inline": 1})}}},
 		{Type: "reducetask", Job: "wc", TaskID: 1, Run: "wc#1",
 			Locs:      []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{0, 2}}},
 			CompAddrs: []string{"127.0.0.1:7001", "127.0.0.1:7002"}},
 		{Type: "replicate", Run: "wc#1", TaskID: 2, Reducers: 4,
 			Parts: []partitionPartial{
-				{ID: 0, Partial: map[string]float64{"a": 1}},
-				{ID: 3, Partial: nil},
+				{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
+				{ID: 3, Partial: ""},
 			}},
 		{Type: "replicack", TaskID: 2},
 		{Type: "result", TaskID: 1, Attempt: 1, Partial: map[string]float64{"folded": 9},

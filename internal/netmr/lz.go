@@ -25,6 +25,16 @@ const (
 	// literals (matching LZ4's end-of-block rule), which keeps the
 	// decompressor's copy loops simple and safe.
 	lzTailLiterals = 12
+
+	// lzCompressThreshold is the smallest input worth attempting to
+	// compress; below it flag and length overhead eat the saving.
+	lzCompressThreshold = 4096
+	// lzProbeBytes is the prefix lzPack judges an input of twice that or
+	// more by before committing to a full pass.
+	lzProbeBytes = 64 << 10
+	// lzMinSaving is the share (one part in) a compressed form must shed
+	// to be kept: less does not pay for decompressing it.
+	lzMinSaving = 8
 )
 
 // lzHash maps a 4-byte sequence to a table slot.
@@ -115,6 +125,31 @@ func lzCompress(dst, src []byte) []byte {
 	}
 	emit(len(src), 0, 0)
 	return dst
+}
+
+// lzPack is the one "is compression worth it" policy frames, spill-file
+// sections and spill-run blocks share. It appends raw's compressed form
+// to dst and reports true only when that sheds at least 1/lzMinSaving of
+// raw's bytes; an input of at least two lzProbeBytes is judged on that
+// prefix first, so bulk that does not compress (TeraSort records) costs
+// one 64 KiB attempt, not a pass over all of it. On false dst comes back
+// with its length unchanged.
+func lzPack(dst, raw []byte) ([]byte, bool) {
+	if len(raw) < lzCompressThreshold {
+		return dst, false
+	}
+	mark := len(dst)
+	pays := func(out []byte, n int) bool { return len(out)-mark <= n-n/lzMinSaving }
+	if len(raw) >= 2*lzProbeBytes {
+		if probe := lzCompress(dst, raw[:lzProbeBytes]); !pays(probe, lzProbeBytes) {
+			return probe[:mark], false
+		}
+	}
+	out := lzCompress(dst, raw)
+	if !pays(out, len(raw)) {
+		return out[:mark], false
+	}
+	return out, true
 }
 
 // lzDecompress appends the decompressed form of src to dst and returns

@@ -1145,8 +1145,8 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 	// buildEarly snapshots partition p's gather plan at launch time:
 	// locations for stored outputs (rerouted when a primary is already
 	// gone), replica addresses for worker-local failover, and explicit
-	// inline entries for master-held copies and relayed outputs — nil
-	// Partial markers included for tasks that emitted nothing into p, so
+	// inline entries for master-held copies and relayed outputs — empty
+	// sections included for tasks that emitted nothing into p, so
 	// the reducer's coverage count can reach Total. An output that would
 	// need lineage re-execution returns !ok: pre-barrier recovery is not
 	// worth the re-run, the barrier path handles it.
@@ -1187,14 +1187,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 			if !okp {
 				return nil, nil, nil, false
 			}
-			var slice map[string]float64
-			for _, pp := range mp {
-				if pp.ID == p {
-					slice = pp.Partial
-					break
-				}
-			}
-			parts = append(parts, partitionPartial{ID: task, Partial: slice})
+			parts = append(parts, partitionPartial{ID: task, Partial: partOf(mp, p)})
 		}
 		for _, addr := range addrs {
 			locs = append(locs, fetchLoc{Addr: addr, Tasks: byAddr[addr]})
@@ -1208,14 +1201,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 		}
 		sort.Ints(relayed)
 		for _, task := range relayed {
-			var slice map[string]float64
-			for _, pp := range relay[p] {
-				if pp.ID == task {
-					slice = pp.Partial
-					break
-				}
-			}
-			parts = append(parts, partitionPartial{ID: task, Partial: slice})
+			parts = append(parts, partitionPartial{ID: task, Partial: partOf(relay[p], task)})
 		}
 		return locs, parts, reps, true
 	}
@@ -1556,9 +1542,10 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 				m.metrics.mapOutputs.With("stored").Inc()
 			case useReduce:
 				// A v1/non-reduce worker's output: split it by the reduce
-				// hash here and park each slice in its partition's relay
-				// buffer, to ride inline on the reduce task frame. Part
-				// workers arrive pre-split by R already (P = R).
+				// hash here and park each slice, encoded as a section, in
+				// its partition's relay buffer, to ride inline on the reduce
+				// task frame. Part workers arrive pre-split by R already
+				// (P = R), as the sections they built.
 				if r.prepart {
 					stats.PrePartitioned++
 					m.metrics.partResults.Inc()
@@ -1570,19 +1557,12 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 				if !earlyDisabled {
 					relayedSet[r.task.id] = true
 				}
-				// Relayed outputs stream inline — a nil Partial when the
+				// Relayed outputs stream inline — an empty section when the
 				// task emitted nothing into the launch's partition, so the
 				// reducer still counts it toward Total.
 				for _, el := range earlyActive {
-					var slice map[string]float64
-					for _, p := range split {
-						if p.ID == el.partition {
-							slice = p.Partial
-							break
-						}
-					}
 					el.updates <- message{Type: "morelocs", Run: runID, TaskID: el.partition,
-						Parts: []partitionPartial{{ID: r.task.id, Partial: slice}}}
+						Parts: []partitionPartial{{ID: r.task.id, Partial: partOf(split, el.partition)}}}
 					stats.LocsStreamed++
 					m.metrics.locsStreamed.Inc()
 				}
@@ -1800,7 +1780,7 @@ func splitForRelay(parts []partitionPartial, whole map[string]float64, reducers 
 	out := make([]partitionPartial, 0, reducers)
 	for p, b := range buckets {
 		if b != nil {
-			out = append(out, partitionPartial{ID: p, Partial: b})
+			out = append(out, partitionPartial{ID: p, Partial: sectionFromMap(b)})
 		}
 	}
 	return out
@@ -1815,13 +1795,11 @@ func flatten(parts []partitionPartial, whole map[string]float64) map[string]floa
 	}
 	n := 0
 	for _, p := range parts {
-		n += len(p.Partial)
+		n += p.Partial.count()
 	}
 	out := make(map[string]float64, n)
 	for _, p := range parts {
-		for k, v := range p.Partial {
-			out[k] = v
-		}
+		p.Partial.addTo(out)
 	}
 	return out
 }

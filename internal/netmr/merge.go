@@ -31,10 +31,12 @@ import (
 // the engine's router splits on arrival. Both paths land identical keys
 // in identical partitions, so mixed clusters merge correctly.
 
-// mergeChunk is one routed unit of merge input: a map whose keys all
-// hash to the partition owning the channel it travels on.
+// mergeChunk is one routed unit of merge input whose keys all hash to
+// the partition owning the channel it travels on: the section a part
+// worker built, or a map the router split off a flat result.
 type mergeChunk struct {
-	m map[string]float64
+	sec section
+	m   map[string]float64
 }
 
 // mergeFeed is one shard result queued for routing: either already
@@ -132,7 +134,7 @@ func (e *mergeEngine) route() {
 		if f.parts != nil {
 			for _, part := range f.parts {
 				if len(part.Partial) > 0 {
-					e.chans[part.ID] <- mergeChunk{m: part.Partial}
+					e.chans[part.ID] <- mergeChunk{sec: part.Partial}
 				}
 			}
 			continue
@@ -165,29 +167,32 @@ func (e *mergeEngine) route() {
 // folders.Wait returns (busy[p] is atomic for overlapped's sake).
 func (e *mergeEngine) fold(p int) {
 	defer e.folders.Done()
-	for c := range e.chans[p] {
-		start := time.Now()
-		if e.accs != nil {
+	add := func(k string, v float64) {
+		g := e.groups[p]
+		vs, ok := g[k]
+		if !ok {
+			vs = valuesPool.Get().(*[]float64)
+			*vs = (*vs)[:0]
+			g[k] = vs
+		}
+		*vs = append(*vs, v)
+	}
+	if e.accs != nil {
+		add = func(k string, v float64) {
 			acc := e.accs[p]
-			for k, v := range c.m {
-				if prev, ok := acc[k]; ok {
-					acc[k] = e.job.Combine(prev, v)
-				} else {
-					acc[k] = v
-				}
-			}
-		} else {
-			g := e.groups[p]
-			for k, v := range c.m {
-				vs, ok := g[k]
-				if !ok {
-					vs = valuesPool.Get().(*[]float64)
-					*vs = (*vs)[:0]
-					g[k] = vs
-				}
-				*vs = append(*vs, v)
+			if prev, ok := acc[k]; ok {
+				acc[k] = e.job.Combine(prev, v)
+			} else {
+				acc[k] = v
 			}
 		}
+	}
+	for c := range e.chans[p] {
+		start := time.Now()
+		for k, v := range c.m {
+			add(k, v)
+		}
+		c.sec.each(add)
 		e.busy[p].Add(int64(time.Since(start)))
 	}
 }

@@ -68,7 +68,7 @@ func benchmarkEngineMerge(b *testing.B, combine bool) {
 	}
 }
 
-// presplit re-arranges a flat partial into per-partition maps the way a
+// presplit re-arranges a flat partial into per-partition sections the way a
 // part-capable worker ships them — done outside the benchmark timer so
 // the engine benchmark below measures pure fold parallelism, the steady
 // state of a cluster where every worker negotiated "part".
@@ -84,7 +84,7 @@ func presplit(p map[string]float64, parts int) []partitionPartial {
 	out := make([]partitionPartial, 0, parts)
 	for id, m := range split {
 		if m != nil {
-			out = append(out, partitionPartial{ID: id, Partial: m})
+			out = append(out, partitionPartial{ID: id, Partial: sectionFromMap(m)})
 		}
 	}
 	return out

@@ -64,7 +64,7 @@ func TestRunShardPartitioned(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := runShard(job, lines, newShardScratch())
 			for _, parts := range []int{1, 2, 4, 9} {
-				got := runShardPartitioned(job, lines, newShardScratch(), parts)
+				got := runShardPartitioned(job, lines, newShardScratch(), parts, nil)
 				flat := map[string]float64{}
 				for _, p := range got {
 					if p.ID < 0 || p.ID >= parts {
@@ -73,7 +73,7 @@ func TestRunShardPartitioned(t *testing.T) {
 					if len(p.Partial) == 0 {
 						t.Fatalf("parts=%d: empty partition %d shipped", parts, p.ID)
 					}
-					for k, v := range p.Partial {
+					for k, v := range p.Partial.toMap() {
 						if idx := partitionIndex(k, parts); idx != p.ID {
 							t.Fatalf("parts=%d: key %q in partition %d, hashes to %d", parts, k, p.ID, idx)
 						}
@@ -116,7 +116,7 @@ func TestMergeEngineMatchesSerialMerge(t *testing.T) {
 					for _, i := range order {
 						if i%2 == 0 {
 							// Even shards arrive pre-partitioned (a "part" worker)...
-							eng.feed(runShardPartitioned(job, lines[i*per:(i+1)*per], newShardScratch(), parts), nil)
+							eng.feed(runShardPartitioned(job, lines[i*per:(i+1)*per], newShardScratch(), parts, nil), nil)
 						} else {
 							// ...odd shards arrive flat (legacy or non-part worker).
 							eng.feed(nil, partials[i])
@@ -495,8 +495,8 @@ func TestPartitionCapRequiresBin2(t *testing.T) {
 func FuzzDecodePartitionedResult(f *testing.F) {
 	seeds := []message{
 		{Type: "presult", TaskID: 1, Attempt: 1, Parts: []partitionPartial{
-			{ID: 0, Partial: map[string]float64{"a": 1, "b": 2}},
-			{ID: 2, Partial: map[string]float64{"c": -3.5}},
+			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1, "b": 2})},
+			{ID: 2, Partial: sectionFromMap(map[string]float64{"c": -3.5})},
 		}},
 		{Type: "presult", TaskID: 0, Parts: []partitionPartial{{ID: 7}}},
 		{Type: "presult"},
@@ -515,11 +515,18 @@ func FuzzDecodePartitionedResult(f *testing.F) {
 		}
 		f.Add(mut)
 	}
+	// Sections that lie about their contents (the reduce-layout bodies are
+	// garbage past Parts to this decoder, which is the point: the section
+	// walk comes first).
+	for _, body := range sortedBodies(badSectionBodies(f)) {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var m message
 		if err := decodeFrame(body, &m, true, false, false, false, false); err != nil {
 			return
 		}
+		walkSections(&m) // an accepted section can be iterated without failing
 		if _, ok := frameTypes[m.Type]; !ok {
 			return // unknown type placeholder, ignore-path
 		}
@@ -552,7 +559,7 @@ func FuzzDecodeSpanSummary(f *testing.F) {
 		}},
 		{Type: "presult", TaskID: 3, Trace: "j-9", Spans: []spanSummary{
 			{Phase: "partition", Start: 0.1, End: 0.2},
-		}, Parts: []partitionPartial{{ID: 0, Partial: map[string]float64{"k": 1}}}},
+		}, Parts: []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"k": 1})}}},
 		{Type: "result", TaskID: 2, Trace: "", Spans: nil},
 		{Type: "task", Job: "wc", TaskID: 0, Records: []string{"r"}, Trace: "wc-2"},
 	}

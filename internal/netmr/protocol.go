@@ -130,6 +130,11 @@ type message struct {
 	Total     int        `json:"total,omitempty"`     // reducetask: map tasks the run will eventually produce (early mode)
 	Reps      []fetchLoc `json:"reps,omitempty"`      // reducetask | morelocs: replica shuffle addrs per map task (local failover)
 	Failovers int        `json:"failovers,omitempty"` // result (of a reduce task): fetches locally rerouted to a replica
+
+	// partialSec, when non-nil, is Partial already encoded as a section:
+	// a reducer's merge writes its output in wire form, and the frame
+	// carries those bytes instead of encoding the map. Send side only.
+	partialSec []byte
 }
 
 // fetchLoc names one worker's shuffle listener and the map tasks whose
@@ -149,15 +154,6 @@ type spanSummary struct {
 	Phase string  `json:"phase"`
 	Start float64 `json:"start"`
 	End   float64 `json:"end"`
-}
-
-// partitionPartial is one merge partition's slice of a shard result: the
-// keys whose hash lands in partition ID, pre-split by the worker so the
-// master can route it to a partition accumulator without rehashing.
-// Empty partitions are omitted from the Parts list.
-type partitionPartial struct {
-	ID      int                `json:"id"`
-	Partial map[string]float64 `json:"partial,omitempty"`
 }
 
 // taskSpec is one shard inside a taskbatch frame; the worker answers
@@ -229,6 +225,9 @@ func (c *conn) send(m message, timeout time.Duration) error {
 		return err
 	}
 	if !c.binary {
+		if m.partialSec != nil {
+			m.Partial = section(m.partialSec).toMap()
+		}
 		if err := c.enc.Encode(m); err != nil {
 			return fmt.Errorf("netmr: send %s: %w", m.Type, err)
 		}
@@ -240,7 +239,9 @@ func (c *conn) send(m message, timeout time.Duration) error {
 	if err == nil {
 		_, err = c.raw.Write(frame) // one write: one frame per chaos fault op
 	}
-	*bufp = frame[:0]
+	if cap(frame) > cap(*bufp) {
+		*bufp = frame[:0] // the encode outgrew the pooled buffer: keep the larger one
+	}
 	encBufPool.Put(bufp)
 	if err != nil {
 		return fmt.Errorf("netmr: send %s: %w", m.Type, err)
@@ -404,7 +405,7 @@ func partitionIndex(key string, parts int) int {
 
 // shardScratch holds the flat arena runShard executes in. One scratch
 // per worker is reused across every shard it runs, so steady-state
-// execution allocates only the result map(s) it ships back.
+// execution allocates only the result it ships back.
 type shardScratch struct {
 	keyIDs   map[string]int // key → dense id, reset per shard
 	keys     []string       // id → key
@@ -414,8 +415,11 @@ type shardScratch struct {
 	counts   []int          // per-key emission counts
 	ends     []int          // per-key arena end offsets (prefix sums)
 	arena    []float64      // all values, grouped by key
+	vals     []float64      // id → shard-local result
 	partOf   []int          // partitioned collect: id → partition
-	partSize []int          // partitioned collect: keys per partition
+	partEnd  []int          // partitioned collect: per-partition window end in pairs
+	pairs    []sectionPair  // partitioned collect: pairs grouped by partition
+	sec      sectionBuilder // partitioned collect: section encode buffer
 	combined bool           // run() took the combiner path
 }
 
@@ -440,7 +444,7 @@ func (sc *shardScratch) reset() {
 // group the values into a single arena (counting sort by key id), so a
 // collector can call Reduce once per key on its contiguous arena window
 // — the same grouping map[string][]float64 used to do, without a slice
-// per key. After run, sc.keys holds the distinct keys and value(id)
+// per key. After run, sc.keys holds the distinct keys and values(j)
 // yields each key's reduced value.
 func (sc *shardScratch) run(j Job, records []string) {
 	sc.reset()
@@ -475,12 +479,8 @@ func (sc *shardScratch) run(j Job, records []string) {
 		j.Map(rec, emit)
 	}
 	nk := len(sc.keys)
-	if cap(sc.counts) < nk {
-		sc.counts = make([]int, nk)
-		sc.ends = make([]int, nk)
-	}
-	sc.counts = sc.counts[:nk]
-	sc.ends = sc.ends[:nk]
+	sc.counts = grown(sc.counts, nk)
+	sc.ends = grown(sc.ends, nk)
 	clear(sc.counts)
 	for _, id := range sc.logKeys {
 		sc.counts[id]++
@@ -490,10 +490,7 @@ func (sc *shardScratch) run(j Job, records []string) {
 		end += n
 		sc.ends[id] = end
 	}
-	if cap(sc.arena) < len(sc.logVals) {
-		sc.arena = make([]float64, len(sc.logVals))
-	}
-	sc.arena = sc.arena[:len(sc.logVals)]
+	sc.arena = grown(sc.arena, len(sc.logVals))
 	// Scatter values into per-key windows back to front, so ends[id]
 	// walks down to the window start.
 	for i := len(sc.logKeys) - 1; i >= 0; i-- {
@@ -503,69 +500,103 @@ func (sc *shardScratch) run(j Job, records []string) {
 	}
 }
 
-// value returns key id's shard-local result: the running fold on the
-// combiner path, one Reduce over the arena window otherwise.
-func (sc *shardScratch) value(j Job, id int) float64 {
-	if sc.combined {
-		return sc.accs[id]
+// grown returns s resized to n, reallocating only when it must; the
+// contents are unspecified.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	lo := sc.ends[id]
-	return j.Reduce(sc.keys[id], sc.arena[lo:lo+sc.counts[id]])
+	return s[:n]
+}
+
+// values returns every key id's shard-local result: the running fold on
+// the combiner path, one Reduce over the arena window otherwise.
+func (sc *shardScratch) values(j Job) []float64 {
+	if sc.combined {
+		return sc.accs
+	}
+	sc.vals = grown(sc.vals, len(sc.keys))
+	for id, k := range sc.keys {
+		lo := sc.ends[id]
+		sc.vals[id] = j.Reduce(k, sc.arena[lo:lo+sc.counts[id]])
+	}
+	return sc.vals
 }
 
 // runShard executes one shard and collects the result into a single map
 // — the unpartitioned wire shape.
 func runShard(j Job, records []string, sc *shardScratch) map[string]float64 {
+	return runShardTraced(j, records, sc, nil)
+}
+
+// runShardTraced is runShard recording its phases on clock (nil: an
+// untraced run; the marks then cost a nil check). The per-key reduction
+// is its own pass — the "combine" span — so Wp splits into its two
+// constituents.
+func runShardTraced(j Job, records []string, sc *shardScratch, clock *spanClock) map[string]float64 {
 	sc.run(j, records)
+	clock.mark(spanMap)
+	vals := sc.values(j)
+	clock.mark(spanCombine)
 	out := make(map[string]float64, len(sc.keys))
 	for id, k := range sc.keys {
-		out[k] = sc.value(j, id)
+		out[k] = vals[id]
 	}
+	clock.mark(spanEncode)
 	return out
 }
 
 // runShardPartitioned executes one shard and collects the result split
-// into hash partitions, each map sized exactly, empty partitions
-// omitted. The hashing cost this moves onto the worker is the cost the
-// master's serial merge no longer pays — the worker side of shrinking
-// Ws(n).
-func runShardPartitioned(j Job, records []string, sc *shardScratch, parts int) []partitionPartial {
-	if parts <= 1 {
-		return []partitionPartial{{ID: 0, Partial: runShard(j, records, sc)}}
+// into hash partitions, each a key-sorted section, empty partitions
+// omitted. This is the only place map output is sorted and encoded:
+// every later hop moves the sections as bytes. The hashing moved onto
+// the worker is the cost the master's serial merge no longer pays (the
+// "partition" span); the sort and encode are the "encode" span.
+func runShardPartitioned(j Job, records []string, sc *shardScratch, parts int, clock *spanClock) []partitionPartial {
+	if parts < 1 {
+		parts = 1
 	}
 	sc.run(j, records)
+	clock.mark(spanMap)
+	vals := sc.values(j)
+	clock.mark(spanCombine)
 	nk := len(sc.keys)
-	if cap(sc.partOf) < nk {
-		sc.partOf = make([]int, nk)
-	}
-	sc.partOf = sc.partOf[:nk]
-	if cap(sc.partSize) < parts {
-		sc.partSize = make([]int, parts)
-	}
-	sc.partSize = sc.partSize[:parts]
-	clear(sc.partSize)
+	sc.partOf = grown(sc.partOf, nk)
+	sc.partEnd = grown(sc.partEnd, parts)
+	clear(sc.partEnd)
 	for id, k := range sc.keys {
 		p := partitionIndex(k, parts)
 		sc.partOf[id] = p
-		sc.partSize[p]++
+		sc.partEnd[p]++
 	}
-	maps := make([]map[string]float64, parts)
-	nonEmpty := 0
-	for p, n := range sc.partSize {
+	nonEmpty, end := 0, 0
+	for p, n := range sc.partEnd {
 		if n > 0 {
-			maps[p] = make(map[string]float64, n)
 			nonEmpty++
 		}
+		end += n
+		sc.partEnd[p] = end
 	}
-	for id, k := range sc.keys {
-		maps[sc.partOf[id]][k] = sc.value(j, id)
+	clock.mark(spanPartition)
+	// Group the pairs by partition back to front (partEnd walks down to
+	// each window's start), then sort and encode window by window.
+	sc.pairs = grown(sc.pairs, nk)
+	for id := nk - 1; id >= 0; id-- {
+		p := sc.partOf[id]
+		sc.partEnd[p]--
+		sc.pairs[sc.partEnd[p]] = sectionPair{sc.keys[id], vals[id]}
 	}
 	out := make([]partitionPartial, 0, nonEmpty)
-	for p, m := range maps {
-		if m != nil {
-			out = append(out, partitionPartial{ID: p, Partial: m})
+	for p, lo := range sc.partEnd {
+		hi := nk
+		if p+1 < parts {
+			hi = sc.partEnd[p+1]
+		}
+		if hi > lo {
+			out = append(out, partitionPartial{ID: p, Partial: sc.sec.build(sc.pairs[lo:hi])})
 		}
 	}
+	clock.mark(spanEncode)
 	return out
 }
 
@@ -578,45 +609,50 @@ const (
 	spanMap       = "map"       // Map pass over the records (incl. streaming Combine)
 	spanCombine   = "combine"   // per-key reduction of buffered emissions
 	spanPartition = "partition" // hash-splitting keys into merge partitions
-	spanEncode    = "encode"    // building the wire-shape result maps
-	spanFetch     = "fetch"     // reduce task: pulling intermediate partitions from peers
-	spanReduce    = "reduce"    // reduce task: folding the fetched partials
+	spanEncode    = "encode"    // map task: sorting and encoding the result (sections, or the flat map); reduce task: sealing the merged section
+	spanFetch     = "fetch"     // reduce task: pulling intermediate sections from peers
+	spanReduce    = "reduce"    // reduce task: merge-fold of the gathered sections
 	spanSpill     = "spill"     // writing sorted spill runs when the memory budget is exceeded
-	spanMergeRuns = "mergeruns" // reduce task: loser-tree merge-fold of spilled runs
+	spanMergeRuns = "mergeruns" // reduce task: merge-fold when spilled runs take part
 	spanReplicate = "replicate" // pushing a persisted partition set to the replica peer
 	spanAwait     = "await"     // early reduce task: waiting for the next morelocs round
 )
 
 // spanClock accumulates spanSummary intervals against a fixed epoch —
 // the moment the worker received the task, so the master can re-base
-// the whole window onto its own clock without synchronized clocks.
+// the whole window onto its own clock without synchronized clocks. A nil
+// clock records nothing: untraced tasks run the same code.
 type spanClock struct {
 	epoch time.Time
+	last  time.Time // end of the latest mark: where the next phase starts
 	spans []spanSummary
 }
 
 // newSpanClock starts a clock whose epoch is decode-duration before now,
 // with the decode interval already recorded: the wire decode happened
 // before the task body could run.
-func newSpanClock(decode time.Duration) (*spanClock, time.Time) {
+func newSpanClock(decode time.Duration) *spanClock {
 	now := time.Now()
 	if decode < 0 {
 		decode = 0
 	}
-	c := &spanClock{epoch: now.Add(-decode)}
+	c := &spanClock{epoch: now.Add(-decode), last: now}
 	c.spans = append(c.spans, spanSummary{Phase: spanDecode, Start: 0, End: decode.Seconds()})
-	return c, now
+	return c
 }
 
-// mark records phase as [from, now) and returns now for chaining.
-func (c *spanClock) mark(phase string, from time.Time) time.Time {
+// mark records phase as [end of the previous mark, now).
+func (c *spanClock) mark(phase string) {
+	if c == nil {
+		return
+	}
 	now := time.Now()
 	c.spans = append(c.spans, spanSummary{
 		Phase: phase,
-		Start: from.Sub(c.epoch).Seconds(),
+		Start: c.last.Sub(c.epoch).Seconds(),
 		End:   now.Sub(c.epoch).Seconds(),
 	})
-	return now
+	c.last = now
 }
 
 // appendSpanAfter appends a synthetic span of duration d placed right
@@ -634,81 +670,4 @@ func appendSpanAfter(spans []spanSummary, phase string, d time.Duration) []spanS
 		}
 	}
 	return append(spans, spanSummary{Phase: phase, Start: end, End: end + d.Seconds()})
-}
-
-// runShardTraced is runShard with per-phase span recording. It is a
-// separate function so the untraced hot path (whose allocation profile
-// CI gates) is untouched; the extra cost here — a few clock reads and
-// one spans slice — is exactly what the tracing-overhead benchmark
-// bounds. The per-key reduction runs as its own pass (the "combine"
-// span) instead of fused into map building, so Wp splits into its two
-// constituents.
-func runShardTraced(j Job, records []string, sc *shardScratch, decode time.Duration) (map[string]float64, []spanSummary) {
-	clock, t := newSpanClock(decode)
-	sc.run(j, records)
-	t = clock.mark(spanMap, t)
-	vals := make([]float64, len(sc.keys))
-	for id := range sc.keys {
-		vals[id] = sc.value(j, id)
-	}
-	t = clock.mark(spanCombine, t)
-	out := make(map[string]float64, len(sc.keys))
-	for id, k := range sc.keys {
-		out[k] = vals[id]
-	}
-	clock.mark(spanEncode, t)
-	return out, clock.spans
-}
-
-// runShardPartitionedTraced is runShardPartitioned with per-phase span
-// recording; the hash split gets its own "partition" span so the cost
-// the part capability moves off the master is visible in the timeline.
-func runShardPartitionedTraced(j Job, records []string, sc *shardScratch, parts int, decode time.Duration) ([]partitionPartial, []spanSummary) {
-	if parts <= 1 {
-		out, spans := runShardTraced(j, records, sc, decode)
-		return []partitionPartial{{ID: 0, Partial: out}}, spans
-	}
-	clock, t := newSpanClock(decode)
-	sc.run(j, records)
-	t = clock.mark(spanMap, t)
-	vals := make([]float64, len(sc.keys))
-	for id := range sc.keys {
-		vals[id] = sc.value(j, id)
-	}
-	t = clock.mark(spanCombine, t)
-	nk := len(sc.keys)
-	if cap(sc.partOf) < nk {
-		sc.partOf = make([]int, nk)
-	}
-	sc.partOf = sc.partOf[:nk]
-	if cap(sc.partSize) < parts {
-		sc.partSize = make([]int, parts)
-	}
-	sc.partSize = sc.partSize[:parts]
-	clear(sc.partSize)
-	for id, k := range sc.keys {
-		p := partitionIndex(k, parts)
-		sc.partOf[id] = p
-		sc.partSize[p]++
-	}
-	t = clock.mark(spanPartition, t)
-	maps := make([]map[string]float64, parts)
-	nonEmpty := 0
-	for p, n := range sc.partSize {
-		if n > 0 {
-			maps[p] = make(map[string]float64, n)
-			nonEmpty++
-		}
-	}
-	for id, k := range sc.keys {
-		maps[sc.partOf[id]][k] = vals[id]
-	}
-	out := make([]partitionPartial, 0, nonEmpty)
-	for p, m := range maps {
-		if m != nil {
-			out = append(out, partitionPartial{ID: p, Partial: m})
-		}
-	}
-	clock.mark(spanEncode, t)
-	return out, clock.spans
 }

@@ -110,15 +110,13 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 				if scratch == nil {
 					scratch = newShardScratch()
 				}
-				parts = runShardPartitioned(plan.job, plan.shardRecords(task), scratch, R)
+				parts = runShardPartitioned(plan.job, plan.shardRecords(task), scratch, R, nil)
 				plan.replicaParts[task] = parts
 				m.metrics.mapReexecs.Inc()
 			}
 			recovered()
-			for _, p := range parts {
-				if p.ID == partition {
-					inline = append(inline, partitionPartial{ID: task, Partial: p.Partial})
-				}
+			if sec := partOf(parts, partition); len(sec) > 0 {
+				inline = append(inline, partitionPartial{ID: task, Partial: sec})
 			}
 		}
 		addrs := make([]string, 0, len(byAddr))

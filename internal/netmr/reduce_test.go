@@ -53,10 +53,10 @@ func TestInterStoreSliceRejectsRogue(t *testing.T) {
 	s := newInterStore()
 	s.setReducers(2)
 	s.put("wc#1", 0, []partitionPartial{
-		{ID: 0, Partial: map[string]float64{"a": 1}},
-		{ID: 1, Partial: map[string]float64{"b": 2}},
+		{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
+		{ID: 1, Partial: sectionFromMap(map[string]float64{"b": 2})},
 	}, 2)
-	s.put("wc#1", 3, []partitionPartial{{ID: 1, Partial: map[string]float64{"c": 3}}}, 2)
+	s.put("wc#1", 3, []partitionPartial{{ID: 1, Partial: sectionFromMap(map[string]float64{"c": 3})}}, 2)
 
 	if _, err := s.slice("other#9", 0, []int{0}); err == nil {
 		t.Error("foreign run id accepted")
@@ -79,14 +79,14 @@ func TestInterStoreSliceRejectsRogue(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []partitionPartial{
-		{ID: 0, Partial: map[string]float64{"a": 1}},
-		{ID: 3, Partial: nil},
+		{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
+		{ID: 3, Partial: ""},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("slice = %+v, want %+v", got, want)
 	}
 	// A new run evicts the old one.
-	s.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: map[string]float64{"z": 1}}}, 2)
+	s.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"z": 1})}}, 2)
 	if _, err := s.slice("wc#1", 0, []int{0}); err == nil {
 		t.Error("evicted run still served")
 	}
@@ -316,8 +316,8 @@ func TestRogueFetchRejected(t *testing.T) {
 	t.Cleanup(w.Stop)
 	w.store.setReducers(2)
 	w.store.put("wc#1", 0, []partitionPartial{
-		{ID: 0, Partial: map[string]float64{"a": 1}},
-		{ID: 1, Partial: map[string]float64{"b": 2}},
+		{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
+		{ID: 1, Partial: sectionFromMap(map[string]float64{"b": 2})},
 	}, 2)
 
 	if _, _, _, err := fetchPartition(addr, "wc#1", 99, []int{0}, defaultShuffleTimeout, false); err == nil {
@@ -358,7 +358,7 @@ func TestRogueFetchRejected(t *testing.T) {
 	if err != nil || reply.Type != "fetchresult" {
 		t.Fatalf("valid fetch after rogues got (%+v, %v), want fetchresult", reply, err)
 	}
-	want := []partitionPartial{{ID: 0, Partial: map[string]float64{"b": 2}}}
+	want := []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"b": 2})}}
 	if !reflect.DeepEqual(reply.Parts, want) {
 		t.Fatalf("fetchresult parts = %+v, want %+v", reply.Parts, want)
 	}
@@ -513,13 +513,13 @@ func reduceFrameSeeds() []message {
 				{Addr: "127.0.0.1:7001", Tasks: []int{0, 2}},
 				{Addr: "127.0.0.1:7002", Tasks: []int{1}},
 			},
-			Parts: []partitionPartial{{ID: 3, Partial: map[string]float64{"relayed": 1}}}},
+			Parts: []partitionPartial{{ID: 3, Partial: sectionFromMap(map[string]float64{"relayed": 1})}}},
 		{Type: "reducetask", Job: "", TaskID: -1, Run: "", Locs: []fetchLoc{{Addr: "", Tasks: nil}}},
 		{Type: "fetch", Run: "wc#1", TaskID: 0, Tasks: []int{0, 1, 2}},
 		{Type: "fetch", Run: "", TaskID: -9, Tasks: nil},
 		{Type: "fetchresult", TaskID: 0, Parts: []partitionPartial{
-			{ID: 0, Partial: map[string]float64{"a": 1.5}},
-			{ID: 2, Partial: nil},
+			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1.5})},
+			{ID: 2, Partial: ""},
 		}},
 		{Type: "mapdone", TaskID: 2, Attempt: 1, Run: "wc#1"},
 		{Type: "result", TaskID: 1, Attempt: 2, Partial: map[string]float64{"folded": 9}, Bytes: 1 << 40},
@@ -547,12 +547,16 @@ func FuzzDecodeReduceFrame(f *testing.F) {
 		}
 		f.Add(mut)
 	}
+	for _, body := range sortedBodies(badSectionBodies(f)) {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, layout := range []struct{ trc bool }{{false}, {true}} {
 			var m message
 			if err := decodeFrame(body, &m, true, layout.trc, true, false, false); err != nil {
 				continue
 			}
+			walkSections(&m) // an accepted section can be iterated without failing
 			for _, loc := range m.Locs {
 				if len(loc.Addr) > len(body) {
 					t.Fatalf("loc addr of %d bytes from a %d-byte body", len(loc.Addr), len(body))
@@ -588,6 +592,24 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("NETMR_WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set NETMR_WRITE_FUZZ_CORPUS=1 to regenerate testdata/fuzz")
 	}
+	for fuzzName, bodies := range fuzzCorpora(t) {
+		dir := filepath.Join("testdata", "fuzz", fuzzName)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range bodies {
+			content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b)
+			name := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
+			if err := os.WriteFile(name, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// fuzzCorpora encodes the seed messages of every focused fuzzer into the
+// bodies the committed corpus holds, file seed-NNN being bodies[NNN].
+func fuzzCorpora(t *testing.T) map[string][][]byte {
 	encode := func(m message, ext, trc, red, cmp, erl bool) []byte {
 		frame, _, err := appendFrame(nil, &m, nil, ext, trc, red, cmp, erl)
 		if err != nil {
@@ -632,17 +654,5 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		body := encode(m, true, true, true, true, true)
 		add("FuzzDecodeCompressedFrame", body, body[:len(body)/2], mutate(body))
 	}
-	for fuzzName, bodies := range corpora {
-		dir := filepath.Join("testdata", "fuzz", fuzzName)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for i, b := range bodies {
-			content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b)
-			name := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
-			if err := os.WriteFile(name, []byte(content), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	return corpora
 }

@@ -1,0 +1,426 @@
+package netmr
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// mapPart is a Parts entry the way the previous generation of this
+// package carried it: a map the encoder sorted at every send.
+type mapPart struct {
+	id int
+	m  map[string]float64
+}
+
+// mapEncodeBody is the previous generation's frame encoder, kept here as
+// the reference: it builds the raw checksummed body (type byte through
+// CRC) from maps, collecting and sorting every map's keys the way
+// appendFrame did before sections. m carries every field but Parts.
+func mapEncodeBody(t testing.TB, m message, parts []mapPart, g codecGen) []byte {
+	t.Helper()
+	pairs := func(b []byte, p map[string]float64) []byte {
+		b = binary.AppendUvarint(b, uint64(len(p)))
+		keys := make([]string, 0, len(p))
+		for k := range p {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			b = appendString(b, k)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p[k]))
+		}
+		return b
+	}
+	locs := func(b []byte, ls []fetchLoc) []byte {
+		b = binary.AppendUvarint(b, uint64(len(ls)))
+		for _, loc := range ls {
+			b = appendString(b, loc.Addr)
+			b = binary.AppendUvarint(b, uint64(len(loc.Tasks)))
+			for _, task := range loc.Tasks {
+				b = binary.AppendVarint(b, int64(task))
+			}
+		}
+		return b
+	}
+	b := []byte{frameTypes[m.Type]}
+	b = appendString(b, m.ID)
+	b = appendString(b, m.Job)
+	b = binary.AppendVarint(b, int64(m.TaskID))
+	b = binary.AppendVarint(b, int64(m.Attempt))
+	b = appendStrings(b, m.Records)
+	b = pairs(b, m.Partial)
+	b = appendStrings(b, m.Jobs)
+	b = appendString(b, m.Message)
+	b = appendStrings(b, m.Caps)
+	b = binary.AppendUvarint(b, uint64(len(m.Batch)))
+	for _, spec := range m.Batch {
+		b = appendString(b, spec.Job)
+		b = binary.AppendVarint(b, int64(spec.TaskID))
+		b = binary.AppendVarint(b, int64(spec.Attempt))
+		b = appendStrings(b, spec.Records)
+	}
+	if g.ext {
+		b = binary.AppendVarint(b, int64(m.Partitions))
+		b = binary.AppendUvarint(b, uint64(len(parts)))
+		for _, part := range parts {
+			b = binary.AppendVarint(b, int64(part.id))
+			b = pairs(b, part.m)
+		}
+	}
+	if g.trc {
+		b = appendString(b, m.Trace)
+		b = binary.AppendUvarint(b, uint64(len(m.Spans)))
+		for _, s := range m.Spans {
+			b = appendString(b, s.Phase)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Start))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.End))
+		}
+	}
+	if g.red {
+		b = appendString(b, m.Run)
+		b = binary.AppendVarint(b, int64(m.Reducers))
+		b = appendString(b, m.Fetch)
+		b = binary.AppendVarint(b, m.Bytes)
+		b = binary.AppendUvarint(b, uint64(len(m.Tasks)))
+		for _, task := range m.Tasks {
+			b = binary.AppendVarint(b, int64(task))
+		}
+		b = locs(b, m.Locs)
+	}
+	if g.cmp {
+		b = appendString(b, m.Rep)
+		b = appendStrings(b, m.CompAddrs)
+		b = binary.AppendVarint(b, int64(m.Spills))
+		b = binary.AppendVarint(b, m.Spilled)
+		b = binary.AppendVarint(b, m.CompBytes)
+		b = binary.AppendVarint(b, m.ShuffleMs)
+	}
+	if g.erl {
+		b = binary.AppendVarint(b, int64(m.Total))
+		b = locs(b, m.Reps)
+		b = binary.AppendVarint(b, int64(m.Failovers))
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+}
+
+// randomPairs draws n pairs over a key space that collides across calls
+// (shared prefixes, the empty key, multi-byte runes) with values that
+// include the non-finite ones JSON cannot carry.
+func randomPairs(rng *rand.Rand, n int) map[string]float64 {
+	m := make(map[string]float64, n)
+	for len(m) < n {
+		var k string
+		switch rng.Intn(4) {
+		case 0:
+			k = fmt.Sprintf("key-%d", rng.Intn(4*n+1))
+		case 1:
+			k = strings.Repeat("p", rng.Intn(200)) + fmt.Sprint(rng.Intn(50))
+		case 2:
+			k = string([]rune{rune(0x3b1 + rng.Intn(24)), rune('a' + rng.Intn(26))})
+		default:
+			k = string([]byte{byte(rng.Intn(256)), byte(rng.Intn(256))})
+		}
+		v := float64(rng.Intn(1000)) - 500
+		switch rng.Intn(20) {
+		case 0:
+			v = math.NaN()
+		case 1:
+			v = math.Inf(1 - 2*rng.Intn(2))
+		}
+		m[k] = v
+	}
+	return m
+}
+
+// TestSectionFramesMatchMapEncoder is the wire-compatibility property:
+// for every frame type that carries Parts or Partial, a frame built from
+// sections is byte for byte the frame the map-based encoder built from
+// the same data — under every layout that can carry it, comp on or off.
+// (With comp on the body under the flag layer is compared, and the whole
+// frame whenever it travels stored: which bodies get compressed is this
+// generation's policy, what they decompress to is not.)
+func TestSectionFramesMatchMapEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 60; trial++ {
+		var parts []mapPart
+		var secs []partitionPartial
+		for p, n := 0, rng.Intn(5); p < n; p++ {
+			size := []int{0, 1, 2, 40, 700}[rng.Intn(5)]
+			mp := mapPart{id: rng.Intn(9) - 1, m: randomPairs(rng, size)}
+			parts = append(parts, mp)
+			secs = append(secs, partitionPartial{ID: mp.id, Partial: sectionFromMap(mp.m)})
+		}
+		partial := randomPairs(rng, []int{0, 1, 300}[rng.Intn(3)])
+		var folded sectionBuilder
+		folded.reset()
+		for c := sectionFromMap(partial).cursor(); ; {
+			k, v, ok := c.next()
+			if !ok {
+				break
+			}
+			folded.add(k, v)
+		}
+		frames := []message{
+			{Type: "presult", TaskID: trial, Attempt: 1, Parts: secs},
+			{Type: "mapdone", TaskID: trial, Run: "wc#1", Parts: secs},
+			{Type: "replicate", Run: "wc#1", TaskID: trial, Reducers: 8, Parts: secs},
+			{Type: "fetchresult", TaskID: 3, Parts: secs},
+			{Type: "reducetask", Job: "wc", TaskID: 2, Run: "wc#1", Parts: secs,
+				Locs: []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{0, 1}}}},
+			{Type: "morelocs", Run: "wc#1", TaskID: 2, Parts: secs,
+				Reps: []fetchLoc{{Addr: "127.0.0.1:7002", Tasks: []int{4}}}},
+			{Type: "result", TaskID: 1, Attempt: 2, Partial: partial, Bytes: 99},
+			{Type: "result", TaskID: 1, Attempt: 2, partialSec: folded.bytes(), Bytes: 99},
+		}
+		for _, m := range frames {
+			ref, refParts := m, parts
+			ref.partialSec = nil
+			if m.partialSec != nil {
+				ref.Partial = partial
+			}
+			if m.Parts == nil {
+				refParts = nil
+			}
+			for _, g := range codecGens() {
+				if !g.carries(m) {
+					continue
+				}
+				want := mapEncodeBody(t, ref, refParts, g)
+				frame, _, err := appendFrame(nil, &m, nil, g.ext, g.trc, g.red, g.cmp, g.erl)
+				if err != nil {
+					t.Fatalf("trial %d %s/%s: %v", trial, m.Type, g.name, err)
+				}
+				body := frameBody(t, frame)
+				if g.cmp {
+					raw, _, compressed, err := unwrapCompressedBody(body, nil)
+					if err != nil {
+						t.Fatalf("trial %d %s/%s: %v", trial, m.Type, g.name, err)
+					}
+					if !compressed {
+						stored := append(binary.AppendUvarint(nil, uint64(len(want)+1)), 0)
+						if string(frame) != string(append(stored, want...)) {
+							t.Fatalf("trial %d %s/%s: stored comp frame differs from the map encoder's", trial, m.Type, g.name)
+						}
+					}
+					body = raw
+				} else if string(frame) != string(append(binary.AppendUvarint(nil, uint64(len(want))), want...)) {
+					t.Fatalf("trial %d %s/%s: frame differs from the map encoder's", trial, m.Type, g.name)
+				}
+				if string(body) != string(want) {
+					t.Fatalf("trial %d %s/%s: body differs from the map encoder's", trial, m.Type, g.name)
+				}
+			}
+		}
+	}
+}
+
+// TestCommittedCorpusMatchesEncoder: the corpus under testdata/fuzz was
+// written by the map-based encoder; the section encoder must reproduce
+// every file byte for byte from the same seed messages.
+func TestCommittedCorpusMatchesEncoder(t *testing.T) {
+	for fuzzName, bodies := range fuzzCorpora(t) {
+		for i, b := range bodies {
+			name := filepath.Join("testdata", "fuzz", fuzzName, fmt.Sprintf("seed-%03d", i))
+			got, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b); string(got) != want {
+				t.Errorf("%s: the encoder no longer produces the committed bytes", name)
+			}
+		}
+	}
+}
+
+// badSectionBodies are checksummed bodies (layout ext+red, the shape
+// both focused fuzzers decode) whose Parts carry a section the decoder
+// must refuse: the encoder copies section bytes in as they are, so a
+// peer that lies about one is the only way such a frame comes to exist.
+func badSectionBodies(t testing.TB) map[string][]byte {
+	good := string(sectionFromMap(map[string]float64{"a": 1, "b": 2, "c": 3}))
+	pair := func(k string) string {
+		return string(binary.LittleEndian.AppendUint64(appendString(nil, k), math.Float64bits(1)))
+	}
+	bad := map[string]string{
+		"over-count":     "\x04" + good[1:],                       // 4 declared, 3 present: runs into the next field
+		"under-count":    "\x02" + good[1:],                       // overlong: a pair trails the declared two
+		"truncated-key":  good[:len(good)-9],                      // last pair cut after its key length
+		"truncated-val":  good[:len(good)-3],                      // last value short
+		"key-overrun":    "\x01\x7fa" + strings.Repeat("\x00", 8), // key length points past the frame
+		"huge-count":     "\xff\xff\xff\xff\x0f" + good[1:],       // count no frame could hold
+		"unsorted":       "\x02" + pair("b") + pair("a"),          // the merge needs ascending keys
+		"duplicate-key":  "\x02" + pair("a") + pair("a"),          // strictly ascending
+		"count-overflow": strings.Repeat("\xff", 10) + "\x01",     // uvarint past 64 bits
+		"noncanonical-0": "\x80\x00",                              // fine: decodes as empty — kept as a positive control
+	}
+	out := map[string][]byte{}
+	for name, sec := range bad {
+		m := message{Type: "fetchresult", TaskID: 1, Parts: []partitionPartial{
+			{ID: 0, Partial: sectionFromMap(map[string]float64{"ok": 1})},
+			{ID: 1, Partial: section(sec)},
+		}}
+		frame, _, err := appendFrame(nil, &m, nil, true, false, true, false, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = frameBody(t, frame)
+	}
+	return out
+}
+
+// sortedBodies orders a name → body table by name, so fuzz seeds keep
+// their numbers from run to run.
+func sortedBodies(bodies map[string][]byte) [][]byte {
+	names := make([]string, 0, len(bodies))
+	for name := range bodies {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([][]byte, len(names))
+	for i, name := range names {
+		out[i] = bodies[name]
+	}
+	return out
+}
+
+// walkSections iterates every section of a decoded message the ways the
+// data path does; a section the decoder accepted must never panic here.
+func walkSections(m *message) (pairs int) {
+	for _, p := range m.Parts {
+		n := 0
+		for c := p.Partial.cursor(); ; n++ {
+			if _, _, ok := c.next(); !ok {
+				break
+			}
+		}
+		if n != p.Partial.count() || len(p.Partial.toMap()) != n {
+			panic(fmt.Sprintf("section of %d pairs walked as %d", p.Partial.count(), n))
+		}
+		pairs += n
+	}
+	return pairs
+}
+
+// TestDecodeRejectsBadSections: a section is bounds-checked once, at
+// decode — count, key lengths, value bytes, key order — so that nothing
+// downstream has to be able to fail.
+func TestDecodeRejectsBadSections(t *testing.T) {
+	for name, body := range badSectionBodies(t) {
+		var m message
+		err := decodeFrame(body, &m, true, false, true, false, false)
+		if name == "noncanonical-0" {
+			if err != nil || walkSections(&m) != 1 {
+				t.Errorf("%s: err=%v, want a frame with one pair", name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: decoded, want an error (parts %+v)", name, m.Parts)
+		}
+	}
+}
+
+// TestSectionMergeMatchesSerialMerge pins the reducer's merge to the
+// master's serialMerge on the shapes the random sweep may miss: a key
+// every task holds, tasks gathered out of order, empty and single-key
+// sections, one section alone, nothing at all — Combine on and off, with
+// a Reduce that is sensitive to the order its values arrive in.
+func TestSectionMergeMatchesSerialMerge(t *testing.T) {
+	positional := Job{Name: "positional",
+		Map: func(string, func(string, float64)) {},
+		Reduce: func(_ string, vs []float64) float64 {
+			out := 0.0
+			for _, v := range vs {
+				out = out*10 + v
+			}
+			return out
+		}}
+	folding := positional
+	folding.Combine = func(acc, v float64) float64 { return acc*10 + v }
+
+	shared := func(tasks int) []taskMap {
+		in := make([]taskMap, tasks)
+		for task := range in {
+			in[task] = taskMap{task: task, m: map[string]float64{
+				"everyone": float64(task%9 + 1), fmt.Sprintf("own-%02d", task): 1, "": 2,
+			}}
+		}
+		return in
+	}
+	cases := map[string][]taskMap{
+		"nothing":     nil,
+		"one-empty":   {{task: 0, m: map[string]float64{}}},
+		"one-section": {{task: 4, m: map[string]float64{"a": 1, "b": 2}}},
+		"single-keys": {{task: 2, m: map[string]float64{"k": 3}}, {task: 0, m: map[string]float64{"k": 1}}, {task: 1, m: map[string]float64{"k": 2}}},
+		"with-empties": {{task: 3, m: map[string]float64{}}, {task: 1, m: map[string]float64{"x": 7}},
+			{task: 0, m: map[string]float64{}}, {task: 2, m: map[string]float64{"x": 5, "y": 1}}},
+		"shared-by-33": shared(33),
+	}
+	for name, inputs := range cases {
+		for jobName, job := range map[string]Job{"reduce": positional, "combine": folding} {
+			want := oracleFold(job, inputs)
+			reversed := append([]taskMap(nil), inputs...)
+			sort.Slice(reversed, func(i, j int) bool { return reversed[i].task > reversed[j].task })
+			for _, order := range [][]taskMap{inputs, reversed} {
+				for _, budget := range []int64{0, 1, 40} {
+					got, _, _ := folderFold(t, job, order, budget)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s/%s budget=%d: merge = %v, serialMerge = %v", name, jobName, budget, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLZPackPolicy pins the one compression policy: small inputs are
+// never tried, text is kept, random bytes are refused — on the prefix
+// alone when the input is long — and a refusal leaves dst untouched.
+func TestLZPackPolicy(t *testing.T) {
+	text := []byte(strings.Repeat("the quick brown fox jumps over the lazy dog ", 8000))
+	rng := rand.New(rand.NewSource(3))
+	noise := make([]byte, len(text))
+	rng.Read(noise)
+	mixed := append(append([]byte(nil), noise[:3*lzProbeBytes]...), text...) // incompressible head, compressible tail
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want bool
+	}{
+		{"below-threshold", text[:lzCompressThreshold-1], false},
+		{"text", text, true},
+		{"text-one-block", text[:spillBlockSize], true},
+		{"noise", noise, false},
+		{"noise-one-block", noise[:spillBlockSize], false},
+		{"judged-on-prefix", mixed, false},
+	} {
+		dst := []byte("hdr")
+		out, ok := lzPack(dst, tc.raw)
+		if ok != tc.want {
+			t.Errorf("%s: packed=%v, want %v", tc.name, ok, tc.want)
+			continue
+		}
+		if !ok {
+			if string(out) != "hdr" {
+				t.Errorf("%s: refusal left %d bytes behind dst", tc.name, len(out)-3)
+			}
+			continue
+		}
+		if len(out)-3 > len(tc.raw)-len(tc.raw)/lzMinSaving {
+			t.Errorf("%s: kept a form that saves under 1/%d", tc.name, lzMinSaving)
+		}
+		back, err := lzDecompress(nil, out[3:], len(tc.raw))
+		if err != nil || string(back) != string(tc.raw) {
+			t.Errorf("%s: round trip failed: %v", tc.name, err)
+		}
+	}
+}

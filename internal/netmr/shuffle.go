@@ -32,8 +32,9 @@ import (
 // unless WorkerConfig/MasterConfig override it.
 const defaultShuffleTimeout = 30 * time.Second
 
-// storedTask is one map task's partition set: in memory (parts) until
-// the store's budget forces it to disk (spill), never both.
+// storedTask is one map task's partition set: its sections in memory
+// (parts) until the store's budget forces them to disk (spill), never
+// both. bytes is the sections' exact size — what the budget counts.
 type storedTask struct {
 	parts []partitionPartial
 	bytes int64
@@ -109,7 +110,10 @@ func (s *interStore) put(run string, task int, parts []partitionPartial, reducer
 			s.mem -= old.bytes
 		}
 	}
-	st := &storedTask{parts: parts, bytes: partialMemBytes(parts)}
+	st := &storedTask{parts: parts}
+	for _, p := range parts {
+		st.bytes += int64(len(p.Partial))
+	}
 	s.tasks[task] = st
 	s.mem += st.bytes
 	if s.budget > 0 && s.mem > s.budget {
@@ -196,13 +200,15 @@ func (s *interStore) stats() (peak, spilled int64, runs int) {
 	return s.peak, s.totalSpilled, s.totalSpills
 }
 
-// slice answers one fetch: partition's slice of every requested map
-// task, as per-map-task partials (ID is the map task id; a task that
-// emitted no keys into the partition contributes a nil Partial, which
-// still acknowledges the task is held). Spilled tasks are read back
-// from their section on disk. A mismatched run, an out-of-range
-// partition or an unknown task id is a request the serving worker must
-// refuse — not panic over — whatever a rogue or confused reducer sends.
+// slice answers one fetch: partition's section of every requested map
+// task (ID is the map task id; a task that emitted no keys into the
+// partition contributes an empty section, which still acknowledges the
+// task is held). Resident or read back from the task's spill file, the
+// section is handed on as the bytes it is — nothing here decodes one.
+// A mismatched run, an out-of-range partition or an unknown task id is
+// a request the serving worker must refuse — not panic over — whatever
+// a rogue or confused reducer sends; so is a spilled section that fails
+// its checksum.
 func (s *interStore) slice(run string, partition int, tasks []int) ([]partitionPartial, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -218,22 +224,16 @@ func (s *interStore) slice(run string, partition int, tasks []int) ([]partitionP
 		if !ok {
 			return nil, fmt.Errorf("map output for task %d is not held", task)
 		}
-		var m map[string]float64
+		var sec section
 		if st.spill != nil {
-			sec, err := st.spill.section(partition)
-			if err != nil {
+			var err error
+			if sec, err = st.spill.section(partition); err != nil {
 				return nil, err
 			}
-			m = sec
 		} else {
-			for _, p := range st.parts {
-				if p.ID == partition {
-					m = p.Partial
-					break
-				}
-			}
+			sec = partOf(st.parts, partition)
 		}
-		out = append(out, partitionPartial{ID: task, Partial: m})
+		out = append(out, partitionPartial{ID: task, Partial: sec})
 	}
 	return out, nil
 }
@@ -395,41 +395,6 @@ func replicateExchange(c *conn, addr, run string, task int, parts []partitionPar
 	}
 }
 
-// fetchPartition pulls partition's slice of the given map tasks from a
-// peer's shuffle listener over a fresh dial-per-call connection. The
-// pooled path (shufflePool.fetchPartition) has replaced it on the hot
-// path; this remains as the unpooled baseline the shuffle benchmarks
-// compare against. cmp must reflect the target peer's generation (the
-// master names comp-capable addrs on the reducetask frame).
-func fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration, cmp bool) ([]partitionPartial, int64, int64, error) {
-	c, err := dialShuffle(addr, cmp, timeout)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer func() { _ = c.close() }()
-	return fetchExchange(c, addr, run, partition, tasks, timeout)
-}
-
-// replicateParts pushes one persisted partition set to a peer's shuffle
-// listener (always a comp-generation peer — the master only names
-// those) over a fresh dial-per-call connection and waits for the
-// replicack. Like fetchPartition, superseded by the pooled path.
-func replicateParts(addr, run string, task int, parts []partitionPartial, reducers int, timeout time.Duration) error {
-	c, err := dialShuffle(addr, true, timeout)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = c.close() }()
-	return replicateExchange(c, addr, run, task, parts, reducers, timeout)
-}
-
-// taskPartial pairs one map task id with its slice of the reduce
-// partition being assembled.
-type taskPartial struct {
-	task    int
-	partial map[string]float64
-}
-
 // fetchError names the peer whose fetch (or local read) failed, so the
 // reduce error frame can carry the address for the master's recovery
 // lineage.
@@ -455,29 +420,32 @@ type locResult struct {
 // bounded by the worker's shuffle fan-out, with results in location
 // order so the fold input is independent of arrival order. The worker's
 // own store is read directly (no loopback dial); peer fetches go
-// through the connection pool. A primary's failure fails over to the
-// map tasks' replica holders when repOf names them; only when that too
-// fails (or no replica covers a task) does the round error, naming the
-// primary so the master routes recovery around it.
+// through the connection pool. A primary's failure — a dead peer, a
+// refusal, or the worker's own spill file failing its checksum — fails
+// over to the map tasks' replica holders when repOf names them; only
+// when that too fails (or no replica covers a task) does the round
+// error, naming the primary so the master routes recovery around it.
 func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf map[int]string, compAddrs map[string]bool, cmp bool, to time.Duration) ([]locResult, error) {
 	ctx := runner.WithWorkers(context.Background(), w.shuffleFanout)
 	return runner.Map(ctx, len(locs), func(_ context.Context, i int) (locResult, error) {
 		loc := locs[i]
+		var err error
 		if loc.Addr == w.fetchAddr {
-			parts, err := w.store.slice(run, partition, loc.Tasks)
-			if err != nil {
-				return locResult{}, &fetchError{addr: loc.Addr, err: err}
+			var parts []partitionPartial
+			if parts, err = w.store.slice(run, partition, loc.Tasks); err == nil {
+				return locResult{parts: parts}, nil
 			}
-			return locResult{parts: parts}, nil
+		} else {
+			fetchStart := time.Now()
+			parts, n, sv, ferr := w.pool.fetchPartition(loc.Addr, run, partition, loc.Tasks, to, cmp && compAddrs[loc.Addr])
+			workerFetchSeconds.Observe(time.Since(fetchStart).Seconds())
+			if ferr == nil {
+				workerFetches.With("ok").Inc()
+				return locResult{parts: parts, fetched: n, saved: sv}, nil
+			}
+			workerFetches.With("failed").Inc()
+			err = ferr
 		}
-		fetchStart := time.Now()
-		parts, n, sv, err := w.pool.fetchPartition(loc.Addr, run, partition, loc.Tasks, to, cmp && compAddrs[loc.Addr])
-		workerFetchSeconds.Observe(time.Since(fetchStart).Seconds())
-		if err == nil {
-			workerFetches.With("ok").Inc()
-			return locResult{parts: parts, fetched: n, saved: sv}, nil
-		}
-		workerFetches.With("failed").Inc()
 		res, ferr := w.fetchFailover(run, partition, loc, repOf, compAddrs, cmp, to)
 		if ferr != nil {
 			return locResult{}, &fetchError{addr: loc.Addr, err: err}
@@ -525,23 +493,23 @@ func (w *Worker) fetchFailover(run string, partition int, loc fetchLoc, repOf ma
 	return out, nil
 }
 
-// runReduceTask executes one reduce task: gather the partition's slice
-// of every map task — master-relayed inline partials plus peer fetches
-// (the worker's own store is read directly, no loopback dial) — fold
-// them in ascending map-task order, and answer with a flat result frame
-// carrying the partition's final key space and the intermediate bytes
-// fetched. Fetches run concurrently up to the shuffle fan-out over
-// pooled connections, and fetch failures fail over to replica holders
-// locally when the task frame named them. Under a spill budget the
-// gathered partials buffer through a spillFolder whose sorted runs
-// merge back via loser tree, keeping the output byte-identical to the
-// in-memory fold. On an early dispatch (Total > 0) the initial
-// locations are only a prefix: the worker keeps receiving morelocs
-// frames — gathering each batch as it lands, under the map tail — until
-// every announced map output is covered or the master aborts the
-// launch. A gather failure is answered with an error frame naming the
-// peer that failed (Fetch), so the master can consult replica locations
-// instead of evicting the healthy reducer.
+// runReduceTask executes one reduce task: gather the partition's section
+// of every map task — master-relayed inline sections plus peer fetches
+// (the worker's own store is read directly, no loopback dial) — merge
+// them by (key, ascending map task) through the job's fold, and answer
+// with a flat result frame whose Partial is the merge's output, already
+// in wire form, plus the intermediate bytes fetched. Fetches run
+// concurrently up to the shuffle fan-out over pooled connections, and
+// fetch failures fail over to replica holders locally when the task
+// frame named them. Under a spill budget the gathered sections pass
+// through sorted runs on disk that join the same merge, so the output
+// is byte-identical at every budget. On an early dispatch (Total > 0)
+// the initial locations are only a prefix: the worker keeps receiving
+// morelocs frames — gathering each batch as it lands, under the map
+// tail — until every announced map output is covered or the master
+// aborts the launch. A gather failure is answered with an error frame
+// naming the peer that failed (Fetch), so the master can consult
+// replica locations instead of evicting the healthy reducer.
 func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	to := w.shuffleTO()
 	job, ok := w.registry.lookup(m.Job)
@@ -560,28 +528,13 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		}
 	}
 	var clock *spanClock
-	var t time.Time
 	if w.traced {
-		clock, t = newSpanClock(decode)
+		clock = newSpanClock(decode)
 	}
 	start := time.Now()
-	var folder *spillFolder
-	if w.spillBudget > 0 {
-		if dir, err := ensureSpillDir(w.spillDir, m.Run); err == nil {
-			folder = newSpillFolder(w.spillBudget, dir)
-			defer folder.discard()
-		}
-	}
-	var inputs []taskPartial
+	folder := newSpillFolder(w.spillBudget, w.spillDir, m.Run)
+	defer folder.discard()
 	covered := 0
-	gather := func(task int, partial map[string]float64) error {
-		covered++
-		if folder != nil {
-			return folder.add(task, partial)
-		}
-		inputs = append(inputs, taskPartial{task: task, partial: partial})
-		return nil
-	}
 	compAddrs := map[string]bool{}
 	for _, a := range m.CompAddrs {
 		compAddrs[a] = true
@@ -598,15 +551,14 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	var fetched, compSaved int64
 	var failovers int
 	// round gathers one batch of map outputs: the master-relayed inline
-	// partials (from v1/non-reduce peers or recovered map re-executions;
+	// sections (from v1/non-reduce peers or recovered map re-executions;
 	// ID is the map task id there, not a partition index), then the
 	// fetch locations, concurrently.
 	round := func(parts []partitionPartial, locs []fetchLoc) (string, error) {
 		for _, p := range parts {
-			if err := gather(p.ID, p.Partial); err != nil {
-				return "", err
-			}
+			folder.add(p.ID, p.Partial)
 		}
+		covered += len(parts)
 		results, err := w.fetchRound(m.Run, m.TaskID, locs, repOf, compAddrs, c.cmp, to)
 		if err != nil {
 			var fe *fetchError
@@ -620,17 +572,14 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 			compSaved += r.saved
 			failovers += r.failovers
 			for _, p := range r.parts {
-				if err := gather(p.ID, p.Partial); err != nil {
-					return "", err
-				}
+				folder.add(p.ID, p.Partial)
 			}
+			covered += len(r.parts)
 		}
 		return "", nil
 	}
 	failedAddr, gatherErr := round(m.Parts, m.Locs)
-	if clock != nil {
-		t = clock.mark(spanFetch, t)
-	}
+	clock.mark(spanFetch)
 	// Early dispatch: the master announced how many map outputs the run
 	// will produce and streams the still-missing locations as their
 	// mapdones land. The blocked recv is the await span — together with
@@ -641,9 +590,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		if err != nil {
 			return false
 		}
-		if clock != nil {
-			t = clock.mark(spanAwait, t)
-		}
+		clock.mark(spanAwait)
 		if um.Type != "morelocs" || um.Run != m.Run {
 			gatherErr = fmt.Errorf("expected morelocs for run %s, got %q", m.Run, um.Type)
 			break
@@ -657,9 +604,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		}
 		noteReps(um.Reps)
 		failedAddr, gatherErr = round(um.Parts, um.Locs)
-		if clock != nil {
-			t = clock.mark(spanFetch, t)
-		}
+		clock.mark(spanFetch)
 	}
 	if gatherErr != nil {
 		workerTasks.With("fetch_failed").Inc()
@@ -671,96 +616,35 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		return true
 	}
 	workerShuffleBytes.Add(float64(fetched))
-	var out map[string]float64
-	merged := false
-	if folder != nil {
-		var foldErr error
-		out, merged, foldErr = folder.fold(job)
-		if foldErr != nil {
-			workerTasks.With("fold_failed").Inc()
-			_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: foldErr.Error()}, to)
-			return true
-		}
-	} else {
-		// Deterministic fold order: ascending map task id, whatever order
-		// the relays and fetches arrived in.
-		sort.Slice(inputs, func(i, j int) bool { return inputs[i].task < inputs[j].task })
-		out = foldTaskPartials(job, inputs)
+	var out sectionBuilder
+	out.reset()
+	merged, foldErr := folder.fold(job, &out)
+	if foldErr != nil {
+		workerTasks.With("fold_failed").Inc()
+		_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: foldErr.Error()}, to)
+		return true
 	}
-	if clock != nil {
-		if merged {
-			t = clock.mark(spanMergeRuns, t)
-		} else {
-			t = clock.mark(spanReduce, t)
-		}
+	if merged {
+		clock.mark(spanMergeRuns)
+	} else {
+		clock.mark(spanReduce)
 	}
 	workerReduceSeconds.Observe(time.Since(start).Seconds())
 	workerTasks.With("ok").Inc()
-	var spans []spanSummary
+	res := message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, partialSec: out.bytes(), Bytes: fetched, Trace: m.Trace}
 	if clock != nil {
-		clock.mark(spanEncode, t)
-		if folder != nil && folder.flushDur > 0 {
-			clock.spans = appendSpanAfter(clock.spans, spanSpill, folder.flushDur)
-		}
-		spans = clock.spans
+		clock.mark(spanEncode)
+		res.Spans = appendSpanAfter(clock.spans, spanSpill, folder.flushDur)
 	}
-	res := message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Partial: out, Bytes: fetched, Trace: m.Trace, Spans: spans}
 	if c.erl {
 		res.Failovers = failovers
 	}
 	if c.cmp {
-		res.CompBytes = compSaved
-		if folder != nil {
-			res.CompBytes += folder.compSaved
-			res.Spills = folder.spillRuns
-			res.Spilled = folder.spilledBytes
-			workerSpillRuns.Add(float64(folder.spillRuns))
-			workerSpilledBytes.Add(float64(folder.spilledBytes))
-		}
+		res.CompBytes = compSaved + folder.compSaved
+		res.Spills = folder.spillRuns
+		res.Spilled = folder.spilledBytes
+		workerSpillRuns.Add(float64(folder.spillRuns))
+		workerSpilledBytes.Add(float64(folder.spilledBytes))
 	}
 	return c.send(res, to) == nil
-}
-
-// foldTaskPartials merges per-map-task partials of one partition into
-// its final key space: a streaming fold for jobs with a Combine, a
-// group-then-Reduce for the rest — the same semantics as the master's
-// serialMerge, executed worker-side.
-func foldTaskPartials(job Job, inputs []taskPartial) map[string]float64 {
-	size := 0
-	for _, in := range inputs {
-		if len(in.partial) > size {
-			size = len(in.partial)
-		}
-	}
-	if job.Combine != nil {
-		out := make(map[string]float64, size)
-		for _, in := range inputs {
-			for k, v := range in.partial {
-				if acc, ok := out[k]; ok {
-					out[k] = job.Combine(acc, v)
-				} else {
-					out[k] = v
-				}
-			}
-		}
-		return out
-	}
-	merged := make(map[string]*[]float64, size)
-	for _, in := range inputs {
-		for k, v := range in.partial {
-			vs, ok := merged[k]
-			if !ok {
-				vs = valuesPool.Get().(*[]float64)
-				*vs = (*vs)[:0]
-				merged[k] = vs
-			}
-			*vs = append(*vs, v)
-		}
-	}
-	out := make(map[string]float64, len(merged))
-	for k, vs := range merged {
-		out[k] = job.Reduce(k, *vs)
-		valuesPool.Put(vs)
-	}
-	return out
 }

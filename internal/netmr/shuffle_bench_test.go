@@ -30,7 +30,7 @@ func benchFetchWorker(b *testing.B, tasks, keysPerTask, R int) (addr, run string
 			for k := 0; k < keysPerTask; k++ {
 				m[fmt.Sprintf("fetch-key-%02d-%04d", p, k)] = float64(task + k)
 			}
-			parts = append(parts, partitionPartial{ID: p, Partial: m})
+			parts = append(parts, partitionPartial{ID: p, Partial: sectionFromMap(m)})
 		}
 		if _, _, _, err := w.store.put(run, task, parts, R); err != nil {
 			b.Fatal(err)
@@ -47,6 +47,18 @@ func benchFetchWorker(b *testing.B, tasks, keysPerTask, R int) (addr, run string
 		}
 	})
 	return addr, run, ids
+}
+
+// fetchPartition is one fetch exchange over a fresh dial-per-call
+// connection: the unpooled baseline BenchmarkShuffleFetch compares the
+// pool against, and the plain client the shuffle-server tests drive.
+func fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration, cmp bool) ([]partitionPartial, int64, int64, error) {
+	c, err := dialShuffle(addr, cmp, timeout)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer func() { _ = c.close() }()
+	return fetchExchange(c, addr, run, partition, tasks, timeout)
 }
 
 // BenchmarkShuffleFetch quantifies what connection pooling buys on the

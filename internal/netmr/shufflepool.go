@@ -170,7 +170,7 @@ func (p *shufflePool) withConn(addr string, cmp bool, timeout time.Duration, fn 
 	return err
 }
 
-// fetchPartition is fetchPartition over the pool: same exchange, reused
+// fetchPartition runs one fetch exchange over the pool: reused
 // connection, stale-redial-once.
 func (p *shufflePool) fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration, cmp bool) (parts []partitionPartial, n, saved int64, err error) {
 	err = p.withConn(addr, cmp, timeout, func(c *conn) error {
@@ -181,7 +181,9 @@ func (p *shufflePool) fetchPartition(addr, run string, partition int, tasks []in
 	return parts, n, saved, err
 }
 
-// replicateParts is replicateParts over the pool.
+// replicateParts pushes one persisted partition set to a peer (always a
+// comp-generation peer — the master only names those) over the pool and
+// waits for the replicack.
 func (p *shufflePool) replicateParts(addr, run string, task int, parts []partitionPartial, reducers int, timeout time.Duration) error {
 	return p.withConn(addr, true, timeout, func(c *conn) error {
 		return replicateExchange(c, addr, run, task, parts, reducers, timeout)

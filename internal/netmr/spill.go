@@ -4,345 +4,277 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 	"time"
 )
 
-// Out-of-core halves of the shuffle: the map-side interStore spills
-// whole map-task partition sets to per-run temp files when its byte
-// budget is exceeded, and the reduce-side fold buffers gathered task
-// partials through a spillFolder that flushes sorted runs and merges
-// them back with a loser tree. Both sides keep the fold order — and
-// therefore the job output — byte-identical to the all-in-memory path:
-// per key, values are folded in ascending map-task order either way.
+// Out-of-core halves of the shuffle, and the merge both halves feed.
+// The map-side interStore spills whole map-task partition sets to
+// per-run temp files when its byte budget is exceeded; the sections go
+// to disk and come back as the bytes they are. The reduce side holds
+// the gathered sections in a spillFolder that, over budget, merges them
+// into a sorted run on disk. Either way the reducer's output comes from
+// one loser-tree merge by (key, ascending map task) over whatever it
+// holds — sections, runs, or both — so per key the values are folded in
+// the same order at every budget and the job output stays byte-identical.
+// Every byte written here is checksummed (CRC-32C, the frames' table)
+// and checked when read back.
 
-// partialMemBytes estimates the resident cost of one partition set: key
-// bytes + an 8-byte value + fixed per-entry map overhead. The estimate
-// only needs to be deterministic and monotone with real usage; the
-// budget is a watermark, not an allocator.
-func partialMemBytes(parts []partitionPartial) int64 {
-	var n int64
-	for _, p := range parts {
-		for k := range p.Partial {
-			n += int64(len(k)) + 8 + 16
-		}
-		n += 48 // map header + slice entry
-	}
-	return n
-}
-
-// spillFile is one map task's partition set on disk: R sections in
-// partition order, each section the partition's keys sorted with their
-// values — LZ-compressed when that actually shrinks it. The offset index
-// stays in memory so a fetch reads exactly one section back.
+// spillFile is one map task's partition set on disk: its non-empty
+// sections in partition order, LZ-compressed where lzPack says it pays.
+// The index stays in memory so a fetch reads exactly one section back.
 type spillFile struct {
 	f       *os.File
-	offsets []int64 // per partition: section start; -1 when the partition is empty
-	lengths []int64 // on-disk section length
-	rawLens []int64 // uncompressed length; 0 means the section is stored raw
+	offsets []int64  // per partition: section start; -1 when the partition is empty
+	lengths []int64  // on-disk section length
+	rawLens []int64  // uncompressed length; 0 means the section is stored raw
+	sums    []uint32 // CRC-32C of the uncompressed section
 }
 
 // writeSpillFile flushes parts (a task's partition set, partition count
 // reducers) to a new file under dir and returns the handle, the bytes
-// that hit disk, and the bytes compression saved. Sections at or above
-// lzCompressThreshold are compressed when the result is smaller — the
-// same policy frames use on the wire, so tiny sections never pay the
-// compressor for nothing.
+// that hit disk, and the bytes compression saved.
 func writeSpillFile(dir string, task int, parts []partitionPartial, reducers int) (*spillFile, int64, int64, error) {
 	f, err := os.CreateTemp(dir, fmt.Sprintf("task-%d-*.spill", task))
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("netmr: spill create: %w", err)
 	}
-	sf := &spillFile{f: f, offsets: make([]int64, reducers), lengths: make([]int64, reducers), rawLens: make([]int64, reducers)}
+	sf := &spillFile{f: f, offsets: make([]int64, reducers), lengths: make([]int64, reducers),
+		rawLens: make([]int64, reducers), sums: make([]uint32, reducers)}
 	for p := range sf.offsets {
 		sf.offsets[p] = -1
 	}
 	w := bufio.NewWriter(f)
 	var off, saved int64
-	var keys []string
-	var sec, cbuf []byte
-	var scratch [8]byte
+	var raw, packed []byte
 	for _, part := range parts {
-		if part.ID < 0 || part.ID >= reducers {
-			continue // validated upstream; never index out of the section table
+		if part.ID < 0 || part.ID >= reducers || len(part.Partial) == 0 {
+			continue // ids are validated upstream; never index out of the section table
 		}
-		keys = keys[:0]
-		for k := range part.Partial {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sec = sec[:0]
-		sec = binary.AppendUvarint(sec, uint64(len(keys)))
-		for _, k := range keys {
-			sec = binary.AppendUvarint(sec, uint64(len(k)))
-			sec = append(sec, k...)
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(part.Partial[k]))
-			sec = append(sec, scratch[:]...)
-		}
-		payload := sec
-		if len(sec) >= lzCompressThreshold {
-			cbuf = lzCompress(cbuf[:0], sec)
-			if len(cbuf) < len(sec) {
-				payload = cbuf
-				sf.rawLens[part.ID] = int64(len(sec))
-				saved += int64(len(sec) - len(cbuf))
-			}
+		raw = append(raw[:0], part.Partial...)
+		payload := raw
+		var ok bool
+		if packed, ok = lzPack(packed[:0], raw); ok {
+			payload = packed
+			sf.rawLens[part.ID] = int64(len(raw))
+			saved += int64(len(raw) - len(packed))
 		}
 		if _, err := w.Write(payload); err != nil {
-			return nil, 0, 0, closeSpillErr(sf, err)
+			sf.remove()
+			return nil, 0, 0, fmt.Errorf("netmr: spill write: %w", err)
 		}
+		sf.sums[part.ID] = crc32.Checksum(raw, crcTable)
 		sf.offsets[part.ID] = off
 		sf.lengths[part.ID] = int64(len(payload))
 		off += int64(len(payload))
 	}
 	if err := w.Flush(); err != nil {
-		return nil, 0, 0, closeSpillErr(sf, err)
+		sf.remove()
+		return nil, 0, 0, fmt.Errorf("netmr: spill write: %w", err)
 	}
 	return sf, off, saved, nil
 }
 
-func closeSpillErr(sf *spillFile, err error) error {
-	sf.remove()
-	return fmt.Errorf("netmr: spill write: %w", err)
-}
-
-// section reads one partition's slice back (nil when the task emitted
-// nothing into it).
-func (sf *spillFile) section(partition int) (map[string]float64, error) {
+// section reads one partition's section back, undecoded (empty when the
+// task emitted nothing into it). Bytes that fail their checksum are an
+// error, never a section.
+func (sf *spillFile) section(partition int) (section, error) {
 	if partition < 0 || partition >= len(sf.offsets) || sf.offsets[partition] < 0 {
-		return nil, nil
+		return "", nil
 	}
 	buf := make([]byte, sf.lengths[partition])
 	if _, err := sf.f.ReadAt(buf, sf.offsets[partition]); err != nil {
-		return nil, fmt.Errorf("netmr: spill read: %w", err)
+		return "", fmt.Errorf("netmr: spill read: %w", err)
 	}
 	if raw := sf.rawLens[partition]; raw > 0 {
 		dec, err := lzDecompress(make([]byte, 0, raw), buf, int(raw))
 		if err != nil {
-			return nil, fmt.Errorf("netmr: spill read: %w", err)
+			return "", fmt.Errorf("netmr: spill read: %w", err)
 		}
 		buf = dec
 	}
-	r := &frameReader{s: string(buf)}
-	nk, err := r.uvarint()
-	if err != nil {
-		return nil, err
+	if crc32.Checksum(buf, crcTable) != sf.sums[partition] {
+		return "", fmt.Errorf("netmr: spill read: section %d of %s failed its checksum", partition, filepath.Base(sf.f.Name()))
 	}
-	if nk == 0 {
-		return map[string]float64{}, nil
-	}
-	out := make(map[string]float64, nk)
-	for i := uint64(0); i < nk; i++ {
-		k, err := r.string()
-		if err != nil {
-			return nil, err
-		}
-		if len(r.s)-r.off < 8 {
-			return nil, fmt.Errorf("netmr: truncated spill value at byte %d", r.off)
-		}
-		out[k] = math.Float64frombits(u64at(r.s, r.off))
-		r.off += 8
-	}
-	return out, nil
+	return section(buf), nil
 }
 
 // remove closes and deletes the backing file.
-func (sf *spillFile) remove() {
-	name := sf.f.Name()
-	_ = sf.f.Close()
-	_ = os.Remove(name)
+func (sf *spillFile) remove() { removeFile(sf.f) }
+
+func removeFile(f *os.File) {
+	_ = f.Close()
+	_ = os.Remove(f.Name())
 }
 
-// spillTriple is one (key, map task, value) record of a reduce-side
-// spill run, the unit the loser tree merges on.
-type spillTriple struct {
+// spillBlockSize is the raw-byte granularity reduce-side run files are
+// framed, compressed and checksummed at: big enough to amortize block
+// headers and give the compressor context, small enough to keep the
+// read-back streaming.
+const spillBlockSize = 64 << 10
+
+// spillRun streams one reduce-side run file back, block by block. A run
+// is the (key, map task)-sorted record sequence
+//
+//	(uvarint(len) key  varint(task)  float64le)*
+//
+// cut after a whole record into blocks of at least spillBlockSize raw
+// bytes, each framed as flag(1B: 0 raw, 1 compressed) ‖ uvarint(raw
+// length) ‖ uvarint(payload length) ‖ crc32c(raw block, 4 B LE) ‖
+// payload. Blocks are read one at a time, so a merge never holds more
+// than one block of any run resident.
+type spillRun struct {
+	f   *os.File
+	r   *bufio.Reader
+	pay []byte // payload scratch, reused across blocks
+	blk []byte // decompression scratch
+}
+
+// appendRunBlock frames one raw block onto w's buffer, compressed when
+// try is set and lzPack says it pays. It reports the bytes written and
+// the bytes compression saved.
+func appendRunBlock(w *bufio.Writer, blk, scratch []byte, try bool) (written, saved int64, scratchOut []byte, err error) {
+	flag, payload := byte(0), blk
+	if try {
+		var ok bool
+		if scratch, ok = lzPack(scratch[:0], blk); ok {
+			flag, payload = 1, scratch
+		}
+	}
+	var hdr [1 + 2*binary.MaxVarintLen64 + 4]byte
+	hdr[0] = flag
+	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(blk)))
+	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[n:], crc32.Checksum(blk, crcTable))
+	n += 4
+	if _, err = w.Write(hdr[:n]); err == nil {
+		_, err = w.Write(payload)
+	}
+	return int64(n + len(payload)), int64(len(blk) - len(payload)), scratch, err
+}
+
+// nextBlock returns the next block's records as a string its keys are
+// substrings of; "" is the clean end of the run. Truncation or a failed
+// checksum inside a block is a hard error.
+func (s *spillRun) nextBlock() (string, error) {
+	flag, err := s.r.ReadByte()
+	if err == io.EOF {
+		return "", nil
+	}
+	var rawLen, payLen uint64
+	if err == nil {
+		rawLen, err = binary.ReadUvarint(s.r)
+	}
+	if err == nil {
+		payLen, err = binary.ReadUvarint(s.r)
+	}
+	var sum [4]byte
+	if err == nil {
+		_, err = io.ReadFull(s.r, sum[:])
+	}
+	if err != nil {
+		return "", fmt.Errorf("netmr: spill run block header: %w", err)
+	}
+	if rawLen == 0 || rawLen > maxFrameBytes || payLen > maxFrameBytes || flag > 1 || (flag == 0 && rawLen != payLen) {
+		return "", fmt.Errorf("netmr: spill run block header is corrupt (flag %d, %d raw, %d stored)", flag, rawLen, payLen)
+	}
+	s.pay = grown(s.pay, int(payLen))
+	if _, err := io.ReadFull(s.r, s.pay); err != nil {
+		return "", fmt.Errorf("netmr: spill run block body: %w", err)
+	}
+	blk := s.pay
+	if flag == 1 {
+		if blk, err = lzDecompress(s.blk[:0], s.pay, int(rawLen)); err != nil {
+			return "", fmt.Errorf("netmr: spill run block: %w", err)
+		}
+		s.blk = blk
+	}
+	if uint64(len(blk)) != rawLen || crc32.Checksum(blk, crcTable) != binary.LittleEndian.Uint32(sum[:]) {
+		return "", fmt.Errorf("netmr: spill run block of %s failed its checksum", filepath.Base(s.f.Name()))
+	}
+	return string(blk), nil
+}
+
+// mergeSource is one sorted input of the reduce-side merge with its
+// current head record: a gathered section, all of whose records belong
+// to one map task, or a spilled run, whose records each carry theirs.
+type mergeSource struct {
+	r    frameReader // the section, or the run's current block
+	left uint64      // section: records not yet read
+	run  *spillRun   // nil for a section
+	live bool        // key/task/val hold a record
+
 	key  string
 	task int
 	val  float64
 }
 
-// tripleLess orders triples by (key, ascending map task) — the exact
-// fold order of the in-memory path, so a merged fold feeds each key its
-// values in the same sequence.
-func tripleLess(a, b spillTriple) bool {
-	if a.key != b.key {
-		return a.key < b.key
+func sectionSource(task int, sec section) *mergeSource {
+	c := sec.cursor()
+	return &mergeSource{r: c.r, left: c.left, task: task}
+}
+
+// advance loads the next record into the head; live turns false at the
+// end of the input.
+func (s *mergeSource) advance() error {
+	s.live = false
+	if s.run == nil {
+		if s.left == 0 {
+			return nil
+		}
+		s.left--
+	} else if s.r.off >= len(s.r.s) {
+		blk, err := s.run.nextBlock()
+		if err != nil || blk == "" {
+			return err
+		}
+		s.r = frameReader{s: blk}
 	}
-	return a.task < b.task
-}
-
-// tripleStream yields sorted triples — from a spilled run file or the
-// in-memory remainder — until exhausted.
-type tripleStream interface {
-	next() (spillTriple, bool, error)
-}
-
-// memTripleStream iterates a sorted in-memory triple slice.
-type memTripleStream struct {
-	triples []spillTriple
-	i       int
-}
-
-func (s *memTripleStream) next() (spillTriple, bool, error) {
-	if s.i >= len(s.triples) {
-		return spillTriple{}, false, nil
+	var err error
+	if s.key, err = s.r.string(); err != nil {
+		return err
 	}
-	t := s.triples[s.i]
-	s.i++
-	return t, true, nil
-}
-
-// spillBlockSize is the raw-byte granularity reduce-side run files are
-// compressed at: big enough to amortize block headers and give the
-// compressor context, small enough to keep the read-back streaming.
-const spillBlockSize = 64 << 10
-
-// spillRunReader streams a block-framed run file back as its raw byte
-// sequence. Each block is flag(1B: 0 raw, 1 compressed) || uvarint(raw
-// length) || uvarint(payload length) || payload; blocks decompress one
-// at a time, so a merged fold never holds more than one block of any
-// run resident.
-type spillRunReader struct {
-	r   *bufio.Reader
-	blk []byte // current block, decompressed
-	pay []byte // payload scratch, reused across blocks
-	off int
-}
-
-// fill loads the next block when the current one is drained. A clean
-// end-of-file between blocks is io.EOF; truncation inside a block is a
-// hard error.
-func (s *spillRunReader) fill() error {
-	for s.off >= len(s.blk) {
-		flag, err := s.r.ReadByte()
+	if s.run != nil {
+		task, err := s.r.varint()
 		if err != nil {
-			return err // io.EOF: clean end of the run
+			return err
 		}
-		rawLen, err := binary.ReadUvarint(s.r)
-		if err != nil {
-			return fmt.Errorf("netmr: spill run block header: %w", err)
-		}
-		payLen, err := binary.ReadUvarint(s.r)
-		if err != nil {
-			return fmt.Errorf("netmr: spill run block header: %w", err)
-		}
-		if cap(s.pay) < int(payLen) {
-			s.pay = make([]byte, payLen)
-		}
-		s.pay = s.pay[:payLen]
-		if _, err := io.ReadFull(s.r, s.pay); err != nil {
-			return fmt.Errorf("netmr: spill run block body: %w", err)
-		}
-		switch flag {
-		case 0:
-			if rawLen != payLen {
-				return fmt.Errorf("netmr: raw spill block length mismatch (%d != %d)", rawLen, payLen)
-			}
-			s.blk, s.pay = s.pay, s.blk
-		case 1:
-			blk, err := lzDecompress(s.blk[:0], s.pay, int(rawLen))
-			if err != nil {
-				return fmt.Errorf("netmr: spill run block: %w", err)
-			}
-			s.blk = blk
-		default:
-			return fmt.Errorf("netmr: spill run block flag %d", flag)
-		}
-		s.off = 0
+		s.task = int(task)
 	}
+	if len(s.r.s)-s.r.off < 8 {
+		return fmt.Errorf("netmr: truncated merge record at byte %d", s.r.off)
+	}
+	s.val = math.Float64frombits(u64at(s.r.s, s.r.off))
+	s.r.off += 8
+	s.live = true
 	return nil
 }
 
-func (s *spillRunReader) ReadByte() (byte, error) {
-	if err := s.fill(); err != nil {
-		return 0, err
-	}
-	b := s.blk[s.off]
-	s.off++
-	return b, nil
-}
-
-func (s *spillRunReader) Read(p []byte) (int, error) {
-	if err := s.fill(); err != nil {
-		return 0, err
-	}
-	n := copy(p, s.blk[s.off:])
-	s.off += n
-	return n, nil
-}
-
-// fileTripleStream reads one spill run back sequentially.
-type fileTripleStream struct {
-	f *os.File
-	r *spillRunReader
-}
-
-func (s *fileTripleStream) next() (spillTriple, bool, error) {
-	kl, err := binary.ReadUvarint(s.r)
-	if err == io.EOF {
-		return spillTriple{}, false, nil
-	}
-	if err != nil {
-		return spillTriple{}, false, fmt.Errorf("netmr: spill run read: %w", err)
-	}
-	kb := make([]byte, kl)
-	if _, err := io.ReadFull(s.r, kb); err != nil {
-		return spillTriple{}, false, fmt.Errorf("netmr: spill run read: %w", err)
-	}
-	task, err := binary.ReadVarint(s.r)
-	if err != nil {
-		return spillTriple{}, false, fmt.Errorf("netmr: spill run read: %w", err)
-	}
-	var vb [8]byte
-	if _, err := io.ReadFull(s.r, vb[:]); err != nil {
-		return spillTriple{}, false, fmt.Errorf("netmr: spill run read: %w", err)
-	}
-	return spillTriple{
-		key:  string(kb),
-		task: int(task),
-		val:  math.Float64frombits(binary.LittleEndian.Uint64(vb[:])),
-	}, true, nil
-}
-
-func (s *fileTripleStream) close() {
-	name := s.f.Name()
-	_ = s.f.Close()
-	_ = os.Remove(name)
-}
-
-// loserTree is a k-way tournament merge over sorted triple streams:
-// tree[1:] are the internal nodes, each remembering the loser of its
-// match, and tree[0] the overall winner, so replacing a popped head
-// replays log2(k) comparisons along one leaf-to-root path instead of a
-// heap's full sift — the classic structure for merging many spill runs.
+// loserTree is a k-way tournament merge over sorted sources: tree[1:]
+// are the internal nodes, each remembering the loser of its match, and
+// tree[0] the overall winner, so replacing a popped head replays log2(k)
+// comparisons along one leaf-to-root path instead of a heap's full sift
+// — the classic structure for merging many sorted runs.
 type loserTree struct {
-	streams []tripleStream
-	tree    []int         // tree[0]: winner; tree[1:]: per-node losers
-	heads   []spillTriple // current head per stream
-	alive   []bool        // stream still has a head
+	srcs []*mergeSource
+	tree []int // tree[0]: winner; tree[1:]: per-node losers
 }
 
-// newLoserTree primes every stream and plays the initial tournament.
+// newLoserTree primes every source and plays the initial tournament.
 // Empty slots (-1) absorb the first contender unopposed, so k adjust
 // passes fill the whole tree.
-func newLoserTree(streams []tripleStream) (*loserTree, error) {
-	k := len(streams)
-	lt := &loserTree{
-		streams: streams,
-		tree:    make([]int, k),
-		heads:   make([]spillTriple, k),
-		alive:   make([]bool, k),
-	}
-	for i, s := range streams {
-		t, ok, err := s.next()
-		if err != nil {
+func newLoserTree(srcs []*mergeSource) (*loserTree, error) {
+	k := len(srcs)
+	lt := &loserTree{srcs: srcs, tree: make([]int, k)}
+	for _, s := range srcs {
+		if err := s.advance(); err != nil {
 			return nil, err
 		}
-		lt.heads[i], lt.alive[i] = t, ok
 	}
 	for i := range lt.tree {
 		lt.tree[i] = -1
@@ -367,55 +299,95 @@ func newLoserTree(streams []tripleStream) (*loserTree, error) {
 	return lt, nil
 }
 
-// less orders two stream indices by their heads; an exhausted stream
-// loses to everything, so the winner is always a live head while any
-// remain.
+// less orders two sources by their heads, (key, ascending map task) —
+// the order the fold consumes values in, so every key's values arrive
+// in map-task order wherever they were held. An exhausted source loses
+// to everything, so the winner is a live head while any remain.
 func (lt *loserTree) less(a, b int) bool {
-	if !lt.alive[a] {
-		return false
+	x, y := lt.srcs[a], lt.srcs[b]
+	if !x.live || !y.live {
+		return x.live
 	}
-	if !lt.alive[b] {
-		return true
+	if c := strings.Compare(x.key, y.key); c != 0 {
+		return c < 0
 	}
-	return tripleLess(lt.heads[a], lt.heads[b])
+	return x.task < y.task
 }
 
-// next pops the smallest head across all streams; ok is false when every
-// stream is exhausted.
-func (lt *loserTree) next() (spillTriple, bool, error) {
-	w := lt.tree[0]
-	if w < 0 || !lt.alive[w] {
-		return spillTriple{}, false, nil
+// mergeSources calls fn on every record of srcs in (key, map task)
+// order; the source passed to fn holds the record as its head.
+func mergeSources(srcs []*mergeSource, fn func(*mergeSource) error) error {
+	lt, err := newLoserTree(srcs)
+	if err != nil || len(srcs) == 0 {
+		return err
 	}
-	out := lt.heads[w]
-	t, ok, err := lt.streams[w].next()
-	if err != nil {
-		return spillTriple{}, false, err
-	}
-	lt.heads[w], lt.alive[w] = t, ok
-	// Replay the refilled leaf against the recorded losers on its path.
-	k := len(lt.streams)
-	winner := w
-	for node := (w + k) / 2; node > 0; node /= 2 {
-		if lt.less(lt.tree[node], winner) {
-			winner, lt.tree[node] = lt.tree[node], winner
+	k := len(srcs)
+	for w := lt.tree[0]; srcs[w].live; w = lt.tree[0] {
+		if err := fn(srcs[w]); err != nil {
+			return err
 		}
+		if err := srcs[w].advance(); err != nil {
+			return err
+		}
+		// Replay the refilled leaf against the recorded losers on its path.
+		winner := w
+		for node := (w + k) / 2; node > 0; node /= 2 {
+			if lt.less(lt.tree[node], winner) {
+				winner, lt.tree[node] = lt.tree[node], winner
+			}
+		}
+		lt.tree[0] = winner
 	}
-	lt.tree[0] = winner
-	return out, true, nil
+	return nil
 }
 
-// spillFolder buffers gathered task partials for one reduce task under a
-// byte budget, flushing sorted runs to dir when it is exceeded. fold
-// merges the runs and the in-memory remainder back into the partition's
-// final key space.
-type spillFolder struct {
-	budget int64 // 0: never spill
-	dir    string
+// mergeFold merges srcs and streams every key's values, in map-task
+// order, through the job's fold — Combine as they arrive, or one Reduce
+// over the key's collected values — appending each result to out: the
+// same semantics as the master's serialMerge, with the output born as a
+// section instead of a map.
+func mergeFold(job Job, srcs []*mergeSource, out *sectionBuilder) error {
+	var key string
+	var acc float64
+	var vals []float64
+	have := false
+	finish := func() {
+		if !have {
+			return
+		}
+		if job.Combine == nil {
+			acc, vals = job.Reduce(key, vals), vals[:0]
+		}
+		out.add(key, acc)
+	}
+	err := mergeSources(srcs, func(s *mergeSource) error {
+		switch {
+		case !have || s.key != key:
+			finish()
+			key, acc, have = s.key, s.val, true
+		case job.Combine != nil:
+			acc = job.Combine(acc, s.val)
+		}
+		if job.Combine == nil {
+			vals = append(vals, s.val)
+		}
+		return nil
+	})
+	finish()
+	return err
+}
 
-	mem     int64
-	triples []spillTriple
-	runs    []*fileTripleStream
+// spillFolder holds the sections one reduce task has gathered, under a
+// byte budget: over it, the held sections are merged into one sorted
+// run under the run's scratch dir and dropped. fold merges the runs and
+// whatever is still held into the partition's final section.
+type spillFolder struct {
+	budget       int64 // 0: never spill
+	baseDir, run string
+
+	mem  int64              // bytes of the held sections
+	held []partitionPartial // ID is the map task id
+	runs []*spillRun
 
 	spillRuns    int
 	spilledBytes int64         // bytes that hit disk (post-compression)
@@ -423,186 +395,116 @@ type spillFolder struct {
 	flushDur     time.Duration // wall time spent writing runs (the "spill" span)
 }
 
-func newSpillFolder(budget int64, dir string) *spillFolder {
-	return &spillFolder{budget: budget, dir: dir}
+func newSpillFolder(budget int64, baseDir, run string) *spillFolder {
+	return &spillFolder{budget: budget, baseDir: baseDir, run: run}
 }
 
-// add buffers one gathered task partial, spilling the buffer as a sorted
-// run when the budget is exceeded.
-func (f *spillFolder) add(task int, partial map[string]float64) error {
-	for k, v := range partial {
-		f.triples = append(f.triples, spillTriple{key: k, task: task, val: v})
-		f.mem += int64(len(k)) + 8 + 16
+// add holds one gathered section, spilling everything held as a sorted
+// run when the budget is exceeded. A run that cannot be written leaves
+// the sections held — correct, just over budget — and stops spilling.
+func (f *spillFolder) add(task int, sec section) {
+	if len(sec) == 0 {
+		return
 	}
-	if f.budget > 0 && f.mem > f.budget && len(f.triples) > 0 {
-		return f.flush()
+	f.held = append(f.held, partitionPartial{ID: task, Partial: sec})
+	f.mem += int64(len(sec))
+	if f.budget > 0 && f.mem > f.budget {
+		if err := f.flush(); err != nil {
+			workerSpillErrors.Inc()
+			f.budget = 0
+		}
 	}
-	return nil
 }
 
-// flush writes the buffered triples, sorted by (key, task), as one
-// block-compressed run file and empties the buffer.
-func (f *spillFolder) flush() error {
+// heldSources opens a merge source over every held section.
+func (f *spillFolder) heldSources() []*mergeSource {
+	srcs := make([]*mergeSource, 0, len(f.held)+len(f.runs))
+	for _, h := range f.held {
+		srcs = append(srcs, sectionSource(h.ID, h.Partial))
+	}
+	return srcs
+}
+
+// flush merges the held sections into one block-framed run file and
+// drops them.
+func (f *spillFolder) flush() (err error) {
 	flushStart := time.Now()
 	defer func() { f.flushDur += time.Since(flushStart) }()
-	sort.Slice(f.triples, func(i, j int) bool { return tripleLess(f.triples[i], f.triples[j]) })
-	file, err := os.CreateTemp(f.dir, "reduce-run-*.spill")
+	dir, err := ensureSpillDir(f.baseDir, f.run)
+	if err != nil {
+		return err
+	}
+	file, err := os.CreateTemp(dir, "reduce-run-*.spill")
 	if err != nil {
 		return fmt.Errorf("netmr: spill run create: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			removeFile(file)
+			err = fmt.Errorf("netmr: spill run write: %w", err)
+		}
+	}()
 	w := bufio.NewWriter(file)
-	var scratch [8]byte
-	var blk, cbuf []byte
+	var blk, scratch []byte
 	var written, saved int64
-	// emit frames one raw block: compressed when that shrinks it, raw
-	// otherwise — the read path switches per block on the flag byte.
+	// A run's blocks are alike: once one does not compress, the rest of
+	// the run is written raw without asking again.
+	compress := true
 	emit := func() error {
-		if len(blk) == 0 {
-			return nil
-		}
-		flag := byte(0)
-		payload := blk
-		if len(blk) >= lzCompressThreshold {
-			cbuf = lzCompress(cbuf[:0], blk)
-			if len(cbuf) < len(blk) {
-				flag = 1
-				payload = cbuf
-				saved += int64(len(blk) - len(cbuf))
-			}
-		}
-		var hdr [2*binary.MaxVarintLen64 + 1]byte
-		hdr[0] = flag
-		n := 1 + binary.PutUvarint(hdr[1:], uint64(len(blk)))
-		n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-		if _, err := w.Write(hdr[:n]); err != nil {
-			return err
-		}
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-		written += int64(n) + int64(len(payload))
-		blk = blk[:0]
-		return nil
+		n, sv, sc, err := appendRunBlock(w, blk, scratch, compress)
+		written, saved, scratch, blk = written+n, saved+sv, sc, blk[:0]
+		compress = compress && sv > 0
+		return err
 	}
-	for _, t := range f.triples {
-		blk = binary.AppendUvarint(blk, uint64(len(t.key)))
-		blk = append(blk, t.key...)
-		blk = binary.AppendVarint(blk, int64(t.task))
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(t.val))
-		blk = append(blk, scratch[:]...)
+	err = mergeSources(f.heldSources(), func(s *mergeSource) error {
+		blk = appendString(blk, s.key)
+		blk = binary.AppendVarint(blk, int64(s.task))
+		blk = binary.LittleEndian.AppendUint64(blk, math.Float64bits(s.val))
 		if len(blk) >= spillBlockSize {
-			if err := emit(); err != nil {
-				return f.flushErr(file, err)
-			}
+			return emit()
 		}
+		return nil
+	})
+	if err == nil && len(blk) > 0 {
+		err = emit()
 	}
-	if err := emit(); err != nil {
-		return f.flushErr(file, err)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := w.Flush(); err != nil {
-		return f.flushErr(file, err)
+	if err == nil {
+		_, err = file.Seek(0, io.SeekStart)
 	}
-	if _, err := file.Seek(0, io.SeekStart); err != nil {
-		return f.flushErr(file, err)
+	if err != nil {
+		return err
 	}
-	f.runs = append(f.runs, &fileTripleStream{f: file, r: &spillRunReader{r: bufio.NewReader(file)}})
+	f.runs = append(f.runs, &spillRun{f: file, r: bufio.NewReader(file)})
 	f.spillRuns++
 	f.spilledBytes += written
 	f.compSaved += saved
-	f.triples = f.triples[:0]
-	f.mem = 0
+	clear(f.held)
+	f.held, f.mem = f.held[:0], 0
 	return nil
 }
 
-func (f *spillFolder) flushErr(file *os.File, err error) error {
-	name := file.Name()
-	_ = file.Close()
-	_ = os.Remove(name)
-	return fmt.Errorf("netmr: spill run write: %w", err)
-}
-
-// fold merges every spilled run and the in-memory remainder into the
-// final key space, streaming the per-key fold off the loser tree.
-// merged reports whether disk runs participated (the "mergeruns" span).
-// The runs' files are removed on return.
-func (f *spillFolder) fold(job Job) (out map[string]float64, merged bool, err error) {
+// fold merges every spilled run and the held sections into out,
+// streaming the per-key fold off the loser tree. merged reports whether
+// disk runs took part (the "mergeruns" span). The runs' files are
+// removed on return.
+func (f *spillFolder) fold(job Job, out *sectionBuilder) (merged bool, err error) {
 	defer f.discard()
-	if len(f.runs) == 0 {
-		// Pure in-memory path: regroup the triples per task and reuse the
-		// reference fold so both paths share one implementation.
-		byTask := map[int]map[string]float64{}
-		for _, t := range f.triples {
-			m := byTask[t.task]
-			if m == nil {
-				m = map[string]float64{}
-				byTask[t.task] = m
-			}
-			m[t.key] = t.val
-		}
-		inputs := make([]taskPartial, 0, len(byTask))
-		for task, m := range byTask {
-			inputs = append(inputs, taskPartial{task: task, partial: m})
-		}
-		sort.Slice(inputs, func(i, j int) bool { return inputs[i].task < inputs[j].task })
-		return foldTaskPartials(job, inputs), false, nil
-	}
-	sort.Slice(f.triples, func(i, j int) bool { return tripleLess(f.triples[i], f.triples[j]) })
-	streams := make([]tripleStream, 0, len(f.runs)+1)
+	srcs := f.heldSources()
 	for _, run := range f.runs {
-		streams = append(streams, run)
+		srcs = append(srcs, &mergeSource{run: run})
 	}
-	if len(f.triples) > 0 {
-		streams = append(streams, &memTripleStream{triples: f.triples})
-	}
-	lt, err := newLoserTree(streams)
-	if err != nil {
-		return nil, true, err
-	}
-	out = map[string]float64{}
-	var curKey string
-	var curVals []float64
-	var have bool
-	finishKey := func() {
-		if !have {
-			return
-		}
-		if job.Combine != nil {
-			acc := curVals[0]
-			for _, v := range curVals[1:] {
-				acc = job.Combine(acc, v)
-			}
-			out[curKey] = acc
-		} else {
-			out[curKey] = job.Reduce(curKey, curVals)
-		}
-		curVals = curVals[:0]
-	}
-	for {
-		t, ok, err := lt.next()
-		if err != nil {
-			return nil, true, err
-		}
-		if !ok {
-			break
-		}
-		if !have || t.key != curKey {
-			finishKey()
-			curKey, have = t.key, true
-		}
-		curVals = append(curVals, t.val)
-	}
-	finishKey()
-	return out, true, nil
+	return len(f.runs) > 0, mergeFold(job, srcs, out)
 }
 
-// discard releases every spilled run file and the buffer.
+// discard releases every spilled run file and the held sections.
 func (f *spillFolder) discard() {
 	for _, run := range f.runs {
-		run.close()
+		removeFile(run.f)
 	}
-	f.runs = nil
-	f.triples = nil
-	f.mem = 0
+	f.runs, f.held, f.mem = nil, nil, 0
 }
 
 // ensureSpillDir creates (or reuses) the per-run scratch directory under

@@ -8,14 +8,14 @@ import (
 // spillBenchInputs builds one reduce partition's gathered inputs: tasks
 // map-task partials over a shared key space with heavy prefix sharing —
 // the shape real shuffle slices have.
-func spillBenchInputs(tasks, keys int) []taskPartial {
-	inputs := make([]taskPartial, tasks)
+func spillBenchInputs(tasks, keys int) []partitionPartial {
+	inputs := make([]partitionPartial, tasks)
 	for task := range inputs {
 		m := make(map[string]float64, keys)
 		for k := 0; k < keys; k++ {
 			m[fmt.Sprintf("shuffle-key-%05d", k)] = float64(task + k)
 		}
-		inputs[task] = taskPartial{task: task, partial: m}
+		inputs[task] = partitionPartial{ID: task, Partial: sectionFromMap(m)}
 	}
 	return inputs
 }
@@ -27,22 +27,22 @@ func benchmarkShuffleFold(b *testing.B, budget int64) {
 	inputs := spillBenchInputs(16, 4000)
 	dir := b.TempDir()
 	b.ResetTimer()
+	var out sectionBuilder
 	for i := 0; i < b.N; i++ {
-		f := newSpillFolder(budget, dir)
+		f := newSpillFolder(budget, dir, "bench")
 		for _, in := range inputs {
-			if err := f.add(in.task, in.partial); err != nil {
-				b.Fatal(err)
-			}
+			f.add(in.ID, in.Partial)
 		}
-		out, merged, err := f.fold(job)
+		out.reset()
+		merged, err := f.fold(job, &out)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if budget > 0 && budget < 1<<20 && !merged {
 			b.Fatal("constrained budget never spilled")
 		}
-		if len(out) != 4000 {
-			b.Fatalf("fold produced %d keys, want 4000", len(out))
+		if out.count != 4000 {
+			b.Fatalf("fold produced %d keys, want 4000", out.count)
 		}
 	}
 }

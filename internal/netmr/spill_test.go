@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -18,11 +21,18 @@ func combineSumJob() Job {
 	return j
 }
 
+// taskMap is one map task's slice of a reduce partition in the form the
+// oracle folds: a map.
+type taskMap struct {
+	task int
+	m    map[string]float64
+}
+
 // randomTaskPartials builds one reduce partition's gathered inputs under
 // a chosen key distribution: tasks map-task ids with skewed, uniform or
 // degenerate key spaces, values small integers so float folds stay exact.
-func randomTaskPartials(rng *rand.Rand, tasks, keys int, dist string) []taskPartial {
-	inputs := make([]taskPartial, 0, tasks)
+func randomTaskPartials(rng *rand.Rand, tasks, keys int, dist string) []taskMap {
+	inputs := make([]taskMap, 0, tasks)
 	for task := 0; task < tasks; task++ {
 		m := map[string]float64{}
 		n := 1 + rng.Intn(keys)
@@ -40,44 +50,69 @@ func randomTaskPartials(rng *rand.Rand, tasks, keys int, dist string) []taskPart
 			}
 			m[k] = float64(1 + rng.Intn(5))
 		}
-		inputs = append(inputs, taskPartial{task: task, partial: m})
+		inputs = append(inputs, taskMap{task: task, m: m})
 	}
 	return inputs
 }
 
+// oracleFold is the reference the section merge must reproduce: the
+// master's serialMerge over the inputs' maps in ascending map-task order.
+func oracleFold(job Job, inputs []taskMap) map[string]float64 {
+	ref := append([]taskMap(nil), inputs...)
+	sort.Slice(ref, func(i, j int) bool { return ref[i].task < ref[j].task })
+	maps := make([]map[string]float64, len(ref))
+	for i, in := range ref {
+		maps[i] = in.m
+	}
+	return serialMerge(job, maps)
+}
+
+// folderFold pushes inputs, in the order given, through a spillFolder
+// under budget and decodes the merged section.
+func folderFold(t testing.TB, job Job, inputs []taskMap, budget int64) (map[string]float64, bool, *spillFolder) {
+	t.Helper()
+	f := newSpillFolder(budget, t.TempDir(), "fold#1")
+	for _, in := range inputs {
+		f.add(in.task, sectionFromMap(in.m))
+	}
+	var out sectionBuilder
+	out.reset()
+	merged, err := f.fold(job, &out)
+	if err != nil {
+		t.Fatalf("budget=%d: fold: %v", budget, err)
+	}
+	got := section(out.bytes()).toMap()
+	if got == nil {
+		got = map[string]float64{}
+	}
+	return got, merged, f
+}
+
 // TestSpillFoldMatchesInMemory is the spill property test: for every
 // budget — including budgets so tight every add flushes a run — the
-// loser-tree merge of spilled runs must produce exactly the fold the
-// all-in-memory path produces, across key distributions and both fold
-// paths (Combine and group-then-Reduce).
+// loser-tree merge of held sections and spilled runs must produce
+// exactly the fold the serialMerge oracle produces, across key
+// distributions and both fold paths (Combine and group-then-Reduce).
 func TestSpillFoldMatchesInMemory(t *testing.T) {
 	jobs := map[string]Job{"reduce": wordCountJob(), "combine": combineSumJob()}
-	budgets := []int64{1, 64, 256, 2048, 1 << 20}
+	budgets := []int64{0, 1, 64, 256, 2048, 1 << 20}
 	for _, dist := range []string{"uniform", "skewed", "disjoint", "same"} {
 		for jobName, job := range jobs {
 			rng := rand.New(rand.NewSource(int64(len(dist)) * 31))
 			for trial := 0; trial < 3; trial++ {
 				inputs := randomTaskPartials(rng, 2+rng.Intn(12), 1+rng.Intn(40), dist)
-				ref := make([]taskPartial, len(inputs))
-				copy(ref, inputs)
-				sort.Slice(ref, func(i, j int) bool { return ref[i].task < ref[j].task })
-				want := foldTaskPartials(job, ref)
+				want := oracleFold(job, inputs)
+				rng.Shuffle(len(inputs), func(i, j int) { inputs[i], inputs[j] = inputs[j], inputs[i] })
 				for _, budget := range budgets {
-					f := newSpillFolder(budget, t.TempDir())
-					for _, in := range inputs {
-						if err := f.add(in.task, in.partial); err != nil {
-							t.Fatalf("%s/%s budget=%d: add: %v", dist, jobName, budget, err)
-						}
-					}
-					got, merged, err := f.fold(job)
-					if err != nil {
-						t.Fatalf("%s/%s budget=%d: fold: %v", dist, jobName, budget, err)
-					}
+					got, merged, f := folderFold(t, job, inputs, budget)
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%s budget=%d (merged=%v): fold diverged from in-memory reference", dist, jobName, budget, merged)
+						t.Fatalf("%s/%s budget=%d (merged=%v): fold diverged from the serialMerge oracle", dist, jobName, budget, merged)
 					}
-					if budget == 1 && !merged && f.spillRuns == 0 && len(want) > 0 {
+					if budget == 1 && (!merged || f.spillRuns == 0) {
 						t.Fatalf("%s/%s: 1-byte budget never spilled", dist, jobName)
+					}
+					if budget == 0 && merged {
+						t.Fatalf("%s/%s: unbudgeted fold spilled", dist, jobName)
 					}
 				}
 			}
@@ -99,7 +134,7 @@ func TestInterStoreSpillMatchesMemory(t *testing.T) {
 			for i := 0; i < 1+rng.Intn(30); i++ {
 				m[fmt.Sprintf("k%d-%d", p, rng.Intn(20))] = float64(rng.Intn(9))
 			}
-			parts = append(parts, partitionPartial{ID: p, Partial: m})
+			parts = append(parts, partitionPartial{ID: p, Partial: sectionFromMap(m)})
 		}
 		sets[task] = parts
 	}
@@ -133,16 +168,6 @@ func TestInterStoreSpillMatchesMemory(t *testing.T) {
 			if err != nil {
 				t.Fatalf("budget=%d: slice(%d): %v", budget, p, err)
 			}
-			// A spilled empty section reads back as an empty map where the
-			// resident path keeps nil; both mean "held, no keys".
-			for i := range got {
-				if len(got[i].Partial) == 0 {
-					got[i].Partial = nil
-				}
-				if len(want[i].Partial) == 0 {
-					want[i].Partial = nil
-				}
-			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("budget=%d: partition %d slice diverged from resident reference", budget, p)
 			}
@@ -173,8 +198,8 @@ func TestEvictedRunReducersReset(t *testing.T) {
 	t.Cleanup(w.Stop)
 
 	parts4 := []partitionPartial{
-		{ID: 0, Partial: map[string]float64{"a": 1}},
-		{ID: 3, Partial: map[string]float64{"d": 4}},
+		{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
+		{ID: 3, Partial: sectionFromMap(map[string]float64{"d": 4})},
 	}
 	if _, _, _, err := w.store.put("wc#1", 0, parts4, 4); err != nil {
 		t.Fatal(err)
@@ -183,7 +208,7 @@ func TestEvictedRunReducersReset(t *testing.T) {
 		t.Fatalf("partition 3 under the 4-reducer run refused: %v", err)
 	}
 	// New run with a smaller reducer count evicts the old one wholesale.
-	if _, _, _, err := w.store.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: map[string]float64{"z": 1}}}, 2); err != nil {
+	if _, _, _, err := w.store.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"z": 1})}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := fetchPartition(addr, "wc#1", 0, []int{0}, defaultShuffleTimeout, false); err == nil {
@@ -315,5 +340,204 @@ func TestReplicaRecoveryAfterMapperLoss(t *testing.T) {
 	}
 	if stats.RecoveryWall <= 0 {
 		t.Errorf("RecoveryWall = %v, want > 0", stats.RecoveryWall)
+	}
+}
+
+// flipByteInFiles flips one bit in the middle byte of every non-empty
+// file matching glob under dir (recursively one level of run dirs) and
+// returns how many files it damaged.
+func flipByteInFiles(t testing.TB, dir, glob string) int {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "netmr-spill", "*", glob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := 0
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil || len(data) == 0 {
+			continue
+		}
+		data[len(data)/2] ^= 0x04
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		damaged++
+	}
+	return damaged
+}
+
+// TestCorruptSpillSectionRefused: a spilled section whose bytes changed
+// on disk must never reach a socket — the fetch is answered with an
+// error frame (the connection survives it), whether the section was
+// stored raw or compressed, while undamaged sections still serve.
+func TestCorruptSpillSectionRefused(t *testing.T) {
+	w, err := NewWorker(mustRegistry(t), WithWorkerConfig(WorkerConfig{SpillBudget: 1, SpillDir: t.TempDir()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := w.startFetchListener()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Stop)
+	text := map[string]float64{}
+	for i := 0; i < 600; i++ {
+		text[fmt.Sprintf("shared-prefix-key-%05d", i)] = float64(i)
+	}
+	parts := []partitionPartial{
+		{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1, "b": 2})}, // stored raw
+		{ID: 1, Partial: sectionFromMap(text)},                               // stored compressed
+	}
+	for task := 0; task < 2; task++ {
+		if spills, _, _, err := w.store.put("wc#1", task, parts, 2); err != nil || spills != 1 {
+			t.Fatalf("put task %d: spills=%d err=%v", task, spills, err)
+		}
+	}
+	for p, want := range parts {
+		got, _, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout, false)
+		if err != nil || got[0].Partial != want.Partial || got[1].Partial != want.Partial {
+			t.Fatalf("partition %d before the damage: err=%v", p, err)
+		}
+	}
+	// Damage task 0's file in each section in turn.
+	sf := w.store.tasks[0].spill
+	if sf.rawLens[0] != 0 || sf.rawLens[1] == 0 {
+		t.Fatalf("fixture: want section 0 raw and section 1 compressed, rawLens=%v", sf.rawLens)
+	}
+	for p := range parts {
+		var b [1]byte
+		at := sf.offsets[p] + sf.lengths[p]/2
+		if _, err := sf.f.ReadAt(b[:], at); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x20
+		if _, err := sf.f.WriteAt(b[:], at); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout, false)
+		if !isPeerRefusal(err) {
+			t.Fatalf("partition %d: damaged section answered with %v, want an error frame", p, err)
+		}
+		if got, _, _, err := fetchPartition(addr, "wc#1", p, []int{1}, defaultShuffleTimeout, false); err != nil || got[0].Partial != parts[p].Partial {
+			t.Fatalf("partition %d: undamaged task refused after the damage: %v", p, err)
+		}
+	}
+}
+
+// TestCorruptSpillRunFailsFold: a reduce-side run block that changed on
+// disk fails the fold with an error instead of folding garbage.
+func TestCorruptSpillRunFailsFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, name := range []string{"compressed", "raw"} {
+		dir := t.TempDir()
+		f := newSpillFolder(512, dir, "fold#1")
+		for task := 0; task < 4; task++ {
+			m := map[string]float64{}
+			for i := 0; i < 700; i++ {
+				k := fmt.Sprintf("gather-key-%06d", i)
+				if name == "raw" { // keys and values that do not compress
+					b := make([]byte, 16)
+					rng.Read(b)
+					k = string(b)
+				}
+				m[k] = rng.Float64()
+			}
+			f.add(task, sectionFromMap(m))
+		}
+		if f.spillRuns != 4 {
+			t.Fatalf("%s: %d runs, want 4", name, f.spillRuns)
+		}
+		if (f.compSaved > 0) != (name == "compressed") {
+			t.Fatalf("%s: compSaved=%d", name, f.compSaved)
+		}
+		if n := flipByteInFiles(t, dir, "reduce-run-*.spill"); n != 4 {
+			t.Fatalf("%s: damaged %d run files, want 4", name, n)
+		}
+		var out sectionBuilder
+		out.reset()
+		if _, err := f.fold(wordCountJob(), &out); err == nil {
+			t.Fatalf("%s: fold over damaged runs succeeded", name)
+		}
+	}
+}
+
+// TestCorruptSpillFailsOverToReplica is the end-to-end half: every spill
+// file one worker wrote is damaged between the map phase and the
+// shuffle. Fetches of its sections are refused, the reducers — that
+// worker's own included — fail over to the replicas on their own, and
+// the job's output is identical to the reference.
+func TestCorruptSpillFailsOverToReplica(t *testing.T) {
+	const workers, shards, R = 2, 6, 2
+	victimDir := t.TempDir()
+	lines := testLines(t, 600)
+	const sentinel = "corrupt-now"
+	lines = append(lines, sentinel)
+	job := wordCountJob()
+	mapFn := job.Map
+	var once sync.Once
+	damaged := 0
+	job.Map = func(record string, emit func(string, float64)) {
+		if record == sentinel {
+			// The last shard's last record: let the shards in flight on the
+			// other worker land and spill, then damage what the victim holds.
+			once.Do(func() {
+				time.Sleep(300 * time.Millisecond)
+				damaged = flipByteInFiles(t, victimDir, "task-*.spill")
+			})
+		}
+		mapFn(record, emit)
+	}
+	reg := func() *Registry {
+		r, err := NewRegistry(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	master, err := NewMaster(reg(), MasterConfig{
+		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: R,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := master.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(master.Close)
+	for i := 0; i < workers; i++ {
+		dir := victimDir
+		if i > 0 {
+			dir = t.TempDir()
+		}
+		w, err := NewWorker(reg(), WithWorkerConfig(WorkerConfig{SpillBudget: 1, SpillDir: dir}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Start(addr); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Stop)
+	}
+	if err := master.WaitForWorkers(workers, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := master.Run(context.Background(), "wordcount", lines, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runShard(wordCountJob(), lines, newShardScratch())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("result diverged from reference after spill corruption")
+	}
+	if damaged == 0 {
+		t.Fatal("fixture: no spill file was damaged")
+	}
+	if stats.Failovers == 0 {
+		t.Errorf("Failovers = 0 with %d damaged spill files: the reducers must have rerouted to replicas", damaged)
+	}
+	if stats.Reassignments != 0 {
+		t.Errorf("Reassignments = %d: the failover is worker-local, no reduce task should have been retried", stats.Reassignments)
 	}
 }

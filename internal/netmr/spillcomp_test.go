@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -29,9 +28,9 @@ func TestSpillFileCompressionRoundTrip(t *testing.T) {
 	}
 	tiny := map[string]float64{"a": 1, "b": 2}
 	parts := []partitionPartial{
-		{ID: 0, Partial: compressible},
-		{ID: 1, Partial: incompressible},
-		{ID: 2, Partial: tiny},
+		{ID: 0, Partial: sectionFromMap(compressible)},
+		{ID: 1, Partial: sectionFromMap(incompressible)},
+		{ID: 2, Partial: sectionFromMap(tiny)},
 		// partition 3 absent: the task emitted nothing into it
 	}
 	sf, onDisk, saved, err := writeSpillFile(t.TempDir(), 0, parts, R)
@@ -72,12 +71,15 @@ func TestSpillFileCompressionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("section %d: %v", want.ID, err)
 		}
-		if !reflect.DeepEqual(got, want.Partial) {
+		if got != want.Partial {
 			t.Fatalf("section %d round trip diverged", want.ID)
 		}
 	}
-	if got, err := sf.section(3); err != nil || got != nil {
-		t.Fatalf("absent section = (%v, %v), want (nil, nil)", got, err)
+	if sf.rawLens[1] != 0 {
+		t.Error("incompressible section stored compressed")
+	}
+	if got, err := sf.section(3); err != nil || got != "" {
+		t.Fatalf("absent section = (%q, %v), want the empty section", got, err)
 	}
 }
 
@@ -86,29 +88,16 @@ func TestSpillFileCompressionRoundTrip(t *testing.T) {
 // in-memory result, and highly redundant runs must record savings.
 func TestSpillFolderCompressedRunsMatchMemory(t *testing.T) {
 	job := wordCountJob()
-	inputs := make([]taskPartial, 8)
+	inputs := make([]taskMap, 8)
 	for task := range inputs {
 		m := map[string]float64{}
 		for i := 0; i < 400; i++ {
 			m[fmt.Sprintf("gather-key-%04d", i)] = float64(task + i%3)
 		}
-		inputs[task] = taskPartial{task: task, partial: m}
+		inputs[task] = taskMap{task: task, m: m}
 	}
-	ref := make([]taskPartial, len(inputs))
-	copy(ref, inputs)
-	sort.Slice(ref, func(i, j int) bool { return ref[i].task < ref[j].task })
-	want := foldTaskPartials(job, ref)
-
-	f := newSpillFolder(1024, t.TempDir()) // tight budget: every add spills
-	for _, in := range inputs {
-		if err := f.add(in.task, in.partial); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, merged, err := f.fold(job)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleFold(job, inputs)
+	got, merged, f := folderFold(t, job, inputs, 1024) // tight budget: every add spills
 	if !merged {
 		t.Fatal("tight budget never forced a merged fold")
 	}

@@ -328,17 +328,17 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 		}
 	}
 	start := time.Now()
+	var clock *spanClock
+	if w.traced {
+		clock = newSpanClock(decode)
+	}
 	if run != "" && w.reducers > 0 {
 		// Persist mode: partition by the reduce count, keep the output
 		// local for the reduce phase, acknowledge with a mapdone. The
 		// shuffle bytes this keeps off the master are the whole point.
-		var parts []partitionPartial
-		var spans []spanSummary
-		if w.traced {
-			parts, spans = runShardPartitionedTraced(job, records, w.scratch, w.reducers, decode)
-		} else {
-			parts = runShardPartitioned(job, records, w.scratch, w.reducers)
-		}
+		// The sections built here are the ones the store holds, the
+		// replica receives and the reducers fetch — nothing re-encodes.
+		parts := runShardPartitioned(job, records, w.scratch, w.reducers, clock)
 		putStart := time.Now()
 		spills, spilled, saved, perr := w.store.put(run, taskID, parts, w.reducers)
 		if perr != nil {
@@ -374,13 +374,13 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 				done.Parts = parts
 			}
 		}
-		if w.traced {
+		if clock != nil {
+			done.Spans = clock.spans
 			if spills > 0 {
-				spans = appendSpanAfter(spans, spanSpill, putDur)
+				done.Spans = appendSpanAfter(done.Spans, spanSpill, putDur)
 			}
-			spans = appendSpanAfter(spans, spanReplicate, repDur)
+			done.Spans = appendSpanAfter(done.Spans, spanReplicate, repDur)
 		}
-		done.Spans = spans
 		workerTaskSeconds.Observe(time.Since(start).Seconds())
 		workerTasks.With("ok").Inc()
 		if c.send(done, 30*time.Second) != nil {
@@ -403,31 +403,21 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 		}
 		return true
 	}
+	res := message{TaskID: taskID, Attempt: attempt, Trace: trace}
 	if w.partitions > 1 {
 		// The master granted the part capability: ship the result
 		// pre-split by key hash so the merge engine routes it straight to
 		// its partition folders — the hashing cost moves off the master.
-		var parts []partitionPartial
-		var spans []spanSummary
-		if w.traced {
-			parts, spans = runShardPartitionedTraced(job, records, w.scratch, w.partitions, decode)
-		} else {
-			parts = runShardPartitioned(job, records, w.scratch, w.partitions)
-		}
-		workerTaskSeconds.Observe(time.Since(start).Seconds())
-		workerTasks.With("ok").Inc()
-		return c.send(message{Type: "presult", TaskID: taskID, Attempt: attempt, Parts: parts, Trace: trace, Spans: spans}, 30*time.Second) == nil
-	}
-	var partial map[string]float64
-	var spans []spanSummary
-	if w.traced {
-		partial, spans = runShardTraced(job, records, w.scratch, decode)
+		res.Type, res.Parts = "presult", runShardPartitioned(job, records, w.scratch, w.partitions, clock)
 	} else {
-		partial = runShard(job, records, w.scratch)
+		res.Type, res.Partial = "result", runShardTraced(job, records, w.scratch, clock)
+	}
+	if clock != nil {
+		res.Spans = clock.spans
 	}
 	workerTaskSeconds.Observe(time.Since(start).Seconds())
 	workerTasks.With("ok").Inc()
-	return c.send(message{Type: "result", TaskID: taskID, Attempt: attempt, Partial: partial, Trace: trace, Spans: spans}, 30*time.Second) == nil
+	return c.send(res, 30*time.Second) == nil
 }
 
 // Stop closes the connection and waits for the serve loop to exit. It is
