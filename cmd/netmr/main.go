@@ -310,7 +310,7 @@ func runMaster(out io.Writer, opts masterOptions) error {
 	if err != nil {
 		return err
 	}
-	result, stats, err := master.Run(context.Background(), opts.job, input, opts.shards)
+	result, stats, err := master.RunResult(context.Background(), opts.job, input, opts.shards)
 	if err != nil {
 		// A degraded run is still a diagnosable one: report everything
 		// the master learned before it gave up, then fail.
@@ -324,10 +324,8 @@ func runMaster(out io.Writer, opts masterOptions) error {
 		return err
 	}
 	total := 0.0
-	for _, v := range result {
-		total += v
-	}
-	fmt.Fprintf(out, "job %q over %d lines: %d keys, value total %.0f\n", opts.job, opts.lines, len(result), total)
+	result.Each(func(_ string, v float64) { total += v })
+	fmt.Fprintf(out, "job %q over %d lines: %d keys, value total %.0f\n", opts.job, opts.lines, result.Len(), total)
 	printStats(out, stats)
 	return emitTrace(out, master, opts, stats)
 }

@@ -171,6 +171,6 @@ func runDistReduceWordCount(ctx context.Context, input []string, workers, shards
 	if err := master.WaitForWorkers(workers, 30*time.Second); err != nil {
 		return netmr.Stats{}, err
 	}
-	_, st, err := master.Run(ctx, "wordcount", input, shards)
+	_, st, err := master.RunResult(ctx, "wordcount", input, shards)
 	return st, err
 }

@@ -311,7 +311,7 @@ func runTracedWordCount(ctx context.Context, input []string, workers, shards int
 	if err := master.WaitForWorkers(workers, 30*time.Second); err != nil {
 		return netmr.PhaseBreakdown{}, err
 	}
-	_, stats, err := master.Run(ctx, "wordcount", input, shards)
+	_, stats, err := master.RunResult(ctx, "wordcount", input, shards)
 	if err != nil {
 		return netmr.PhaseBreakdown{}, err
 	}

@@ -204,6 +204,6 @@ func runRealWordCount(ctx context.Context, input []string, workers, shards int, 
 	if err := master.WaitForWorkers(workers, 30*time.Second); err != nil {
 		return netmr.Stats{}, err
 	}
-	_, stats, err := master.Run(ctx, "wordcount", input, shards)
+	_, stats, err := master.RunResult(ctx, "wordcount", input, shards)
 	return stats, err
 }

@@ -1,6 +1,7 @@
 package netmr
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -40,26 +41,24 @@ func sectionBytes(parts []partitionPartial) (n int64) {
 }
 
 // BenchmarkFrameEncode encodes the replicate frame of one tera-mem map
-// task (two sections, ≈1.7 MB) under the layout replication travels on.
+// task (two sections, ≈1.7 MB) under the layout replication travels on,
+// into a fresh destination each time: what a send pays after a collection
+// has emptied encBufPool, which on tera-mem is every job.
 func BenchmarkFrameEncode(b *testing.B) {
 	m := message{Type: "replicate", Run: "tera#1", TaskID: 7, Reducers: 2, Parts: teraSections(2, 7800)}
-	var buf []byte
 	b.SetBytes(sectionBytes(m.Parts))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame, _, err := appendFrame(buf[:0], &m, nil, true, false, true, true, false)
-		if err != nil {
+		if _, _, err := appendFrame(nil, &m, nil, true, false, true, true, false); err != nil {
 			b.Fatal(err)
-		}
-		if cap(frame) > cap(buf) {
-			buf = frame
 		}
 	}
 }
 
-// BenchmarkFrameDecode decodes the same frame the way recv does: flag
-// layer off, checksum, one walk over each section.
+// BenchmarkFrameDecode decodes the same frame the way recv does: a
+// buffer of the frame's own (the copy stands in for the socket read),
+// flag layer off, checksum, one walk over each section.
 func BenchmarkFrameDecode(b *testing.B) {
 	m := message{Type: "replicate", Run: "tera#1", TaskID: 7, Reducers: 2, Parts: teraSections(2, 7800)}
 	frame, _, err := appendFrame(nil, &m, nil, true, false, true, true, false)
@@ -68,17 +67,15 @@ func BenchmarkFrameDecode(b *testing.B) {
 	}
 	body := frameBody(b, frame)
 	var out message
-	var scratch []byte
 	b.SetBytes(sectionBytes(m.Parts))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		raw, sc, _, err := unwrapCompressedBody(body, scratch)
+		raw, _, err := unwrapCompressedBody(bytes.Clone(body))
 		if err != nil {
 			b.Fatal(err)
 		}
-		scratch = sc
-		if err := decodeFrame(raw, &out, true, false, true, true, false); err != nil {
+		if err := decodeFrame(raw, &out, true, false, true, true, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -115,27 +112,43 @@ func BenchmarkLZ(b *testing.B) {
 	}
 }
 
-// BenchmarkSectionMerge is one tera-mem reduce task's fold: the 32 map
-// tasks' sections of a partition merged by (key, map task) through
-// Combine into the result section.
+// BenchmarkSectionMerge is one tera-mem reduce task's fold as
+// runReduceTask runs it: the 32 map tasks' sections of a partition
+// gathered into a spillFolder and merged by (key, map task) through
+// Combine into a fresh result section.
 func BenchmarkSectionMerge(b *testing.B) {
 	parts := teraSections(32, 7800)
 	job := benchJob(true)
-	var out sectionBuilder
 	b.SetBytes(sectionBytes(parts))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srcs := make([]*mergeSource, len(parts))
-		for t, p := range parts {
-			srcs[t] = sectionSource(p.ID, p.Partial)
+		f := newSpillFolder(0, "", "bench")
+		for _, p := range parts {
+			f.add(p.ID, p.Partial)
 		}
-		out.reset()
-		if err := mergeFold(job, srcs, &out); err != nil {
+		var out sectionBuilder
+		if _, err := f.fold(job, &out); err != nil {
 			b.Fatal(err)
 		}
+		if out.count != 32*7800 {
+			b.Fatalf("merged %d keys, want %d", out.count, 32*7800)
+		}
 	}
-	if out.count != 32*7800 {
-		b.Fatalf("merged %d keys, want %d", out.count, 32*7800)
+}
+
+// BenchmarkResultMap is the master's whole merge window on tera-mem: the
+// two reduce results (250 k keys each) as they arrived, to the one map
+// Run returns.
+func BenchmarkResultMap(b *testing.B) {
+	parts := teraSections(2, 250_000)
+	res := &Result{parts: []section{parts[0].Partial, parts[1].Partial}}
+	b.SetBytes(sectionBytes(parts))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := len(res.Map()); n != 500_000 {
+			b.Fatalf("map of %d keys, want 500000", n)
+		}
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Wire protocol v2: a length-prefixed binary framing that replaces the
@@ -133,8 +135,34 @@ func appendSection(b []byte, sec section) []byte {
 	return append(b, sec...)
 }
 
+// sizeStrings is the length of appendStrings' output.
+func sizeStrings(ss []string) int {
+	n := binary.MaxVarintLen64
+	for _, s := range ss {
+		n += (bits.Len(uint(len(s))|1)+6)/7 + len(s)
+	}
+	return n
+}
+
+// frameSizeHint is the encoded size of what m carries in bulk — sections,
+// records, batch — plus room for the small fields of an ordinary frame,
+// so appendFrame allocates once however much it is about to copy in.
+func frameSizeHint(m *message) int {
+	const v = binary.MaxVarintLen64
+	n := frameHeadroom + 1024 + len(m.partialSec) + sizeStrings(m.Records)
+	for _, spec := range m.Batch {
+		n += len(spec.Job) + 3*v + sizeStrings(spec.Records)
+	}
+	for _, p := range m.Parts {
+		n += v + 1 + len(p.Partial)
+	}
+	return n
+}
+
 // appendFrame encodes the complete wire frame for m into dst's storage
-// (dst must be empty; its capacity is reused) and returns the frame.
+// (dst must be empty; its capacity is reused, or replaced by one
+// allocation sized from frameSizeHint when it is too small) and returns
+// the frame.
 // keys is a reusable scratch slice for sorting Partial (may be nil); the
 // grown scratch is returned for reuse. ext selects the bin2 layout
 // (trailing Partitions/Parts fields), trc the trace layout (trailing
@@ -165,6 +193,11 @@ func appendFrame(dst []byte, m *message, keys []string, ext, trc, red, cmp, erl 
 	}
 	if !erl && (m.Total != 0 || len(m.Reps) > 0 || m.Failovers != 0) {
 		return dst, keys, fmt.Errorf("netmr: frame %q carries early fields but the peer did not negotiate %q", m.Type, capEarly)
+	}
+	if need := frameSizeHint(m); cap(dst) < need {
+		// An eighth over: the pooled buffer then also fits the next frame
+		// of about this size instead of being replaced for a few bytes.
+		dst = make([]byte, 0, need+need/8)
 	}
 	var headroom [frameHeadroom]byte
 	b := append(dst[:0], headroom[:]...)
@@ -294,38 +327,44 @@ var lzBufPool = sync.Pool{
 }
 
 // unwrapCompressedBody strips the comp flag layer from a received frame
-// body, returning the raw checksummed body that decodeFrame expects.
-// scratch is the reusable decompression buffer (grown and returned for
-// reuse); compressed reports whether the wire form was the compressed
-// variant.
-func unwrapCompressedBody(body, scratch []byte) (raw, scratchOut []byte, compressed bool, err error) {
+// body, returning the raw checksummed body that decodeFrame expects: the
+// rest of body when it travelled stored, a buffer of exactly the declared
+// length when it travelled compressed. A declared length the payload
+// cannot reach — one input byte yields at most 255 output bytes — is
+// refused before anything is allocated, so a decode never allocates more
+// than a multiple of the bytes actually received.
+func unwrapCompressedBody(body []byte) (raw []byte, compressed bool, err error) {
 	if len(body) == 0 {
-		return nil, scratch, false, fmt.Errorf("netmr: empty comp frame body")
+		return nil, false, fmt.Errorf("netmr: empty comp frame body")
 	}
 	switch body[0] {
 	case 0:
-		return body[1:], scratch, false, nil
+		return body[1:], false, nil
 	case 1:
 		rawLen, n := binary.Uvarint(body[1:])
 		if n <= 0 || rawLen > maxFrameBytes {
-			return nil, scratch, false, fmt.Errorf("netmr: bad compressed frame length prefix")
+			return nil, false, fmt.Errorf("netmr: bad compressed frame length prefix")
 		}
-		out, err := lzDecompress(scratch[:0], body[1+n:], int(rawLen))
+		payload := body[1+n:]
+		if rawLen > 255*uint64(len(payload)) {
+			return nil, false, fmt.Errorf("netmr: compressed frame declared %d bytes, more than its %d-byte payload can hold", rawLen, len(payload))
+		}
+		out, err := lzDecompress(make([]byte, 0, rawLen), payload, int(rawLen))
 		if err != nil {
-			return nil, scratch, false, err
+			return nil, false, err
 		}
 		if uint64(len(out)) != rawLen {
-			return nil, out, false, fmt.Errorf("netmr: compressed frame declared %d bytes but decompressed to %d", rawLen, len(out))
+			return nil, false, fmt.Errorf("netmr: compressed frame declared %d bytes but decompressed to %d", rawLen, len(out))
 		}
-		return out, out, true, nil
+		return out, true, nil
 	default:
-		return nil, scratch, false, fmt.Errorf("netmr: unknown compression flag %d", body[0])
+		return nil, false, fmt.Errorf("netmr: unknown compression flag %d", body[0])
 	}
 }
 
 // frameReader is the cursor decodeFrame parses with. All strings are
-// substrings of one string conversion of the body, so a decoded frame
-// costs one allocation for its text regardless of field count.
+// substrings of the frame's text, so a decoded frame costs no allocation
+// for its text beyond the buffer it was received into.
 type frameReader struct {
 	s   string
 	off int
@@ -493,8 +532,14 @@ func (r *frameReader) locs() ([]fetchLoc, error) {
 // red the reduce layout, cmp the comp layout and erl the early layout,
 // mirroring appendFrame. On comp connections the caller unwraps the
 // compression flag layer (unwrapCompressedBody) first; body here is
-// always the raw checksummed form.
-func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool) error {
+// always the raw checksummed form. With partial set, Partial is not
+// decoded into a map: it is checked as a section (stricter: unsorted or
+// repeated keys are refused too) and left in *partial.
+//
+// The caller gives body up: it becomes the text every string and section
+// of m is a substring of, so it must never be written, pooled or reused
+// afterwards — recv reads each frame into a buffer of its own for that.
+func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool, partial *section) error {
 	if len(body) < 5 { // type byte + CRC
 		return fmt.Errorf("netmr: frame of %d bytes is too short", len(body))
 	}
@@ -504,7 +549,9 @@ func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool) error {
 	}
 	recs, batch := m.Records, m.Batch
 	*m = message{}
-	r := &frameReader{s: string(payload)}
+	// The one unsafe conversion: payload is non-empty (checked above) and,
+	// by the ownership rule, immutable from here on.
+	r := &frameReader{s: unsafe.String(&payload[0], len(payload))}
 	tb := r.s[0]
 	r.off = 1
 	if name, ok := frameNames[tb]; ok {
@@ -534,7 +581,12 @@ func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool) error {
 	if len(m.Records) == 0 {
 		m.Records = nil
 	}
-	if m.Partial, err = r.pairs(); err != nil {
+	if partial != nil {
+		*partial, err = r.section()
+	} else {
+		m.Partial, err = r.pairs()
+	}
+	if err != nil {
 		return err
 	}
 	if m.Jobs, err = r.strings(nil); err != nil {

@@ -2,6 +2,7 @@ package netmr
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -98,13 +99,13 @@ func frameBody(t testing.TB, frame []byte) []byte {
 	if err != nil {
 		t.Fatalf("length prefix: %v", err)
 	}
-	return frame[len(frame)-n:]
+	return bytes.Clone(frame[len(frame)-n:]) // decodeFrame keeps the body it is given
 }
 
 func decodeBinary(t *testing.T, frame []byte) message {
 	t.Helper()
 	var m message
-	if err := decodeFrame(frameBody(t, frame), &m, true, true, true, false, true); err != nil {
+	if err := decodeFrame(frameBody(t, frame), &m, true, true, true, false, true, nil); err != nil {
 		t.Fatalf("decodeFrame: %v", err)
 	}
 	return m
@@ -223,7 +224,7 @@ func TestBinaryCodecBufferReuse(t *testing.T) {
 	var m message
 	for i, in := range codecMessages() {
 		frame := encodeBinary(t, in)
-		if err := decodeFrame(frameBody(t, frame), &m, true, true, true, false, true); err != nil {
+		if err := decodeFrame(frameBody(t, frame), &m, true, true, true, false, true, nil); err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(normalize(m), normalize(in)) {
@@ -282,13 +283,13 @@ func (g codecGen) carries(m message) bool {
 // flag layer first when g carries it — the same two steps recv performs.
 func decodeGen(body []byte, m *message, g codecGen) error {
 	if g.cmp {
-		raw, _, _, err := unwrapCompressedBody(body, nil)
+		raw, _, err := unwrapCompressedBody(body)
 		if err != nil {
 			return err
 		}
 		body = raw
 	}
-	return decodeFrame(body, m, g.ext, g.trc, g.red, g.cmp, g.erl)
+	return decodeFrame(body, m, g.ext, g.trc, g.red, g.cmp, g.erl, nil)
 }
 
 // TestBinaryCodecLegacyLayout pins the layout negotiation that keeps
@@ -353,7 +354,7 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 			mut := append([]byte(nil), body...)
 			mut[i] ^= 1 << bit
 			var out message
-			if err := decodeFrame(mut, &out, true, true, true, false, true); err == nil {
+			if err := decodeFrame(mut, &out, true, true, true, false, true, nil); err == nil {
 				t.Fatalf("flip of byte %d bit %d went undetected", i, bit)
 			}
 		}
@@ -361,7 +362,7 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 	// Truncations must be rejected too.
 	for i := 0; i < len(body); i++ {
 		var out message
-		if err := decodeFrame(body[:i], &out, true, true, true, false, true); err == nil {
+		if err := decodeFrame(body[:i], &out, true, true, true, false, true, nil); err == nil {
 			t.Fatalf("truncation to %d bytes went undetected", i)
 		}
 	}
@@ -389,7 +390,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Every layout generation must be panic-free on arbitrary input.
 		for _, g := range codecGens() {
 			var out message
-			err := decodeFrame(body, &out, g.ext, g.trc, g.red, g.cmp, g.erl)
+			err := decodeFrame(bytes.Clone(body), &out, g.ext, g.trc, g.red, g.cmp, g.erl, nil)
 			if err != nil {
 				continue
 			}

@@ -3,8 +3,10 @@ package netmr
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -135,12 +137,12 @@ func TestCompFrameWireForms(t *testing.T) {
 	if body[0] != 0 {
 		t.Fatalf("small frame flag = %d, want 0 (stored)", body[0])
 	}
-	raw, _, compressed, err := unwrapCompressedBody(body, nil)
+	raw, compressed, err := unwrapCompressedBody(body)
 	if err != nil || compressed {
 		t.Fatalf("stored unwrap = (compressed=%v, %v)", compressed, err)
 	}
 	var back message
-	if err := decodeFrame(raw, &back, true, true, true, true, true); err != nil {
+	if err := decodeFrame(raw, &back, true, true, true, true, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	if back.Type != "ping" {
@@ -160,7 +162,7 @@ func TestCompFrameWireForms(t *testing.T) {
 	if compBody[0] != 1 {
 		t.Fatalf("large result frame flag = %d, want 1 (compressed)", compBody[0])
 	}
-	unwrapped, _, compressed, err := unwrapCompressedBody(compBody, nil)
+	unwrapped, compressed, err := unwrapCompressedBody(compBody)
 	if err != nil || !compressed {
 		t.Fatalf("compressed unwrap = (compressed=%v, %v)", compressed, err)
 	}
@@ -168,7 +170,7 @@ func TestCompFrameWireForms(t *testing.T) {
 		t.Fatalf("compressed body %d bytes, raw %d — no wire saving", len(compBody), len(unwrapped))
 	}
 	var again message
-	if err := decodeFrame(unwrapped, &again, true, true, true, true, true); err != nil {
+	if err := decodeFrame(unwrapped, &again, true, true, true, true, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again.Partial, big) {
@@ -207,7 +209,7 @@ func TestCompCrossGenerationRejected(t *testing.T) {
 		}
 		compBody := frameBody(t, compFrame)
 		var out message
-		if err := decodeFrame(compBody, &out, true, true, true, true, true); err == nil {
+		if err := decodeFrame(compBody, &out, true, true, true, true, true, nil); err == nil {
 			t.Errorf("%q: comp wire body decoded without unwrapping the flag layer", m.Type)
 		}
 	}
@@ -217,14 +219,59 @@ func TestCompCrossGenerationRejected(t *testing.T) {
 			t.Fatalf("%q: %v", m.Type, err)
 		}
 		body := frameBody(t, frame)
-		raw, _, _, err := unwrapCompressedBody(body, nil)
+		raw, _, err := unwrapCompressedBody(body)
 		if err == nil {
 			var out message
-			err = decodeFrame(raw, &out, true, true, true, true, true)
+			err = decodeFrame(raw, &out, true, true, true, true, true, nil)
 		}
 		if err == nil {
 			t.Errorf("%q: non-comp body accepted by a comp decoder", m.Type)
 		}
+	}
+}
+
+// overdeclaredCompBody is a 10-byte compressed body whose length prefix
+// declares the 64 MiB cap: more than 255 bytes of output per payload
+// byte, which no LZ block can produce.
+func overdeclaredCompBody() []byte {
+	body := binary.AppendUvarint([]byte{1}, maxFrameBytes)
+	return append(body, 0x40, 'a', 'b', 'c', 'd')
+}
+
+// TestCompDeclaredLengthBoundedByPayload: the decompression target is
+// allocated once, from the declared length, so the declaration is
+// checked against what the payload can expand to before anything is
+// allocated — and a block at the very limit of that expansion still
+// decodes.
+func TestCompDeclaredLengthBoundedByPayload(t *testing.T) {
+	body := overdeclaredCompBody()
+	if len(body) != 10 {
+		t.Fatalf("seed body is %d bytes, want 10", len(body))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := unwrapCompressedBody(body)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 10-byte body declaring 64 MiB was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Errorf("refusing the body allocated %d bytes", grew)
+	}
+
+	// One long run is the densest block the format has: every payload
+	// byte past the first few stands for 255 bytes of output.
+	zeros := make([]byte, 1<<20)
+	packed := lzCompress(binary.AppendUvarint([]byte{1}, uint64(len(zeros))), zeros)
+	if ratio := len(zeros) / len(packed); ratio < 250 {
+		t.Fatalf("control block only expands %d×", ratio)
+	}
+	raw, compressed, err := unwrapCompressedBody(packed)
+	if err != nil || !compressed || !bytes.Equal(raw, zeros) {
+		t.Fatalf("maximal-expansion block refused: compressed=%v, %v", compressed, err)
+	}
+	if cap(raw) != len(zeros) {
+		t.Errorf("target buffer has capacity %d for %d declared bytes", cap(raw), len(zeros))
 	}
 }
 
@@ -247,14 +294,15 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 		}
 		f.Add(mut)
 	}
+	f.Add(overdeclaredCompBody())
 	f.Fuzz(func(t *testing.T, body []byte) {
-		raw, _, _, err := unwrapCompressedBody(body, nil)
+		raw, _, err := unwrapCompressedBody(body)
 		if err != nil {
 			return
 		}
 		for _, layout := range []struct{ trc bool }{{false}, {true}} {
 			var m message
-			if err := decodeFrame(raw, &m, true, layout.trc, true, true, true); err != nil {
+			if err := decodeFrame(bytes.Clone(raw), &m, true, layout.trc, true, true, true, nil); err != nil {
 				continue
 			}
 			if _, ok := frameTypes[m.Type]; !ok {
@@ -264,12 +312,12 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decoded frame failed to re-encode: %v", err)
 			}
-			raw2, _, _, err := unwrapCompressedBody(frameBody(t, frame), nil)
+			raw2, _, err := unwrapCompressedBody(frameBody(t, frame))
 			if err != nil {
 				t.Fatalf("re-encoded frame failed to unwrap: %v", err)
 			}
 			var again message
-			if err := decodeFrame(raw2, &again, true, layout.trc, true, true, true); err != nil {
+			if err := decodeFrame(raw2, &again, true, layout.trc, true, true, true, nil); err != nil {
 				t.Fatalf("re-encoded frame failed to decode: %v", err)
 			}
 			if !reflect.DeepEqual(normalize(stripSpans(again)), normalize(stripSpans(m))) {

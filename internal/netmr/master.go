@@ -784,11 +784,13 @@ func (l *perWorkerLedger) snapshot() []WorkerStats {
 // recorded in prepart, since the frame type is the ledger's ground
 // truth for who actually pre-split), or a persisted one (mapdone — the
 // payload stayed on the worker, whose shuffle address rides along). The
-// reduce phase reuses the same struct for its partition results, with
-// bytes carrying the shuffle volume the reducer reported.
+// reduce phase reuses the same struct for its partition results — sec,
+// the folded partition as the section it arrived as — with bytes carrying
+// the shuffle volume the reducer reported.
 type launchDone struct {
 	task      shardTask
 	partial   map[string]float64
+	sec       section
 	parts     []partitionPartial
 	prepart   bool
 	stored    bool
@@ -845,7 +847,25 @@ type launchFail struct {
 // returns the context's error; the JobTimeout deadline applies on top.
 // When ctx carries an obs recorder, the split and merge phases are
 // recorded as spans ("map" and "merge" in the trace vocabulary).
-func (m *Master) Run(ctx context.Context, jobName string, records []string, shards int) (result map[string]float64, stats Stats, err error) {
+func (m *Master) Run(ctx context.Context, jobName string, records []string, shards int) (map[string]float64, Stats, error) {
+	res, stats, err := m.run(ctx, jobName, records, shards, true)
+	if err != nil {
+		return nil, stats, err
+	}
+	return res.Map(), stats, nil
+}
+
+// RunResult is Run for callers that do not need the output as one map:
+// after a distributed reduce the Result holds the reducers' sections as
+// they arrived, and the master's merge window shrinks to nothing.
+func (m *Master) RunResult(ctx context.Context, jobName string, records []string, shards int) (*Result, Stats, error) {
+	return m.run(ctx, jobName, records, shards, false)
+}
+
+// run is Run and RunResult. asMap builds the output map inside the merge
+// window — span, trace phase, Stats.MergeWall — where Run has always
+// accounted for it.
+func (m *Master) run(ctx context.Context, jobName string, records []string, shards int, asMap bool) (result *Result, stats Stats, err error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
 	defer func() {
@@ -1228,8 +1248,9 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 			err = w.c.send(u, m.cfg.TaskTimeout)
 		}
 		var reply message
+		var sec section
 		if err == nil {
-			reply, err = w.c.recv(m.cfg.TaskTimeout)
+			reply, sec, err = w.c.recvReduced(m.cfg.TaskTimeout)
 		}
 		elapsed := time.Since(start)
 		if err == nil {
@@ -1244,7 +1265,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 					trc.closeLaunch(launch, outcomeOK, reply.Spans)
 				}
 				rResultCh <- launchDone{
-					task: t, partial: reply.Partial, bytes: reply.Bytes,
+					task: t, sec: sec, bytes: reply.Bytes,
 					compBytes: reply.CompBytes, spills: reply.Spills, spilled: reply.Spilled,
 					failovers: reply.Failovers, elapsed: elapsed, launch: launch,
 				}
@@ -1684,9 +1705,11 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 	}
 
 	// Reduce phase: the R partitions go back out to the reduce-capable
-	// workers as tasks; the per-key fold happens there, not here. What is
-	// left for the master's "merge" window afterwards is only the union of
-	// R disjoint key spaces — O(keys) map copies, no Reduce/Combine calls.
+	// workers as tasks; the per-key fold happens there, not here, and the
+	// R disjoint, key-sorted sections that come back are the result. What
+	// is left for the master's "merge" window is the one map Run's callers
+	// are owed — O(keys) inserts, no Reduce/Combine calls — and nothing at
+	// all for RunResult's.
 	if useReduce {
 		_, reduceSpan := obs.StartSpan(ctx, "reduce")
 		plan := &reducePlan{
@@ -1708,15 +1731,9 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 			return nil, stats, rerr
 		}
 		_, mergeSpan := obs.StartSpan(ctx, "merge")
-		total := 0
-		for _, f := range finals {
-			total += len(f)
-		}
-		out := make(map[string]float64, total)
-		for _, f := range finals {
-			for k, v := range f {
-				out[k] = v
-			}
+		out := &Result{parts: finals}
+		if asMap {
+			out = &Result{flat: out.Map()}
 		}
 		mergeSpan.End()
 		end := time.Now()
@@ -1758,7 +1775,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 	m.metrics.mergeSeconds.Observe(stats.MergeWall.Seconds())
 	m.metrics.mergeOverlap.Observe(stats.MergeOverlapWall.Seconds())
 	m.metrics.mergeWidth.Set(float64(m.cfg.Partitions))
-	return out, stats, nil
+	return &Result{flat: out}, stats, nil
 }
 
 // splitForRelay hash-splits one non-persisted map output by the reduce

@@ -2,6 +2,7 @@ package netmr
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -523,7 +524,7 @@ func FuzzDecodePartitionedResult(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var m message
-		if err := decodeFrame(body, &m, true, false, false, false, false); err != nil {
+		if err := decodeFrame(bytes.Clone(body), &m, true, false, false, false, false, nil); err != nil {
 			return
 		}
 		walkSections(&m) // an accepted section can be iterated without failing
@@ -535,7 +536,7 @@ func FuzzDecodePartitionedResult(f *testing.F) {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}
 		var again message
-		if err := decodeFrame(frameBody(t, frame), &again, true, false, false, false, false); err != nil {
+		if err := decodeFrame(frameBody(t, frame), &again, true, false, false, false, false, nil); err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
 		if !reflect.DeepEqual(normalize(again), normalize(m)) {
@@ -590,7 +591,7 @@ func FuzzDecodeSpanSummary(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var m message
-		if err := decodeFrame(body, &m, true, true, false, false, false); err != nil {
+		if err := decodeFrame(bytes.Clone(body), &m, true, true, false, false, false, nil); err != nil {
 			return
 		}
 		for _, s := range m.Spans {
@@ -606,7 +607,7 @@ func FuzzDecodeSpanSummary(f *testing.F) {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}
 		var again message
-		if err := decodeFrame(frameBody(t, frame), &again, true, true, false, false, false); err != nil {
+		if err := decodeFrame(frameBody(t, frame), &again, true, true, false, false, false, nil); err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
 		if !sameSpans(m.Spans, again.Spans) {

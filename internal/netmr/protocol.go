@@ -206,8 +206,6 @@ type conn struct {
 	lastRawLen int
 
 	keys    []string // sorted-Partial scratch for binary encode
-	body    []byte   // binary frame read buffer
-	cbuf    []byte   // comp decompression buffer
 	scratch message  // binary decode target; Records/Batch backing reused
 }
 
@@ -250,6 +248,23 @@ func (c *conn) send(m message, timeout time.Duration) error {
 }
 
 func (c *conn) recv(timeout time.Duration) (message, error) {
+	return c.recvFrame(timeout, nil)
+}
+
+// recvReduced is recv for a reduce task's reply at the master, the one
+// receiver that keeps a result's Partial as the key-sorted section it
+// travels as instead of decoding it into a map (a JSON peer's map
+// becomes a section on arrival).
+func (c *conn) recvReduced(timeout time.Duration) (message, section, error) {
+	var sec section
+	m, err := c.recvFrame(timeout, &sec)
+	if err == nil && !c.binary {
+		sec, m.Partial = sectionFromMap(m.Partial), nil
+	}
+	return m, sec, err
+}
+
+func (c *conn) recvFrame(timeout time.Duration, partial *section) (message, error) {
 	if timeout > 0 {
 		if err := c.raw.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 			return message{}, err
@@ -283,33 +298,29 @@ func (c *conn) recv(timeout time.Duration) (message, error) {
 	if n > maxFrameBytes {
 		return message{}, fmt.Errorf("netmr: recv: frame length %d exceeds the %d limit", n, maxFrameBytes)
 	}
-	if uint64(cap(c.body)) < n {
-		c.body = make([]byte, n)
-	}
-	c.body = c.body[:n]
-	if _, err := io.ReadFull(c.r, c.body); err != nil {
+	// Each frame is read into a buffer of its own, which decodeFrame keeps
+	// as the text of the message it returns: no reused read buffer, no
+	// second copy.
+	body := make([]byte, n)
+	if _, err := io.ReadFull(c.r, body); err != nil {
 		return message{}, fmt.Errorf("netmr: recv: %w", err)
 	}
-	c.lastFrameLen = len(c.body)
+	c.lastFrameLen = len(body)
 	var decodeStart time.Time
 	if c.trc {
 		decodeStart = time.Now()
 	}
-	body := c.body
 	if c.sniff {
 		c.cmp = len(body) > 0 && body[0] <= 1
 		c.sniff = false
 	}
 	if c.cmp {
-		raw, scratch, _, err := unwrapCompressedBody(body, c.cbuf)
-		if err != nil {
+		if body, _, err = unwrapCompressedBody(body); err != nil {
 			return message{}, fmt.Errorf("netmr: recv: %w", err)
 		}
-		c.cbuf = scratch
-		body = raw
 	}
 	c.lastRawLen = len(body)
-	if err := decodeFrame(body, &c.scratch, c.binExt, c.trc, c.red, c.cmp, c.erl); err != nil {
+	if err := decodeFrame(body, &c.scratch, c.binExt, c.trc, c.red, c.cmp, c.erl, partial); err != nil {
 		return message{}, err
 	}
 	if c.trc {

@@ -34,7 +34,8 @@ type reducePlan struct {
 }
 
 // runReducePhase assigns the R reduce partitions to reduce-capable
-// workers and returns their folded partitions, indexed by partition id.
+// workers and returns their folded partitions, indexed by partition id,
+// each the key-sorted section its reducer sent.
 // Non-reduce workers drawn from the idle pool are parked for the
 // duration and returned on every exit path.
 //
@@ -55,7 +56,7 @@ type reducePlan struct {
 // launch the master aborted fails with errEarlyAborted and requeues
 // without charging the attempt budget.
 func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *Stats, ledger *perWorkerLedger, trc *JobTrace, deadline <-chan time.Time,
-	resultCh chan launchDone, failCh chan launchFail, earlySeeded map[int]bool) ([]map[string]float64, error) {
+	resultCh chan launchDone, failCh chan launchFail, earlySeeded map[int]bool) ([]section, error) {
 	R := m.cfg.Reducers
 
 	// Sorted stored-task ids: the deterministic iteration base for every
@@ -168,8 +169,9 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 		start := time.Now()
 		err := w.c.send(fr, m.cfg.TaskTimeout)
 		var reply message
+		var sec section
 		if err == nil {
-			reply, err = w.c.recv(m.cfg.TaskTimeout)
+			reply, sec, err = w.c.recvReduced(m.cfg.TaskTimeout)
 		}
 		elapsed := time.Since(start)
 		if err == nil && reply.Type == "error" && reply.TaskID == t.id && reply.Fetch != "" {
@@ -207,14 +209,14 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 			trc.closeLaunch(launch, outcomeOK, reply.Spans)
 		}
 		resultCh <- launchDone{
-			task: t, partial: reply.Partial, bytes: reply.Bytes,
+			task: t, sec: sec, bytes: reply.Bytes,
 			compBytes: reply.CompBytes, spills: reply.Spills, spilled: reply.Spilled,
 			failovers: reply.Failovers, elapsed: elapsed, launch: launch,
 		}
 		m.idle <- w
 	}
 
-	finals := make([]map[string]float64, R)
+	finals := make([]section, R)
 	inflight := make(map[int]*flight, R)
 	done := make(map[int]bool, R)
 	var completedLat []float64
@@ -360,7 +362,7 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 				m.metrics.specWins.Inc()
 			}
 			completedLat = append(completedLat, r.elapsed.Seconds())
-			finals[r.task.id] = r.partial
+			finals[r.task.id] = r.sec
 			stats.ReduceTasks++
 			stats.ShuffleBytes += r.bytes
 			if r.failovers > 0 {

@@ -2,7 +2,9 @@ package netmr
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -442,6 +444,105 @@ func TestRogueReduceErrorReassigned(t *testing.T) {
 	}
 }
 
+// malformedReducer joins as a binary reduce-capable worker that answers
+// map tasks honestly (flat results, relayed by the master) and every
+// reduce task with a well-framed, checksummed result whose Partial is
+// badPartial — bytes no honest merge could have produced.
+func malformedReducer(t *testing.T, addr string, job Job, badPartial []byte) {
+	t.Helper()
+	raw, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = raw.Close() })
+	c := newConn(raw)
+	hello := message{Type: "hello", ID: "malformed-reducer", Jobs: []string{job.Name},
+		Caps: []string{capBinary, capBinaryExt, capReduce}, Fetch: "127.0.0.1:1"}
+	if err := c.send(hello, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := c.recv(5 * time.Second); err != nil || ack.Type != "helloack" {
+		t.Fatalf("helloack: %+v, %v", ack, err)
+	}
+	c.binary, c.binExt, c.red = true, true, true
+	go func() {
+		sc := newShardScratch()
+		for {
+			m, err := c.recv(0)
+			if err != nil {
+				return
+			}
+			var reply message
+			switch m.Type {
+			case "task":
+				reply = message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Partial: runShard(job, m.Records, sc)}
+			case "reducetask":
+				reply = message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, partialSec: badPartial}
+			case "ping":
+				reply = message{Type: "pong"}
+			default:
+				continue
+			}
+			if c.send(reply, 5*time.Second) != nil {
+				return
+			}
+		}
+	}()
+}
+
+// TestMalformedReduceResultRefused: a reduce result whose Partial keys
+// are out of order or repeated passes the frame checksum and the map
+// decode (where a repeat silently overwrites), but the master's
+// reduce-phase receive takes it as a section and refuses it: the launch
+// fails like any other bad reply, the partition is retried on an honest
+// worker, and the output is the reference.
+func TestMalformedReduceResultRefused(t *testing.T) {
+	pair := func(k string, v float64) []byte {
+		return binary.LittleEndian.AppendUint64(appendString(nil, k), math.Float64bits(v))
+	}
+	for name, bad := range map[string][]byte{
+		"unsorted":  append(append([]byte{2}, pair("b", 1)...), pair("a", 1)...),
+		"duplicate": append(append([]byte{2}, pair("a", 1)...), pair("a", 2)...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := message{Type: "result", TaskID: 1, partialSec: bad}
+			frame, _, err := appendFrame(nil, &m, nil, true, false, true, false, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var asMap message
+			if err := decodeFrame(frameBody(t, frame), &asMap, true, false, true, false, false, nil); err != nil || len(asMap.Partial) == 0 {
+				t.Fatalf("map decode = %v, %v: the frame should be well formed below the section rule", asMap.Partial, err)
+			}
+			var sec section
+			var asSection message
+			if err := decodeFrame(frameBody(t, frame), &asSection, true, false, true, false, false, &sec); err == nil {
+				t.Fatalf("section decode accepted %s keys as %q", name, sec)
+			}
+
+			master, addr := startReduceCluster(t, MasterConfig{
+				TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, Reducers: 4,
+			}, 2)
+			malformedReducer(t, addr, wordCountJob(), bad)
+			if err := master.WaitForWorkers(3, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			lines := testLines(t, 300)
+			res, stats, err := master.RunResult(context.Background(), "wordcount", lines, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkResult(t, res, runShard(wordCountJob(), lines, newShardScratch()))
+			if stats.ReduceTasks != 4 {
+				t.Errorf("ReduceTasks = %d, want 4", stats.ReduceTasks)
+			}
+			if stats.Reassignments == 0 {
+				t.Error("the malformed reduce result caused no reassignment")
+			}
+		})
+	}
+}
+
 // TestCompatMatrix is the mixed-version compatibility gate CI pins: one
 // worker of every protocol generation — v1 JSON, bin, bin2, trace,
 // reduce, comp, early — paired with a current worker under a master
@@ -553,7 +654,7 @@ func FuzzDecodeReduceFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, layout := range []struct{ trc bool }{{false}, {true}} {
 			var m message
-			if err := decodeFrame(body, &m, true, layout.trc, true, false, false); err != nil {
+			if err := decodeFrame(bytes.Clone(body), &m, true, layout.trc, true, false, false, nil); err != nil {
 				continue
 			}
 			walkSections(&m) // an accepted section can be iterated without failing
@@ -573,7 +674,7 @@ func FuzzDecodeReduceFrame(f *testing.F) {
 				t.Fatalf("decoded frame failed to re-encode: %v", err)
 			}
 			var again message
-			if err := decodeFrame(frameBody(t, frame), &again, true, layout.trc, true, false, false); err != nil {
+			if err := decodeFrame(frameBody(t, frame), &again, true, layout.trc, true, false, false, nil); err != nil {
 				t.Fatalf("re-encoded frame failed to decode: %v", err)
 			}
 			if !reflect.DeepEqual(normalize(stripSpans(again)), normalize(stripSpans(m))) {

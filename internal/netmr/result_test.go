@@ -1,0 +1,225 @@
+package netmr
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+)
+
+// checkResult asserts every reader of res against the oracle map: Len,
+// Each in globally ascending key order, Lookup of every key (so of each
+// partition's first and last slot) and of keys that are absent, and Map.
+func checkResult(t *testing.T, res *Result, want map[string]float64) {
+	t.Helper()
+	if res.Len() != len(want) {
+		t.Errorf("Len = %d, want %d", res.Len(), len(want))
+	}
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	i := 0
+	res.Each(func(k string, v float64) {
+		if i >= len(keys) || k != keys[i] || v != want[k] {
+			t.Fatalf("Each visit %d = (%q, %v), out of order or not the oracle's", i, k, v)
+		}
+		i++
+	})
+	if i != len(keys) {
+		t.Errorf("Each visited %d keys, want %d", i, len(keys))
+	}
+	for _, k := range keys {
+		if v, ok := res.Lookup(k); !ok || v != want[k] {
+			t.Errorf("Lookup(%q) = (%v, %v), want %v", k, v, ok, want[k])
+		}
+		for _, absent := range []string{k + "\x00", k[:len(k)-1] + "\x00"} {
+			if _, in := want[absent]; in {
+				continue
+			}
+			if v, ok := res.Lookup(absent); ok {
+				t.Errorf("Lookup(%q) found %v for a key that is not there", absent, v)
+			}
+		}
+	}
+	if _, ok := res.Lookup(""); ok {
+		t.Error("Lookup of the empty key succeeded")
+	}
+	got := res.Map()
+	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Errorf("Map() differs from the oracle (%d keys, want %d)", len(got), len(want))
+	}
+}
+
+// sectionedResult splits m by the reduce hash into the R sections a
+// distributed reduce hands the master (empty partitions stay empty).
+func sectionedResult(m map[string]float64, R int) *Result {
+	parts := make([]section, R)
+	for _, p := range splitForRelay(nil, m, R) {
+		parts[p.ID] = p.Partial
+	}
+	return &Result{parts: parts}
+}
+
+// TestResultAgreesWithSerialMerge: over R partitions — empty ones, an
+// empty job and single-key partitions included — every reader of a
+// Result agrees with the serialMerge oracle, as does the wrapped map of
+// the master-merge paths.
+func TestResultAgreesWithSerialMerge(t *testing.T) {
+	job := wordCountJob()
+	partials := func(tasks, keys int) []map[string]float64 {
+		out := make([]map[string]float64, tasks)
+		for task := range out {
+			out[task] = map[string]float64{}
+			for k := task; k < keys; k += 1 + task%3 {
+				out[task][fmt.Sprintf("key-%04d", k*7919%keys)] = float64(task + k)
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		in   []map[string]float64
+	}{
+		{"empty-job", nil},
+		{"three-keys", partials(2, 3)}, // fewer keys than partitions at R = 5
+		{"many-keys", partials(7, 900)},
+	} {
+		want := serialMerge(job, tc.in)
+		for _, R := range []int{1, 2, 5} {
+			t.Run(fmt.Sprintf("%s/R=%d", tc.name, R), func(t *testing.T) {
+				checkResult(t, sectionedResult(want, R), want)
+			})
+		}
+		t.Run(tc.name+"/master-merge", func(t *testing.T) {
+			checkResult(t, &Result{flat: want}, want)
+		})
+	}
+}
+
+// TestRunResultEveryMergePath: RunResult answers like Run's map on the
+// distributed reduce (sections at the master), on the master-merge
+// engine and under SerialMerge (the map those paths produce, wrapped).
+func TestRunResultEveryMergePath(t *testing.T) {
+	lines := testLines(t, 400)
+	want := runShard(wordCountJob(), lines, newShardScratch())
+	for _, tc := range []struct {
+		name      string
+		cfg       MasterConfig
+		sectioned bool
+	}{
+		{"distributed-reduce", MasterConfig{Reducers: 3}, true},
+		{"master-merge", MasterConfig{Partitions: 2}, false},
+		{"serial-merge", MasterConfig{SerialMerge: true, Reducers: 3}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.TaskTimeout, tc.cfg.JobTimeout = 10*time.Second, 30*time.Second
+			master, _ := startReduceCluster(t, tc.cfg, 2)
+			res, stats, err := master.RunResult(context.Background(), "wordcount", lines, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (res.parts != nil) != tc.sectioned || (stats.ReduceTasks > 0) != tc.sectioned {
+				t.Fatalf("sections held = %v, reduce tasks = %d; want sectioned = %v", res.parts != nil, stats.ReduceTasks, tc.sectioned)
+			}
+			checkResult(t, res, want)
+			got, _, err := master.Run(context.Background(), "wordcount", lines, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("Run's map diverged from the reference")
+			}
+		})
+	}
+}
+
+// TestRecvOwnsFrameBuffer pins the zero-copy decode's ownership rule:
+// what a received message points into is that frame's own buffer, so
+// later frames on the same conn — one compressed, one stored, of other
+// sizes — leave every section and string of it untouched. Run under
+// -race, a reused or pooled buffer would also show as a write racing
+// these reads.
+func TestRecvOwnsFrameBuffer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	secs := teraSections(3, 40)
+	compressible := map[string]float64{}
+	for i := 0; i < 2000; i++ {
+		compressible[fmt.Sprintf("the-same-long-shared-prefix-%05d", i)] = float64(i)
+	}
+	frames := []message{
+		{Type: "replicate", Run: "own#1", TaskID: 7, Reducers: 3, Parts: secs},
+		{Type: "fetchresult", TaskID: 1, Parts: []partitionPartial{{ID: 0, Partial: sectionFromMap(compressible)}}},
+		{Type: "replicack", TaskID: 7},
+	}
+	sent := make(chan error, 1)
+	go func() {
+		raw, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			sent <- err
+			return
+		}
+		defer raw.Close()
+		c := newConn(raw)
+		c.binary, c.binExt, c.red, c.cmp = true, true, true, true
+		for _, m := range frames {
+			if err := c.send(m, 5*time.Second); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	raw, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	c := newConn(raw)
+	c.binary, c.binExt, c.red, c.cmp = true, true, true, true
+
+	first, err := c.recv(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Type != "replicate" || len(first.Parts) != len(secs) {
+		t.Fatalf("first frame = %q with %d parts", first.Type, len(first.Parts))
+	}
+	wantRun := strings.Clone(first.Run)
+	wantSecs := make([]string, len(first.Parts))
+	for i, p := range first.Parts {
+		wantSecs[i] = strings.Clone(string(p.Partial))
+	}
+	for i, wantCompressed := range []bool{true, false} {
+		m, err := c.recv(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type != frames[i+1].Type {
+			t.Fatalf("frame %d = %q, want %q", i+1, m.Type, frames[i+1].Type)
+		}
+		if compressed := c.lastRawLen > c.lastFrameLen; compressed != wantCompressed {
+			t.Fatalf("frame %d compressed = %v, want %v", i+1, compressed, wantCompressed)
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if first.Run != wantRun {
+		t.Errorf("Run changed to %q after later frames", first.Run)
+	}
+	for i, p := range first.Parts {
+		if string(p.Partial) != wantSecs[i] || p.Partial != secs[i].Partial {
+			t.Errorf("section %d changed after later frames", i)
+		}
+	}
+}

@@ -33,9 +33,12 @@ type sectionBuilder struct {
 	count int
 }
 
-func (b *sectionBuilder) reset() {
-	if b.buf == nil {
-		b.buf = make([]byte, binary.MaxVarintLen64, 4096)
+// reset empties the builder with room for size bytes of pairs, so a
+// caller that knows a bound on its output pays for one allocation
+// instead of a growth copy at every doubling.
+func (b *sectionBuilder) reset(size int) {
+	if need := max(binary.MaxVarintLen64+size, 4096); cap(b.buf) < need {
+		b.buf = make([]byte, binary.MaxVarintLen64, need)
 	}
 	b.buf, b.count = b.buf[:binary.MaxVarintLen64], 0
 }
@@ -69,7 +72,7 @@ func (b *sectionBuilder) build(pairs []sectionPair) section {
 		return ""
 	}
 	slices.SortFunc(pairs, func(x, y sectionPair) int { return strings.Compare(x.key, y.key) })
-	b.reset()
+	b.reset(0)
 	for _, p := range pairs {
 		b.add(p.key, p.val)
 	}

@@ -161,7 +161,7 @@ func TestSectionFramesMatchMapEncoder(t *testing.T) {
 		}
 		partial := randomPairs(rng, []int{0, 1, 300}[rng.Intn(3)])
 		var folded sectionBuilder
-		folded.reset()
+		folded.reset(0)
 		for c := sectionFromMap(partial).cursor(); ; {
 			k, v, ok := c.next()
 			if !ok {
@@ -201,7 +201,7 @@ func TestSectionFramesMatchMapEncoder(t *testing.T) {
 				}
 				body := frameBody(t, frame)
 				if g.cmp {
-					raw, _, compressed, err := unwrapCompressedBody(body, nil)
+					raw, compressed, err := unwrapCompressedBody(body)
 					if err != nil {
 						t.Fatalf("trial %d %s/%s: %v", trial, m.Type, g.name, err)
 					}
@@ -316,7 +316,7 @@ func walkSections(m *message) (pairs int) {
 func TestDecodeRejectsBadSections(t *testing.T) {
 	for name, body := range badSectionBodies(t) {
 		var m message
-		err := decodeFrame(body, &m, true, false, true, false, false)
+		err := decodeFrame(body, &m, true, false, true, false, false, nil)
 		if name == "noncanonical-0" {
 			if err != nil || walkSections(&m) != 1 {
 				t.Errorf("%s: err=%v, want a frame with one pair", name, err)

@@ -617,7 +617,6 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	}
 	workerShuffleBytes.Add(float64(fetched))
 	var out sectionBuilder
-	out.reset()
 	merged, foldErr := folder.fold(job, &out)
 	if foldErr != nil {
 		workerTasks.With("fold_failed").Inc()

@@ -385,9 +385,10 @@ type spillFolder struct {
 	budget       int64 // 0: never spill
 	baseDir, run string
 
-	mem  int64              // bytes of the held sections
-	held []partitionPartial // ID is the map task id
-	runs []*spillRun
+	mem     int64              // bytes of the held sections
+	flushed int64              // bytes of the sections already merged into runs
+	held    []partitionPartial // ID is the map task id
+	runs    []*spillRun
 
 	spillRuns    int
 	spilledBytes int64         // bytes that hit disk (post-compression)
@@ -481,17 +482,21 @@ func (f *spillFolder) flush() (err error) {
 	f.spillRuns++
 	f.spilledBytes += written
 	f.compSaved += saved
+	f.flushed += f.mem
 	clear(f.held)
 	f.held, f.mem = f.held[:0], 0
 	return nil
 }
 
 // fold merges every spilled run and the held sections into out,
-// streaming the per-key fold off the loser tree. merged reports whether
-// disk runs took part (the "mergeruns" span). The runs' files are
-// removed on return.
+// streaming the per-key fold off the loser tree. out is reset with room
+// for everything gathered — a fold only ever drops bytes — up to the one
+// frame the result has to fit anyway, so it never grows mid-merge.
+// merged reports whether disk runs took part (the "mergeruns" span). The
+// runs' files are removed on return.
 func (f *spillFolder) fold(job Job, out *sectionBuilder) (merged bool, err error) {
 	defer f.discard()
+	out.reset(int(min(f.mem+f.flushed, maxFrameBytes)))
 	srcs := f.heldSources()
 	for _, run := range f.runs {
 		srcs = append(srcs, &mergeSource{run: run})
@@ -504,7 +509,7 @@ func (f *spillFolder) discard() {
 	for _, run := range f.runs {
 		removeFile(run.f)
 	}
-	f.runs, f.held, f.mem = nil, nil, 0
+	f.runs, f.held, f.mem, f.flushed = nil, nil, 0, 0
 }
 
 // ensureSpillDir creates (or reuses) the per-run scratch directory under

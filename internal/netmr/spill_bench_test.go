@@ -33,7 +33,6 @@ func benchmarkShuffleFold(b *testing.B, budget int64) {
 		for _, in := range inputs {
 			f.add(in.ID, in.Partial)
 		}
-		out.reset()
 		merged, err := f.fold(job, &out)
 		if err != nil {
 			b.Fatal(err)

@@ -76,7 +76,6 @@ func folderFold(t testing.TB, job Job, inputs []taskMap, budget int64) (map[stri
 		f.add(in.task, sectionFromMap(in.m))
 	}
 	var out sectionBuilder
-	out.reset()
 	merged, err := f.fold(job, &out)
 	if err != nil {
 		t.Fatalf("budget=%d: fold: %v", budget, err)
@@ -455,7 +454,6 @@ func TestCorruptSpillRunFailsFold(t *testing.T) {
 			t.Fatalf("%s: damaged %d run files, want 4", name, n)
 		}
 		var out sectionBuilder
-		out.reset()
 		if _, err := f.fold(wordCountJob(), &out); err == nil {
 			t.Fatalf("%s: fold over damaged runs succeeded", name)
 		}
