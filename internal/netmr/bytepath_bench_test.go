@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"ipso/internal/workload"
 )
 
 // The per-layer microbenchmarks of the shuffle byte path, each with
@@ -17,20 +19,31 @@ import (
 // teraSections builds n sections of keys 100-byte pseudo-random keys
 // each, values 1 — one map task's slice of one reduce partition.
 func teraSections(n, keys int) []partitionPartial {
+	return prefixedSections("", n, keys)
+}
+
+// prefixedSections is teraSections with every key starting with prefix
+// (still 100 bytes a key): the URL or "user:0000…" shape, where the
+// first 8 bytes order nothing.
+func prefixedSections(prefix string, n, keys int) []partitionPartial {
 	rng := rand.New(rand.NewSource(14))
 	out := make([]partitionPartial, n)
 	for i := range out {
 		m := make(map[string]float64, keys)
 		for len(m) < keys {
-			k := make([]byte, 100)
-			for j := range k {
-				k[j] = byte(' ' + rng.Intn(95))
-			}
-			m[string(k)] = 1
+			m[prefix+randomKey(rng, 100-len(prefix))] = 1
 		}
 		out[i] = partitionPartial{ID: i, Partial: sectionFromMap(m)}
 	}
 	return out
+}
+
+func randomKey(rng *rand.Rand, n int) string {
+	k := make([]byte, n)
+	for j := range k {
+		k[j] = byte(' ' + rng.Intn(95))
+	}
+	return string(k)
 }
 
 func sectionBytes(parts []partitionPartial) (n int64) {
@@ -112,12 +125,67 @@ func BenchmarkLZ(b *testing.B) {
 	}
 }
 
+// BenchmarkMapKernel is one map task of a persist-mode job from records
+// to sections (runShardPartitioned at R = 2: map, group, hash, sort,
+// encode), MB/s of input, the output fresh per operation as runTask
+// needs it. tera is one tera-mem shard (15,625 distinct 100-byte
+// records, nothing combines); wordcount one shard of wc-lowcard's shape
+// (1000 distinct words: next to nothing to hash or sort); sharedprefix
+// is tera with every key behind the same 24 bytes, where a sort that
+// looks at the first 8 bytes alone learns nothing.
+func BenchmarkMapKernel(b *testing.B) {
+	distinct := benchJob(true)
+	distinct.Map = func(record string, emit func(string, float64)) { emit(record, 1) }
+	tera, err := workload.TeraGen(15_625, 14)
+	if err != nil {
+		b.Fatal(err)
+	}
+	teraLines, shared := make([]string, len(tera)), make([]string, len(tera))
+	for i, r := range tera {
+		teraLines[i] = r.Key + r.Payload
+		shared[i] = "http://example.org/user/" + teraLines[i][:76]
+	}
+	text, err := workload.TextLines(20_000, 10, 14)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		job     Job
+		records []string
+	}{{"tera", distinct, teraLines}, {"wordcount", benchJob(true), text}, {"sharedprefix", distinct, shared}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var n int64
+			for _, r := range tc.records {
+				n += int64(len(r))
+			}
+			sc := newShardScratch()
+			b.SetBytes(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if parts := runShardPartitioned(tc.job, tc.records, sc, 2, nil); len(parts) != 2 {
+					b.Fatalf("%d partitions, want 2", len(parts))
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSectionMerge is one tera-mem reduce task's fold as
 // runReduceTask runs it: the 32 map tasks' sections of a partition
 // gathered into a spillFolder and merged by (key, map task) through
 // Combine into a fresh result section.
-func BenchmarkSectionMerge(b *testing.B) {
-	parts := teraSections(32, 7800)
+func BenchmarkSectionMerge(b *testing.B) { benchmarkSectionMerge(b, teraSections(32, 7800)) }
+
+// BenchmarkSectionMergeSharedPrefix is the same fold over keys that all
+// start with the same 24 bytes: every comparison in the loser tree ties
+// on the prefix and goes on to the key bytes.
+func BenchmarkSectionMergeSharedPrefix(b *testing.B) {
+	benchmarkSectionMerge(b, prefixedSections("http://example.org/user/", 32, 7800))
+}
+
+func benchmarkSectionMerge(b *testing.B, parts []partitionPartial) {
 	job := benchJob(true)
 	b.SetBytes(sectionBytes(parts))
 	b.ReportAllocs()

@@ -755,8 +755,9 @@ func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool, partial 
 	return nil
 }
 
-// u64at reads a little-endian uint64 from s without a []byte copy.
+// u64at reads a little-endian uint64 from s: one bounds check, one load.
 func u64at(s string, i int) uint64 {
-	return uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
-		uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }

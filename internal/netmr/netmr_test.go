@@ -244,3 +244,9 @@ func TestStatsPhases(t *testing.T) {
 		t.Errorf("Partitions = %d, want >= 1", stats.Partitions)
 	}
 }
+
+// runShard executes one shard into the flat map the tests compare a
+// cluster's result with.
+func runShard(j Job, records []string, sc *shardScratch) map[string]float64 {
+	return runShardTraced(j, records, sc, nil)
+}

@@ -13,11 +13,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ipso/internal/workload"
 )
 
 // TestPartitionIndex pins down the routing contract both sides of the
-// wire depend on: deterministic, in range, degenerate at parts<=1, and
-// spread across partitions for realistic key sets.
+// wire depend on: deterministic, in range, degenerate at parts<=1.
 func TestPartitionIndex(t *testing.T) {
 	keys := []string{"", "a", "alpha", "beta", "πκλ", strings.Repeat("k", 300)}
 	for _, k := range keys {
@@ -26,6 +27,9 @@ func TestPartitionIndex(t *testing.T) {
 		}
 		if got := partitionIndex(k, 0); got != 0 {
 			t.Errorf("partitionIndex(%q, 0) = %d, want 0", k, got)
+		}
+		if got := partitionIndex(k, -3); got != 0 {
+			t.Errorf("partitionIndex(%q, -3) = %d, want 0", k, got)
 		}
 		for _, parts := range []int{2, 3, 7, 64} {
 			got := partitionIndex(k, parts)
@@ -37,15 +41,78 @@ func TestPartitionIndex(t *testing.T) {
 			}
 		}
 	}
-	// 1000 distinct keys over 8 partitions: every partition must get some
-	// share — a fixed hash seed makes this deterministic, not flaky.
-	counts := make([]int, 8)
-	for i := 0; i < 1000; i++ {
-		counts[partitionIndex(fmt.Sprintf("key-%d", i), 8)]++
+}
+
+// TestPartitionIndexGolden pins the hash itself. It is a protocol
+// constant: a worker's partitioned output, the master's fallback split
+// and Result.Lookup must agree across builds, and no version field covers
+// it, so a change here is a wire break, not a refactor. The keys cover the
+// empty key, every tail length, one and several whole words, keys that
+// differ only by trailing zero bytes, and bytes with the top bit set.
+func TestPartitionIndexGolden(t *testing.T) {
+	for _, g := range []struct {
+		key        string
+		p2, p3, p8 int
+	}{
+		{"", 0, 0, 0},
+		{"a", 1, 0, 5},
+		{"a\x00", 0, 1, 6},
+		{"ab", 1, 0, 7},
+		{"abc", 0, 0, 4},
+		{"abcd", 0, 2, 0},
+		{"abcde", 1, 1, 5},
+		{"abcdef", 0, 2, 0},
+		{"abcdefg", 0, 1, 4},
+		{"abcdefgh", 0, 1, 4},
+		{"abcdefgh\x00", 0, 1, 2},
+		{"abcdefghi", 0, 0, 0},
+		{"abcdefghijklmnop", 1, 0, 1},
+		{"the quick brown fox", 1, 2, 5},
+		{"key-0", 1, 1, 5},
+		{"key-1", 0, 2, 0},
+		{"πκλ", 1, 0, 5},
+		{"\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7", 0, 0, 2},
+		{strings.Repeat("k", 300), 1, 1, 1},
+	} {
+		if p2, p3, p8 := partitionIndex(g.key, 2), partitionIndex(g.key, 3), partitionIndex(g.key, 8); p2 != g.p2 || p3 != g.p3 || p8 != g.p8 {
+			t.Errorf("partitionIndex(%q, {2, 3, 8}) = {%d, %d, %d}, pinned {%d, %d, %d}", g.key, p2, p3, p8, g.p2, g.p3, g.p8)
+		}
 	}
-	for p, n := range counts {
-		if n == 0 {
-			t.Errorf("partition %d received no keys out of 1000", p)
+}
+
+// TestPartitionIndexSpread: over the key shapes the workloads produce —
+// TeraGen lines, numbered keys, and keys shorter than one hash word —
+// every partition holds within ±10 % of its even share.
+func TestPartitionIndexSpread(t *testing.T) {
+	tera, err := workload.TeraGen(20_000, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := map[string][]string{}
+	for i, r := range tera {
+		sets["tera"] = append(sets["tera"], r.Key+r.Payload)
+		sets["numbered"] = append(sets["numbered"], fmt.Sprintf("key-%d", i))
+	}
+	rng := rand.New(rand.NewSource(14))
+	short := map[string]bool{}
+	for len(short) < 20_000 {
+		short[randomKey(rng, 1+rng.Intn(7))] = true
+	}
+	for k := range short {
+		sets["short"] = append(sets["short"], k)
+	}
+	for name, keys := range sets {
+		for _, parts := range []int{2, 3, 7, 8} {
+			counts := make([]int, parts)
+			for _, k := range keys {
+				counts[partitionIndex(k, parts)]++
+			}
+			mean := float64(len(keys)) / float64(parts)
+			for p, n := range counts {
+				if dev := float64(n)/mean - 1; math.Abs(dev) > 0.10 {
+					t.Errorf("%s keys over %d partitions: partition %d holds %d, %+.1f%% off the mean %.0f", name, parts, p, n, 100*dev, mean)
+				}
+			}
 		}
 	}
 }

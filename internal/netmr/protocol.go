@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sort"
 	"time"
@@ -398,20 +399,27 @@ func (r *Registry) lookup(name string) (Job, bool) {
 	return j, ok
 }
 
-// partitionIndex hashes key into [0, parts) with FNV-1a — the one hash
-// function workers and master must agree on, since a worker-partitioned
-// result and a master-partitioned fallback must land identical keys in
-// identical partitions.
+// partitionIndex hashes key into [0, parts) — the one hash function
+// workers and master must agree on, since a worker-partitioned result, a
+// master-partitioned fallback and Result.Lookup must land identical keys
+// in identical partitions: a protocol constant no version field covers,
+// pinned by TestPartitionIndexGolden. The key goes in 8 bytes per multiply
+// (the tail as keyPrefix pads it, told from real zeros by the length the
+// hash starts from); murmur3's finalizer then brings the well-mixed high
+// bits down to the low ones the modulo reads.
 func partitionIndex(key string, parts int) int {
 	if parts <= 1 {
 		return 0
 	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
+	const mul = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
+	h := uint64(len(key)) * mul
+	for ; len(key) >= 8; key = key[8:] {
+		h = (bits.RotateLeft64(h, 29) ^ u64at(key, 0)) * mul
 	}
-	return int(h % uint64(parts))
+	h = (bits.RotateLeft64(h, 29) ^ keyPrefix(key)) * mul
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return int((h ^ h>>33) % uint64(parts))
 }
 
 // shardScratch holds the flat arena runShard executes in. One scratch
@@ -428,9 +436,8 @@ type shardScratch struct {
 	arena    []float64      // all values, grouped by key
 	vals     []float64      // id → shard-local result
 	partOf   []int          // partitioned collect: id → partition
-	partEnd  []int          // partitioned collect: per-partition window end in pairs
-	pairs    []sectionPair  // partitioned collect: pairs grouped by partition
-	sec      sectionBuilder // partitioned collect: section encode buffer
+	partEnd  []int          // partitioned collect: per-partition window end in refs
+	refs     []keyRef       // partitioned collect: key ids by partition; upper half: the sort's buffer
 	combined bool           // run() took the combiner path
 }
 
@@ -534,16 +541,11 @@ func (sc *shardScratch) values(j Job) []float64 {
 	return sc.vals
 }
 
-// runShard executes one shard and collects the result into a single map
-// — the unpartitioned wire shape.
-func runShard(j Job, records []string, sc *shardScratch) map[string]float64 {
-	return runShardTraced(j, records, sc, nil)
-}
-
-// runShardTraced is runShard recording its phases on clock (nil: an
-// untraced run; the marks then cost a nil check). The per-key reduction
-// is its own pass — the "combine" span — so Wp splits into its two
-// constituents.
+// runShardTraced executes one shard and collects the result into a
+// single map — the unpartitioned wire shape — recording its phases on
+// clock (nil: an untraced run; the marks then cost a nil check). The
+// per-key reduction is its own pass — the "combine" span — so Wp splits
+// into its two constituents.
 func runShardTraced(j Job, records []string, sc *shardScratch, clock *spanClock) map[string]float64 {
 	sc.run(j, records)
 	clock.mark(spanMap)
@@ -589,13 +591,13 @@ func runShardPartitioned(j Job, records []string, sc *shardScratch, parts int, c
 		sc.partEnd[p] = end
 	}
 	clock.mark(spanPartition)
-	// Group the pairs by partition back to front (partEnd walks down to
+	// Group the keys by partition back to front (partEnd walks down to
 	// each window's start), then sort and encode window by window.
-	sc.pairs = grown(sc.pairs, nk)
+	sc.refs = grown(sc.refs, 2*nk)
 	for id := nk - 1; id >= 0; id-- {
 		p := sc.partOf[id]
 		sc.partEnd[p]--
-		sc.pairs[sc.partEnd[p]] = sectionPair{sc.keys[id], vals[id]}
+		sc.refs[sc.partEnd[p]].id = uint32(id)
 	}
 	out := make([]partitionPartial, 0, nonEmpty)
 	for p, lo := range sc.partEnd {
@@ -603,8 +605,9 @@ func runShardPartitioned(j Job, records []string, sc *shardScratch, parts int, c
 		if p+1 < parts {
 			hi = sc.partEnd[p+1]
 		}
-		if hi > lo {
-			out = append(out, partitionPartial{ID: p, Partial: sc.sec.build(sc.pairs[lo:hi])})
+		if window := sc.refs[lo:hi]; hi > lo {
+			sortRefs(window, sc.refs[nk+lo:nk+hi], sc.keys, 0)
+			out = append(out, partitionPartial{ID: p, Partial: encodeSection(window, sc.keys, vals)})
 		}
 	}
 	clock.mark(spanEncode)

@@ -1,10 +1,12 @@
 package netmr
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -20,14 +22,14 @@ import (
 // fetch replies and the reducer's merge then move or walk these bytes
 // without ever rebuilding a map. The empty string is the empty section
 // (it travels as the single count byte 0). A section is only ever built
-// by sectionBuilder or accepted by frameReader.section, so walking one
-// cannot fail.
+// by encodeSection or sectionBuilder or accepted by frameReader.section,
+// so walking one cannot fail.
 type section string
 
-// sectionBuilder accumulates pairs, which the caller appends in
-// ascending key order, and seals them into a section. The count prefix
-// is only known at the end, so the body grows behind reserved headroom
-// and the prefix is written backwards into it.
+// sectionBuilder accumulates pairs, which the caller (a reducer's merge)
+// appends in ascending key order, and seals them into a section. The
+// count prefix is only known at the end, so the body grows behind
+// reserved headroom and the prefix is written backwards into it.
 type sectionBuilder struct {
 	buf   []byte
 	count int
@@ -59,35 +61,123 @@ func (b *sectionBuilder) bytes() []byte {
 	return b.buf[start:]
 }
 
-// sectionPair is one entry of the sort a map task (or sectionFromMap)
-// runs before encoding.
-type sectionPair struct {
-	key string
-	val float64
+// keyPrefix is k's first 8 bytes as a big-endian integer, zero-padded:
+// where two keys' prefixes differ the keys order the way the prefixes do
+// (a short key pads with the smallest byte), so sorts, merges and order
+// checks compare one word and touch key bytes only on a tie.
+func keyPrefix(k string) uint64 {
+	if len(k) >= 8 {
+		return bits.ReverseBytes64(u64at(k, 0))
+	}
+	var padded [8]byte
+	copy(padded[:], k)
+	return binary.BigEndian.Uint64(padded[:])
 }
 
-// build sorts pairs by key and encodes them through b.
-func (b *sectionBuilder) build(pairs []sectionPair) section {
-	if len(pairs) == 0 {
+// keyRef is one entry of the sort that orders a section: the index of a
+// pair and, filled in by sortRefs, a prefix of its key.
+type keyRef struct {
+	prefix uint64
+	id     uint32
+}
+
+// radixMin is the window size below which a comparison sort beats the
+// radix passes' fixed cost (≈ 1 µs a pass to clear and sum 256 counters).
+const radixMin = 128
+
+// sortRefs orders refs by keys[id], with tmp (as long as refs) as second
+// buffer. The keys agree on their first off bytes, zero-padded, so each
+// prefix is taken at byte off. A window of radixMin entries or more gets a
+// stable byte-wise radix sort on the prefix, least significant byte first,
+// bytes the whole window agrees on skipped; each run of equal prefix is
+// then sorted the same way on its keys' next 8 bytes (URLs tie for several
+// rounds, TeraSort keys hardly ever). Key bytes are compared only in small
+// windows, and once no key has bytes left to take.
+func sortRefs(refs, tmp []keyRef, keys []string, off int) {
+	diff, more := uint64(0), false
+	for i := range refs {
+		k := keys[refs[i].id]
+		k = k[min(off, len(k)):]
+		refs[i].prefix = keyPrefix(k)
+		diff |= refs[i].prefix ^ refs[0].prefix
+		more = more || k != ""
+	}
+	n := len(refs)
+	if n < radixMin || !more {
+		slices.SortFunc(refs, func(x, y keyRef) int {
+			if x.prefix != y.prefix {
+				return cmp.Compare(x.prefix, y.prefix)
+			}
+			return strings.Compare(keys[x.id], keys[y.id])
+		})
+		return
+	}
+	src, dst := refs, tmp
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		var next [256]uint32 // per byte value: where its next entry goes
+		for _, r := range src {
+			next[byte(r.prefix>>shift)]++
+		}
+		sum := uint32(0)
+		for d, c := range next {
+			next[d], sum = sum, sum+c
+		}
+		for _, r := range src {
+			d := byte(r.prefix >> shift)
+			dst[next[d]] = r
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &refs[0] {
+		copy(refs, src)
+	}
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		for hi = lo + 1; hi < n && refs[hi].prefix == refs[lo].prefix; hi++ {
+		}
+		if hi-lo > 1 {
+			sortRefs(refs[lo:hi], tmp[lo:hi], keys, off+8)
+		}
+	}
+}
+
+// encodeSection writes the pairs refs names, in refs' order (ascending
+// keys), as a section, into one buffer of the section's exact size.
+func encodeSection(refs []keyRef, keys []string, vals []float64) section {
+	if len(refs) == 0 {
 		return ""
 	}
-	slices.SortFunc(pairs, func(x, y sectionPair) int { return strings.Compare(x.key, y.key) })
-	b.reset(0)
-	for _, p := range pairs {
-		b.add(p.key, p.val)
+	var num [binary.MaxVarintLen64]byte
+	size := binary.PutUvarint(num[:], uint64(len(refs)))
+	for _, r := range refs {
+		size += binary.PutUvarint(num[:], uint64(len(keys[r.id]))) + len(keys[r.id]) + 8
 	}
-	return section(b.bytes())
+	var b strings.Builder
+	b.Grow(size)
+	b.Write(num[:binary.PutUvarint(num[:], uint64(len(refs)))])
+	for _, r := range refs {
+		k := keys[r.id]
+		b.Write(num[:binary.PutUvarint(num[:], uint64(len(k)))])
+		b.WriteString(k)
+		binary.LittleEndian.PutUint64(num[:], math.Float64bits(vals[r.id]))
+		b.Write(num[:8])
+	}
+	return section(b.String())
 }
 
 // sectionFromMap encodes m: the master's relay and recovery copies of
 // flat results, and tests.
 func sectionFromMap(m map[string]float64) section {
-	pairs := make([]sectionPair, 0, len(m))
+	keys, vals, refs := make([]string, 0, len(m)), make([]float64, 0, len(m)), make([]keyRef, 2*len(m))
 	for k, v := range m {
-		pairs = append(pairs, sectionPair{k, v})
+		refs[len(keys)].id = uint32(len(keys))
+		keys, vals = append(keys, k), append(vals, v)
 	}
-	var b sectionBuilder
-	return b.build(pairs)
+	sortRefs(refs[:len(m)], refs[len(m):], keys, 0)
+	return encodeSection(refs[:len(m)], keys, vals)
 }
 
 // section checks the section starting at the cursor — every key inside
@@ -105,7 +195,7 @@ func (r *frameReader) section() (section, error) {
 	if n == 0 {
 		return "", nil
 	}
-	prev := ""
+	prev, prevPrefix := "", uint64(0)
 	for i := uint64(0); i < n; i++ {
 		k, err := r.string()
 		if err != nil {
@@ -114,10 +204,11 @@ func (r *frameReader) section() (section, error) {
 		if len(r.s)-r.off < 8 {
 			return "", fmt.Errorf("netmr: truncated section value at byte %d", r.off)
 		}
-		if i > 0 && k <= prev {
+		prefix := keyPrefix(k)
+		if i > 0 && (prefix < prevPrefix || prefix == prevPrefix && k <= prev) {
 			return "", fmt.Errorf("netmr: section keys out of order at byte %d", r.off)
 		}
-		prev = k
+		prev, prevPrefix = k, prefix
 		r.off += 8
 	}
 	return section(r.s[start:r.off]), nil

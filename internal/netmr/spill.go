@@ -209,9 +209,10 @@ type mergeSource struct {
 	run  *spillRun   // nil for a section
 	live bool        // key/task/val hold a record
 
-	key  string
-	task int
-	val  float64
+	key    string
+	prefix uint64 // keyPrefix(key): what less compares first
+	task   int
+	val    float64
 }
 
 func sectionSource(task int, sec section) *mergeSource {
@@ -239,6 +240,7 @@ func (s *mergeSource) advance() error {
 	if s.key, err = s.r.string(); err != nil {
 		return err
 	}
+	s.prefix = keyPrefix(s.key)
 	if s.run != nil {
 		task, err := s.r.varint()
 		if err != nil {
@@ -307,6 +309,9 @@ func (lt *loserTree) less(a, b int) bool {
 	x, y := lt.srcs[a], lt.srcs[b]
 	if !x.live || !y.live {
 		return x.live
+	}
+	if x.prefix != y.prefix {
+		return x.prefix < y.prefix
 	}
 	if c := strings.Compare(x.key, y.key); c != 0 {
 		return c < 0
