@@ -17,8 +17,8 @@ import (
 // compress) the focused fuzzer and the committed corpus start from.
 func compFrameSeeds() []message {
 	big := map[string]float64{}
-	for i := 0; i < 600; i++ {
-		big["the-quick-brown-fox-"+strings.Repeat("x", i%7)+string(rune('a'+i%26))] = float64(i)
+	for i := 0; i < 754; i++ { // 29 × 26 distinct keys, 34 KB: above lzCompressThreshold
+		big["the-quick-brown-fox-"+strings.Repeat("x", i%29)+string(rune('a'+i%26))] = float64(i)
 	}
 	return []message{
 		{Type: "task", Job: "wc", TaskID: 3, Records: []string{"a b", "b c"},
@@ -341,7 +341,9 @@ func TestCompressedCluster(t *testing.T) {
 	for i := range lines {
 		words := make([]string, 12)
 		for j := range words {
-			words[j] = "compressible-word-" + string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
+			// Three letters: ≈ 750 keys a section, so the one fetch a ring
+			// reducer still makes (2 of 6 map tasks) is ≈ 45 KB.
+			words[j] = "compressible-word-" + string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
 		}
 		lines[i] = strings.Join(words, " ")
 	}

@@ -27,8 +27,11 @@ const (
 	lzTailLiterals = 12
 
 	// lzCompressThreshold is the smallest input worth attempting to
-	// compress; below it flag and length overhead eat the saving.
-	lzCompressThreshold = 4096
+	// compress: about one initial TCP congestion window (10 × 1460 B).
+	// Below it a stored body leaves in one flight on any link, so
+	// compressing and decompressing it saves no round trip and costs
+	// more CPU than the wire time it sheds at 1 Gb/s and up.
+	lzCompressThreshold = 16 << 10
 	// lzProbeBytes is the prefix lzPack judges an input of twice that or
 	// more by before committing to a full pass.
 	lzProbeBytes = 64 << 10

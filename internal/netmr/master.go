@@ -291,7 +291,7 @@ type Stats struct {
 	ReduceTasks       int           // reduce tasks that delivered a partition result
 	MapOutputsStored  int           // winning map outputs persisted worker-side for peer fetches
 	MapOutputsRelayed int           // winning map outputs split on the master and relayed inline
-	ShuffleBytes      int64         // intermediate bytes reducers fetched worker-to-worker
+	ShuffleBytes      int64         // intermediate bytes reducers fetched over a socket (reads from a reducer's own store count nothing)
 	ReduceWall        time.Duration // reduce phase wall (split barrier to last reduce result)
 
 	// Out-of-core shuffle accounts: how much of the run's intermediate
@@ -402,13 +402,17 @@ func (m *Master) liveCompAddrs() []string {
 }
 
 // pickReplicaAddr chooses the replica holder for a mapper at self: the
-// first live comp shuffle address that is not the mapper's own (a replica
-// on the primary's disk would die with it). Empty when the mapper is the
-// only comp-capable worker — the master then holds the fallback copy
-// inline on the mapdone frame.
+// next live comp shuffle address after the mapper's own in sorted order,
+// wrapping (a replica on the primary's disk would die with it). The
+// ring spreads replica bytes evenly, so every reducer finds its own
+// output and its predecessor's replica, 2/n of its partition, in its
+// own store. Empty when the mapper is the only comp-capable worker — the
+// master then holds the fallback copy inline on the mapdone frame.
 func (m *Master) pickReplicaAddr(self string) string {
-	for _, addr := range m.liveCompAddrs() {
-		if addr != self {
+	addrs := m.liveCompAddrs()
+	at := sort.SearchStrings(addrs, self)
+	for i := range addrs {
+		if addr := addrs[(at+i)%len(addrs)]; addr != self {
 			return addr
 		}
 	}
@@ -999,7 +1003,7 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 			run = runID
 		}
 		// A comp worker persisting output is named a replica peer — the
-		// first live comp shuffle listener other than its own — so its
+		// next live comp shuffle listener after its own — so its
 		// partitions survive the worker. No eligible peer leaves Rep
 		// empty and the worker ships the copy back inline instead.
 		rep := ""

@@ -90,7 +90,7 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 		reduceSeconds: r.Histogram("netmr_reduce_seconds",
 			"Distributed reduce phase wall time (split barrier to last reduce result).", nil),
 		shuffleBytes: r.Counter("netmr_shuffle_bytes_total",
-			"Intermediate bytes reducers fetched worker-to-worker."),
+			"Intermediate bytes reducers fetched worker-to-worker over a socket."),
 		mapOutputs: r.CounterVec("netmr_map_outputs_total",
 			"Winning map outputs of reduce-mode jobs by placement (stored worker-side or relayed via the master).", "mode"),
 		retries: r.Counter("netmr_retries_total",
@@ -137,11 +137,11 @@ var (
 	workerReduceSeconds = obs.Default().Histogram("netmr_worker_reduce_seconds",
 		"Fetch+fold execution time of one reduce task on a worker.", nil)
 	workerFetches = obs.Default().CounterVec("netmr_worker_fetches_total",
-		"Peer shuffle fetches issued by this process's reducers, by result (ok or failed).", "result")
+		"Shuffle locations gathered by this process's reducers, by result (ok or failed over a socket, local from the reducer's own store).", "result")
 	workerFetchSeconds = obs.Default().Histogram("netmr_worker_fetch_seconds",
 		"Round-trip latency of one peer shuffle fetch.", nil)
 	workerShuffleBytes = obs.Default().Counter("netmr_worker_shuffle_bytes_total",
-		"Intermediate bytes this process's reducers fetched from peers.")
+		"Intermediate bytes this process's reducers fetched from peers: bytes that crossed a socket, local reads excluded.")
 	workerServes = obs.Default().CounterVec("netmr_worker_fetch_serves_total",
 		"Shuffle fetch requests served by this process's workers, by result (ok or rejected).", "result")
 	workerPings = obs.Default().Counter("netmr_worker_pings_total",

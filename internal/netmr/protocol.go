@@ -108,7 +108,7 @@ type message struct {
 	Run      string     `json:"run,omitempty"`      // task | mapdone | reducetask | fetch: run id intermediate output is keyed by
 	Reducers int        `json:"reducers,omitempty"` // helloack: reduce partition count when "reduce" was accepted
 	Fetch    string     `json:"fetch,omitempty"`    // hello: worker's shuffle listener address
-	Bytes    int64      `json:"bytes,omitempty"`    // result (of a reduce task): intermediate bytes fetched
+	Bytes    int64      `json:"bytes,omitempty"`    // result (of a reduce task): intermediate bytes fetched over a socket
 	Tasks    []int      `json:"tasks,omitempty"`    // fetch: map task ids whose partition slice is wanted
 	Locs     []fetchLoc `json:"locs,omitempty"`     // reducetask: where winning map outputs are stored
 

@@ -69,9 +69,19 @@ func keyPrefix(k string) uint64 {
 	if len(k) >= 8 {
 		return bits.ReverseBytes64(u64at(k, 0))
 	}
-	var padded [8]byte
-	copy(padded[:], k)
-	return binary.BigEndian.Uint64(padded[:])
+	if n := len(k); n >= 4 {
+		hi, lo := k[:4], k[n-4:] // two overlapping 4-byte loads
+		return uint64(be32(hi))<<32 | uint64(be32(lo))<<(8*(8-n))
+	}
+	var p uint64
+	for i := 0; i < len(k); i++ {
+		p |= uint64(k[i]) << (56 - 8*i)
+	}
+	return p
+}
+
+func be32(s string) uint32 {
+	return uint32(s[3]) | uint32(s[2])<<8 | uint32(s[1])<<16 | uint32(s[0])<<24
 }
 
 // keyRef is one entry of the sort that orders a section: the index of a

@@ -200,6 +200,26 @@ func (s *interStore) stats() (peak, spilled int64, runs int) {
 	return s.peak, s.totalSpilled, s.totalSpills
 }
 
+// split divides tasks into those the store holds for run, as its own
+// output or as a replica, and the rest, so a reducer dials a peer only
+// for what it does not already have.
+func (s *interStore) split(run string, tasks []int) (held, missing []int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if run == "" || run != s.run {
+		return nil, tasks
+	}
+	held = make([]int, 0, len(tasks)) // the usual answer: all of them
+	for _, task := range tasks {
+		if _, ok := s.tasks[task]; ok {
+			held = append(held, task)
+		} else {
+			missing = append(missing, task)
+		}
+	}
+	return held, missing
+}
+
 // slice answers one fetch: partition's section of every requested map
 // task (ID is the map task id; a task that emitted no keys into the
 // partition contributes an empty section, which still acknowledges the
@@ -418,84 +438,87 @@ type locResult struct {
 
 // fetchRound pulls partition's slice from every location concurrently,
 // bounded by the worker's shuffle fan-out, with results in location
-// order so the fold input is independent of arrival order. The worker's
-// own store is read directly (no loopback dial); peer fetches go
-// through the connection pool. A primary's failure — a dead peer, a
-// refusal, or the worker's own spill file failing its checksum — fails
-// over to the map tasks' replica holders when repOf names them; only
-// when that too fails (or no replica covers a task) does the round
-// error, naming the primary so the master routes recovery around it.
+// order. Every map task the worker's own store holds, its own output or
+// a peer's replica, is read from the store; only the rest of a location
+// is fetched from its address, through the connection pool. A primary's
+// failure — a dead peer, a refusal, or the worker's own output failing
+// its checksum — fails over to the map tasks' replica holders when repOf
+// names them; only when that too fails (or no replica covers a task)
+// does the round error, naming the primary so the master routes
+// recovery around it.
 func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf map[int]string, compAddrs map[string]bool, cmp bool, to time.Duration) ([]locResult, error) {
 	ctx := runner.WithWorkers(context.Background(), w.shuffleFanout)
-	return runner.Map(ctx, len(locs), func(_ context.Context, i int) (locResult, error) {
-		loc := locs[i]
-		var err error
-		if loc.Addr == w.fetchAddr {
-			var parts []partitionPartial
-			if parts, err = w.store.slice(run, partition, loc.Tasks); err == nil {
-				return locResult{parts: parts}, nil
-			}
-		} else {
-			fetchStart := time.Now()
-			parts, n, sv, ferr := w.pool.fetchPartition(loc.Addr, run, partition, loc.Tasks, to, cmp && compAddrs[loc.Addr])
-			workerFetchSeconds.Observe(time.Since(fetchStart).Seconds())
-			if ferr == nil {
-				workerFetches.With("ok").Inc()
-				return locResult{parts: parts, fetched: n, saved: sv}, nil
-			}
+	fetch := func(res *locResult, addr string, tasks []int) error {
+		fetchStart := time.Now()
+		parts, n, sv, err := w.pool.fetchPartition(addr, run, partition, tasks, to, cmp && compAddrs[addr])
+		workerFetchSeconds.Observe(time.Since(fetchStart).Seconds())
+		if err != nil {
 			workerFetches.With("failed").Inc()
-			err = ferr
+			return err
 		}
-		res, ferr := w.fetchFailover(run, partition, loc, repOf, compAddrs, cmp, to)
-		if ferr != nil {
-			return locResult{}, &fetchError{addr: loc.Addr, err: err}
+		workerFetches.With("ok").Inc()
+		res.parts = append(res.parts, parts...)
+		res.fetched += n
+		res.saved += sv
+		return nil
+	}
+	return runner.Map(ctx, len(locs), func(_ context.Context, i int) (res locResult, err error) {
+		loc := locs[i]
+		held, missing := loc.Tasks, []int(nil)
+		if loc.Addr != w.fetchAddr {
+			held, missing = w.store.split(run, loc.Tasks)
+		}
+		if len(held) > 0 {
+			res.parts, err = w.store.slice(run, partition, held)
+			switch {
+			case err == nil:
+				workerFetches.With("local").Inc()
+			case loc.Addr == w.fetchAddr:
+				missing = held // its own output: only a replica holder can help
+			default:
+				// A replica that fails its read is no loss, the primary
+				// serves the whole location; it counts as a failover.
+				missing, err = loc.Tasks, nil
+				res.failovers++
+				workerFailovers.Inc()
+			}
+		}
+		if err == nil && len(missing) > 0 {
+			err = fetch(&res, loc.Addr, missing)
+		}
+		if err == nil {
+			return res, nil
+		}
+		// Re-pull the failed tasks from their replica holders. Every one
+		// must have a known replica distinct from the failed primary and
+		// every replica fetch must succeed — a partial recovery is no
+		// recovery, so the primary's failure stands otherwise.
+		groups := map[string][]int{}
+		var order []string
+		for _, task := range missing {
+			rep, ok := repOf[task]
+			if !ok || rep == loc.Addr {
+				return locResult{}, &fetchError{addr: loc.Addr, err: err}
+			}
+			if _, seen := groups[rep]; !seen {
+				order = append(order, rep)
+			}
+			groups[rep] = append(groups[rep], task)
+		}
+		for _, rep := range order {
+			if fetch(&res, rep, groups[rep]) != nil {
+				return locResult{}, &fetchError{addr: loc.Addr, err: err}
+			}
+			res.failovers++
+			workerFailovers.Inc()
 		}
 		return res, nil
 	})
 }
 
-// fetchFailover re-pulls one failed location's map tasks from their
-// replica holders. Every task must have a known replica distinct from
-// the failed primary and every replica fetch must succeed — a partial
-// recovery is no recovery, so the primary's failure stands otherwise.
-func (w *Worker) fetchFailover(run string, partition int, loc fetchLoc, repOf map[int]string, compAddrs map[string]bool, cmp bool, to time.Duration) (locResult, error) {
-	if len(repOf) == 0 {
-		return locResult{}, fmt.Errorf("netmr: no replica locations known")
-	}
-	groups := map[string][]int{}
-	var order []string
-	for _, task := range loc.Tasks {
-		rep, ok := repOf[task]
-		if !ok || rep == loc.Addr {
-			return locResult{}, fmt.Errorf("netmr: no replica holds map task %d", task)
-		}
-		if _, seen := groups[rep]; !seen {
-			order = append(order, rep)
-		}
-		groups[rep] = append(groups[rep], task)
-	}
-	var out locResult
-	for _, rep := range order {
-		fetchStart := time.Now()
-		parts, n, sv, err := w.pool.fetchPartition(rep, run, partition, groups[rep], to, cmp && compAddrs[rep])
-		workerFetchSeconds.Observe(time.Since(fetchStart).Seconds())
-		if err != nil {
-			workerFetches.With("failed").Inc()
-			return locResult{}, err
-		}
-		workerFetches.With("ok").Inc()
-		out.parts = append(out.parts, parts...)
-		out.fetched += n
-		out.saved += sv
-		out.failovers++
-	}
-	workerFailovers.Add(float64(out.failovers))
-	return out, nil
-}
-
 // runReduceTask executes one reduce task: gather the partition's section
-// of every map task — master-relayed inline sections plus peer fetches
-// (the worker's own store is read directly, no loopback dial) — merge
+// of every map task — master-relayed inline sections, what its own store
+// holds (output or replica, no dial), peer fetches for the rest — merge
 // them by (key, ascending map task) through the job's fold, and answer
 // with a flat result frame whose Partial is the merge's output, already
 // in wire form, plus the intermediate bytes fetched. Fetches run

@@ -342,9 +342,11 @@ func TestReplicaRecoveryAfterMapperLoss(t *testing.T) {
 	}
 }
 
-// flipByteInFiles flips one bit in the middle byte of every non-empty
-// file matching glob under dir (recursively one level of run dirs) and
-// returns how many files it damaged.
+// flipByteInFiles flips one bit in the first, the middle and the last
+// byte of every non-empty file matching glob under dir (recursively one
+// level of run dirs) and returns how many files it damaged. A map task's
+// spill file is its sections back to back, so at two partitions both
+// sections are hit whichever one the middle falls in.
 func flipByteInFiles(t testing.TB, dir, glob string) int {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "netmr-spill", "*", glob))
@@ -357,7 +359,11 @@ func flipByteInFiles(t testing.TB, dir, glob string) int {
 		if err != nil || len(data) == 0 {
 			continue
 		}
+		// Distinct bits, so positions that coincide in a tiny file do not
+		// undo each other.
+		data[0] ^= 0x01
 		data[len(data)/2] ^= 0x04
+		data[len(data)-1] ^= 0x10
 		if err := os.WriteFile(name, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -460,11 +466,15 @@ func TestCorruptSpillRunFailsFold(t *testing.T) {
 	}
 }
 
-// TestCorruptSpillFailsOverToReplica is the end-to-end half: every spill
-// file one worker wrote is damaged between the map phase and the
-// shuffle. Fetches of its sections are refused, the reducers — that
-// worker's own included — fail over to the replicas on their own, and
-// the job's output is identical to the reference.
+// TestCorruptSpillFailsOverToReplica is the end-to-end half: every
+// section of every spill file one worker wrote, its own output and the
+// replicas it holds, is damaged between the map phase and the shuffle.
+// Reads are local-first, so the other worker's reducer gathers from its
+// own intact store and never sees the damage; the victim's reducer finds
+// every section it holds refused, reroutes on its own (own output to the
+// replica, replicas to their primary), and the job's output is identical
+// to the reference. Damaging one section a file would leave Failovers
+// legitimately 0 whenever the flips all fell in the other partition.
 func TestCorruptSpillFailsOverToReplica(t *testing.T) {
 	const workers, shards, R = 2, 6, 2
 	victimDir := t.TempDir()

@@ -91,7 +91,7 @@ func TestSpillFolderCompressedRunsMatchMemory(t *testing.T) {
 	inputs := make([]taskMap, 8)
 	for task := range inputs {
 		m := map[string]float64{}
-		for i := 0; i < 400; i++ {
+		for i := 0; i < 1000; i++ { // 25 KB a run: above lzCompressThreshold
 			m[fmt.Sprintf("gather-key-%04d", i)] = float64(task + i%3)
 		}
 		inputs[task] = taskMap{task: task, m: m}

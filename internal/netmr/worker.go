@@ -75,8 +75,8 @@ type Worker struct {
 	// "mapper lost mid-shuffle" chaos scenario.
 	killAfterMapdone bool
 
-	// closeFetchAfterMapdone is a milder test hook: after the first
-	// successful mapdone the worker closes only its shuffle listener but
+	// closeFetchAfterMapdone is a milder test hook: as it sends its first
+	// mapdone the worker closes only its shuffle listener but
 	// stays alive and keeps mapping. The master still routes fetches at
 	// the primary, so reducers must fail over to the replica addresses
 	// on their own — the worker-local failover scenario.
@@ -383,6 +383,13 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 		}
 		workerTaskSeconds.Observe(time.Since(start).Seconds())
 		workerTasks.With("ok").Inc()
+		if w.closeFetchAfterMapdone {
+			// Chaos hook: the shuffle plane dies — listener and accepted
+			// peer sockets both, before the mapdone leaves — but the worker
+			// does not, so the master keeps routing fetches here and
+			// reducers must fail over to the replica addresses themselves.
+			w.closeFetchPlane()
+		}
 		if c.send(done, 30*time.Second) != nil {
 			return false
 		}
@@ -393,13 +400,6 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 			w.closeFetchPlane()
 			w.store.evictAll()
 			return false
-		}
-		if w.closeFetchAfterMapdone {
-			// Chaos hook: the shuffle plane dies — listener and accepted
-			// peer sockets both — but the worker does not, so the master
-			// keeps routing fetches here and reducers must fail over to
-			// the replica addresses themselves.
-			w.closeFetchPlane()
 		}
 		return true
 	}
