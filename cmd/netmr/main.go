@@ -21,19 +21,22 @@
 // Tracing (master): -trace prints the job's span timeline and Wp/Ws/Wo
 // phase accounting after the run; -tracefile dumps the spans as JSON
 // Lines (and implies the traced runtime). `netmr trace report <file>`
-// renders a dump offline. Workers negotiate the trace capability at
-// hello; peers without it still run the job with coarser attribution.
+// renders a dump offline. A traced master stamps the trace ID on its
+// task frames, and workers report their sub-phases for every frame that
+// carries one.
+//
+// Master and workers must be the same build: every connection opens with
+// a protocol version byte, and a worker of another version exits with
+// an error naming both.
 //
 // Merge knobs (master): -partitions sets the partitioned merge's width P
-// (0 = GOMAXPROCS) — arriving shard results are hash-split across P
-// folder goroutines while the map phase drains, and part-capable workers
-// ship results pre-split; -serialmerge restores the legacy
-// barrier-then-serial merge for before/after comparison; -reducers R
-// promotes the fold to a distributed phase — reduce-capable workers
-// persist partitioned map output, fetch each other's partitions and fold
-// the R partitions themselves, leaving the master only the union of R
-// disjoint key spaces. Clusters without reduce-capable workers fall back
-// to the master-side merge transparently.
+// (0 = GOMAXPROCS) — workers ship every shard result hash-split P ways
+// and P folder goroutines fold the sections while the map phase drains;
+// -serialmerge restores the legacy barrier-then-serial merge for
+// before/after comparison; -reducers R promotes the fold to a
+// distributed phase — workers persist partitioned map output, fetch each
+// other's partitions and fold the R partitions themselves, leaving the
+// master only the union of R disjoint key spaces.
 //
 // Out-of-core shuffle knobs: -shuffle-timeout bounds one worker-to-worker
 // shuffle round-trip (on the master it is pushed cluster-wide via the
@@ -388,8 +391,8 @@ func printStats(out io.Writer, stats netmr.Stats) {
 			stats.Speculations, stats.SpecWins, stats.Duplicates, stats.Cancellations)
 	}
 	if stats.Reducers > 0 {
-		fmt.Fprintf(out, "reduce: %d task(s) on workers, %d map output(s) stored, %d relayed, %s shuffled, reduce wall %v\n",
-			stats.ReduceTasks, stats.MapOutputsStored, stats.MapOutputsRelayed,
+		fmt.Fprintf(out, "reduce: %d task(s) on workers, %d map output(s) stored, %s shuffled, reduce wall %v\n",
+			stats.ReduceTasks, stats.MapOutputsStored,
 			formatBytes(stats.ShuffleBytes), stats.ReduceWall)
 	}
 	if stats.SpillRuns > 0 || stats.CompressedBytes > 0 {
@@ -404,8 +407,8 @@ func printStats(out io.Writer, stats netmr.Stats) {
 		fmt.Fprintf(out, "recovery: %d replica fetch(es), %d worker-local failover(s), recovery wall %v\n",
 			stats.ReplicaFetches, stats.Failovers, stats.RecoveryWall)
 	}
-	fmt.Fprintf(out, "split %v | merge %v (overlapped %v, %d partition(s), %d pre-partitioned) | total %v\n",
-		stats.SplitWall, stats.MergeWall, stats.MergeOverlapWall, stats.Partitions, stats.PrePartitioned, stats.TotalWall)
+	fmt.Fprintf(out, "split %v | merge %v (overlapped %v, %d partition(s)) | total %v\n",
+		stats.SplitWall, stats.MergeWall, stats.MergeOverlapWall, stats.Partitions, stats.TotalWall)
 	for _, w := range stats.PerWorker {
 		fmt.Fprintf(out, "worker %s: shards %d, reassignments %d, busy %v\n", w.ID, w.ShardsRun, w.Reassignments, w.Busy)
 	}

@@ -59,8 +59,8 @@ func wordCountNetJob() netmr.Job {
 // Interpretation caveats: in-process workers share the host's cores, so
 // the measured speedup is capped by the physical core count (≈1 on a
 // single-vCPU box no matter how many workers join), and the master-side
-// scatter serializes records through one JSON encoder — a real instance
-// of scale-out-induced serial work. Both effects are the resource
+// scatter encodes every shard's records into its task frame — a real
+// instance of scale-out-induced serial work. Both effects are the resource
 // constraints the paper's model is about, showing up on a real wall
 // clock.
 func RealNet(ctx context.Context, workerCounts []int, lines, shards int) (Report, error) {
@@ -78,9 +78,8 @@ func RealNet(ctx context.Context, workerCounts []int, lines, shards int) (Report
 		Headers: []string{"workers", "split ms", "merge ms", "overlap ms", "total ms", "speedup vs 1 worker"},
 	}
 	mergeTbl := Table{
-		Title: "merge Ws(n): serial barrier-then-merge vs partitioned map-overlapped merge",
-		Headers: []string{"workers", "serial merge ms", "overlapped tail ms", "tail shrink ×",
-			"pre-partitioned"},
+		Title:   "merge Ws(n): serial barrier-then-merge vs partitioned map-overlapped merge",
+		Headers: []string{"workers", "serial merge ms", "overlapped tail ms", "tail shrink ×"},
 	}
 	var base time.Duration
 	var xs, ys []float64
@@ -119,7 +118,6 @@ func RealNet(ctx context.Context, workerCounts []int, lines, shards int) (Report
 			fmt.Sprintf("%.1f", float64(serialStats.MergeWall)/1e6),
 			fmt.Sprintf("%.1f", float64(tail)/1e6),
 			shrink,
-			fmt.Sprintf("%d/%d", st.PrePartitioned, st.Completed),
 		})
 		xs = append(xs, float64(n))
 		ys = append(ys, speedup)

@@ -54,8 +54,7 @@ func sectionBytes(parts []partitionPartial) (n int64) {
 }
 
 // BenchmarkFrameEncode encodes the replicate frame of one tera-mem map
-// task (two sections, ≈1.7 MB) under the layout replication travels on,
-// into a fresh destination each time: what a send pays after a collection
+// task (two sections, ≈1.7 MB) into a fresh destination each time: what a send pays after a collection
 // has emptied encBufPool, which on tera-mem is every job.
 func BenchmarkFrameEncode(b *testing.B) {
 	m := message{Type: "replicate", Run: "tera#1", TaskID: 7, Reducers: 2, Parts: teraSections(2, 7800)}
@@ -63,7 +62,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := appendFrame(nil, &m, nil, true, false, true, true, false); err != nil {
+		if _, err := appendFrame(nil, &m, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,11 +73,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 // flag layer off, checksum, one walk over each section.
 func BenchmarkFrameDecode(b *testing.B) {
 	m := message{Type: "replicate", Run: "tera#1", TaskID: 7, Reducers: 2, Parts: teraSections(2, 7800)}
-	frame, _, err := appendFrame(nil, &m, nil, true, false, true, true, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	body := frameBody(b, frame)
+	body := wireBody(b, encodeBinary(b, m))
 	var out message
 	b.SetBytes(sectionBytes(m.Parts))
 	b.ReportAllocs()
@@ -88,7 +83,7 @@ func BenchmarkFrameDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := decodeFrame(raw, &out, true, false, true, true, false, nil); err != nil {
+		if err := decodeFrame(raw, &out); err != nil {
 			b.Fatal(err)
 		}
 	}

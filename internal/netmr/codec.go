@@ -6,63 +6,37 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"unsafe"
 )
 
-// Wire protocol v2: a length-prefixed binary framing that replaces the
-// line-delimited JSON of v1 on connections that negotiate it (the worker
-// advertises the "bin" capability in its JSON hello, the master answers
-// with a JSON helloack naming the accepted capabilities, and both sides
-// switch). One frame is
+// The wire format. A connection opens, in each direction, with the
+// four-byte preamble of protocol.go; after it every frame is
 //
 //	uvarint(len(body)) || body
-//	body = type byte || fields... || crc32c(body[:len(body)-4]) (4 B LE)
+//	body  = flag || payload
+//	flag 0x00: payload = raw                                (stored)
+//	flag 0x01: payload = uvarint(len(raw)) || lzCompress(raw) (compressed)
+//	raw   = type byte || fields... || crc32c(raw[:len(raw)-4]) (4 B LE)
 //
-// Every field of message is encoded in a fixed order (strings as uvarint
-// length + bytes, ints as varints, Partial as sorted key/IEEE-754 pairs)
-// so any frame round-trips exactly and unknown type bytes still decode —
-// the binary analogue of v1's "ignore unknown frames" forward
-// compatibility. The trailing CRC-32C keeps single-bit wire corruption
-// detectable, which JSON got for free from parse errors.
-//
-// The layout itself is versioned by capability: the base "bin" layout
-// ends after Batch, only peers that both negotiated "bin2" append the
-// Partitions/Parts fields, peers that further negotiated "trace" append
-// the Trace/Spans fields after those, peers that negotiated "reduce"
-// append the Run/Reducers/Fetch/Bytes/Tasks/Locs fields, peers that
-// negotiated "comp" append the Rep/…/ShuffleMs fields, and peers that
-// negotiated "early" append the Total/Reps/Failovers fields last.
-// Appending any block unconditionally would make every frame
-// undecodable ("trailing bytes") to a peer running a previous binary
-// codec, breaking rolling upgrades of mixed-version clusters — the
-// ext/trc/red/cmp/erl flags on appendFrame/decodeFrame are that
-// negotiation, one consistent tuple of values per connection. The trc,
-// red, cmp and erl blocks are granted only alongside ext but
-// independently of each other, so the layouts on the wire are base,
-// base+ext and any combination of the trc/red/cmp/erl suffixes on top —
-// both sides derive the same tuple from the same negotiated capability
-// set.
-//
-// The "comp" capability additionally wraps every body of the
-// connection in a one-byte flag layer:
-//
-//	0x00 || body                                  (stored)
-//	0x01 || uvarint(len(body)) || lzCompress(body) (compressed)
-//
-// The CRC is computed over the raw body before compression, so the
-// checksum still guards the decompressed payload end to end. Only
-// bulk payload frames (result/presult/fetchresult/replicate) are
-// candidates, and only when lzPack judges the saving worth the
-// decompression.
+// There is one layout: every field of message is encoded in a fixed
+// order (strings as uvarint length + bytes, ints as varints, sections as
+// the bytes they are, spans as IEEE-754 pairs) whatever the frame type,
+// so any frame round-trips exactly and an unknown type byte still
+// decodes, to be ignored downstream. A field a frame type does not use
+// costs its one zero byte. The CRC-32C is computed over the raw body
+// before compression, so it guards the decompressed payload end to end.
+// Only bulk payload frames (presult/result/fetchresult/replicate) are
+// candidates for compression, and only when lzPack judges the saving
+// worth the decompression.
 const maxFrameBytes = 1 << 26 // 64 MiB hard cap: larger prefixes are corruption
 
 // frameHeadroom is the space appendFrame leaves in front of a body for
-// the header it only knows afterwards — the comp flag byte and the
-// uvarint length prefix — so the header is written backwards into it
-// instead of shifting the body.
-const frameHeadroom = 1 + binary.MaxVarintLen64
+// what goes before it and is only known afterwards — the caller's lead
+// bytes (the preamble), the uvarint length prefix, the compression flag
+// — so the header is written backwards into it instead of shifting the
+// body.
+const frameHeadroom = len(preamble) + binary.MaxVarintLen64 + 1
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -87,7 +61,7 @@ var frameTypes = map[string]byte{
 	"morelocs":    16,
 }
 
-// compressibleFrames names the bulk payload frame types the comp layer
+// compressibleFrames names the bulk payload frame types the flag layer
 // may compress; control frames always travel stored.
 var compressibleFrames = map[string]bool{
 	"result":      true,
@@ -149,7 +123,7 @@ func sizeStrings(ss []string) int {
 // so appendFrame allocates once however much it is about to copy in.
 func frameSizeHint(m *message) int {
 	const v = binary.MaxVarintLen64
-	n := frameHeadroom + 1024 + len(m.partialSec) + sizeStrings(m.Records)
+	n := frameHeadroom + 1024 + len(m.Folded) + sizeStrings(m.Records)
 	for _, spec := range m.Batch {
 		n += len(spec.Job) + 3*v + sizeStrings(spec.Records)
 	}
@@ -162,37 +136,13 @@ func frameSizeHint(m *message) int {
 // appendFrame encodes the complete wire frame for m into dst's storage
 // (dst must be empty; its capacity is reused, or replaced by one
 // allocation sized from frameSizeHint when it is too small) and returns
-// the frame.
-// keys is a reusable scratch slice for sorting Partial (may be nil); the
-// grown scratch is returned for reuse. ext selects the bin2 layout
-// (trailing Partitions/Parts fields), trc the trace layout (trailing
-// Trace/Spans fields after those), red the reduce layout (trailing
-// Run/Reducers/Fetch/Bytes/Tasks/Locs fields), cmp the comp layout
-// (trailing Rep/Spills/Spilled/CompBytes/ShuffleMs fields, plus the
-// one-byte compression flag layer around the whole body), and erl the
-// early layout (trailing Total/Reps/Failovers fields last); an older
-// layout cannot carry the newer fields, so rather than silently
-// dropping them the encode fails. Parts sections (and a reducer's
-// pre-encoded Partial) are copied in as they are.
-func appendFrame(dst []byte, m *message, keys []string, ext, trc, red, cmp, erl bool) ([]byte, []string, error) {
+// lead followed by the frame: a connection's first send passes its
+// preamble as lead so both leave in one write. Sections (Parts, and a
+// reducer's Folded) are copied in as they are.
+func appendFrame(dst []byte, m *message, lead []byte) ([]byte, error) {
 	tb, ok := frameTypes[m.Type]
 	if !ok {
-		return dst, keys, fmt.Errorf("netmr: unencodable frame type %q", m.Type)
-	}
-	if !ext && (m.Partitions != 0 || len(m.Parts) > 0) {
-		return dst, keys, fmt.Errorf("netmr: frame %q carries partition fields but the peer did not negotiate %q", m.Type, capBinaryExt)
-	}
-	if !trc && (m.Trace != "" || len(m.Spans) > 0) {
-		return dst, keys, fmt.Errorf("netmr: frame %q carries trace fields but the peer did not negotiate %q", m.Type, capTrace)
-	}
-	if !red && (m.Run != "" || m.Reducers != 0 || m.Fetch != "" || m.Bytes != 0 || len(m.Tasks) > 0 || len(m.Locs) > 0) {
-		return dst, keys, fmt.Errorf("netmr: frame %q carries reduce fields but the peer did not negotiate %q", m.Type, capReduce)
-	}
-	if !cmp && (m.Rep != "" || len(m.CompAddrs) > 0 || m.Spills != 0 || m.Spilled != 0 || m.CompBytes != 0 || m.ShuffleMs != 0) {
-		return dst, keys, fmt.Errorf("netmr: frame %q carries comp fields but the peer did not negotiate %q", m.Type, capComp)
-	}
-	if !erl && (m.Total != 0 || len(m.Reps) > 0 || m.Failovers != 0) {
-		return dst, keys, fmt.Errorf("netmr: frame %q carries early fields but the peer did not negotiate %q", m.Type, capEarly)
+		return dst, fmt.Errorf("netmr: unencodable frame type %q", m.Type)
 	}
 	if need := frameSizeHint(m); cap(dst) < need {
 		// An eighth over: the pooled buffer then also fits the next frame
@@ -207,25 +157,9 @@ func appendFrame(dst []byte, m *message, keys []string, ext, trc, red, cmp, erl 
 	b = binary.AppendVarint(b, int64(m.TaskID))
 	b = binary.AppendVarint(b, int64(m.Attempt))
 	b = appendStrings(b, m.Records)
-	if m.partialSec != nil {
-		b = append(b, m.partialSec...)
-	} else {
-		b = binary.AppendUvarint(b, uint64(len(m.Partial)))
-		if len(m.Partial) > 0 {
-			keys = keys[:0]
-			for k := range m.Partial {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				b = appendString(b, k)
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Partial[k]))
-			}
-		}
-	}
+	b = appendSection(b, m.Folded)
 	b = appendStrings(b, m.Jobs)
 	b = appendString(b, m.Message)
-	b = appendStrings(b, m.Caps)
 	b = binary.AppendUvarint(b, uint64(len(m.Batch)))
 	for _, spec := range m.Batch {
 		b = appendString(b, spec.Job)
@@ -233,76 +167,65 @@ func appendFrame(dst []byte, m *message, keys []string, ext, trc, red, cmp, erl 
 		b = binary.AppendVarint(b, int64(spec.Attempt))
 		b = appendStrings(b, spec.Records)
 	}
-	if ext {
-		b = binary.AppendVarint(b, int64(m.Partitions))
-		b = binary.AppendUvarint(b, uint64(len(m.Parts)))
-		for _, part := range m.Parts {
-			b = binary.AppendVarint(b, int64(part.ID))
-			b = appendSection(b, part.Partial)
-		}
+	b = binary.AppendVarint(b, int64(m.Partitions))
+	b = binary.AppendUvarint(b, uint64(len(m.Parts)))
+	for _, part := range m.Parts {
+		b = binary.AppendVarint(b, int64(part.ID))
+		b = appendSection(b, part.Partial)
 	}
-	if trc {
-		b = appendString(b, m.Trace)
-		b = binary.AppendUvarint(b, uint64(len(m.Spans)))
-		for _, s := range m.Spans {
-			b = appendString(b, s.Phase)
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Start))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.End))
-		}
+	b = appendString(b, m.Trace)
+	b = binary.AppendUvarint(b, uint64(len(m.Spans)))
+	for _, s := range m.Spans {
+		b = appendString(b, s.Phase)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Start))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.End))
 	}
-	if red {
-		b = appendString(b, m.Run)
-		b = binary.AppendVarint(b, int64(m.Reducers))
-		b = appendString(b, m.Fetch)
-		b = binary.AppendVarint(b, m.Bytes)
-		b = binary.AppendUvarint(b, uint64(len(m.Tasks)))
-		for _, t := range m.Tasks {
-			b = binary.AppendVarint(b, int64(t))
-		}
-		b = appendLocs(b, m.Locs)
+	b = appendString(b, m.Run)
+	b = binary.AppendVarint(b, int64(m.Reducers))
+	b = appendString(b, m.Fetch)
+	b = binary.AppendVarint(b, m.Bytes)
+	b = binary.AppendUvarint(b, uint64(len(m.Tasks)))
+	for _, t := range m.Tasks {
+		b = binary.AppendVarint(b, int64(t))
 	}
-	if cmp {
-		b = appendString(b, m.Rep)
-		b = appendStrings(b, m.CompAddrs)
-		b = binary.AppendVarint(b, int64(m.Spills))
-		b = binary.AppendVarint(b, m.Spilled)
-		b = binary.AppendVarint(b, m.CompBytes)
-		b = binary.AppendVarint(b, m.ShuffleMs)
-	}
-	if erl {
-		b = binary.AppendVarint(b, int64(m.Total))
-		b = appendLocs(b, m.Reps)
-		b = binary.AppendVarint(b, int64(m.Failovers))
-	}
+	b = appendLocs(b, m.Locs)
+	b = appendString(b, m.Rep)
+	b = binary.AppendVarint(b, int64(m.Spills))
+	b = binary.AppendVarint(b, m.Spilled)
+	b = binary.AppendVarint(b, m.CompBytes)
+	b = binary.AppendVarint(b, m.ShuffleMs)
+	b = binary.AppendVarint(b, int64(m.Total))
+	b = appendLocs(b, m.Reps)
+	b = binary.AppendVarint(b, int64(m.Failovers))
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[frameHeadroom:], crcTable))
 
-	// The header goes in backwards from the body: the comp flag layer
-	// (compressing the body in place when that pays), then the length.
+	// The header goes in backwards from the body: the flag (compressing
+	// the body in place when that pays), the length, the caller's lead.
 	start := frameHeadroom
-	if cmp {
-		flag := byte(0)
-		if compressibleFrames[m.Type] {
-			bufp := lzBufPool.Get().(*[]byte)
-			packed, ok := lzPack(binary.AppendUvarint((*bufp)[:0], uint64(len(b)-start)), b[start:])
-			if ok {
-				b = append(b[:start], packed...)
-				flag = 1
-			}
-			*bufp = packed[:0]
-			lzBufPool.Put(bufp)
+	flag := byte(0)
+	if compressibleFrames[m.Type] {
+		bufp := lzBufPool.Get().(*[]byte)
+		packed, ok := lzPack(binary.AppendUvarint((*bufp)[:0], uint64(len(b)-start)), b[start:])
+		if ok {
+			b = append(b[:start], packed...)
+			flag = 1
 		}
-		start--
-		b[start] = flag
+		*bufp = packed[:0]
+		lzBufPool.Put(bufp)
 	}
+	start--
+	b[start] = flag
 	bodyLen := len(b) - start
 	if bodyLen > maxFrameBytes {
-		return dst, keys, fmt.Errorf("netmr: frame of %d bytes exceeds the %d limit", bodyLen, maxFrameBytes)
+		return dst, fmt.Errorf("netmr: frame of %d bytes exceeds the %d limit", bodyLen, maxFrameBytes)
 	}
 	var prefix [binary.MaxVarintLen64]byte
 	pn := binary.PutUvarint(prefix[:], uint64(bodyLen))
 	start -= pn
 	copy(b[start:], prefix[:pn])
-	return b[start:], keys, nil
+	start -= len(lead)
+	copy(b[start:], lead)
+	return b[start:], nil
 }
 
 // appendLocs appends a fetchLoc list (Locs and Reps share the shape).
@@ -326,7 +249,7 @@ var lzBufPool = sync.Pool{
 	},
 }
 
-// unwrapCompressedBody strips the comp flag layer from a received frame
+// unwrapCompressedBody strips the flag layer from a received frame
 // body, returning the raw checksummed body that decodeFrame expects: the
 // rest of body when it travelled stored, a buffer of exactly the declared
 // length when it travelled compressed. A declared length the payload
@@ -335,7 +258,7 @@ var lzBufPool = sync.Pool{
 // than a multiple of the bytes actually received.
 func unwrapCompressedBody(body []byte) (raw []byte, compressed bool, err error) {
 	if len(body) == 0 {
-		return nil, false, fmt.Errorf("netmr: empty comp frame body")
+		return nil, false, fmt.Errorf("netmr: empty frame body")
 	}
 	switch body[0] {
 	case 0:
@@ -404,6 +327,11 @@ func (r *frameReader) varint() (int64, error) {
 	return x, nil
 }
 
+func (r *frameReader) int() (int, error) {
+	v, err := r.varint()
+	return int(v), err
+}
+
 func (r *frameReader) string() (string, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -418,7 +346,8 @@ func (r *frameReader) string() (string, error) {
 }
 
 // strings decodes a string list, appending into dst (reused between
-// frames by the conn when the caller is done with the previous list).
+// frames by the conn when the caller is done with the previous list);
+// without a dst an empty list is nil.
 func (r *frameReader) strings(dst []string) ([]string, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -429,11 +358,13 @@ func (r *frameReader) strings(dst []string) ([]string, error) {
 	if n > uint64(len(r.s)-r.off) {
 		return nil, fmt.Errorf("netmr: string list of %d entries overruns frame", n)
 	}
-	if dst == nil || cap(dst) < int(n) {
-		dst = make([]string, 0, n)
-	} else {
-		dst = dst[:0]
+	if n == 0 && dst == nil {
+		return nil, nil
 	}
+	if cap(dst) < int(n) {
+		dst = make([]string, 0, n)
+	}
+	dst = dst[:0]
 	for i := uint64(0); i < n; i++ {
 		s, err := r.string()
 		if err != nil {
@@ -442,36 +373,6 @@ func (r *frameReader) strings(dst []string) ([]string, error) {
 		dst = append(dst, s)
 	}
 	return dst, nil
-}
-
-// pairs decodes one key/IEEE-754 pair list into a fresh map (nil when
-// empty) — the Partial field, which only the master reads. (Parts carry
-// the same wire shape and stay undecoded: frameReader.section.) Freshly
-// allocated because results outlive the next recv on the master.
-func (r *frameReader) pairs() (map[string]float64, error) {
-	np, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if np > uint64(len(r.s)-r.off)/9 { // key length byte + 8 value bytes minimum
-		return nil, fmt.Errorf("netmr: partial of %d pairs overruns frame", np)
-	}
-	if np == 0 {
-		return nil, nil
-	}
-	out := make(map[string]float64, np)
-	for i := uint64(0); i < np; i++ {
-		k, err := r.string()
-		if err != nil {
-			return nil, err
-		}
-		if len(r.s)-r.off < 8 {
-			return nil, fmt.Errorf("netmr: truncated partial value at byte %d", r.off)
-		}
-		out[k] = math.Float64frombits(u64at(r.s, r.off))
-		r.off += 8
-	}
-	return out, nil
 }
 
 // ints decodes a varint list into a fresh slice (nil when empty).
@@ -524,22 +425,18 @@ func (r *frameReader) locs() ([]fetchLoc, error) {
 	return out, nil
 }
 
-// decodeFrame parses one checksummed body into m, reusing m.Records' and
-// m.Batch's backing arrays when the caller passes them back in. All other
-// slice/map fields are freshly allocated (results outlive the next recv
-// on the master); Parts sections are checked by one walk each and kept
-// as substrings of the frame's text. ext selects the bin2 layout, trc the trace layout,
-// red the reduce layout, cmp the comp layout and erl the early layout,
-// mirroring appendFrame. On comp connections the caller unwraps the
-// compression flag layer (unwrapCompressedBody) first; body here is
-// always the raw checksummed form. With partial set, Partial is not
-// decoded into a map: it is checked as a section (stricter: unsorted or
-// repeated keys are refused too) and left in *partial.
+// decodeFrame parses one raw checksummed body (unwrapCompressedBody has
+// stripped the flag layer) into m, reusing m.Records' and m.Batch's
+// backing arrays when the caller passes them back in. All other slice
+// fields are freshly allocated (results outlive the next recv on the
+// master); sections — Parts and Folded — are checked by one walk each
+// (count, bounds, strictly ascending keys) and kept as substrings of the
+// frame's text.
 //
 // The caller gives body up: it becomes the text every string and section
 // of m is a substring of, so it must never be written, pooled or reused
 // afterwards — recv reads each frame into a buffer of its own for that.
-func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool, partial *section) error {
+func decodeFrame(body []byte, m *message) error {
 	if len(body) < 5 { // type byte + CRC
 		return fmt.Errorf("netmr: frame of %d bytes is too short", len(body))
 	}
@@ -566,43 +463,23 @@ func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool, partial 
 	if m.Job, err = r.string(); err != nil {
 		return err
 	}
-	var v int64
-	if v, err = r.varint(); err != nil {
+	if m.TaskID, err = r.int(); err != nil {
 		return err
 	}
-	m.TaskID = int(v)
-	if v, err = r.varint(); err != nil {
+	if m.Attempt, err = r.int(); err != nil {
 		return err
 	}
-	m.Attempt = int(v)
 	if m.Records, err = r.strings(recs); err != nil {
 		return err
 	}
-	if len(m.Records) == 0 {
-		m.Records = nil
-	}
-	if partial != nil {
-		*partial, err = r.section()
-	} else {
-		m.Partial, err = r.pairs()
-	}
-	if err != nil {
+	if m.Folded, err = r.section(); err != nil {
 		return err
 	}
 	if m.Jobs, err = r.strings(nil); err != nil {
 		return err
 	}
-	if len(m.Jobs) == 0 {
-		m.Jobs = nil
-	}
 	if m.Message, err = r.string(); err != nil {
 		return err
-	}
-	if m.Caps, err = r.strings(nil); err != nil {
-		return err
-	}
-	if len(m.Caps) == 0 {
-		m.Caps = nil
 	}
 	nb, err := r.uvarint()
 	if err != nil {
@@ -622,132 +499,108 @@ func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool, partial 
 			if spec.Job, err = r.string(); err != nil {
 				return err
 			}
-			if v, err = r.varint(); err != nil {
+			if spec.TaskID, err = r.int(); err != nil {
 				return err
 			}
-			spec.TaskID = int(v)
-			if v, err = r.varint(); err != nil {
+			if spec.Attempt, err = r.int(); err != nil {
 				return err
 			}
-			spec.Attempt = int(v)
 			if spec.Records, err = r.strings(spec.Records); err != nil {
 				return err
 			}
 		}
 		m.Batch = batch
 	}
-	if ext {
-		if v, err = r.varint(); err != nil {
-			return err
-		}
-		m.Partitions = int(v)
-		nparts, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		// Each partition costs at least its id byte plus a pair count byte.
-		if nparts > uint64(len(r.s)-r.off) {
-			return fmt.Errorf("netmr: part list of %d partitions overruns frame", nparts)
-		}
-		if nparts > 0 {
-			m.Parts = make([]partitionPartial, nparts)
-			for i := range m.Parts {
-				if v, err = r.varint(); err != nil {
-					return err
-				}
-				m.Parts[i].ID = int(v)
-				if m.Parts[i].Partial, err = r.section(); err != nil {
-					return err
-				}
+	if m.Partitions, err = r.int(); err != nil {
+		return err
+	}
+	nparts, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	// Each partition costs at least its id byte plus a pair count byte.
+	if nparts > uint64(len(r.s)-r.off) {
+		return fmt.Errorf("netmr: part list of %d partitions overruns frame", nparts)
+	}
+	if nparts > 0 {
+		m.Parts = make([]partitionPartial, nparts)
+		for i := range m.Parts {
+			if m.Parts[i].ID, err = r.int(); err != nil {
+				return err
+			}
+			if m.Parts[i].Partial, err = r.section(); err != nil {
+				return err
 			}
 		}
 	}
-	if trc {
-		if m.Trace, err = r.string(); err != nil {
-			return err
-		}
-		nspans, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		// Each span costs at least its phase length byte plus 16 value
-		// bytes, so a count larger than the remaining bytes / 17 is
-		// corruption, not a huge allocation.
-		if nspans > uint64(len(r.s)-r.off)/17 {
-			return fmt.Errorf("netmr: span list of %d entries overruns frame", nspans)
-		}
-		if nspans > 0 {
-			m.Spans = make([]spanSummary, nspans)
-			for i := range m.Spans {
-				if m.Spans[i].Phase, err = r.string(); err != nil {
-					return err
-				}
-				if len(r.s)-r.off < 16 {
-					return fmt.Errorf("netmr: truncated span interval at byte %d", r.off)
-				}
-				m.Spans[i].Start = math.Float64frombits(u64at(r.s, r.off))
-				m.Spans[i].End = math.Float64frombits(u64at(r.s, r.off+8))
-				r.off += 16
+	if m.Trace, err = r.string(); err != nil {
+		return err
+	}
+	nspans, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	// Each span costs at least its phase length byte plus 16 value
+	// bytes, so a count larger than the remaining bytes / 17 is
+	// corruption, not a huge allocation.
+	if nspans > uint64(len(r.s)-r.off)/17 {
+		return fmt.Errorf("netmr: span list of %d entries overruns frame", nspans)
+	}
+	if nspans > 0 {
+		m.Spans = make([]spanSummary, nspans)
+		for i := range m.Spans {
+			if m.Spans[i].Phase, err = r.string(); err != nil {
+				return err
 			}
+			if len(r.s)-r.off < 16 {
+				return fmt.Errorf("netmr: truncated span interval at byte %d", r.off)
+			}
+			m.Spans[i].Start = math.Float64frombits(u64at(r.s, r.off))
+			m.Spans[i].End = math.Float64frombits(u64at(r.s, r.off+8))
+			r.off += 16
 		}
 	}
-	if red {
-		if m.Run, err = r.string(); err != nil {
-			return err
-		}
-		if v, err = r.varint(); err != nil {
-			return err
-		}
-		m.Reducers = int(v)
-		if m.Fetch, err = r.string(); err != nil {
-			return err
-		}
-		if m.Bytes, err = r.varint(); err != nil {
-			return err
-		}
-		if m.Tasks, err = r.ints(); err != nil {
-			return err
-		}
-		if m.Locs, err = r.locs(); err != nil {
-			return err
-		}
+	if m.Run, err = r.string(); err != nil {
+		return err
 	}
-	if cmp {
-		if m.Rep, err = r.string(); err != nil {
-			return err
-		}
-		if m.CompAddrs, err = r.strings(nil); err != nil {
-			return err
-		}
-		if len(m.CompAddrs) == 0 {
-			m.CompAddrs = nil
-		}
-		if v, err = r.varint(); err != nil {
-			return err
-		}
-		m.Spills = int(v)
-		if m.Spilled, err = r.varint(); err != nil {
-			return err
-		}
-		if m.CompBytes, err = r.varint(); err != nil {
-			return err
-		}
-		if m.ShuffleMs, err = r.varint(); err != nil {
-			return err
-		}
+	if m.Reducers, err = r.int(); err != nil {
+		return err
 	}
-	if erl {
-		if v, err = r.varint(); err != nil {
-			return err
-		}
-		m.Total = int(v)
-		if m.Reps, err = r.locs(); err != nil {
-			return err
-		}
-		if v, err = r.varint(); err != nil {
-			return err
-		}
-		m.Failovers = int(v)
+	if m.Fetch, err = r.string(); err != nil {
+		return err
+	}
+	if m.Bytes, err = r.varint(); err != nil {
+		return err
+	}
+	if m.Tasks, err = r.ints(); err != nil {
+		return err
+	}
+	if m.Locs, err = r.locs(); err != nil {
+		return err
+	}
+	if m.Rep, err = r.string(); err != nil {
+		return err
+	}
+	if m.Spills, err = r.int(); err != nil {
+		return err
+	}
+	if m.Spilled, err = r.varint(); err != nil {
+		return err
+	}
+	if m.CompBytes, err = r.varint(); err != nil {
+		return err
+	}
+	if m.ShuffleMs, err = r.varint(); err != nil {
+		return err
+	}
+	if m.Total, err = r.int(); err != nil {
+		return err
+	}
+	if m.Reps, err = r.locs(); err != nil {
+		return err
+	}
+	if m.Failovers, err = r.int(); err != nil {
+		return err
 	}
 	if r.off != len(r.s) {
 		return fmt.Errorf("netmr: %d trailing bytes after frame", len(r.s)-r.off)

@@ -1,10 +1,9 @@
 package netmr
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"math"
 	"net"
 	"reflect"
@@ -22,14 +21,14 @@ func codecMessages() []message {
 	return []message{
 		{Type: "ping"},
 		{Type: "pong"},
-		{Type: "hello", ID: "127.0.0.1:5555", Jobs: []string{"a", "b"}, Caps: []string{"bin", "bin2", "batch", "part"}},
-		{Type: "helloack", Caps: []string{"bin"}},
-		{Type: "helloack", Caps: []string{"bin", "part"}, Partitions: 8},
+		{Type: "hello", ID: "127.0.0.1:5555", Jobs: []string{"a", "b"}},
+		{Type: "helloack"},
+		{Type: "helloack", Partitions: 8},
 		{Type: "task", Job: "wordcount", TaskID: 3, Attempt: 1, Records: []string{"the quick", "brown fox", ""}},
 		{Type: "task", Job: "", TaskID: -7, Attempt: 0, Records: []string{strings.Repeat("x", 4096)}},
-		{Type: "result", TaskID: 12, Attempt: 2, Partial: map[string]float64{
+		{Type: "result", TaskID: 12, Attempt: 2, Folded: sectionFromMap(map[string]float64{
 			"alpha": 1, "beta": -2.5, "": 3.25, "πκλ": 1e-300, "big": math.MaxFloat64,
-		}},
+		})},
 		{Type: "error", TaskID: 9, Message: `unknown job "nope"`},
 		{Type: "taskbatch", Batch: []taskSpec{
 			{Job: "wc", TaskID: 0, Records: []string{"r0"}},
@@ -44,7 +43,7 @@ func codecMessages() []message {
 			{ID: 1, Partial: ""},
 		}},
 		{Type: "task", Job: "wc", TaskID: 1, Records: []string{"traced"}, Trace: "wc-3"},
-		{Type: "result", TaskID: 4, Attempt: 1, Partial: map[string]float64{"k": 2}, Trace: "wc-3", Spans: []spanSummary{
+		{Type: "result", TaskID: 4, Attempt: 1, Folded: sectionFromMap(map[string]float64{"k": 2}), Trace: "wc-3", Spans: []spanSummary{
 			{Phase: "decode", Start: 0, End: 0.001},
 			{Phase: "map", Start: 0.001, End: 0.25},
 			{Phase: "", Start: -1.5, End: math.MaxFloat64},
@@ -52,8 +51,8 @@ func codecMessages() []message {
 		{Type: "presult", TaskID: 7, Trace: "", Spans: []spanSummary{{Phase: "encode", Start: 1, End: 1}}, Parts: []partitionPartial{
 			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
 		}},
-		{Type: "hello", ID: "127.0.0.1:5556", Jobs: []string{"wc"}, Caps: []string{"bin", "bin2", "reduce"}, Fetch: "127.0.0.1:7001"},
-		{Type: "helloack", Caps: []string{"bin", "bin2", "reduce"}, Reducers: 4},
+		{Type: "hello", ID: "127.0.0.1:5556", Jobs: []string{"wc"}, Fetch: "127.0.0.1:7001"},
+		{Type: "helloack", Partitions: 4, Reducers: 4, ShuffleMs: 30000},
 		{Type: "task", Job: "wc", TaskID: 2, Records: []string{"persist me"}, Run: "wc#1"},
 		{Type: "mapdone", TaskID: 2, Attempt: 1, Run: "wc#1"},
 		{Type: "reducetask", Job: "wc", TaskID: 1, Attempt: 0, Run: "wc#1",
@@ -62,13 +61,13 @@ func codecMessages() []message {
 				{Addr: "127.0.0.1:7002", Tasks: []int{1}},
 				{Addr: "", Tasks: nil},
 			},
-			Parts: []partitionPartial{{ID: 3, Partial: sectionFromMap(map[string]float64{"relayed": 1})}}},
+			Parts: []partitionPartial{{ID: 3, Partial: sectionFromMap(map[string]float64{"inline": 1})}}},
 		{Type: "fetch", Run: "wc#1", TaskID: 0, Tasks: []int{0, 1, 2, -5}},
 		{Type: "fetchresult", TaskID: 0, Parts: []partitionPartial{
 			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
 			{ID: 2, Partial: ""},
 		}},
-		{Type: "result", TaskID: 1, Attempt: 2, Partial: map[string]float64{"folded": 9}, Bytes: 123456789},
+		{Type: "result", TaskID: 1, Attempt: 2, Folded: sectionFromMap(map[string]float64{"folded": 9}), Bytes: 123456789},
 		{Type: "reducetask", Job: "wc", TaskID: 0, Run: "wc#2",
 			Locs:  []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{0}}},
 			Reps:  []fetchLoc{{Addr: "127.0.0.1:7003", Tasks: []int{0}}, {Addr: "", Tasks: nil}},
@@ -78,69 +77,59 @@ func codecMessages() []message {
 			Reps:  []fetchLoc{{Addr: "127.0.0.1:7004", Tasks: []int{5}}},
 			Parts: []partitionPartial{{ID: 6, Partial: ""}}},
 		{Type: "morelocs", Run: "wc#2", TaskID: 1, Message: "abort"},
-		{Type: "result", TaskID: 2, Attempt: 1, Partial: map[string]float64{"f": 1}, Bytes: 77, Failovers: 3},
+		{Type: "result", TaskID: 2, Attempt: 1, Folded: sectionFromMap(map[string]float64{"f": 1}), Bytes: 77, Failovers: 3},
 	}
 }
 
-func encodeBinary(t *testing.T, m message) []byte {
+func encodeBinary(t testing.TB, m message) []byte {
 	t.Helper()
-	frame, _, err := appendFrame(nil, &m, nil, true, true, true, false, true)
+	frame, err := appendFrame(nil, &m, nil)
 	if err != nil {
 		t.Fatalf("appendFrame(%+v): %v", m, err)
 	}
 	return frame
 }
 
-// frameBody strips the uvarint length prefix the way recv does.
+// wireBody strips the uvarint length prefix the way recv does, leaving
+// the body as it travels: flag byte, then the stored or compressed
+// payload.
+func wireBody(t testing.TB, frame []byte) []byte {
+	t.Helper()
+	n, k := binary.Uvarint(frame)
+	if k <= 0 || int(n) != len(frame)-k {
+		t.Fatalf("length prefix says %d of a %d-byte frame", n, len(frame))
+	}
+	return bytes.Clone(frame[k:]) // decodeFrame keeps the body it is given
+}
+
+// frameBody is the raw checksummed body under the flag layer: what
+// decodeFrame takes.
 func frameBody(t testing.TB, frame []byte) []byte {
 	t.Helper()
-	r := bufio.NewReader(strings.NewReader(string(frame)))
-	n, err := readUvarintLen(r)
+	raw, _, err := unwrapCompressedBody(wireBody(t, frame))
 	if err != nil {
-		t.Fatalf("length prefix: %v", err)
+		t.Fatalf("unwrap: %v", err)
 	}
-	return bytes.Clone(frame[len(frame)-n:]) // decodeFrame keeps the body it is given
+	return raw
 }
 
 func decodeBinary(t *testing.T, frame []byte) message {
 	t.Helper()
 	var m message
-	if err := decodeFrame(frameBody(t, frame), &m, true, true, true, false, true, nil); err != nil {
+	if err := decodeFrame(frameBody(t, frame), &m); err != nil {
 		t.Fatalf("decodeFrame: %v", err)
 	}
 	return m
 }
 
-func readUvarintLen(r *bufio.Reader) (int, error) {
-	var x uint64
-	var s uint
-	for {
-		b, err := r.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		if b < 0x80 {
-			return int(x | uint64(b)<<s), nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-}
-
-// normalize maps the JSON codec's empty-slice/empty-map decodings onto
-// the binary codec's nil convention so the two can be DeepEqual'd.
+// normalize maps a hand-written message's empty slices onto the
+// decoder's nil convention so the two can be DeepEqual'd.
 func normalize(m message) message {
 	if len(m.Records) == 0 {
 		m.Records = nil
 	}
-	if len(m.Partial) == 0 {
-		m.Partial = nil
-	}
 	if len(m.Jobs) == 0 {
 		m.Jobs = nil
-	}
-	if len(m.Caps) == 0 {
-		m.Caps = nil
 	}
 	if len(m.Batch) == 0 {
 		m.Batch = nil
@@ -167,9 +156,6 @@ func normalize(m message) message {
 			m.Locs[i].Tasks = nil
 		}
 	}
-	if len(m.CompAddrs) == 0 {
-		m.CompAddrs = nil
-	}
 	if len(m.Reps) == 0 {
 		m.Reps = nil
 	}
@@ -181,39 +167,26 @@ func normalize(m message) message {
 	return m
 }
 
-// TestBinaryCodecMatchesJSONCodec is the round-trip property test: for
-// every corpus message, JSON round-trip and binary round-trip must
-// produce the same message.
-func TestBinaryCodecMatchesJSONCodec(t *testing.T) {
+// TestCodecRoundTrip is the round-trip property test: every corpus
+// message must come back from the wire as itself.
+func TestCodecRoundTrip(t *testing.T) {
 	for _, m := range codecMessages() {
-		line, err := json.Marshal(m)
-		if err != nil {
-			t.Fatalf("json encode %+v: %v", m, err)
-		}
-		var viaJSON message
-		if err := json.Unmarshal(line, &viaJSON); err != nil {
-			t.Fatalf("json decode: %v", err)
-		}
-		viaBin := decodeBinary(t, encodeBinary(t, m))
-		if !reflect.DeepEqual(normalize(viaBin), normalize(viaJSON)) {
-			t.Errorf("codecs disagree for %q:\n json: %+v\n  bin: %+v", m.Type, viaJSON, viaBin)
-		}
-		if !reflect.DeepEqual(normalize(viaBin), normalize(m)) {
-			t.Errorf("binary round trip of %q is lossy:\n  in: %+v\n out: %+v", m.Type, m, viaBin)
+		got := decodeBinary(t, encodeBinary(t, m))
+		if !reflect.DeepEqual(normalize(got), normalize(m)) {
+			t.Errorf("round trip of %q is lossy:\n  in: %+v\n out: %+v", m.Type, m, got)
 		}
 	}
 }
 
-// TestBinaryCodecNonFiniteValues: JSON cannot carry NaN/±Inf at all; the
-// binary codec must round-trip them bit-exactly.
+// TestBinaryCodecNonFiniteValues: a section must carry NaN/±Inf
+// bit-exactly.
 func TestBinaryCodecNonFiniteValues(t *testing.T) {
-	m := message{Type: "result", Partial: map[string]float64{
-		"nan": math.NaN(), "inf": math.Inf(1), "ninf": math.Inf(-1),
-	}}
-	got := decodeBinary(t, encodeBinary(t, m))
-	for k, want := range m.Partial {
-		if math.Float64bits(got.Partial[k]) != math.Float64bits(want) {
-			t.Errorf("Partial[%q] = %x, want %x", k, math.Float64bits(got.Partial[k]), math.Float64bits(want))
+	want := map[string]float64{"nan": math.NaN(), "inf": math.Inf(1), "ninf": math.Inf(-1)}
+	m := message{Type: "result", Folded: sectionFromMap(want)}
+	got := decodeBinary(t, encodeBinary(t, m)).Folded.toMap()
+	for k, v := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(v) {
+			t.Errorf("Folded[%q] = %x, want %x", k, math.Float64bits(got[k]), math.Float64bits(v))
 		}
 	}
 }
@@ -223,8 +196,7 @@ func TestBinaryCodecNonFiniteValues(t *testing.T) {
 func TestBinaryCodecBufferReuse(t *testing.T) {
 	var m message
 	for i, in := range codecMessages() {
-		frame := encodeBinary(t, in)
-		if err := decodeFrame(frameBody(t, frame), &m, true, true, true, false, true, nil); err != nil {
+		if err := decodeFrame(frameBody(t, encodeBinary(t, in)), &m); err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(normalize(m), normalize(in)) {
@@ -233,128 +205,17 @@ func TestBinaryCodecBufferReuse(t *testing.T) {
 	}
 }
 
-// codecGen names one binary layout generation: which capability-gated
-// field blocks its frames carry.
-type codecGen struct {
-	name                    string
-	ext, trc, red, cmp, erl bool
-}
-
-// codecGens is every layout a negotiated connection can land on (trc,
-// red and cmp all nest on ext and are independent of each other; erl is
-// only granted alongside cmp, so the list samples the reachable
-// combinations rather than exhausting all of them).
-func codecGens() []codecGen {
-	return []codecGen{
-		{"base", false, false, false, false, false},
-		{"bin2", true, false, false, false, false},
-		{"trace", true, true, false, false, false},
-		{"reduce", true, false, true, false, false},
-		{"trace+reduce", true, true, true, false, false},
-		{"comp", true, false, false, true, false},
-		{"reduce+comp", true, false, true, true, false},
-		{"trace+reduce+comp", true, true, true, true, false},
-		{"early", true, false, true, true, true},
-		{"trace+early", true, true, true, true, true},
-	}
-}
-
-// carries reports whether generation g's layout can represent m.
-func (g codecGen) carries(m message) bool {
-	if !g.ext && (m.Partitions != 0 || len(m.Parts) > 0) {
-		return false
-	}
-	if !g.trc && (m.Trace != "" || len(m.Spans) > 0) {
-		return false
-	}
-	if !g.red && (m.Run != "" || m.Reducers != 0 || m.Fetch != "" || m.Bytes != 0 || len(m.Tasks) > 0 || len(m.Locs) > 0) {
-		return false
-	}
-	if !g.cmp && (m.Rep != "" || len(m.CompAddrs) > 0 || m.Spills != 0 || m.Spilled != 0 || m.CompBytes != 0 || m.ShuffleMs != 0) {
-		return false
-	}
-	if !g.erl && (m.Total != 0 || len(m.Reps) > 0 || m.Failovers != 0) {
-		return false
-	}
-	return true
-}
-
-// decodeGen decodes one wire body under generation g, stripping the comp
-// flag layer first when g carries it — the same two steps recv performs.
-func decodeGen(body []byte, m *message, g codecGen) error {
-	if g.cmp {
-		raw, _, err := unwrapCompressedBody(body)
-		if err != nil {
-			return err
-		}
-		body = raw
-	}
-	return decodeFrame(body, m, g.ext, g.trc, g.red, g.cmp, g.erl, nil)
-}
-
-// TestBinaryCodecLegacyLayout pins the layout negotiation that keeps
-// mixed-version binary clusters decodable across all five generations
-// (base, +ext, +ext+trc, +ext+red, +ext+trc+red): each generation must
-// produce and accept exactly its own layout, refuse to encode frames
-// whose fields need a newer one, and any layout mismatch between encoder
-// and decoder must error instead of mis-decoding.
-func TestBinaryCodecLegacyLayout(t *testing.T) {
-	gens := codecGens()
-	for _, m := range codecMessages() {
-		bodies := map[string][]byte{}
-		for _, g := range gens {
-			frame, _, err := appendFrame(nil, &m, nil, g.ext, g.trc, g.red, g.cmp, g.erl)
-			if !g.carries(m) {
-				if err == nil {
-					t.Errorf("%s-layout encode of %q with newer-generation fields must fail, got none", g.name, m.Type)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s-layout encode %q: %v", g.name, m.Type, err)
-			}
-			bodies[g.name] = frameBody(t, frame)
-			var out message
-			if err := decodeGen(bodies[g.name], &out, g); err != nil {
-				t.Fatalf("%s-layout decode %q: %v", g.name, m.Type, err)
-			}
-			if !reflect.DeepEqual(normalize(out), normalize(m)) {
-				t.Errorf("%s-layout round trip of %q is lossy:\n in: %+v\nout: %+v", g.name, m.Type, m, out)
-			}
-		}
-		// A newer frame has trailing fields an older decoder must reject,
-		// and a newer decoder must reject the older frame as truncated —
-		// mismatches error, never mis-decode.
-		for _, enc := range gens {
-			body, ok := bodies[enc.name]
-			if !ok {
-				continue
-			}
-			for _, dec := range gens {
-				if enc == dec {
-					continue
-				}
-				var out message
-				if err := decodeGen(body, &out, dec); err == nil {
-					t.Errorf("%s decoder accepted a %s-layout %q frame", dec.name, enc.name, m.Type)
-				}
-			}
-		}
-	}
-}
-
 // TestDecodeFrameRejectsCorruption: every single-bit flip of a valid
-// body must be rejected (that is the CRC's whole job — JSON used to get
-// this from parse errors).
+// body must be rejected (that is the CRC's whole job).
 func TestDecodeFrameRejectsCorruption(t *testing.T) {
-	m := message{Type: "result", TaskID: 4, Partial: map[string]float64{"k": 2}}
+	m := message{Type: "result", TaskID: 4, Folded: sectionFromMap(map[string]float64{"k": 2})}
 	body := frameBody(t, encodeBinary(t, m))
 	for i := range body {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), body...)
 			mut[i] ^= 1 << bit
 			var out message
-			if err := decodeFrame(mut, &out, true, true, true, false, true, nil); err == nil {
+			if err := decodeFrame(mut, &out); err == nil {
 				t.Fatalf("flip of byte %d bit %d went undetected", i, bit)
 			}
 		}
@@ -362,48 +223,10 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 	// Truncations must be rejected too.
 	for i := 0; i < len(body); i++ {
 		var out message
-		if err := decodeFrame(body[:i], &out, true, true, true, false, true, nil); err == nil {
+		if err := decodeFrame(bytes.Clone(body[:i]), &out); err == nil {
 			t.Fatalf("truncation to %d bytes went undetected", i)
 		}
 	}
-}
-
-// FuzzDecodeFrame: arbitrary bodies must never panic or over-allocate,
-// only decode or error.
-func FuzzDecodeFrame(f *testing.F) {
-	for _, m := range codecMessages() {
-		frame, _, err := appendFrame(nil, &m, nil, true, true, true, false, true)
-		if err != nil {
-			f.Fatal(err)
-		}
-		// Seed with the body (prefix stripped): valid, truncated, corrupt.
-		body := frameBody(f, frame)
-		f.Add(body)
-		f.Add(body[:len(body)/2])
-		mut := append([]byte(nil), body...)
-		if len(mut) > 0 {
-			mut[len(mut)/3] ^= 0x10
-		}
-		f.Add(mut)
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		// Every layout generation must be panic-free on arbitrary input.
-		for _, g := range codecGens() {
-			var out message
-			err := decodeFrame(bytes.Clone(body), &out, g.ext, g.trc, g.red, g.cmp, g.erl, nil)
-			if err != nil {
-				continue
-			}
-			// A frame that decodes must re-encode under the same layout
-			// (unknown type bytes excepted: they decode to a "?N"
-			// placeholder for the ignore-unknown-frames path).
-			if _, ok := frameTypes[out.Type]; ok {
-				if _, _, err := appendFrame(nil, &out, nil, g.ext, g.trc, g.red, g.cmp, g.erl); err != nil {
-					t.Fatalf("%s-layout decoded frame failed to re-encode: %v", g.name, err)
-				}
-			}
-		}
-	})
 }
 
 // TestRegistryNamesSorted: hello and health documents must not leak map
@@ -456,124 +279,6 @@ func TestSendClearsStaleWriteDeadline(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if err := c.send(message{Type: "ping"}, 0); err != nil {
 		t.Fatalf("untimed send after a timed one failed: %v", err)
-	}
-}
-
-// legacyJSONWorker emulates a protocol-v1 worker byte for byte: JSON
-// hello without capabilities, JSON frames both ways, unknown frames
-// ignored. It proves a master that negotiates the binary codec with new
-// workers still interoperates with old ones on the same job.
-func legacyJSONWorker(t *testing.T, addr string, job Job) {
-	t.Helper()
-	raw, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = raw.Close() })
-	type legacyMsg struct {
-		Type    string             `json:"type"`
-		ID      string             `json:"id,omitempty"`
-		Job     string             `json:"job,omitempty"`
-		TaskID  int                `json:"task_id,omitempty"`
-		Attempt int                `json:"attempt,omitempty"`
-		Records []string           `json:"records,omitempty"`
-		Partial map[string]float64 `json:"partial,omitempty"`
-		Jobs    []string           `json:"jobs,omitempty"`
-	}
-	enc := json.NewEncoder(raw)
-	dec := json.NewDecoder(bufio.NewReader(raw))
-	if err := enc.Encode(legacyMsg{Type: "hello", ID: "legacy-json", Jobs: []string{job.Name}}); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			var m legacyMsg
-			if err := dec.Decode(&m); err != nil {
-				return
-			}
-			switch m.Type {
-			case "task":
-				partial := make(map[string]float64)
-				var keys []string
-				interm := make(map[string][]float64)
-				emit := func(k string, v float64) {
-					if _, ok := interm[k]; !ok {
-						keys = append(keys, k)
-					}
-					interm[k] = append(interm[k], v)
-				}
-				for _, rec := range m.Records {
-					job.Map(rec, emit)
-				}
-				for _, k := range keys {
-					partial[k] = job.Reduce(k, interm[k])
-				}
-				if err := enc.Encode(legacyMsg{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Partial: partial}); err != nil {
-					return
-				}
-			case "ping":
-				if err := enc.Encode(legacyMsg{Type: "pong"}); err != nil {
-					return
-				}
-			}
-		}
-	}()
-}
-
-// TestMixedVersionCluster runs one master with a legacy JSON worker and
-// a current binary worker side by side; the job must complete correctly
-// and both workers must execute shards.
-func TestMixedVersionCluster(t *testing.T) {
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, MaxTaskBatch: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(master.Close)
-
-	legacyJSONWorker(t, addr, wordCountJob())
-	w, err := NewWorker(mustRegistry(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Stop)
-	if err := master.WaitForWorkers(2, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	lines := testLines(t, 400)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
-	if len(got) != len(want) {
-		t.Fatalf("distinct keys %d, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("count[%q] = %g, want %g", k, got[k], v)
-		}
-	}
-	var legacyShards, otherShards int
-	for _, ws := range stats.PerWorker {
-		if ws.ID == "legacy-json" {
-			legacyShards = ws.ShardsRun
-		} else {
-			otherShards += ws.ShardsRun
-		}
-	}
-	if legacyShards == 0 || otherShards == 0 {
-		t.Errorf("both protocol versions must run shards, got legacy=%d other=%d (%+v)",
-			legacyShards, otherShards, stats.PerWorker)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// compFrameSeeds are the comp-layout wire shapes (replication, spill
-// accounting, compression hints, and a payload big enough to actually
-// compress) the focused fuzzer and the committed corpus start from.
+// compFrameSeeds are the out-of-core shuffle's wire shapes (replication,
+// spill accounting, and a payload big enough to actually compress) the
+// compressed-frame fuzzer and the committed corpus start from.
 func compFrameSeeds() []message {
 	big := map[string]float64{}
 	for i := 0; i < 754; i++ { // 29 × 26 distinct keys, 34 KB: above lzCompressThreshold
@@ -28,18 +28,17 @@ func compFrameSeeds() []message {
 		{Type: "mapdone", TaskID: 4, Run: "wc#1",
 			Parts: []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"inline": 1})}}},
 		{Type: "reducetask", Job: "wc", TaskID: 1, Run: "wc#1",
-			Locs:      []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{0, 2}}},
-			CompAddrs: []string{"127.0.0.1:7001", "127.0.0.1:7002"}},
+			Locs: []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{0, 2}}}},
 		{Type: "replicate", Run: "wc#1", TaskID: 2, Reducers: 4,
 			Parts: []partitionPartial{
 				{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
 				{ID: 3, Partial: ""},
 			}},
 		{Type: "replicack", TaskID: 2},
-		{Type: "result", TaskID: 1, Attempt: 1, Partial: map[string]float64{"folded": 9},
+		{Type: "result", TaskID: 1, Attempt: 1, Folded: sectionFromMap(map[string]float64{"folded": 9}),
 			Bytes: 1 << 20, CompBytes: 512, Spills: 1, Spilled: 2048},
-		{Type: "result", TaskID: 0, Partial: big},
-		{Type: "helloack", Caps: workerCaps(), Partitions: 4, Reducers: 4, ShuffleMs: 15000},
+		{Type: "result", TaskID: 0, Folded: sectionFromMap(big)},
+		{Type: "helloack", Partitions: 4, Reducers: 4, ShuffleMs: 15000},
 	}
 }
 
@@ -128,12 +127,7 @@ func TestLZDecompressRejectsMalformed(t *testing.T) {
 // result frame travels compressed (flag 1) and strictly smaller than its
 // raw body, and both unwrap back to the identical checksummed body.
 func TestCompFrameWireForms(t *testing.T) {
-	small := message{Type: "ping"}
-	frame, _, err := appendFrame(nil, &small, nil, true, true, true, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := frameBody(t, frame)
+	body := wireBody(t, encodeBinary(t, message{Type: "ping"}))
 	if body[0] != 0 {
 		t.Fatalf("small frame flag = %d, want 0 (stored)", body[0])
 	}
@@ -142,7 +136,7 @@ func TestCompFrameWireForms(t *testing.T) {
 		t.Fatalf("stored unwrap = (compressed=%v, %v)", compressed, err)
 	}
 	var back message
-	if err := decodeFrame(raw, &back, true, true, true, true, true, nil); err != nil {
+	if err := decodeFrame(raw, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Type != "ping" {
@@ -153,12 +147,7 @@ func TestCompFrameWireForms(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		big["shared-key-prefix-"+string(rune('a'+i%26))+string(rune('a'+(i/26)%26))+string(rune('a'+i%7))] = float64(i % 3)
 	}
-	large := message{Type: "result", TaskID: 1, Partial: big}
-	compFrame, _, err := appendFrame(nil, &large, nil, true, true, true, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compBody := frameBody(t, compFrame)
+	compBody := wireBody(t, encodeBinary(t, message{Type: "result", TaskID: 1, Folded: sectionFromMap(big)}))
 	if compBody[0] != 1 {
 		t.Fatalf("large result frame flag = %d, want 1 (compressed)", compBody[0])
 	}
@@ -170,63 +159,11 @@ func TestCompFrameWireForms(t *testing.T) {
 		t.Fatalf("compressed body %d bytes, raw %d — no wire saving", len(compBody), len(unwrapped))
 	}
 	var again message
-	if err := decodeFrame(unwrapped, &again, true, true, true, true, true, nil); err != nil {
+	if err := decodeFrame(unwrapped, &again); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again.Partial, big) {
+	if !reflect.DeepEqual(again.Folded.toMap(), big) {
 		t.Fatal("compressed result frame round trip lossy")
-	}
-}
-
-// TestCompFieldsRefusedWithoutCap: comp-block fields on a connection
-// that did not negotiate "comp" must fail the encode rather than be
-// silently dropped.
-func TestCompFieldsRefusedWithoutCap(t *testing.T) {
-	carriers := []message{
-		{Type: "task", Rep: "127.0.0.1:9"},
-		{Type: "reducetask", CompAddrs: []string{"127.0.0.1:9"}},
-		{Type: "mapdone", Spills: 1},
-		{Type: "mapdone", Spilled: 10},
-		{Type: "result", CompBytes: 10},
-		{Type: "helloack", ShuffleMs: 1000},
-	}
-	for _, m := range carriers {
-		if _, _, err := appendFrame(nil, &m, nil, true, true, true, false, true); err == nil {
-			t.Errorf("%+v encoded without the comp layout", m)
-		}
-	}
-}
-
-// TestCompCrossGenerationRejected: a comp body handed to a non-comp
-// decoder (and the reverse) must error — the flag layer shifts the
-// checksummed body by at least one byte, so the CRC or the flag sniff
-// catches every mix-up before a field is misread.
-func TestCompCrossGenerationRejected(t *testing.T) {
-	for _, m := range compFrameSeeds() {
-		compFrame, _, err := appendFrame(nil, &m, nil, true, true, true, true, true)
-		if err != nil {
-			t.Fatalf("%q: %v", m.Type, err)
-		}
-		compBody := frameBody(t, compFrame)
-		var out message
-		if err := decodeFrame(compBody, &out, true, true, true, true, true, nil); err == nil {
-			t.Errorf("%q: comp wire body decoded without unwrapping the flag layer", m.Type)
-		}
-	}
-	for _, m := range codecMessages() {
-		frame, _, err := appendFrame(nil, &m, nil, true, true, true, false, true)
-		if err != nil {
-			t.Fatalf("%q: %v", m.Type, err)
-		}
-		body := frameBody(t, frame)
-		raw, _, err := unwrapCompressedBody(body)
-		if err == nil {
-			var out message
-			err = decodeFrame(raw, &out, true, true, true, true, true, nil)
-		}
-		if err == nil {
-			t.Errorf("%q: non-comp body accepted by a comp decoder", m.Type)
-		}
 	}
 }
 
@@ -275,59 +212,7 @@ func TestCompDeclaredLengthBoundedByPayload(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCompressedFrame feeds the full comp receive path — flag
-// unwrap, decompression, CRC, layout decode — arbitrary bodies: it must
-// error or decode, never panic, and a body that decodes must re-encode
-// and round-trip to the same message.
-func FuzzDecodeCompressedFrame(f *testing.F) {
-	for _, m := range compFrameSeeds() {
-		frame, _, err := appendFrame(nil, &m, nil, true, true, true, true, true)
-		if err != nil {
-			f.Fatal(err)
-		}
-		body := frameBody(f, frame)
-		f.Add(body)
-		f.Add(body[:len(body)/2])
-		mut := append([]byte(nil), body...)
-		if len(mut) > 4 {
-			mut[4] ^= 0x40
-		}
-		f.Add(mut)
-	}
-	f.Add(overdeclaredCompBody())
-	f.Fuzz(func(t *testing.T, body []byte) {
-		raw, _, err := unwrapCompressedBody(body)
-		if err != nil {
-			return
-		}
-		for _, layout := range []struct{ trc bool }{{false}, {true}} {
-			var m message
-			if err := decodeFrame(bytes.Clone(raw), &m, true, layout.trc, true, true, true, nil); err != nil {
-				continue
-			}
-			if _, ok := frameTypes[m.Type]; !ok {
-				continue // unknown type placeholder, ignore-path
-			}
-			frame, _, err := appendFrame(nil, &m, nil, true, layout.trc, true, true, true)
-			if err != nil {
-				t.Fatalf("decoded frame failed to re-encode: %v", err)
-			}
-			raw2, _, err := unwrapCompressedBody(frameBody(t, frame))
-			if err != nil {
-				t.Fatalf("re-encoded frame failed to unwrap: %v", err)
-			}
-			var again message
-			if err := decodeFrame(raw2, &again, true, layout.trc, true, true, true, nil); err != nil {
-				t.Fatalf("re-encoded frame failed to decode: %v", err)
-			}
-			if !reflect.DeepEqual(normalize(stripSpans(again)), normalize(stripSpans(m))) {
-				t.Fatalf("comp frame round trip lossy:\n in: %+v\nout: %+v", m, again)
-			}
-		}
-	})
-}
-
-// TestCompressedCluster is the comp e2e: an all-comp cluster with inputs
+// TestCompressedCluster is the compression e2e: a cluster with inputs
 // heavy enough that fetchresult/result frames cross the compression
 // threshold must produce the reference output and report wire savings.
 func TestCompressedCluster(t *testing.T) {

@@ -1,0 +1,285 @@
+package netmr
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// The decoder fuzzers share one property (fuzzDecode) and differ in the
+// frame family their seeds come from. The seeds are committed under
+// testdata/fuzz in the native corpus format, so `go test -fuzz` and the
+// CI bursts start from the valid frame shapes instead of rediscovering
+// them, and each target also adds them itself, so a plain `go test` runs
+// them whether or not the files are there.
+
+// seedVariants are the shapes a fuzzer starts from for one valid body:
+// itself, cut short twice, and with one bit flipped.
+func seedVariants(body []byte) [][]byte {
+	mut := bytes.Clone(body)
+	if len(mut) > 4 {
+		mut[4] ^= 0x40
+	}
+	return [][]byte{body, body[:len(body)/2], body[:len(body)*2/3], mut}
+}
+
+// partitionedSeeds are the presult shapes FuzzDecodePartitionedResult
+// starts from.
+func partitionedSeeds() []message {
+	return []message{
+		{Type: "presult", TaskID: 1, Attempt: 1, Parts: []partitionPartial{
+			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1, "b": 2})},
+			{ID: 2, Partial: sectionFromMap(map[string]float64{"c": -3.5})},
+		}},
+		{Type: "presult", TaskID: 0, Parts: []partitionPartial{{ID: 7}}},
+		{Type: "presult"},
+	}
+}
+
+// spanSeeds are the traced shapes FuzzDecodeSpanSummary starts from.
+func spanSeeds() []message {
+	return []message{
+		{Type: "result", TaskID: 1, Attempt: 1, Folded: sectionFromMap(map[string]float64{"a": 1}), Trace: "wc-1", Spans: []spanSummary{
+			{Phase: "decode", Start: 0, End: 0.002},
+			{Phase: "map", Start: 0.002, End: 0.8},
+			{Phase: "combine", Start: 0.8, End: 0.9},
+			{Phase: "encode", Start: 0.9, End: 0.95},
+		}},
+		{Type: "presult", TaskID: 3, Trace: "j-9", Spans: []spanSummary{
+			{Phase: "partition", Start: 0.1, End: 0.2},
+		}, Parts: []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"k": 1})}}},
+		{Type: "result", TaskID: 2, Trace: "", Spans: nil},
+		{Type: "task", Job: "wc", TaskID: 0, Records: []string{"r"}, Trace: "wc-2"},
+	}
+}
+
+// reduceFrameSeeds are the reduce/fetch shapes FuzzDecodeReduceFrame
+// starts from.
+func reduceFrameSeeds() []message {
+	return []message{
+		{Type: "reducetask", Job: "wc", TaskID: 1, Attempt: 0, Run: "wc#1",
+			Locs: []fetchLoc{
+				{Addr: "127.0.0.1:7001", Tasks: []int{0, 2}},
+				{Addr: "127.0.0.1:7002", Tasks: []int{1}},
+			},
+			Parts: []partitionPartial{{ID: 3, Partial: sectionFromMap(map[string]float64{"inline": 1})}}},
+		{Type: "reducetask", Job: "", TaskID: -1, Run: "", Locs: []fetchLoc{{Addr: "", Tasks: nil}}},
+		{Type: "fetch", Run: "wc#1", TaskID: 0, Tasks: []int{0, 1, 2}},
+		{Type: "fetch", Run: "", TaskID: -9, Tasks: nil},
+		{Type: "fetchresult", TaskID: 0, Parts: []partitionPartial{
+			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1.5})},
+			{ID: 2, Partial: ""},
+		}},
+		{Type: "mapdone", TaskID: 2, Attempt: 1, Run: "wc#1"},
+		{Type: "result", TaskID: 1, Attempt: 2, Folded: sectionFromMap(map[string]float64{"folded": 9}), Bytes: 1 << 40},
+		{Type: "morelocs", Run: "wc#1", TaskID: 2, Locs: []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{4}}}},
+		{Type: "morelocs", Run: "wc#1", TaskID: 0, Message: "abort"},
+	}
+}
+
+// preambleSeeds open a connection the ways FuzzDecodeCompressedFrame's
+// first step must refuse: too short, another magic, another version.
+func preambleSeeds() [][]byte {
+	return [][]byte{
+		[]byte("NM"),
+		{'X', 'M', 'R', protocolVersion, 0},
+		{'N', 'M', 'R', protocolVersion + 1, 0},
+	}
+}
+
+// fuzzCorpora encodes the seed messages of every decoder fuzzer into the
+// bodies the committed corpus holds, file seed-NNN being bodies[NNN].
+func fuzzCorpora(t testing.TB) map[string][][]byte {
+	corpora := map[string][][]byte{}
+	for name, msgs := range map[string][]message{
+		"FuzzDecodeFrame":             codecMessages(),
+		"FuzzDecodeReduceFrame":       reduceFrameSeeds(),
+		"FuzzDecodePartitionedResult": partitionedSeeds(),
+		"FuzzDecodeSpanSummary":       spanSeeds(),
+	} {
+		for _, m := range msgs {
+			corpora[name] = append(corpora[name], seedVariants(frameBody(t, encodeBinary(t, m)))...)
+		}
+	}
+	// The compressed-frame fuzzer reads what a listener reads first on a
+	// new connection: the preamble, then the body under its flag layer.
+	for _, m := range compFrameSeeds() {
+		for _, body := range seedVariants(wireBody(t, encodeBinary(t, m))) {
+			corpora["FuzzDecodeCompressedFrame"] = append(corpora["FuzzDecodeCompressedFrame"], afterPreamble(body))
+		}
+	}
+	corpora["FuzzDecodeCompressedFrame"] = append(corpora["FuzzDecodeCompressedFrame"], preambleSeeds()...)
+	return corpora
+}
+
+// fuzzDecode is the property every decoder fuzzer checks on a raw body:
+// it decodes or errors, never panics; what it decodes is no larger than
+// what it was given, walks without failing, re-encodes and round-trips to
+// the same message.
+func fuzzDecode(t *testing.T, body []byte) {
+	var m message
+	if err := decodeFrame(bytes.Clone(body), &m); err != nil {
+		return
+	}
+	walkSections(&m) // an accepted section can be iterated without failing
+	for _, loc := range m.Locs {
+		if len(loc.Addr) > len(body) {
+			t.Fatalf("loc addr of %d bytes from a %d-byte body", len(loc.Addr), len(body))
+		}
+	}
+	if len(m.Tasks) > len(body) {
+		t.Fatalf("%d task ids from a %d-byte body", len(m.Tasks), len(body))
+	}
+	for _, s := range m.Spans {
+		if len(s.Phase) > len(body) {
+			t.Fatalf("span phase of %d bytes from a %d-byte body", len(s.Phase), len(body))
+		}
+	}
+	if _, ok := frameTypes[m.Type]; !ok {
+		return // unknown type placeholder, ignore-path
+	}
+	frame, err := appendFrame(nil, &m, nil)
+	if err != nil {
+		t.Fatalf("decoded frame failed to re-encode: %v", err)
+	}
+	var again message
+	if err := decodeFrame(frameBody(t, frame), &again); err != nil {
+		t.Fatalf("re-encoded frame failed to decode: %v", err)
+	}
+	if !sameSpans(m.Spans, again.Spans) {
+		t.Fatalf("span summaries lossy:\n in: %+v\nout: %+v", m.Spans, again.Spans)
+	}
+	if !reflect.DeepEqual(normalize(stripSpans(again)), normalize(stripSpans(m))) {
+		t.Fatalf("round trip lossy:\n in: %+v\nout: %+v", m, again)
+	}
+}
+
+// sameSpans compares span summaries bit-exactly (NaN intervals from
+// fuzzed bodies defeat DeepEqual's float semantics on some fields).
+func sameSpans(a, b []spanSummary) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Phase != b[i].Phase ||
+			math.Float64bits(a[i].Start) != math.Float64bits(b[i].Start) ||
+			math.Float64bits(a[i].End) != math.Float64bits(b[i].End) {
+			return false
+		}
+	}
+	return true
+}
+
+func stripSpans(m message) message {
+	m.Spans = nil
+	return m
+}
+
+// seedDecoderFuzz adds the named corpora and the sections that lie about
+// their contents.
+func seedDecoderFuzz(f *testing.F, names ...string) {
+	corpora := fuzzCorpora(f)
+	for _, name := range names {
+		for _, body := range corpora[name] {
+			f.Add(body)
+		}
+	}
+	for _, body := range sortedBodies(badSectionBodies(f)) {
+		f.Add(body)
+	}
+}
+
+// FuzzDecodeFrame: arbitrary bodies must never panic or over-allocate,
+// only decode or error. It starts from every seed family; CI fuzzes this
+// target.
+func FuzzDecodeFrame(f *testing.F) {
+	seedDecoderFuzz(f, "FuzzDecodeFrame", "FuzzDecodePartitionedResult", "FuzzDecodeSpanSummary", "FuzzDecodeReduceFrame")
+	f.Fuzz(fuzzDecode)
+}
+
+// The three targets below are FuzzDecodeFrame started from one family of
+// seeds each: presult frames, traced frames, the reduce phase's frames.
+// They stay as named replays of their committed corpora.
+
+func FuzzDecodePartitionedResult(f *testing.F) {
+	seedDecoderFuzz(f, "FuzzDecodePartitionedResult")
+	f.Fuzz(fuzzDecode)
+}
+
+func FuzzDecodeSpanSummary(f *testing.F) {
+	seedDecoderFuzz(f, "FuzzDecodeSpanSummary")
+	f.Fuzz(fuzzDecode)
+}
+
+func FuzzDecodeReduceFrame(f *testing.F) {
+	seedDecoderFuzz(f, "FuzzDecodeReduceFrame")
+	f.Fuzz(fuzzDecode)
+}
+
+// FuzzDecodeCompressedFrame feeds the receive path of a new connection —
+// preamble check, flag unwrap, decompression, CRC, decode — arbitrary
+// bytes: it must refuse or decode, never panic, and a body that decodes
+// must re-encode and round-trip to the same message.
+func FuzzDecodeCompressedFrame(f *testing.F) {
+	for _, stream := range fuzzCorpora(f)["FuzzDecodeCompressedFrame"] {
+		f.Add(stream)
+	}
+	f.Add(afterPreamble(overdeclaredCompBody()))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		var p [len(preamble)]byte
+		if copy(p[:], stream) < len(p) || checkPreamble(p) != nil {
+			return
+		}
+		raw, _, err := unwrapCompressedBody(bytes.Clone(stream[len(p):]))
+		if err != nil {
+			return
+		}
+		fuzzDecode(t, raw)
+	})
+}
+
+// TestWriteFuzzCorpus regenerates the committed seed corpus under
+// testdata/fuzz when NETMR_WRITE_FUZZ_CORPUS is set.
+func TestWriteFuzzCorpus(t *testing.T) {
+	if os.Getenv("NETMR_WRITE_FUZZ_CORPUS") == "" {
+		t.Skip("set NETMR_WRITE_FUZZ_CORPUS=1 to regenerate testdata/fuzz")
+	}
+	for fuzzName, bodies := range fuzzCorpora(t) {
+		dir := filepath.Join("testdata", "fuzz", fuzzName)
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range bodies {
+			content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b)
+			name := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
+			if err := os.WriteFile(name, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestCommittedCorpusMatchesEncoder: the corpus under testdata/fuzz is
+// the encoder's output for the seed messages, byte for byte: an encoder
+// change that moves a byte shows here, and is a protocolVersion bump.
+func TestCommittedCorpusMatchesEncoder(t *testing.T) {
+	for fuzzName, bodies := range fuzzCorpora(t) {
+		for i, b := range bodies {
+			name := filepath.Join("testdata", "fuzz", fuzzName, fmt.Sprintf("seed-%03d", i))
+			got, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b); string(got) != want {
+				t.Errorf("%s: the encoder no longer produces the committed bytes", name)
+			}
+		}
+	}
+}

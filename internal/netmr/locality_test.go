@@ -266,7 +266,7 @@ func TestPartiallyHeldLocationIsSplit(t *testing.T) {
 	locs := []fetchLoc{{Addr: primary.fetchAddr, Tasks: []int{0, 1, 2}}, {Addr: reducer.fetchAddr, Tasks: []int{3}}}
 	before := readFetchCounts()
 	for p := 0; p < R; p++ {
-		results, err := reducer.fetchRound(run, p, locs, nil, nil, false, defaultShuffleTimeout)
+		results, err := reducer.fetchRound(run, p, locs, nil, defaultShuffleTimeout)
 		if err != nil {
 			t.Fatalf("partition %d: %v", p, err)
 		}
@@ -303,7 +303,7 @@ func TestDamagedLocalCopyIsRerouted(t *testing.T) {
 	locs := []fetchLoc{{Addr: peer.fetchAddr, Tasks: []int{0, 1, 2}}, {Addr: reducer.fetchAddr, Tasks: []int{3}}}
 	repOf := map[int]string{3: peer.fetchAddr}
 	for p := 0; p < R; p++ {
-		results, err := reducer.fetchRound(run, p, locs, repOf, nil, false, defaultShuffleTimeout)
+		results, err := reducer.fetchRound(run, p, locs, repOf, defaultShuffleTimeout)
 		if err != nil {
 			t.Fatalf("partition %d: %v", p, err)
 		}
@@ -316,7 +316,7 @@ func TestDamagedLocalCopyIsRerouted(t *testing.T) {
 		if failovers != 2 {
 			t.Errorf("partition %d: %d failovers, want 2 (the replica to its primary, the own output to its replica)", p, failovers)
 		}
-		_, err = reducer.fetchRound(run, p, locs, nil, nil, false, defaultShuffleTimeout)
+		_, err = reducer.fetchRound(run, p, locs, nil, defaultShuffleTimeout)
 		var fe *fetchError
 		if !errors.As(err, &fe) || fe.addr != reducer.fetchAddr {
 			t.Errorf("partition %d, no replica named: err = %v, want a fetchError naming the reducer's own address", p, err)
@@ -391,9 +391,9 @@ func TestMapperLossFinishesFromLocalReplica(t *testing.T) {
 	}
 }
 
-// TestPickReplicaAddrRing pins the placement rule: the next live comp
+// TestPickReplicaAddrRing pins the placement rule: the next live
 // address after the mapper's, wrapping, never the mapper itself, dead
-// and non-comp addresses skipped, "" when no peer qualifies.
+// addresses skipped, "" when no peer qualifies.
 func TestPickReplicaAddrRing(t *testing.T) {
 	m, err := NewMaster(mustRegistry(t), MasterConfig{})
 	if err != nil {
@@ -402,14 +402,13 @@ func TestPickReplicaAddrRing(t *testing.T) {
 	if got := m.pickReplicaAddr("a:1"); got != "" {
 		t.Errorf("no address registered: got %q, want none", got)
 	}
-	m.addFetchAddr("a:1", true)
+	m.addFetchAddr("a:1")
 	if got := m.pickReplicaAddr("a:1"); got != "" {
 		t.Errorf("single live address: got %q, want none (a replica beside its primary is no replica)", got)
 	}
 	for _, addr := range []string{"b:1", "c:1", "d:1"} {
-		m.addFetchAddr(addr, true)
+		m.addFetchAddr(addr)
 	}
-	m.addFetchAddr("b:2", false) // reduce-only generation: cannot take a replicate frame
 	for self, want := range map[string]string{"a:1": "b:1", "b:1": "c:1", "c:1": "d:1", "d:1": "a:1", "b:2": "c:1", "zz:9": "a:1"} {
 		if got := m.pickReplicaAddr(self); got != want {
 			t.Errorf("pickReplicaAddr(%q) = %q, want %q", self, got, want)

@@ -66,13 +66,11 @@ type MasterConfig struct {
 	// SpeculationMaxClones bounds the clones per shard (default 1).
 	SpeculationMaxClones int
 
-	// Partitions is the merge partition count P: arriving shard results
-	// are hash-split into P key ranges, each folded by its own goroutine
-	// while the map phase drains and finalized in parallel. Workers that
-	// negotiate the "part" capability are told P in the helloack and ship
-	// results pre-split, moving the hashing off the master entirely.
-	// Zero defaults to GOMAXPROCS; 1 keeps the merge single-partition
-	// (still map-overlapped).
+	// Partitions is the merge partition count P: workers are told P in
+	// the helloack and ship every shard result hash-split into P key
+	// ranges, each folded on the master by its own goroutine while the map
+	// phase drains and finalized in parallel. Zero defaults to GOMAXPROCS;
+	// 1 keeps the merge single-partition (still map-overlapped).
 	Partitions int
 	// SerialMerge restores the pre-partitioning merge: wait at the split
 	// barrier, then fold every partial through one goroutine. It exists
@@ -82,54 +80,41 @@ type MasterConfig struct {
 	SerialMerge bool
 
 	// Reducers, when positive, promotes reduce to a distributed phase
-	// with R = Reducers reduce tasks: reduce-capable workers persist
-	// their partitioned map output locally and answer with a payload-free
-	// mapdone, the master assigns the R partitions back to those workers
-	// as reduce tasks (scheduled through the same retry/backoff/
-	// speculation loop as map shards), and intermediate data flows
-	// worker→worker over fetch frames. Map results from v1/non-reduce
-	// workers are split on the master and relayed inline on the reduce
-	// task frames, so mixed clusters still merge byte-identically. It
-	// forces Partitions = Reducers (the two phases must agree on the key
-	// hash space); a run that starts with no reduce-capable worker falls
-	// back to the master-side merge engine transparently. Zero (the
-	// default) keeps the reduce on the master.
+	// with R = Reducers reduce tasks: workers persist their partitioned
+	// map output locally and answer with a mapdone, the master assigns the
+	// R partitions back to the workers as reduce tasks (scheduled through
+	// the same retry/backoff/speculation loop as map shards), and
+	// intermediate data flows worker→worker over fetch frames. It forces
+	// Partitions = Reducers (the two phases must agree on the key hash
+	// space). Zero (the default) keeps the reduce on the master.
 	Reducers int
 
 	// ShuffleTimeout bounds one worker-to-worker shuffle round-trip — a
 	// reducer's fetch of a peer's stored partitions, or a mapper's
-	// replication push (default 30 s). Workers learn it on the helloack
-	// of a reduce grant; workers on older generations keep their own
-	// built-in default.
+	// replication push (default 30 s). Workers learn it on the helloack.
 	ShuffleTimeout time.Duration
 
-	// EarlyShuffle, when true (and the distributed reduce engages), lets
-	// the master dispatch reduce tasks before the map barrier: once the
-	// first map output lands, idle early-capable reduce workers receive
-	// a reducetask announcing the run's total map count, and the
-	// locations of later outputs stream to them over morelocs frames as
-	// their mapdones land — so fetch time hides under the map tail
-	// instead of serializing behind the barrier. Workers without the
-	// "early" capability, and runs with this off, keep the barrier path
-	// byte-identically; the job output is byte-identical either way.
+	// EarlyShuffle, when true (and Reducers is set), lets the master
+	// dispatch reduce tasks before the map barrier: once the first map
+	// output lands, idle workers receive a reducetask announcing the
+	// run's total map count, and the locations of later outputs stream to
+	// them over morelocs frames as their mapdones land — so fetch time
+	// hides under the map tail instead of serializing behind the barrier.
+	// The job output is byte-identical either way.
 	EarlyShuffle bool
 
 	// MaxTaskBatch caps how many ready shards one dispatch may pack
-	// into a single taskbatch frame for a worker that negotiated the
-	// "batch" capability (default 1: every shard travels in its own
-	// frame, the v1 behavior). Batching amortizes the per-frame framing
+	// into a single taskbatch frame (default 1: every shard travels in
+	// its own frame). Batching amortizes the per-frame framing
 	// and syscall cost when shards are small; the worker still answers
 	// one result frame per shard, so retry, speculation and accounting
 	// see individual shards throughout.
 	MaxTaskBatch int
 
-	// Trace enables distributed job tracing: every Run assembles a
-	// JobTrace of launch-level spans (with worker-reported sub-phases
-	// from workers that negotiated the "trace" capability) and the
-	// split/merge master phases, retrievable via LastTrace. Workers
-	// without the capability still participate — their launches appear
-	// in the trace without sub-phase detail and their frames stay
-	// byte-identical to an untraced cluster's.
+	// Trace enables distributed job tracing: every Run stamps its trace
+	// ID on the task frames, which asks the workers to report their
+	// sub-phases, and assembles a JobTrace of launch-level spans and the
+	// split/merge master phases, retrievable via LastTrace.
 	Trace bool
 
 	// Chaos, when set, wraps every admitted worker connection with the
@@ -195,8 +180,7 @@ func (c MasterConfig) withDefaults() MasterConfig {
 		c.Reducers = 0
 	}
 	if c.Reducers > 0 {
-		// The reduce partition space is the merge partition space: workers
-		// pre-split by it either way, and the relay fallback buckets by it.
+		// The reduce partition space is the merge partition space.
 		c.Partitions = c.Reducers
 	}
 	return c
@@ -272,7 +256,6 @@ type Stats struct {
 	Shards           int           // split-phase tasks
 	Partitions       int           // merge partitions (folder goroutines)
 	Completed        int           // shards that delivered a result
-	PrePartitioned   int           // winning results that arrived pre-split by a worker
 	Reassignments    int           // tasks requeued (with backoff) after a launch failure
 	Speculations     int           // speculative clones launched for stragglers
 	SpecWins         int           // tasks won by a speculative clone
@@ -285,19 +268,17 @@ type Stats struct {
 	PerWorker        []WorkerStats // per-worker breakdown, sorted by ID
 
 	// Distributed-reduce accounts, all zero when the run merged on the
-	// master (Reducers unset, SerialMerge, or no reduce-capable worker
-	// present at job start — the transparent fallback).
-	Reducers          int           // reduce tasks the run distributed (R)
-	ReduceTasks       int           // reduce tasks that delivered a partition result
-	MapOutputsStored  int           // winning map outputs persisted worker-side for peer fetches
-	MapOutputsRelayed int           // winning map outputs split on the master and relayed inline
-	ShuffleBytes      int64         // intermediate bytes reducers fetched over a socket (reads from a reducer's own store count nothing)
-	ReduceWall        time.Duration // reduce phase wall (split barrier to last reduce result)
+	// master (Reducers unset, or SerialMerge).
+	Reducers         int           // reduce tasks the run distributed (R)
+	ReduceTasks      int           // reduce tasks that delivered a partition result
+	MapOutputsStored int           // winning map outputs persisted worker-side for peer fetches
+	ShuffleBytes     int64         // intermediate bytes reducers fetched over a socket (reads from a reducer's own store count nothing)
+	ReduceWall       time.Duration // reduce phase wall (split barrier to last reduce result)
 
 	// Out-of-core shuffle accounts: how much of the run's intermediate
 	// state left memory (spill), how much wire volume compression saved,
 	// and what intermediate losses cost. All zero on a run that fit in
-	// memory on an all-healthy comp cluster.
+	// memory on an all-healthy cluster.
 	SpillRuns       int           // sorted spill runs workers flushed under memory pressure
 	SpilledBytes    int64         // bytes of intermediate state written to spill files
 	CompressedBytes int64         // shuffle wire bytes saved by frame compression
@@ -312,14 +293,9 @@ type Stats struct {
 }
 
 type workerHandle struct {
-	id     string
-	c      *conn
-	batch  bool   // worker negotiated multi-shard taskbatch frames
-	trace  bool   // worker negotiated span-summary reporting
-	reduce bool   // worker negotiated the distributed reduce phase
-	comp   bool   // worker negotiated compressed frames + replication
-	early  bool   // worker negotiated the pipelined-shuffle layout
-	fetch  string // shuffle listener address of a reduce-capable worker
+	id    string
+	c     *conn
+	fetch string // the worker's shuffle listener address
 }
 
 // Master coordinates a pool of connected workers.
@@ -328,17 +304,16 @@ type Master struct {
 	registry *Registry
 	metrics  *masterMetrics
 
-	ln       net.Listener
-	idle     chan *workerHandle
-	count    atomic.Int64
-	redCount atomic.Int64 // admitted reduce-capable workers not yet lost
-	runSeq   atomic.Int64 // run ids for intermediate-output keying
-	runMu    sync.Mutex   // one Run at a time
-	closeMu  sync.Mutex
-	closed   bool
-	hbStop   chan struct{}
-	hbDone   chan struct{}
-	obsSrv   *obs.Server
+	ln      net.Listener
+	idle    chan *workerHandle
+	count   atomic.Int64
+	runSeq  atomic.Int64 // run ids for intermediate-output keying
+	runMu   sync.Mutex   // one Run at a time
+	closeMu sync.Mutex
+	closed  bool
+	hbStop  chan struct{}
+	hbDone  chan struct{}
+	obsSrv  *obs.Server
 
 	// Health state surfaced on /healthz: evicted counts workers dropped
 	// since the last clean Run, degraded marks a Run that had to lean on
@@ -351,22 +326,20 @@ type Master struct {
 	traceMu  sync.Mutex
 	last     *JobTrace
 
-	// Shuffle-address liveness: which reduce-capable shuffle listeners are
-	// believed reachable, and which of them speak the comp generation. An
-	// address is marked dead when its worker is dropped or when a reducer
-	// reports a failed fetch against it; the reduce scheduler consults the
-	// registry per dispatch to route around dead holders via replicas.
+	// Shuffle-address liveness: which workers' shuffle listeners are
+	// believed reachable. An address is marked dead when its worker is
+	// dropped or when a reducer reports a failed fetch against it; the
+	// reduce scheduler consults the registry per dispatch to route around
+	// dead holders via replicas.
 	addrMu   sync.Mutex
 	addrLive map[string]bool
-	addrComp map[string]bool
 }
 
 // addFetchAddr registers (or revives) a shuffle listener address.
-func (m *Master) addFetchAddr(addr string, comp bool) {
+func (m *Master) addFetchAddr(addr string) {
 	m.addrMu.Lock()
 	defer m.addrMu.Unlock()
 	m.addrLive[addr] = true
-	m.addrComp[addr] = comp
 }
 
 // markAddrDead records that fetches against addr should not be routed.
@@ -385,15 +358,14 @@ func (m *Master) addrAlive(addr string) bool {
 	return m.addrLive[addr]
 }
 
-// liveCompAddrs returns the sorted live comp-generation shuffle
-// addresses — the peers a comp reducer may dial with the flag layer, and
-// the candidate replica holders.
-func (m *Master) liveCompAddrs() []string {
+// liveAddrs returns the sorted live shuffle addresses — the candidate
+// replica holders.
+func (m *Master) liveAddrs() []string {
 	m.addrMu.Lock()
 	defer m.addrMu.Unlock()
 	out := make([]string, 0, len(m.addrLive))
 	for addr, live := range m.addrLive {
-		if live && m.addrComp[addr] {
+		if live {
 			out = append(out, addr)
 		}
 	}
@@ -402,14 +374,14 @@ func (m *Master) liveCompAddrs() []string {
 }
 
 // pickReplicaAddr chooses the replica holder for a mapper at self: the
-// next live comp shuffle address after the mapper's own in sorted order,
+// next live shuffle address after the mapper's own in sorted order,
 // wrapping (a replica on the primary's disk would die with it). The
 // ring spreads replica bytes evenly, so every reducer finds its own
 // output and its predecessor's replica, 2/n of its partition, in its
-// own store. Empty when the mapper is the only comp-capable worker — the
-// master then holds the fallback copy inline on the mapdone frame.
+// own store. Empty when the mapper is the only live worker — the master
+// then holds the fallback copy inline on the mapdone frame.
 func (m *Master) pickReplicaAddr(self string) string {
-	addrs := m.liveCompAddrs()
+	addrs := m.liveAddrs()
 	at := sort.SearchStrings(addrs, self)
 	for i := range addrs {
 		if addr := addrs[(at+i)%len(addrs)]; addr != self {
@@ -432,7 +404,6 @@ func NewMaster(registry *Registry, cfg MasterConfig) (*Master, error) {
 		metrics:  newMasterMetrics(cfg.Metrics),
 		idle:     make(chan *workerHandle, 1024),
 		addrLive: make(map[string]bool),
-		addrComp: make(map[string]bool),
 	}, nil
 }
 
@@ -491,143 +462,39 @@ func (m *Master) acceptLoop(ln net.Listener) {
 	}
 }
 
+// admit completes one worker's handshake: read the hello (and with it
+// the preamble: a peer of another version is refused there), answer with
+// the cluster's values, and put the handle in the idle pool. The shuffle
+// address and the worker count are registered before the handle becomes
+// visible — a Run that draws it must find both — and withdrawn if the
+// helloack cannot be sent or the pool is full.
 func (m *Master) admit(raw net.Conn) {
 	c := newConn(m.cfg.Chaos.WrapConn("", raw))
 	hello, err := c.recv(10 * time.Second)
-	if err != nil || hello.Type != "hello" {
+	if err != nil || hello.Type != "hello" || hello.ID == "" || hello.Fetch == "" {
 		_ = c.close()
 		return
 	}
-	id := hello.ID
-	if id == "" {
-		id = raw.RemoteAddr().String() // pre-ID workers: the peer address
-	}
-	w := &workerHandle{id: id, c: c}
-	// Capability negotiation: accept the capabilities we understand and
-	// confirm them with a JSON helloack, after which both directions of
-	// this connection speak the binary codec. Workers that offered
-	// nothing (protocol v1) never see a helloack and stay on JSON.
-	offered := make(map[string]bool, len(hello.Caps))
-	for _, o := range hello.Caps {
-		offered[o] = true
-	}
-	var accepted []string
-	if offered[capBinary] {
-		accepted = append(accepted, capBinary)
-		// The bin2 layout revision (trailing Partitions/Parts fields) is
-		// granted only when both sides speak it, so a mixed-version
-		// binary cluster keeps the base layout both generations decode.
-		if offered[capBinaryExt] {
-			accepted = append(accepted, capBinaryExt)
+	w := &workerHandle{id: hello.ID, c: c, fetch: hello.Fetch}
+	m.addFetchAddr(w.fetch)
+	m.count.Add(1)
+	ack := message{Type: "helloack", Partitions: m.cfg.Partitions, Reducers: m.cfg.Reducers, ShuffleMs: m.cfg.ShuffleTimeout.Milliseconds()}
+	admitted := c.send(ack, 10*time.Second) == nil
+	if admitted {
+		select {
+		case m.idle <- w:
+		default:
+			admitted = false // pool full
 		}
 	}
-	if offered[capBatch] {
-		accepted = append(accepted, capBatch)
+	if !admitted {
+		m.markAddrDead(w.fetch)
+		m.count.Add(-1)
+		_ = c.close()
+		return
 	}
-	// Partitioned results only pay off when the master actually runs a
-	// partitioned merge, and they need a wire shape that can carry them:
-	// JSON does natively, the binary codec only with the bin2 layout —
-	// granting part to a bin-without-bin2 worker would make its presult
-	// frames unencodable.
-	if offered[capPartition] && !m.cfg.SerialMerge && m.cfg.Partitions > 1 &&
-		(!offered[capBinary] || offered[capBinaryExt]) {
-		accepted = append(accepted, capPartition)
-	}
-	// Trace spans ride the same wire-shape rule as partitioned results:
-	// JSON carries them natively, the binary codec only with the trc
-	// layout that nests on bin2 — granting trace to a bin-without-bin2
-	// worker would make its result frames unencodable. Without the
-	// grant a worker's frames stay byte-identical to an untraced one's.
-	if m.cfg.Trace && offered[capTrace] && (!offered[capBinary] || offered[capBinaryExt]) {
-		accepted = append(accepted, capTrace)
-	}
-	// Distributed reduce follows the same wire-shape rule again (its
-	// fields ride a further layout block on bin2) and additionally needs
-	// the worker to have a reachable shuffle listener — a reduce grant
-	// without a fetch address would strand its stored map outputs.
-	if m.cfg.Reducers > 0 && offered[capReduce] && hello.Fetch != "" &&
-		(!offered[capBinary] || offered[capBinaryExt]) {
-		accepted = append(accepted, capReduce)
-	}
-	// Compressed frames wrap binary bodies in a flag layer, so the grant
-	// requires the full binary stack; a comp grant also opts the worker
-	// into intermediate replication (the Rep field rides the same layout
-	// block). JSON and older binary workers keep byte-identical frames.
-	if offered[capComp] && offered[capBinary] && offered[capBinaryExt] {
-		accepted = append(accepted, capComp)
-	}
-	// The early (pipelined-shuffle) layout nests on the comp generation:
-	// morelocs streaming leans on comp's fetch-failure reporting and
-	// replica plumbing, so the grant requires the comp grant. The layout
-	// is granted even when EarlyShuffle is off — reducetask frames then
-	// carry replica locations (Reps) for worker-local failover, with
-	// Total zero keeping the barrier gather.
-	if offered[capEarly] && offered[capComp] && offered[capBinary] && offered[capBinaryExt] {
-		accepted = append(accepted, capEarly)
-	}
-	if len(accepted) > 0 {
-		// If the helloack does not go out (e.g. an injected drop), the
-		// worker never hears of the upgrade — admit the connection on
-		// plain JSON rather than rejecting it, keeping both sides on the
-		// same codec. A genuinely broken connection fails its first
-		// dispatch and is dropped there.
-		ack := message{Type: "helloack", Caps: accepted}
-		for _, a := range accepted {
-			switch a {
-			case capPartition:
-				ack.Partitions = m.cfg.Partitions
-			case capReduce:
-				ack.Reducers = m.cfg.Reducers
-				// The shuffle deadline travels with the reduce grant so the
-				// whole cluster agrees on when a fetch has hung.
-				ack.ShuffleMs = m.cfg.ShuffleTimeout.Milliseconds()
-			}
-		}
-		if err := c.send(ack, 10*time.Second); err == nil {
-			for _, a := range accepted {
-				switch a {
-				case capBinary:
-					c.binary = true
-				case capBinaryExt:
-					c.binExt = true
-				case capBatch:
-					w.batch = true
-				case capTrace:
-					c.trc = true
-					w.trace = true
-				case capReduce:
-					c.red = true
-					w.reduce = true
-					w.fetch = hello.Fetch
-				case capComp:
-					c.cmp = true
-					w.comp = true
-				case capEarly:
-					c.erl = true
-					w.early = true
-				}
-			}
-		}
-	}
-	if w.reduce && w.fetch != "" {
-		m.addFetchAddr(w.fetch, w.comp)
-	}
-	codec := "json"
-	if c.binary {
-		codec = "bin"
-	}
-	m.metrics.codecs.With(codec).Inc()
-	select {
-	case m.idle <- w:
-		m.count.Add(1)
-		if w.reduce {
-			m.redCount.Add(1)
-		}
-		m.metrics.workersJoined.Inc()
-		m.metrics.workers.Set(float64(m.count.Load()))
-	default:
-		_ = c.close() // pool full
-	}
+	m.metrics.workersJoined.Inc()
+	m.metrics.workers.Set(float64(m.count.Load()))
 }
 
 // dropWorker closes a failed worker's connection and updates the
@@ -635,13 +502,8 @@ func (m *Master) admit(raw net.Conn) {
 // /healthz until a Run completes cleanly on the surviving population.
 func (m *Master) dropWorker(w *workerHandle) {
 	_ = w.c.close()
-	if w.fetch != "" {
-		m.markAddrDead(w.fetch)
-	}
+	m.markAddrDead(w.fetch)
 	m.count.Add(-1)
-	if w.reduce {
-		m.redCount.Add(-1)
-	}
 	m.evicted.Add(1)
 	m.metrics.workersLost.Inc()
 	m.metrics.workers.Set(float64(m.count.Load()))
@@ -783,21 +645,17 @@ func (l *perWorkerLedger) snapshot() []WorkerStats {
 	return out
 }
 
-// launchDone is a successful launch's report back to the Run loop: a
-// flat partial (result frame), a worker-partitioned one (presult —
-// recorded in prepart, since the frame type is the ledger's ground
-// truth for who actually pre-split), or a persisted one (mapdone — the
-// payload stayed on the worker, whose shuffle address rides along). The
-// reduce phase reuses the same struct for its partition results — sec,
-// the folded partition as the section it arrived as — with bytes carrying
-// the shuffle volume the reducer reported.
+// launchDone is a successful launch's report back to the Run loop: a map
+// task's partitioned output (presult), or a persisted one (mapdone — the
+// payload stayed on the worker, whose shuffle address rides along, parts
+// then being the copy the master holds for a mapper that could not
+// replicate). The reduce phase reuses the same struct for its partition
+// results — sec, the folded partition as the section it arrived as — with
+// bytes carrying the shuffle volume the reducer reported.
 type launchDone struct {
 	task      shardTask
-	partial   map[string]float64
 	sec       section
 	parts     []partitionPartial
-	prepart   bool
-	stored    bool
 	fetchAddr string
 	repAddr   string // peer holding the replica of a stored output ("" = none)
 	bytes     int64
@@ -832,9 +690,10 @@ type launchFail struct {
 	err  error
 }
 
-// Run scatters records into shards across the connected workers, waits
-// for the barrier, merges the partials serially, and returns the reduced
-// result with the phase timings. Reduce must be associative and
+// Run scatters records into shards across the connected workers, merges
+// their partitioned output (on the master, or with Reducers set by reduce
+// tasks on the workers), and returns the reduced result with the phase
+// timings. Reduce must be associative and
 // commutative over its values (it is applied both as the workers'
 // map-side combiner and as the master's merge).
 //
@@ -909,15 +768,9 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	ledger := newPerWorkerLedger()
 	defer func() { stats.PerWorker = ledger.snapshot() }()
 
-	// Distributed reduce engages only when configured and at least one
-	// reduce-capable worker is present right now; otherwise the run falls
-	// back to the master-side merge engine transparently (the output is
-	// byte-identical either way). The decision is taken once per run: a
-	// reduce worker joining mid-run simply is not leaned on this time.
-	useReduce := m.cfg.Reducers > 0 && m.redCount.Load() > 0
+	useReduce := m.cfg.Reducers > 0
 	runID := fmt.Sprintf("%s#%d", jobName, m.runSeq.Add(1))
-	var mapLocs map[int]string     // map task id → winning worker's shuffle address
-	var relay [][]partitionPartial // reduce partition → relayed per-map-task partials
+	var mapLocs map[int]string // map task id → winning worker's shuffle address
 	// Replica bookkeeping: where each stored map output's peer copy lives
 	// (replicaLocs), and the master-held copies of outputs whose mapper
 	// could not replicate — no eligible peer, or the push failed — which
@@ -928,7 +781,6 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	if useReduce {
 		stats.Reducers = m.cfg.Reducers
 		mapLocs = make(map[int]string, shards)
-		relay = make([][]partitionPartial, m.cfg.Reducers)
 		replicaLocs = make(map[int]string, shards)
 		replicaParts = make(map[int][]partitionPartial)
 	}
@@ -978,8 +830,8 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	}
 
 	// dispatch ships one or several shards to a worker: a single shard in
-	// its own task frame (the only shape JSON workers understand), several
-	// in one taskbatch frame. The worker answers one result frame per
+	// its own task frame, several in one taskbatch frame. The worker
+	// answers one frame — a presult, or in reduce mode a mapdone — per
 	// shard in order; each is reported individually, so a conn failure
 	// mid-batch fails exactly the still-unacknowledged shards.
 	dispatch := func(w *workerHandle, tasks []shardTask, launches []int) {
@@ -989,38 +841,26 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 			}
 			return launches[i]
 		}
-		// Only trace-capable workers see the trace ID on their frames;
-		// everyone else's frames stay byte-identical to an untraced run.
-		traceID := ""
-		if trc != nil && w.trace {
-			traceID = trc.ID
-		}
-		// Only reduce-capable workers are told to persist (the Run stamp);
-		// everyone else ships results as before and the master relays them
-		// into the reduce tasks.
-		run := ""
-		if useReduce && w.reduce {
-			run = runID
-		}
-		// A comp worker persisting output is named a replica peer — the
-		// next live comp shuffle listener after its own — so its
-		// partitions survive the worker. No eligible peer leaves Rep
-		// empty and the worker ships the copy back inline instead.
-		rep := ""
-		if run != "" && w.comp {
-			rep = m.pickReplicaAddr(w.fetch)
+		// In reduce mode the Run stamp tells the worker to persist its
+		// output, and Rep names it a replica peer — the next live shuffle
+		// listener after its own — so its partitions survive the worker.
+		// No eligible peer leaves Rep empty and the worker ships the copy
+		// back inline instead.
+		run, rep, want := "", "", "presult"
+		if useReduce {
+			run, rep, want = runID, m.pickReplicaAddr(w.fetch), "mapdone"
 		}
 		start := time.Now()
 		var err error
 		if len(tasks) == 1 {
 			t := tasks[0]
-			err = w.c.send(message{Type: "task", Job: jobName, TaskID: t.id, Attempt: t.attempts, Records: t.records, Run: run, Rep: rep, Trace: traceID}, m.cfg.TaskTimeout)
+			err = w.c.send(message{Type: "task", Job: jobName, TaskID: t.id, Attempt: t.attempts, Records: t.records, Run: run, Rep: rep, Trace: trc.frameID()}, m.cfg.TaskTimeout)
 		} else {
 			specs := make([]taskSpec, len(tasks))
 			for i, t := range tasks {
 				specs[i] = taskSpec{Job: jobName, TaskID: t.id, Attempt: t.attempts, Records: t.records}
 			}
-			err = w.c.send(message{Type: "taskbatch", Batch: specs, Run: run, Rep: rep, Trace: traceID}, m.cfg.TaskTimeout)
+			err = w.c.send(message{Type: "taskbatch", Batch: specs, Run: run, Rep: rep, Trace: trc.frameID()}, m.cfg.TaskTimeout)
 		}
 		acked := 0
 		prev := start
@@ -1028,34 +868,14 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 			t := tasks[acked]
 			var reply message
 			reply, err = w.c.recv(m.cfg.TaskTimeout)
-			if err == nil {
-				okType := reply.Type == "result" || reply.Type == "presult" ||
-					(reply.Type == "mapdone" && run != "")
-				if !okType || reply.TaskID != t.id {
-					err = fmt.Errorf("netmr: worker %s answered shard %d with %q (task %d)", w.id, t.id, reply.Type, reply.TaskID)
-				}
+			if err == nil && (reply.Type != want || reply.TaskID != t.id) {
+				err = fmt.Errorf("netmr: worker %s answered shard %d with %q (task %d)", w.id, t.id, reply.Type, reply.TaskID)
 			}
 			if err == nil {
-				if reply.Type == "presult" ||
-					(reply.Type == "mapdone" && run != "" && w.comp) {
-					// A comp mapdone may legitimately carry its partition
-					// set: the master-held replica of an output whose
-					// mapper had no peer to replicate to. Validate it like
-					// a presult — the reduce relay indexes part ids.
-					err = validateParts(reply.Parts, m.cfg.Partitions)
-				} else {
-					// A flat result or pre-comp mapdone frame must not
-					// smuggle a partition payload past validateParts — the
-					// merge router indexes part ids, so an unvalidated one
-					// would panic it. Only negotiated parts pass; drop
-					// anything else.
-					reply.Parts = nil
-				}
-				if !w.trace {
-					// Same defense for span summaries: only negotiated
-					// trace peers may report phases.
-					reply.Spans = nil
-				}
+				// The merge engine and the reduce planner index part ids (a
+				// mapdone carries the set when its mapper had no peer to
+				// replicate to), so none reaches them unchecked.
+				err = validateParts(reply.Parts, m.cfg.Partitions)
 			}
 			if err != nil {
 				break
@@ -1069,10 +889,9 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 				trc.closeLaunch(launchOf(acked), outcomeOK, reply.Spans)
 			}
 			resultCh <- launchDone{
-				task: t, partial: reply.Partial, parts: reply.Parts,
-				prepart: reply.Type == "presult",
-				stored:  reply.Type == "mapdone", fetchAddr: w.fetch,
-				repAddr: reply.Rep, spills: reply.Spills, spilled: reply.Spilled,
+				task: t, parts: reply.Parts,
+				fetchAddr: w.fetch,
+				repAddr:   reply.Rep, spills: reply.Spills, spilled: reply.Spilled,
 				compBytes: reply.CompBytes,
 				elapsed:   elapsed, launch: launchOf(acked),
 			}
@@ -1098,8 +917,8 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	}
 
 	// ---- Early-shuffle engine ----------------------------------------
-	// With EarlyShuffle on, idle early-capable reduce workers left over
-	// once the map queue drains go to work before the barrier: each gets
+	// With EarlyShuffle on, idle workers left over once the map queue
+	// drains go to work before the barrier: each gets
 	// a reducetask naming the map outputs known so far plus the run's
 	// total map count, and every later winning output streams to it as a
 	// morelocs frame — the reducer fetches under the map tail and folds
@@ -1108,21 +927,13 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	// whose dispatches stay byte-identical to a non-early run.
 	earlyActive := map[int]*earlyLaunch{}
 	earlyLaunched := map[int]bool{}
-	relayedSet := map[int]bool{}
-	var earlySkipped []*workerHandle
 	earlyDisabled := !useReduce || !m.cfg.EarlyShuffle
 	earlyOK := func() bool {
 		// Only the map tail qualifies: a non-empty queue means shards
 		// still need workers, and launching with zero known outputs
 		// would buy nothing over waiting for the next mapdone.
 		return !earlyDisabled && len(earlyLaunched) < m.cfg.Reducers &&
-			len(queue) == 0 && len(mapLocs)+len(relayedSet) > 0
-	}
-	flushSkipped := func() {
-		for _, w := range earlySkipped {
-			m.idle <- w
-		}
-		earlySkipped = earlySkipped[:0]
+			len(queue) == 0 && len(mapLocs) > 0
 	}
 	abortOneEarly := func() {
 		if len(earlyActive) == 0 {
@@ -1169,8 +980,8 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	// buildEarly snapshots partition p's gather plan at launch time:
 	// locations for stored outputs (rerouted when a primary is already
 	// gone), replica addresses for worker-local failover, and explicit
-	// inline entries for master-held copies and relayed outputs — empty
-	// sections included for tasks that emitted nothing into p, so
+	// inline entries for master-held copies — empty sections included for
+	// tasks that emitted nothing into p, so
 	// the reducer's coverage count can reach Total. An output that would
 	// need lineage re-execution returns !ok: pre-barrier recovery is not
 	// worth the re-run, the barrier path handles it.
@@ -1219,14 +1030,6 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 		for _, addr := range repAddrs {
 			reps = append(reps, fetchLoc{Addr: addr, Tasks: repBy[addr]})
 		}
-		relayed := make([]int, 0, len(relayedSet))
-		for t := range relayedSet {
-			relayed = append(relayed, t)
-		}
-		sort.Ints(relayed)
-		for _, task := range relayed {
-			parts = append(parts, partitionPartial{ID: task, Partial: partOf(relay[p], task)})
-		}
 		return locs, parts, reps, true
 	}
 
@@ -1252,24 +1055,20 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 			err = w.c.send(u, m.cfg.TaskTimeout)
 		}
 		var reply message
-		var sec section
 		if err == nil {
-			reply, sec, err = w.c.recvReduced(m.cfg.TaskTimeout)
+			reply, err = w.c.recv(m.cfg.TaskTimeout)
 		}
 		elapsed := time.Since(start)
 		if err == nil {
 			switch {
 			case reply.Type == "result" && reply.TaskID == t.id:
-				if !w.trace {
-					reply.Spans = nil
-				}
 				m.metrics.rpcSeconds.With(w.id).Observe(elapsed.Seconds())
 				ledger.shardDone(w.id, elapsed)
 				if trc != nil {
 					trc.closeLaunch(launch, outcomeOK, reply.Spans)
 				}
 				rResultCh <- launchDone{
-					task: t, sec: sec, bytes: reply.Bytes,
+					task: t, sec: reply.Folded, bytes: reply.Bytes,
 					compBytes: reply.CompBytes, spills: reply.Spills, spilled: reply.Spilled,
 					failovers: reply.Failovers, elapsed: elapsed, launch: launch,
 				}
@@ -1321,8 +1120,7 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	// The merge runs as P partition folders fed while the map phase
 	// drains; SerialMerge instead buffers partials for the legacy
 	// barrier-then-merge pass; a distributed reduce replaces the engine
-	// entirely (map outputs either stay on workers or land in the relay
-	// buffers). The deferred shutdown covers every error return so an
+	// entirely (map outputs stay on the workers). The deferred shutdown covers every error return so an
 	// abandoned job never leaks folder goroutines.
 	var eng *mergeEngine
 	var partials []map[string]float64
@@ -1417,31 +1215,20 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 			if readyIdx < 0 {
 				// Early-shuffle window: the map queue is drained, every
 				// remaining shard is in flight — this worker has nothing to
-				// map. Qualified ones take the lowest unlaunched partition;
-				// the rest park aside until a map retry (or the barrier)
-				// wants the pool back, so the loop cannot spin on them.
-				if !w.reduce || !w.early {
-					earlySkipped = append(earlySkipped, w)
-					continue
-				}
-				p := -1
-				for i := 0; i < m.cfg.Reducers; i++ {
-					if !earlyLaunched[i] {
-						p = i
-						break
-					}
-				}
-				if p < 0 {
-					earlySkipped = append(earlySkipped, w)
-					continue
+				// map, so it takes the lowest unlaunched partition (earlyOK
+				// saw one).
+				p := 0
+				for earlyLaunched[p] {
+					p++
 				}
 				locs, iparts, reps, ok := buildEarly(p)
 				if !ok {
 					// An intermediate would need lineage re-execution;
 					// leave recovery to the barrier path and stop early
-					// dispatching for this run.
+					// dispatching for this run (earlyOK now keeps the loop
+					// from drawing the worker again).
 					earlyDisabled = true
-					earlySkipped = append(earlySkipped, w)
+					m.idle <- w
 					continue
 				}
 				el := &earlyLaunch{partition: p, updates: make(chan message, shards+2)}
@@ -1450,25 +1237,18 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 				stats.EarlyReduceTasks++
 				m.metrics.earlyLaunches.Inc()
 				launch := -1
-				traceID := ""
 				if trc != nil {
 					launch = trc.openLaunch("rtask", p, 0, w.id)
-					if w.trace {
-						traceID = trc.ID
-					}
 				}
-				// Early grants require the comp grant, so the peer list and
-				// replica addresses are always safe on this frame.
 				go dispatchEarly(w, el, message{
 					Type: "reducetask", Job: jobName, TaskID: p, Run: runID,
-					Locs: locs, Parts: iparts, Reps: reps, Total: shards,
-					CompAddrs: m.liveCompAddrs(), Trace: traceID,
+					Locs: locs, Parts: iparts, Reps: reps, Total: shards, Trace: trc.frameID(),
 				}, launch)
 				continue
 			}
 			batch := append(make([]shardTask, 0, 1), queue[readyIdx])
 			queue = append(queue[:readyIdx], queue[readyIdx+1:]...)
-			if w.batch && m.cfg.MaxTaskBatch > 1 {
+			if m.cfg.MaxTaskBatch > 1 {
 				// Pack more ready shards into the same frame, preserving
 				// queue order.
 				now := time.Now()
@@ -1525,7 +1305,7 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 			}
 			completedLat = append(completedLat, r.elapsed.Seconds())
 			switch {
-			case r.stored:
+			case useReduce:
 				// The winning output is persisted on the worker; remember
 				// whose shuffle listener holds this map task's partitions,
 				// and where the durable copy lives: a peer replica when the
@@ -1565,42 +1345,10 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 				}
 				stats.MapOutputsStored++
 				m.metrics.mapOutputs.With("stored").Inc()
-			case useReduce:
-				// A v1/non-reduce worker's output: split it by the reduce
-				// hash here and park each slice, encoded as a section, in
-				// its partition's relay buffer, to ride inline on the reduce
-				// task frame. Part workers arrive pre-split by R already
-				// (P = R), as the sections they built.
-				if r.prepart {
-					stats.PrePartitioned++
-					m.metrics.partResults.Inc()
-				}
-				split := splitForRelay(r.parts, r.partial, m.cfg.Reducers)
-				for _, p := range split {
-					relay[p.ID] = append(relay[p.ID], partitionPartial{ID: r.task.id, Partial: p.Partial})
-				}
-				if !earlyDisabled {
-					relayedSet[r.task.id] = true
-				}
-				// Relayed outputs stream inline — an empty section when the
-				// task emitted nothing into the launch's partition, so the
-				// reducer still counts it toward Total.
-				for _, el := range earlyActive {
-					el.updates <- message{Type: "morelocs", Run: runID, TaskID: el.partition,
-						Parts: []partitionPartial{{ID: r.task.id, Partial: partOf(split, el.partition)}}}
-					stats.LocsStreamed++
-					m.metrics.locsStreamed.Inc()
-				}
-				stats.MapOutputsRelayed++
-				m.metrics.mapOutputs.With("relayed").Inc()
 			case eng != nil:
-				if r.prepart {
-					stats.PrePartitioned++
-					m.metrics.partResults.Inc()
-				}
-				eng.feed(r.parts, r.partial)
+				eng.feed(r.parts)
 			default:
-				partials = append(partials, flatten(r.parts, r.partial))
+				partials = append(partials, flatten(r.parts))
 			}
 			stats.Completed++
 			pending--
@@ -1634,14 +1382,9 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 			stats.Reassignments++
 			t.readyAt = time.Now().Add(delay)
 			queue = append(queue, t)
-			// The retry needs a worker. Skipped workers go back to the
-			// pool; if none were parked and early launches hold workers,
-			// call one back — its partition reruns after the barrier.
-			if len(earlySkipped) > 0 {
-				flushSkipped()
-			} else {
-				abortOneEarly()
-			}
+			// The retry needs a worker: if early launches hold workers, call
+			// one back — its partition reruns after the barrier.
+			abortOneEarly()
 
 		case <-specTick:
 			if len(completedLat) < m.cfg.SpeculationMinObservations {
@@ -1667,9 +1410,6 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 				m.metrics.speculations.Inc()
 				queue = append(queue, shardTask{id: id, records: shardRecords(id), speculative: true})
 			}
-			if len(queue) > 0 {
-				flushSkipped() // clones need workers the early window parked
-			}
 
 		case <-wakeCh:
 			// A backoff matured; rescan the queue.
@@ -1689,10 +1429,8 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	abandon()
 	// Stream complete: every winning output has been streamed, so close
 	// each early reducer's update channel — the reducer folds as soon as
-	// its coverage reaches Total — and release parked workers for the
-	// reduce phase.
+	// its coverage reaches Total.
 	closeEarly(false)
-	flushSkipped()
 	splitSpan.End()
 	barrier := time.Now()
 	stats.SplitWall = barrier.Sub(splitStart)
@@ -1708,8 +1446,7 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 		stats.MergeOverlapWall = eng.overlapped()
 	}
 
-	// Reduce phase: the R partitions go back out to the reduce-capable
-	// workers as tasks; the per-key fold happens there, not here, and the
+	// Reduce phase: the R partitions go back out to the workers as tasks; the per-key fold happens there, not here, and the
 	// R disjoint, key-sorted sections that come back are the result. What
 	// is left for the master's "merge" window is the one map Run's callers
 	// are owed — O(keys) inserts, no Reduce/Combine calls — and nothing at
@@ -1719,7 +1456,7 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 		plan := &reducePlan{
 			jobName: jobName, job: job, runID: runID,
 			mapLocs: mapLocs, replicaLocs: replicaLocs, replicaParts: replicaParts,
-			relay: relay, shards: shards, shardRecords: shardRecords,
+			shards: shards, shardRecords: shardRecords,
 		}
 		finals, rerr := m.runReducePhase(ctx, plan, &stats, ledger, trc, deadline.C,
 			rResultCh, rFailCh, earlyLaunched)
@@ -1782,38 +1519,9 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	return &Result{flat: out}, stats, nil
 }
 
-// splitForRelay hash-splits one non-persisted map output by the reduce
-// partition space. A pre-partitioned result (P = R in reduce mode) is
-// already in that space and passes through; a flat one is bucketed by the
-// same partitionIndex the workers use.
-func splitForRelay(parts []partitionPartial, whole map[string]float64, reducers int) []partitionPartial {
-	if parts != nil {
-		return parts
-	}
-	buckets := make([]map[string]float64, reducers)
-	for k, v := range whole {
-		p := partitionIndex(k, reducers)
-		if buckets[p] == nil {
-			buckets[p] = map[string]float64{}
-		}
-		buckets[p][k] = v
-	}
-	out := make([]partitionPartial, 0, reducers)
-	for p, b := range buckets {
-		if b != nil {
-			out = append(out, partitionPartial{ID: p, Partial: sectionFromMap(b)})
-		}
-	}
-	return out
-}
-
-// flatten collapses a pre-partitioned result back into one map for the
-// SerialMerge path (which should only ever see flat results, since it
-// never grants the part capability — this is defensive).
-func flatten(parts []partitionPartial, whole map[string]float64) map[string]float64 {
-	if parts == nil {
-		return whole
-	}
+// flatten collapses one map task's partitioned output into the flat map
+// serialMerge folds.
+func flatten(parts []partitionPartial) map[string]float64 {
 	n := 0
 	for _, p := range parts {
 		n += p.Partial.count()

@@ -25,26 +25,9 @@ import (
 //     ownership is the synchronization — then finalized in parallel via
 //     runner.Map.
 //
-// Workers that negotiated the "part" capability ship results already
-// split per partition (presult frames); everything else — v1 JSON
-// workers, v2 workers without the capability — ships one flat map that
-// the engine's router splits on arrival. Both paths land identical keys
-// in identical partitions, so mixed clusters merge correctly.
-
-// mergeChunk is one routed unit of merge input whose keys all hash to
-// the partition owning the channel it travels on: the section a part
-// worker built, or a map the router split off a flat result.
-type mergeChunk struct {
-	sec section
-	m   map[string]float64
-}
-
-// mergeFeed is one shard result queued for routing: either already
-// partitioned by the worker (parts) or flat (whole).
-type mergeFeed struct {
-	parts []partitionPartial
-	whole map[string]float64
-}
+// Every map task ships its result already split per partition (presult
+// frames), so feeding a result is handing each of its sections to the
+// folder that owns the partition.
 
 // valuesPool recycles the per-key value slices of the grouped (non
 // Combine) merge across partitions and runs — the map values would
@@ -61,8 +44,7 @@ type mergeEngine struct {
 	job   Job
 	parts int
 
-	inbox chan mergeFeed    // Run loop → router; buffered one slot per shard
-	chans []chan mergeChunk // router → folders, one per partition
+	chans []chan section // Run loop → folders, one per partition, one slot per shard
 
 	// Per-partition state, each slot owned by its folder goroutine until
 	// the folders are joined. busy is atomic (nanoseconds) because the
@@ -72,25 +54,22 @@ type mergeEngine struct {
 	groups []map[string]*[]float64 // Reduce path: grouped values (pooled slices)
 	busy   []atomic.Int64          // fold + finalize wall per partition, ns
 
-	routerDone chan struct{}
-	folders    sync.WaitGroup
-	finished   bool
+	folders  sync.WaitGroup
+	finished bool
 }
 
 // newMergeEngine builds an engine for one Run of job with the given
-// partition count and shard count (the inbox bound: every shard feeds
-// exactly once, so the Run loop never blocks on a feed).
+// partition count and shard count (the folder channels' bound: every
+// shard feeds exactly once, so the Run loop never blocks on a feed).
 func newMergeEngine(job Job, parts, shards int) *mergeEngine {
 	if parts < 1 {
 		parts = 1
 	}
 	e := &mergeEngine{
-		job:        job,
-		parts:      parts,
-		inbox:      make(chan mergeFeed, shards),
-		chans:      make([]chan mergeChunk, parts),
-		busy:       make([]atomic.Int64, parts),
-		routerDone: make(chan struct{}),
+		job:   job,
+		parts: parts,
+		chans: make([]chan section, parts),
+		busy:  make([]atomic.Int64, parts),
 	}
 	if job.Combine != nil {
 		e.accs = make([]map[string]float64, parts)
@@ -104,9 +83,8 @@ func newMergeEngine(job Job, parts, shards int) *mergeEngine {
 		}
 	}
 	for p := range e.chans {
-		e.chans[p] = make(chan mergeChunk, shards)
+		e.chans[p] = make(chan section, shards)
 	}
-	go e.route()
 	for p := 0; p < parts; p++ {
 		e.folders.Add(1)
 		go e.fold(p)
@@ -114,50 +92,13 @@ func newMergeEngine(job Job, parts, shards int) *mergeEngine {
 	return e
 }
 
-// feed hands one winning shard result to the engine. Called only from
-// the Run loop; the inbox is sized so it never blocks.
-func (e *mergeEngine) feed(parts []partitionPartial, whole map[string]float64) {
-	e.inbox <- mergeFeed{parts: parts, whole: whole}
-}
-
-// route drains the inbox, splitting flat maps by key hash, and forwards
-// each piece to its partition's folder. Runs until the inbox closes, so
-// splitting cost never stalls the dispatch loop.
-func (e *mergeEngine) route() {
-	defer func() {
-		for _, ch := range e.chans {
-			close(ch)
-		}
-		close(e.routerDone)
-	}()
-	for f := range e.inbox {
-		if f.parts != nil {
-			for _, part := range f.parts {
-				if len(part.Partial) > 0 {
-					e.chans[part.ID] <- mergeChunk{sec: part.Partial}
-				}
-			}
-			continue
-		}
-		if e.parts == 1 {
-			if len(f.whole) > 0 {
-				e.chans[0] <- mergeChunk{m: f.whole}
-			}
-			continue
-		}
-		split := make([]map[string]float64, e.parts)
-		hint := len(f.whole)/e.parts + 1
-		for k, v := range f.whole {
-			p := partitionIndex(k, e.parts)
-			if split[p] == nil {
-				split[p] = make(map[string]float64, hint)
-			}
-			split[p][k] = v
-		}
-		for p, m := range split {
-			if m != nil {
-				e.chans[p] <- mergeChunk{m: m}
-			}
+// feed hands one winning shard result to the engine, each section to the
+// folder that owns its partition. Called only from the Run loop; every
+// folder channel holds a slot per shard, so it never blocks.
+func (e *mergeEngine) feed(parts []partitionPartial) {
+	for _, part := range parts {
+		if len(part.Partial) > 0 {
+			e.chans[part.ID] <- part.Partial
 		}
 	}
 }
@@ -187,12 +128,9 @@ func (e *mergeEngine) fold(p int) {
 			}
 		}
 	}
-	for c := range e.chans[p] {
+	for sec := range e.chans[p] {
 		start := time.Now()
-		for k, v := range c.m {
-			add(k, v)
-		}
-		c.sec.each(add)
+		sec.each(add)
 		e.busy[p].Add(int64(time.Since(start)))
 	}
 }
@@ -247,22 +185,23 @@ func (e *mergeEngine) overlapped() time.Duration {
 	return total
 }
 
-// shutdown closes the intake and joins the router and folders; it is
-// idempotent, so a Run that errors out mid-job can abandon the engine
-// without leaking its goroutines.
+// shutdown closes the intake and joins the folders; it is idempotent, so
+// a Run that errors out mid-job can abandon the engine without leaking
+// its goroutines.
 func (e *mergeEngine) shutdown() {
 	if e.finished {
 		return
 	}
 	e.finished = true
-	close(e.inbox)
-	<-e.routerDone
+	for _, ch := range e.chans {
+		close(ch)
+	}
 	e.folders.Wait()
 }
 
-// validateParts rejects a presult whose partition ids fall outside
-// [0, parts): routing an attacker- or corruption-supplied id would index
-// out of range, so a bad frame fails the launch instead.
+// validateParts rejects a partition set whose ids fall outside [0, n):
+// routing an attacker- or corruption-supplied id would index out of
+// range, so a bad frame fails the launch instead.
 func validateParts(parts []partitionPartial, n int) error {
 	for _, p := range parts {
 		if p.ID < 0 || p.ID >= n {

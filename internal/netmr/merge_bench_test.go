@@ -52,26 +52,9 @@ func benchmarkSerialMerge(b *testing.B, combine bool) {
 	}
 }
 
-func benchmarkEngineMerge(b *testing.B, combine bool) {
-	job := benchJob(combine)
-	partials := mergeBenchPartials(16, 20000)
-	parts := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := newMergeEngine(job, parts, len(partials))
-		for _, p := range partials {
-			eng.feed(nil, p)
-		}
-		if _, err := eng.finalize(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// presplit re-arranges a flat partial into per-partition sections the way a
-// part-capable worker ships them — done outside the benchmark timer so
-// the engine benchmark below measures pure fold parallelism, the steady
-// state of a cluster where every worker negotiated "part".
+// presplit re-arranges a flat partial into per-partition sections the way
+// a worker ships them — done outside the benchmark timer so the engine
+// benchmark below measures pure fold parallelism.
 func presplit(p map[string]float64, parts int) []partitionPartial {
 	split := make([]map[string]float64, parts)
 	for k, v := range p {
@@ -90,7 +73,7 @@ func presplit(p map[string]float64, parts int) []partitionPartial {
 	return out
 }
 
-func benchmarkEngineMergePresplit(b *testing.B, combine bool) {
+func benchmarkEngineMerge(b *testing.B, combine bool) {
 	job := benchJob(combine)
 	partials := mergeBenchPartials(16, 20000)
 	parts := runtime.GOMAXPROCS(0)
@@ -102,7 +85,7 @@ func benchmarkEngineMergePresplit(b *testing.B, combine bool) {
 	for i := 0; i < b.N; i++ {
 		eng := newMergeEngine(job, parts, len(shipped))
 		for _, parts := range shipped {
-			eng.feed(parts, nil)
+			eng.feed(parts)
 		}
 		if _, err := eng.finalize(context.Background()); err != nil {
 			b.Fatal(err)
@@ -110,12 +93,10 @@ func benchmarkEngineMergePresplit(b *testing.B, combine bool) {
 	}
 }
 
-func BenchmarkSerialMergeReduce(b *testing.B)     { benchmarkSerialMerge(b, false) }
-func BenchmarkEngineMergeReduce(b *testing.B)     { benchmarkEngineMerge(b, false) }
-func BenchmarkEngineMergePresplit(b *testing.B)   { benchmarkEngineMergePresplit(b, false) }
-func BenchmarkSerialMergeCombine(b *testing.B)    { benchmarkSerialMerge(b, true) }
-func BenchmarkEngineMergeCombine(b *testing.B)    { benchmarkEngineMerge(b, true) }
-func BenchmarkEnginePresplitCombine(b *testing.B) { benchmarkEngineMergePresplit(b, true) }
+func BenchmarkSerialMergeReduce(b *testing.B)  { benchmarkSerialMerge(b, false) }
+func BenchmarkEngineMergeReduce(b *testing.B)  { benchmarkEngineMerge(b, false) }
+func BenchmarkSerialMergeCombine(b *testing.B) { benchmarkSerialMerge(b, true) }
+func BenchmarkEngineMergeCombine(b *testing.B) { benchmarkEngineMerge(b, true) }
 
 // benchmarkClusterMerge runs whole jobs over a loopback cluster and
 // reports the merge's critical-path tail (MergeWall - MergeOverlapWall)

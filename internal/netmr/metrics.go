@@ -13,7 +13,6 @@ type masterMetrics struct {
 	workersJoined  *obs.Counter
 	workersLost    *obs.Counter
 	workers        *obs.Gauge
-	codecs         *obs.CounterVec
 	shards         *obs.Counter
 	reassignments  *obs.CounterVec
 	heartbeats     *obs.CounterVec
@@ -24,7 +23,6 @@ type masterMetrics struct {
 	mergeOverlap   *obs.Histogram
 	mergePartition *obs.HistogramVec
 	mergeWidth     *obs.Gauge
-	partResults    *obs.Counter
 	reduceTasks    *obs.CounterVec
 	reduceSeconds  *obs.Histogram
 	shuffleBytes   *obs.Counter
@@ -61,8 +59,6 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 			"Workers dropped after an RPC or heartbeat failure."),
 		workers: r.Gauge("netmr_workers",
 			"Workers currently admitted and not lost."),
-		codecs: r.CounterVec("netmr_worker_codec_total",
-			"Admitted workers by negotiated wire codec (json or bin).", "codec"),
 		shards: r.Counter("netmr_shards_dispatched_total",
 			"Shard executions dispatched to workers (including retries)."),
 		reassignments: r.CounterVec("netmr_shard_reassignments_total",
@@ -83,8 +79,6 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 			"Per-partition merge busy time (incremental folds plus finalize).", nil, "partition"),
 		mergeWidth: r.Gauge("netmr_merge_parallelism",
 			"Merge partitions (folder goroutines) of the most recent job."),
-		partResults: r.Counter("netmr_partitioned_results_total",
-			"Winning shard results that arrived pre-partitioned by a worker."),
 		reduceTasks: r.CounterVec("netmr_reduce_tasks_total",
 			"Worker-side reduce task launches by outcome (ok or failed).", "status"),
 		reduceSeconds: r.Histogram("netmr_reduce_seconds",
@@ -92,7 +86,7 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 		shuffleBytes: r.Counter("netmr_shuffle_bytes_total",
 			"Intermediate bytes reducers fetched worker-to-worker over a socket."),
 		mapOutputs: r.CounterVec("netmr_map_outputs_total",
-			"Winning map outputs of reduce-mode jobs by placement (stored worker-side or relayed via the master).", "mode"),
+			"Winning map outputs of reduce-mode jobs by placement (stored: persisted worker-side, the one placement).", "mode"),
 		retries: r.Counter("netmr_retries_total",
 			"Shards requeued with backoff after a launch failure."),
 		backoffSeconds: r.Histogram("netmr_retry_backoff_seconds",

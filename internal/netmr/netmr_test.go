@@ -248,5 +248,5 @@ func TestStatsPhases(t *testing.T) {
 // runShard executes one shard into the flat map the tests compare a
 // cluster's result with.
 func runShard(j Job, records []string, sc *shardScratch) map[string]float64 {
-	return runShardTraced(j, records, sc, nil)
+	return flatten(runShardPartitioned(j, records, sc, 1, nil))
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -238,14 +237,7 @@ func TestPerWorkerStatsAttributeFailures(t *testing.T) {
 // the first task frame, forcing a reassignment attributable to its ID.
 func startMisbehavingWorker(t *testing.T, addr, id string) (stop func()) {
 	t.Helper()
-	raw, err := netDial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newConn(raw)
-	if err := c.send(message{Type: "hello", ID: id, Jobs: []string{"count"}}, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	c, _ := dialAsWorker(t, addr, id, "127.0.0.1:1")
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -264,14 +256,7 @@ func TestHeartbeatDropsDeadIdleWorker(t *testing.T) {
 	master, addr := startObsCluster(t, cfg, 1)
 
 	// A fake worker that joins and then never answers the ping.
-	raw, err := netDial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newConn(raw)
-	if err := c.send(message{Type: "hello", ID: "deaf", Jobs: []string{"count"}}, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	c, _ := dialAsWorker(t, addr, "deaf", "127.0.0.1:1")
 	if err := master.WaitForWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +288,6 @@ func TestHeartbeatDropsDeadIdleWorker(t *testing.T) {
 	if okPings == 0 {
 		t.Errorf("no successful heartbeats counted:\n%s", sb.String())
 	}
-}
-
-func netDial(addr string) (net.Conn, error) {
-	return net.DialTimeout("tcp", addr, 5*time.Second)
 }
 
 func httpGet(t *testing.T, url string) string {

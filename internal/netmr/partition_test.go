@@ -1,14 +1,10 @@
 package netmr
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -156,10 +152,10 @@ func TestRunShardPartitioned(t *testing.T) {
 	}
 }
 
-// TestMergeEngineMatchesSerialMerge drives the engine with a mix of
-// pre-partitioned and flat feeds, in shuffled arrival orders, and checks
-// the result is byte-identical to the legacy serial merge — for both the
-// Combine fold and the grouped Reduce paths, at several widths.
+// TestMergeEngineMatchesSerialMerge drives the engine with partitioned
+// feeds in shuffled arrival orders and checks the result is
+// byte-identical to the legacy serial merge — for both the Combine fold
+// and the grouped Reduce paths, at several widths.
 func TestMergeEngineMatchesSerialMerge(t *testing.T) {
 	lines := testLines(t, 300)
 	const shards = 10
@@ -182,13 +178,7 @@ func TestMergeEngineMatchesSerialMerge(t *testing.T) {
 					eng := newMergeEngine(job, parts, shards)
 					order := rand.New(rand.NewSource(seed)).Perm(shards)
 					for _, i := range order {
-						if i%2 == 0 {
-							// Even shards arrive pre-partitioned (a "part" worker)...
-							eng.feed(runShardPartitioned(job, lines[i*per:(i+1)*per], newShardScratch(), parts, nil), nil)
-						} else {
-							// ...odd shards arrive flat (legacy or non-part worker).
-							eng.feed(nil, partials[i])
-						}
+						eng.feed(runShardPartitioned(job, lines[i*per:(i+1)*per], newShardScratch(), parts, nil))
 					}
 					got, err := eng.finalize(context.Background())
 					if err != nil {
@@ -208,7 +198,7 @@ func TestMergeEngineMatchesSerialMerge(t *testing.T) {
 // finalize.
 func TestMergeEngineShutdownIdempotent(t *testing.T) {
 	eng := newMergeEngine(wordCountJob(), 3, 4)
-	eng.feed(nil, map[string]float64{"a": 1})
+	eng.feed([]partitionPartial{{ID: 1, Partial: sectionFromMap(map[string]float64{"a": 1})}})
 	eng.shutdown()
 	eng.shutdown()
 	if _, err := eng.finalize(context.Background()); err != nil {
@@ -302,8 +292,6 @@ func TestResultsIdenticalAcrossPartitionConfigs(t *testing.T) {
 				if stats.Partitions != 1 {
 					t.Errorf("SerialMerge Partitions = %d, want 1", stats.Partitions)
 				}
-			} else if cfg.Partitions > 1 && stats.PrePartitioned == 0 {
-				t.Errorf("%s: no result arrived pre-partitioned (PrePartitioned = 0)", name)
 			}
 			if stats.TotalWall > stats.SplitWall+stats.MergeWall {
 				t.Errorf("%s: TotalWall %v > SplitWall+MergeWall %v", name, stats.TotalWall, stats.SplitWall+stats.MergeWall)
@@ -312,14 +300,13 @@ func TestResultsIdenticalAcrossPartitionConfigs(t *testing.T) {
 	}
 }
 
-// TestMixedClusterPartitioned is the three-generation e2e: one legacy
-// v1 JSON worker, one v2 binary worker without the part capability, and
-// one fully current worker share a partitioned master. The job must
-// produce exactly the single-process reference result, every generation
-// must run shards, and at least the current worker must pre-partition.
-func TestMixedClusterPartitioned(t *testing.T) {
+// TestFlatResultToMapTaskFailsLaunch: a map task has one reply shape, a
+// presult. A flat result frame in its place — even one whose Parts would
+// pass validation — fails that worker's launch, and the job completes via
+// reassignment to an honest worker.
+func TestFlatResultToMapTaskFailsLaunch(t *testing.T) {
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Partitions: 4,
+		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, Partitions: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -329,119 +316,20 @@ func TestMixedClusterPartitioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(master.Close)
-
-	// Generation 1: JSON line protocol, no capabilities at all.
-	legacyJSONWorker(t, addr, wordCountJob())
-	// Generation 2: binary codec but no part capability — ships flat
-	// maps over v2 frames; the master splits them on arrival.
-	unpart, err := NewWorker(mustRegistry(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	unpart.caps = []string{capBinary}
-	if err := unpart.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(unpart.Stop)
-	// Generation 3: current worker, pre-partitions every result.
-	current, err := NewWorker(mustRegistry(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := current.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(current.Stop)
-	if err := master.WaitForWorkers(3, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	lines := testLines(t, 600)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("mixed-generation cluster result diverged from reference")
-	}
-	if stats.PrePartitioned == 0 {
-		t.Error("no pre-partitioned result despite a part-capable worker")
-	}
-	if stats.PrePartitioned >= stats.Completed {
-		t.Errorf("PrePartitioned %d should be below Completed %d in a mixed cluster", stats.PrePartitioned, stats.Completed)
-	}
-	for _, ws := range stats.PerWorker {
-		if ws.ShardsRun == 0 {
-			t.Errorf("worker %s ran no shards in the mixed cluster", ws.ID)
-		}
-	}
-}
-
-// rogueJSONWorker dials the master with a plain JSON hello and answers
-// every task with the frame reply builds — the malformed shapes a
-// misbehaving or malicious worker could ship, which must never crash
-// the master.
-func rogueJSONWorker(t *testing.T, addr string, job Job, reply func(taskID, attempt int, partial map[string]float64) map[string]any) {
-	t.Helper()
-	raw, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = raw.Close() })
-	enc := json.NewEncoder(raw)
-	dec := json.NewDecoder(bufio.NewReader(raw))
-	if err := enc.Encode(map[string]any{"type": "hello", "id": "rogue", "jobs": []string{job.Name}}); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		sc := newShardScratch()
-		for {
-			var m message
-			if err := dec.Decode(&m); err != nil {
-				return
-			}
-			switch m.Type {
-			case "task":
-				partial := runShard(job, m.Records, sc)
-				if err := enc.Encode(reply(m.TaskID, m.Attempt, partial)); err != nil {
-					return
-				}
-			case "ping":
-				if err := enc.Encode(map[string]any{"type": "pong"}); err != nil {
-					return
-				}
-			}
-		}
-	}()
-}
-
-// TestResultFrameSmuggledPartsDropped is the regression test for the
-// router panic: a "result" frame carrying a Parts list with an
-// out-of-range partition id used to skip validateParts and crash the
-// merge router goroutine. The master must drop the unnegotiated
-// payload, merge the flat partial, and finish with correct output —
-// without counting the result as pre-partitioned.
-func TestResultFrameSmuggledPartsDropped(t *testing.T) {
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Partitions: 4,
+	rogueWorker(t, addr, "rogue", func(m message) (message, bool) {
+		smuggled := sectionFromMap(map[string]float64{"smuggled": 1})
+		return message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Folded: smuggled,
+			Parts: []partitionPartial{{ID: 0, Partial: smuggled}}}, m.Type == "task"
 	})
+	honest, err := NewWorker(mustRegistry(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
+	if err := honest.Start(addr); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(master.Close)
-	rogueJSONWorker(t, addr, wordCountJob(), func(taskID, attempt int, partial map[string]float64) map[string]any {
-		return map[string]any{
-			"type": "result", "task_id": taskID, "attempt": attempt,
-			"partial": partial,
-			"parts":   []map[string]any{{"id": 99, "partial": map[string]float64{"smuggled": 1}}},
-		}
-	})
-	if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
+	t.Cleanup(honest.Stop)
+	if err := master.WaitForWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	lines := testLines(t, 200)
@@ -449,15 +337,13 @@ func TestResultFrameSmuggledPartsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
-	if _, ok := got["smuggled"]; ok {
-		t.Error("smuggled partition payload leaked into the result")
+	if !reflect.DeepEqual(got, runShard(wordCountJob(), lines, newShardScratch())) {
+		t.Fatal("result diverged from reference with a flat-result worker in the pool")
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("result diverged from reference after dropping smuggled parts")
-	}
-	if stats.PrePartitioned != 0 {
-		t.Errorf("smuggled parts counted as pre-partitioned: %d", stats.PrePartitioned)
+	for _, ws := range stats.PerWorker {
+		if ws.ID == "rogue" && (ws.ShardsRun > 0 || ws.Reassignments == 0) {
+			t.Errorf("flat-result worker: %+v, want no shard credited and its launch reassigned", ws)
+		}
 	}
 }
 
@@ -477,11 +363,9 @@ func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(master.Close)
-	rogueJSONWorker(t, addr, wordCountJob(), func(taskID, attempt int, partial map[string]float64) map[string]any {
-		return map[string]any{
-			"type": "presult", "task_id": taskID, "attempt": attempt,
-			"parts": []map[string]any{{"id": 99, "partial": partial}},
-		}
+	rogueWorker(t, addr, "rogue", func(m message) (message, bool) {
+		return message{Type: "presult", TaskID: m.TaskID, Attempt: m.Attempt,
+			Parts: []partitionPartial{{ID: 99, Partial: sectionFromMap(map[string]float64{"smuggled": 1})}}}, m.Type == "task"
 	})
 	honest, err := NewWorker(mustRegistry(t))
 	if err != nil {
@@ -510,199 +394,4 @@ func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
 			t.Errorf("rogue presult worker credited with %d shards", ws.ShardsRun)
 		}
 	}
-}
-
-// TestPartitionCapRequiresBin2: a worker that speaks the binary codec
-// but not its bin2 layout revision has no wire shape for presult
-// frames — the master must keep it on flat results instead of granting
-// a capability the negotiated layout cannot encode.
-func TestPartitionCapRequiresBin2(t *testing.T) {
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Partitions: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(master.Close)
-	w, err := NewWorker(mustRegistry(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.caps = []string{capBinary, capBatch, capPartition} // no bin2
-	if err := w.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Stop)
-	if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	lines := testLines(t, 200)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("bin-without-bin2 worker result diverged from reference")
-	}
-	if stats.PrePartitioned != 0 {
-		t.Errorf("PrePartitioned = %d for a worker that must not be granted part", stats.PrePartitioned)
-	}
-	if w.partitions != 0 {
-		t.Errorf("worker granted partitions=%d despite missing bin2", w.partitions)
-	}
-}
-
-// FuzzDecodePartitionedResult focuses the codec fuzzer on the presult
-// frame: arbitrary bodies must decode or error, never panic, and a body
-// that decodes must re-encode and round-trip to the same message.
-func FuzzDecodePartitionedResult(f *testing.F) {
-	seeds := []message{
-		{Type: "presult", TaskID: 1, Attempt: 1, Parts: []partitionPartial{
-			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1, "b": 2})},
-			{ID: 2, Partial: sectionFromMap(map[string]float64{"c": -3.5})},
-		}},
-		{Type: "presult", TaskID: 0, Parts: []partitionPartial{{ID: 7}}},
-		{Type: "presult"},
-	}
-	for _, m := range seeds {
-		frame, _, err := appendFrame(nil, &m, nil, true, false, false, false, false)
-		if err != nil {
-			f.Fatal(err)
-		}
-		body := frameBody(f, frame)
-		f.Add(body)
-		f.Add(body[:len(body)*2/3])
-		mut := append([]byte(nil), body...)
-		if len(mut) > 4 {
-			mut[4] ^= 0x40
-		}
-		f.Add(mut)
-	}
-	// Sections that lie about their contents (the reduce-layout bodies are
-	// garbage past Parts to this decoder, which is the point: the section
-	// walk comes first).
-	for _, body := range sortedBodies(badSectionBodies(f)) {
-		f.Add(body)
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var m message
-		if err := decodeFrame(bytes.Clone(body), &m, true, false, false, false, false, nil); err != nil {
-			return
-		}
-		walkSections(&m) // an accepted section can be iterated without failing
-		if _, ok := frameTypes[m.Type]; !ok {
-			return // unknown type placeholder, ignore-path
-		}
-		frame, _, err := appendFrame(nil, &m, nil, true, false, false, false, false)
-		if err != nil {
-			t.Fatalf("decoded frame failed to re-encode: %v", err)
-		}
-		var again message
-		if err := decodeFrame(frameBody(t, frame), &again, true, false, false, false, false, nil); err != nil {
-			t.Fatalf("re-encoded frame failed to decode: %v", err)
-		}
-		if !reflect.DeepEqual(normalize(again), normalize(m)) {
-			t.Fatalf("presult round trip lossy:\n in: %+v\nout: %+v", m, again)
-		}
-	})
-}
-
-// FuzzDecodeSpanSummary focuses the codec fuzzer on the trace layout's
-// span-summary block: arbitrary bodies — including truncated and
-// corrupted frames as a non-trace peer would produce — must decode or
-// error, never panic, and a body that decodes must re-encode and
-// round-trip to the same message.
-func FuzzDecodeSpanSummary(f *testing.F) {
-	seeds := []message{
-		{Type: "result", TaskID: 1, Attempt: 1, Partial: map[string]float64{"a": 1}, Trace: "wc-1", Spans: []spanSummary{
-			{Phase: "decode", Start: 0, End: 0.002},
-			{Phase: "map", Start: 0.002, End: 0.8},
-			{Phase: "combine", Start: 0.8, End: 0.9},
-			{Phase: "encode", Start: 0.9, End: 0.95},
-		}},
-		{Type: "presult", TaskID: 3, Trace: "j-9", Spans: []spanSummary{
-			{Phase: "partition", Start: 0.1, End: 0.2},
-		}, Parts: []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"k": 1})}}},
-		{Type: "result", TaskID: 2, Trace: "", Spans: nil},
-		{Type: "task", Job: "wc", TaskID: 0, Records: []string{"r"}, Trace: "wc-2"},
-	}
-	for _, m := range seeds {
-		// Seed both the trace layout and, for messages it can carry, the
-		// bin2 layout a non-trace peer would send: the trc decoder must
-		// reject the latter cleanly, and mutations of either must never
-		// panic it.
-		frame, _, err := appendFrame(nil, &m, nil, true, true, false, false, false)
-		if err != nil {
-			f.Fatal(err)
-		}
-		body := frameBody(f, frame)
-		f.Add(body)
-		f.Add(body[:len(body)*2/3])
-		mut := append([]byte(nil), body...)
-		if len(mut) > 4 {
-			mut[4] ^= 0x40
-		}
-		f.Add(mut)
-		if m.Trace == "" && len(m.Spans) == 0 {
-			plain, _, err := appendFrame(nil, &m, nil, true, false, false, false, false)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(frameBody(f, plain))
-		}
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var m message
-		if err := decodeFrame(bytes.Clone(body), &m, true, true, false, false, false, nil); err != nil {
-			return
-		}
-		for _, s := range m.Spans {
-			if len(s.Phase) > len(body) {
-				t.Fatalf("span phase of %d bytes from a %d-byte body", len(s.Phase), len(body))
-			}
-		}
-		if _, ok := frameTypes[m.Type]; !ok {
-			return // unknown type placeholder, ignore-path
-		}
-		frame, _, err := appendFrame(nil, &m, nil, true, true, false, false, false)
-		if err != nil {
-			t.Fatalf("decoded frame failed to re-encode: %v", err)
-		}
-		var again message
-		if err := decodeFrame(frameBody(t, frame), &again, true, true, false, false, false, nil); err != nil {
-			t.Fatalf("re-encoded frame failed to decode: %v", err)
-		}
-		if !sameSpans(m.Spans, again.Spans) {
-			t.Fatalf("span summaries lossy:\n in: %+v\nout: %+v", m.Spans, again.Spans)
-		}
-		if !reflect.DeepEqual(normalize(stripSpans(again)), normalize(stripSpans(m))) {
-			t.Fatalf("traced frame round trip lossy:\n in: %+v\nout: %+v", m, again)
-		}
-	})
-}
-
-// sameSpans compares span summaries bit-exactly (NaN intervals from
-// fuzzed bodies defeat DeepEqual's float semantics on some fields).
-func sameSpans(a, b []spanSummary) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Phase != b[i].Phase ||
-			math.Float64bits(a[i].Start) != math.Float64bits(b[i].Start) ||
-			math.Float64bits(a[i].End) != math.Float64bits(b[i].End) {
-			return false
-		}
-	}
-	return true
-}
-
-func stripSpans(m message) message {
-	m.Spans = nil
-	return m
 }

@@ -12,8 +12,7 @@ import (
 )
 
 // shufflePingServer is a minimal shuffle-plane peer: it accepts
-// connections with the negotiation-free reduce layout and answers every
-// ping with a pong, tracking the accepted sockets so a test can cut
+// connections and answers every ping with a pong, tracking the accepted sockets so a test can cut
 // them mid-pool.
 func shufflePingServer(t *testing.T) (addr string, cut func()) {
 	t.Helper()
@@ -35,7 +34,6 @@ func shufflePingServer(t *testing.T) (addr string, cut func()) {
 			mu.Unlock()
 			go func(raw net.Conn) {
 				c := newConn(raw)
-				c.binary, c.binExt, c.red = true, true, true
 				for {
 					m, err := c.recv(0)
 					if err != nil {
@@ -85,7 +83,7 @@ func TestShufflePoolReusesAndRedialsOnce(t *testing.T) {
 		return nil
 	}
 
-	if err := p.withConn(addr, false, time.Second, exchange); err != nil {
+	if err := p.withConn(addr, time.Second, exchange); err != nil {
 		t.Fatalf("first exchange: %v", err)
 	}
 	if attempts != 1 {
@@ -104,7 +102,7 @@ func TestShufflePoolReusesAndRedialsOnce(t *testing.T) {
 	cut()
 	time.Sleep(20 * time.Millisecond)
 	attempts = 0
-	if err := p.withConn(addr, false, time.Second, exchange); err != nil {
+	if err := p.withConn(addr, time.Second, exchange); err != nil {
 		t.Fatalf("exchange over a cut pool: %v", err)
 	}
 	if attempts != 2 {
@@ -117,7 +115,7 @@ func TestShufflePoolReusesAndRedialsOnce(t *testing.T) {
 	cut()
 	time.Sleep(20 * time.Millisecond)
 	attempts = 0
-	err := p.withConn(addr, false, time.Second, func(c *conn) error {
+	err := p.withConn(addr, time.Second, func(c *conn) error {
 		attempts++
 		return fmt.Errorf("injected failure %d", attempts)
 	})
@@ -138,7 +136,7 @@ func TestShufflePoolKeepsConnOnRefusal(t *testing.T) {
 	defer p.closeAll()
 
 	attempts := 0
-	err := p.withConn(addr, false, time.Second, func(c *conn) error {
+	err := p.withConn(addr, time.Second, func(c *conn) error {
 		attempts++
 		return &peerRefusal{msg: "unknown run"}
 	})

@@ -1,9 +1,12 @@
-// Package netmr is a real, network-distributed Split-Merge MapReduce
-// runtime: a master listens on TCP, workers connect, the master scatters
-// input shards to the workers (the split phase, with barrier
-// synchronization), and merges their partial results serially (the merge
-// phase) — the execution structure of Fig. 1 running over genuine
-// sockets rather than the simulator.
+// Package netmr is a real, network-distributed MapReduce runtime: a
+// master listens on TCP, workers connect, the master scatters input
+// shards to the workers (the split phase, with barrier synchronization),
+// and every map task hands back its output hash-partitioned and
+// key-sorted. The partitions are then combined either on the master,
+// folded by the partitioned merge engine while the map phase drains, or,
+// with MasterConfig.Reducers set, by reduce tasks on the workers, which
+// keep their map output and fetch each other's — the execution structure
+// of Fig. 1 running over genuine sockets rather than the simulator.
 //
 // It exists so the library is a usable distributed system and so the
 // IPSO phase decomposition (Wp from the parallel map wave, Ws from the
@@ -15,19 +18,18 @@
 // times out is reassigned to another live worker (up to a retry budget),
 // the same recovery model as Hadoop's task re-execution.
 //
-// Two wire codecs coexist. The hello exchange is always line-delimited
-// JSON (protocol v1); a worker advertising the "bin" capability is
-// switched to the length-prefixed binary framing of codec.go by a
-// helloack, cutting the per-frame encode/decode cost that shows up as
-// dispatch overhead Wo(n) on real wall clocks. Workers and masters that
-// predate the binary codec simply never negotiate it and keep speaking
-// JSON.
+// There is one wire generation. Every connection, a worker's to the
+// master or to a peer's shuffle listener, opens in each direction with a
+// four-byte preamble ('N', 'M', 'R', protocolVersion) written together
+// with the first frame, and from then on carries the one frame layout of
+// codec.go. Nothing is negotiated: the worker's hello names its identity,
+// jobs and shuffle listener, the master's helloack the cluster's
+// partition count, reducer count and shuffle timeout.
 package netmr
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/bits"
@@ -36,113 +38,79 @@ import (
 	"time"
 )
 
-// capBinary, capBinaryExt, capBatch, capPartition, capTrace and
-// capReduce are the capability tokens of the hello negotiation: the
-// binary codec, its bin2 layout revision (the trailing Partitions/Parts
-// frame fields — versioned separately so a new peer talking to a
-// previous-version binary peer falls back to the layout that peer
-// decodes), multi-shard task batching, worker-side hash-partitioned
-// results (the master's helloack then carries the partition count the
-// cluster agreed on), distributed tracing (the master stamps a trace
-// context onto task frames and the worker ships per-phase span
-// summaries back on result frames — a further trailing layout revision
-// on binary connections, versioned exactly like bin2 so untraced peers
-// keep byte-identical frames), and distributed reduce (the worker
-// persists partitioned map output, serves it to peer reducers over
-// fetch frames, and accepts reduce tasks — one more trailing layout
-// revision carrying the Run/Reducers/Fetch/Bytes/Tasks/Locs fields).
-// capComp adds the out-of-core shuffle generation: frame compression
-// (a one-byte flag layer on every body, bulk payloads LZ-compressed
-// above a threshold), replica placement (the master names a peer on
-// task frames, the worker replicates its persisted partitions there
-// before mapdone), and the trailing Rep/Spills/Spilled/CompBytes/
-// ShuffleMs layout block — versioned exactly like trace and reduce.
-// capEarly adds the pipelined shuffle generation: the master may
-// dispatch a reduce task before the map barrier (Total > 0 announces
-// how many map outputs will eventually exist) and stream later
-// map-output locations to the running reducer over morelocs frames;
-// replica addresses (Reps) ride the task and morelocs frames so the
-// reducer fails over to a replica locally, and the reducer reports how
-// often it did (Failovers) — one more trailing layout block, versioned
-// exactly like trace/reduce/comp.
-const (
-	capBinary    = "bin"
-	capBinaryExt = "bin2"
-	capBatch     = "batch"
-	capPartition = "part"
-	capTrace     = "trace"
-	capReduce    = "reduce"
-	capComp      = "comp"
-	capEarly     = "early"
-)
+// protocolVersion is the wire generation this build speaks, the last
+// byte of the connection preamble. It covers everything two peers must
+// agree on byte for byte: the frame layout and frame type bytes of
+// codec.go, the section encoding, the compression flag layer and
+// partitionIndex. Changing any of them is a version bump, and peers of
+// different versions refuse each other at the first read, the refusing
+// listener answering with its own preamble so both ends can name the two
+// versions that met. A field can be added without a bump only as
+// DESIGN.md §6 describes: tagged, optional, skipped by a decoder that
+// does not know the tag.
+const protocolVersion = 1
 
-// workerCaps is what a current worker advertises in its hello.
-func workerCaps() []string {
-	return []string{capBinary, capBinaryExt, capBatch, capPartition, capTrace, capReduce, capComp, capEarly}
+// preamble opens every connection in both directions.
+var preamble = [4]byte{'N', 'M', 'R', protocolVersion}
+
+// checkPreamble verifies the four bytes a peer opened with.
+func checkPreamble(p [4]byte) error {
+	if p[0] != preamble[0] || p[1] != preamble[1] || p[2] != preamble[2] {
+		return fmt.Errorf("netmr: not a netmr peer: connection opened with %q, this build speaks v%d", p[:], protocolVersion)
+	}
+	if p[3] != protocolVersion {
+		return fmt.Errorf("netmr: protocol version mismatch: peer speaks v%d, this build speaks v%d", p[3], protocolVersion)
+	}
+	return nil
 }
 
-// message is the single wire frame: one JSON line in codec v1, one
-// length-prefixed binary frame in v2 (codec.go). The field set is
-// shared, so the two codecs round-trip the same struct.
+// message is the single wire frame (codec.go). Every frame carries every
+// field; the comments name the frame types that set each.
 type message struct {
-	Type       string             `json:"type"`                 // hello | helloack | task | taskbatch | result | presult | error | ping | pong | reducetask | fetch | fetchresult | mapdone
-	ID         string             `json:"id,omitempty"`         // hello: worker identity
-	Job        string             `json:"job,omitempty"`        // task
-	TaskID     int                `json:"task_id,omitempty"`    // task | result | presult | error; reducetask | fetch: reduce partition
-	Attempt    int                `json:"attempt,omitempty"`    // task | result | presult: retry ordinal, 0-based
-	Records    []string           `json:"records,omitempty"`    // task
-	Partial    map[string]float64 `json:"partial,omitempty"`    // result
-	Jobs       []string           `json:"jobs,omitempty"`       // hello
-	Message    string             `json:"message,omitempty"`    // error
-	Caps       []string           `json:"caps,omitempty"`       // hello: offered, helloack: accepted
-	Batch      []taskSpec         `json:"batch,omitempty"`      // taskbatch
-	Partitions int                `json:"partitions,omitempty"` // helloack: merge partition count when "part" was accepted
-	Parts      []partitionPartial `json:"parts,omitempty"`      // presult: per-partition partials; reducetask | fetchresult: per-map-task partials (ID is the map task id)
-	Trace      string             `json:"trace,omitempty"`      // task | taskbatch: job trace ID; result | presult: echoed back
-	Spans      []spanSummary      `json:"spans,omitempty"`      // result | presult: worker-side phase spans
+	Type       string             // hello | helloack | task | taskbatch | presult | mapdone | reducetask | morelocs | result | error | ping | pong | fetch | fetchresult | replicate | replicack
+	ID         string             // hello: worker identity
+	Job        string             // task | reducetask
+	TaskID     int                // task | presult | mapdone | error: map task; reducetask | morelocs | result | fetch | fetchresult: reduce partition; replicate | replicack: map task
+	Attempt    int                // task | reducetask and their replies: retry ordinal, 0-based
+	Records    []string           // task
+	Folded     section            // result: the reduce partition's folded output
+	Jobs       []string           // hello
+	Message    string             // error; morelocs: "abort"
+	Batch      []taskSpec         // taskbatch
+	Partitions int                // helloack: merge partition count P
+	Parts      []partitionPartial // presult | mapdone | replicate: per-partition sections of one map task; reducetask | morelocs | fetchresult: per-map-task sections of one partition (ID is the map task id)
+	Trace      string             // task | taskbatch | reducetask: job trace ID, which asks for Spans; echoed on the reply
+	Spans      []spanSummary      // presult | mapdone | result: worker-side phase spans
 
-	// Distributed-reduce fields, carried only on connections that
-	// negotiated the "reduce" capability (a fourth trailing layout block
-	// on binary frames). The hello/helloack exchange is always JSON, so
-	// Fetch and Reducers need no layout versioning there.
-	Run      string     `json:"run,omitempty"`      // task | mapdone | reducetask | fetch: run id intermediate output is keyed by
-	Reducers int        `json:"reducers,omitempty"` // helloack: reduce partition count when "reduce" was accepted
-	Fetch    string     `json:"fetch,omitempty"`    // hello: worker's shuffle listener address
-	Bytes    int64      `json:"bytes,omitempty"`    // result (of a reduce task): intermediate bytes fetched over a socket
-	Tasks    []int      `json:"tasks,omitempty"`    // fetch: map task ids whose partition slice is wanted
-	Locs     []fetchLoc `json:"locs,omitempty"`     // reducetask: where winning map outputs are stored
+	// Distributed reduce.
+	Run      string     // task | mapdone | reducetask | morelocs | fetch | replicate: run id intermediate output is keyed by; on a task it asks for mapdone in place of presult
+	Reducers int        // helloack: reduce partition count R, 0 when the master merges; replicate: the run's R
+	Fetch    string     // hello: worker's shuffle listener address; error (of a reduce task): the holder whose fetch failed
+	Bytes    int64      // result: intermediate bytes fetched over a socket
+	Tasks    []int      // fetch: map task ids whose partition slice is wanted
+	Locs     []fetchLoc // reducetask | morelocs: where winning map outputs are stored
 
-	// Out-of-core shuffle fields, carried only on connections that
-	// negotiated the "comp" capability (a fifth trailing layout block on
-	// binary frames, plus the compression flag layer around the body).
-	Rep       string   `json:"rep,omitempty"`        // task | taskbatch: peer shuffle addr to replicate to; mapdone: addr actually replicated to
-	CompAddrs []string `json:"comp_addrs,omitempty"` // reducetask: shuffle addrs that speak the comp generation (fetch dial hint)
-	Spills    int      `json:"spills,omitempty"`     // mapdone | result: spill runs written while producing this output
-	Spilled   int64    `json:"spilled,omitempty"`    // mapdone | result: bytes written to spill files
-	CompBytes int64    `json:"comp_bytes,omitempty"` // result (of a reduce task): wire bytes saved by frame compression
-	ShuffleMs int64    `json:"shuffle_ms,omitempty"` // helloack: shuffle timeout, milliseconds
+	// Out-of-core shuffle.
+	Rep       string // task | taskbatch: peer shuffle addr to replicate to; mapdone: addr actually replicated to
+	Spills    int    // mapdone | result: spill runs written while producing this output
+	Spilled   int64  // mapdone | result: bytes written to spill files
+	CompBytes int64  // mapdone | result: bytes compression saved (spill sections; shuffle frames)
+	ShuffleMs int64  // helloack: shuffle timeout, milliseconds
 
-	// Pipelined-shuffle fields, carried only on connections that
-	// negotiated the "early" capability (a sixth trailing layout block on
-	// binary frames). Total > 0 on a reducetask marks it an early
+	// Pipelined shuffle. Total > 0 on a reducetask marks it an early
 	// dispatch: the reducer gathers the initial Locs/Parts, then keeps
 	// receiving morelocs frames (same Run/TaskID, incremental Locs/Parts/
 	// Reps — or Message "abort") until it has covered Total map tasks.
-	Total     int        `json:"total,omitempty"`     // reducetask: map tasks the run will eventually produce (early mode)
-	Reps      []fetchLoc `json:"reps,omitempty"`      // reducetask | morelocs: replica shuffle addrs per map task (local failover)
-	Failovers int        `json:"failovers,omitempty"` // result (of a reduce task): fetches locally rerouted to a replica
-
-	// partialSec, when non-nil, is Partial already encoded as a section:
-	// a reducer's merge writes its output in wire form, and the frame
-	// carries those bytes instead of encoding the map. Send side only.
-	partialSec []byte
+	Total     int        // reducetask: map tasks the run will eventually produce (early mode)
+	Reps      []fetchLoc // reducetask | morelocs: replica shuffle addrs per map task (local failover)
+	Failovers int        // result: fetches locally rerouted to a replica
 }
 
 // fetchLoc names one worker's shuffle listener and the map tasks whose
 // persisted output it holds — the reduce task's treasure map.
 type fetchLoc struct {
-	Addr  string `json:"addr"`
-	Tasks []int  `json:"tasks"`
+	Addr  string
+	Tasks []int
 }
 
 // spanSummary is one worker-side phase interval shipped back piggybacked
@@ -152,66 +120,49 @@ type fetchLoc struct {
 // timeline, so workers need no synchronized clocks — only a monotonic
 // one.
 type spanSummary struct {
-	Phase string  `json:"phase"`
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
+	Phase string
+	Start float64
+	End   float64
 }
 
 // taskSpec is one shard inside a taskbatch frame; the worker answers
 // each spec with its own result frame, in order.
 type taskSpec struct {
-	Job     string   `json:"job"`
-	TaskID  int      `json:"task_id"`
-	Attempt int      `json:"attempt,omitempty"`
-	Records []string `json:"records,omitempty"`
+	Job     string
+	TaskID  int
+	Attempt int
+	Records []string
 }
 
-// conn wraps a net.Conn with framing and deadlines. It starts in JSON
-// mode and is switched to the binary codec by the hello negotiation.
-// A conn is used by one goroutine at a time, so its scratch buffers
-// need no locking.
+// conn wraps a net.Conn with the preamble, framing and deadlines. A conn
+// is used by one goroutine at a time, so its scratch needs no locking.
 type conn struct {
 	raw net.Conn
 	r   *bufio.Reader
-	enc *json.Encoder
 
-	binary bool // codec v2 negotiated for both directions
-	binExt bool // bin2 layout (trailing partition fields) negotiated
-	trc    bool // trace layout (trailing Trace/Spans fields) negotiated
-	red    bool // reduce layout (trailing Run/…/Locs fields) negotiated
-	cmp    bool // comp layout (flag layer + trailing Rep/…/ShuffleMs fields) negotiated
-	erl    bool // early layout (trailing Total/Reps/Failovers fields) negotiated
+	greeted bool // our preamble has gone out (it rides the first send)
+	checked bool // the peer's preamble has been read and matched
 
-	// sniff arms one-shot generation detection on shuffle-server
-	// connections: the first body byte of a comp dialer is its
-	// compression flag (0x00/0x01), a legacy reduce dialer's is its
-	// frame type byte (never below 2 on a shuffle connection), so the
-	// server adopts the dialer's generation without a handshake.
-	sniff bool
-
-	// lastDecode is the wire-decode cost of the most recent recv,
-	// measured only on traced connections: the worker charges it to the
-	// task's "decode" span so deserialization overhead is attributed
-	// instead of vanishing into RPC time.
+	// lastDecode is the wire-decode cost of the most recent recv: a worker
+	// charges it to a traced task's "decode" span so deserialization
+	// overhead is attributed instead of vanishing into RPC time.
 	lastDecode time.Duration
 
-	// lastFrameLen is the encoded size of the most recent recv (body
-	// bytes in binary mode, line bytes in JSON mode) — what a reducer
-	// charges to Stats.ShuffleBytes per fetched frame.
+	// lastFrameLen is the encoded body size of the most recent recv — what
+	// a reducer charges to Stats.ShuffleBytes per fetched frame.
 	lastFrameLen int
 
-	// lastRawLen is the decompressed body size of the most recent recv on
-	// a comp connection (equal to lastFrameLen-1 for stored bodies);
-	// lastRawLen - lastFrameLen is the wire saving frame compression
-	// bought, which reducers report as CompBytes.
+	// lastRawLen is the decompressed body size of the most recent recv
+	// (lastFrameLen-1 for stored bodies); lastRawLen - lastFrameLen is the
+	// wire saving frame compression bought, which reducers report as
+	// CompBytes.
 	lastRawLen int
 
-	keys    []string // sorted-Partial scratch for binary encode
-	scratch message  // binary decode target; Records/Batch backing reused
+	scratch message // decode target; Records/Batch backing reused
 }
 
 func newConn(raw net.Conn) *conn {
-	return &conn{raw: raw, r: bufio.NewReader(raw), enc: json.NewEncoder(raw)}
+	return &conn{raw: raw, r: bufio.NewReader(raw)}
 }
 
 func (c *conn) send(m message, timeout time.Duration) error {
@@ -223,20 +174,17 @@ func (c *conn) send(m message, timeout time.Duration) error {
 		// A previous timed send must not poison this untimed one.
 		return err
 	}
-	if !c.binary {
-		if m.partialSec != nil {
-			m.Partial = section(m.partialSec).toMap()
-		}
-		if err := c.enc.Encode(m); err != nil {
-			return fmt.Errorf("netmr: send %s: %w", m.Type, err)
-		}
-		return nil
+	var lead []byte
+	if !c.greeted {
+		lead = preamble[:]
 	}
 	bufp := encBufPool.Get().(*[]byte)
-	frame, keys, err := appendFrame((*bufp)[:0], &m, c.keys, c.binExt, c.trc, c.red, c.cmp, c.erl)
-	c.keys = keys
+	frame, err := appendFrame((*bufp)[:0], &m, lead)
 	if err == nil {
-		_, err = c.raw.Write(frame) // one write: one frame per chaos fault op
+		// One write: one frame (and on a new connection its preamble) per
+		// chaos fault op.
+		_, err = c.raw.Write(frame)
+		c.greeted = true
 	}
 	if cap(frame) > cap(*bufp) {
 		*bufp = frame[:0] // the encode outgrew the pooled buffer: keep the larger one
@@ -248,24 +196,27 @@ func (c *conn) send(m message, timeout time.Duration) error {
 	return nil
 }
 
-func (c *conn) recv(timeout time.Duration) (message, error) {
-	return c.recvFrame(timeout, nil)
-}
-
-// recvReduced is recv for a reduce task's reply at the master, the one
-// receiver that keeps a result's Partial as the key-sorted section it
-// travels as instead of decoding it into a map (a JSON peer's map
-// becomes a section on arrival).
-func (c *conn) recvReduced(timeout time.Duration) (message, section, error) {
-	var sec section
-	m, err := c.recvFrame(timeout, &sec)
-	if err == nil && !c.binary {
-		sec, m.Partial = sectionFromMap(m.Partial), nil
+// readPreamble checks the peer's opening bytes. A listener that refuses
+// them has not spoken yet, so it answers with its own preamble before the
+// caller hangs up: the dialer, which reads it as the reply to its first
+// frame, then reports the same mismatch from its side.
+func (c *conn) readPreamble() error {
+	var p [4]byte
+	if _, err := io.ReadFull(c.r, p[:]); err != nil {
+		return fmt.Errorf("netmr: recv: %w", err)
 	}
-	return m, sec, err
+	err := checkPreamble(p)
+	if err != nil && !c.greeted {
+		c.greeted = true
+		if c.raw.SetWriteDeadline(time.Now().Add(time.Second)) == nil {
+			_, _ = c.raw.Write(preamble[:]) // best effort: the connection closes either way
+		}
+	}
+	c.checked = err == nil
+	return err
 }
 
-func (c *conn) recvFrame(timeout time.Duration, partial *section) (message, error) {
+func (c *conn) recv(timeout time.Duration) (message, error) {
 	if timeout > 0 {
 		if err := c.raw.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 			return message{}, err
@@ -273,24 +224,10 @@ func (c *conn) recvFrame(timeout time.Duration, partial *section) (message, erro
 	} else if err := c.raw.SetReadDeadline(time.Time{}); err != nil {
 		return message{}, err
 	}
-	if !c.binary {
-		line, err := c.r.ReadBytes('\n')
-		if err != nil {
-			return message{}, fmt.Errorf("netmr: recv: %w", err)
+	if !c.checked {
+		if err := c.readPreamble(); err != nil {
+			return message{}, err
 		}
-		c.lastFrameLen = len(line)
-		var decodeStart time.Time
-		if c.trc {
-			decodeStart = time.Now()
-		}
-		var m message
-		if err := json.Unmarshal(line, &m); err != nil {
-			return message{}, fmt.Errorf("netmr: decode: %w", err)
-		}
-		if c.trc {
-			c.lastDecode = time.Since(decodeStart)
-		}
-		return m, nil
 	}
 	n, err := binary.ReadUvarint(c.r)
 	if err != nil {
@@ -307,26 +244,15 @@ func (c *conn) recvFrame(timeout time.Duration, partial *section) (message, erro
 		return message{}, fmt.Errorf("netmr: recv: %w", err)
 	}
 	c.lastFrameLen = len(body)
-	var decodeStart time.Time
-	if c.trc {
-		decodeStart = time.Now()
-	}
-	if c.sniff {
-		c.cmp = len(body) > 0 && body[0] <= 1
-		c.sniff = false
-	}
-	if c.cmp {
-		if body, _, err = unwrapCompressedBody(body); err != nil {
-			return message{}, fmt.Errorf("netmr: recv: %w", err)
-		}
+	decodeStart := time.Now()
+	if body, _, err = unwrapCompressedBody(body); err != nil {
+		return message{}, fmt.Errorf("netmr: recv: %w", err)
 	}
 	c.lastRawLen = len(body)
-	if err := decodeFrame(body, &c.scratch, c.binExt, c.trc, c.red, c.cmp, c.erl, partial); err != nil {
+	if err := decodeFrame(body, &c.scratch); err != nil {
 		return message{}, err
 	}
-	if c.trc {
-		c.lastDecode = time.Since(decodeStart)
-	}
+	c.lastDecode = time.Since(decodeStart)
 	// The scratch's Records/Batch backing arrays are reclaimed on the
 	// next recv; callers are done with them by then (the worker finishes
 	// a task before receiving the next frame).
@@ -400,10 +326,11 @@ func (r *Registry) lookup(name string) (Job, bool) {
 }
 
 // partitionIndex hashes key into [0, parts) — the one hash function
-// workers and master must agree on, since a worker-partitioned result, a
-// master-partitioned fallback and Result.Lookup must land identical keys
-// in identical partitions: a protocol constant no version field covers,
-// pinned by TestPartitionIndexGolden. The key goes in 8 bytes per multiply
+// workers and master must agree on, since a map task's partitions, a
+// lineage re-execution on the master and Result.Lookup must land
+// identical keys in identical partitions: a protocol constant that
+// protocolVersion covers, pinned by TestPartitionIndexGolden. The key
+// goes in 8 bytes per multiply
 // (the tail as keyPrefix pads it, told from real zeros by the length the
 // hash starts from); murmur3's finalizer then brings the well-mixed high
 // bits down to the low ones the modulo reads.
@@ -541,30 +468,15 @@ func (sc *shardScratch) values(j Job) []float64 {
 	return sc.vals
 }
 
-// runShardTraced executes one shard and collects the result into a
-// single map — the unpartitioned wire shape — recording its phases on
-// clock (nil: an untraced run; the marks then cost a nil check). The
-// per-key reduction is its own pass — the "combine" span — so Wp splits
-// into its two constituents.
-func runShardTraced(j Job, records []string, sc *shardScratch, clock *spanClock) map[string]float64 {
-	sc.run(j, records)
-	clock.mark(spanMap)
-	vals := sc.values(j)
-	clock.mark(spanCombine)
-	out := make(map[string]float64, len(sc.keys))
-	for id, k := range sc.keys {
-		out[k] = vals[id]
-	}
-	clock.mark(spanEncode)
-	return out
-}
-
 // runShardPartitioned executes one shard and collects the result split
 // into hash partitions, each a key-sorted section, empty partitions
-// omitted. This is the only place map output is sorted and encoded:
-// every later hop moves the sections as bytes. The hashing moved onto
-// the worker is the cost the master's serial merge no longer pays (the
-// "partition" span); the sort and encode are the "encode" span.
+// omitted: the one shape map output takes, recording its phases on clock
+// (nil: an untraced task; the marks then cost a nil check). This is the
+// only place map output is sorted and encoded: every later hop moves the
+// sections as bytes. The per-key reduction is its own pass, the "combine"
+// span, so Wp splits into its two constituents; the hashing is the cost
+// the master's merge does not pay (the "partition" span); the sort and
+// encode are the "encode" span.
 func runShardPartitioned(j Job, records []string, sc *shardScratch, parts int, clock *spanClock) []partitionPartial {
 	if parts < 1 {
 		parts = 1
@@ -623,7 +535,7 @@ const (
 	spanMap       = "map"       // Map pass over the records (incl. streaming Combine)
 	spanCombine   = "combine"   // per-key reduction of buffered emissions
 	spanPartition = "partition" // hash-splitting keys into merge partitions
-	spanEncode    = "encode"    // map task: sorting and encoding the result (sections, or the flat map); reduce task: sealing the merged section
+	spanEncode    = "encode"    // map task: sorting and encoding the sections; reduce task: sealing the merged section
 	spanFetch     = "fetch"     // reduce task: pulling intermediate sections from peers
 	spanReduce    = "reduce"    // reduce task: merge-fold of the gathered sections
 	spanSpill     = "spill"     // writing sorted spill runs when the memory budget is exceeded

@@ -9,18 +9,17 @@ import (
 )
 
 // Master-side scheduler of the distributed reduce phase: after the split
-// barrier the R partitions go back out to the reduce-capable workers as
-// reduce tasks, under the same retry/backoff/speculation discipline as
-// map shards. The master never folds a key here — its remaining job is
-// routing: telling each reducer where the winning map outputs live (the
-// fetch plan) and carrying the relayed slices of v1/non-reduce workers.
+// barrier the R partitions go back out to the workers as reduce tasks,
+// under the same retry/backoff/speculation discipline as map shards. The
+// master never folds a key here — its remaining job is routing: telling
+// each reducer where the winning map outputs live (the fetch plan) and
+// carrying inline the copies only it holds.
 
 // reducePlan is everything the reduce phase needs to route intermediate
 // data: where the winning map outputs live (mapLocs), where their peer
 // replicas live (replicaLocs), the master-held replica payloads of
-// unreplicated outputs (replicaParts), the relayed slices of v1 workers
-// (relay), and the lineage inputs (job + shardRecords) for the last-ditch
-// map re-execution fallback.
+// unreplicated outputs (replicaParts), and the lineage inputs (job +
+// shardRecords) for the last-ditch map re-execution fallback.
 type reducePlan struct {
 	jobName      string
 	job          Job
@@ -28,16 +27,13 @@ type reducePlan struct {
 	mapLocs      map[int]string
 	replicaLocs  map[int]string
 	replicaParts map[int][]partitionPartial
-	relay        [][]partitionPartial
 	shards       int
 	shardRecords func(int) []string
 }
 
-// runReducePhase assigns the R reduce partitions to reduce-capable
-// workers and returns their folded partitions, indexed by partition id,
-// each the key-sorted section its reducer sent.
-// Non-reduce workers drawn from the idle pool are parked for the
-// duration and returned on every exit path.
+// runReducePhase assigns the R reduce partitions to workers and returns
+// their folded partitions, indexed by partition id, each the key-sorted
+// section its reducer sent.
 //
 // Unlike the map phase, fetch plans are computed per dispatch against the
 // current shuffle-address liveness view: a map output whose primary
@@ -79,7 +75,7 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 
 	// buildPlan computes one dispatch's fetch plan: each live holder
 	// address with the (sorted) map tasks to fetch from it, the replica
-	// addresses an early-layout reducer may fail over to worker-locally,
+	// addresses the reducer may fail over to worker-locally,
 	// plus the partition's slice of any output that has to travel inline
 	// (master replica or re-executed). Runs in the event-loop goroutine —
 	// it mutates shared state (replicaParts cache, stats).
@@ -148,30 +144,21 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 		}
 	}
 
-	// dispatchReduce ships one partition to a reduce worker and reports
-	// exactly once. A reply that is not this partition's result drops the
-	// worker — except a comp reducer's "the fetch failed" report (an error
-	// frame naming the holder address): there the reducer is healthy and
-	// the holder is not, so the holder is marked dead, the reducer returns
-	// to the pool, and the retry re-plans around the loss.
-	dispatchReduce := func(w *workerHandle, t shardTask, locs []fetchLoc, parts []partitionPartial, compAddrs []string, reps []fetchLoc, launch int) {
-		traceID := ""
-		if trc != nil && w.trace {
-			traceID = trc.ID
-		}
-		fr := message{Type: "reducetask", Job: plan.jobName, TaskID: t.id, Attempt: t.attempts, Run: plan.runID, Locs: locs, Parts: parts, CompAddrs: compAddrs, Trace: traceID}
-		if w.early {
-			// Replica addresses ride the early layout: the reducer retries
-			// a dead holder's tasks against the replica itself instead of
-			// failing the whole launch back to the master.
-			fr.Reps = reps
-		}
+	// dispatchReduce ships one partition to a worker and reports exactly
+	// once. A reply that is not this partition's result drops the worker —
+	// except a reducer's "the fetch failed" report (an error frame naming
+	// the holder address): there the reducer is healthy and the holder is
+	// not, so the holder is marked dead, the reducer returns to the pool,
+	// and the retry re-plans around the loss. Replica addresses ride the
+	// frame so the reducer retries a dead holder's tasks against the
+	// replica itself before failing the whole launch back to the master.
+	dispatchReduce := func(w *workerHandle, t shardTask, locs []fetchLoc, parts []partitionPartial, reps []fetchLoc, launch int) {
+		fr := message{Type: "reducetask", Job: plan.jobName, TaskID: t.id, Attempt: t.attempts, Run: plan.runID, Locs: locs, Parts: parts, Reps: reps, Trace: trc.frameID()}
 		start := time.Now()
 		err := w.c.send(fr, m.cfg.TaskTimeout)
 		var reply message
-		var sec section
 		if err == nil {
-			reply, sec, err = w.c.recvReduced(m.cfg.TaskTimeout)
+			reply, err = w.c.recv(m.cfg.TaskTimeout)
 		}
 		elapsed := time.Since(start)
 		if err == nil && reply.Type == "error" && reply.TaskID == t.id && reply.Fetch != "" {
@@ -200,16 +187,13 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 			m.dropWorker(w)
 			return
 		}
-		if !w.trace {
-			reply.Spans = nil // only negotiated trace peers may report phases
-		}
 		m.metrics.rpcSeconds.With(w.id).Observe(elapsed.Seconds())
 		ledger.shardDone(w.id, elapsed)
 		if trc != nil {
 			trc.closeLaunch(launch, outcomeOK, reply.Spans)
 		}
 		resultCh <- launchDone{
-			task: t, sec: sec, bytes: reply.Bytes,
+			task: t, sec: reply.Folded, bytes: reply.Bytes,
 			compBytes: reply.CompBytes, spills: reply.Spills, spilled: reply.Spilled,
 			failovers: reply.Failovers, elapsed: elapsed, launch: launch,
 		}
@@ -227,15 +211,6 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 	for p := range earlySeeded {
 		inflight[p] = &flight{launches: 1, lastLaunch: time.Now()}
 	}
-
-	// Only reduce-capable workers can serve this phase; everyone else
-	// pulled from the idle pool parks here until the phase ends.
-	var parked []*workerHandle
-	defer func() {
-		for _, w := range parked {
-			m.idle <- w
-		}
-	}()
 
 	liveLaunches := func() int {
 		total := 0
@@ -308,10 +283,6 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 
 		select {
 		case w := <-idleCh:
-			if !w.reduce {
-				parked = append(parked, w)
-				continue
-			}
 			t := queue[readyIdx]
 			queue = append(queue[:readyIdx], queue[readyIdx+1:]...)
 			f := inflight[t.id]
@@ -330,19 +301,7 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 			// goroutine, where the shared replica cache and stats would
 			// race.
 			locs, inline, reps := buildPlan(t.id)
-			taskParts := plan.relay[t.id]
-			if len(inline) > 0 {
-				taskParts = append(append([]partitionPartial{}, taskParts...), inline...)
-			}
-			// Only comp reducers get the comp-peer list (the frame field
-			// needs the comp layout); they dial the flag layer exclusively
-			// to addresses on it, so mixed-generation shuffle planes never
-			// misparse each other.
-			var compAddrs []string
-			if w.comp {
-				compAddrs = m.liveCompAddrs()
-			}
-			go dispatchReduce(w, t, locs, taskParts, compAddrs, reps, launch)
+			go dispatchReduce(w, t, locs, inline, reps, launch)
 
 		case r := <-resultCh:
 			if f := inflight[r.task.id]; f != nil {
@@ -409,9 +368,9 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 				abandon()
 				return nil, fmt.Errorf("netmr: reduce partition %d failed %d times, retry budget exhausted: %w", t.id, t.attempts, fl.err)
 			}
-			if m.redCount.Load() == 0 && (f == nil || f.launches == 0) {
+			if m.WorkerCount() == 0 && (f == nil || f.launches == 0) {
 				abandon()
-				return nil, fmt.Errorf("netmr: all reduce-capable workers lost with partition %d outstanding: %w", t.id, fl.err)
+				return nil, fmt.Errorf("netmr: all workers lost with partition %d outstanding: %w", t.id, fl.err)
 			}
 			delay := backoffDelay(m.cfg.RetryBaseDelay, m.cfg.RetryMaxDelay, m.cfg.RetryJitter, m.cfg.RetrySeed, t.id, t.attempts)
 			m.metrics.retries.Inc()

@@ -82,12 +82,13 @@ func TestLatencyQuantile(t *testing.T) {
 }
 
 // TestRetryBudgetExhaustionSurfacesLastError drives every dispatch into
-// an injected drop (master-side chaos, DropRate 1 with the hello read
-// exempt) so one shard burns its full MaxAttempts budget; the returned
+// an injected drop (master-side chaos, DropRate 1 with the handshake's
+// two ops exempt: a helloack that cannot be sent refuses the worker) so
+// one shard burns its full MaxAttempts budget; the returned
 // error must name the shard, the attempt count, and wrap the final
 // injected error.
 func TestRetryBudgetExhaustionSurfacesLastError(t *testing.T) {
-	inj := chaos.New(chaos.Config{Seed: 11, DropRate: 1})
+	inj := chaos.New(chaos.Config{Seed: 11, DropRate: 1, GraceOps: 2})
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
 		TaskTimeout:    2 * time.Second,
 		JobTimeout:     10 * time.Second,

@@ -59,9 +59,17 @@ func checkResult(t *testing.T, res *Result, want map[string]float64) {
 // sectionedResult splits m by the reduce hash into the R sections a
 // distributed reduce hands the master (empty partitions stay empty).
 func sectionedResult(m map[string]float64, R int) *Result {
+	split := make([]map[string]float64, R)
+	for k, v := range m {
+		p := partitionIndex(k, R)
+		if split[p] == nil {
+			split[p] = map[string]float64{}
+		}
+		split[p][k] = v
+	}
 	parts := make([]section, R)
-	for _, p := range splitForRelay(nil, m, R) {
-		parts[p.ID] = p.Partial
+	for p, sm := range split {
+		parts[p] = sectionFromMap(sm)
 	}
 	return &Result{parts: parts}
 }
@@ -170,7 +178,6 @@ func TestRecvOwnsFrameBuffer(t *testing.T) {
 		}
 		defer raw.Close()
 		c := newConn(raw)
-		c.binary, c.binExt, c.red, c.cmp = true, true, true, true
 		for _, m := range frames {
 			if err := c.send(m, 5*time.Second); err != nil {
 				sent <- err
@@ -185,7 +192,6 @@ func TestRecvOwnsFrameBuffer(t *testing.T) {
 	}
 	defer raw.Close()
 	c := newConn(raw)
-	c.binary, c.binExt, c.red, c.cmp = true, true, true, true
 
 	first, err := c.recv(5 * time.Second)
 	if err != nil {

@@ -3,12 +3,12 @@ package netmr
 import (
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 	"strings"
+	"unsafe"
 )
 
 // section is the one form map output takes between the map task and the
@@ -51,14 +51,18 @@ func (b *sectionBuilder) add(k string, v float64) {
 	b.count++
 }
 
-// bytes returns the sealed section in wire form (the count byte 0 when
-// no pair was added), valid until the next reset.
-func (b *sectionBuilder) bytes() []byte {
+// section seals the pairs added so far. The section is the builder's own
+// buffer, not a copy (a reduce partition is tens of megabytes), so the
+// builder must not be written again while the section is in use.
+func (b *sectionBuilder) section() section {
+	if b.count == 0 {
+		return ""
+	}
 	var prefix [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(prefix[:], uint64(b.count))
 	start := binary.MaxVarintLen64 - n
 	copy(b.buf[start:], prefix[:n])
-	return b.buf[start:]
+	return section(unsafe.String(&b.buf[start], len(b.buf)-start))
 }
 
 // keyPrefix is k's first 8 bytes as a big-endian integer, zero-padded:
@@ -178,18 +182,6 @@ func encodeSection(refs []keyRef, keys []string, vals []float64) section {
 	return section(b.String())
 }
 
-// sectionFromMap encodes m: the master's relay and recovery copies of
-// flat results, and tests.
-func sectionFromMap(m map[string]float64) section {
-	keys, vals, refs := make([]string, 0, len(m)), make([]float64, 0, len(m)), make([]keyRef, 2*len(m))
-	for k, v := range m {
-		refs[len(keys)].id = uint32(len(keys))
-		keys, vals = append(keys, k), append(vals, v)
-	}
-	sortRefs(refs[:len(m)], refs[len(m):], keys, 0)
-	return encodeSection(refs[:len(m)], keys, vals)
-}
-
 // section checks the section starting at the cursor — every key inside
 // the frame, keys strictly ascending, the count matched — and returns it
 // as a substring of the frame, leaving the cursor behind it.
@@ -268,17 +260,6 @@ func (s section) addTo(m map[string]float64) {
 	s.each(func(k string, v float64) { m[k] = v })
 }
 
-// toMap decodes the section (nil when empty): what JSON peers exchange,
-// the serial-merge fallback, and tests.
-func (s section) toMap() map[string]float64 {
-	if len(s) == 0 {
-		return nil
-	}
-	m := make(map[string]float64, s.count())
-	s.addTo(m)
-	return m
-}
-
 // partitionPartial is one slice of map output: on a presult, mapdone or
 // replicate frame the keys of one map task that hash to partition ID; on
 // a reducetask, morelocs or fetchresult frame the keys map task ID
@@ -298,23 +279,4 @@ func partOf(parts []partitionPartial, id int) section {
 		}
 	}
 	return ""
-}
-
-// partitionPartialJSON is the shape legacy JSON peers exchange.
-type partitionPartialJSON struct {
-	ID      int                `json:"id"`
-	Partial map[string]float64 `json:"partial,omitempty"`
-}
-
-func (p partitionPartial) MarshalJSON() ([]byte, error) {
-	return json.Marshal(partitionPartialJSON{ID: p.ID, Partial: p.Partial.toMap()})
-}
-
-func (p *partitionPartial) UnmarshalJSON(b []byte) error {
-	var j partitionPartialJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return err
-	}
-	p.ID, p.Partial = j.ID, sectionFromMap(j.Partial)
-	return nil
 }

@@ -6,26 +6,24 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// mapPart is a Parts entry the way the previous generation of this
-// package carried it: a map the encoder sorted at every send.
+// mapPart is a Parts entry as a map, the way the reference encoder below
+// takes it.
 type mapPart struct {
 	id int
 	m  map[string]float64
 }
 
-// mapEncodeBody is the previous generation's frame encoder, kept here as
-// the reference: it builds the raw checksummed body (type byte through
-// CRC) from maps, collecting and sorting every map's keys the way
-// appendFrame did before sections. m carries every field but Parts.
-func mapEncodeBody(t testing.TB, m message, parts []mapPart, g codecGen) []byte {
+// mapEncodeBody is the reference frame encoder: it builds the raw
+// checksummed body (type byte through CRC) field by field from maps,
+// collecting and sorting every map's keys itself. m carries every field
+// but Parts and Folded.
+func mapEncodeBody(t testing.TB, m message, folded map[string]float64, parts []mapPart) []byte {
 	t.Helper()
 	pairs := func(b []byte, p map[string]float64) []byte {
 		b = binary.AppendUvarint(b, uint64(len(p)))
@@ -57,10 +55,9 @@ func mapEncodeBody(t testing.TB, m message, parts []mapPart, g codecGen) []byte 
 	b = binary.AppendVarint(b, int64(m.TaskID))
 	b = binary.AppendVarint(b, int64(m.Attempt))
 	b = appendStrings(b, m.Records)
-	b = pairs(b, m.Partial)
+	b = pairs(b, folded)
 	b = appendStrings(b, m.Jobs)
 	b = appendString(b, m.Message)
-	b = appendStrings(b, m.Caps)
 	b = binary.AppendUvarint(b, uint64(len(m.Batch)))
 	for _, spec := range m.Batch {
 		b = appendString(b, spec.Job)
@@ -68,53 +65,42 @@ func mapEncodeBody(t testing.TB, m message, parts []mapPart, g codecGen) []byte 
 		b = binary.AppendVarint(b, int64(spec.Attempt))
 		b = appendStrings(b, spec.Records)
 	}
-	if g.ext {
-		b = binary.AppendVarint(b, int64(m.Partitions))
-		b = binary.AppendUvarint(b, uint64(len(parts)))
-		for _, part := range parts {
-			b = binary.AppendVarint(b, int64(part.id))
-			b = pairs(b, part.m)
-		}
+	b = binary.AppendVarint(b, int64(m.Partitions))
+	b = binary.AppendUvarint(b, uint64(len(parts)))
+	for _, part := range parts {
+		b = binary.AppendVarint(b, int64(part.id))
+		b = pairs(b, part.m)
 	}
-	if g.trc {
-		b = appendString(b, m.Trace)
-		b = binary.AppendUvarint(b, uint64(len(m.Spans)))
-		for _, s := range m.Spans {
-			b = appendString(b, s.Phase)
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Start))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.End))
-		}
+	b = appendString(b, m.Trace)
+	b = binary.AppendUvarint(b, uint64(len(m.Spans)))
+	for _, s := range m.Spans {
+		b = appendString(b, s.Phase)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Start))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.End))
 	}
-	if g.red {
-		b = appendString(b, m.Run)
-		b = binary.AppendVarint(b, int64(m.Reducers))
-		b = appendString(b, m.Fetch)
-		b = binary.AppendVarint(b, m.Bytes)
-		b = binary.AppendUvarint(b, uint64(len(m.Tasks)))
-		for _, task := range m.Tasks {
-			b = binary.AppendVarint(b, int64(task))
-		}
-		b = locs(b, m.Locs)
+	b = appendString(b, m.Run)
+	b = binary.AppendVarint(b, int64(m.Reducers))
+	b = appendString(b, m.Fetch)
+	b = binary.AppendVarint(b, m.Bytes)
+	b = binary.AppendUvarint(b, uint64(len(m.Tasks)))
+	for _, task := range m.Tasks {
+		b = binary.AppendVarint(b, int64(task))
 	}
-	if g.cmp {
-		b = appendString(b, m.Rep)
-		b = appendStrings(b, m.CompAddrs)
-		b = binary.AppendVarint(b, int64(m.Spills))
-		b = binary.AppendVarint(b, m.Spilled)
-		b = binary.AppendVarint(b, m.CompBytes)
-		b = binary.AppendVarint(b, m.ShuffleMs)
-	}
-	if g.erl {
-		b = binary.AppendVarint(b, int64(m.Total))
-		b = locs(b, m.Reps)
-		b = binary.AppendVarint(b, int64(m.Failovers))
-	}
+	b = locs(b, m.Locs)
+	b = appendString(b, m.Rep)
+	b = binary.AppendVarint(b, int64(m.Spills))
+	b = binary.AppendVarint(b, m.Spilled)
+	b = binary.AppendVarint(b, m.CompBytes)
+	b = binary.AppendVarint(b, m.ShuffleMs)
+	b = binary.AppendVarint(b, int64(m.Total))
+	b = locs(b, m.Reps)
+	b = binary.AppendVarint(b, int64(m.Failovers))
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
 }
 
 // randomPairs draws n pairs over a key space that collides across calls
 // (shared prefixes, the empty key, multi-byte runes) with values that
-// include the non-finite ones JSON cannot carry.
+// include the non-finite ones.
 func randomPairs(rng *rand.Rand, n int) map[string]float64 {
 	m := make(map[string]float64, n)
 	for len(m) < n {
@@ -141,13 +127,12 @@ func randomPairs(rng *rand.Rand, n int) map[string]float64 {
 	return m
 }
 
-// TestSectionFramesMatchMapEncoder is the wire-compatibility property:
-// for every frame type that carries Parts or Partial, a frame built from
-// sections is byte for byte the frame the map-based encoder built from
-// the same data — under every layout that can carry it, comp on or off.
-// (With comp on the body under the flag layer is compared, and the whole
-// frame whenever it travels stored: which bodies get compressed is this
-// generation's policy, what they decompress to is not.)
+// TestSectionFramesMatchMapEncoder is the encoding property: for every
+// frame type that carries Parts or Folded, a frame built from sections is
+// byte for byte the frame the reference encoder builds from the same data
+// as maps. The body under the flag layer is compared, and the whole frame
+// whenever it travels stored: which bodies get compressed is policy, what
+// they decompress to is not.
 func TestSectionFramesMatchMapEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 60; trial++ {
@@ -170,80 +155,47 @@ func TestSectionFramesMatchMapEncoder(t *testing.T) {
 			folded.add(k, v)
 		}
 		frames := []message{
-			{Type: "presult", TaskID: trial, Attempt: 1, Parts: secs},
-			{Type: "mapdone", TaskID: trial, Run: "wc#1", Parts: secs},
+			{Type: "presult", TaskID: trial, Attempt: 1, Parts: secs, Trace: "wc-1", Spans: []spanSummary{{Phase: "map", End: 0.5}}},
+			{Type: "mapdone", TaskID: trial, Run: "wc#1", Parts: secs, Rep: "127.0.0.1:7002", Spills: 1, Spilled: 99},
 			{Type: "replicate", Run: "wc#1", TaskID: trial, Reducers: 8, Parts: secs},
 			{Type: "fetchresult", TaskID: 3, Parts: secs},
-			{Type: "reducetask", Job: "wc", TaskID: 2, Run: "wc#1", Parts: secs,
+			{Type: "reducetask", Job: "wc", TaskID: 2, Run: "wc#1", Parts: secs, Total: 9,
 				Locs: []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{0, 1}}}},
 			{Type: "morelocs", Run: "wc#1", TaskID: 2, Parts: secs,
 				Reps: []fetchLoc{{Addr: "127.0.0.1:7002", Tasks: []int{4}}}},
-			{Type: "result", TaskID: 1, Attempt: 2, Partial: partial, Bytes: 99},
-			{Type: "result", TaskID: 1, Attempt: 2, partialSec: folded.bytes(), Bytes: 99},
+			{Type: "result", TaskID: 1, Attempt: 2, Folded: sectionFromMap(partial), Bytes: 99, Failovers: 2},
+			{Type: "result", TaskID: 1, Attempt: 2, Folded: folded.section(), Bytes: 99, CompBytes: 7},
 		}
 		for _, m := range frames {
-			ref, refParts := m, parts
-			ref.partialSec = nil
-			if m.partialSec != nil {
-				ref.Partial = partial
+			var refFolded map[string]float64
+			if m.Type == "result" {
+				refFolded = partial
 			}
+			refParts := parts
 			if m.Parts == nil {
 				refParts = nil
 			}
-			for _, g := range codecGens() {
-				if !g.carries(m) {
-					continue
-				}
-				want := mapEncodeBody(t, ref, refParts, g)
-				frame, _, err := appendFrame(nil, &m, nil, g.ext, g.trc, g.red, g.cmp, g.erl)
-				if err != nil {
-					t.Fatalf("trial %d %s/%s: %v", trial, m.Type, g.name, err)
-				}
-				body := frameBody(t, frame)
-				if g.cmp {
-					raw, compressed, err := unwrapCompressedBody(body)
-					if err != nil {
-						t.Fatalf("trial %d %s/%s: %v", trial, m.Type, g.name, err)
-					}
-					if !compressed {
-						stored := append(binary.AppendUvarint(nil, uint64(len(want)+1)), 0)
-						if string(frame) != string(append(stored, want...)) {
-							t.Fatalf("trial %d %s/%s: stored comp frame differs from the map encoder's", trial, m.Type, g.name)
-						}
-					}
-					body = raw
-				} else if string(frame) != string(append(binary.AppendUvarint(nil, uint64(len(want))), want...)) {
-					t.Fatalf("trial %d %s/%s: frame differs from the map encoder's", trial, m.Type, g.name)
-				}
-				if string(body) != string(want) {
-					t.Fatalf("trial %d %s/%s: body differs from the map encoder's", trial, m.Type, g.name)
-				}
-			}
-		}
-	}
-}
-
-// TestCommittedCorpusMatchesEncoder: the corpus under testdata/fuzz was
-// written by the map-based encoder; the section encoder must reproduce
-// every file byte for byte from the same seed messages.
-func TestCommittedCorpusMatchesEncoder(t *testing.T) {
-	for fuzzName, bodies := range fuzzCorpora(t) {
-		for i, b := range bodies {
-			name := filepath.Join("testdata", "fuzz", fuzzName, fmt.Sprintf("seed-%03d", i))
-			got, err := os.ReadFile(name)
+			want := mapEncodeBody(t, m, refFolded, refParts)
+			frame := encodeBinary(t, m)
+			raw, compressed, err := unwrapCompressedBody(wireBody(t, frame))
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("trial %d %s: %v", trial, m.Type, err)
 			}
-			if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b); string(got) != want {
-				t.Errorf("%s: the encoder no longer produces the committed bytes", name)
+			if !compressed {
+				stored := append(binary.AppendUvarint(nil, uint64(len(want)+1)), 0)
+				if string(frame) != string(append(stored, want...)) {
+					t.Fatalf("trial %d %s: stored frame differs from the reference encoder's", trial, m.Type)
+				}
+			}
+			if string(raw) != string(want) {
+				t.Fatalf("trial %d %s: body differs from the reference encoder's", trial, m.Type)
 			}
 		}
 	}
 }
 
-// badSectionBodies are checksummed bodies (layout ext+red, the shape
-// both focused fuzzers decode) whose Parts carry a section the decoder
-// must refuse: the encoder copies section bytes in as they are, so a
+// badSectionBodies are checksummed bodies whose Parts carry a section the
+// decoder must refuse: the encoder copies section bytes in as they are, so a
 // peer that lies about one is the only way such a frame comes to exist.
 func badSectionBodies(t testing.TB) map[string][]byte {
 	good := string(sectionFromMap(map[string]float64{"a": 1, "b": 2, "c": 3}))
@@ -268,11 +220,7 @@ func badSectionBodies(t testing.TB) map[string][]byte {
 			{ID: 0, Partial: sectionFromMap(map[string]float64{"ok": 1})},
 			{ID: 1, Partial: section(sec)},
 		}}
-		frame, _, err := appendFrame(nil, &m, nil, true, false, true, false, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = frameBody(t, frame)
+		out[name] = frameBody(t, encodeBinary(t, m))
 	}
 	return out
 }
@@ -316,7 +264,7 @@ func walkSections(m *message) (pairs int) {
 func TestDecodeRejectsBadSections(t *testing.T) {
 	for name, body := range badSectionBodies(t) {
 		var m message
-		err := decodeFrame(body, &m, true, false, true, false, false, nil)
+		err := decodeFrame(body, &m)
 		if name == "noncanonical-0" {
 			if err != nil || walkSections(&m) != 1 {
 				t.Errorf("%s: err=%v, want a frame with one pair", name, err)

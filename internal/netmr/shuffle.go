@@ -13,20 +13,20 @@ import (
 	"ipso/internal/runner"
 )
 
-// Worker-side half of the distributed reduce phase: a reduce-capable
-// worker persists its partitioned map output keyed by (run, map task),
-// serves it to peer reducers over fetch/fetchresult frames on a
-// dedicated shuffle listener, and executes reduce tasks by pulling
-// every map task's slice of its partition from those peers (or from the
-// master-relayed inline partials of v1/non-reduce peers) and folding
-// them — the OSDI'04 shape where reduce work scales with the cluster
-// instead of living in the master process.
+// Worker-side half of the distributed reduce phase: a worker persists
+// its partitioned map output keyed by (run, map task), serves it to peer
+// reducers over fetch/fetchresult frames on a dedicated shuffle
+// listener, and executes reduce tasks by reading every map task's slice
+// of its partition from its own store, from those peers or from the
+// sections the master sends inline, and folding them — the OSDI'04 shape
+// where reduce work scales with the cluster instead of living in the
+// master process.
 //
 // The store is out-of-core: a configurable byte budget bounds how much
 // intermediate output stays resident, whole partition sets spilling to
 // per-run temp files (sorted by key, indexed by partition) when it is
-// exceeded, and comp-generation peers replicate each persisted set to
-// one peer so a worker lost after mapdone no longer loses its outputs.
+// exceeded, and every persisted set is replicated to one peer so a
+// worker lost after mapdone does not lose its outputs.
 
 // defaultShuffleTimeout bounds one fetch round-trip between workers
 // unless WorkerConfig/MasterConfig override it.
@@ -305,20 +305,13 @@ func (w *Worker) closeFetchPlane() {
 	}
 }
 
-// serveFetch handles one peer shuffle connection. Shuffle connections
-// are negotiation-free on the reduce layout (only reduce-capable peers
-// dial one, so both ends speak ext+red unconditionally); whether the
-// dialer additionally speaks the comp generation is sniffed from the
-// first body byte — the comp flag layer starts with 0x00/0x01, a
-// legacy body with its frame type byte (never below 2 on a shuffle
-// connection) — so reduce-only peers from the previous generation stay
-// byte-identical. A bad request gets an error frame and the connection
-// keeps serving — one rogue fetch must not take the worker's other
-// partitions down with it.
+// serveFetch handles one peer shuffle connection, which opens like any
+// other: the dialer's preamble rides its first frame, and a peer of
+// another version is refused there. A bad request gets an error frame
+// and the connection keeps serving — one rogue fetch must not take the
+// worker's other partitions down with it.
 func (w *Worker) serveFetch(raw net.Conn) {
 	c := newConn(raw)
-	c.binary, c.binExt, c.red = true, true, true
-	c.sniff = true
 	defer func() {
 		_ = c.close()
 		w.mu.Lock()
@@ -329,7 +322,7 @@ func (w *Worker) serveFetch(raw net.Conn) {
 	for {
 		m, err := c.recv(to)
 		if err != nil {
-			return // peer done (or garbage framing — either way, hang up)
+			return // peer done (or garbage framing, or another version — either way, hang up)
 		}
 		switch m.Type {
 		case "fetch":
@@ -367,10 +360,10 @@ func (w *Worker) serveFetch(raw net.Conn) {
 }
 
 // fetchExchange runs one fetch request/response over an established
-// shuffle connection, returning the per-task partials, the encoded
-// bytes transferred, and — on comp connections — the wire bytes frame
-// compression saved. A refusal (error frame from a healthy peer) comes
-// back as a peerRefusal so the pool knows the connection survived it.
+// shuffle connection, returning the per-task partials, the encoded bytes
+// transferred, and the wire bytes frame compression saved. A refusal
+// (error frame from a healthy peer) comes back as a peerRefusal so the
+// pool knows the connection survived it.
 func fetchExchange(c *conn, addr, run string, partition int, tasks []int, timeout time.Duration) ([]partitionPartial, int64, int64, error) {
 	if err := c.send(message{Type: "fetch", Run: run, TaskID: partition, Tasks: tasks}, timeout); err != nil {
 		return nil, 0, 0, err
@@ -381,12 +374,7 @@ func fetchExchange(c *conn, addr, run string, partition int, tasks []int, timeou
 	}
 	switch reply.Type {
 	case "fetchresult":
-		var saved int64
-		if c.cmp {
-			if sv := int64(c.lastRawLen) - int64(c.lastFrameLen); sv > 0 {
-				saved = sv
-			}
-		}
+		saved := max(int64(c.lastRawLen)-int64(c.lastFrameLen), 0)
 		return reply.Parts, int64(c.lastFrameLen), saved, nil
 	case "error":
 		return nil, 0, 0, &peerRefusal{msg: fmt.Sprintf("netmr: fetch from %s refused: %s", addr, reply.Message)}
@@ -446,11 +434,11 @@ type locResult struct {
 // names them; only when that too fails (or no replica covers a task)
 // does the round error, naming the primary so the master routes
 // recovery around it.
-func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf map[int]string, compAddrs map[string]bool, cmp bool, to time.Duration) ([]locResult, error) {
+func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf map[int]string, to time.Duration) ([]locResult, error) {
 	ctx := runner.WithWorkers(context.Background(), w.shuffleFanout)
 	fetch := func(res *locResult, addr string, tasks []int) error {
 		fetchStart := time.Now()
-		parts, n, sv, err := w.pool.fetchPartition(addr, run, partition, tasks, to, cmp && compAddrs[addr])
+		parts, n, sv, err := w.pool.fetchPartition(addr, run, partition, tasks, to)
 		workerFetchSeconds.Observe(time.Since(fetchStart).Seconds())
 		if err != nil {
 			workerFetches.With("failed").Inc()
@@ -517,10 +505,10 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 }
 
 // runReduceTask executes one reduce task: gather the partition's section
-// of every map task — master-relayed inline sections, what its own store
-// holds (output or replica, no dial), peer fetches for the rest — merge
-// them by (key, ascending map task) through the job's fold, and answer
-// with a flat result frame whose Partial is the merge's output, already
+// of every map task — the sections the master sent inline, what its own
+// store holds (output or replica, no dial), peer fetches for the rest —
+// merge them by (key, ascending map task) through the job's fold, and
+// answer with a result frame whose Folded is the merge's output, already
 // in wire form, plus the intermediate bytes fetched. Fetches run
 // concurrently up to the shuffle fan-out over pooled connections, and
 // fetch failures fail over to replica holders locally when the task
@@ -551,17 +539,13 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		}
 	}
 	var clock *spanClock
-	if w.traced {
+	if m.Trace != "" {
 		clock = newSpanClock(decode)
 	}
 	start := time.Now()
 	folder := newSpillFolder(w.spillBudget, w.spillDir, m.Run)
 	defer folder.discard()
 	covered := 0
-	compAddrs := map[string]bool{}
-	for _, a := range m.CompAddrs {
-		compAddrs[a] = true
-	}
 	repOf := map[int]string{}
 	noteReps := func(reps []fetchLoc) {
 		for _, rep := range reps {
@@ -573,16 +557,16 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	noteReps(m.Reps)
 	var fetched, compSaved int64
 	var failovers int
-	// round gathers one batch of map outputs: the master-relayed inline
-	// sections (from v1/non-reduce peers or recovered map re-executions;
-	// ID is the map task id there, not a partition index), then the
-	// fetch locations, concurrently.
+	// round gathers one batch of map outputs: the sections the master sent
+	// inline (copies it holds for mappers that could not replicate, or
+	// recovered map re-executions; ID is the map task id there, not a
+	// partition index), then the fetch locations, concurrently.
 	round := func(parts []partitionPartial, locs []fetchLoc) (string, error) {
 		for _, p := range parts {
 			folder.add(p.ID, p.Partial)
 		}
 		covered += len(parts)
-		results, err := w.fetchRound(m.Run, m.TaskID, locs, repOf, compAddrs, c.cmp, to)
+		results, err := w.fetchRound(m.Run, m.TaskID, locs, repOf, to)
 		if err != nil {
 			var fe *fetchError
 			if errors.As(err, &fe) {
@@ -631,11 +615,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	}
 	if gatherErr != nil {
 		workerTasks.With("fetch_failed").Inc()
-		fail := message{Type: "error", TaskID: m.TaskID, Message: gatherErr.Error()}
-		if c.cmp {
-			fail.Fetch = failedAddr
-		}
-		_ = c.send(fail, to)
+		_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: gatherErr.Error(), Fetch: failedAddr}, to)
 		return true
 	}
 	workerShuffleBytes.Add(float64(fetched))
@@ -653,20 +633,15 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	}
 	workerReduceSeconds.Observe(time.Since(start).Seconds())
 	workerTasks.With("ok").Inc()
-	res := message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, partialSec: out.bytes(), Bytes: fetched, Trace: m.Trace}
+	res := message{
+		Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Folded: out.section(), Bytes: fetched, Trace: m.Trace,
+		Failovers: failovers, CompBytes: compSaved + folder.compSaved, Spills: folder.spillRuns, Spilled: folder.spilledBytes,
+	}
 	if clock != nil {
 		clock.mark(spanEncode)
 		res.Spans = appendSpanAfter(clock.spans, spanSpill, folder.flushDur)
 	}
-	if c.erl {
-		res.Failovers = failovers
-	}
-	if c.cmp {
-		res.CompBytes = compSaved + folder.compSaved
-		res.Spills = folder.spillRuns
-		res.Spilled = folder.spilledBytes
-		workerSpillRuns.Add(float64(folder.spillRuns))
-		workerSpilledBytes.Add(float64(folder.spilledBytes))
-	}
+	workerSpillRuns.Add(float64(folder.spillRuns))
+	workerSpilledBytes.Add(float64(folder.spilledBytes))
 	return c.send(res, to) == nil
 }

@@ -52,8 +52,8 @@ func benchFetchWorker(b *testing.B, tasks, keysPerTask, R int) (addr, run string
 // fetchPartition is one fetch exchange over a fresh dial-per-call
 // connection: the unpooled baseline BenchmarkShuffleFetch compares the
 // pool against, and the plain client the shuffle-server tests drive.
-func fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration, cmp bool) ([]partitionPartial, int64, int64, error) {
-	c, err := dialShuffle(addr, cmp, timeout)
+func fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration) ([]partitionPartial, int64, int64, error) {
+	c, err := dialShuffle(addr, timeout)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -73,7 +73,7 @@ func BenchmarkShuffleFetch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			parts, _, _, err := fetchPartition(addr, run, i%R, ids, 10*time.Second, false)
+			parts, _, _, err := fetchPartition(addr, run, i%R, ids, 10*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func BenchmarkShuffleFetch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			parts, _, _, err := p.fetchPartition(addr, run, i%R, ids, 10*time.Second, false)
+			parts, _, _, err := p.fetchPartition(addr, run, i%R, ids, 10*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}

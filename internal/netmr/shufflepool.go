@@ -30,22 +30,13 @@ import (
 // a time, so the cap follows the default fanout.
 const defaultShufflePoolPerPeer = 4
 
-// shuffleConn is one pooled connection and the comp generation it was
-// dialed with. The serving peer sniffs the generation from the first
-// body byte, once per connection — so the generation is fixed at dial
-// time and a cached connection of the wrong generation is useless.
-type shuffleConn struct {
-	c   *conn
-	cmp bool
-}
-
 // shufflePool is a worker's cache of idle shuffle-plane connections,
 // keyed by peer address. Fetch goroutines check conns out and in
 // concurrently; each checked-out conn is used by one goroutine.
 type shufflePool struct {
 	mu      sync.Mutex
 	perPeer int
-	idle    map[string][]*shuffleConn
+	idle    map[string][]*conn
 	closed  bool
 }
 
@@ -53,7 +44,7 @@ func newShufflePool(perPeer int) *shufflePool {
 	if perPeer <= 0 {
 		perPeer = defaultShufflePoolPerPeer
 	}
-	return &shufflePool{perPeer: perPeer, idle: map[string][]*shuffleConn{}}
+	return &shufflePool{perPeer: perPeer, idle: map[string][]*conn{}}
 }
 
 // peerRefusal marks an application-level refusal carried on an error
@@ -69,47 +60,35 @@ func isPeerRefusal(err error) bool {
 	return errors.As(err, &pr)
 }
 
-// dialShuffle opens a fresh shuffle-plane connection. Shuffle
-// connections are negotiation-free on the reduce layout; cmp must
-// reflect the target peer's generation (the master names comp-capable
-// addrs on the reducetask frame).
-func dialShuffle(addr string, cmp bool, timeout time.Duration) (*conn, error) {
+// dialShuffle opens a fresh shuffle-plane connection; its preamble
+// leaves with the first exchange.
+func dialShuffle(addr string, timeout time.Duration) (*conn, error) {
 	raw, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("netmr: shuffle dial %s: %w", addr, err)
 	}
-	c := newConn(raw)
-	c.binary, c.binExt, c.red, c.cmp = true, true, true, cmp
-	return c, nil
+	return newConn(raw), nil
 }
 
-// get pops an idle connection to addr of the wanted generation, or nil
-// when the exchange must dial. Cached connections of the other
-// generation are evicted on sight — the peer sniffed their generation
-// at the first frame and cannot renegotiate.
-func (p *shufflePool) get(addr string, cmp bool) *conn {
+// get pops an idle connection to addr, or nil when the exchange must
+// dial.
+func (p *shufflePool) get(addr string) *conn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	stack := p.idle[addr]
-	for len(stack) > 0 {
-		sc := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		p.idle[addr] = stack
-		if sc.cmp != cmp {
-			_ = sc.c.close()
-			workerPoolOps.With("evict").Inc()
-			continue
-		}
-		workerPoolOps.With("hit").Inc()
-		return sc.c
+	if len(stack) == 0 {
+		workerPoolOps.With("miss").Inc()
+		return nil
 	}
-	workerPoolOps.With("miss").Inc()
-	return nil
+	c := stack[len(stack)-1]
+	p.idle[addr] = stack[:len(stack)-1]
+	workerPoolOps.With("hit").Inc()
+	return c
 }
 
 // put returns a healthy connection to addr's idle stack; a full stack
 // or a closed pool closes it instead.
-func (p *shufflePool) put(addr string, c *conn, cmp bool) {
+func (p *shufflePool) put(addr string, c *conn) {
 	p.mu.Lock()
 	if p.closed || len(p.idle[addr]) >= p.perPeer {
 		p.mu.Unlock()
@@ -117,7 +96,7 @@ func (p *shufflePool) put(addr string, c *conn, cmp bool) {
 		workerPoolOps.With("evict").Inc()
 		return
 	}
-	p.idle[addr] = append(p.idle[addr], &shuffleConn{c: c, cmp: cmp})
+	p.idle[addr] = append(p.idle[addr], c)
 	p.mu.Unlock()
 }
 
@@ -135,8 +114,8 @@ func (p *shufflePool) closeAll() {
 	defer p.mu.Unlock()
 	p.closed = true
 	for addr, stack := range p.idle {
-		for _, sc := range stack {
-			_ = sc.c.close()
+		for _, c := range stack {
+			_ = c.close()
 		}
 		delete(p.idle, addr)
 	}
@@ -148,22 +127,22 @@ func (p *shufflePool) closeAll() {
 // indistinguishable from staleness, so the connection is evicted and
 // fn retried exactly once over a fresh dial; a failure over a fresh
 // connection propagates.
-func (p *shufflePool) withConn(addr string, cmp bool, timeout time.Duration, fn func(c *conn) error) error {
-	if c := p.get(addr, cmp); c != nil {
+func (p *shufflePool) withConn(addr string, timeout time.Duration, fn func(c *conn) error) error {
+	if c := p.get(addr); c != nil {
 		err := fn(c)
 		if err == nil || isPeerRefusal(err) {
-			p.put(addr, c, cmp)
+			p.put(addr, c)
 			return err
 		}
 		p.evict(c)
 	}
-	c, err := dialShuffle(addr, cmp, timeout)
+	c, err := dialShuffle(addr, timeout)
 	if err != nil {
 		return err
 	}
 	err = fn(c)
 	if err == nil || isPeerRefusal(err) {
-		p.put(addr, c, cmp)
+		p.put(addr, c)
 		return err
 	}
 	p.evict(c)
@@ -172,8 +151,8 @@ func (p *shufflePool) withConn(addr string, cmp bool, timeout time.Duration, fn 
 
 // fetchPartition runs one fetch exchange over the pool: reused
 // connection, stale-redial-once.
-func (p *shufflePool) fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration, cmp bool) (parts []partitionPartial, n, saved int64, err error) {
-	err = p.withConn(addr, cmp, timeout, func(c *conn) error {
+func (p *shufflePool) fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration) (parts []partitionPartial, n, saved int64, err error) {
+	err = p.withConn(addr, timeout, func(c *conn) error {
 		var ferr error
 		parts, n, saved, ferr = fetchExchange(c, addr, run, partition, tasks, timeout)
 		return ferr
@@ -181,11 +160,10 @@ func (p *shufflePool) fetchPartition(addr, run string, partition int, tasks []in
 	return parts, n, saved, err
 }
 
-// replicateParts pushes one persisted partition set to a peer (always a
-// comp-generation peer — the master only names those) over the pool and
-// waits for the replicack.
+// replicateParts pushes one persisted partition set to a peer over the
+// pool and waits for the replicack.
 func (p *shufflePool) replicateParts(addr, run string, task int, parts []partitionPartial, reducers int, timeout time.Duration) error {
-	return p.withConn(addr, true, timeout, func(c *conn) error {
+	return p.withConn(addr, timeout, func(c *conn) error {
 		return replicateExchange(c, addr, run, task, parts, reducers, timeout)
 	})
 }

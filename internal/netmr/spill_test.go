@@ -80,7 +80,7 @@ func folderFold(t testing.TB, job Job, inputs []taskMap, budget int64) (map[stri
 	if err != nil {
 		t.Fatalf("budget=%d: fold: %v", budget, err)
 	}
-	got := section(out.bytes()).toMap()
+	got := out.section().toMap()
 	if got == nil {
 		got = map[string]float64{}
 	}
@@ -203,20 +203,20 @@ func TestEvictedRunReducersReset(t *testing.T) {
 	if _, _, _, err := w.store.put("wc#1", 0, parts4, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#1", 3, []int{0}, defaultShuffleTimeout, false); err != nil {
+	if _, _, _, err := fetchPartition(addr, "wc#1", 3, []int{0}, defaultShuffleTimeout); err != nil {
 		t.Fatalf("partition 3 under the 4-reducer run refused: %v", err)
 	}
 	// New run with a smaller reducer count evicts the old one wholesale.
 	if _, _, _, err := w.store.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"z": 1})}}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#1", 0, []int{0}, defaultShuffleTimeout, false); err == nil {
+	if _, _, _, err := fetchPartition(addr, "wc#1", 0, []int{0}, defaultShuffleTimeout); err == nil {
 		t.Error("stale fetch against the evicted run served")
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#2", 3, []int{0}, defaultShuffleTimeout, false); err == nil {
+	if _, _, _, err := fetchPartition(addr, "wc#2", 3, []int{0}, defaultShuffleTimeout); err == nil {
 		t.Error("partition valid only under the evicted run's count served")
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#2", 1, []int{0}, defaultShuffleTimeout, false); err != nil {
+	if _, _, _, err := fetchPartition(addr, "wc#2", 1, []int{0}, defaultShuffleTimeout); err != nil {
 		t.Errorf("valid fetch against the new run refused: %v", err)
 	}
 }
@@ -400,7 +400,7 @@ func TestCorruptSpillSectionRefused(t *testing.T) {
 		}
 	}
 	for p, want := range parts {
-		got, _, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout, false)
+		got, _, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout)
 		if err != nil || got[0].Partial != want.Partial || got[1].Partial != want.Partial {
 			t.Fatalf("partition %d before the damage: err=%v", p, err)
 		}
@@ -420,11 +420,11 @@ func TestCorruptSpillSectionRefused(t *testing.T) {
 		if _, err := sf.f.WriteAt(b[:], at); err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout, false)
+		_, _, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout)
 		if !isPeerRefusal(err) {
 			t.Fatalf("partition %d: damaged section answered with %v, want an error frame", p, err)
 		}
-		if got, _, _, err := fetchPartition(addr, "wc#1", p, []int{1}, defaultShuffleTimeout, false); err != nil || got[0].Partial != parts[p].Partial {
+		if got, _, _, err := fetchPartition(addr, "wc#1", p, []int{1}, defaultShuffleTimeout); err != nil || got[0].Partial != parts[p].Partial {
 			t.Fatalf("partition %d: undamaged task refused after the damage: %v", p, err)
 		}
 	}

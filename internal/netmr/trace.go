@@ -82,6 +82,16 @@ func newJobTrace(job string, seq int) *JobTrace {
 
 func (t *JobTrace) since(at time.Time) float64 { return at.Sub(t.epoch).Seconds() }
 
+// frameID is what a task frame's Trace field carries: the trace's ID,
+// which asks the worker for span summaries, or nothing on an untraced run
+// (a nil trace).
+func (t *JobTrace) frameID() string {
+	if t == nil {
+		return ""
+	}
+	return t.ID
+}
+
 // openLaunch records a dispatch and returns the launch ordinal the
 // dispatch goroutine closes it with. phase is the launch kind — "task"
 // for a map shard, "rtask" for a reduce partition. Sealed traces refuse

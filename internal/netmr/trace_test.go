@@ -374,88 +374,6 @@ func TestTraceCancellationClosesLaunches(t *testing.T) {
 	}
 }
 
-// TestMixedClusterTraceByteIdentical: a cluster mixing trace-capable
-// and trace-less workers must produce the same result as an untraced
-// reference cluster, the trace-less peer's frames must carry no trace
-// fields, and the trace must still account every launch (the trace-less
-// peer's launches fall back to whole-window compute).
-func TestMixedClusterTraceByteIdentical(t *testing.T) {
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Trace: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(master.Close)
-
-	traced, err := NewWorker(mustRegistry(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := traced.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(traced.Stop)
-
-	legacy, err := NewWorker(mustRegistry(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy.caps = []string{capBinary, capBinaryExt, capBatch} // no trace
-	if err := legacy.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(legacy.Stop)
-
-	if err := master.WaitForWorkers(2, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	lines := testLines(t, 300)
-	got, _, err := master.Run(context.Background(), "wordcount", lines, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("mixed trace/legacy cluster result diverged from reference")
-	}
-
-	trc := master.LastTrace()
-	if trc == nil {
-		t.Fatal("no trace from mixed cluster")
-	}
-	if trc.OpenLaunches() != 0 {
-		t.Fatal("open launches after mixed-cluster run")
-	}
-	if trc.Outcomes()[outcomeOK] != 8 {
-		t.Fatalf("ok launches = %d, want 8", trc.Outcomes()[outcomeOK])
-	}
-	// The legacy worker ran launches (both workers admitted) but only the
-	// traced worker may have produced sub-phase spans.
-	workersWithSubs := map[string]bool{}
-	workersWithTasks := map[string]bool{}
-	for _, sp := range trc.Spans() {
-		if sp.Launch < 0 {
-			continue
-		}
-		if sp.Phase == "task" {
-			workersWithTasks[sp.Worker] = true
-		} else {
-			workersWithSubs[sp.Worker] = true
-		}
-	}
-	if len(workersWithTasks) != 2 {
-		t.Fatalf("launches recorded on %d workers, want both", len(workersWithTasks))
-	}
-	if len(workersWithSubs) != 1 {
-		t.Fatalf("worker sub-phase spans from %d workers, want exactly the traced one", len(workersWithSubs))
-	}
-}
-
 // TestHealthzDegradedOnEvictionAndRecovery: /healthz must flip to 503
 // "degraded" when a run needed reassignments (a worker died mid-job)
 // and return to 200 "ok" after the next clean run.

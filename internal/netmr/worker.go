@@ -19,27 +19,18 @@ type Worker struct {
 	registry *Registry
 	chaos    *chaos.Injector
 	scratch  *shardScratch // reused across every shard this worker runs
-	caps     []string      // capabilities advertised in the hello
 
-	// partitions is the merge partition count granted in the helloack
-	// when the master accepted the "part" capability; >1 makes this
-	// worker pre-split every result by key hash before shipping it.
-	// Written once by serve before any task arrives.
+	// partitions and reducers are the cluster's merge partition count P
+	// and reduce partition count R (0: the master merges), both from the
+	// helloack, written once by Start before any task arrives. A map task
+	// splits its output by R when its frame carries a run id (the output
+	// then stays here for the reduce phase) and by P otherwise.
 	partitions int
+	reducers   int
 
-	// traced is set when the master granted the "trace" capability: every
-	// shard then runs through the span-recording execution path and ships
-	// its phase summaries back on the result frame. Written once by serve
-	// before any task arrives.
-	traced bool
-
-	// Distributed-reduce state: reducers is the reduce partition count
-	// granted in the helloack when the master accepted the "reduce"
-	// capability (written once by serve before any task arrives);
 	// fetchAddr is this worker's shuffle listener address (advertised in
 	// the hello) and store its intermediate map-output store, which the
 	// shuffle server goroutines read concurrently.
-	reducers  int
 	fetchAddr string
 	fetchLn   net.Listener
 	store     *interStore
@@ -50,13 +41,7 @@ type Worker struct {
 	// and the peers' pooled connections riding them — fully alive.
 	fetchConns map[net.Conn]struct{}
 
-	// comp is set when the master granted the "comp" capability: frames
-	// gain the compression flag layer and the worker replicates each
-	// persisted partition set to the peer the master names on the task
-	// frame (Rep) before acknowledging mapdone.
-	comp bool
-
-	// Pipelined-shuffle state: pool caches idle shuffle-plane connections
+	// pool caches idle shuffle-plane connections
 	// per peer (reused by reduce fetches and replication pushes), and
 	// shuffleFanout bounds how many peers one reduce task fetches from
 	// concurrently.
@@ -64,7 +49,7 @@ type Worker struct {
 	shuffleFanout int
 
 	// Out-of-core configuration (WithWorkerConfig). The shuffle timeout
-	// is atomic because the helloack handler may adjust it while the
+	// is atomic because Start adopts the helloack's while the
 	// fetch-listener goroutines are already serving peers.
 	shuffleTimeoutNs atomic.Int64
 	spillBudget      int64
@@ -133,7 +118,7 @@ func WithWorkerConfig(cfg WorkerConfig) WorkerOption {
 }
 
 // shuffleTO is the current shuffle round-trip bound, safe to read from
-// the fetch-server goroutines while the helloack handler updates it.
+// the fetch-server goroutines while Start updates it.
 func (w *Worker) shuffleTO() time.Duration {
 	return time.Duration(w.shuffleTimeoutNs.Load())
 }
@@ -146,7 +131,6 @@ func NewWorker(registry *Registry, opts ...WorkerOption) (*Worker, error) {
 	w := &Worker{
 		registry:      registry,
 		scratch:       newShardScratch(),
-		caps:          workerCaps(),
 		store:         newInterStore(),
 		shuffleFanout: defaultShufflePoolPerPeer,
 		fetchConns:    make(map[net.Conn]struct{}),
@@ -168,10 +152,22 @@ func (w *Worker) StoreStats() (peakBytes, spilledBytes int64, spillRuns int) {
 	return w.store.stats()
 }
 
-// Start connects to the master and serves tasks on a background
-// goroutine. Use Stop (or closing the master) to terminate; Wait blocks
-// until the serve loop exits.
-func (w *Worker) Start(masterAddr string) error {
+// Start binds the shuffle listener, connects to the master, completes
+// the hello/helloack exchange and then serves tasks on a background
+// goroutine. It fails when the listener cannot bind, when the master
+// cannot be reached, or when the master speaks another protocol version
+// (the error names both). Use Stop (or closing the master) to terminate;
+// Wait blocks until the serve loop exits.
+func (w *Worker) Start(masterAddr string) (err error) {
+	// The hello advertises the shuffle listener, so it binds first.
+	if w.fetchAddr, err = w.startFetchListener(); err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			w.closeFetchPlane()
+		}
+	}()
 	raw, err := net.DialTimeout("tcp", masterAddr, 5*time.Second)
 	if err != nil {
 		return fmt.Errorf("netmr: dial master: %w", err)
@@ -181,43 +177,22 @@ func (w *Worker) Start(masterAddr string) error {
 	// a specific worker.
 	id := raw.LocalAddr().String()
 	c := newConn(w.chaos.WrapConn("", raw))
-	// A reduce-capable worker needs a shuffle listener before the hello
-	// can advertise its address; if the listener cannot bind, the worker
-	// simply does not offer reduce rather than failing to start.
-	caps := w.caps
-	for _, offered := range caps {
-		if offered != capReduce {
-			continue
-		}
-		if addr, lnErr := w.startFetchListener(); lnErr == nil {
-			w.fetchAddr = addr
-		} else {
-			trimmed := make([]string, 0, len(caps)-1)
-			for _, o := range caps {
-				if o != capReduce {
-					trimmed = append(trimmed, o)
-				}
-			}
-			caps = trimmed
-		}
-		break
-	}
-	// The hello is always JSON; Caps advertises the binary codec and
-	// batching, which the master accepts with a helloack. A master that
-	// predates capabilities ignores the field and the connection simply
-	// stays on JSON.
-	if err := c.send(message{Type: "hello", ID: id, Jobs: w.registry.Names(), Caps: caps, Fetch: w.fetchAddr}, 5*time.Second); err != nil {
+	ack, err := w.handshake(c, id)
+	if err != nil {
 		_ = c.close()
 		return err
 	}
+	w.partitions, w.reducers = ack.Partitions, ack.Reducers
+	w.store.setReducers(ack.Reducers)
+	if ack.ShuffleMs > 0 {
+		// The shuffle deadline is the cluster's, so every worker agrees on
+		// when a fetch has hung.
+		w.shuffleTimeoutNs.Store(int64(time.Duration(ack.ShuffleMs) * time.Millisecond))
+	}
 	w.mu.Lock()
 	if w.stopped {
-		ln := w.fetchLn
 		w.mu.Unlock()
 		_ = c.close()
-		if ln != nil {
-			_ = ln.Close()
-		}
 		return errors.New("netmr: worker already stopped")
 	}
 	w.netConn = raw
@@ -231,6 +206,21 @@ func (w *Worker) Start(masterAddr string) error {
 	return nil
 }
 
+// handshake sends the hello and waits for the master's helloack.
+func (w *Worker) handshake(c *conn, id string) (message, error) {
+	if err := c.send(message{Type: "hello", ID: id, Jobs: w.registry.Names(), Fetch: w.fetchAddr}, 5*time.Second); err != nil {
+		return message{}, err
+	}
+	ack, err := c.recv(10 * time.Second)
+	if err != nil {
+		return message{}, err
+	}
+	if ack.Type != "helloack" {
+		return message{}, fmt.Errorf("netmr: master answered the hello with %q", ack.Type)
+	}
+	return ack, nil
+}
+
 func (w *Worker) serve(c *conn) {
 	for {
 		m, err := c.recv(0) // block until the master sends work or closes
@@ -238,34 +228,6 @@ func (w *Worker) serve(c *conn) {
 			return
 		}
 		switch m.Type {
-		case "helloack":
-			// The master accepted our capabilities; everything after
-			// this frame speaks the binary codec in both directions.
-			for _, accepted := range m.Caps {
-				switch accepted {
-				case capBinary:
-					c.binary = true
-				case capBinaryExt:
-					c.binExt = true
-				case capPartition:
-					w.partitions = m.Partitions
-				case capTrace:
-					c.trc = true
-					w.traced = true
-				case capReduce:
-					c.red = true
-					w.reducers = m.Reducers
-					w.store.setReducers(m.Reducers)
-					if m.ShuffleMs > 0 {
-						w.shuffleTimeoutNs.Store(int64(time.Duration(m.ShuffleMs) * time.Millisecond))
-					}
-				case capComp:
-					c.cmp = true
-					w.comp = true
-				case capEarly:
-					c.erl = true
-				}
-			}
 		case "task":
 			if !w.runTask(c, m.Job, m.TaskID, m.Attempt, m.Records, m.Run, m.Trace, m.Rep, c.lastDecode) {
 				return
@@ -293,7 +255,7 @@ func (w *Worker) serve(c *conn) {
 				return
 			}
 		default:
-			// Ignore unknown frames: forward compatibility.
+			// Ignore unknown frames.
 		}
 	}
 }
@@ -302,13 +264,13 @@ func (w *Worker) serve(c *conn) {
 // master. It returns false when the serve loop must exit: a send
 // failure or an injected crash. run, when non-empty, is the persist-mode
 // signal of a distributed-reduce job: the shard's output is partitioned
-// by the granted reducer count, stored for peer fetches, and only a
-// payload-free mapdone travels back. trace is the job trace ID stamped
-// on the task frame (echoed back on the result) and decode the
-// wire-decode cost of the frame that carried this shard; both are
-// zero-valued on untraced connections. rep, on comp connections in
-// persist mode, names the peer shuffle listener to replicate the
-// partition set to before mapdone.
+// by the reducer count, stored for peer fetches, and only a mapdone
+// travels back; otherwise a presult carries the sections. trace, when
+// non-empty, is the job trace ID stamped on the task frame: the task then
+// records its phases and ships them back with the ID, decode being the
+// wire-decode cost of the frame that carried this shard. rep, in persist
+// mode, names the peer shuffle listener to replicate the partition set to
+// before mapdone.
 func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records []string, run, trace, rep string, decode time.Duration) bool {
 	job, ok := w.registry.lookup(jobName)
 	if !ok {
@@ -329,7 +291,7 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 	}
 	start := time.Now()
 	var clock *spanClock
-	if w.traced {
+	if trace != "" {
 		clock = newSpanClock(decode)
 	}
 	if run != "" && w.reducers > 0 {
@@ -347,32 +309,28 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 			workerSpillErrors.Inc()
 		}
 		putDur := time.Since(putStart)
-		done := message{Type: "mapdone", TaskID: taskID, Attempt: attempt, Run: run, Trace: trace}
+		done := message{Type: "mapdone", TaskID: taskID, Attempt: attempt, Run: run, Trace: trace,
+			Spills: spills, Spilled: spilled, CompBytes: saved}
+		if spills > 0 {
+			workerSpillRuns.Add(float64(spills))
+			workerSpilledBytes.Add(float64(spilled))
+		}
 		var repDur time.Duration
-		if c.cmp {
-			done.Spills = spills
-			done.Spilled = spilled
-			done.CompBytes = saved
-			if spills > 0 {
-				workerSpillRuns.Add(float64(spills))
-				workerSpilledBytes.Add(float64(spilled))
-			}
-			if rep != "" {
-				repStart := time.Now()
-				if rerr := w.pool.replicateParts(rep, run, taskID, parts, w.reducers, w.shuffleTO()); rerr == nil {
-					done.Rep = rep
-					workerReplications.With("ok").Inc()
-				} else {
-					// The named peer would not take the replica: ship the
-					// set inline so the master holds it instead.
-					done.Parts = parts
-					workerReplications.With("failed").Inc()
-				}
-				repDur = time.Since(repStart)
+		if rep != "" {
+			repStart := time.Now()
+			if rerr := w.pool.replicateParts(rep, run, taskID, parts, w.reducers, w.shuffleTO()); rerr == nil {
+				done.Rep = rep
+				workerReplications.With("ok").Inc()
 			} else {
-				// No peer qualifies: the master holds the replica.
+				// The named peer would not take the replica: ship the
+				// set inline so the master holds it instead.
 				done.Parts = parts
+				workerReplications.With("failed").Inc()
 			}
+			repDur = time.Since(repStart)
+		} else {
+			// No peer qualifies: the master holds the replica.
+			done.Parts = parts
 		}
 		if clock != nil {
 			done.Spans = clock.spans
@@ -403,15 +361,10 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 		}
 		return true
 	}
-	res := message{TaskID: taskID, Attempt: attempt, Trace: trace}
-	if w.partitions > 1 {
-		// The master granted the part capability: ship the result
-		// pre-split by key hash so the merge engine routes it straight to
-		// its partition folders — the hashing cost moves off the master.
-		res.Type, res.Parts = "presult", runShardPartitioned(job, records, w.scratch, w.partitions, clock)
-	} else {
-		res.Type, res.Partial = "result", runShardTraced(job, records, w.scratch, clock)
-	}
+	// The result ships split by key hash, so the master's merge engine
+	// hands each section straight to its partition's folder.
+	res := message{Type: "presult", TaskID: taskID, Attempt: attempt, Trace: trace,
+		Parts: runShardPartitioned(job, records, w.scratch, w.partitions, clock)}
 	if clock != nil {
 		res.Spans = clock.spans
 	}
