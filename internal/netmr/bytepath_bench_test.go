@@ -93,9 +93,11 @@ func BenchmarkFrameDecode(b *testing.B) {
 }
 
 // BenchmarkLZ runs the shared compression policy over 1 MiB of text (it
-// is compressed in full) and of bytes that do not compress (it is
+// is compressed in full), of bytes that do not compress (it is
 // dropped after one 64 KiB probe — the case that used to cost a full
-// pass per hop).
+// pass per hop), and over one spill block of such bytes, which is under
+// two probes and so is tried whole: what the first block of every spilled
+// TeraSort section pays, strides widening over what does not match.
 func BenchmarkLZ(b *testing.B) {
 	text := []byte(strings.Repeat("the quick brown fox jumps over the lazy dog ", 1<<20/44+1))[:1<<20]
 	noise := make([]byte, 1<<20)
@@ -104,7 +106,7 @@ func BenchmarkLZ(b *testing.B) {
 		name string
 		raw  []byte
 		want bool
-	}{{"text", text, true}, {"incompressible", noise, false}} {
+	}{{"text", text, true}, {"incompressible", noise, false}, {"incompressible-block", noise[:spillBlockSize], false}} {
 		b.Run(tc.name, func(b *testing.B) {
 			var dst []byte
 			b.SetBytes(int64(len(tc.raw)))

@@ -1,7 +1,9 @@
 package netmr
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -282,4 +284,96 @@ func TestCommittedCorpusMatchesEncoder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// spillBlockSeeds are a two-block file (one block stored, one compressed)
+// as the block writer frames it, and that file damaged every way a disk or
+// a lying header can: cut inside a header and inside a body, each length
+// off by one, a payload length past the file, an unknown flag, a flipped
+// payload bit.
+func spillBlockSeeds(t testing.TB) map[string][]byte {
+	t.Helper()
+	var file bytes.Buffer
+	w := blockWriter{w: bufio.NewWriter(&file)}
+	var stored, text []byte
+	for i := 0; i < 40; i++ {
+		stored = binary.LittleEndian.AppendUint64(appendString(stored, fmt.Sprintf("k%03d", i)), math.Float64bits(float64(i)))
+	}
+	for i := 0; i < 900; i++ {
+		text = binary.LittleEndian.AppendUint64(appendString(text, fmt.Sprintf("shared-prefix-key-%05d", i)), math.Float64bits(1))
+	}
+	for _, blk := range [][]byte{stored, text} {
+		w.compress = true
+		if err := w.block(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.w.Flush(); err != nil || w.saved == 0 {
+		t.Fatalf("fixture: flush err %v, %d bytes saved; want the second block compressed", err, w.saved)
+	}
+	whole := file.Bytes()
+	second := 1 + 2 + 2 + 4 + len(stored) // the first header: flag, two 2-byte lengths, the checksum
+	seeds := map[string][]byte{"whole": whole, "cut-in-header": whole[:second+3], "cut-in-body": whole[:len(whole)-9]}
+	for name, at := range map[string]int{
+		"raw-length-lies": 1, "stored-length-lies": 3, "unknown-flag": 0, "payload-bit": 20,
+		"compressed-raw-length-lies": second + 1, "compressed-stored-length-lies": second + 4, "compressed-payload-bit": second + 40,
+	} {
+		seeds[name] = bytes.Clone(whole)
+		seeds[name][at] ^= 0x02
+	}
+	seeds["length-past-the-file"] = append(bytes.Clone(whole[:second+4]), 0xff, 0xff, 0x7f, 0, 0, 0, 0, 1, 2, 3)
+	return seeds
+}
+
+// spillBlockWalk streams data back as a run file (tagged) or a spilled
+// section and returns the bytes of the records it yielded.
+func spillBlockWalk(t testing.TB, data []byte, tagged bool) (int, error) {
+	t.Helper()
+	name := filepath.Join(t.TempDir(), "blocks")
+	if err := os.WriteFile(name, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	src := &mergeSource{blocks: &blockReader{f: f, end: int64(len(data))}, tagged: tagged}
+	for n := 0; ; n += len(src.key) + 8 {
+		if err := src.advance(); err != nil || !src.live {
+			return n, err
+		}
+	}
+}
+
+// TestSpillBlockRejectsDamage: the whole file streams back record for
+// record; every damaged one is an error, whichever block the damage is in.
+func TestSpillBlockRejectsDamage(t *testing.T) {
+	for name, data := range spillBlockSeeds(t) {
+		n, err := spillBlockWalk(t, data, false)
+		if name == "whole" {
+			if want := 40*4 + 900*23 + 940*8; err != nil || n != want {
+				t.Errorf("whole: %d record bytes, err %v; want %d", n, err, want)
+			}
+		} else if err == nil {
+			t.Errorf("%s: streamed %d record bytes without an error", name, n)
+		}
+	}
+}
+
+// FuzzSpillBlock holds the block reader of spill files and run files to
+// the decoders' property: over arbitrary file bytes it yields records of
+// verified blocks or errors, never panics, and yields no more than the
+// 255 bytes a byte of compressed input can stand for.
+func FuzzSpillBlock(f *testing.F) {
+	for _, data := range sortedBodies(spillBlockSeeds(f)) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, tagged := range []bool{false, true} {
+			if n, _ := spillBlockWalk(t, data, tagged); n > 255*len(data) {
+				t.Fatalf("%d record bytes from a %d-byte file", n, len(data))
+			}
+		}
+	})
 }

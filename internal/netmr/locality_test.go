@@ -5,8 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -42,19 +47,22 @@ func shardReference(job Job, lines []string, shards int) map[string]float64 {
 	return serialMerge(job, partials)
 }
 
-// TestLocalGatherMatchesSerialMerge is the tentpole's property test:
-// at 2, 3 and 4 workers, with the stores resident and with every
-// partition set and gathered section forced through disk, barrier and
+// TestLocalGatherMatchesSerialMerge is the locality property test: at 2,
+// 3 and 4 workers, with the stores resident, with every partition set and
+// gathered section forced through disk and at a budget that holds about
+// half (8 MiB against tera-spill's map output, scaled down), barrier and
 // early dispatch, the output equals the serialMerge oracle. At two
 // workers the ring makes each worker the other's replica holder, so the
 // reducers hold everything: no byte crosses a shuffle socket on the
-// reduce side and no fetch is issued.
+// reduce side, no fetch is issued, and what the stores spilled is
+// streamed into the merge from where it lies, so the only spill files
+// are the map side's, one a shard.
 func TestLocalGatherMatchesSerialMerge(t *testing.T) {
 	lines := testLines(t, 240)
 	for _, n := range []int{2, 3, 4} {
 		shards := 3 * n // more shards than workers: a map tail for early dispatch
 		want := shardReference(wordCountJob(), lines, shards)
-		for _, budget := range []int64{0, 1} {
+		for _, budget := range []int64{0, 1, 2048} {
 			for _, early := range []bool{false, true} {
 				name := fmt.Sprintf("n=%d/budget=%d/early=%v", n, budget, early)
 				var delay time.Duration
@@ -82,6 +90,12 @@ func TestLocalGatherMatchesSerialMerge(t *testing.T) {
 				}
 				if n > 2 && stats.ShuffleBytes == 0 {
 					t.Errorf("%s: ShuffleBytes = 0, but a reducer holds only 2 of %d workers' output", name, n)
+				}
+				if n == 2 && budget == 1 && stats.SpillRuns != shards {
+					t.Errorf("%s: SpillRuns = %d, want the %d map-side spills alone: spilled sections are streamed, not gathered into runs", name, stats.SpillRuns, shards)
+				}
+				if budget > 0 && stats.SpillRuns == 0 {
+					t.Errorf("%s: nothing spilled", name)
 				}
 			}
 		}
@@ -221,7 +235,12 @@ func localitySets(R int) [][]partitionPartial {
 // given tasks' sets in its store for run, under a spill budget and dir.
 func storeWorker(t *testing.T, run string, sets [][]partitionPartial, budget int64, dir string, tasks ...int) *Worker {
 	t.Helper()
-	w, err := NewWorker(mustRegistry(t), WithWorkerConfig(WorkerConfig{SpillBudget: budget, SpillDir: dir}))
+	return storeWorkerWith(t, mustRegistry(t), run, sets, budget, dir, tasks...)
+}
+
+func storeWorkerWith(t *testing.T, reg *Registry, run string, sets [][]partitionPartial, budget int64, dir string, tasks ...int) *Worker {
+	t.Helper()
+	w, err := NewWorker(reg, WithWorkerConfig(WorkerConfig{SpillBudget: budget, SpillDir: dir}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +285,7 @@ func TestPartiallyHeldLocationIsSplit(t *testing.T) {
 	locs := []fetchLoc{{Addr: primary.fetchAddr, Tasks: []int{0, 1, 2}}, {Addr: reducer.fetchAddr, Tasks: []int{3}}}
 	before := readFetchCounts()
 	for p := 0; p < R; p++ {
-		results, err := reducer.fetchRound(run, p, locs, nil, defaultShuffleTimeout)
+		results, err := reducer.fetchRound(run, p, locs, nil, false, defaultShuffleTimeout)
 		if err != nil {
 			t.Fatalf("partition %d: %v", p, err)
 		}
@@ -286,40 +305,269 @@ func TestPartiallyHeldLocationIsSplit(t *testing.T) {
 	}
 }
 
-// TestDamagedLocalCopyIsRerouted: a local read that fails its checksum
-// is never a section. A damaged replica is fetched from its primary and
-// counts as a failover; the reducer's own damaged output fails over to
-// the replica holder repOf names; with no replica named the round fails,
-// naming the reducer's own address for the master's lineage.
+// streamSets builds four map tasks' partition sets over R partitions,
+// every section four blocks long with keys that do not compress, so a
+// spilled one is stored raw and a reducer holding it streams it.
+func streamSets(R int) [][]partitionPartial {
+	rng := rand.New(rand.NewSource(24))
+	sets := make([][]partitionPartial, 4)
+	for task := range sets {
+		for p := 0; p < R; p++ {
+			m := map[string]float64{}
+			for len(m) < 4*spillBlockSize/109 {
+				m[randomKey(rng, 100)] = float64(1 + rng.Intn(5))
+			}
+			sets[task] = append(sets[task], partitionPartial{ID: p, Partial: sectionFromMap(m)})
+		}
+	}
+	return sets
+}
+
+// foldOf is the oracle of the reduce-task tests: partition p of every
+// set, folded in memory.
+func foldOf(t *testing.T, sets [][]partitionPartial, p int) section {
+	t.Helper()
+	f := newSpillFolder(0, "", "oracle")
+	for task, set := range sets {
+		f.add(task, set[p].Partial)
+	}
+	var out sectionBuilder
+	if _, err := f.fold(wordCountJob(), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.section()
+}
+
+// reduceOn hands w one reducetask frame the way its serve loop would and
+// returns the frame it answers with.
+func reduceOn(t *testing.T, w *Worker, m message) message {
+	t.Helper()
+	near, far := net.Pipe()
+	defer near.Close()
+	defer far.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.runReduceTask(newConn(near), m, 0)
+	}()
+	reply, err := newConn(far).recv(30 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	return reply
+}
+
+// blockStarts lists the file offsets of the blocks of task's section of
+// partition p in w's store.
+func blockStarts(t *testing.T, w *Worker, task, p int) (f *os.File, starts []int64) {
+	t.Helper()
+	sf := w.store.tasks[task].spill
+	if sf.secs[p].packed {
+		t.Fatalf("fixture: task %d's section compressed, it will not stream", task)
+	}
+	r := sf.blocks(p)
+	for r.off < r.end {
+		starts = append(starts, r.off)
+		if _, err := r.next(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r.f, starts
+}
+
+// flipByteAt flips one bit of f's byte at off; a second call restores it.
+func flipByteAt(t *testing.T, f *os.File, off int64) {
+	t.Helper()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x20
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// spillFilesLeft counts the files under dir's spill scratch tree.
+func spillFilesLeft(t *testing.T, dir string) int {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "netmr-spill", "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(names)
+}
+
+// TestDamagedLocalCopyIsRerouted: a reducer streams the sections its own
+// store spilled, and a block that fails its checksum mid-merge, the
+// first, a middle or the last one, is never folded. The task drops its
+// partial output and gathers again with every local copy verified whole:
+// a damaged replica is fetched from its primary, the reducer's own
+// damaged output from the replica holder the frame named, each a counted
+// failover beside the re-gather's own, and the output is the healthy
+// one. With no replica named the task fails, naming the reducer's own
+// address for the master's lineage.
 func TestDamagedLocalCopyIsRerouted(t *testing.T) {
 	const run, R = "wc#1", 2
-	sets := localitySets(R)
+	sets := streamSets(R)
 	dir := t.TempDir()
 	peer := storeWorker(t, run, sets, 0, "", 0, 1, 2, 3) // primary of 0–2, replica holder of 3
 	reducer := storeWorker(t, run, sets, 1, dir, 1, 3)   // everything it holds is on disk
-	if n := flipByteInFiles(t, dir, "task-*.spill"); n != 2 {
-		t.Fatalf("fixture: damaged %d spill files, want 2", n)
+	frame := func(p int, reps []fetchLoc) message {
+		return message{Type: "reducetask", Job: "wordcount", TaskID: p, Run: run, Reps: reps,
+			Locs: []fetchLoc{{Addr: peer.fetchAddr, Tasks: []int{0, 1, 2}}, {Addr: reducer.fetchAddr, Tasks: []int{3}}}}
 	}
-	locs := []fetchLoc{{Addr: peer.fetchAddr, Tasks: []int{0, 1, 2}}, {Addr: reducer.fetchAddr, Tasks: []int{3}}}
-	repOf := map[int]string{3: peer.fetchAddr}
+	reps := []fetchLoc{{Addr: peer.fetchAddr, Tasks: []int{3}}}
 	for p := 0; p < R; p++ {
-		results, err := reducer.fetchRound(run, p, locs, repOf, defaultShuffleTimeout)
-		if err != nil {
-			t.Fatalf("partition %d: %v", p, err)
+		want := foldOf(t, sets, p)
+		if got := reduceOn(t, reducer, frame(p, nil)); got.Type != "result" || got.Folded != want || got.Failovers != 0 {
+			t.Fatalf("partition %d, nothing damaged: %q frame (%s), %d failovers, output identical: %v", p, got.Type, got.Message, got.Failovers, got.Folded == want)
 		}
-		got, _, failovers := gathered(results)
-		for task := range sets {
-			if got[task] != sets[task][p].Partial {
-				t.Errorf("partition %d: task %d's section diverged or is missing", p, task)
+		for _, victim := range []int{1, 3} { // the replica, the own output
+			f, starts := blockStarts(t, reducer, victim, p)
+			if len(starts) < 3 {
+				t.Fatalf("fixture: task %d's section is %d blocks, want 3 or more", victim, len(starts))
+			}
+			for _, blk := range []int{0, len(starts) / 2, len(starts) - 1} {
+				at := starts[blk] + blockHeaderMax + 7
+				flipByteAt(t, f, at)
+				got := reduceOn(t, reducer, frame(p, reps))
+				if got.Type != "result" || got.Folded != want {
+					t.Fatalf("partition %d, task %d block %d damaged: %q frame (%s), output identical: %v", p, victim, blk, got.Type, got.Message, got.Folded == want)
+				}
+				if got.Failovers != 2 {
+					t.Errorf("partition %d, task %d block %d damaged: %d failovers, want 2 (the re-gather, the reroute)", p, victim, blk, got.Failovers)
+				}
+				if got = reduceOn(t, reducer, frame(p, nil)); victim == 3 && (got.Type != "error" || got.Fetch != reducer.fetchAddr) {
+					t.Errorf("partition %d, own output damaged and no replica named: %q frame naming %q, want an error naming the reducer's own address", p, got.Type, got.Fetch)
+				}
+				flipByteAt(t, f, at)
 			}
 		}
-		if failovers != 2 {
-			t.Errorf("partition %d: %d failovers, want 2 (the replica to its primary, the own output to its replica)", p, failovers)
+	}
+	if n := spillFilesLeft(t, dir); n != 2 {
+		t.Errorf("%d files under the reducer's spill dir, want its 2 spill files and nothing of the tasks'", n)
+	}
+}
+
+// hookedWorker is storeWorker whose job runs hook the first time each
+// reduce task's fold reaches its Reduce: the gather is over, every source
+// has its first block in hand, and the rest is still to read.
+func hookedWorker(t *testing.T, hook func(), run string, sets [][]partitionPartial, budget int64, dir string, tasks ...int) *Worker {
+	t.Helper()
+	job := wordCountJob()
+	inner, prev := job.Reduce, ""
+	job.Reduce = func(key string, values []float64) float64 {
+		if key < prev || prev == "" {
+			hook()
 		}
-		_, err = reducer.fetchRound(run, p, locs, nil, defaultShuffleTimeout)
-		var fe *fetchError
-		if !errors.As(err, &fe) || fe.addr != reducer.fetchAddr {
-			t.Errorf("partition %d, no replica named: err = %v, want a fetchError naming the reducer's own address", p, err)
+		prev = key
+		return inner(key, values)
+	}
+	reg, err := NewRegistry(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return storeWorkerWith(t, reg, run, sets, budget, dir, tasks...)
+}
+
+// TestDamagedRunIsRegathered: a reduce-side run block that changed on
+// disk fails the fold, never folds; the task gathers again, writes fresh
+// runs and answers with the healthy output and one counted failover.
+// Damage that comes back a second time is reported with its cause.
+func TestDamagedRunIsRegathered(t *testing.T) {
+	const run, R = "wc#1", 2
+	sets := streamSets(R)
+	peer := storeWorker(t, run, sets, 0, "", 0, 1, 2, 3)
+	for _, persistent := range []bool{false, true} {
+		dir := t.TempDir()
+		hits := 0
+		hook := func() {
+			if hits++; hits == 1 || persistent {
+				if n := flipByteInFiles(t, dir, "reduce-run-*.spill"); n == 0 {
+					t.Error("fixture: no run file to damage")
+				}
+			}
+		}
+		// Every section is fetched and is over the budget on its own: four runs.
+		reducer := hookedWorker(t, hook, run, sets, spillBlockSize, dir)
+		got := reduceOn(t, reducer, message{Type: "reducetask", Job: "wordcount", TaskID: 0, Run: run,
+			Locs: []fetchLoc{{Addr: peer.fetchAddr, Tasks: []int{0, 1, 2, 3}}}})
+		switch {
+		case persistent && (got.Type != "error" || !strings.Contains(got.Message, "checksum")):
+			t.Errorf("runs damaged twice: %q frame (%s), want an error naming the failed checksum", got.Type, got.Message)
+		case !persistent && (got.Type != "result" || got.Folded != foldOf(t, sets, 0) || got.Failovers != 1 || got.Spills != 8):
+			t.Errorf("runs damaged once: %q frame (%s), %d failovers, %d runs; want the healthy output, 1 and 8", got.Type, got.Message, got.Failovers, got.Spills)
+		}
+		if n := spillFilesLeft(t, dir); n != 0 {
+			t.Errorf("persistent=%v: %d run files outlived the task", persistent, n)
+		}
+	}
+}
+
+// TestStreamSurvivesStoreChurn: the store may close a spill file while a
+// reduce task streams it. A put that replaces the task (a replica of
+// output already held, a speculation loser) sends the merge to the new
+// copy; a new run's put evicts everything, and the merge finishes from
+// the holders the frame named, or fails naming its own address when it
+// named none. The closed file yields an error, never bytes, and neither
+// a descriptor nor a file outlives it.
+func TestStreamSurvivesStoreChurn(t *testing.T) {
+	const run, R = "wc#1", 2
+	sets := streamSets(R)
+	peer := storeWorker(t, run, sets, 0, "", 0, 1, 2, 3)
+	want := foldOf(t, sets, 0)
+	for name, tc := range map[string]struct {
+		putRun    string
+		reps      bool
+		failovers int // the re-gather, plus the own output's reroute once it is evicted
+		wantErr   bool
+	}{
+		"replaced":        {putRun: run, failovers: 1},
+		"evicted":         {putRun: "wc#2", reps: true, failovers: 2},
+		"evicted-no-reps": {putRun: "wc#2", wantErr: true},
+	} {
+		dir := t.TempDir()
+		var reducer *Worker
+		var old *os.File
+		hits := 0
+		hook := func() {
+			if hits++; hits > 1 {
+				return
+			}
+			old = reducer.store.tasks[1].spill.f
+			done := make(chan error)
+			go func() { // another goroutine's put, as a replicate frame's would be
+				_, _, _, err := reducer.store.put(tc.putRun, 1, sets[1], R)
+				done <- err
+			}()
+			if err := <-done; err != nil {
+				t.Errorf("%s: put: %v", name, err)
+			}
+		}
+		reducer = hookedWorker(t, hook, run, sets, 1, dir, 1, 3)
+		m := message{Type: "reducetask", Job: "wordcount", TaskID: 0, Run: run,
+			Locs: []fetchLoc{{Addr: peer.fetchAddr, Tasks: []int{0, 1, 2}}, {Addr: reducer.fetchAddr, Tasks: []int{3}}}}
+		if tc.reps {
+			m.Reps = []fetchLoc{{Addr: peer.fetchAddr, Tasks: []int{3}}}
+		}
+		got := reduceOn(t, reducer, m)
+		switch {
+		case tc.wantErr && (got.Type != "error" || got.Fetch != reducer.fetchAddr || !strings.Contains(got.Message, "not held")):
+			t.Errorf("%s: %q frame naming %q (%s), want an error naming the reducer's own address and the cause", name, got.Type, got.Fetch, got.Message)
+		case !tc.wantErr && (got.Type != "result" || got.Folded != want || got.Failovers != tc.failovers):
+			t.Errorf("%s: %q frame (%s), %d failovers, output identical: %v; want the healthy output and %d", name, got.Type, got.Message, got.Failovers, got.Folded == want, tc.failovers)
+		}
+		if _, err := old.ReadAt(make([]byte, 1), 0); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("%s: the replaced spill file still reads (%v): its descriptor leaked", name, err)
+		}
+		if n := spillFilesLeft(t, dir); n != map[string]int{run: 2, "wc#2": 1}[tc.putRun] {
+			t.Errorf("%s: %d files under the spill dir, want only what the store holds", name, n)
+		}
+		reducer.Stop()
+		if n := spillFilesLeft(t, dir); n != 0 {
+			t.Errorf("%s: %d spill files outlived the worker", name, n)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package netmr
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sync"
+)
 
 // Dependency-free LZ77 block codec for frame compression, in the LZ4
 // block format shape: a stream of sequences, each a token byte (literal
@@ -49,13 +53,30 @@ func lzLoad32(src []byte, i int) uint32 {
 	return uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16 | uint32(src[i+3])<<24
 }
 
+// lzTable is the matcher's hash table, pooled and never cleared between
+// inputs: a head is stored as base + position + 1 and base moves past
+// every head an input stored, so an earlier input's read as empty and a
+// small input does not pay to zero 64 KiB.
+type lzTable struct {
+	heads [1 << lzHashLog]uint32
+	base  uint32
+}
+
+var lzTables = sync.Pool{New: func() any { return new(lzTable) }}
+
 // lzCompress appends a compressed copy of src to dst and returns the
 // result. The output decompresses to exactly src via lzDecompress; it is
 // not guaranteed to be shorter than src (callers compare and keep the
 // raw bytes when compression does not pay).
 func lzCompress(dst, src []byte) []byte {
-	var table [1 << lzHashLog]int32 // head positions + 1 (0 = empty)
-	anchor := 0                     // start of pending literals
+	t := lzTables.Get().(*lzTable)
+	if uint64(t.base)+uint64(len(src)) >= math.MaxUint32 {
+		*t = lzTable{}
+	}
+	base := t.base
+	t.base += uint32(len(src))
+	defer lzTables.Put(t)
+	anchor := 0 // start of pending literals
 	si := 0
 	limit := len(src) - lzTailLiterals
 
@@ -107,10 +128,12 @@ func lzCompress(dst, src []byte) []byte {
 	for si < limit {
 		v := lzLoad32(src, si)
 		h := lzHash(v)
-		cand := int(table[h]) - 1
-		table[h] = int32(si + 1)
+		cand := int(t.heads[h]) - int(base) - 1 // negative: empty, or an earlier input's
+		t.heads[h] = base + uint32(si) + 1
 		if cand < 0 || si-cand > lzMaxOffset || lzLoad32(src, cand) != v {
-			si++
+			// LZ4's stride over what does not compress: it widens with the
+			// literal run until a match resets it.
+			si += 1 + (si-anchor)>>6
 			continue
 		}
 		// Extend the match forward; never into the literal tail.

@@ -53,23 +53,23 @@ func TestInterStoreSliceRejectsRogue(t *testing.T) {
 	}, 2)
 	s.put("wc#1", 3, []partitionPartial{{ID: 1, Partial: sectionFromMap(map[string]float64{"c": 3})}}, 2)
 
-	if _, err := s.slice("other#9", 0, []int{0}); err == nil {
+	if _, _, err := s.slice("other#9", 0, []int{0}, false); err == nil {
 		t.Error("foreign run id accepted")
 	}
-	if _, err := s.slice("", 0, []int{0}); err == nil {
+	if _, _, err := s.slice("", 0, []int{0}, false); err == nil {
 		t.Error("empty run id accepted")
 	}
 	for _, p := range []int{-1, 2, 99} {
-		if _, err := s.slice("wc#1", p, []int{0}); err == nil {
+		if _, _, err := s.slice("wc#1", p, []int{0}, false); err == nil {
 			t.Errorf("out-of-range partition %d accepted", p)
 		}
 	}
-	if _, err := s.slice("wc#1", 0, []int{7}); err == nil {
+	if _, _, err := s.slice("wc#1", 0, []int{7}, false); err == nil {
 		t.Error("unknown map task accepted")
 	}
 	// Task 3 emitted nothing into partition 0: held, so acknowledged with
 	// a nil partial rather than refused.
-	got, err := s.slice("wc#1", 0, []int{0, 3})
+	got, _, err := s.slice("wc#1", 0, []int{0, 3}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +82,10 @@ func TestInterStoreSliceRejectsRogue(t *testing.T) {
 	}
 	// A new run evicts the old one.
 	s.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"z": 1})}}, 2)
-	if _, err := s.slice("wc#1", 0, []int{0}); err == nil {
+	if _, _, err := s.slice("wc#1", 0, []int{0}, false); err == nil {
 		t.Error("evicted run still served")
 	}
-	if _, err := s.slice("wc#2", 0, []int{3}); err == nil {
+	if _, _, err := s.slice("wc#2", 0, []int{3}, false); err == nil {
 		t.Error("evicted task still acknowledged")
 	}
 }

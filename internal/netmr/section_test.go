@@ -320,9 +320,11 @@ func TestSectionMergeMatchesSerialMerge(t *testing.T) {
 			sort.Slice(reversed, func(i, j int) bool { return reversed[i].task > reversed[j].task })
 			for _, order := range [][]taskMap{inputs, reversed} {
 				for _, budget := range []int64{0, 1, 40} {
-					got, _, _ := folderFold(t, job, order, budget)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s/%s budget=%d: merge = %v, serialMerge = %v", name, jobName, budget, got, want)
+					for _, streamEvery := range []int{0, 2} {
+						got, _, _ := folderFold(t, job, order, budget, streamEvery)
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s/%s budget=%d stream=%d: merge = %v, serialMerge = %v", name, jobName, budget, streamEvery, got, want)
+						}
 					}
 				}
 			}

@@ -220,42 +220,63 @@ func (s *interStore) split(run string, tasks []int) (held, missing []int) {
 	return held, missing
 }
 
-// slice answers one fetch: partition's section of every requested map
-// task (ID is the map task id; a task that emitted no keys into the
-// partition contributes an empty section, which still acknowledges the
-// task is held). Resident or read back from the task's spill file, the
-// section is handed on as the bytes it is — nothing here decodes one.
-// A mismatched run, an out-of-range partition or an unknown task id is
-// a request the serving worker must refuse — not panic over — whatever
-// a rogue or confused reducer sends; so is a spilled section that fails
-// its checksum.
-func (s *interStore) slice(run string, partition int, tasks []int) ([]partitionPartial, error) {
+// slice answers one fetch, a peer's or the worker's own reducer's:
+// partition's section of every requested map task (ID is the map task id;
+// a task that emitted no keys into the partition contributes an empty
+// section, which still acknowledges the task is held). Resident or read
+// back from the task's spill file, the section is handed on as the bytes
+// it is — nothing here decodes one. With stream set, a spilled section
+// stored uncompressed is not read: it comes back as a merge source over
+// the store's file, for the reducer's fold to read block by block. A
+// mismatched run, an out-of-range partition or an unknown task id is a
+// request the serving worker must refuse — not panic over — whatever a
+// rogue or confused reducer sends; so is a spilled section that fails its
+// checksum, or whose file the store closed meanwhile: disk reads run
+// outside the lock, so they never block a put or another fetch.
+func (s *interStore) slice(run string, partition int, tasks []int, stream bool) ([]partitionPartial, []*mergeSource, error) {
+	out, files, err := s.snapshot(run, partition, tasks)
+	if err != nil {
+		return nil, nil, err
+	}
+	var streams []*mergeSource
+	n := 0
+	for i, sf := range files {
+		if sf != nil {
+			if r := sf.blocks(partition); stream && r != nil && !sf.secs[partition].packed {
+				streams = append(streams, &mergeSource{task: out[i].ID, blocks: r})
+				continue
+			}
+			if out[i].Partial, err = sf.section(partition); err != nil {
+				return nil, nil, err
+			}
+		}
+		out[n] = out[i]
+		n++
+	}
+	return out[:n], streams, nil
+}
+
+// snapshot is slice's locked half: resident sections, spilled tasks' files.
+func (s *interStore) snapshot(run string, partition int, tasks []int) ([]partitionPartial, []*spillFile, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if run == "" || run != s.run {
-		return nil, fmt.Errorf("run %q is not held (current %q)", run, s.run)
+		return nil, nil, fmt.Errorf("run %q is not held (current %q)", run, s.run)
 	}
 	if partition < 0 || partition >= s.reducers {
-		return nil, fmt.Errorf("partition %d out of range [0,%d)", partition, s.reducers)
+		return nil, nil, fmt.Errorf("partition %d out of range [0,%d)", partition, s.reducers)
 	}
-	out := make([]partitionPartial, 0, len(tasks))
-	for _, task := range tasks {
+	out := make([]partitionPartial, len(tasks))
+	files := make([]*spillFile, len(tasks))
+	for i, task := range tasks {
 		st, ok := s.tasks[task]
 		if !ok {
-			return nil, fmt.Errorf("map output for task %d is not held", task)
+			return nil, nil, fmt.Errorf("map output for task %d is not held", task)
 		}
-		var sec section
-		if st.spill != nil {
-			var err error
-			if sec, err = st.spill.section(partition); err != nil {
-				return nil, err
-			}
-		} else {
-			sec = partOf(st.parts, partition)
-		}
-		out = append(out, partitionPartial{ID: task, Partial: sec})
+		out[i] = partitionPartial{ID: task, Partial: partOf(st.parts, partition)}
+		files[i] = st.spill
 	}
-	return out, nil
+	return out, files, nil
 }
 
 // startFetchListener binds the worker's shuffle listener on an ephemeral
@@ -326,7 +347,7 @@ func (w *Worker) serveFetch(raw net.Conn) {
 		}
 		switch m.Type {
 		case "fetch":
-			parts, err := w.store.slice(m.Run, m.TaskID, m.Tasks)
+			parts, _, err := w.store.slice(m.Run, m.TaskID, m.Tasks, false)
 			if err != nil {
 				workerServes.With("rejected").Inc()
 				if c.send(message{Type: "error", TaskID: m.TaskID, Message: err.Error()}, to) != nil {
@@ -414,11 +435,13 @@ type fetchError struct {
 func (e *fetchError) Error() string { return e.err.Error() }
 func (e *fetchError) Unwrap() error { return e.err }
 
-// locResult is one location's gathered slice plus its transfer
+// locResult is one location's gathered slice (sections, and streams over
+// those the worker's own store holds on disk) plus its transfer
 // accounting — assembled concurrently by fetchRound, folded in location
 // order by the caller.
 type locResult struct {
 	parts     []partitionPartial
+	streams   []*mergeSource
 	fetched   int64
 	saved     int64
 	failovers int
@@ -427,14 +450,15 @@ type locResult struct {
 // fetchRound pulls partition's slice from every location concurrently,
 // bounded by the worker's shuffle fan-out, with results in location
 // order. Every map task the worker's own store holds, its own output or
-// a peer's replica, is read from the store; only the rest of a location
-// is fetched from its address, through the connection pool. A primary's
+// a peer's replica, is read from the store (or, with stream set, left on
+// its disk for the fold to stream); only the rest of a location is
+// fetched from its address, through the connection pool. A primary's
 // failure — a dead peer, a refusal, or the worker's own output failing
 // its checksum — fails over to the map tasks' replica holders when repOf
 // names them; only when that too fails (or no replica covers a task)
 // does the round error, naming the primary so the master routes
 // recovery around it.
-func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf map[int]string, to time.Duration) ([]locResult, error) {
+func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf map[int]string, stream bool, to time.Duration) ([]locResult, error) {
 	ctx := runner.WithWorkers(context.Background(), w.shuffleFanout)
 	fetch := func(res *locResult, addr string, tasks []int) error {
 		fetchStart := time.Now()
@@ -457,7 +481,7 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 			held, missing = w.store.split(run, loc.Tasks)
 		}
 		if len(held) > 0 {
-			res.parts, err = w.store.slice(run, partition, held)
+			res.parts, res.streams, err = w.store.slice(run, partition, held, stream)
 			switch {
 			case err == nil:
 				workerFetches.With("local").Inc()
@@ -513,8 +537,10 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 // concurrently up to the shuffle fan-out over pooled connections, and
 // fetch failures fail over to replica holders locally when the task
 // frame named them. Under a spill budget the gathered sections pass
-// through sorted runs on disk that join the same merge, so the output
-// is byte-identical at every budget. On an early dispatch (Total > 0)
+// through sorted runs on disk, and what the store itself spilled is
+// streamed from its files; both join the same merge, so the output is
+// byte-identical at every budget, and a disk copy that fails mid-merge
+// costs one re-gather, not the task. On an early dispatch (Total > 0)
 // the initial locations are only a prefix: the worker keeps receiving
 // morelocs frames — gathering each batch as it lands, under the map
 // tail — until every announced map output is covered or the master
@@ -556,7 +582,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	}
 	noteReps(m.Reps)
 	var fetched, compSaved int64
-	var failovers int
+	failovers, stream := 0, true // the first gather leaves the store's spilled sections on disk, for the fold to stream
 	// round gathers one batch of map outputs: the sections the master sent
 	// inline (copies it holds for mappers that could not replicate, or
 	// recovered map re-executions; ID is the map task id there, not a
@@ -566,7 +592,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 			folder.add(p.ID, p.Partial)
 		}
 		covered += len(parts)
-		results, err := w.fetchRound(m.Run, m.TaskID, locs, repOf, to)
+		results, err := w.fetchRound(m.Run, m.TaskID, locs, repOf, stream, to)
 		if err != nil {
 			var fe *fetchError
 			if errors.As(err, &fe) {
@@ -581,11 +607,15 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 			for _, p := range r.parts {
 				folder.add(p.ID, p.Partial)
 			}
-			covered += len(r.parts)
+			for _, src := range r.streams {
+				folder.stream(src)
+			}
+			covered += len(r.parts) + len(r.streams)
 		}
 		return "", nil
 	}
-	failedAddr, gatherErr := round(m.Parts, m.Locs)
+	parts, locs := m.Parts, m.Locs // everything announced so far, should the gather have to run again
+	failedAddr, gatherErr := round(parts, locs)
 	clock.mark(spanFetch)
 	// Early dispatch: the master announced how many map outputs the run
 	// will produce and streams the still-missing locations as their
@@ -610,8 +640,29 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 			return true
 		}
 		noteReps(um.Reps)
+		parts, locs = append(parts, um.Parts...), append(locs, um.Locs...)
 		failedAddr, gatherErr = round(um.Parts, um.Locs)
 		clock.mark(spanFetch)
+	}
+	var out sectionBuilder
+	var merged bool
+	var foldErr error
+	if gatherErr == nil {
+		merged, foldErr = folder.fold(job, &out)
+	}
+	if foldErr != nil {
+		// A block of a streamed section or of a run failed its check, or the
+		// store closed a spill file under the merge (a put replaced the task,
+		// a new run evicted it). The partial output is dropped and everything
+		// gathered once more, every local copy now read whole and verified, so
+		// a bad one is rerouted like any refused fetch; a second failure is
+		// the task's.
+		stream = false
+		failovers++
+		workerFailovers.Inc()
+		if failedAddr, gatherErr = round(parts, locs); gatherErr == nil {
+			merged, foldErr = folder.fold(job, &out)
+		}
 	}
 	if gatherErr != nil {
 		workerTasks.With("fetch_failed").Inc()
@@ -619,8 +670,6 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		return true
 	}
 	workerShuffleBytes.Add(float64(fetched))
-	var out sectionBuilder
-	merged, foldErr := folder.fold(job, &out)
 	if foldErr != nil {
 		workerTasks.With("fold_failed").Inc()
 		_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: foldErr.Error()}, to)

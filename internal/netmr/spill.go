@@ -5,103 +5,119 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Out-of-core halves of the shuffle, and the merge both halves feed.
 // The map-side interStore spills whole map-task partition sets to
-// per-run temp files when its byte budget is exceeded; the sections go
-// to disk and come back as the bytes they are. The reduce side holds
-// the gathered sections in a spillFolder that, over budget, merges them
-// into a sorted run on disk. Either way the reducer's output comes from
-// one loser-tree merge by (key, ascending map task) over whatever it
-// holds — sections, runs, or both — so per key the values are folded in
-// the same order at every budget and the job output stays byte-identical.
-// Every byte written here is checksummed (CRC-32C, the frames' table)
-// and checked when read back.
+// per-run temp files when its byte budget is exceeded. The reduce side
+// holds the sections it gathered as bytes in a spillFolder that, over
+// budget, merges them into a sorted run on disk; the sections its own
+// store spilled it does not gather at all, it streams them from where
+// they lie. Either way the reducer's output comes from one loser-tree
+// merge by (key, ascending map task) over whatever it has (resident
+// sections, streamed ones, runs), so per key the values are folded in the
+// same order at every budget and the job output stays byte-identical.
+// Spill files and run files share one block format, one writer and one
+// reader; every block is checksummed (CRC-32C, the frames' table) and
+// checked when read back, before a record of it is used.
 
-// spillFile is one map task's partition set on disk: its non-empty
-// sections in partition order, LZ-compressed where lzPack says it pays.
-// The index stays in memory so a fetch reads exactly one section back.
+// spillFile is one map task's partition set on disk: the records of its
+// non-empty sections in partition order, in the blocks blockWriter frames.
+// The index stays in memory, so a fetch or a merge reads exactly one
+// section back.
 type spillFile struct {
-	f       *os.File
-	offsets []int64  // per partition: section start; -1 when the partition is empty
-	lengths []int64  // on-disk section length
-	rawLens []int64  // uncompressed length; 0 means the section is stored raw
-	sums    []uint32 // CRC-32C of the uncompressed section
+	f    *os.File
+	secs []spillSection // per partition
+}
+
+// spillSection locates one section's blocks in a spill file.
+type spillSection struct {
+	off, n int64  // on-disk extent; n is 0 when the task emitted nothing into the partition
+	count  uint64 // records: with raw, what rebuilds the section's count prefix and size
+	raw    int64  // the section's own length
+	packed bool   // some block is stored compressed
 }
 
 // writeSpillFile flushes parts (a task's partition set, partition count
 // reducers) to a new file under dir and returns the handle, the bytes
-// that hit disk, and the bytes compression saved.
+// that hit disk, and the bytes compression saved. The sections' own bytes
+// are checksummed, probed and written; nothing is copied first.
 func writeSpillFile(dir string, task int, parts []partitionPartial, reducers int) (*spillFile, int64, int64, error) {
 	f, err := os.CreateTemp(dir, fmt.Sprintf("task-%d-*.spill", task))
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("netmr: spill create: %w", err)
 	}
-	sf := &spillFile{f: f, offsets: make([]int64, reducers), lengths: make([]int64, reducers),
-		rawLens: make([]int64, reducers), sums: make([]uint32, reducers)}
-	for p := range sf.offsets {
-		sf.offsets[p] = -1
-	}
-	w := bufio.NewWriter(f)
-	var off, saved int64
-	var raw, packed []byte
+	sf := &spillFile{f: f, secs: make([]spillSection, reducers)}
+	w := blockWriter{w: bufio.NewWriter(f)}
 	for _, part := range parts {
 		if part.ID < 0 || part.ID >= reducers || len(part.Partial) == 0 {
 			continue // ids are validated upstream; never index out of the section table
 		}
-		raw = append(raw[:0], part.Partial...)
-		payload := raw
-		var ok bool
-		if packed, ok = lzPack(packed[:0], raw); ok {
-			payload = packed
-			sf.rawLens[part.ID] = int64(len(raw))
-			saved += int64(len(raw) - len(packed))
+		c := part.Partial.cursor()
+		sec := spillSection{off: w.written, count: c.left, raw: int64(len(part.Partial))}
+		saved := w.saved
+		w.compress = true
+		for start := c.r.off; c.left > 0 && err == nil; {
+			if c.next(); c.r.off-start >= spillBlockSize || c.left == 0 {
+				blk := c.r.s[start:c.r.off]
+				err = w.block(unsafe.Slice(unsafe.StringData(blk), len(blk)))
+				start = c.r.off
+			}
 		}
-		if _, err := w.Write(payload); err != nil {
-			sf.remove()
-			return nil, 0, 0, fmt.Errorf("netmr: spill write: %w", err)
+		if err != nil {
+			break
 		}
-		sf.sums[part.ID] = crc32.Checksum(raw, crcTable)
-		sf.offsets[part.ID] = off
-		sf.lengths[part.ID] = int64(len(payload))
-		off += int64(len(payload))
+		sec.n, sec.packed = w.written-sec.off, w.saved > saved
+		sf.secs[part.ID] = sec
 	}
-	if err := w.Flush(); err != nil {
+	if err == nil {
+		err = w.w.Flush()
+	}
+	if err != nil {
 		sf.remove()
 		return nil, 0, 0, fmt.Errorf("netmr: spill write: %w", err)
 	}
-	return sf, off, saved, nil
+	return sf, w.written, w.saved, nil
 }
 
-// section reads one partition's section back, undecoded (empty when the
-// task emitted nothing into it). Bytes that fail their checksum are an
-// error, never a section.
+// blocks opens a reader over one partition's section; nil when the task
+// emitted nothing into it.
+func (sf *spillFile) blocks(partition int) *blockReader {
+	if partition < 0 || partition >= len(sf.secs) || sf.secs[partition].n == 0 {
+		return nil
+	}
+	sec := sf.secs[partition]
+	return &blockReader{f: sf.f, off: sec.off, end: sec.off + sec.n}
+}
+
+// section reads one partition's section back whole, undecoded (empty
+// when the task emitted nothing into it): its verified blocks behind the
+// count prefix. Bytes that fail their checksum are an error, never a
+// section.
 func (sf *spillFile) section(partition int) (section, error) {
-	if partition < 0 || partition >= len(sf.offsets) || sf.offsets[partition] < 0 {
+	r := sf.blocks(partition)
+	if r == nil {
 		return "", nil
 	}
-	buf := make([]byte, sf.lengths[partition])
-	if _, err := sf.f.ReadAt(buf, sf.offsets[partition]); err != nil {
-		return "", fmt.Errorf("netmr: spill read: %w", err)
-	}
-	if raw := sf.rawLens[partition]; raw > 0 {
-		dec, err := lzDecompress(make([]byte, 0, raw), buf, int(raw))
-		if err != nil {
-			return "", fmt.Errorf("netmr: spill read: %w", err)
+	sec := sf.secs[partition]
+	buf := binary.AppendUvarint(make([]byte, 0, sec.raw), sec.count)
+	for r.off < r.end {
+		var err error
+		if buf, err = r.next(buf); err != nil {
+			return "", err
 		}
-		buf = dec
 	}
-	if crc32.Checksum(buf, crcTable) != sf.sums[partition] {
-		return "", fmt.Errorf("netmr: spill read: section %d of %s failed its checksum", partition, filepath.Base(sf.f.Name()))
+	if int64(len(buf)) != sec.raw {
+		return "", fmt.Errorf("netmr: spill read: section %d of %s is %d bytes, want %d", partition, filepath.Base(sf.f.Name()), len(buf), sec.raw)
 	}
-	return section(buf), nil
+	return section(unsafe.String(&buf[0], len(buf))), nil
 }
 
 // remove closes and deletes the backing file.
@@ -112,102 +128,124 @@ func removeFile(f *os.File) {
 	_ = os.Remove(f.Name())
 }
 
-// spillBlockSize is the raw-byte granularity reduce-side run files are
-// framed, compressed and checksummed at: big enough to amortize block
+// spillBlockSize is the raw-byte granularity spill files and run files
+// are framed, compressed and checksummed at: big enough to amortize block
 // headers and give the compressor context, small enough to keep the
 // read-back streaming.
 const spillBlockSize = 64 << 10
 
-// spillRun streams one reduce-side run file back, block by block. A run
-// is the (key, map task)-sorted record sequence
+// blockHeaderMax bounds a block header: flag, two uvarints, the checksum.
+const blockHeaderMax = 1 + 2*binary.MaxVarintLen64 + 4
+
+// blockWriter is the one writer of spill files and run files. Either is a
+// key-sorted record sequence
 //
-//	(uvarint(len) key  varint(task)  float64le)*
+//	(uvarint(len) key  [varint(task)]  float64le)*
 //
-// cut after a whole record into blocks of at least spillBlockSize raw
-// bytes, each framed as flag(1B: 0 raw, 1 compressed) ‖ uvarint(raw
-// length) ‖ uvarint(payload length) ‖ crc32c(raw block, 4 B LE) ‖
-// payload. Blocks are read one at a time, so a merge never holds more
-// than one block of any run resident.
-type spillRun struct {
-	f   *os.File
-	r   *bufio.Reader
-	pay []byte // payload scratch, reused across blocks
-	blk []byte // decompression scratch
+// (a run's records carry their map task, a spilled section's all belong
+// to one) cut after a whole record into blocks of at least spillBlockSize
+// raw bytes, each framed as flag(1B: 0 raw, 1 compressed) ‖ uvarint(raw
+// length) ‖ uvarint(payload length) ‖ crc32c(raw block, 4 B LE) ‖ payload.
+type blockWriter struct {
+	w       *bufio.Writer
+	scratch []byte // the compressed form of the block in hand
+	// compress asks lzPack about the next block. The blocks of one section
+	// or run are alike: once one does not compress, the rest are written
+	// raw without asking again.
+	compress       bool
+	written, saved int64 // bytes that hit disk, bytes compression kept off it
 }
 
-// appendRunBlock frames one raw block onto w's buffer, compressed when
-// try is set and lzPack says it pays. It reports the bytes written and
-// the bytes compression saved.
-func appendRunBlock(w *bufio.Writer, blk, scratch []byte, try bool) (written, saved int64, scratchOut []byte, err error) {
+// block frames one raw block onto the file.
+func (bw *blockWriter) block(blk []byte) error {
 	flag, payload := byte(0), blk
-	if try {
-		var ok bool
-		if scratch, ok = lzPack(scratch[:0], blk); ok {
-			flag, payload = 1, scratch
+	if bw.compress {
+		if bw.scratch, bw.compress = lzPack(bw.scratch[:0], blk); bw.compress {
+			flag, payload = 1, bw.scratch
 		}
 	}
-	var hdr [1 + 2*binary.MaxVarintLen64 + 4]byte
+	var hdr [blockHeaderMax]byte
 	hdr[0] = flag
 	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(blk)))
 	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[n:], crc32.Checksum(blk, crcTable))
 	n += 4
-	if _, err = w.Write(hdr[:n]); err == nil {
-		_, err = w.Write(payload)
+	bw.written += int64(n + len(payload))
+	bw.saved += int64(len(blk) - len(payload))
+	_, err := bw.w.Write(hdr[:n])
+	if err == nil {
+		_, err = bw.w.Write(payload)
 	}
-	return int64(n + len(payload)), int64(len(blk) - len(payload)), scratch, err
+	return err
 }
 
-// nextBlock returns the next block's records as a string its keys are
-// substrings of; "" is the clean end of the run. Truncation or a failed
-// checksum inside a block is a hard error.
-func (s *spillRun) nextBlock() (string, error) {
-	flag, err := s.r.ReadByte()
-	if err == io.EOF {
-		return "", nil
+// blockReader is the one reader: it streams the blocks in [off, end) of f
+// back by ReadAt, so it needs no descriptor or file position of its own
+// and never holds more than one block resident. f is a run file, or the
+// store's handle on a spill file, which the store may close at any time:
+// that fails the next read, it never yields another file's bytes.
+type blockReader struct {
+	f        *os.File
+	off, end int64
+	pay      []byte // compressed payload scratch, reused across blocks
+}
+
+// next appends the next block's records to dst, growing it by exactly
+// the block when it has no room, and returns it; past the last block it
+// returns dst as it came. Truncation, a header that lies about a length
+// and a failed checksum are errors: no byte is handed on unverified.
+func (b *blockReader) next(dst []byte) ([]byte, error) {
+	if b.off >= b.end {
+		return dst, nil
 	}
-	var rawLen, payLen uint64
-	if err == nil {
-		rawLen, err = binary.ReadUvarint(s.r)
+	var hdr [blockHeaderMax]byte
+	h := hdr[:min(int64(len(hdr)), b.end-b.off)]
+	if _, err := b.f.ReadAt(h, b.off); err != nil {
+		return nil, fmt.Errorf("netmr: spill block header: %w", err)
 	}
-	if err == nil {
-		payLen, err = binary.ReadUvarint(s.r)
+	rawLen, n1 := binary.Uvarint(h[1:])
+	payLen, n2 := binary.Uvarint(h[1+max(n1, 0):])
+	n := 1 + n1 + n2 + 4 // the header's length, once both lengths parsed
+	// One compressed byte yields at most 255, so besides the frame cap the
+	// payload bounds what a header can make this allocate.
+	if n1 <= 0 || n2 <= 0 || n > len(h) || h[0] > 1 || rawLen == 0 || rawLen > maxFrameBytes ||
+		payLen > uint64(b.end-b.off)-uint64(n) || rawLen > 255*payLen || (h[0] == 0 && rawLen != payLen) {
+		return nil, fmt.Errorf("netmr: spill block header of %s is corrupt (flag %d, %d raw, %d stored)", filepath.Base(b.f.Name()), h[0], rawLen, payLen)
 	}
-	var sum [4]byte
-	if err == nil {
-		_, err = io.ReadFull(s.r, sum[:])
+	at := len(dst)
+	dst = slices.Grow(dst, int(rawLen))[:at+int(rawLen)]
+	blk, body := dst[at:], dst[at:]
+	if h[0] == 1 {
+		b.pay = grown(b.pay, int(payLen))
+		body = b.pay
+	}
+	_, err := b.f.ReadAt(body, b.off+int64(n))
+	if err == nil && h[0] == 1 {
+		var out []byte // decompressed in place: dst has the room
+		if out, err = lzDecompress(dst[:at], body, int(rawLen)); err == nil && len(out) != len(dst) {
+			err = fmt.Errorf("decompressed to %d bytes, want %d", len(out)-at, rawLen)
+		}
 	}
 	if err != nil {
-		return "", fmt.Errorf("netmr: spill run block header: %w", err)
+		return nil, fmt.Errorf("netmr: spill block body of %s: %w", filepath.Base(b.f.Name()), err)
 	}
-	if rawLen == 0 || rawLen > maxFrameBytes || payLen > maxFrameBytes || flag > 1 || (flag == 0 && rawLen != payLen) {
-		return "", fmt.Errorf("netmr: spill run block header is corrupt (flag %d, %d raw, %d stored)", flag, rawLen, payLen)
+	if crc32.Checksum(blk, crcTable) != binary.LittleEndian.Uint32(h[n-4:]) {
+		return nil, fmt.Errorf("netmr: spill block of %s failed its checksum", filepath.Base(b.f.Name()))
 	}
-	s.pay = grown(s.pay, int(payLen))
-	if _, err := io.ReadFull(s.r, s.pay); err != nil {
-		return "", fmt.Errorf("netmr: spill run block body: %w", err)
-	}
-	blk := s.pay
-	if flag == 1 {
-		if blk, err = lzDecompress(s.blk[:0], s.pay, int(rawLen)); err != nil {
-			return "", fmt.Errorf("netmr: spill run block: %w", err)
-		}
-		s.blk = blk
-	}
-	if uint64(len(blk)) != rawLen || crc32.Checksum(blk, crcTable) != binary.LittleEndian.Uint32(sum[:]) {
-		return "", fmt.Errorf("netmr: spill run block of %s failed its checksum", filepath.Base(s.f.Name()))
-	}
-	return string(blk), nil
+	b.off += int64(n) + int64(payLen)
+	return dst, nil
 }
 
 // mergeSource is one sorted input of the reduce-side merge with its
-// current head record: a gathered section, all of whose records belong
-// to one map task, or a spilled run, whose records each carry theirs.
+// current head record: a resident section; a section streamed from the
+// store's spill file, like it all of one map task; or a spilled run,
+// whose records each carry theirs.
 type mergeSource struct {
-	r    frameReader // the section, or the run's current block
-	left uint64      // section: records not yet read
-	run  *spillRun   // nil for a section
-	live bool        // key/task/val hold a record
+	r      frameReader  // the resident section, or the current block
+	left   uint64       // resident section: records not yet read
+	blocks *blockReader // nil for a resident section
+	tagged bool         // a run: every record names its map task
+	live   bool         // key/task/val hold a record
 
 	key    string
 	prefix uint64 // keyPrefix(key): what less compares first
@@ -221,27 +259,28 @@ func sectionSource(task int, sec section) *mergeSource {
 }
 
 // advance loads the next record into the head; live turns false at the
-// end of the input.
+// end of the input. Each block is read into a buffer of its own, which
+// its keys alias: a key the fold still holds outlives the block's turn.
 func (s *mergeSource) advance() error {
 	s.live = false
-	if s.run == nil {
+	if s.blocks == nil {
 		if s.left == 0 {
 			return nil
 		}
 		s.left--
 	} else if s.r.off >= len(s.r.s) {
-		blk, err := s.run.nextBlock()
-		if err != nil || blk == "" {
+		blk, err := s.blocks.next(nil)
+		if err != nil || len(blk) == 0 {
 			return err
 		}
-		s.r = frameReader{s: blk}
+		s.r = frameReader{s: unsafe.String(&blk[0], len(blk))}
 	}
 	var err error
 	if s.key, err = s.r.string(); err != nil {
 		return err
 	}
 	s.prefix = keyPrefix(s.key)
-	if s.run != nil {
+	if s.tagged {
 		task, err := s.r.varint()
 		if err != nil {
 			return err
@@ -382,18 +421,22 @@ func mergeFold(job Job, srcs []*mergeSource, out *sectionBuilder) error {
 	return err
 }
 
-// spillFolder holds the sections one reduce task has gathered, under a
-// byte budget: over it, the held sections are merged into one sorted
-// run under the run's scratch dir and dropped. fold merges the runs and
-// whatever is still held into the partition's final section.
+// spillFolder holds what one reduce task has gathered, under a byte
+// budget. Sections that arrived as bytes are held; over the budget they
+// are merged into one sorted run under the run's scratch dir and dropped.
+// Sections the worker's own store holds on disk join as streams: like a
+// run they cost one resident block each, so they sit outside the budget
+// and are never flushed. fold merges all three into the partition's final
+// section.
 type spillFolder struct {
 	budget       int64 // 0: never spill
 	baseDir, run string
 
-	mem     int64              // bytes of the held sections
-	flushed int64              // bytes of the sections already merged into runs
-	held    []partitionPartial // ID is the map task id
-	runs    []*spillRun
+	mem    int64              // bytes of the held sections
+	onDisk int64              // bytes of the sections streamed, or already merged into runs
+	held   []partitionPartial // ID is the map task id
+	disk   []*mergeSource     // streamed sections and runs
+	runs   []*os.File         // the runs' files, removed on discard
 
 	spillRuns    int
 	spilledBytes int64         // bytes that hit disk (post-compression)
@@ -422,17 +465,22 @@ func (f *spillFolder) add(task int, sec section) {
 	}
 }
 
+// stream adds a section the fold will read from the store's spill file.
+func (f *spillFolder) stream(src *mergeSource) {
+	f.disk = append(f.disk, src)
+	f.onDisk += src.blocks.end - src.blocks.off
+}
+
 // heldSources opens a merge source over every held section.
 func (f *spillFolder) heldSources() []*mergeSource {
-	srcs := make([]*mergeSource, 0, len(f.held)+len(f.runs))
+	srcs := make([]*mergeSource, 0, len(f.held)+len(f.disk))
 	for _, h := range f.held {
 		srcs = append(srcs, sectionSource(h.ID, h.Partial))
 	}
 	return srcs
 }
 
-// flush merges the held sections into one block-framed run file and
-// drops them.
+// flush merges the held sections into one run file and drops them.
 func (f *spillFolder) flush() (err error) {
 	flushStart := time.Now()
 	defer func() { f.flushDur += time.Since(flushStart) }()
@@ -444,77 +492,59 @@ func (f *spillFolder) flush() (err error) {
 	if err != nil {
 		return fmt.Errorf("netmr: spill run create: %w", err)
 	}
-	defer func() {
-		if err != nil {
-			removeFile(file)
-			err = fmt.Errorf("netmr: spill run write: %w", err)
-		}
-	}()
-	w := bufio.NewWriter(file)
-	var blk, scratch []byte
-	var written, saved int64
-	// A run's blocks are alike: once one does not compress, the rest of
-	// the run is written raw without asking again.
-	compress := true
-	emit := func() error {
-		n, sv, sc, err := appendRunBlock(w, blk, scratch, compress)
-		written, saved, scratch, blk = written+n, saved+sv, sc, blk[:0]
-		compress = compress && sv > 0
-		return err
-	}
+	w := blockWriter{w: bufio.NewWriter(file), compress: true}
+	var blk []byte
 	err = mergeSources(f.heldSources(), func(s *mergeSource) error {
 		blk = appendString(blk, s.key)
 		blk = binary.AppendVarint(blk, int64(s.task))
 		blk = binary.LittleEndian.AppendUint64(blk, math.Float64bits(s.val))
-		if len(blk) >= spillBlockSize {
-			return emit()
+		if len(blk) < spillBlockSize {
+			return nil
 		}
-		return nil
+		err := w.block(blk)
+		blk = blk[:0]
+		return err
 	})
 	if err == nil && len(blk) > 0 {
-		err = emit()
+		err = w.block(blk)
 	}
 	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		_, err = file.Seek(0, io.SeekStart)
+		err = w.w.Flush()
 	}
 	if err != nil {
-		return err
+		removeFile(file)
+		return fmt.Errorf("netmr: spill run write: %w", err)
 	}
-	f.runs = append(f.runs, &spillRun{f: file, r: bufio.NewReader(file)})
+	f.runs = append(f.runs, file)
+	f.disk = append(f.disk, &mergeSource{blocks: &blockReader{f: file, end: w.written}, tagged: true})
 	f.spillRuns++
-	f.spilledBytes += written
-	f.compSaved += saved
-	f.flushed += f.mem
+	f.spilledBytes += w.written
+	f.compSaved += w.saved
+	f.onDisk += f.mem
 	clear(f.held)
 	f.held, f.mem = f.held[:0], 0
 	return nil
 }
 
-// fold merges every spilled run and the held sections into out,
-// streaming the per-key fold off the loser tree. out is reset with room
-// for everything gathered — a fold only ever drops bytes — up to the one
-// frame the result has to fit anyway, so it never grows mid-merge.
+// fold merges the held sections, the streamed ones and every spilled run
+// into out, streaming the per-key fold off the loser tree. out is reset
+// with room for everything gathered — a fold only ever drops bytes — up
+// to the one frame the result has to fit anyway, so it never grows
+// mid-merge, and whatever an earlier, failed fold left in it is gone.
 // merged reports whether disk runs took part (the "mergeruns" span). The
-// runs' files are removed on return.
+// folder comes back empty, the runs' files removed, ready to gather again.
 func (f *spillFolder) fold(job Job, out *sectionBuilder) (merged bool, err error) {
 	defer f.discard()
-	out.reset(int(min(f.mem+f.flushed, maxFrameBytes)))
-	srcs := f.heldSources()
-	for _, run := range f.runs {
-		srcs = append(srcs, &mergeSource{run: run})
-	}
-	return len(f.runs) > 0, mergeFold(job, srcs, out)
+	out.reset(int(min(f.mem+f.onDisk, maxFrameBytes)))
+	return len(f.runs) > 0, mergeFold(job, append(f.heldSources(), f.disk...), out)
 }
 
-// discard releases every spilled run file and the held sections.
+// discard releases every spilled run file and everything gathered.
 func (f *spillFolder) discard() {
-	for _, run := range f.runs {
-		removeFile(run.f)
+	for _, file := range f.runs {
+		removeFile(file)
 	}
-	f.runs, f.held, f.mem, f.flushed = nil, nil, 0, 0
+	f.runs, f.disk, f.held, f.mem, f.onDisk = nil, nil, nil, 0, 0
 }
 
 // ensureSpillDir creates (or reuses) the per-run scratch directory under

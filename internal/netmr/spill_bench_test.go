@@ -1,19 +1,26 @@
 package netmr
 
 import (
-	"fmt"
+	"math/rand"
 	"testing"
 )
 
 // spillBenchInputs builds one reduce partition's gathered inputs: tasks
-// map-task partials over a shared key space with heavy prefix sharing —
-// the shape real shuffle slices have.
+// map-task sections over a shared key space, so every key folds tasks
+// values, with keys that do not compress (tera-spill's shape, the one
+// workload of the ledger that pays the out-of-core tax): a store that
+// spills them stores them raw and a reducer holding them streams them.
 func spillBenchInputs(tasks, keys int) []partitionPartial {
+	rng := rand.New(rand.NewSource(16))
+	space := make([]string, keys)
+	for k := range space {
+		space[k] = randomKey(rng, 24)
+	}
 	inputs := make([]partitionPartial, tasks)
 	for task := range inputs {
 		m := make(map[string]float64, keys)
-		for k := 0; k < keys; k++ {
-			m[fmt.Sprintf("shuffle-key-%05d", k)] = float64(task + k)
+		for k, key := range space {
+			m[key] = rng.Float64() + float64(task+k)
 		}
 		inputs[task] = partitionPartial{ID: task, Partial: sectionFromMap(m)}
 	}
@@ -21,24 +28,50 @@ func spillBenchInputs(tasks, keys int) []partitionPartial {
 }
 
 // benchmarkShuffleFold drives the reduce-side gather+fold at one budget;
-// 0 is the all-in-memory reference the spill path is gated against.
-func benchmarkShuffleFold(b *testing.B, budget int64) {
+// 0 is the all-in-memory reference the out-of-core paths are gated
+// against. With local set the inputs sit in the reducer's own interStore
+// under the same budget, as on a two-worker cluster, and the gather is
+// the store's slice.
+func benchmarkShuffleFold(b *testing.B, budget int64, local bool) {
 	job := benchJob(true)
 	inputs := spillBenchInputs(16, 4000)
 	dir := b.TempDir()
+	store := newInterStore()
+	store.configure(budget, dir)
+	defer store.evictAll()
+	var tasks []int
+	if local {
+		for _, in := range inputs {
+			tasks = append(tasks, in.ID)
+			if _, _, _, err := store.put("bench", in.ID, []partitionPartial{{ID: 0, Partial: in.Partial}}, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.SetBytes(sectionBytes(inputs))
 	b.ResetTimer()
 	var out sectionBuilder
 	for i := 0; i < b.N; i++ {
 		f := newSpillFolder(budget, dir, "bench")
-		for _, in := range inputs {
+		gathered, streams := inputs, []*mergeSource(nil)
+		if local {
+			var err error
+			if gathered, streams, err = store.slice("bench", 0, tasks, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, in := range gathered {
 			f.add(in.ID, in.Partial)
+		}
+		for _, src := range streams {
+			f.stream(src)
 		}
 		merged, err := f.fold(job, &out)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if budget > 0 && budget < 1<<20 && !merged {
-			b.Fatal("constrained budget never spilled")
+		if budget > 0 && merged == local {
+			b.Fatalf("merged through runs: %v; want the gathered bytes spilled to runs, the store's streamed", merged)
 		}
 		if out.count != 4000 {
 			b.Fatalf("fold produced %d keys, want 4000", out.count)
@@ -47,9 +80,12 @@ func benchmarkShuffleFold(b *testing.B, budget int64) {
 }
 
 // BenchmarkShuffleSpill quantifies the out-of-core tax: mem is the
-// unconstrained fold, spill the same inputs forced through sorted runs
-// and the loser-tree merge. CI gates the spill variant's regression.
+// unconstrained fold, spill the same inputs arriving as bytes (fetched)
+// and forced through sorted runs and the loser-tree merge, local the same
+// inputs streamed from the reducer's own spilled store, the path
+// tera-spill runs. CI gates local against mem.
 func BenchmarkShuffleSpill(b *testing.B) {
-	b.Run("mem", func(b *testing.B) { benchmarkShuffleFold(b, 0) })
-	b.Run("spill", func(b *testing.B) { benchmarkShuffleFold(b, 64<<10) })
+	b.Run("mem", func(b *testing.B) { benchmarkShuffleFold(b, 0, false) })
+	b.Run("spill", func(b *testing.B) { benchmarkShuffleFold(b, 64<<10, false) })
+	b.Run("local", func(b *testing.B) { benchmarkShuffleFold(b, 64<<10, true) })
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -68,12 +69,31 @@ func oracleFold(job Job, inputs []taskMap) map[string]float64 {
 }
 
 // folderFold pushes inputs, in the order given, through a spillFolder
-// under budget and decodes the merged section.
-func folderFold(t testing.TB, job Job, inputs []taskMap, budget int64) (map[string]float64, bool, *spillFolder) {
+// under budget and decodes the merged section. Every streamEvery-th input
+// (none at 0) takes the tera-spill route instead: spilled by an interStore
+// and handed to the folder as a stream over the store's file.
+func folderFold(t testing.TB, job Job, inputs []taskMap, budget int64, streamEvery int) (map[string]float64, bool, *spillFolder) {
 	t.Helper()
 	f := newSpillFolder(budget, t.TempDir(), "fold#1")
-	for _, in := range inputs {
-		f.add(in.task, sectionFromMap(in.m))
+	store := newInterStore()
+	store.configure(1, t.TempDir())
+	defer store.evictAll()
+	for i, in := range inputs {
+		sec := sectionFromMap(in.m)
+		if streamEvery == 0 || i%streamEvery != 0 {
+			f.add(in.task, sec)
+			continue
+		}
+		if _, _, _, err := store.put("fold#1", in.task, []partitionPartial{{ID: 0, Partial: sec}}, 1); err != nil {
+			t.Fatal(err)
+		}
+		parts, streams, err := store.slice("fold#1", 0, []int{in.task}, true)
+		if want := min(len(sec), 1); err != nil || len(streams) != want || len(parts) != 1-want {
+			t.Fatalf("task %d: slice gave %d sections, %d streams, err %v; want one stream, or the empty section", in.task, len(parts), len(streams), err)
+		}
+		for _, src := range streams {
+			f.stream(src)
+		}
 	}
 	var out sectionBuilder
 	merged, err := f.fold(job, &out)
@@ -89,9 +109,10 @@ func folderFold(t testing.TB, job Job, inputs []taskMap, budget int64) (map[stri
 
 // TestSpillFoldMatchesInMemory is the spill property test: for every
 // budget — including budgets so tight every add flushes a run — the
-// loser-tree merge of held sections and spilled runs must produce
-// exactly the fold the serialMerge oracle produces, across key
-// distributions and both fold paths (Combine and group-then-Reduce).
+// loser-tree merge of held sections, spilled runs and sections streamed
+// from a store's spill files must produce exactly the fold the
+// serialMerge oracle produces, across key distributions and both fold
+// paths (Combine and group-then-Reduce).
 func TestSpillFoldMatchesInMemory(t *testing.T) {
 	jobs := map[string]Job{"reduce": wordCountJob(), "combine": combineSumJob()}
 	budgets := []int64{0, 1, 64, 256, 2048, 1 << 20}
@@ -103,15 +124,17 @@ func TestSpillFoldMatchesInMemory(t *testing.T) {
 				want := oracleFold(job, inputs)
 				rng.Shuffle(len(inputs), func(i, j int) { inputs[i], inputs[j] = inputs[j], inputs[i] })
 				for _, budget := range budgets {
-					got, merged, f := folderFold(t, job, inputs, budget)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%s budget=%d (merged=%v): fold diverged from the serialMerge oracle", dist, jobName, budget, merged)
-					}
-					if budget == 1 && (!merged || f.spillRuns == 0) {
-						t.Fatalf("%s/%s: 1-byte budget never spilled", dist, jobName)
-					}
-					if budget == 0 && merged {
-						t.Fatalf("%s/%s: unbudgeted fold spilled", dist, jobName)
+					for _, streamEvery := range []int{0, 2, 1} {
+						got, merged, f := folderFold(t, job, inputs, budget, streamEvery)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s/%s budget=%d stream=%d (merged=%v): fold diverged from the serialMerge oracle", dist, jobName, budget, streamEvery, merged)
+						}
+						if budget == 1 && streamEvery != 1 && (!merged || f.spillRuns == 0) {
+							t.Fatalf("%s/%s: 1-byte budget never spilled", dist, jobName)
+						}
+						if (budget == 0 || streamEvery == 1) && merged {
+							t.Fatalf("%s/%s budget=%d stream=%d: a fold that held nothing over budget spilled", dist, jobName, budget, streamEvery)
+						}
 					}
 				}
 			}
@@ -159,11 +182,11 @@ func TestInterStoreSpillMatchesMemory(t *testing.T) {
 			spilled += n
 		}
 		for p := 0; p < R; p++ {
-			want, err := reference.slice("wc#1", p, allTasks)
+			want, _, err := reference.slice("wc#1", p, allTasks, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.slice("wc#1", p, allTasks)
+			got, _, err := s.slice("wc#1", p, allTasks, false)
 			if err != nil {
 				t.Fatalf("budget=%d: slice(%d): %v", budget, p, err)
 			}
@@ -178,6 +201,62 @@ func TestInterStoreSpillMatchesMemory(t *testing.T) {
 		if budget == 1 && (runs == 0 || totalSpilled == 0 || totalSpilled != spilled) {
 			t.Errorf("budget=1: spill accounting runs=%d spilled=%d (put-reported %d)", runs, totalSpilled, spilled)
 		}
+	}
+}
+
+// TestSliceReadsOutsideTheLock: slice reads spill files with the store
+// unlocked, so puts that replace the tasks it is reading run beside it.
+// Whatever the interleaving, a slice answers with exactly the sections
+// stored or with a refusal (the file was closed under it), never with
+// other bytes.
+func TestSliceReadsOutsideTheLock(t *testing.T) {
+	const R, tasks = 2, 4
+	sets := localitySets(R)
+	s := newInterStore()
+	s.configure(1, t.TempDir())
+	defer s.evictAll()
+	put := func(task int) {
+		if _, _, _, err := s.put("wc#1", task, sets[task], R); err != nil {
+			t.Error(err)
+		}
+	}
+	for task := 0; task < tasks; task++ {
+		put(task)
+	}
+	var readers sync.WaitGroup
+	stop := make(chan struct{})
+	var served, refused atomic.Int64
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func(p int) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				parts, _, err := s.slice("wc#1", p, []int{0, 1, 2, 3}, false)
+				if err != nil {
+					refused.Add(1)
+					continue
+				}
+				served.Add(1)
+				for _, part := range parts {
+					if part.Partial != sets[part.ID][p].Partial {
+						t.Errorf("task %d partition %d: slice answered with bytes that are not the section", part.ID, p)
+					}
+				}
+			}
+		}(g % R)
+	}
+	for i := 0; i < 200; i++ {
+		put(i % tasks)
+	}
+	close(stop)
+	readers.Wait()
+	if served.Load() == 0 {
+		t.Errorf("no slice was served (%d refused)", refused.Load())
 	}
 }
 
@@ -407,19 +486,11 @@ func TestCorruptSpillSectionRefused(t *testing.T) {
 	}
 	// Damage task 0's file in each section in turn.
 	sf := w.store.tasks[0].spill
-	if sf.rawLens[0] != 0 || sf.rawLens[1] == 0 {
-		t.Fatalf("fixture: want section 0 raw and section 1 compressed, rawLens=%v", sf.rawLens)
+	if sf.secs[0].packed || !sf.secs[1].packed {
+		t.Fatalf("fixture: want section 0 raw and section 1 compressed, index=%+v", sf.secs)
 	}
 	for p := range parts {
-		var b [1]byte
-		at := sf.offsets[p] + sf.lengths[p]/2
-		if _, err := sf.f.ReadAt(b[:], at); err != nil {
-			t.Fatal(err)
-		}
-		b[0] ^= 0x20
-		if _, err := sf.f.WriteAt(b[:], at); err != nil {
-			t.Fatal(err)
-		}
+		flipByteAt(t, sf.f, sf.secs[p].off+sf.secs[p].n/2)
 		_, _, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout)
 		if !isPeerRefusal(err) {
 			t.Fatalf("partition %d: damaged section answered with %v, want an error frame", p, err)
