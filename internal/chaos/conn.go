@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -150,6 +151,24 @@ func (f *faultConn) Write(b []byte) (int, error) {
 		f.in.record("corrupt")
 	}
 	return f.Conn.Write(b)
+}
+
+// WriteBuffers writes v, the segments of one frame, as one op: its faults
+// are drawn once, and the wrapped conn gets v in one vectored write (one
+// writev on a TCP conn), so GraceOps and every op-numbered schedule count
+// a frame as one op however it is cut. A corruption flips the bit Write
+// would flip in the frame written whole, in a copy of it.
+func (f *faultConn) WriteBuffers(v net.Buffers) (int64, error) {
+	corrupt, err := f.before(true)
+	if err != nil {
+		return 0, err
+	}
+	if corrupt {
+		f.in.record("corrupt")
+		n, err := f.Conn.Write(corruptPayload(bytes.Join(v, nil), f.rngDraw()))
+		return int64(n), err
+	}
+	return v.WriteTo(f.Conn)
 }
 
 // rngDraw takes one value from the stream under the lock.

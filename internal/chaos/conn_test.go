@@ -2,8 +2,12 @@ package chaos
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -91,6 +95,95 @@ func TestGraceOpsExemptHandshake(t *testing.T) {
 	<-done
 	if _, err := wrapped.Write([]byte("x")); !errors.Is(err, ErrInjectedDrop) {
 		t.Fatalf("second write error %v, want ErrInjectedDrop", err)
+	}
+}
+
+// checksummedFrame is a three-segment frame whose last four bytes are the
+// CRC-32C of everything before them, the way a netmr frame is checked.
+func checksummedFrame() net.Buffers {
+	head, body := []byte("head-of-frame"), bytes.Repeat([]byte("section bytes "), 300)
+	tail := []byte("tail")
+	crc := crc32.Update(crc32.Checksum(head, castagnoli), castagnoli, body)
+	return net.Buffers{head, body, binary.LittleEndian.AppendUint32(tail, crc32.Update(crc, castagnoli, tail))}
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// readFrame reads n bytes and reports whether their trailing CRC holds.
+func readFrame(t *testing.T, c net.Conn, n int) (frame []byte, crcOK bool) {
+	frame = make([]byte, n)
+	if _, err := io.ReadFull(c, frame); err != nil {
+		t.Errorf("peer read: %v", err)
+		return nil, false
+	}
+	return frame, crc32.Checksum(frame[:n-4], castagnoli) == binary.LittleEndian.Uint32(frame[n-4:])
+}
+
+// TestWriteBuffersIsOneOp: a frame in three segments is one op, so the
+// one grace op lets all of it through and only the next write drops.
+func TestWriteBuffersIsOneOp(t *testing.T) {
+	in := testInjector(Config{Seed: 3, DropRate: 1, GraceOps: 1})
+	a, b := pipePair()
+	defer b.Close()
+	wrapped := in.WrapConn("vec", a).(*faultConn)
+	frame := checksummedFrame()
+	want := bytes.Join(frame, nil)
+	done := make(chan []byte)
+	go func() {
+		got, ok := readFrame(t, b, len(want))
+		if !ok {
+			t.Error("frame failed its checksum")
+		}
+		done <- got
+	}()
+	if n, err := wrapped.WriteBuffers(frame); err != nil || n != int64(len(want)) {
+		t.Fatalf("WriteBuffers = %d, %v; want %d bytes through the grace op", n, err, len(want))
+	}
+	if got := <-done; !bytes.Equal(got, want) {
+		t.Fatal("frame arrived altered")
+	}
+	if wrapped.ops != 1 {
+		t.Fatalf("a three-segment frame took %d ops, want 1", wrapped.ops)
+	}
+	if _, err := wrapped.WriteBuffers(checksummedFrame()); !errors.Is(err, ErrInjectedDrop) {
+		t.Fatalf("second write error %v, want ErrInjectedDrop", err)
+	}
+}
+
+// TestCorruptedBuffersFailTheChecksum: under sixteen seeds a frame in
+// segments is corrupted exactly as the same frame written whole, the
+// receiver's CRC refuses it, and the caller's segments stay as they were.
+func TestCorruptedBuffersFailTheChecksum(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		frame := checksummedFrame()
+		want := bytes.Join(frame, nil)
+		var got [2][]byte
+		for i, write := range []func(c *faultConn) error{
+			func(c *faultConn) error { _, err := c.Write(want); return err },
+			func(c *faultConn) error { _, err := c.WriteBuffers(frame); return err },
+		} {
+			a, b := pipePair()
+			done := make(chan bool)
+			go func() {
+				var ok bool
+				got[i], ok = readFrame(t, b, len(want))
+				done <- ok
+			}()
+			if err := write(testInjector(Config{Seed: seed, CorruptRate: 1}).WrapConn("corrupt", a).(*faultConn)); err != nil {
+				t.Fatal(err)
+			}
+			if <-done {
+				t.Fatalf("seed %d: corrupted frame passed its checksum", seed)
+			}
+			a.Close()
+			b.Close()
+		}
+		if !bytes.Equal(got[0], got[1]) {
+			t.Fatalf("seed %d: the frame in segments was corrupted unlike the frame written whole", seed)
+		}
+		if !bytes.Equal(bytes.Join(frame, nil), want) {
+			t.Fatalf("seed %d: corruption reached the caller's segments", seed)
+		}
 	}
 }
 

@@ -1,11 +1,14 @@
 package netmr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"math/bits"
+	"net"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -31,7 +34,7 @@ import (
 // worth the decompression.
 const maxFrameBytes = 1 << 26 // 64 MiB hard cap: larger prefixes are corruption
 
-// frameHeadroom is the space appendFrame leaves in front of a body for
+// frameHeadroom is the space encode leaves in front of a body for
 // what goes before it and is only known afterwards — the caller's lead
 // bytes (the preamble), the uvarint length prefix, the compression flag
 // — so the header is written backwards into it instead of shifting the
@@ -78,13 +81,24 @@ var frameNames = func() map[byte]string {
 	return m
 }()
 
-// encBufPool recycles frame encode buffers across connections: sends are
-// sequential per conn, so the pool keeps at most one warm buffer per P.
-var encBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
+// encBufPool recycles frame encoders across connections: sends are
+// sequential per conn, so the pool keeps at most one warm encoder per P.
+var encBufPool = sync.Pool{New: func() any { return &frameEnc{buf: make([]byte, 0, 4096)} }}
+
+// sectionRefBytes is the smallest section a frame sends from where it
+// lies instead of copying it into the encode buffer, which the pool then
+// keeps: below it the copy costs less than another segment, so control
+// frames and small results leave as one buffer.
+const sectionRefBytes = 16 << 10
+
+// frameEnc encodes frames for vectored writes: buf holds the header and
+// the fields, segs the frame as written (pieces of buf, the one being
+// encoded from buf[at:], with the sections sent in place between them),
+// out the copy of segs a write consumes.
+type frameEnc struct {
+	buf       []byte
+	segs, out net.Buffers
+	at        int
 }
 
 func appendString(b []byte, s string) []byte {
@@ -100,15 +114,6 @@ func appendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
-// appendSection appends a section in wire form (the empty section is
-// the single count byte 0).
-func appendSection(b []byte, sec section) []byte {
-	if len(sec) == 0 {
-		return append(b, 0)
-	}
-	return append(b, sec...)
-}
-
 // sizeStrings is the length of appendStrings' output.
 func sizeStrings(ss []string) int {
 	n := binary.MaxVarintLen64
@@ -118,46 +123,69 @@ func sizeStrings(ss []string) int {
 	return n
 }
 
-// frameSizeHint is the encoded size of what m carries in bulk — sections,
-// records, batch — plus room for the small fields of an ordinary frame,
-// so appendFrame allocates once however much it is about to copy in.
-func frameSizeHint(m *message) int {
+// frameSizeHint is the encoded size of what a frame of m copies in bulk —
+// records, batch, sections under refMin — plus room for the small fields
+// of an ordinary frame, so the encode buffer is allocated once.
+func frameSizeHint(m *message, refMin int) int {
 	const v = binary.MaxVarintLen64
-	n := frameHeadroom + 1024 + len(m.Folded) + sizeStrings(m.Records)
+	n := frameHeadroom + 1024 + sizeStrings(m.Records)
+	if len(m.Folded) < refMin {
+		n += len(m.Folded)
+	}
 	for _, spec := range m.Batch {
 		n += len(spec.Job) + 3*v + sizeStrings(spec.Records)
 	}
 	for _, p := range m.Parts {
-		n += v + 1 + len(p.Partial)
+		if n += v + 1; len(p.Partial) < refMin {
+			n += len(p.Partial)
+		}
 	}
 	return n
 }
 
-// appendFrame encodes the complete wire frame for m into dst's storage
-// (dst must be empty; its capacity is reused, or replaced by one
-// allocation sized from frameSizeHint when it is too small) and returns
-// lead followed by the frame: a connection's first send passes its
-// preamble as lead so both leave in one write. Sections (Parts, and a
-// reducer's Folded) are copied in as they are.
-func appendFrame(dst []byte, m *message, lead []byte) ([]byte, error) {
+// section appends sec in wire form (the empty section is the single count
+// byte 0) or, at refMin bytes or more, ends the piece of b being encoded
+// and sends sec from where it lies: a section is an immutable string, so
+// the bytes the checksum reads through this view are the bytes written.
+func (e *frameEnc) section(b []byte, sec section, refMin int) []byte {
+	if len(sec) == 0 {
+		return append(b, 0)
+	} else if len(sec) < refMin {
+		return append(b, sec...)
+	}
+	e.segs = append(e.segs, b[e.at:], unsafe.Slice(unsafe.StringData(string(sec)), len(sec)))
+	e.at = len(b)
+	return b
+}
+
+// encode encodes m's wire frame, lead first (a connection's first send
+// passes its preamble so both leave in one write), as the segments of one
+// vectored write, aliasing e.buf and m's sections until the next encode.
+// Fields go into e.buf (reused, or replaced once at frameSizeHint); a
+// section of refMin bytes or more is sent from where it lies, so the
+// segments concatenated are the contiguous frame (refMin past every
+// section) byte for byte.
+func (e *frameEnc) encode(m *message, lead []byte, refMin int) (net.Buffers, error) {
 	tb, ok := frameTypes[m.Type]
 	if !ok {
-		return dst, fmt.Errorf("netmr: unencodable frame type %q", m.Type)
+		return nil, fmt.Errorf("netmr: unencodable frame type %q", m.Type)
 	}
-	if need := frameSizeHint(m); cap(dst) < need {
+	b := e.buf[:0]
+	if need := frameSizeHint(m, refMin); cap(b) < need {
 		// An eighth over: the pooled buffer then also fits the next frame
 		// of about this size instead of being replaced for a few bytes.
-		dst = make([]byte, 0, need+need/8)
+		b = make([]byte, 0, need+need/8)
 	}
+	e.segs, e.at = slices.Grow(e.segs[:0], 2*len(m.Parts)+3), frameHeadroom
 	var headroom [frameHeadroom]byte
-	b := append(dst[:0], headroom[:]...)
+	b = append(b, headroom[:]...)
 	b = append(b, tb)
 	b = appendString(b, m.ID)
 	b = appendString(b, m.Job)
 	b = binary.AppendVarint(b, int64(m.TaskID))
 	b = binary.AppendVarint(b, int64(m.Attempt))
 	b = appendStrings(b, m.Records)
-	b = appendSection(b, m.Folded)
+	b = e.section(b, m.Folded, refMin)
 	b = appendStrings(b, m.Jobs)
 	b = appendString(b, m.Message)
 	b = binary.AppendUvarint(b, uint64(len(m.Batch)))
@@ -171,7 +199,7 @@ func appendFrame(dst []byte, m *message, lead []byte) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(m.Parts)))
 	for _, part := range m.Parts {
 		b = binary.AppendVarint(b, int64(part.ID))
-		b = appendSection(b, part.Partial)
+		b = e.section(b, part.Partial, refMin)
 	}
 	b = appendString(b, m.Trace)
 	b = binary.AppendUvarint(b, uint64(len(m.Spans)))
@@ -197,35 +225,59 @@ func appendFrame(dst []byte, m *message, lead []byte) ([]byte, error) {
 	b = binary.AppendVarint(b, int64(m.Total))
 	b = appendLocs(b, m.Reps)
 	b = binary.AppendVarint(b, int64(m.Failovers))
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[frameHeadroom:], crcTable))
 
-	// The header goes in backwards from the body: the flag (compressing
-	// the body in place when that pays), the length, the caller's lead.
-	start := frameHeadroom
-	flag := byte(0)
-	if compressibleFrames[m.Type] {
+	// The last piece closes with the CRC over every segment, read where each
+	// lies (b grows for it first, so it never moves under the pieces).
+	b = slices.Grow(b, 4)
+	crc, rawLen := uint32(0), len(b)-e.at+4
+	for _, s := range e.segs {
+		crc, rawLen = crc32.Update(crc, crcTable, s), rawLen+len(s)
+	}
+	b = binary.LittleEndian.AppendUint32(b, crc32.Update(crc, crcTable, b[e.at:]))
+	e.segs = append(e.segs, b[e.at:])
+
+	// A frame is judged for compression on its first bytes, gathered behind
+	// the length prefix, and one in segments is materialized only to be
+	// compressed: a section that travels stored is never copied.
+	bodyLen, flag := 1+rawLen, byte(0)
+	if compressibleFrames[m.Type] && rawLen >= lzCompressThreshold {
 		bufp := lzBufPool.Get().(*[]byte)
-		packed, ok := lzPack(binary.AppendUvarint((*bufp)[:0], uint64(len(b)-start)), b[start:])
+		packed := binary.AppendUvarint((*bufp)[:0], uint64(rawLen))
+		head := packed
+		for _, s := range e.segs {
+			head = append(head, s[:min(len(s), len(packed)+lzProbeBytes-len(head))]...)
+		}
+		head, ok := lzProbe(head, rawLen, head[len(packed):])
+		packed, raw := head[:len(packed)], b[frameHeadroom:]
+		if ok && len(e.segs) > 1 {
+			raw = bytes.Join(e.segs, nil)
+		}
 		if ok {
-			b = append(b[:start], packed...)
-			flag = 1
+			if packed, ok = lzPackWhole(packed, raw); ok {
+				b = append(b[:frameHeadroom], packed...)
+				e.segs = append(e.segs[:0], b[frameHeadroom:])
+				bodyLen, flag = 1+len(packed), 1
+			}
 		}
 		*bufp = packed[:0]
 		lzBufPool.Put(bufp)
 	}
-	start--
-	b[start] = flag
-	bodyLen := len(b) - start
+	// The header goes in backwards from the body: the flag, the length,
+	// the caller's lead.
+	e.buf = b
 	if bodyLen > maxFrameBytes {
-		return dst, fmt.Errorf("netmr: frame of %d bytes exceeds the %d limit", bodyLen, maxFrameBytes)
+		return nil, fmt.Errorf("netmr: frame of %d bytes exceeds the %d limit", bodyLen, maxFrameBytes)
 	}
+	start := frameHeadroom - 1
+	b[start] = flag
 	var prefix [binary.MaxVarintLen64]byte
 	pn := binary.PutUvarint(prefix[:], uint64(bodyLen))
 	start -= pn
 	copy(b[start:], prefix[:pn])
 	start -= len(lead)
 	copy(b[start:], lead)
-	return b[start:], nil
+	e.segs[0] = b[start : frameHeadroom+len(e.segs[0])]
+	return e.segs, nil
 }
 
 // appendLocs appends a fetchLoc list (Locs and Reps share the shape).

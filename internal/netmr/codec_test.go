@@ -81,13 +81,19 @@ func codecMessages() []message {
 	}
 }
 
+// encodeBinary is m's contiguous frame: every section copied in, the one
+// segment the encoder then returns.
 func encodeBinary(t testing.TB, m message) []byte {
 	t.Helper()
-	frame, err := appendFrame(nil, &m, nil)
+	var e frameEnc
+	segs, err := e.encode(&m, nil, math.MaxInt)
 	if err != nil {
-		t.Fatalf("appendFrame(%+v): %v", m, err)
+		t.Fatalf("encode(%+v): %v", m, err)
 	}
-	return frame
+	if len(segs) != 1 {
+		t.Fatalf("contiguous encode of %q gave %d segments", m.Type, len(segs))
+	}
+	return segs[0]
 }
 
 // wireBody strips the uvarint length prefix the way recv does, leaving

@@ -151,6 +151,9 @@ func TestRingReplicaPlacement(t *testing.T) {
 				mu.Lock()
 				mem.mapped = append(mem.mapped, id)
 				mu.Unlock()
+				// Hold the shard long enough for the next one to go to
+				// another worker: one shard each, by construction.
+				time.Sleep(20 * time.Millisecond)
 			}
 			inner(record, emit)
 		}
@@ -594,14 +597,18 @@ func TestMapperLossFinishesFromLocalReplica(t *testing.T) {
 	t.Cleanup(master.Close)
 	for _, doomed := range []bool{true, false} {
 		job := wordCountJob()
+		// Each worker holds its shard, so each maps one and the dead
+		// worker is never handed the other; the survivor's outlasts the
+		// dead worker's detection.
+		hold := 20 * time.Millisecond
 		if !doomed {
-			// The survivor's shard outlasts the dead worker's detection.
-			var once sync.Once
-			inner := job.Map
-			job.Map = func(record string, emit func(string, float64)) {
-				once.Do(func() { time.Sleep(150 * time.Millisecond) })
-				inner(record, emit)
-			}
+			hold = 150 * time.Millisecond
+		}
+		var once sync.Once
+		inner := job.Map
+		job.Map = func(record string, emit func(string, float64)) {
+			once.Do(func() { time.Sleep(hold) })
+			inner(record, emit)
 		}
 		reg, err := NewRegistry(job)
 		if err != nil {

@@ -37,8 +37,9 @@ const (
 	// more CPU than the wire time it sheds at 1 Gb/s and up.
 	lzCompressThreshold = 16 << 10
 	// lzProbeBytes is the prefix lzPack judges an input of twice that or
-	// more by before committing to a full pass.
-	lzProbeBytes = 64 << 10
+	// more by before committing to a full pass: with lzCompressThreshold
+	// at two probes, every input it may compress.
+	lzProbeBytes = 8 << 10
 	// lzMinSaving is the share (one part in) a compressed form must shed
 	// to be kept: less does not pay for decompressing it.
 	lzMinSaving = 8
@@ -158,21 +159,33 @@ func lzCompress(dst, src []byte) []byte {
 // to dst and reports true only when that sheds at least 1/lzMinSaving of
 // raw's bytes; an input of at least two lzProbeBytes is judged on that
 // prefix first, so bulk that does not compress (TeraSort records) costs
-// one 64 KiB attempt, not a pass over all of it. On false dst comes back
+// one 8 KiB attempt, not a pass over all of it. On false dst comes back
 // with its length unchanged.
 func lzPack(dst, raw []byte) ([]byte, bool) {
-	if len(raw) < lzCompressThreshold {
-		return dst, false
+	dst, ok := lzProbe(dst, len(raw), raw)
+	if ok {
+		dst, ok = lzPackWhole(dst, raw)
 	}
+	return dst, ok
+}
+
+// lzProbe is lzPack's judgement, before its full pass, of an input of n
+// bytes that starts with head, of which it reads the first lzProbeBytes;
+// dst keeps its length. An input in pieces gathers only that head.
+func lzProbe(dst []byte, n int, head []byte) ([]byte, bool) {
+	if n < lzCompressThreshold || n < 2*lzProbeBytes {
+		return dst, n >= lzCompressThreshold
+	}
+	probe, ok := lzPackWhole(dst, head[:lzProbeBytes])
+	return probe[:len(dst)], ok
+}
+
+// lzPackWhole appends raw compressed to dst, kept only when it sheds at
+// least 1/lzMinSaving of raw's bytes.
+func lzPackWhole(dst, raw []byte) ([]byte, bool) {
 	mark := len(dst)
-	pays := func(out []byte, n int) bool { return len(out)-mark <= n-n/lzMinSaving }
-	if len(raw) >= 2*lzProbeBytes {
-		if probe := lzCompress(dst, raw[:lzProbeBytes]); !pays(probe, lzProbeBytes) {
-			return probe[:mark], false
-		}
-	}
 	out := lzCompress(dst, raw)
-	if !pays(out, len(raw)) {
+	if len(out)-mark > len(raw)-len(raw)/lzMinSaving {
 		return out[:mark], false
 	}
 	return out, true

@@ -156,7 +156,13 @@ func TestWorkerFailureReassignsShards(t *testing.T) {
 
 	// Kill one worker before the job: its admitted handle is still in
 	// the idle pool, so the master discovers the death mid-dispatch and
-	// must reassign that shard to a survivor.
+	// must reassign that shard to a survivor. A worker's Start returns
+	// once the helloack is read, which can be before admit has put its
+	// handle in the pool: wait for all three, or the dead one could join
+	// after the job has run.
+	for deadline := time.Now().Add(5 * time.Second); len(master.idle) < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	workers[0].Stop()
 
 	got, stats, err := master.Run(context.Background(), "wordcount", lines, 12)

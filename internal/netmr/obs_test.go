@@ -87,8 +87,15 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// admit counts a worker in (what WaitForWorkers reads) before its join
+	// reaches the metrics, so give the last join a moment to land.
 	body := httpGet(t, "http://"+httpAddr+"/metrics")
 	samples := parseExposition(t, body)
+	for deadline := time.Now().Add(5 * time.Second); (samples["netmr_workers_joined_total"] < 2 || samples["netmr_workers"] < 2) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		body = httpGet(t, "http://"+httpAddr+"/metrics")
+		samples = parseExposition(t, body)
+	}
 	if got := samples["netmr_shards_dispatched_total"]; got < 8 {
 		t.Errorf("shards dispatched = %g, want >= 8\n%s", got, body)
 	}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ipso/internal/chaos"
 )
 
 // shufflePingServer is a minimal shuffle-plane peer: it accepts
@@ -305,6 +307,14 @@ func TestEarlyShuffleMatchesBarrier(t *testing.T) {
 // dead listener. Reducers on the other workers must reroute to the
 // replica addresses carried on their reducetask frames — without a
 // master round-trip — and the job must finish byte-identically.
+//
+// Every task takes 20 ms, so each worker holds its task while the master
+// hands the next one out: the first map wave reaches all three workers
+// (worker 0 maps a shard) and the three reduce tasks land on three
+// workers, one of them worker 0's ring predecessor, which holds neither
+// worker 0's output nor its replica and must fetch it from the dead
+// listener. Without the delay one worker could take every reduce task,
+// or worker 0 no map task, and no fetch would fail over.
 func TestPooledFetchFailsOverToReplica(t *testing.T) {
 	lines := testLines(t, 500)
 	want := runShard(wordCountJob(), lines, newShardScratch())
@@ -313,6 +323,7 @@ func TestPooledFetchFailsOverToReplica(t *testing.T) {
 		MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: 3},
 		WorkerConfig{}, 3, 6, lines,
 		func(i int, w *Worker) {
+			w.chaos = chaos.New(chaos.Config{Seed: int64(i), TaskLatency: chaos.Dist{Kind: chaos.DistFixed, Base: 20 * time.Millisecond}})
 			if i == 0 {
 				w.closeFetchAfterMapdone = true
 			}

@@ -178,18 +178,25 @@ func (c *conn) send(m message, timeout time.Duration) error {
 	if !c.greeted {
 		lead = preamble[:]
 	}
-	bufp := encBufPool.Get().(*[]byte)
-	frame, err := appendFrame((*bufp)[:0], &m, lead)
+	e := encBufPool.Get().(*frameEnc)
+	segs, err := e.encode(&m, lead, sectionRefBytes)
 	if err == nil {
-		// One write: one frame (and on a new connection its preamble) per
-		// chaos fault op.
-		_, err = c.raw.Write(frame)
+		// One write per frame (and on a new connection its preamble): one
+		// writev on a TCP conn, one fault op on a chaos conn.
+		if len(segs) == 1 {
+			_, err = c.raw.Write(segs[0])
+		} else if bw, ok := c.raw.(interface {
+			WriteBuffers(net.Buffers) (int64, error)
+		}); ok {
+			_, err = bw.WriteBuffers(segs)
+		} else {
+			e.out = segs
+			_, err = e.out.WriteTo(c.raw)
+		}
 		c.greeted = true
 	}
-	if cap(frame) > cap(*bufp) {
-		*bufp = frame[:0] // the encode outgrew the pooled buffer: keep the larger one
-	}
-	encBufPool.Put(bufp)
+	clear(e.segs[:cap(e.segs)]) // the pool must not keep a frame's sections alive
+	encBufPool.Put(e)
 	if err != nil {
 		return fmt.Errorf("netmr: send %s: %w", m.Type, err)
 	}

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ipso/internal/chaos"
 )
 
 // combineSumJob is wordcount with a Combine: the streaming fold path,
@@ -382,7 +384,10 @@ func TestReplicaRecoveryAfterMapperLoss(t *testing.T) {
 	}
 	t.Cleanup(master.Close)
 	for i := 0; i < workers; i++ {
-		w, err := NewWorker(mustRegistry(t))
+		// Every task takes 20 ms, so the first map wave reaches all three
+		// workers and the mapper that dies has an output to lose.
+		slow := chaos.New(chaos.Config{Seed: int64(i), TaskLatency: chaos.Dist{Kind: chaos.DistFixed, Base: 20 * time.Millisecond}})
+		w, err := NewWorker(mustRegistry(t), WithChaos(slow))
 		if err != nil {
 			t.Fatal(err)
 		}
