@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"runtime"
 	"sort"
@@ -186,55 +185,14 @@ func (c MasterConfig) withDefaults() MasterConfig {
 	return c
 }
 
-// backoffDelay is the capped exponential backoff with deterministic
-// jitter: base·2^(attempt-1) clamped to max, scaled by a factor drawn
-// uniformly from [1-jitter, 1+jitter] out of the (seed, shard, attempt)
-// stream, clamped to max again so the cap is absolute.
-func backoffDelay(base, max time.Duration, jitter float64, seed int64, shard, attempt int) time.Duration {
-	if base <= 0 || max <= 0 || attempt < 1 {
-		return 0
-	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	if jitter > 0 {
-		rng := chaos.NewSplitMix64(chaos.Derive(uint64(seed), uint64(shard), uint64(attempt)))
-		d = time.Duration(float64(d) * (1 + jitter*(2*rng.Float64()-1)))
-	}
-	if d > max {
-		d = max
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// latencyQuantile returns the q-quantile (nearest-rank) of xs.
-func latencyQuantile(xs []float64, q float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	idx := int(math.Round(q * float64(len(s)-1)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
 // WorkerStats is the per-worker slice of one Run: which worker did how
 // much, and who caused the reassignments — so a reassignment storm is
 // attributable to a machine instead of drowning in one aggregate count.
+// Both counts cover both phases: a reduce task counts like a map shard.
 type WorkerStats struct {
 	ID            string
-	ShardsRun     int           // shards this worker completed
-	Reassignments int           // shards re-queued because this worker failed
+	ShardsRun     int           // map shards and reduce tasks this worker completed
+	Reassignments int           // map shards and reduce tasks re-queued because this worker failed
 	Busy          time.Duration // cumulative dispatch round-trip time
 }
 
@@ -242,7 +200,10 @@ type WorkerStats struct {
 // measurements behind the IPSO workload split: the scatter+map wave is
 // the parallelizable portion, the master-side merge the internal portion
 // — plus the resilience ledger: how often the run had to retry, clone,
-// or discard work to finish.
+// or discard work to finish. The resilience counts (Reassignments,
+// Speculations, SpecWins, Duplicates, Cancellations) cover both phases,
+// map shards and reduce tasks alike, because one scheduling loop runs
+// both; Completed counts map shards only, ReduceTasks reduce tasks only.
 //
 // Since the merge overlaps the map phase, SplitWall + MergeWall double
 // counts the overlapped fold time: TotalWall is measured end to end and
@@ -255,12 +216,12 @@ type Stats struct {
 	Workers          int           // workers used at job start
 	Shards           int           // split-phase tasks
 	Partitions       int           // merge partitions (folder goroutines)
-	Completed        int           // shards that delivered a result
-	Reassignments    int           // tasks requeued (with backoff) after a launch failure
-	Speculations     int           // speculative clones launched for stragglers
-	SpecWins         int           // tasks won by a speculative clone
-	Duplicates       int           // late sibling results discarded after completion
-	Cancellations    int           // in-flight launches abandoned at exit or cancellation
+	Completed        int           // map shards that delivered a result
+	Reassignments    int           // map and reduce tasks requeued (with backoff) after a launch failure
+	Speculations     int           // speculative clones launched for straggling map or reduce tasks
+	SpecWins         int           // map and reduce tasks won by a speculative clone
+	Duplicates       int           // late sibling results of either phase discarded after completion
+	Cancellations    int           // in-flight launches of either phase abandoned at exit or cancellation
 	SplitWall        time.Duration // scatter + parallel map (barrier to barrier)
 	MergeWall        time.Duration // merge work wall: overlapped fold time + post-barrier tail
 	MergeOverlapWall time.Duration // fold time spent before the barrier, hidden under the map wave
@@ -580,24 +541,6 @@ func (m *Master) WaitForWorkers(n int, timeout time.Duration) error {
 	return nil
 }
 
-// shardTask is one launchable unit: a shard of records plus its lineage
-// state (retry ordinal, speculative flag, backoff maturity).
-type shardTask struct {
-	id          int
-	records     []string
-	attempts    int
-	speculative bool
-	readyAt     time.Time // zero: dispatchable immediately
-}
-
-// flight tracks the live launches of one shard: how many are out, when
-// the latest started (the straggler clock), and how many clones exist.
-type flight struct {
-	launches   int
-	lastLaunch time.Time
-	clones     int
-}
-
 // perWorkerLedger accumulates the Run's per-worker breakdown; dispatch
 // goroutines report into it concurrently.
 type perWorkerLedger struct {
@@ -645,13 +588,13 @@ func (l *perWorkerLedger) snapshot() []WorkerStats {
 	return out
 }
 
-// launchDone is a successful launch's report back to the Run loop: a map
-// task's partitioned output (presult), or a persisted one (mapdone — the
-// payload stayed on the worker, whose shuffle address rides along, parts
-// then being the copy the master holds for a mapper that could not
-// replicate). The reduce phase reuses the same struct for its partition
-// results — sec, the folded partition as the section it arrived as — with
-// bytes carrying the shuffle volume the reducer reported.
+// launchDone is a successful launch's report back to the scheduling loop:
+// a map task's partitioned output (presult), or a persisted one (mapdone —
+// the payload stayed on the worker, whose shuffle address rides along,
+// parts then being the copy the master holds for a mapper that could not
+// replicate), or a reduce task's partition result — sec, the folded
+// partition as the section it arrived as — with bytes carrying the
+// shuffle volume the reducer reported.
 type launchDone struct {
 	task      shardTask
 	sec       section
@@ -665,29 +608,6 @@ type launchDone struct {
 	failovers int   // fetches the reducer rerouted to a replica locally
 	elapsed   time.Duration
 	launch    int // trace launch ordinal, -1 when the run is untraced
-}
-
-// errEarlyAborted marks an early reduce launch the master itself called
-// back (its worker was needed for a map retry). The reduce phase requeues
-// the partition through the barrier path without charging the attempt
-// budget — an abort is the master's choice, not a failure.
-var errEarlyAborted = errors.New("netmr: early reduce launch aborted")
-
-// earlyLaunch is the Run loop's handle on one pipelined reduce dispatch:
-// the partition it owns and the buffered channel the loop streams
-// morelocs updates through. The channel is closed at the map barrier
-// (stream complete) or right after an abort marker; its buffer is sized
-// so the loop never blocks on a send.
-type earlyLaunch struct {
-	partition int
-	updates   chan message
-}
-
-// launchFail is a failed launch's report, carrying the cause so budget
-// exhaustion can surface the last real error.
-type launchFail struct {
-	task shardTask
-	err  error
 }
 
 // Run scatters records into shards across the connected workers, merges
@@ -765,758 +685,285 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	if stats.Workers == 0 {
 		return nil, Stats{}, errors.New("netmr: no workers connected")
 	}
-	ledger := newPerWorkerLedger()
-	defer func() { stats.PerWorker = ledger.snapshot() }()
-
-	useReduce := m.cfg.Reducers > 0
-	runID := fmt.Sprintf("%s#%d", jobName, m.runSeq.Add(1))
-	var mapLocs map[int]string // map task id → winning worker's shuffle address
-	// Replica bookkeeping: where each stored map output's peer copy lives
-	// (replicaLocs), and the master-held copies of outputs whose mapper
-	// could not replicate — no eligible peer, or the push failed — which
-	// rode inline on the mapdone frame (replicaParts). The reduce phase
-	// consults both before resorting to map re-execution lineage.
-	var replicaLocs map[int]string
-	var replicaParts map[int][]partitionPartial
-	if useReduce {
-		stats.Reducers = m.cfg.Reducers
-		mapLocs = make(map[int]string, shards)
-		replicaLocs = make(map[int]string, shards)
-		replicaParts = make(map[int][]partitionPartial)
+	r := &jobRun{
+		m: m, name: jobName, job: job, runID: fmt.Sprintf("%s#%d", jobName, m.runSeq.Add(1)),
+		records: records, shards: shards, stats: &stats, ledger: newPerWorkerLedger(),
 	}
+	defer func() { stats.PerWorker = r.ledger.snapshot() }()
 
 	// The job trace opens a launch span at every dispatch and is sealed
 	// on every exit path, so no retry, speculation or cancellation
 	// ordering can leave a span open in the dump.
-	var trc *JobTrace
 	if m.cfg.Trace {
-		trc = newJobTrace(jobName, int(m.traceSeq.Add(1)))
+		r.trc = newJobTrace(jobName, int(m.traceSeq.Add(1)))
 		m.traceMu.Lock()
-		m.last = trc
+		m.last = r.trc
 		m.traceMu.Unlock()
-		defer trc.seal()
+		defer r.trc.seal()
 	}
-
-	shardRecords := func(id int) []string {
-		lo := len(records) * id / shards
-		hi := len(records) * (id + 1) / shards
-		return records[lo:hi]
-	}
-
-	// Split phase: scatter shards, collect partials at the barrier.
-	queue := make([]shardTask, 0, shards)
-	for i := 0; i < shards; i++ {
-		queue = append(queue, shardTask{id: i, records: shardRecords(i)})
-	}
-
-	// Every launch reports exactly once; the buffers are sized for the
-	// worst case (every lineage of every shard burning its full budget)
-	// so dispatch goroutines can never block after Run returns.
-	capacity := shards * m.cfg.MaxAttempts * (1 + m.cfg.SpeculationMaxClones)
-	resultCh := make(chan launchDone, capacity)
-	failCh := make(chan launchFail, capacity)
-
-	// Reduce-phase launch reports funnel through channels created up
-	// front, because with EarlyShuffle on reduce launches start under the
-	// map tail — before runReducePhase exists to receive them. The
-	// buffers cover every barrier-path lineage plus one early launch per
-	// partition, so no reporter can ever block.
-	var rResultCh chan launchDone
-	var rFailCh chan launchFail
-	if useReduce {
-		rcap := m.cfg.Reducers * (1 + m.cfg.MaxAttempts*(1+m.cfg.SpeculationMaxClones))
-		rResultCh = make(chan launchDone, rcap)
-		rFailCh = make(chan launchFail, rcap)
-	}
-
-	// dispatch ships one or several shards to a worker: a single shard in
-	// its own task frame, several in one taskbatch frame. The worker
-	// answers one frame — a presult, or in reduce mode a mapdone — per
-	// shard in order; each is reported individually, so a conn failure
-	// mid-batch fails exactly the still-unacknowledged shards.
-	dispatch := func(w *workerHandle, tasks []shardTask, launches []int) {
-		launchOf := func(i int) int {
-			if launches == nil {
-				return -1
-			}
-			return launches[i]
-		}
-		// In reduce mode the Run stamp tells the worker to persist its
-		// output, and Rep names it a replica peer — the next live shuffle
-		// listener after its own — so its partitions survive the worker.
-		// No eligible peer leaves Rep empty and the worker ships the copy
-		// back inline instead.
-		run, rep, want := "", "", "presult"
-		if useReduce {
-			run, rep, want = runID, m.pickReplicaAddr(w.fetch), "mapdone"
-		}
-		start := time.Now()
-		var err error
-		if len(tasks) == 1 {
-			t := tasks[0]
-			err = w.c.send(message{Type: "task", Job: jobName, TaskID: t.id, Attempt: t.attempts, Records: t.records, Run: run, Rep: rep, Trace: trc.frameID()}, m.cfg.TaskTimeout)
-		} else {
-			specs := make([]taskSpec, len(tasks))
-			for i, t := range tasks {
-				specs[i] = taskSpec{Job: jobName, TaskID: t.id, Attempt: t.attempts, Records: t.records}
-			}
-			err = w.c.send(message{Type: "taskbatch", Batch: specs, Run: run, Rep: rep, Trace: trc.frameID()}, m.cfg.TaskTimeout)
-		}
-		acked := 0
-		prev := start
-		for err == nil && acked < len(tasks) {
-			t := tasks[acked]
-			var reply message
-			reply, err = w.c.recv(m.cfg.TaskTimeout)
-			if err == nil && (reply.Type != want || reply.TaskID != t.id) {
-				err = fmt.Errorf("netmr: worker %s answered shard %d with %q (task %d)", w.id, t.id, reply.Type, reply.TaskID)
-			}
-			if err == nil {
-				// The merge engine and the reduce planner index part ids (a
-				// mapdone carries the set when its mapper had no peer to
-				// replicate to), so none reaches them unchecked.
-				err = validateParts(reply.Parts, m.cfg.Partitions)
-			}
-			if err != nil {
-				break
-			}
-			now := time.Now()
-			elapsed := now.Sub(prev)
-			prev = now
-			m.metrics.rpcSeconds.With(w.id).Observe(elapsed.Seconds())
-			ledger.shardDone(w.id, elapsed)
-			if trc != nil {
-				trc.closeLaunch(launchOf(acked), outcomeOK, reply.Spans)
-			}
-			resultCh <- launchDone{
-				task: t, parts: reply.Parts,
-				fetchAddr: w.fetch,
-				repAddr:   reply.Rep, spills: reply.Spills, spilled: reply.Spilled,
-				compBytes: reply.CompBytes,
-				elapsed:   elapsed, launch: launchOf(acked),
-			}
-			acked++
-		}
-		if err != nil {
-			// Lost or misbehaving worker: drop it, fail every shard it
-			// still owed a result for.
-			elapsed := time.Since(prev)
-			for i, t := range tasks[acked:] {
-				ledger.shardFailed(w.id, elapsed)
-				m.metrics.reassignments.With(w.id).Inc()
-				if trc != nil {
-					trc.closeLaunch(launchOf(acked+i), outcomeFailed, nil)
-				}
-				failCh <- launchFail{task: t, err: err}
-				elapsed = 0 // the round-trip is charged once
-			}
-			m.dropWorker(w)
-			return
-		}
-		m.idle <- w // back to the pool
-	}
-
-	// ---- Early-shuffle engine ----------------------------------------
-	// With EarlyShuffle on, idle workers left over once the map queue
-	// drains go to work before the barrier: each gets
-	// a reducetask naming the map outputs known so far plus the run's
-	// total map count, and every later winning output streams to it as a
-	// morelocs frame — the reducer fetches under the map tail and folds
-	// the moment coverage completes. An abort (a map retry needs the
-	// worker pool back) requeues the partition through the barrier path,
-	// whose dispatches stay byte-identical to a non-early run.
-	earlyActive := map[int]*earlyLaunch{}
-	earlyLaunched := map[int]bool{}
-	earlyDisabled := !useReduce || !m.cfg.EarlyShuffle
-	earlyOK := func() bool {
-		// Only the map tail qualifies: a non-empty queue means shards
-		// still need workers, and launching with zero known outputs
-		// would buy nothing over waiting for the next mapdone.
-		return !earlyDisabled && len(earlyLaunched) < m.cfg.Reducers &&
-			len(queue) == 0 && len(mapLocs) > 0
-	}
-	abortOneEarly := func() {
-		if len(earlyActive) == 0 {
-			return
-		}
-		// Deterministic pick: the highest partition launched last and has
-		// overlapped the least fetching — the cheapest launch to lose.
-		maxP := -1
-		for p := range earlyActive {
-			if p > maxP {
-				maxP = p
-			}
-		}
-		el := earlyActive[maxP]
-		el.updates <- message{Type: "morelocs", Run: runID, TaskID: maxP, Message: "abort"}
-		close(el.updates)
-		delete(earlyActive, maxP)
-		stats.EarlyAborts++
-		m.metrics.earlyAborts.Inc()
-	}
-	closeEarly := func(abort bool) {
-		ps := make([]int, 0, len(earlyActive))
-		for p := range earlyActive {
-			ps = append(ps, p)
-		}
-		sort.Ints(ps)
-		for _, p := range ps {
-			el := earlyActive[p]
-			if abort {
-				el.updates <- message{Type: "morelocs", Run: runID, TaskID: p, Message: "abort"}
-				stats.EarlyAborts++
-				m.metrics.earlyAborts.Inc()
-			}
-			close(el.updates)
-			delete(earlyActive, p)
-		}
-	}
-	// Error returns mid-map must not leave early reducers blocked in
-	// their stream recv: abort every live launch on the way out. The
-	// launch goroutines report into buffered channels nobody drains —
-	// sized for that — and hand their workers back to the pool.
-	defer closeEarly(true)
-
-	// buildEarly snapshots partition p's gather plan at launch time:
-	// locations for stored outputs (rerouted when a primary is already
-	// gone), replica addresses for worker-local failover, and explicit
-	// inline entries for master-held copies — empty sections included for
-	// tasks that emitted nothing into p, so
-	// the reducer's coverage count can reach Total. An output that would
-	// need lineage re-execution returns !ok: pre-barrier recovery is not
-	// worth the re-run, the barrier path handles it.
-	buildEarly := func(p int) (locs []fetchLoc, parts []partitionPartial, reps []fetchLoc, ok bool) {
-		stored := make([]int, 0, len(mapLocs))
-		for t := range mapLocs {
-			stored = append(stored, t)
-		}
-		sort.Ints(stored)
-		byAddr := map[string][]int{}
-		repBy := map[string][]int{}
-		var addrs, repAddrs []string
-		for _, task := range stored {
-			addr := mapLocs[task]
-			if m.addrAlive(addr) {
-				if _, seen := byAddr[addr]; !seen {
-					addrs = append(addrs, addr)
-				}
-				byAddr[addr] = append(byAddr[addr], task)
-				if rep, okr := replicaLocs[task]; okr && m.addrAlive(rep) {
-					if _, seen := repBy[rep]; !seen {
-						repAddrs = append(repAddrs, rep)
-					}
-					repBy[rep] = append(repBy[rep], task)
-				}
-				continue
-			}
-			if rep, okr := replicaLocs[task]; okr && m.addrAlive(rep) {
-				stats.ReplicaFetches++
-				m.metrics.replicaFetches.Inc()
-				if _, seen := byAddr[rep]; !seen {
-					addrs = append(addrs, rep)
-				}
-				byAddr[rep] = append(byAddr[rep], task)
-				continue
-			}
-			mp, okp := replicaParts[task]
-			if !okp {
-				return nil, nil, nil, false
-			}
-			parts = append(parts, partitionPartial{ID: task, Partial: partOf(mp, p)})
-		}
-		for _, addr := range addrs {
-			locs = append(locs, fetchLoc{Addr: addr, Tasks: byAddr[addr]})
-		}
-		for _, addr := range repAddrs {
-			reps = append(reps, fetchLoc{Addr: addr, Tasks: repBy[addr]})
-		}
-		return locs, parts, reps, true
-	}
-
-	// dispatchEarly runs one early launch end to end on its own
-	// goroutine: send the snapshot reducetask, forward streamed morelocs
-	// updates until the Run loop closes the stream (barrier or abort),
-	// then collect the single reply the worker owes. Reports exactly
-	// once into the reduce-phase channels — runReducePhase drains them
-	// after the barrier.
-	dispatchEarly := func(w *workerHandle, el *earlyLaunch, fr message, launch int) {
-		t := shardTask{id: el.partition}
-		start := time.Now()
-		err := w.c.send(fr, m.cfg.TaskTimeout)
-		aborted := false
-		for err == nil {
-			u, open := <-el.updates
-			if !open {
-				break
-			}
-			if u.Message == "abort" {
-				aborted = true
-			}
-			err = w.c.send(u, m.cfg.TaskTimeout)
-		}
-		var reply message
-		if err == nil {
-			reply, err = w.c.recv(m.cfg.TaskTimeout)
-		}
-		elapsed := time.Since(start)
-		if err == nil {
-			switch {
-			case reply.Type == "result" && reply.TaskID == t.id:
-				m.metrics.rpcSeconds.With(w.id).Observe(elapsed.Seconds())
-				ledger.shardDone(w.id, elapsed)
-				if trc != nil {
-					trc.closeLaunch(launch, outcomeOK, reply.Spans)
-				}
-				rResultCh <- launchDone{
-					task: t, sec: reply.Folded, bytes: reply.Bytes,
-					compBytes: reply.CompBytes, spills: reply.Spills, spilled: reply.Spilled,
-					failovers: reply.Failovers, elapsed: elapsed, launch: launch,
-				}
-				m.idle <- w
-				return
-			case aborted && reply.Type == "error" && reply.TaskID == t.id && reply.Fetch == "":
-				// The abort acknowledgement: not a failure, the partition
-				// just goes back through the barrier path without charging
-				// its attempt budget.
-				if trc != nil {
-					trc.closeLaunch(launch, outcomeCancelled, nil)
-				}
-				rFailCh <- launchFail{task: t, err: errEarlyAborted}
-				m.idle <- w
-				return
-			case reply.Type == "error" && reply.TaskID == t.id && reply.Fetch != "":
-				// A fetch failure names the dead holder: the reducer is
-				// healthy, the holder is not. The barrier-path retry
-				// re-plans around the loss.
-				m.markAddrDead(reply.Fetch)
-				if trc != nil {
-					trc.closeLaunch(launch, outcomeFailed, nil)
-				}
-				rFailCh <- launchFail{task: t, err: fmt.Errorf("netmr: reduce partition %d: fetch from %s failed: %s", t.id, reply.Fetch, reply.Message)}
-				m.idle <- w
-				return
-			default:
-				detail := reply.Message
-				if detail == "" {
-					detail = fmt.Sprintf("frame %q (task %d)", reply.Type, reply.TaskID)
-				}
-				err = fmt.Errorf("netmr: worker %s failed early reduce partition %d: %s", w.id, t.id, detail)
-			}
-		}
-		ledger.shardFailed(w.id, elapsed)
-		m.metrics.reassignments.With(w.id).Inc()
-		if trc != nil {
-			trc.closeLaunch(launch, outcomeFailed, nil)
-		}
-		rFailCh <- launchFail{task: t, err: err}
-		m.dropWorker(w)
-	}
-
-	inflight := make(map[int]*flight, shards)
-	done := make(map[int]bool, shards)
-	var completedLat []float64 // winning-launch latencies, speculation reference
-	pending := shards
 
 	// The merge runs as P partition folders fed while the map phase
 	// drains; SerialMerge instead buffers partials for the legacy
 	// barrier-then-merge pass; a distributed reduce replaces the engine
-	// entirely (map outputs stay on the workers). The deferred shutdown covers every error return so an
-	// abandoned job never leaks folder goroutines.
-	var eng *mergeEngine
-	var partials []map[string]float64
+	// entirely (map outputs stay on the workers). The deferred shutdowns
+	// cover every error return, so an abandoned job never leaks folder
+	// goroutines or leaves an early reducer blocked in its stream recv.
+	useReduce := m.cfg.Reducers > 0
 	switch {
 	case useReduce:
-		// No master-side fold: the reduce phase after the barrier does it.
+		r.startReduce()
+		defer r.closeEarly(true)
 	case m.cfg.SerialMerge:
-		partials = make([]map[string]float64, 0, shards)
+		r.partials = make([]map[string]float64, 0, shards)
 	default:
-		eng = newMergeEngine(job, m.cfg.Partitions, shards)
-		defer eng.shutdown()
+		r.eng = newMergeEngine(job, m.cfg.Partitions, shards)
+		defer r.eng.shutdown()
 	}
-
-	liveLaunches := func() int {
-		total := 0
-		for _, f := range inflight {
-			total += f.launches
-		}
-		return total
-	}
-	queuedShard := func(id int) bool {
-		for _, t := range queue {
-			if t.id == id {
-				return true
-			}
-		}
-		return false
-	}
-	abandon := func() {
-		if n := liveLaunches(); n > 0 {
-			stats.Cancellations += n
-			m.metrics.cancellations.Add(float64(n))
-		}
-	}
-
-	var specTick <-chan time.Time
-	if m.cfg.SpeculationInterval > 0 {
-		ticker := time.NewTicker(m.cfg.SpeculationInterval)
-		defer ticker.Stop()
-		specTick = ticker.C
-	}
-	wake := time.NewTimer(time.Hour)
-	if !wake.Stop() {
-		<-wake.C
-	}
-	defer wake.Stop()
 
 	splitStart := time.Now()
 	_, splitSpan := obs.StartSpan(ctx, "map")
 	deadline := time.NewTimer(m.cfg.JobTimeout)
 	defer deadline.Stop()
-	for pending > 0 {
-		// Compact finished shards out of the queue (their retries and
-		// clones are moot), then find a dispatchable task and the next
-		// backoff maturity.
-		kept := queue[:0]
-		for _, t := range queue {
-			if !done[t.id] {
-				kept = append(kept, t)
-			}
-		}
-		queue = kept
-		now := time.Now()
-		readyIdx := -1
-		var earliest time.Time
-		for i, t := range queue {
-			if !t.readyAt.After(now) {
-				readyIdx = i
-				break
-			}
-			if earliest.IsZero() || t.readyAt.Before(earliest) {
-				earliest = t.readyAt
-			}
-		}
-		var idleCh chan *workerHandle
-		var wakeCh <-chan time.Time
-		if readyIdx >= 0 || earlyOK() {
-			idleCh = m.idle
-		} else if !earliest.IsZero() {
-			if !wake.Stop() {
-				select {
-				case <-wake.C:
-				default:
-				}
-			}
-			wake.Reset(earliest.Sub(now))
-			wakeCh = wake.C
-		}
-
-		select {
-		case w := <-idleCh:
-			if readyIdx < 0 {
-				// Early-shuffle window: the map queue is drained, every
-				// remaining shard is in flight — this worker has nothing to
-				// map, so it takes the lowest unlaunched partition (earlyOK
-				// saw one).
-				p := 0
-				for earlyLaunched[p] {
-					p++
-				}
-				locs, iparts, reps, ok := buildEarly(p)
-				if !ok {
-					// An intermediate would need lineage re-execution;
-					// leave recovery to the barrier path and stop early
-					// dispatching for this run (earlyOK now keeps the loop
-					// from drawing the worker again).
-					earlyDisabled = true
-					m.idle <- w
-					continue
-				}
-				el := &earlyLaunch{partition: p, updates: make(chan message, shards+2)}
-				earlyLaunched[p] = true
-				earlyActive[p] = el
-				stats.EarlyReduceTasks++
-				m.metrics.earlyLaunches.Inc()
-				launch := -1
-				if trc != nil {
-					launch = trc.openLaunch("rtask", p, 0, w.id)
-				}
-				go dispatchEarly(w, el, message{
-					Type: "reducetask", Job: jobName, TaskID: p, Run: runID,
-					Locs: locs, Parts: iparts, Reps: reps, Total: shards, Trace: trc.frameID(),
-				}, launch)
-				continue
-			}
-			batch := append(make([]shardTask, 0, 1), queue[readyIdx])
-			queue = append(queue[:readyIdx], queue[readyIdx+1:]...)
-			if m.cfg.MaxTaskBatch > 1 {
-				// Pack more ready shards into the same frame, preserving
-				// queue order.
-				now := time.Now()
-				kept := queue[:0]
-				for _, t := range queue {
-					if len(batch) < m.cfg.MaxTaskBatch && !t.readyAt.After(now) {
-						batch = append(batch, t)
-					} else {
-						kept = append(kept, t)
-					}
-				}
-				queue = kept
-			}
-			for _, t := range batch {
-				f := inflight[t.id]
-				if f == nil {
-					f = &flight{}
-					inflight[t.id] = f
-				}
-				f.launches++
-				f.lastLaunch = time.Now()
-				m.metrics.shards.Inc()
-			}
-			var launches []int
-			if trc != nil {
-				// Every launch gets a unique ordinal — (shard, attempt)
-				// collides when speculation clones a lineage.
-				launches = make([]int, len(batch))
-				for i, t := range batch {
-					launches[i] = trc.openLaunch("task", t.id, t.attempts, w.id)
-				}
-			}
-			go dispatch(w, batch, launches)
-
-		case r := <-resultCh:
-			if f := inflight[r.task.id]; f != nil {
-				f.launches--
-			}
-			if done[r.task.id] {
-				// A sibling already delivered this shard: first result
-				// won, this one is discarded. The dispatch goroutine
-				// closed the launch ok before it knew; relabel it.
-				stats.Duplicates++
-				m.metrics.duplicates.Inc()
-				if trc != nil && r.launch >= 0 {
-					trc.relabel(r.launch, outcomeDuplicate)
-				}
-				continue
-			}
-			done[r.task.id] = true
-			if r.task.speculative {
-				stats.SpecWins++
-				m.metrics.specWins.Inc()
-			}
-			completedLat = append(completedLat, r.elapsed.Seconds())
-			switch {
-			case useReduce:
-				// The winning output is persisted on the worker; remember
-				// whose shuffle listener holds this map task's partitions,
-				// and where the durable copy lives: a peer replica when the
-				// push succeeded, the inline partition set on the master
-				// otherwise.
-				mapLocs[r.task.id] = r.fetchAddr
-				if r.repAddr != "" {
-					replicaLocs[r.task.id] = r.repAddr
-				} else if r.parts != nil {
-					replicaParts[r.task.id] = r.parts
-				}
-				// Stream the new location (and its replica, for worker-local
-				// failover) to every running early reducer. Exactly-once per
-				// task per launch: the snapshot covered tasks done before
-				// the launch, this covers the ones after — both on this one
-				// goroutine.
-				for _, el := range earlyActive {
-					u := message{Type: "morelocs", Run: runID, TaskID: el.partition,
-						Locs: []fetchLoc{{Addr: r.fetchAddr, Tasks: []int{r.task.id}}}}
-					if r.repAddr != "" {
-						u.Reps = []fetchLoc{{Addr: r.repAddr, Tasks: []int{r.task.id}}}
-					}
-					el.updates <- u
-					stats.LocsStreamed++
-					m.metrics.locsStreamed.Inc()
-				}
-				if r.spills > 0 {
-					stats.SpillRuns += r.spills
-					stats.SpilledBytes += r.spilled
-					m.metrics.spillRuns.Add(float64(r.spills))
-					m.metrics.spilledBytes.Add(float64(r.spilled))
-				}
-				if r.compBytes > 0 {
-					// Spill-section compression savings ride the mapdone.
-					stats.CompressedBytes += r.compBytes
-					m.metrics.compressedBytes.Add(float64(r.compBytes))
-				}
-				stats.MapOutputsStored++
-				m.metrics.mapOutputs.With("stored").Inc()
-			case eng != nil:
-				eng.feed(r.parts)
-			default:
-				partials = append(partials, flatten(r.parts))
-			}
-			stats.Completed++
-			pending--
-
-		case fl := <-failCh:
-			f := inflight[fl.task.id]
-			if f != nil {
-				f.launches--
-			}
-			if done[fl.task.id] {
-				continue // sibling already delivered; failure is moot
-			}
-			t := fl.task
-			t.attempts++
-			if t.attempts >= m.cfg.MaxAttempts {
-				// This lineage is out of budget. The shard survives only
-				// if a sibling launch is live or queued.
-				if (f != nil && f.launches > 0) || queuedShard(t.id) {
-					continue
-				}
-				abandon()
-				return nil, stats, fmt.Errorf("netmr: shard %d failed %d times, retry budget exhausted: %w", t.id, t.attempts, fl.err)
-			}
-			if m.WorkerCount() == 0 && (f == nil || f.launches == 0) {
-				abandon()
-				return nil, stats, fmt.Errorf("netmr: all workers lost with shard %d outstanding: %w", t.id, fl.err)
-			}
-			delay := backoffDelay(m.cfg.RetryBaseDelay, m.cfg.RetryMaxDelay, m.cfg.RetryJitter, m.cfg.RetrySeed, t.id, t.attempts)
-			m.metrics.retries.Inc()
-			m.metrics.backoffSeconds.Observe(delay.Seconds())
-			stats.Reassignments++
-			t.readyAt = time.Now().Add(delay)
-			queue = append(queue, t)
-			// The retry needs a worker: if early launches hold workers, call
-			// one back — its partition reruns after the barrier.
-			abortOneEarly()
-
-		case <-specTick:
-			if len(completedLat) < m.cfg.SpeculationMinObservations {
-				continue
-			}
-			threshold := latencyQuantile(completedLat, m.cfg.SpeculationQuantile) * m.cfg.SpeculationMultiplier
-			now := time.Now()
-			ids := make([]int, 0, len(inflight))
-			for id := range inflight {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
-			for _, id := range ids {
-				f := inflight[id]
-				if done[id] || f.launches == 0 || f.clones >= m.cfg.SpeculationMaxClones {
-					continue
-				}
-				if now.Sub(f.lastLaunch).Seconds() < threshold {
-					continue
-				}
-				f.clones++
-				stats.Speculations++
-				m.metrics.speculations.Inc()
-				queue = append(queue, shardTask{id: id, records: shardRecords(id), speculative: true})
-			}
-
-		case <-wakeCh:
-			// A backoff matured; rescan the queue.
-
-		case <-ctx.Done():
-			abandon()
-			return nil, stats, ctx.Err()
-
-		case <-deadline.C:
-			abandon()
-			return nil, stats, fmt.Errorf("netmr: job timed out after %v", m.cfg.JobTimeout)
-		}
+	if err := m.schedule(ctx, r.mapPhase(), &stats, r.trc, deadline.C); err != nil {
+		return nil, stats, err
 	}
-	// Launches still out for shards that already completed (clone races
-	// the job outlived) are abandoned; their workers rejoin the idle
-	// pool when their RPC finishes.
-	abandon()
 	// Stream complete: every winning output has been streamed, so close
 	// each early reducer's update channel — the reducer folds as soon as
 	// its coverage reaches Total.
-	closeEarly(false)
+	r.closeEarly(false)
 	splitSpan.End()
 	barrier := time.Now()
 	stats.SplitWall = barrier.Sub(splitStart)
-	if trc != nil {
-		trc.addPhase("split", splitStart, barrier)
-	}
+	r.trc.addPhase("split", splitStart, barrier)
 	m.metrics.splitSeconds.Observe(stats.SplitWall.Seconds())
-	if eng != nil {
+	if r.eng != nil {
 		// Sampled at the barrier: fold time the folders have already
 		// spent ran under the map phase — the Ws the overlap hid. (The
 		// wall window since the first feed would mostly be idle time
 		// waiting for map results and overstate the win.)
-		stats.MergeOverlapWall = eng.overlapped()
+		stats.MergeOverlapWall = r.eng.overlapped()
 	}
-
-	// Reduce phase: the R partitions go back out to the workers as tasks; the per-key fold happens there, not here, and the
-	// R disjoint, key-sorted sections that come back are the result. What
-	// is left for the master's "merge" window is the one map Run's callers
-	// are owed — O(keys) inserts, no Reduce/Combine calls — and nothing at
-	// all for RunResult's.
 	if useReduce {
-		_, reduceSpan := obs.StartSpan(ctx, "reduce")
-		plan := &reducePlan{
-			jobName: jobName, job: job, runID: runID,
-			mapLocs: mapLocs, replicaLocs: replicaLocs, replicaParts: replicaParts,
-			shards: shards, shardRecords: shardRecords,
-		}
-		finals, rerr := m.runReducePhase(ctx, plan, &stats, ledger, trc, deadline.C,
-			rResultCh, rFailCh, earlyLaunched)
-		reduceSpan.End()
-		reduceEnd := time.Now()
-		stats.ReduceWall = reduceEnd.Sub(barrier)
-		m.metrics.reduceSeconds.Observe(stats.ReduceWall.Seconds())
-		m.metrics.shuffleBytes.Add(float64(stats.ShuffleBytes))
-		if trc != nil {
-			trc.addPhase("reduce", barrier, reduceEnd)
-		}
-		if rerr != nil {
-			return nil, stats, rerr
-		}
-		_, mergeSpan := obs.StartSpan(ctx, "merge")
-		out := &Result{parts: finals}
-		if asMap {
-			out = &Result{flat: out.Map()}
-		}
-		mergeSpan.End()
-		end := time.Now()
-		if trc != nil {
-			trc.addPhase("merge", reduceEnd, end)
-		}
-		stats.MergeWall = end.Sub(reduceEnd)
-		stats.TotalWall = end.Sub(splitStart)
-		m.metrics.mergeSeconds.Observe(stats.MergeWall.Seconds())
-		m.metrics.mergeWidth.Set(float64(m.cfg.Reducers))
-		return out, stats, nil
+		result, err = r.reduceTail(ctx, deadline.C, splitStart, barrier, asMap)
+	} else {
+		result, err = r.mergeTail(ctx, splitStart, barrier)
 	}
+	return result, stats, err
+}
 
-	// Merge tail: the part of the merge left beyond the split barrier.
-	// With the engine most folding already happened under the map phase
-	// (MergeOverlapWall), so only the parallel finalize remains here. The
-	// SerialMerge path does all its Ws(n) work in this window.
+// jobRun is one Run's state shared by its phases: the job and its input,
+// the stats, trace and per-worker ledger, and the state of whichever
+// merge the run uses.
+type jobRun struct {
+	m       *Master
+	name    string
+	job     Job
+	runID   string // keys the run's intermediate output on the workers
+	records []string
+	shards  int
+	stats   *Stats
+	ledger  *perWorkerLedger
+	trc     *JobTrace // nil when the run is untraced
+
+	// Master-side merge: the partition folders fed while the map phase
+	// drains, or with SerialMerge the partials buffered for one pass after
+	// the barrier.
+	eng      *mergeEngine
+	partials []map[string]float64
+
+	// Distributed reduce, nil otherwise: whose shuffle listener holds each
+	// winning map output (mapLocs), where its peer replica lives
+	// (replicaLocs), and the master-held copies of outputs whose mapper
+	// could not replicate — no eligible peer, or the push failed — which
+	// rode inline on the mapdone frame (replicaParts). Gather plans consult
+	// all three before resorting to map re-execution lineage.
+	mapLocs      map[int]string
+	replicaLocs  map[int]string
+	replicaParts map[int][]partitionPartial
+	rResults     chan launchDone
+	rFails       chan launchFail
+	scratch      *shardScratch // lazy, only allocated if lineage re-execution happens
+	recoveryAt   time.Time     // first dispatch that routed around a lost intermediate
+
+	// Early shuffle: the partitions launched before the barrier, and
+	// whether more may launch. earlyActive holds the morelocs update
+	// stream of each early launch still in the map phase's hands; a
+	// stream is closed at the barrier (complete) or right after an abort
+	// marker, and its buffer takes every update it can get (one per map
+	// task, plus the abort), so the loop never blocks on a send.
+	earlyLaunched map[int]bool
+	earlyActive   map[int]chan message
+	earlyOff      bool
+}
+
+// shardRecords is shard id's slice of the input.
+func (r *jobRun) shardRecords(id int) []string {
+	lo := len(r.records) * id / r.shards
+	hi := len(r.records) * (id + 1) / r.shards
+	return r.records[lo:hi]
+}
+
+// mapPhase is the map shards' phase: up to MaxTaskBatch shards a frame,
+// and with EarlyShuffle the map tail's spare workers start reduce tasks,
+// one of which each map retry calls back.
+func (r *jobRun) mapPhase() *phase {
+	cfg := r.m.cfg
+	// Every launch reports exactly once; the buffers are sized for the
+	// worst case (every lineage of every shard burning its full budget)
+	// so dispatch goroutines can never block after Run returns.
+	capacity := r.shards * cfg.MaxAttempts * (1 + cfg.SpeculationMaxClones)
+	results := make(chan launchDone, capacity)
+	fails := make(chan launchFail, capacity)
+	ph := &phase{
+		tasks: r.shards, kind: "task", noun: "shard", maxBatch: cfg.MaxTaskBatch,
+		results: results, fails: fails,
+		launch: func(w *workerHandle, batch []shardTask, launches []int) {
+			r.m.metrics.shards.Add(float64(len(batch)))
+			go r.dispatchMap(w, batch, launches, results, fails)
+		},
+		accept: r.acceptMap,
+	}
+	if r.mapLocs != nil && cfg.EarlyShuffle {
+		ph.spare, ph.useSpare, ph.retried = r.earlyOK, r.launchEarly, r.abortOneEarly
+	}
+	return ph
+}
+
+// dispatchMap ships one or several shards to a worker: a single shard in
+// its own task frame, several in one taskbatch frame. The worker answers
+// one frame — a presult, or in reduce mode a mapdone — per shard in
+// order; each is reported individually, so a conn failure mid-batch fails
+// exactly the still-unacknowledged shards.
+func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int, results chan<- launchDone, fails chan<- launchFail) {
+	m := r.m
+	// In reduce mode the Run stamp tells the worker to persist its output,
+	// and Rep names it a replica peer — the next live shuffle listener
+	// after its own — so its partitions survive the worker. No eligible
+	// peer leaves Rep empty and the worker ships the copy back inline
+	// instead.
+	run, rep, want := "", "", "presult"
+	if r.mapLocs != nil {
+		run, rep, want = r.runID, m.pickReplicaAddr(w.fetch), "mapdone"
+	}
+	start := time.Now()
+	var err error
+	if len(tasks) == 1 {
+		t := tasks[0]
+		err = w.c.send(message{Type: "task", Job: r.name, TaskID: t.id, Attempt: t.attempts, Records: r.shardRecords(t.id), Run: run, Rep: rep, Trace: r.trc.frameID()}, m.cfg.TaskTimeout)
+	} else {
+		specs := make([]taskSpec, len(tasks))
+		for i, t := range tasks {
+			specs[i] = taskSpec{Job: r.name, TaskID: t.id, Attempt: t.attempts, Records: r.shardRecords(t.id)}
+		}
+		err = w.c.send(message{Type: "taskbatch", Batch: specs, Run: run, Rep: rep, Trace: r.trc.frameID()}, m.cfg.TaskTimeout)
+	}
+	acked := 0
+	prev := start
+	for err == nil && acked < len(tasks) {
+		t := tasks[acked]
+		var reply message
+		reply, err = w.c.recv(m.cfg.TaskTimeout)
+		if err == nil && (reply.Type != want || reply.TaskID != t.id) {
+			err = fmt.Errorf("netmr: worker %s answered shard %d with %q (task %d)", w.id, t.id, reply.Type, reply.TaskID)
+		}
+		if err == nil {
+			// The merge engine and the gather planner index part ids (a
+			// mapdone carries the set when its mapper had no peer to
+			// replicate to), so none reaches them unchecked.
+			err = validateParts(reply.Parts, m.cfg.Partitions)
+		}
+		if err != nil {
+			break
+		}
+		now := time.Now()
+		elapsed := now.Sub(prev)
+		prev = now
+		r.landed(w, elapsed, launchOf(launches, acked), reply.Spans)
+		results <- launchDone{
+			task: t, parts: reply.Parts,
+			fetchAddr: w.fetch,
+			repAddr:   reply.Rep, spills: reply.Spills, spilled: reply.Spilled,
+			compBytes: reply.CompBytes,
+			elapsed:   elapsed, launch: launchOf(launches, acked),
+		}
+		acked++
+	}
+	if err != nil {
+		// Lost or misbehaving worker: drop it, then fail every shard it
+		// still owed a result for — in that order, so the loop's
+		// all-workers-lost check already counts it gone.
+		m.dropWorker(w)
+		elapsed := time.Since(prev)
+		for i, t := range tasks[acked:] {
+			r.lost(w, elapsed, launchOf(launches, acked+i))
+			fails <- launchFail{task: t, err: err}
+			elapsed = 0 // the round-trip is charged once
+		}
+		return
+	}
+	m.idle <- w // back to the pool
+}
+
+// landed books a launch that delivered: its round-trip on the worker's
+// ledger and RPC histogram, its trace launch closed ok.
+func (r *jobRun) landed(w *workerHandle, elapsed time.Duration, launch int, spans []spanSummary) {
+	r.m.metrics.rpcSeconds.With(w.id).Observe(elapsed.Seconds())
+	r.ledger.shardDone(w.id, elapsed)
+	r.trc.closeLaunch(launch, outcomeOK, spans)
+}
+
+// lost books a launch its worker failed: charged to the worker as a
+// reassignment, its trace launch closed failed.
+func (r *jobRun) lost(w *workerHandle, elapsed time.Duration, launch int) {
+	r.ledger.shardFailed(w.id, elapsed)
+	r.m.metrics.reassignments.With(w.id).Inc()
+	r.trc.closeLaunch(launch, outcomeFailed, nil)
+}
+
+// acceptMap takes a shard's winning output: into the merge engine, the
+// SerialMerge buffer, or — with a distributed reduce, where the output
+// stays on its worker — the record of where it and its copy live.
+func (r *jobRun) acceptMap(d launchDone) {
+	switch {
+	case r.mapLocs != nil:
+		r.stored(d)
+	case r.eng != nil:
+		r.eng.feed(d.parts)
+	default:
+		r.partials = append(r.partials, flatten(d.parts))
+	}
+	r.stats.Completed++
+}
+
+// mergeTail is the part of the master-side merge left beyond the split
+// barrier. With the engine most folding already happened under the map
+// phase (MergeOverlapWall), so only the parallel finalize remains here;
+// the SerialMerge path does all its Ws(n) work in this window.
+func (r *jobRun) mergeTail(ctx context.Context, splitStart, barrier time.Time) (*Result, error) {
+	m, stats := r.m, r.stats
 	_, mergeSpan := obs.StartSpan(ctx, "merge")
 	var out map[string]float64
-	if eng != nil {
-		out, err = eng.finalize(ctx)
-		if err != nil {
+	if r.eng != nil {
+		var err error
+		if out, err = r.eng.finalize(ctx); err != nil {
 			mergeSpan.End()
-			return nil, stats, err
+			return nil, err
 		}
-		for p := range eng.busy {
-			m.metrics.mergePartition.With(strconv.Itoa(p)).Observe(time.Duration(eng.busy[p].Load()).Seconds())
+		for p := range r.eng.busy {
+			m.metrics.mergePartition.With(strconv.Itoa(p)).Observe(time.Duration(r.eng.busy[p].Load()).Seconds())
 		}
 	} else {
-		out = serialMerge(job, partials)
+		out = serialMerge(r.job, r.partials)
 	}
 	mergeSpan.End()
 	end := time.Now()
-	if trc != nil {
-		trc.addPhase("merge", barrier, end)
-	}
+	r.trc.addPhase("merge", barrier, end)
 	stats.MergeWall = end.Sub(barrier) + stats.MergeOverlapWall
 	stats.TotalWall = end.Sub(splitStart)
 	m.metrics.mergeSeconds.Observe(stats.MergeWall.Seconds())
 	m.metrics.mergeOverlap.Observe(stats.MergeOverlapWall.Seconds())
 	m.metrics.mergeWidth.Set(float64(m.cfg.Partitions))
-	return &Result{flat: out}, stats, nil
+	return &Result{flat: out}, nil
 }
 
 // flatten collapses one map task's partitioned output into the flat map

@@ -6,420 +6,399 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"ipso/internal/obs"
 )
 
-// Master-side scheduler of the distributed reduce phase: after the split
-// barrier the R partitions go back out to the workers as reduce tasks,
-// under the same retry/backoff/speculation discipline as map shards. The
-// master never folds a key here — its remaining job is routing: telling
-// each reducer where the winning map outputs live (the fetch plan) and
-// carrying inline the copies only it holds.
+// Master-side half of the distributed reduce: after the split barrier the
+// R partitions go back out to the workers as reduce tasks, through the
+// same scheduling loop as map shards (sched.go). The master never folds a
+// key here — its remaining job is routing: telling each reducer where the
+// winning map outputs live (the gather plan) and carrying inline the
+// copies only it holds. With EarlyShuffle, reduce tasks start before the
+// barrier on the workers the map tail leaves idle.
 
-// reducePlan is everything the reduce phase needs to route intermediate
-// data: where the winning map outputs live (mapLocs), where their peer
-// replicas live (replicaLocs), the master-held replica payloads of
-// unreplicated outputs (replicaParts), and the lineage inputs (job +
-// shardRecords) for the last-ditch map re-execution fallback.
-type reducePlan struct {
-	jobName      string
-	job          Job
-	runID        string
-	mapLocs      map[int]string
-	replicaLocs  map[int]string
-	replicaParts map[int][]partitionPartial
-	shards       int
-	shardRecords func(int) []string
+// errEarlyAborted marks an early reduce launch the master itself called
+// back (its worker was needed for a map retry). The reduce phase requeues
+// the partition without charging the attempt budget — an abort is the
+// master's choice, not a failure.
+var errEarlyAborted = errors.New("netmr: early reduce launch aborted")
+
+// startReduce readies the run's reduce-side state before the map phase:
+// the map-output records, and the reduce launch reports, which exist this
+// early because early launches start under the map tail.
+func (r *jobRun) startReduce() {
+	cfg := r.m.cfg
+	r.stats.Reducers = cfg.Reducers
+	r.mapLocs = make(map[int]string, r.shards)
+	r.replicaLocs = make(map[int]string, r.shards)
+	r.replicaParts = make(map[int][]partitionPartial)
+	// The buffers cover every lineage the reduce phase can start plus one
+	// early launch per partition, so no reporter can ever block.
+	rcap := cfg.Reducers * (1 + cfg.MaxAttempts*(1+cfg.SpeculationMaxClones))
+	r.rResults = make(chan launchDone, rcap)
+	r.rFails = make(chan launchFail, rcap)
+	r.earlyLaunched = map[int]bool{}
+	r.earlyActive = map[int]chan message{}
+}
+
+// stored records a winning map output persisted on its worker: whose
+// shuffle listener holds the task's partitions, and where the durable
+// copy lives — a peer replica when the push succeeded, the inline
+// partition set on the master otherwise — and streams the location to
+// every running early reducer.
+func (r *jobRun) stored(d launchDone) {
+	id := d.task.id
+	r.mapLocs[id] = d.fetchAddr
+	if d.repAddr != "" {
+		r.replicaLocs[id] = d.repAddr
+	} else if d.parts != nil {
+		r.replicaParts[id] = d.parts
+	}
+	// Exactly once per task per launch: the launch's plan covered the
+	// tasks stored before it, this covers the ones after — both on the
+	// scheduling goroutine.
+	for p, updates := range r.earlyActive {
+		u := message{Type: "morelocs", Run: r.runID, TaskID: p,
+			Locs: []fetchLoc{{Addr: d.fetchAddr, Tasks: []int{id}}}}
+		if d.repAddr != "" {
+			u.Reps = []fetchLoc{{Addr: d.repAddr, Tasks: []int{id}}}
+		}
+		updates <- u
+		r.stats.LocsStreamed++
+		r.m.metrics.locsStreamed.Inc()
+	}
+	r.absorb(d)
+	r.stats.MapOutputsStored++
+	r.m.metrics.mapOutputs.With("stored").Inc()
+}
+
+// absorb adds what a stored map output or a reduce result reports of
+// spill runs and compression savings to the run's accounts.
+func (r *jobRun) absorb(d launchDone) {
+	if d.spills > 0 {
+		r.stats.SpillRuns += d.spills
+		r.stats.SpilledBytes += d.spilled
+		r.m.metrics.spillRuns.Add(float64(d.spills))
+		r.m.metrics.spilledBytes.Add(float64(d.spilled))
+	}
+	if d.compBytes > 0 {
+		r.stats.CompressedBytes += d.compBytes
+		r.m.metrics.compressedBytes.Add(float64(d.compBytes))
+	}
+}
+
+// reduceTail runs the reduce phase after the barrier: the per-key fold
+// happens on the workers, and the R disjoint, key-sorted sections that
+// come back are the result. What is left for the master's "merge" window
+// is the one map Run's callers are owed — O(keys) inserts, no
+// Reduce/Combine calls — and nothing at all for RunResult's.
+func (r *jobRun) reduceTail(ctx context.Context, deadline <-chan time.Time, splitStart, barrier time.Time, asMap bool) (*Result, error) {
+	m, stats := r.m, r.stats
+	_, reduceSpan := obs.StartSpan(ctx, "reduce")
+	finals, err := r.runReducePhase(ctx, deadline)
+	reduceSpan.End()
+	reduceEnd := time.Now()
+	stats.ReduceWall = reduceEnd.Sub(barrier)
+	m.metrics.reduceSeconds.Observe(stats.ReduceWall.Seconds())
+	m.metrics.shuffleBytes.Add(float64(stats.ShuffleBytes))
+	r.trc.addPhase("reduce", barrier, reduceEnd)
+	if err != nil {
+		return nil, err
+	}
+	_, mergeSpan := obs.StartSpan(ctx, "merge")
+	out := &Result{parts: finals}
+	if asMap {
+		out = &Result{flat: out.Map()}
+	}
+	mergeSpan.End()
+	end := time.Now()
+	r.trc.addPhase("merge", reduceEnd, end)
+	stats.MergeWall = end.Sub(reduceEnd)
+	stats.TotalWall = end.Sub(splitStart)
+	m.metrics.mergeSeconds.Observe(stats.MergeWall.Seconds())
+	m.metrics.mergeWidth.Set(float64(m.cfg.Reducers))
+	return out, nil
 }
 
 // runReducePhase assigns the R reduce partitions to workers and returns
 // their folded partitions, indexed by partition id, each the key-sorted
-// section its reducer sent.
-//
-// Unlike the map phase, fetch plans are computed per dispatch against the
-// current shuffle-address liveness view: a map output whose primary
-// holder died is rerouted to its peer replica, falls back to the
-// master-held copy inline on the task frame, and only when every copy is
-// gone is the map task re-executed from lineage on the master (cached, so
-// R partitions pay for one re-execution). The fold output is
+// section its reducer sent. Each dispatch plans its gather against the
+// liveness view of that instant (gatherPlan); the fold output is
 // byte-identical on every route — reducers order partials by map task id
 // before folding, not by arrival.
 //
-// The report channels are created by Run before the map phase because
-// pipelined (early) launches start under the map tail: partitions in
-// earlySeeded are already in flight when this loop starts, so they are
-// kept out of the queue and accounted as live launches — each reports
-// exactly once, possibly into the pre-seeded channel buffers. An early
-// launch the master aborted fails with errEarlyAborted and requeues
-// without charging the attempt budget.
-func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *Stats, ledger *perWorkerLedger, trc *JobTrace, deadline <-chan time.Time,
-	resultCh chan launchDone, failCh chan launchFail, earlySeeded map[int]bool) ([]section, error) {
-	R := m.cfg.Reducers
-
-	// Sorted stored-task ids: the deterministic iteration base for every
-	// per-dispatch plan.
-	storedTasks := make([]int, 0, len(plan.mapLocs))
-	for task := range plan.mapLocs {
-		storedTasks = append(storedTasks, task)
+// Early launches are already in flight when the phase starts, so they
+// enter the loop as seeded flights rather than queued tasks; each reports
+// exactly once on the reduce channels, possibly into their buffers before
+// this phase drains them. An early launch the master aborted fails with
+// errEarlyAborted and requeues without charging the attempt budget.
+func (r *jobRun) runReducePhase(ctx context.Context, deadline <-chan time.Time) ([]section, error) {
+	m := r.m
+	finals := make([]section, m.cfg.Reducers)
+	ph := &phase{
+		tasks: m.cfg.Reducers, kind: "rtask", noun: "reduce partition", maxBatch: 1,
+		results: r.rResults, fails: r.rFails, seeded: r.earlyLaunched,
+		launch: func(w *workerHandle, batch []shardTask, launches []int) {
+			t := batch[0]
+			// Planned here, on the loop's goroutine: the plan reads and
+			// fills the shared replica cache and stats.
+			locs, inline, reps, _ := r.gatherPlan(t.id, false)
+			go r.dispatchReduce(w, t, message{
+				Type: "reducetask", Job: r.name, TaskID: t.id, Attempt: t.attempts, Run: r.runID,
+				Locs: locs, Parts: inline, Reps: reps, Trace: r.trc.frameID(),
+			}, launchOf(launches, 0), nil)
+		},
+		accept: func(d launchDone) {
+			finals[d.task.id] = d.sec
+			r.stats.ReduceTasks++
+			r.stats.ShuffleBytes += d.bytes
+			if d.failovers > 0 {
+				r.stats.Failovers += d.failovers
+				m.metrics.failovers.Add(float64(d.failovers))
+			}
+			r.absorb(d)
+			m.metrics.reduceTasks.With("ok").Inc()
+		},
+		failed: func(err error) bool {
+			if errors.Is(err, errEarlyAborted) {
+				return true
+			}
+			m.metrics.reduceTasks.With("failed").Inc()
+			return false
+		},
 	}
-	sort.Ints(storedTasks)
+	if err := m.schedule(ctx, ph, r.stats, r.trc, deadline); err != nil {
+		return nil, err
+	}
+	if !r.recoveryAt.IsZero() {
+		r.stats.RecoveryWall = time.Since(r.recoveryAt)
+		m.metrics.recoverySeconds.Observe(r.stats.RecoveryWall.Seconds())
+	}
+	return finals, nil
+}
 
-	// recoveryAt marks the first time a dispatch had to route around a
-	// lost intermediate; RecoveryWall runs from there to phase completion.
-	var recoveryAt time.Time
-	recovered := func() {
-		if recoveryAt.IsZero() {
-			recoveryAt = time.Now()
+// gatherPlan routes partition p's gather against the shuffle-address
+// liveness of this instant: each live holder with the (sorted) map tasks
+// to fetch from it, the replica holders the reducer may fail over to
+// worker-locally, and inline the partition's slice of every output only
+// the master still has. A map output whose primary died is read from its
+// live replica, else from the master-held copy, else re-executed from
+// lineage on the master and cached where an inline copy would have been,
+// so R partitions pay for one re-execution. An early plan (launched
+// before the barrier) refuses that re-execution instead — ok false: the
+// barrier path recovers — does not start the recovery clock, and keeps
+// the empty inline sections too, so the reducer's coverage count can
+// reach Total. Runs on the scheduling goroutine: it mutates the replica
+// cache and stats.
+func (r *jobRun) gatherPlan(p int, early bool) (locs []fetchLoc, inline []partitionPartial, reps []fetchLoc, ok bool) {
+	m := r.m
+	byAddr := map[string][]int{}
+	repBy := map[string][]int{}
+	for task := 0; task < r.shards; task++ {
+		addr, stored := r.mapLocs[task]
+		if !stored {
+			continue
+		}
+		rep, hasRep := r.replicaLocs[task]
+		hasRep = hasRep && m.addrAlive(rep)
+		if m.addrAlive(addr) {
+			byAddr[addr] = append(byAddr[addr], task)
+			if hasRep {
+				repBy[rep] = append(repBy[rep], task)
+			}
+			continue
+		}
+		if !early && r.recoveryAt.IsZero() {
+			r.recoveryAt = time.Now()
+		}
+		if hasRep {
+			byAddr[rep] = append(byAddr[rep], task)
+			r.stats.ReplicaFetches++
+			m.metrics.replicaFetches.Inc()
+			continue
+		}
+		parts, held := r.replicaParts[task]
+		if !held {
+			if early {
+				return nil, nil, nil, false
+			}
+			// Primary and replica both gone: re-execute the map task.
+			if r.scratch == nil {
+				r.scratch = newShardScratch()
+			}
+			parts = runShardPartitioned(r.job, r.shardRecords(task), r.scratch, m.cfg.Reducers, nil)
+			r.replicaParts[task] = parts
+			m.metrics.mapReexecs.Inc()
+		}
+		if sec := partOf(parts, p); early || len(sec) > 0 {
+			inline = append(inline, partitionPartial{ID: task, Partial: sec})
 		}
 	}
-	var scratch *shardScratch // lazy, only allocated if lineage re-execution happens
+	return sortedLocs(byAddr), inline, sortedLocs(repBy), true
+}
 
-	// buildPlan computes one dispatch's fetch plan: each live holder
-	// address with the (sorted) map tasks to fetch from it, the replica
-	// addresses the reducer may fail over to worker-locally,
-	// plus the partition's slice of any output that has to travel inline
-	// (master replica or re-executed). Runs in the event-loop goroutine —
-	// it mutates shared state (replicaParts cache, stats).
-	buildPlan := func(partition int) ([]fetchLoc, []partitionPartial, []fetchLoc) {
-		byAddr := make(map[string][]int)
-		repBy := make(map[string][]int)
-		var inline []partitionPartial
-		for _, task := range storedTasks {
-			addr := plan.mapLocs[task]
-			if m.addrAlive(addr) {
-				byAddr[addr] = append(byAddr[addr], task)
-				if rep, ok := plan.replicaLocs[task]; ok && m.addrAlive(rep) {
-					repBy[rep] = append(repBy[rep], task)
-				}
-				continue
-			}
-			if rep, ok := plan.replicaLocs[task]; ok && m.addrAlive(rep) {
-				byAddr[rep] = append(byAddr[rep], task)
-				stats.ReplicaFetches++
-				m.metrics.replicaFetches.Inc()
-				recovered()
-				continue
-			}
-			parts, ok := plan.replicaParts[task]
-			if !ok {
-				// Primary and replica both gone: re-execute the map task
-				// from lineage on the master and cache the partition set
-				// where an inline replica would have been.
-				if scratch == nil {
-					scratch = newShardScratch()
-				}
-				parts = runShardPartitioned(plan.job, plan.shardRecords(task), scratch, R, nil)
-				plan.replicaParts[task] = parts
-				m.metrics.mapReexecs.Inc()
-			}
-			recovered()
-			if sec := partOf(parts, partition); len(sec) > 0 {
-				inline = append(inline, partitionPartial{ID: task, Partial: sec})
-			}
-		}
-		addrs := make([]string, 0, len(byAddr))
-		for addr := range byAddr {
-			addrs = append(addrs, addr)
-		}
-		sort.Strings(addrs)
-		locs := make([]fetchLoc, 0, len(addrs))
-		for _, addr := range addrs {
-			locs = append(locs, fetchLoc{Addr: addr, Tasks: byAddr[addr]})
-		}
-		repAddrs := make([]string, 0, len(repBy))
-		for addr := range repBy {
-			repAddrs = append(repAddrs, addr)
-		}
-		sort.Strings(repAddrs)
-		reps := make([]fetchLoc, 0, len(repAddrs))
-		for _, addr := range repAddrs {
-			reps = append(reps, fetchLoc{Addr: addr, Tasks: repBy[addr]})
-		}
-		return locs, inline, reps
+// sortedLocs lists the holders of by in address order.
+func sortedLocs(by map[string][]int) []fetchLoc {
+	addrs := make([]string, 0, len(by))
+	for addr := range by {
+		addrs = append(addrs, addr)
 	}
-
-	queue := make([]shardTask, 0, R)
-	for p := 0; p < R; p++ {
-		if !earlySeeded[p] {
-			queue = append(queue, shardTask{id: p})
-		}
+	sort.Strings(addrs)
+	locs := make([]fetchLoc, 0, len(addrs))
+	for _, addr := range addrs {
+		locs = append(locs, fetchLoc{Addr: addr, Tasks: by[addr]})
 	}
+	return locs
+}
 
-	// dispatchReduce ships one partition to a worker and reports exactly
-	// once. A reply that is not this partition's result drops the worker —
-	// except a reducer's "the fetch failed" report (an error frame naming
-	// the holder address): there the reducer is healthy and the holder is
-	// not, so the holder is marked dead, the reducer returns to the pool,
-	// and the retry re-plans around the loss. Replica addresses ride the
-	// frame so the reducer retries a dead holder's tasks against the
-	// replica itself before failing the whole launch back to the master.
-	dispatchReduce := func(w *workerHandle, t shardTask, locs []fetchLoc, parts []partitionPartial, reps []fetchLoc, launch int) {
-		fr := message{Type: "reducetask", Job: plan.jobName, TaskID: t.id, Attempt: t.attempts, Run: plan.runID, Locs: locs, Parts: parts, Reps: reps, Trace: trc.frameID()}
-		start := time.Now()
-		err := w.c.send(fr, m.cfg.TaskTimeout)
-		var reply message
-		if err == nil {
-			reply, err = w.c.recv(m.cfg.TaskTimeout)
+// dispatchReduce runs one reduce launch on its own goroutine and reports
+// it exactly once on the reduce channels. An early launch (updates
+// non-nil) forwards the streamed morelocs updates until the map phase
+// closes the stream (barrier or abort), then collects the reply. A reply
+// that is not the partition's result drops the worker, with two
+// exceptions that return it to the pool: a reducer's "the fetch failed"
+// report (an error frame naming the holder address), where the reducer
+// is healthy and the holder is not — the holder is marked dead and the
+// retry re-plans around the loss — and an aborted early launch's
+// acknowledgement.
+func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch int, updates <-chan message) {
+	m := r.m
+	start := time.Now()
+	err := w.c.send(fr, m.cfg.TaskTimeout)
+	aborted := false
+	for err == nil && updates != nil {
+		u, open := <-updates
+		if !open {
+			break
 		}
-		elapsed := time.Since(start)
-		if err == nil && reply.Type == "error" && reply.TaskID == t.id && reply.Fetch != "" {
-			m.markAddrDead(reply.Fetch)
-			if trc != nil {
-				trc.closeLaunch(launch, outcomeFailed, nil)
+		aborted = aborted || u.Message == "abort"
+		err = w.c.send(u, m.cfg.TaskTimeout)
+	}
+	var reply message
+	if err == nil {
+		reply, err = w.c.recv(m.cfg.TaskTimeout)
+	}
+	elapsed := time.Since(start)
+	if err == nil {
+		switch {
+		case reply.Type == "result" && reply.TaskID == t.id:
+			r.landed(w, elapsed, launch, reply.Spans)
+			r.rResults <- launchDone{
+				task: t, sec: reply.Folded, bytes: reply.Bytes,
+				compBytes: reply.CompBytes, spills: reply.Spills, spilled: reply.Spilled,
+				failovers: reply.Failovers, elapsed: elapsed, launch: launch,
 			}
-			failCh <- launchFail{task: t, err: fmt.Errorf("netmr: reduce partition %d: fetch from %s failed: %s", t.id, reply.Fetch, reply.Message)}
+			m.idle <- w
+			return
+		case reply.Type == "error" && reply.TaskID == t.id && (reply.Fetch != "" || aborted):
+			// An abort acknowledgement is not a failure: the partition
+			// goes back to the queue without charging its budget.
+			outcome, ferr := outcomeCancelled, errEarlyAborted
+			if reply.Fetch != "" {
+				m.markAddrDead(reply.Fetch)
+				outcome, ferr = outcomeFailed, fmt.Errorf("netmr: reduce partition %d: fetch from %s failed: %s", t.id, reply.Fetch, reply.Message)
+			}
+			r.trc.closeLaunch(launch, outcome, nil)
+			r.rFails <- launchFail{task: t, err: ferr}
 			m.idle <- w
 			return
 		}
-		if err == nil && (reply.Type != "result" || reply.TaskID != t.id) {
-			detail := reply.Message
-			if detail == "" {
-				detail = fmt.Sprintf("frame %q (task %d)", reply.Type, reply.TaskID)
-			}
-			err = fmt.Errorf("netmr: worker %s failed reduce partition %d: %s", w.id, t.id, detail)
+		what := "reduce partition"
+		if updates != nil {
+			what = "early reduce partition"
 		}
-		if err != nil {
-			ledger.shardFailed(w.id, elapsed)
-			m.metrics.reassignments.With(w.id).Inc()
-			if trc != nil {
-				trc.closeLaunch(launch, outcomeFailed, nil)
-			}
-			failCh <- launchFail{task: t, err: err}
-			m.dropWorker(w)
-			return
+		detail := reply.Message
+		if detail == "" {
+			detail = fmt.Sprintf("frame %q (task %d)", reply.Type, reply.TaskID)
 		}
-		m.metrics.rpcSeconds.With(w.id).Observe(elapsed.Seconds())
-		ledger.shardDone(w.id, elapsed)
-		if trc != nil {
-			trc.closeLaunch(launch, outcomeOK, reply.Spans)
-		}
-		resultCh <- launchDone{
-			task: t, sec: reply.Folded, bytes: reply.Bytes,
-			compBytes: reply.CompBytes, spills: reply.Spills, spilled: reply.Spilled,
-			failovers: reply.Failovers, elapsed: elapsed, launch: launch,
-		}
+		err = fmt.Errorf("netmr: worker %s failed %s %d: %s", w.id, what, t.id, detail)
+	}
+	m.dropWorker(w) // before the report, as in dispatchMap
+	r.lost(w, elapsed, launch)
+	r.rFails <- launchFail{task: t, err: err}
+}
+
+// earlyOK reports whether a spare worker should start an early reduce
+// task: only in the map tail — a non-empty queue means shards still need
+// workers — and only once a map output is stored, since a launch with
+// none known buys nothing over waiting for the next mapdone.
+func (r *jobRun) earlyOK(queued int) bool {
+	return !r.earlyOff && len(r.earlyLaunched) < r.m.cfg.Reducers && queued == 0 && len(r.mapLocs) > 0
+}
+
+// launchEarly starts the lowest partition not yet launched (earlyOK saw
+// one) on a spare worker: a reducetask naming the map outputs stored so
+// far plus the run's total map count. Every later winning output streams
+// to it as a morelocs frame, so the reducer fetches under the map tail
+// and folds the moment its coverage completes.
+func (r *jobRun) launchEarly(w *workerHandle) {
+	m := r.m
+	p := 0
+	for r.earlyLaunched[p] {
+		p++
+	}
+	locs, inline, reps, ok := r.gatherPlan(p, true)
+	if !ok {
+		// An intermediate would need lineage re-execution; leave recovery
+		// to the barrier path and stop early dispatching for this run
+		// (earlyOK now keeps the loop from drawing a worker again).
+		r.earlyOff = true
 		m.idle <- w
+		return
 	}
-
-	finals := make([]section, R)
-	inflight := make(map[int]*flight, R)
-	done := make(map[int]bool, R)
-	var completedLat []float64
-	pending := R
-	// Early launches are live flights this loop inherits; their ages are
-	// reset to the phase start so the speculation clock does not read the
-	// map overlap as straggling.
-	for p := range earlySeeded {
-		inflight[p] = &flight{launches: 1, lastLaunch: time.Now()}
+	updates := make(chan message, r.shards+2)
+	r.earlyLaunched[p] = true
+	r.earlyActive[p] = updates
+	r.stats.EarlyReduceTasks++
+	m.metrics.earlyLaunches.Inc()
+	launch := -1
+	if r.trc != nil {
+		launch = r.trc.openLaunch("rtask", p, 0, w.id)
 	}
+	go r.dispatchReduce(w, shardTask{id: p}, message{
+		Type: "reducetask", Job: r.name, TaskID: p, Run: r.runID,
+		Locs: locs, Parts: inline, Reps: reps, Total: r.shards, Trace: r.trc.frameID(),
+	}, launch, updates)
+}
 
-	liveLaunches := func() int {
-		total := 0
-		for _, f := range inflight {
-			total += f.launches
-		}
-		return total
+// abortOneEarly calls an early launch back because a map retry needs its
+// worker; its partition reruns from the reduce phase's queue.
+func (r *jobRun) abortOneEarly() {
+	if len(r.earlyActive) == 0 {
+		return
 	}
-	queuedShard := func(id int) bool {
-		for _, t := range queue {
-			if t.id == id {
-				return true
-			}
-		}
-		return false
+	// Deterministic pick: the highest partition launched last and has
+	// overlapped the least fetching — the cheapest launch to lose.
+	maxP := -1
+	for p := range r.earlyActive {
+		maxP = max(maxP, p)
 	}
-	abandon := func() {
-		if n := liveLaunches(); n > 0 {
-			stats.Cancellations += n
-			m.metrics.cancellations.Add(float64(n))
-		}
+	r.endEarly(maxP, true)
+}
+
+// closeEarly ends every open update stream: complete at the barrier, or
+// aborted on an error return mid-map so no early reducer stays blocked in
+// its stream recv.
+func (r *jobRun) closeEarly(abort bool) {
+	ps := make([]int, 0, len(r.earlyActive))
+	for p := range r.earlyActive {
+		ps = append(ps, p)
 	}
-
-	var specTick <-chan time.Time
-	if m.cfg.SpeculationInterval > 0 {
-		ticker := time.NewTicker(m.cfg.SpeculationInterval)
-		defer ticker.Stop()
-		specTick = ticker.C
+	sort.Ints(ps)
+	for _, p := range ps {
+		r.endEarly(p, abort)
 	}
-	wake := time.NewTimer(time.Hour)
-	if !wake.Stop() {
-		<-wake.C
+}
+
+// endEarly closes partition p's update stream, after an abort marker when
+// abort is set.
+func (r *jobRun) endEarly(p int, abort bool) {
+	if abort {
+		r.earlyActive[p] <- message{Type: "morelocs", Run: r.runID, TaskID: p, Message: "abort"}
+		r.stats.EarlyAborts++
+		r.m.metrics.earlyAborts.Inc()
 	}
-	defer wake.Stop()
-
-	for pending > 0 {
-		kept := queue[:0]
-		for _, t := range queue {
-			if !done[t.id] {
-				kept = append(kept, t)
-			}
-		}
-		queue = kept
-		now := time.Now()
-		readyIdx := -1
-		var earliest time.Time
-		for i, t := range queue {
-			if !t.readyAt.After(now) {
-				readyIdx = i
-				break
-			}
-			if earliest.IsZero() || t.readyAt.Before(earliest) {
-				earliest = t.readyAt
-			}
-		}
-		var idleCh chan *workerHandle
-		var wakeCh <-chan time.Time
-		if readyIdx >= 0 {
-			idleCh = m.idle
-		} else if !earliest.IsZero() {
-			if !wake.Stop() {
-				select {
-				case <-wake.C:
-				default:
-				}
-			}
-			wake.Reset(earliest.Sub(now))
-			wakeCh = wake.C
-		}
-
-		select {
-		case w := <-idleCh:
-			t := queue[readyIdx]
-			queue = append(queue[:readyIdx], queue[readyIdx+1:]...)
-			f := inflight[t.id]
-			if f == nil {
-				f = &flight{}
-				inflight[t.id] = f
-			}
-			f.launches++
-			f.lastLaunch = time.Now()
-			launch := -1
-			if trc != nil {
-				launch = trc.openLaunch("rtask", t.id, t.attempts, w.id)
-			}
-			// The routing plan is computed here, in the event loop, against
-			// the liveness view of this instant — not in the dispatch
-			// goroutine, where the shared replica cache and stats would
-			// race.
-			locs, inline, reps := buildPlan(t.id)
-			go dispatchReduce(w, t, locs, inline, reps, launch)
-
-		case r := <-resultCh:
-			if f := inflight[r.task.id]; f != nil {
-				f.launches--
-			}
-			if done[r.task.id] {
-				stats.Duplicates++
-				m.metrics.duplicates.Inc()
-				if trc != nil && r.launch >= 0 {
-					trc.relabel(r.launch, outcomeDuplicate)
-				}
-				continue
-			}
-			done[r.task.id] = true
-			if r.task.speculative {
-				stats.SpecWins++
-				m.metrics.specWins.Inc()
-			}
-			completedLat = append(completedLat, r.elapsed.Seconds())
-			finals[r.task.id] = r.sec
-			stats.ReduceTasks++
-			stats.ShuffleBytes += r.bytes
-			if r.failovers > 0 {
-				stats.Failovers += r.failovers
-				m.metrics.failovers.Add(float64(r.failovers))
-			}
-			if r.compBytes > 0 {
-				stats.CompressedBytes += r.compBytes
-				m.metrics.compressedBytes.Add(float64(r.compBytes))
-			}
-			if r.spills > 0 {
-				stats.SpillRuns += r.spills
-				stats.SpilledBytes += r.spilled
-				m.metrics.spillRuns.Add(float64(r.spills))
-				m.metrics.spilledBytes.Add(float64(r.spilled))
-			}
-			m.metrics.reduceTasks.With("ok").Inc()
-			pending--
-
-		case fl := <-failCh:
-			f := inflight[fl.task.id]
-			if f != nil {
-				f.launches--
-			}
-			if errors.Is(fl.err, errEarlyAborted) {
-				// The master called this early launch back to free its
-				// worker for a map retry — not a failure. Requeue at no
-				// cost to the attempt budget.
-				if !done[fl.task.id] && !queuedShard(fl.task.id) {
-					queue = append(queue, fl.task)
-				}
-				continue
-			}
-			m.metrics.reduceTasks.With("failed").Inc()
-			if done[fl.task.id] {
-				continue // sibling already delivered; failure is moot
-			}
-			t := fl.task
-			t.attempts++
-			if t.attempts >= m.cfg.MaxAttempts {
-				if (f != nil && f.launches > 0) || queuedShard(t.id) {
-					continue
-				}
-				abandon()
-				return nil, fmt.Errorf("netmr: reduce partition %d failed %d times, retry budget exhausted: %w", t.id, t.attempts, fl.err)
-			}
-			if m.WorkerCount() == 0 && (f == nil || f.launches == 0) {
-				abandon()
-				return nil, fmt.Errorf("netmr: all workers lost with partition %d outstanding: %w", t.id, fl.err)
-			}
-			delay := backoffDelay(m.cfg.RetryBaseDelay, m.cfg.RetryMaxDelay, m.cfg.RetryJitter, m.cfg.RetrySeed, t.id, t.attempts)
-			m.metrics.retries.Inc()
-			m.metrics.backoffSeconds.Observe(delay.Seconds())
-			stats.Reassignments++
-			t.readyAt = time.Now().Add(delay)
-			queue = append(queue, t)
-
-		case <-specTick:
-			if len(completedLat) < m.cfg.SpeculationMinObservations {
-				continue
-			}
-			threshold := latencyQuantile(completedLat, m.cfg.SpeculationQuantile) * m.cfg.SpeculationMultiplier
-			now := time.Now()
-			ids := make([]int, 0, len(inflight))
-			for id := range inflight {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
-			for _, id := range ids {
-				f := inflight[id]
-				if done[id] || f.launches == 0 || f.clones >= m.cfg.SpeculationMaxClones {
-					continue
-				}
-				if now.Sub(f.lastLaunch).Seconds() < threshold {
-					continue
-				}
-				f.clones++
-				stats.Speculations++
-				m.metrics.speculations.Inc()
-				queue = append(queue, shardTask{id: id, speculative: true})
-			}
-
-		case <-wakeCh:
-			// A backoff matured; rescan the queue.
-
-		case <-ctx.Done():
-			abandon()
-			return nil, ctx.Err()
-
-		case <-deadline:
-			abandon()
-			return nil, fmt.Errorf("netmr: job timed out after %v", m.cfg.JobTimeout)
-		}
-	}
-	abandon()
-	if !recoveryAt.IsZero() {
-		stats.RecoveryWall = time.Since(recoveryAt)
-		m.metrics.recoverySeconds.Observe(stats.RecoveryWall.Seconds())
-	}
-	return finals, nil
+	close(r.earlyActive[p])
+	delete(r.earlyActive, p)
 }

@@ -1,10 +1,14 @@
 package netmr
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -327,5 +331,101 @@ func TestMalformedReduceResultRefused(t *testing.T) {
 				t.Error("the malformed reduce result caused no reassignment")
 			}
 		})
+	}
+}
+
+// TestReduceRetryBudgetExhausted: a reducer that answers every reduce
+// task with a fetch failure naming a holder that does not exist stays in
+// the pool (the holder is blamed, not the reducer), so the one partition
+// burns its whole MaxAttempts budget on it; the error must name the
+// partition and the attempt count and carry the reducer's last message.
+func TestReduceRetryBudgetExhausted(t *testing.T) {
+	master, addr := startReduceCluster(t, MasterConfig{
+		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second,
+		Reducers: 1, MaxAttempts: 3, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 4 * time.Millisecond,
+	}, 0)
+	const refusal = "rogue: holder unreachable"
+	rogueWorker(t, addr, "bogus-holder", func(m message) (message, bool) {
+		return message{Type: "error", TaskID: m.TaskID, Fetch: "127.0.0.1:1", Message: refusal}, m.Type == "reducetask"
+	})
+	if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := master.Run(context.Background(), "wordcount", testLines(t, 100), 2)
+	if err == nil {
+		t.Fatal("expected the reduce retry budget to run out, got success")
+	}
+	if !strings.Contains(err.Error(), "reduce partition 0 failed 3 times") {
+		t.Fatalf("error does not name the partition and attempt count: %v", err)
+	}
+	if !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("error does not carry the reducer's last message: %v", err)
+	}
+	if stats.Reassignments != 2 {
+		t.Fatalf("Reassignments = %d, want 2 (three launches, two requeues)", stats.Reassignments)
+	}
+}
+
+// TestReduceCancellationAbandonsLaunch: cancelling the job while a reduce
+// task is in flight returns context.Canceled without waiting for the
+// reducer's reply, counts the abandoned reduce launch, and leaves no
+// launch open in the trace.
+func TestReduceCancellationAbandonsLaunch(t *testing.T) {
+	master, addr := startReduceCluster(t, MasterConfig{
+		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Reducers: 1, Trace: true,
+	}, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	release := make(chan struct{})
+	rogueWorker(t, addr, "slow-reducer", func(m message) (message, bool) {
+		if m.Type != "reducetask" {
+			return message{}, false
+		}
+		// The reduce phase is under way: cancel, then sleep well past it.
+		cancel()
+		select {
+		case <-release:
+		case <-time.After(5 * time.Second):
+		}
+		return message{Type: "error", TaskID: m.TaskID, Message: "rogue: too late"}, true
+	})
+	t.Cleanup(func() { close(release) })
+	if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	_, stats, err := master.Run(ctx, "wordcount", testLines(t, 100), 2)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if wall := time.Since(start); wall > 2*time.Second {
+		t.Fatalf("Run took %v after cancellation; it waited for the reducer", wall)
+	}
+	if stats.Cancellations != 1 {
+		t.Fatalf("Cancellations = %d, want 1 (the reduce launch)", stats.Cancellations)
+	}
+	var buf bytes.Buffer
+	if err := master.LastTrace().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cancelled := 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var sp TraceSpan
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatal(err)
+		}
+		if sp.Phase != "task" && sp.Phase != "rtask" {
+			continue
+		}
+		if sp.Outcome == "" {
+			t.Fatalf("open launch in the trace: %s", line)
+		}
+		if sp.Phase == "rtask" && sp.Outcome == outcomeCancelled {
+			cancelled++
+		}
+	}
+	if cancelled != 1 {
+		t.Fatalf("cancelled rtask launches = %d, want 1:\n%s", cancelled, buf.String())
 	}
 }

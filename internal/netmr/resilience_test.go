@@ -86,52 +86,57 @@ func TestLatencyQuantile(t *testing.T) {
 // two ops exempt: a helloack that cannot be sent refuses the worker) so
 // one shard burns its full MaxAttempts budget; the returned
 // error must name the shard, the attempt count, and wrap the final
-// injected error.
+// injected error — with the master merging and with a distributed reduce.
 func TestRetryBudgetExhaustionSurfacesLastError(t *testing.T) {
-	inj := chaos.New(chaos.Config{Seed: 11, DropRate: 1, GraceOps: 2})
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout:    2 * time.Second,
-		JobTimeout:     10 * time.Second,
-		MaxAttempts:    3,
-		RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay:  4 * time.Millisecond,
-		Chaos:          inj,
-		Metrics:        obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(master.Close)
-	for i := 0; i < 4; i++ {
-		w, err := NewWorker(mustRegistry(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Start(addr); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(w.Stop)
-	}
-	if err := master.WaitForWorkers(4, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	for _, reducers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("reducers=%d", reducers), func(t *testing.T) {
+			inj := chaos.New(chaos.Config{Seed: 11, DropRate: 1, GraceOps: 2})
+			master, err := NewMaster(mustRegistry(t), MasterConfig{
+				TaskTimeout:    2 * time.Second,
+				JobTimeout:     10 * time.Second,
+				MaxAttempts:    3,
+				RetryBaseDelay: time.Millisecond,
+				RetryMaxDelay:  4 * time.Millisecond,
+				Reducers:       reducers,
+				Chaos:          inj,
+				Metrics:        obs.NewRegistry(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, err := master.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(master.Close)
+			for i := 0; i < 4; i++ {
+				w, err := NewWorker(mustRegistry(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Start(addr); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(w.Stop)
+			}
+			if err := master.WaitForWorkers(4, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
 
-	_, stats, err := master.Run(context.Background(), "wordcount", testLines(t, 8), 1)
-	if err == nil {
-		t.Fatal("expected retry budget exhaustion, got success")
-	}
-	if !strings.Contains(err.Error(), "shard 0 failed 3 times") {
-		t.Fatalf("error does not name the shard and attempt count: %v", err)
-	}
-	if !errors.Is(err, chaos.ErrInjectedDrop) {
-		t.Fatalf("error does not wrap the last launch error: %v", err)
-	}
-	if stats.Reassignments != 2 {
-		t.Fatalf("Reassignments = %d, want 2 (three launches, two requeues)", stats.Reassignments)
+			_, stats, err := master.Run(context.Background(), "wordcount", testLines(t, 8), 1)
+			if err == nil {
+				t.Fatal("expected retry budget exhaustion, got success")
+			}
+			if !strings.Contains(err.Error(), "shard 0 failed 3 times") {
+				t.Fatalf("error does not name the shard and attempt count: %v", err)
+			}
+			if !errors.Is(err, chaos.ErrInjectedDrop) {
+				t.Fatalf("error does not wrap the last launch error: %v", err)
+			}
+			if stats.Reassignments != 2 {
+				t.Fatalf("Reassignments = %d, want 2 (three launches, two requeues)", stats.Reassignments)
+			}
+		})
 	}
 }
 
@@ -197,36 +202,43 @@ func startSleeperCluster(t *testing.T, cfg MasterConfig, workers int) *Master {
 // the fast shards establish a ~60 ms threshold) also sleeps 300 ms, so
 // the clone's result lands while shard 1 (700 ms) is still pending —
 // and must be discarded exactly once. Shard 1's clone is still in
-// flight when the job completes, so it is counted as a cancellation.
+// flight when the map phase completes, so it is counted as a
+// cancellation. With a distributed reduce the two reduce tasks are too
+// few to speculate on, so the counts are the map phase's either way.
 func TestDuplicateSpeculativeResultDiscardedOnce(t *testing.T) {
-	master := startSleeperCluster(t, MasterConfig{
-		TaskTimeout:                10 * time.Second,
-		JobTimeout:                 30 * time.Second,
-		SpeculationInterval:        25 * time.Millisecond,
-		SpeculationQuantile:        0.5,
-		SpeculationMultiplier:      2,
-		SpeculationMinObservations: 3,
-	}, 4)
+	for _, reducers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("reducers=%d", reducers), func(t *testing.T) {
+			master := startSleeperCluster(t, MasterConfig{
+				TaskTimeout:                10 * time.Second,
+				JobTimeout:                 30 * time.Second,
+				SpeculationInterval:        25 * time.Millisecond,
+				SpeculationQuantile:        0.5,
+				SpeculationMultiplier:      2,
+				SpeculationMinObservations: 3,
+				Reducers:                   reducers,
+			}, 4)
 
-	records := []string{"slow:300", "slower:700", "c:30", "c:30", "c:30", "c:30", "c:30", "c:30"}
-	result, stats, err := master.Run(context.Background(), "sleeper", records, len(records))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if result["slow"] != 1 || result["slower"] != 1 || result["c"] != 6 {
-		t.Fatalf("merge double-counted a duplicate result: %v", result)
-	}
-	if stats.Completed != len(records) {
-		t.Fatalf("Completed = %d, want %d", stats.Completed, len(records))
-	}
-	if stats.Speculations != 2 {
-		t.Fatalf("Speculations = %d, want 2 (one clone per straggler)", stats.Speculations)
-	}
-	if stats.Duplicates != 1 {
-		t.Fatalf("Duplicates = %d, want exactly 1 (shard 0's late clone)", stats.Duplicates)
-	}
-	if stats.Cancellations != 1 {
-		t.Fatalf("Cancellations = %d, want 1 (shard 1's clone outlived the job)", stats.Cancellations)
+			records := []string{"slow:300", "slower:700", "c:30", "c:30", "c:30", "c:30", "c:30", "c:30"}
+			result, stats, err := master.Run(context.Background(), "sleeper", records, len(records))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if result["slow"] != 1 || result["slower"] != 1 || result["c"] != 6 {
+				t.Fatalf("merge double-counted a duplicate result: %v", result)
+			}
+			if stats.Completed != len(records) {
+				t.Fatalf("Completed = %d, want %d", stats.Completed, len(records))
+			}
+			if stats.Speculations != 2 {
+				t.Fatalf("Speculations = %d, want 2 (one clone per straggler)", stats.Speculations)
+			}
+			if stats.Duplicates != 1 {
+				t.Fatalf("Duplicates = %d, want exactly 1 (shard 0's late clone)", stats.Duplicates)
+			}
+			if stats.Cancellations != 1 {
+				t.Fatalf("Cancellations = %d, want 1 (shard 1's clone outlived the job)", stats.Cancellations)
+			}
+		})
 	}
 }
 

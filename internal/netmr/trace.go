@@ -119,8 +119,12 @@ func (t *JobTrace) openLaunch(phase string, shard, attempt int, worker string) i
 // before the result frame was sent), which charges the request leg of
 // the RPC to the visible gap after the launch start. Closing an unknown
 // or already-closed launch is a no-op — late duplicate reports after
-// the trace sealed must not corrupt it.
+// the trace sealed must not corrupt it — and so is any close on the nil
+// trace of an untraced run.
 func (t *JobTrace) closeLaunch(id int, outcome string, worker []spanSummary) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sp, ok := t.open[id]
@@ -164,8 +168,12 @@ func (t *JobTrace) relabel(id int, outcome string) {
 	}
 }
 
-// addPhase records one master-level phase interval ("split", "merge").
+// addPhase records one master-level phase interval ("split", "merge");
+// a no-op on the nil trace of an untraced run.
 func (t *JobTrace) addPhase(phase string, start, end time.Time) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.spans = append(t.spans, TraceSpan{
