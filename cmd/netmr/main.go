@@ -9,8 +9,8 @@
 //
 // The master waits for the requested number of workers, generates the
 // dictionary-text working set, runs the job, and prints the result
-// summary with the split/merge wall-clock decomposition and a per-worker
-// breakdown (shards run, reassignments, cumulative busy time).
+// summary with the split/reduce/merge wall-clock decomposition and a
+// per-worker breakdown (shards run, reassignments, cumulative busy time).
 //
 // With -metricsaddr the master also serves Prometheus /metrics and a
 // /healthz JSON endpoint for the duration of the run; -heartbeat enables
@@ -29,14 +29,11 @@
 // a protocol version byte, and a worker of another version exits with
 // an error naming both.
 //
-// Merge knobs (master): -partitions sets the partitioned merge's width P
-// (0 = GOMAXPROCS) — workers ship every shard result hash-split P ways
-// and P folder goroutines fold the sections while the map phase drains;
-// -serialmerge restores the legacy barrier-then-serial merge for
-// before/after comparison; -reducers R promotes the fold to a
-// distributed phase — workers persist partitioned map output, fetch each
-// other's partitions and fold the R partitions themselves, leaving the
-// master only the union of R disjoint key spaces.
+// Reduce knob (master): -reducers R sets how many reduce tasks combine
+// the job's output (0 = GOMAXPROCS). Workers keep their map output
+// hash-split R ways, fetch each other's partitions and fold the R
+// partitions themselves, leaving the master only the union of R
+// disjoint key spaces.
 //
 // Out-of-core shuffle knobs: -shuffle-timeout bounds one worker-to-worker
 // shuffle round-trip (on the master it is pushed cluster-wide via the
@@ -150,9 +147,7 @@ func run(args []string, out io.Writer) error {
 	retryJitter := fs.Float64("retryjitter", 0, "master: retry jitter fraction (0 = default 0.2, negative disables)")
 	retrySeed := fs.Int64("retryseed", 0, "master: deterministic jitter seed")
 	speculate := fs.Duration("speculate", 0, "master: straggler-check interval enabling speculative clones (0 = disabled)")
-	partitions := fs.Int("partitions", 0, "master: merge partition count P (0 = GOMAXPROCS, 1 = single partition)")
-	serialMerge := fs.Bool("serialmerge", false, "master: legacy barrier-then-serial merge (disables overlap and partitioning)")
-	reducers := fs.Int("reducers", 0, "master: distributed reduce tasks R run on workers (0 = merge on the master)")
+	reducers := fs.Int("reducers", 0, "master: reduce tasks R run on workers (0 = GOMAXPROCS)")
 	shuffleTimeout := fs.Duration("shuffle-timeout", 0, "worker-to-worker shuffle round-trip bound (0 = default 30s; the master pushes its value cluster-wide)")
 	spillBudget := fs.Int64("spill-budget", 0, "worker: resident bytes of intermediate state before spilling to disk (0 = never spill)")
 	spillDir := fs.String("spill-dir", "", "worker: scratch root for spill files (empty = OS temp dir)")
@@ -190,8 +185,7 @@ func run(args []string, out io.Writer) error {
 			maxAttempts: *maxAttempts,
 			retryBase:   *retryBase, retryMax: *retryMax,
 			retryJitter: *retryJitter, retrySeed: *retrySeed,
-			speculate:  *speculate,
-			partitions: *partitions, serialMerge: *serialMerge, reducers: *reducers,
+			speculate: *speculate, reducers: *reducers,
 			shuffleTimeout: *shuffleTimeout, earlyShuffle: *earlyShuffle,
 			chaos: injector,
 		})
@@ -260,8 +254,6 @@ type masterOptions struct {
 	retryJitter         float64
 	retrySeed           int64
 	speculate           time.Duration
-	partitions          int
-	serialMerge         bool
 	reducers            int
 	shuffleTimeout      time.Duration
 	earlyShuffle        bool
@@ -281,8 +273,6 @@ func runMaster(out io.Writer, opts masterOptions) error {
 		RetryJitter:         opts.retryJitter,
 		RetrySeed:           opts.retrySeed,
 		SpeculationInterval: opts.speculate,
-		Partitions:          opts.partitions,
-		SerialMerge:         opts.serialMerge,
 		Reducers:            opts.reducers,
 		ShuffleTimeout:      opts.shuffleTimeout,
 		EarlyShuffle:        opts.earlyShuffle,
@@ -391,9 +381,8 @@ func printStats(out io.Writer, stats netmr.Stats) {
 			stats.Speculations, stats.SpecWins, stats.Duplicates, stats.Cancellations)
 	}
 	if stats.Reducers > 0 {
-		fmt.Fprintf(out, "reduce: %d task(s) on workers, %d map output(s) stored, %s shuffled, reduce wall %v\n",
-			stats.ReduceTasks, stats.MapOutputsStored,
-			formatBytes(stats.ShuffleBytes), stats.ReduceWall)
+		fmt.Fprintf(out, "reduce: %d task(s) on workers, %d map output(s) stored, %s shuffled\n",
+			stats.ReduceTasks, stats.MapOutputsStored, formatBytes(stats.ShuffleBytes))
 	}
 	if stats.SpillRuns > 0 || stats.CompressedBytes > 0 {
 		fmt.Fprintf(out, "out-of-core: %d spill run(s), %s spilled, %s saved by frame compression\n",
@@ -407,8 +396,8 @@ func printStats(out io.Writer, stats netmr.Stats) {
 		fmt.Fprintf(out, "recovery: %d replica fetch(es), %d worker-local failover(s), recovery wall %v\n",
 			stats.ReplicaFetches, stats.Failovers, stats.RecoveryWall)
 	}
-	fmt.Fprintf(out, "split %v | merge %v (overlapped %v, %d partition(s)) | total %v\n",
-		stats.SplitWall, stats.MergeWall, stats.MergeOverlapWall, stats.Partitions, stats.TotalWall)
+	fmt.Fprintf(out, "split %v | reduce %v | merge %v | total %v\n",
+		stats.SplitWall, stats.ReduceWall, stats.MergeWall, stats.TotalWall)
 	for _, w := range stats.PerWorker {
 		fmt.Fprintf(out, "worker %s: shards %d, reassignments %d, busy %v\n", w.ID, w.ShardsRun, w.Reassignments, w.Busy)
 	}

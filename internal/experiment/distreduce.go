@@ -10,23 +10,24 @@ import (
 	"ipso/internal/workload"
 )
 
-// distReducePoint is one measured operating point of the reduce-on/off
-// comparison: the master's serial fold wall with the legacy merge
-// against the serial residue (union of R disjoint key spaces) once the
-// fold runs distributed on the workers.
+// distReducePoint is one measured operating point: the master's serial
+// work when Run unions the R reduce partitions into one map, against
+// RunResult, which hands the partitions back as the reducers sent them.
+// The per-key fold runs on the workers either way.
 type distReducePoint struct {
 	n          int
-	serialMs   float64 // master-side fold, reduce off (SerialMerge)
-	residueMs  float64 // master-side residue, reduce on (union only)
-	reduceMs   float64 // distributed reduce wall (now part of Wp)
+	serialMs   float64 // master merge window of Run: union of R partitions into one map
+	residueMs  float64 // master merge window of RunResult: the sections as received
+	reduceMs   float64 // reduce phase wall (part of Wp)
 	shuffle    int64   // intermediate bytes moved worker→worker
 	reduceRuns int     // reduce tasks executed by workers
 }
 
-// distReduceMeasure runs the wordcount workload at each pool size with
-// the distributed reduce off (legacy serial merge, the Ws(n) of Eq. 14)
-// and on (R reduce tasks on workers; the master keeps only the union of
-// R disjoint partitions), then refits ε(n)=α·n^δ on both serial series.
+// distReduceMeasure runs the wordcount workload at each pool size with R
+// reduce tasks on the workers, once through Run (the master unions the R
+// disjoint partitions into one map, the Ws(n) of Eq. 14 left on it) and
+// once through RunResult (the master keeps the sections), then refits
+// ε(n)=α·n^δ on both serial series.
 func distReduceMeasure(ctx context.Context, workerCounts []int, lines, shards, reducers int) ([]distReducePoint, stats.PowerFit, stats.PowerFit, error) {
 	if len(workerCounts) < 2 || lines < 1 || shards < 1 || reducers < 1 {
 		return nil, stats.PowerFit{}, stats.PowerFit{}, fmt.Errorf(
@@ -43,55 +44,52 @@ func distReduceMeasure(ctx context.Context, workerCounts []int, lines, shards, r
 		if n < 1 {
 			return nil, stats.PowerFit{}, stats.PowerFit{}, fmt.Errorf("experiment: invalid worker count %d", n)
 		}
-		off, err := runDistReduceWordCount(ctx, input, n, shards, 0)
+		asMap, sections, err := runDistReduceWordCount(ctx, input, n, shards, reducers)
 		if err != nil {
 			return nil, stats.PowerFit{}, stats.PowerFit{}, err
 		}
-		on, err := runDistReduceWordCount(ctx, input, n, shards, reducers)
-		if err != nil {
-			return nil, stats.PowerFit{}, stats.PowerFit{}, err
-		}
-		if on.ReduceTasks != reducers {
+		if sections.ReduceTasks != reducers {
 			return nil, stats.PowerFit{}, stats.PowerFit{}, fmt.Errorf(
-				"experiment: distreduce at n=%d ran %d of %d reduce tasks on workers", n, on.ReduceTasks, reducers)
+				"experiment: distreduce at n=%d ran %d of %d reduce tasks on workers", n, sections.ReduceTasks, reducers)
 		}
 		p := distReducePoint{
 			n:        n,
-			serialMs: positiveMs(off.MergeWall), residueMs: positiveMs(on.MergeWall),
-			reduceMs: float64(on.ReduceWall) / 1e6,
-			shuffle:  on.ShuffleBytes, reduceRuns: on.ReduceTasks,
+			serialMs: positiveMs(asMap.MergeWall), residueMs: positiveMs(sections.MergeWall),
+			reduceMs: float64(sections.ReduceWall) / 1e6,
+			shuffle:  sections.ShuffleBytes, reduceRuns: sections.ReduceTasks,
 		}
 		points = append(points, p)
 		xs = append(xs, float64(n))
 		serial = append(serial, p.serialMs)
 		residue = append(residue, p.residueMs)
 	}
-	offFit, err := stats.PowerLaw(xs, serial)
+	mapFit, err := stats.PowerLaw(xs, serial)
 	if err != nil {
-		return nil, stats.PowerFit{}, stats.PowerFit{}, fmt.Errorf("experiment: distreduce ε(n) fit, reduce off: %w", err)
+		return nil, stats.PowerFit{}, stats.PowerFit{}, fmt.Errorf("experiment: distreduce ε(n) fit, Run: %w", err)
 	}
-	onFit, err := stats.PowerLaw(xs, residue)
+	secFit, err := stats.PowerLaw(xs, residue)
 	if err != nil {
-		return nil, stats.PowerFit{}, stats.PowerFit{}, fmt.Errorf("experiment: distreduce ε(n) fit, reduce on: %w", err)
+		return nil, stats.PowerFit{}, stats.PowerFit{}, fmt.Errorf("experiment: distreduce ε(n) fit, RunResult: %w", err)
 	}
-	return points, offFit, onFit, nil
+	return points, mapFit, secFit, nil
 }
 
 // DistReduce reports the distributed worker-side reduce study: with the
-// fold promoted from the master's serial phase to R reduce tasks on the
-// workers, the serial work left on the master shrinks from the full
-// per-key fold to the union of R disjoint key spaces, and the refitted
-// in-proportion ratio ε(n) = α·n^δ (Eq. 14) shrinks with it — the
-// model-level statement that reduce moved Ws into Wp.
+// per-key fold in R reduce tasks on the workers, the serial work left on
+// the master is the union of R disjoint key spaces into one map when the
+// caller asks for a map (Run), and nothing when it takes the sections
+// (RunResult); the refitted in-proportion ratio ε(n) = α·n^δ (Eq. 14)
+// shrinks with it — the model-level statement that reduce moved Ws into
+// Wp.
 func DistReduce(ctx context.Context, workerCounts []int, lines, shards, reducers int) (Report, error) {
-	points, offFit, onFit, err := distReduceMeasure(ctx, workerCounts, lines, shards, reducers)
+	points, mapFit, secFit, err := distReduceMeasure(ctx, workerCounts, lines, shards, reducers)
 	if err != nil {
 		return Report{}, err
 	}
-	rep := Report{ID: "distreduce", Title: "Distributed worker-side reduce: master serial work with reduce on vs off"}
+	rep := Report{ID: "distreduce", Title: "Distributed worker-side reduce: master serial work, one map vs sections"}
 	tbl := Table{
 		Title: fmt.Sprintf("wordcount, R=%d reduce tasks on workers (wall-clock; machine-dependent)", reducers),
-		Headers: []string{"workers", "master fold ms (reduce off)", "master residue ms (reduce on)",
+		Headers: []string{"workers", "master union ms (Run)", "master merge ms (RunResult)",
 			"reduce wall ms", "shuffle KiB", "reduce tasks"},
 	}
 	var xs, serial, residue []float64
@@ -115,36 +113,29 @@ func DistReduce(ctx context.Context, workerCounts []int, lines, shards, reducers
 	)
 	maxN := xs[len(xs)-1]
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("ε(n)=α·n^δ on master fold ms, reduce off: %s", offFit),
-		fmt.Sprintf("ε(n)=α·n^δ on master residue ms, reduce on: %s", onFit),
-		fmt.Sprintf("fitted serial work at n=%.0f: %.3f ms off vs %.3f ms on (%.1f× smaller with reduce on)",
-			maxN, offFit.Eval(maxN), onFit.Eval(maxN), offFit.Eval(maxN)/onFit.Eval(maxN)),
+		fmt.Sprintf("ε(n)=α·n^δ on master union ms, Run: %s", mapFit),
+		fmt.Sprintf("ε(n)=α·n^δ on master merge ms, RunResult: %s", secFit),
+		fmt.Sprintf("fitted serial work at n=%.0f: %.3f ms Run vs %.3f ms RunResult (%.1f× smaller with sections)",
+			maxN, mapFit.Eval(maxN), secFit.Eval(maxN), mapFit.Eval(maxN)/secFit.Eval(maxN)),
 	)
 	return rep, nil
 }
 
-// runDistReduceWordCount measures one operating point. reducers == 0
-// selects the legacy serial master-side merge (the reduce-off baseline);
-// reducers > 0 enables the distributed reduce phase.
-func runDistReduceWordCount(ctx context.Context, input []string, workers, shards, reducers int) (netmr.Stats, error) {
+// runDistReduceWordCount measures one operating point: the same job on
+// one cluster with R reduce tasks, through Run and then RunResult.
+func runDistReduceWordCount(ctx context.Context, input []string, workers, shards, reducers int) (asMap, sections netmr.Stats, err error) {
 	job := wordCountNetJob()
 	registry, err := netmr.NewRegistry(job)
 	if err != nil {
-		return netmr.Stats{}, err
+		return asMap, sections, err
 	}
-	cfg := netmr.MasterConfig{MaxTaskBatch: 4}
-	if reducers > 0 {
-		cfg.Reducers = reducers
-	} else {
-		cfg.SerialMerge = true
-	}
-	master, err := netmr.NewMaster(registry, cfg)
+	master, err := netmr.NewMaster(registry, netmr.MasterConfig{MaxTaskBatch: 4, Reducers: reducers})
 	if err != nil {
-		return netmr.Stats{}, err
+		return asMap, sections, err
 	}
 	addr, err := master.Listen("127.0.0.1:0")
 	if err != nil {
-		return netmr.Stats{}, err
+		return asMap, sections, err
 	}
 	defer master.Close()
 
@@ -157,20 +148,23 @@ func runDistReduceWordCount(ctx context.Context, input []string, workers, shards
 	for i := 0; i < workers; i++ {
 		wreg, err := netmr.NewRegistry(job)
 		if err != nil {
-			return netmr.Stats{}, err
+			return asMap, sections, err
 		}
 		w, err := netmr.NewWorker(wreg)
 		if err != nil {
-			return netmr.Stats{}, err
+			return asMap, sections, err
 		}
 		if err := w.Start(addr); err != nil {
-			return netmr.Stats{}, err
+			return asMap, sections, err
 		}
 		stops = append(stops, w.Stop)
 	}
 	if err := master.WaitForWorkers(workers, 30*time.Second); err != nil {
-		return netmr.Stats{}, err
+		return asMap, sections, err
 	}
-	_, st, err := master.RunResult(ctx, "wordcount", input, shards)
-	return st, err
+	if _, asMap, err = master.Run(ctx, "wordcount", input, shards); err != nil {
+		return asMap, sections, err
+	}
+	_, sections, err = master.RunResult(ctx, "wordcount", input, shards)
+	return asMap, sections, err
 }

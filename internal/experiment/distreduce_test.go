@@ -7,8 +7,8 @@ import (
 
 // TestDistReduceShrinksSerialFit is the acceptance check for the
 // distributed reduce phase: refitting ε(n)=α·n^δ on the master's serial
-// work must come out strictly smaller with reduce on (union of R
-// disjoint key spaces) than with reduce off (full per-key fold).
+// work must come out strictly smaller when RunResult keeps the R
+// sections than when Run unions them into one map.
 func TestDistReduceShrinksSerialFit(t *testing.T) {
 	grid := []int{1, 2, 4}
 	points, offFit, onFit, err := distReduceMeasure(context.Background(), grid, 4000, 8, 4)
@@ -23,13 +23,13 @@ func TestDistReduceShrinksSerialFit(t *testing.T) {
 			t.Errorf("n=%d: %d reduce tasks ran on workers, want 4", p.n, p.reduceRuns)
 		}
 		if p.residueMs >= p.serialMs {
-			t.Errorf("n=%d: master residue %.3f ms not smaller than serial fold %.3f ms",
+			t.Errorf("n=%d: RunResult's merge %.3f ms not smaller than Run's union %.3f ms",
 				p.n, p.residueMs, p.serialMs)
 		}
 	}
 	maxN := float64(grid[len(grid)-1])
 	if on, off := onFit.Eval(maxN), offFit.Eval(maxN); on >= off {
-		t.Errorf("fitted ε at n=%.0f: %.3f ms with reduce on, %.3f ms off — want strictly smaller", maxN, on, off)
+		t.Errorf("fitted ε at n=%.0f: %.3f ms for RunResult, %.3f ms for Run — want strictly smaller", maxN, on, off)
 	}
 }
 

@@ -146,7 +146,9 @@ func liveFitReal(ctx context.Context, rep *Report, workerCounts []int, lines, sh
 		if err != nil {
 			return err
 		}
-		o := core.Observation{N: float64(n), Wp: bd.Wp, Ws: bd.Ws, Wo: bd.Wo, MaxTask: bd.MaxTask}
+		// The reduce tasks are parallel work too: their fold joins Wp, and
+		// the slowest one the critical path MaxTask stands for.
+		o := core.Observation{N: float64(n), Wp: bd.Wp + bd.Reduce, Ws: bd.Ws, Wo: bd.Wo, MaxTask: bd.MaxTask + bd.MaxReduce}
 		if o.Wp <= 0 {
 			// Sub-resolution compute on a tiny grid: keep the feed alive
 			// rather than fail the whole experiment.
@@ -158,10 +160,10 @@ func liveFitReal(ctx context.Context, rep *Report, workerCounts []int, lines, sh
 		q := o.N * o.Wo / o.Wp
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.2f", bd.Wp*1e3),
-			fmt.Sprintf("%.2f", bd.Ws*1e3),
-			fmt.Sprintf("%.2f", bd.Wo*1e3),
-			fmt.Sprintf("%.2f", bd.MaxTask*1e3),
+			fmt.Sprintf("%.2f", o.Wp*1e3),
+			fmt.Sprintf("%.2f", o.Ws*1e3),
+			fmt.Sprintf("%.2f", o.Wo*1e3),
+			fmt.Sprintf("%.2f", o.MaxTask*1e3),
 			fmt.Sprintf("%.2f", bd.TotalWall*1e3),
 			f2(q),
 		})
@@ -277,7 +279,7 @@ func runTracedWordCount(ctx context.Context, input []string, workers, shards int
 		return netmr.PhaseBreakdown{}, err
 	}
 	master, err := netmr.NewMaster(registry, netmr.MasterConfig{
-		MaxTaskBatch: 4, Partitions: 4, Trace: true, Metrics: obs.NewRegistry(),
+		MaxTaskBatch: 4, Reducers: 4, Trace: true, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
 		return netmr.PhaseBreakdown{}, err

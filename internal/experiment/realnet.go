@@ -51,10 +51,13 @@ func wordCountNetJob() netmr.Job {
 // RealNet measures the actual TCP MapReduce runtime: the same WordCount
 // computation is run over the network with growing worker pools and the
 // measured wall-clock speedups (against the one-worker execution) are
-// reported alongside the phase decomposition. Unlike every other
-// experiment here, these are genuine measurements on the host machine —
-// noisy and hardware-dependent, included to close the loop between the
-// simulated case studies and a running distributed system.
+// reported alongside the phase decomposition: the split wall (scatter +
+// map), the reduce wall (R reduce tasks on the workers) and the master's
+// merge wall (the union of the R partitions into one map — the serial
+// Ws(n) left on the master). Unlike every other experiment here, these
+// are genuine measurements on the host machine — noisy and
+// hardware-dependent, included to close the loop between the simulated
+// case studies and a running distributed system.
 //
 // Interpretation caveats: in-process workers share the host's cores, so
 // the measured speedup is capped by the physical core count (≈1 on a
@@ -74,25 +77,16 @@ func RealNet(ctx context.Context, workerCounts []int, lines, shards int) (Report
 
 	rep := Report{ID: "realnet", Title: "Real TCP MapReduce runtime: measured wall-clock phases and speedups"}
 	tbl := Table{
-		Title:   "wordcount over localhost TCP (wall-clock; machine-dependent)",
-		Headers: []string{"workers", "split ms", "merge ms", "overlap ms", "total ms", "speedup vs 1 worker"},
-	}
-	mergeTbl := Table{
-		Title:   "merge Ws(n): serial barrier-then-merge vs partitioned map-overlapped merge",
-		Headers: []string{"workers", "serial merge ms", "overlapped tail ms", "tail shrink ×"},
+		Title:   "wordcount over localhost TCP, R=4 reduce tasks (wall-clock; machine-dependent)",
+		Headers: []string{"workers", "split ms", "reduce ms", "merge ms", "total ms", "speedup vs 1 worker"},
 	}
 	var base time.Duration
-	var xs, ys []float64
-	var serialMerge, overlappedTail []float64
+	var xs, ys, merge []float64
 	for _, n := range workerCounts {
 		if n < 1 {
 			return Report{}, fmt.Errorf("experiment: invalid worker count %d", n)
 		}
-		st, err := runRealWordCount(ctx, input, n, shards, false)
-		if err != nil {
-			return Report{}, err
-		}
-		serialStats, err := runRealWordCount(ctx, input, n, shards, true)
+		st, err := runRealWordCount(ctx, input, n, shards)
 		if err != nil {
 			return Report{}, err
 		}
@@ -103,43 +97,25 @@ func RealNet(ctx context.Context, workerCounts []int, lines, shards int) (Report
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f", float64(st.SplitWall)/1e6),
-			fmt.Sprintf("%.1f", float64(st.MergeWall)/1e6),
-			fmt.Sprintf("%.1f", float64(st.MergeOverlapWall)/1e6),
+			fmt.Sprintf("%.1f", float64(st.ReduceWall)/1e6),
+			fmt.Sprintf("%.2f", float64(st.MergeWall)/1e6),
 			fmt.Sprintf("%.1f", float64(st.TotalWall)/1e6),
 			f2(speedup),
 		})
-		tail := st.MergeWall - st.MergeOverlapWall
-		shrink := "—"
-		if tail > 0 {
-			shrink = f2(float64(serialStats.MergeWall) / float64(tail))
-		}
-		mergeTbl.Rows = append(mergeTbl.Rows, []string{
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.1f", float64(serialStats.MergeWall)/1e6),
-			fmt.Sprintf("%.1f", float64(tail)/1e6),
-			shrink,
-		})
 		xs = append(xs, float64(n))
 		ys = append(ys, speedup)
-		serialMerge = append(serialMerge, positiveMs(serialStats.MergeWall))
-		overlappedTail = append(overlappedTail, positiveMs(tail))
+		merge = append(merge, positiveMs(st.MergeWall))
 	}
 	rep.Tables = append(rep.Tables, tbl)
-	rep.Tables = append(rep.Tables, mergeTbl)
 	rep.Series = append(rep.Series, Series{Name: "realnet/wordcount", X: xs, Y: ys})
-	rep.Series = append(rep.Series, Series{Name: "realnet/merge-serial-ms", X: xs, Y: serialMerge})
-	rep.Series = append(rep.Series, Series{Name: "realnet/merge-tail-ms", X: xs, Y: overlappedTail})
+	rep.Series = append(rep.Series, Series{Name: "realnet/merge-ms", X: xs, Y: merge})
 
 	// Eq. 10's IN(n) term grows with the in-proportion ratio ε(n) ≈ α·n^δ
-	// (Eq. 14): refit it on the measured merge walls before and after the
-	// partitioned overlap. The after-fit's smaller α (and ideally flatter
-	// δ) is the model-level statement of what the engine bought.
+	// (Eq. 14): fit it on the measured merge walls, the serial work the
+	// reduce tasks leave on the master.
 	if len(xs) >= 2 {
-		if before, err := stats.PowerLaw(xs, serialMerge); err == nil {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("ε(n)=α·n^δ on serial merge ms: %s", before))
-		}
-		if after, err := stats.PowerLaw(xs, overlappedTail); err == nil {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("ε(n)=α·n^δ on overlapped merge tail ms: %s", after))
+		if fit, err := stats.PowerLaw(xs, merge); err == nil {
+			rep.Notes = append(rep.Notes, fmt.Sprintf("ε(n)=α·n^δ on master merge ms: %s", fit))
 		}
 	}
 	return rep, nil
@@ -147,7 +123,7 @@ func RealNet(ctx context.Context, workerCounts []int, lines, shards int) (Report
 
 // positiveMs converts a duration to milliseconds clamped to a small
 // positive floor, keeping the power-law refit (which needs y > 0) alive
-// when the overlapped tail rounds to zero.
+// when a merge window rounds to zero.
 func positiveMs(d time.Duration) float64 {
 	ms := float64(d) / 1e6
 	if ms < 1e-3 {
@@ -156,7 +132,7 @@ func positiveMs(d time.Duration) float64 {
 	return ms
 }
 
-func runRealWordCount(ctx context.Context, input []string, workers, shards int, serialMerge bool) (netmr.Stats, error) {
+func runRealWordCount(ctx context.Context, input []string, workers, shards int) (netmr.Stats, error) {
 	job := wordCountNetJob()
 	registry, err := netmr.NewRegistry(job)
 	if err != nil {
@@ -164,12 +140,9 @@ func runRealWordCount(ctx context.Context, input []string, workers, shards int, 
 	}
 	// Batched dispatch amortizes framing and syscalls across shards; the
 	// worker still acks each shard individually, so the phase stats keep
-	// per-shard resolution. SerialMerge selects the legacy barrier-then-
-	// merge so the experiment can report both sides of the comparison;
-	// the partitioned side pins P=4 (not GOMAXPROCS) so workers
-	// pre-partition even on a single-core host and runs compare across
-	// machines.
-	master, err := netmr.NewMaster(registry, netmr.MasterConfig{MaxTaskBatch: 4, SerialMerge: serialMerge, Partitions: 4})
+	// per-shard resolution. R is pinned to 4 (not GOMAXPROCS) so runs
+	// compare across machines.
+	master, err := netmr.NewMaster(registry, netmr.MasterConfig{MaxTaskBatch: 4, Reducers: 4})
 	if err != nil {
 		return netmr.Stats{}, err
 	}
@@ -202,6 +175,6 @@ func runRealWordCount(ctx context.Context, input []string, workers, shards int, 
 	if err := master.WaitForWorkers(workers, 30*time.Second); err != nil {
 		return netmr.Stats{}, err
 	}
-	_, stats, err := master.RunResult(ctx, "wordcount", input, shards)
+	_, stats, err := master.Run(ctx, "wordcount", input, shards)
 	return stats, err
 }

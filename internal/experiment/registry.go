@@ -475,7 +475,7 @@ func DefaultRegistry() *Registry {
 			g := cfg.Grids
 			return LiveFit(ctx, g.LiveFitWorkers, g.LiveFitLines, g.LiveFitShards)
 		}})
-	r.mustRegister(Experiment{ID: "distreduce", Title: "Distributed worker-side reduce: ε(n) with reduce on vs off", Measured: true,
+	r.mustRegister(Experiment{ID: "distreduce", Title: "Distributed worker-side reduce: ε(n), one map vs sections", Measured: true,
 		Run: func(ctx context.Context, cfg *Config) (Report, error) {
 			g := cfg.Grids
 			return DistReduce(ctx, g.DistReduceWorkers, g.DistReduceLines, g.DistReduceShards, g.DistReduceR)

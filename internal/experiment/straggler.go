@@ -185,12 +185,11 @@ func runStragglerValidation(ctx context.Context) (int, float64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	// Partitions pinned above 1 so the validation also covers presult
-	// frames racing speculative duplicates — a result and its discarded
-	// sibling may arrive partitioned and flat respectively.
+	// Reducers pinned above 1 so the validation also covers mapdone
+	// frames and reduce results racing their speculative duplicates.
 	master, err := netmr.NewMaster(registry, netmr.MasterConfig{
 		SpeculationInterval: 5 * time.Millisecond,
-		Partitions:          4,
+		Reducers:            4,
 	})
 	if err != nil {
 		return 0, 0, err

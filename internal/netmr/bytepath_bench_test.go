@@ -17,6 +17,18 @@ import (
 // that do not compress, R = 2, 32 map tasks), where these layers are the
 // whole job.
 
+func benchLines(n int) ([]string, error) {
+	return workload.TextLines(n, 8, 42)
+}
+
+func benchJob(combine bool) Job {
+	j := wordCountJob()
+	if combine {
+		j.Combine = func(acc, v float64) float64 { return acc + v }
+	}
+	return j
+}
+
 // teraSections builds n sections of keys 100-byte pseudo-random keys
 // each, values 1 — one map task's slice of one reduce partition.
 func teraSections(n, keys int) []partitionPartial {

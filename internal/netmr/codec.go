@@ -29,7 +29,7 @@ import (
 // decodes, to be ignored downstream. A field a frame type does not use
 // costs its one zero byte. The CRC-32C is computed over the raw body
 // before compression, so it guards the decompressed payload end to end.
-// Only bulk payload frames (presult/result/fetchresult/replicate) are
+// Only bulk payload frames (result/fetchresult/replicate) are
 // candidates for compression, and only when lzPack judges the saving
 // worth the decompression.
 const maxFrameBytes = 1 << 26 // 64 MiB hard cap: larger prefixes are corruption
@@ -44,7 +44,8 @@ const frameHeadroom = len(preamble) + binary.MaxVarintLen64 + 1
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // frameTypes maps message type strings to their wire bytes. 0 is
-// reserved so a zeroed buffer never looks like a valid frame.
+// reserved so a zeroed buffer never looks like a valid frame; 9 is
+// unassigned.
 var frameTypes = map[string]byte{
 	"hello":       1,
 	"helloack":    2,
@@ -54,7 +55,6 @@ var frameTypes = map[string]byte{
 	"ping":        6,
 	"pong":        7,
 	"taskbatch":   8,
-	"presult":     9,
 	"reducetask":  10,
 	"fetch":       11,
 	"fetchresult": 12,
@@ -68,7 +68,6 @@ var frameTypes = map[string]byte{
 // may compress; control frames always travel stored.
 var compressibleFrames = map[string]bool{
 	"result":      true,
-	"presult":     true,
 	"fetchresult": true,
 	"replicate":   true,
 }
@@ -195,7 +194,6 @@ func (e *frameEnc) encode(m *message, lead []byte, refMin int) (net.Buffers, err
 		b = binary.AppendVarint(b, int64(spec.Attempt))
 		b = appendStrings(b, spec.Records)
 	}
-	b = binary.AppendVarint(b, int64(m.Partitions))
 	b = binary.AppendUvarint(b, uint64(len(m.Parts)))
 	for _, part := range m.Parts {
 		b = binary.AppendVarint(b, int64(part.ID))
@@ -562,9 +560,6 @@ func decodeFrame(body []byte, m *message) error {
 			}
 		}
 		m.Batch = batch
-	}
-	if m.Partitions, err = r.int(); err != nil {
-		return err
 	}
 	nparts, err := r.uvarint()
 	if err != nil {

@@ -23,7 +23,7 @@ func codecMessages() []message {
 		{Type: "pong"},
 		{Type: "hello", ID: "127.0.0.1:5555", Jobs: []string{"a", "b"}},
 		{Type: "helloack"},
-		{Type: "helloack", Partitions: 8},
+		{Type: "helloack", Reducers: 8},
 		{Type: "task", Job: "wordcount", TaskID: 3, Attempt: 1, Records: []string{"the quick", "brown fox", ""}},
 		{Type: "task", Job: "", TaskID: -7, Attempt: 0, Records: []string{strings.Repeat("x", 4096)}},
 		{Type: "result", TaskID: 12, Attempt: 2, Folded: sectionFromMap(map[string]float64{
@@ -35,11 +35,11 @@ func codecMessages() []message {
 			{Job: "wc", TaskID: 5, Attempt: 2, Records: nil},
 			{Job: "other", TaskID: -1, Records: []string{"a", "b", "c"}},
 		}},
-		{Type: "presult", TaskID: 7, Attempt: 1, Parts: []partitionPartial{
+		{Type: "mapdone", TaskID: 7, Attempt: 1, Run: "wc#2", Parts: []partitionPartial{
 			{ID: 0, Partial: sectionFromMap(map[string]float64{"alpha": 2, "": -1})},
 			{ID: 3, Partial: sectionFromMap(map[string]float64{"πκλ": 1e-300})},
 		}},
-		{Type: "presult", TaskID: -2, Parts: []partitionPartial{
+		{Type: "mapdone", TaskID: -2, Parts: []partitionPartial{
 			{ID: 1, Partial: ""},
 		}},
 		{Type: "task", Job: "wc", TaskID: 1, Records: []string{"traced"}, Trace: "wc-3"},
@@ -48,11 +48,11 @@ func codecMessages() []message {
 			{Phase: "map", Start: 0.001, End: 0.25},
 			{Phase: "", Start: -1.5, End: math.MaxFloat64},
 		}},
-		{Type: "presult", TaskID: 7, Trace: "", Spans: []spanSummary{{Phase: "encode", Start: 1, End: 1}}, Parts: []partitionPartial{
+		{Type: "mapdone", TaskID: 7, Trace: "", Spans: []spanSummary{{Phase: "encode", Start: 1, End: 1}}, Parts: []partitionPartial{
 			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
 		}},
 		{Type: "hello", ID: "127.0.0.1:5556", Jobs: []string{"wc"}, Fetch: "127.0.0.1:7001"},
-		{Type: "helloack", Partitions: 4, Reducers: 4, ShuffleMs: 30000},
+		{Type: "helloack", Reducers: 4, ShuffleMs: 30000},
 		{Type: "task", Job: "wc", TaskID: 2, Records: []string{"persist me"}, Run: "wc#1"},
 		{Type: "mapdone", TaskID: 2, Attempt: 1, Run: "wc#1"},
 		{Type: "reducetask", Job: "wc", TaskID: 1, Attempt: 0, Run: "wc#1",

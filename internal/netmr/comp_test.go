@@ -38,7 +38,7 @@ func compFrameSeeds() []message {
 		{Type: "result", TaskID: 1, Attempt: 1, Folded: sectionFromMap(map[string]float64{"folded": 9}),
 			Bytes: 1 << 20, CompBytes: 512, Spills: 1, Spilled: 2048},
 		{Type: "result", TaskID: 0, Folded: sectionFromMap(big)},
-		{Type: "helloack", Partitions: 4, Reducers: 4, ShuffleMs: 15000},
+		{Type: "helloack", Reducers: 4, ShuffleMs: 15000},
 	}
 }
 

@@ -29,16 +29,16 @@ func seedVariants(body []byte) [][]byte {
 	return [][]byte{body, body[:len(body)/2], body[:len(body)*2/3], mut}
 }
 
-// partitionedSeeds are the presult shapes FuzzDecodePartitionedResult
-// starts from.
+// partitionedSeeds are the shapes FuzzDecodePartitionedResult starts
+// from: mapdone frames carrying a map task's partition set inline.
 func partitionedSeeds() []message {
 	return []message{
-		{Type: "presult", TaskID: 1, Attempt: 1, Parts: []partitionPartial{
+		{Type: "mapdone", TaskID: 1, Attempt: 1, Run: "wc#1", Parts: []partitionPartial{
 			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1, "b": 2})},
 			{ID: 2, Partial: sectionFromMap(map[string]float64{"c": -3.5})},
 		}},
-		{Type: "presult", TaskID: 0, Parts: []partitionPartial{{ID: 7}}},
-		{Type: "presult"},
+		{Type: "mapdone", TaskID: 0, Run: "wc#1", Parts: []partitionPartial{{ID: 7}}},
+		{Type: "mapdone"},
 	}
 }
 
@@ -51,7 +51,7 @@ func spanSeeds() []message {
 			{Phase: "combine", Start: 0.8, End: 0.9},
 			{Phase: "encode", Start: 0.9, End: 0.95},
 		}},
-		{Type: "presult", TaskID: 3, Trace: "j-9", Spans: []spanSummary{
+		{Type: "mapdone", TaskID: 3, Trace: "j-9", Spans: []spanSummary{
 			{Phase: "partition", Start: 0.1, End: 0.2},
 		}, Parts: []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"k": 1})}}},
 		{Type: "result", TaskID: 2, Trace: "", Spans: nil},
@@ -200,7 +200,8 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // The three targets below are FuzzDecodeFrame started from one family of
-// seeds each: presult frames, traced frames, the reduce phase's frames.
+// seeds each: mapdone partition sets, traced frames, the reduce phase's
+// frames.
 // They stay as named replays of their committed corpora.
 
 func FuzzDecodePartitionedResult(f *testing.F) {

@@ -38,7 +38,7 @@ func (a fetchCounts) since(b fetchCounts) fetchCounts {
 }
 
 // shardReference is the oracle: every shard mapped on its own, the
-// partials folded by the master's serialMerge in shard order.
+// partials folded by the serialMerge oracle in shard order.
 func shardReference(job Job, lines []string, shards int) map[string]float64 {
 	partials := make([]map[string]float64, shards)
 	for id := range partials {

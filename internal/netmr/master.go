@@ -7,7 +7,6 @@ import (
 	"net"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,27 +64,13 @@ type MasterConfig struct {
 	// SpeculationMaxClones bounds the clones per shard (default 1).
 	SpeculationMaxClones int
 
-	// Partitions is the merge partition count P: workers are told P in
-	// the helloack and ship every shard result hash-split into P key
-	// ranges, each folded on the master by its own goroutine while the map
-	// phase drains and finalized in parallel. Zero defaults to GOMAXPROCS;
-	// 1 keeps the merge single-partition (still map-overlapped).
-	Partitions int
-	// SerialMerge restores the pre-partitioning merge: wait at the split
-	// barrier, then fold every partial through one goroutine. It exists
-	// to measure exactly what the overlapped merge buys (benchmarks diff
-	// the two) and as a conservative fallback. It also disables the
-	// distributed reduce phase (Reducers).
-	SerialMerge bool
-
-	// Reducers, when positive, promotes reduce to a distributed phase
-	// with R = Reducers reduce tasks: workers persist their partitioned
-	// map output locally and answer with a mapdone, the master assigns the
-	// R partitions back to the workers as reduce tasks (scheduled through
-	// the same retry/backoff/speculation loop as map shards), and
-	// intermediate data flows worker→worker over fetch frames. It forces
-	// Partitions = Reducers (the two phases must agree on the key hash
-	// space). Zero (the default) keeps the reduce on the master.
+	// Reducers is R, the number of reduce tasks that combine a job's
+	// output: workers keep their map output hash-split into R partitions
+	// and answer with a mapdone, the master assigns the R partitions back
+	// to the workers as reduce tasks (scheduled through the same
+	// retry/backoff/speculation loop as map shards), and intermediate
+	// data flows worker→worker over fetch frames. A value <= 0 means
+	// GOMAXPROCS (the default).
 	Reducers int
 
 	// ShuffleTimeout bounds one worker-to-worker shuffle round-trip — a
@@ -93,7 +78,7 @@ type MasterConfig struct {
 	// replication push (default 30 s). Workers learn it on the helloack.
 	ShuffleTimeout time.Duration
 
-	// EarlyShuffle, when true (and Reducers is set), lets the master
+	// EarlyShuffle, when true, lets the master
 	// dispatch reduce tasks before the map barrier: once the first map
 	// output lands, idle workers receive a reducetask announcing the
 	// run's total map count, and the locations of later outputs stream to
@@ -168,19 +153,8 @@ func (c MasterConfig) withDefaults() MasterConfig {
 	if c.ShuffleTimeout <= 0 {
 		c.ShuffleTimeout = defaultShuffleTimeout
 	}
-	if c.Partitions <= 0 {
-		c.Partitions = runtime.GOMAXPROCS(0)
-	}
-	if c.SerialMerge {
-		c.Partitions = 1
-		c.Reducers = 0
-	}
-	if c.Reducers < 0 {
-		c.Reducers = 0
-	}
-	if c.Reducers > 0 {
-		// The reduce partition space is the merge partition space.
-		c.Partitions = c.Reducers
+	if c.Reducers <= 0 {
+		c.Reducers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -197,39 +171,32 @@ type WorkerStats struct {
 }
 
 // Stats reports the wall-clock phase decomposition of one Run — the real
-// measurements behind the IPSO workload split: the scatter+map wave is
-// the parallelizable portion, the master-side merge the internal portion
-// — plus the resilience ledger: how often the run had to retry, clone,
-// or discard work to finish. The resilience counts (Reassignments,
-// Speculations, SpecWins, Duplicates, Cancellations) cover both phases,
-// map shards and reduce tasks alike, because one scheduling loop runs
-// both; Completed counts map shards only, ReduceTasks reduce tasks only.
+// measurements behind the IPSO workload split: the scatter+map wave and
+// the reduce tasks are the parallelizable portion, the master's merge
+// window the internal portion — plus the resilience ledger: how often the
+// run had to retry, clone, or discard work to finish. The resilience
+// counts (Reassignments, Speculations, SpecWins, Duplicates,
+// Cancellations) cover both phases, map shards and reduce tasks alike,
+// because one scheduling loop runs both; Completed counts map shards
+// only, ReduceTasks reduce tasks only.
 //
-// Since the merge overlaps the map phase, SplitWall + MergeWall double
-// counts the overlapped fold time: TotalWall is measured end to end and
-// satisfies TotalWall <= SplitWall + MergeWall, with the difference
-// (MergeOverlapWall) being the merge work actually performed before the
-// barrier — folder busy time, not the mostly-idle wall window since the
-// first feed. The merge's critical-path contribution beyond the barrier
-// is MergeWall - MergeOverlapWall.
+// The three walls tile the run: SplitWall + ReduceWall + MergeWall =
+// TotalWall exactly on every successful run.
 type Stats struct {
-	Workers          int           // workers used at job start
-	Shards           int           // split-phase tasks
-	Partitions       int           // merge partitions (folder goroutines)
-	Completed        int           // map shards that delivered a result
-	Reassignments    int           // map and reduce tasks requeued (with backoff) after a launch failure
-	Speculations     int           // speculative clones launched for straggling map or reduce tasks
-	SpecWins         int           // map and reduce tasks won by a speculative clone
-	Duplicates       int           // late sibling results of either phase discarded after completion
-	Cancellations    int           // in-flight launches of either phase abandoned at exit or cancellation
-	SplitWall        time.Duration // scatter + parallel map (barrier to barrier)
-	MergeWall        time.Duration // merge work wall: overlapped fold time + post-barrier tail
-	MergeOverlapWall time.Duration // fold time spent before the barrier, hidden under the map wave
-	TotalWall        time.Duration // end-to-end wall, measured (not derived)
-	PerWorker        []WorkerStats // per-worker breakdown, sorted by ID
+	Workers       int           // workers used at job start
+	Shards        int           // split-phase tasks
+	Completed     int           // map shards that delivered a result
+	Reassignments int           // map and reduce tasks requeued (with backoff) after a launch failure
+	Speculations  int           // speculative clones launched for straggling map or reduce tasks
+	SpecWins      int           // map and reduce tasks won by a speculative clone
+	Duplicates    int           // late sibling results of either phase discarded after completion
+	Cancellations int           // in-flight launches of either phase abandoned at exit or cancellation
+	SplitWall     time.Duration // scatter + parallel map (barrier to barrier)
+	MergeWall     time.Duration // master merge window: last reduce result to the output handed back
+	TotalWall     time.Duration // end-to-end wall, measured (not derived)
+	PerWorker     []WorkerStats // per-worker breakdown, sorted by ID
 
-	// Distributed-reduce accounts, all zero when the run merged on the
-	// master (Reducers unset, or SerialMerge).
+	// Reduce accounts.
 	Reducers         int           // reduce tasks the run distributed (R)
 	ReduceTasks      int           // reduce tasks that delivered a partition result
 	MapOutputsStored int           // winning map outputs persisted worker-side for peer fetches
@@ -353,7 +320,8 @@ func (m *Master) pickReplicaAddr(self string) string {
 }
 
 // NewMaster builds a master able to run jobs from the registry (the
-// master needs each job's Reduce for the merge phase).
+// master re-executes a lost map output from lineage, so it needs the
+// jobs too).
 func NewMaster(registry *Registry, cfg MasterConfig) (*Master, error) {
 	if registry == nil || len(registry.jobs) == 0 {
 		return nil, errors.New("netmr: master needs a non-empty registry")
@@ -439,7 +407,7 @@ func (m *Master) admit(raw net.Conn) {
 	w := &workerHandle{id: hello.ID, c: c, fetch: hello.Fetch}
 	m.addFetchAddr(w.fetch)
 	m.count.Add(1)
-	ack := message{Type: "helloack", Partitions: m.cfg.Partitions, Reducers: m.cfg.Reducers, ShuffleMs: m.cfg.ShuffleTimeout.Milliseconds()}
+	ack := message{Type: "helloack", Reducers: m.cfg.Reducers, ShuffleMs: m.cfg.ShuffleTimeout.Milliseconds()}
 	admitted := c.send(ack, 10*time.Second) == nil
 	if admitted {
 		select {
@@ -589,12 +557,12 @@ func (l *perWorkerLedger) snapshot() []WorkerStats {
 }
 
 // launchDone is a successful launch's report back to the scheduling loop:
-// a map task's partitioned output (presult), or a persisted one (mapdone —
-// the payload stayed on the worker, whose shuffle address rides along,
-// parts then being the copy the master holds for a mapper that could not
-// replicate), or a reduce task's partition result — sec, the folded
-// partition as the section it arrived as — with bytes carrying the
-// shuffle volume the reducer reported.
+// a map task's persisted output (mapdone — the payload stayed on the
+// worker, whose shuffle address rides along, parts then being the copy
+// the master holds for a mapper that could not replicate), or a reduce
+// task's partition result — sec, the folded partition as the section it
+// arrived as — with bytes carrying the shuffle volume the reducer
+// reported.
 type launchDone struct {
 	task      shardTask
 	sec       section
@@ -610,45 +578,46 @@ type launchDone struct {
 	launch    int // trace launch ordinal, -1 when the run is untraced
 }
 
-// Run scatters records into shards across the connected workers, merges
-// their partitioned output (on the master, or with Reducers set by reduce
-// tasks on the workers), and returns the reduced result with the phase
-// timings. Reduce must be associative and
-// commutative over its values (it is applied both as the workers'
-// map-side combiner and as the master's merge).
+// Run scatters records into shards across the connected workers, has
+// reduce tasks on the workers combine their partitioned output, and
+// returns the reduced result with the phase timings. Reduce must be
+// associative and commutative over its values (it is applied both as the
+// workers' map-side combiner and as the reducers' fold).
 //
 // Failure handling: a launch that errors or times out is requeued with
 // capped exponential backoff and deterministic jitter, up to MaxAttempts
 // per lineage; the job degrades gracefully onto the surviving workers
-// and fails only when a shard runs out of live launches and budget (the
+// and fails only when a task runs out of live launches and budget (the
 // last launch error is wrapped in the returned error) or every worker is
-// gone. With SpeculationInterval set, shards running far beyond the
+// gone. With SpeculationInterval set, tasks running far beyond the
 // completion-latency quantile are cloned onto idle workers; the first
 // result wins and late siblings are discarded exactly once (counted in
 // Stats.Duplicates). Cancelling ctx aborts the job between events,
 // abandoning in-flight launches (counted in Stats.Cancellations), and
 // returns the context's error; the JobTimeout deadline applies on top.
-// When ctx carries an obs recorder, the split and merge phases are
-// recorded as spans ("map" and "merge" in the trace vocabulary).
+// When ctx carries an obs recorder, the split, reduce and merge phases
+// are recorded as spans ("map", "reduce" and "merge" in the trace
+// vocabulary).
 func (m *Master) Run(ctx context.Context, jobName string, records []string, shards int) (map[string]float64, Stats, error) {
-	res, stats, err := m.run(ctx, jobName, records, shards, true)
+	var out map[string]float64
+	_, stats, err := m.run(ctx, jobName, records, shards, &out)
 	if err != nil {
 		return nil, stats, err
 	}
-	return res.Map(), stats, nil
+	return out, stats, nil
 }
 
 // RunResult is Run for callers that do not need the output as one map:
-// after a distributed reduce the Result holds the reducers' sections as
-// they arrived, and the master's merge window shrinks to nothing.
+// the Result holds the reducers' sections as they arrived, and the
+// master's merge window shrinks to nothing.
 func (m *Master) RunResult(ctx context.Context, jobName string, records []string, shards int) (*Result, Stats, error) {
-	return m.run(ctx, jobName, records, shards, false)
+	return m.run(ctx, jobName, records, shards, nil)
 }
 
-// run is Run and RunResult. asMap builds the output map inside the merge
-// window — span, trace phase, Stats.MergeWall — where Run has always
-// accounted for it.
-func (m *Master) run(ctx context.Context, jobName string, records []string, shards int, asMap bool) (result *Result, stats Stats, err error) {
+// run is Run and RunResult. A non-nil asMap receives the output as one
+// map, built inside the merge window — span, trace phase,
+// Stats.MergeWall — where Run has always accounted for it.
+func (m *Master) run(ctx context.Context, jobName string, records []string, shards int, asMap *map[string]float64) (result *Result, stats Stats, err error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
 	defer func() {
@@ -681,14 +650,11 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	if m.ln == nil {
 		return nil, Stats{}, errors.New("netmr: master is not listening")
 	}
-	stats = Stats{Workers: m.WorkerCount(), Shards: shards, Partitions: m.cfg.Partitions}
+	stats = Stats{Workers: m.WorkerCount(), Shards: shards}
 	if stats.Workers == 0 {
 		return nil, Stats{}, errors.New("netmr: no workers connected")
 	}
-	r := &jobRun{
-		m: m, name: jobName, job: job, runID: fmt.Sprintf("%s#%d", jobName, m.runSeq.Add(1)),
-		records: records, shards: shards, stats: &stats, ledger: newPerWorkerLedger(),
-	}
+	r := m.newJobRun(jobName, job, records, shards, &stats)
 	defer func() { stats.PerWorker = r.ledger.snapshot() }()
 
 	// The job trace opens a launch span at every dispatch and is sealed
@@ -701,24 +667,9 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 		m.traceMu.Unlock()
 		defer r.trc.seal()
 	}
-
-	// The merge runs as P partition folders fed while the map phase
-	// drains; SerialMerge instead buffers partials for the legacy
-	// barrier-then-merge pass; a distributed reduce replaces the engine
-	// entirely (map outputs stay on the workers). The deferred shutdowns
-	// cover every error return, so an abandoned job never leaks folder
-	// goroutines or leaves an early reducer blocked in its stream recv.
-	useReduce := m.cfg.Reducers > 0
-	switch {
-	case useReduce:
-		r.startReduce()
-		defer r.closeEarly(true)
-	case m.cfg.SerialMerge:
-		r.partials = make([]map[string]float64, 0, shards)
-	default:
-		r.eng = newMergeEngine(job, m.cfg.Partitions, shards)
-		defer r.eng.shutdown()
-	}
+	// Covers every error return, so an abandoned job never leaves an early
+	// reducer blocked in its stream recv.
+	defer r.closeEarly(true)
 
 	splitStart := time.Now()
 	_, splitSpan := obs.StartSpan(ctx, "map")
@@ -736,24 +687,12 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	stats.SplitWall = barrier.Sub(splitStart)
 	r.trc.addPhase("split", splitStart, barrier)
 	m.metrics.splitSeconds.Observe(stats.SplitWall.Seconds())
-	if r.eng != nil {
-		// Sampled at the barrier: fold time the folders have already
-		// spent ran under the map phase — the Ws the overlap hid. (The
-		// wall window since the first feed would mostly be idle time
-		// waiting for map results and overstate the win.)
-		stats.MergeOverlapWall = r.eng.overlapped()
-	}
-	if useReduce {
-		result, err = r.reduceTail(ctx, deadline.C, splitStart, barrier, asMap)
-	} else {
-		result, err = r.mergeTail(ctx, splitStart, barrier)
-	}
+	result, err = r.reduceTail(ctx, deadline.C, splitStart, barrier, asMap)
 	return result, stats, err
 }
 
 // jobRun is one Run's state shared by its phases: the job and its input,
-// the stats, trace and per-worker ledger, and the state of whichever
-// merge the run uses.
+// the stats, trace and per-worker ledger, and the shuffle's routing state.
 type jobRun struct {
 	m       *Master
 	name    string
@@ -765,18 +704,12 @@ type jobRun struct {
 	ledger  *perWorkerLedger
 	trc     *JobTrace // nil when the run is untraced
 
-	// Master-side merge: the partition folders fed while the map phase
-	// drains, or with SerialMerge the partials buffered for one pass after
-	// the barrier.
-	eng      *mergeEngine
-	partials []map[string]float64
-
-	// Distributed reduce, nil otherwise: whose shuffle listener holds each
-	// winning map output (mapLocs), where its peer replica lives
-	// (replicaLocs), and the master-held copies of outputs whose mapper
-	// could not replicate — no eligible peer, or the push failed — which
-	// rode inline on the mapdone frame (replicaParts). Gather plans consult
-	// all three before resorting to map re-execution lineage.
+	// Whose shuffle listener holds each winning map output (mapLocs),
+	// where its peer replica lives (replicaLocs), and the master-held
+	// copies of outputs whose mapper could not replicate — no eligible
+	// peer, or the push failed — which rode inline on the mapdone frame
+	// (replicaParts). Gather plans consult all three before resorting to
+	// map re-execution lineage.
 	mapLocs      map[int]string
 	replicaLocs  map[int]string
 	replicaParts map[int][]partitionPartial
@@ -821,41 +754,36 @@ func (r *jobRun) mapPhase() *phase {
 			r.m.metrics.shards.Add(float64(len(batch)))
 			go r.dispatchMap(w, batch, launches, results, fails)
 		},
-		accept: r.acceptMap,
+		accept: r.accept,
 	}
-	if r.mapLocs != nil && cfg.EarlyShuffle {
+	if cfg.EarlyShuffle {
 		ph.spare, ph.useSpare, ph.retried = r.earlyOK, r.launchEarly, r.abortOneEarly
 	}
 	return ph
 }
 
 // dispatchMap ships one or several shards to a worker: a single shard in
-// its own task frame, several in one taskbatch frame. The worker answers
-// one frame — a presult, or in reduce mode a mapdone — per shard in
-// order; each is reported individually, so a conn failure mid-batch fails
+// its own task frame, several in one taskbatch frame. The Run stamp keys
+// the output the worker keeps, and Rep names it a replica peer — the next
+// live shuffle listener after its own — so its partitions survive the
+// worker; no eligible peer leaves Rep empty and the worker ships the copy
+// back inline instead. The worker answers one mapdone per shard in order;
+// each is reported individually, so a conn failure mid-batch fails
 // exactly the still-unacknowledged shards.
 func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int, results chan<- launchDone, fails chan<- launchFail) {
 	m := r.m
-	// In reduce mode the Run stamp tells the worker to persist its output,
-	// and Rep names it a replica peer — the next live shuffle listener
-	// after its own — so its partitions survive the worker. No eligible
-	// peer leaves Rep empty and the worker ships the copy back inline
-	// instead.
-	run, rep, want := "", "", "presult"
-	if r.mapLocs != nil {
-		run, rep, want = r.runID, m.pickReplicaAddr(w.fetch), "mapdone"
-	}
+	rep := m.pickReplicaAddr(w.fetch)
 	start := time.Now()
 	var err error
 	if len(tasks) == 1 {
 		t := tasks[0]
-		err = w.c.send(message{Type: "task", Job: r.name, TaskID: t.id, Attempt: t.attempts, Records: r.shardRecords(t.id), Run: run, Rep: rep, Trace: r.trc.frameID()}, m.cfg.TaskTimeout)
+		err = w.c.send(message{Type: "task", Job: r.name, TaskID: t.id, Attempt: t.attempts, Records: r.shardRecords(t.id), Run: r.runID, Rep: rep, Trace: r.trc.frameID()}, m.cfg.TaskTimeout)
 	} else {
 		specs := make([]taskSpec, len(tasks))
 		for i, t := range tasks {
 			specs[i] = taskSpec{Job: r.name, TaskID: t.id, Attempt: t.attempts, Records: r.shardRecords(t.id)}
 		}
-		err = w.c.send(message{Type: "taskbatch", Batch: specs, Run: run, Rep: rep, Trace: r.trc.frameID()}, m.cfg.TaskTimeout)
+		err = w.c.send(message{Type: "taskbatch", Batch: specs, Run: r.runID, Rep: rep, Trace: r.trc.frameID()}, m.cfg.TaskTimeout)
 	}
 	acked := 0
 	prev := start
@@ -863,14 +791,14 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int,
 		t := tasks[acked]
 		var reply message
 		reply, err = w.c.recv(m.cfg.TaskTimeout)
-		if err == nil && (reply.Type != want || reply.TaskID != t.id) {
+		if err == nil && (reply.Type != "mapdone" || reply.TaskID != t.id) {
 			err = fmt.Errorf("netmr: worker %s answered shard %d with %q (task %d)", w.id, t.id, reply.Type, reply.TaskID)
 		}
 		if err == nil {
-			// The merge engine and the gather planner index part ids (a
-			// mapdone carries the set when its mapper had no peer to
-			// replicate to), so none reaches them unchecked.
-			err = validateParts(reply.Parts, m.cfg.Partitions)
+			// The gather planner indexes the part ids a mapdone carries
+			// when its mapper had no peer to replicate to, so none reaches
+			// it unchecked.
+			err = validateParts(reply.Parts, m.cfg.Reducers)
 		}
 		if err != nil {
 			break
@@ -904,6 +832,18 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int,
 	m.idle <- w // back to the pool
 }
 
+// validateParts rejects a partition set whose ids fall outside [0, n):
+// routing an attacker- or corruption-supplied id would index out of
+// range, so a bad frame fails the launch instead.
+func validateParts(parts []partitionPartial, n int) error {
+	for _, p := range parts {
+		if p.ID < 0 || p.ID >= n {
+			return fmt.Errorf("netmr: partition id %d outside [0,%d)", p.ID, n)
+		}
+	}
+	return nil
+}
+
 // landed books a launch that delivered: its round-trip on the worker's
 // ledger and RPC histogram, its trace launch closed ok.
 func (r *jobRun) landed(w *workerHandle, elapsed time.Duration, launch int, spans []spanSummary) {
@@ -918,112 +858,6 @@ func (r *jobRun) lost(w *workerHandle, elapsed time.Duration, launch int) {
 	r.ledger.shardFailed(w.id, elapsed)
 	r.m.metrics.reassignments.With(w.id).Inc()
 	r.trc.closeLaunch(launch, outcomeFailed, nil)
-}
-
-// acceptMap takes a shard's winning output: into the merge engine, the
-// SerialMerge buffer, or — with a distributed reduce, where the output
-// stays on its worker — the record of where it and its copy live.
-func (r *jobRun) acceptMap(d launchDone) {
-	switch {
-	case r.mapLocs != nil:
-		r.stored(d)
-	case r.eng != nil:
-		r.eng.feed(d.parts)
-	default:
-		r.partials = append(r.partials, flatten(d.parts))
-	}
-	r.stats.Completed++
-}
-
-// mergeTail is the part of the master-side merge left beyond the split
-// barrier. With the engine most folding already happened under the map
-// phase (MergeOverlapWall), so only the parallel finalize remains here;
-// the SerialMerge path does all its Ws(n) work in this window.
-func (r *jobRun) mergeTail(ctx context.Context, splitStart, barrier time.Time) (*Result, error) {
-	m, stats := r.m, r.stats
-	_, mergeSpan := obs.StartSpan(ctx, "merge")
-	var out map[string]float64
-	if r.eng != nil {
-		var err error
-		if out, err = r.eng.finalize(ctx); err != nil {
-			mergeSpan.End()
-			return nil, err
-		}
-		for p := range r.eng.busy {
-			m.metrics.mergePartition.With(strconv.Itoa(p)).Observe(time.Duration(r.eng.busy[p].Load()).Seconds())
-		}
-	} else {
-		out = serialMerge(r.job, r.partials)
-	}
-	mergeSpan.End()
-	end := time.Now()
-	r.trc.addPhase("merge", barrier, end)
-	stats.MergeWall = end.Sub(barrier) + stats.MergeOverlapWall
-	stats.TotalWall = end.Sub(splitStart)
-	m.metrics.mergeSeconds.Observe(stats.MergeWall.Seconds())
-	m.metrics.mergeOverlap.Observe(stats.MergeOverlapWall.Seconds())
-	m.metrics.mergeWidth.Set(float64(m.cfg.Partitions))
-	return &Result{flat: out}, nil
-}
-
-// flatten collapses one map task's partitioned output into the flat map
-// serialMerge folds.
-func flatten(parts []partitionPartial) map[string]float64 {
-	n := 0
-	for _, p := range parts {
-		n += p.Partial.count()
-	}
-	out := make(map[string]float64, n)
-	for _, p := range parts {
-		p.Partial.addTo(out)
-	}
-	return out
-}
-
-// serialMerge is the legacy barrier-then-merge: every partial folded
-// through one goroutine after the split completes. Jobs with a streaming
-// Combine fold partials directly into the result; the rest group values
-// per key (slices recycled through valuesPool) and Reduce once.
-func serialMerge(job Job, partials []map[string]float64) map[string]float64 {
-	// The largest partial is a lower bound on the distinct-key count:
-	// pre-sizing on it avoids most rehash-and-copy growth.
-	size := 0
-	for _, p := range partials {
-		if len(p) > size {
-			size = len(p)
-		}
-	}
-	if job.Combine != nil {
-		out := make(map[string]float64, size)
-		for _, p := range partials {
-			for k, v := range p {
-				if acc, ok := out[k]; ok {
-					out[k] = job.Combine(acc, v)
-				} else {
-					out[k] = v
-				}
-			}
-		}
-		return out
-	}
-	merged := make(map[string]*[]float64, size)
-	for _, p := range partials {
-		for k, v := range p {
-			vs, ok := merged[k]
-			if !ok {
-				vs = valuesPool.Get().(*[]float64)
-				*vs = (*vs)[:0]
-				merged[k] = vs
-			}
-			*vs = append(*vs, v)
-		}
-	}
-	out := make(map[string]float64, len(merged))
-	for k, vs := range merged {
-		out[k] = job.Reduce(k, *vs)
-		valuesPool.Put(vs)
-	}
-	return out
 }
 
 // Close stops accepting workers, halts the heartbeat loop and the

@@ -20,9 +20,6 @@ type masterMetrics struct {
 	rpcSeconds     *obs.HistogramVec
 	splitSeconds   *obs.Histogram
 	mergeSeconds   *obs.Histogram
-	mergeOverlap   *obs.Histogram
-	mergePartition *obs.HistogramVec
-	mergeWidth     *obs.Gauge
 	reduceTasks    *obs.CounterVec
 	reduceSeconds  *obs.Histogram
 	shuffleBytes   *obs.Counter
@@ -72,21 +69,15 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 		splitSeconds: r.Histogram("netmr_split_seconds",
 			"Split-phase wall time (scatter + parallel map, barrier to barrier).", nil),
 		mergeSeconds: r.Histogram("netmr_merge_seconds",
-			"Master-side merge window wall time (first partial fold to finalize; overlaps the split phase).", nil),
-		mergeOverlap: r.Histogram("netmr_merge_overlap_seconds",
-			"Merge wall time hidden under the split phase (map-overlap).", nil),
-		mergePartition: r.HistogramVec("netmr_merge_partition_seconds",
-			"Per-partition merge busy time (incremental folds plus finalize).", nil, "partition"),
-		mergeWidth: r.Gauge("netmr_merge_parallelism",
-			"Merge partitions (folder goroutines) of the most recent job."),
+			"Master-side merge window wall time (last reduce result to the output handed back).", nil),
 		reduceTasks: r.CounterVec("netmr_reduce_tasks_total",
 			"Worker-side reduce task launches by outcome (ok or failed).", "status"),
 		reduceSeconds: r.Histogram("netmr_reduce_seconds",
-			"Distributed reduce phase wall time (split barrier to last reduce result).", nil),
+			"Reduce phase wall time (split barrier to last reduce result).", nil),
 		shuffleBytes: r.Counter("netmr_shuffle_bytes_total",
 			"Intermediate bytes reducers fetched worker-to-worker over a socket."),
 		mapOutputs: r.CounterVec("netmr_map_outputs_total",
-			"Winning map outputs of reduce-mode jobs by placement (stored: persisted worker-side, the one placement).", "mode"),
+			"Winning map outputs by placement (stored: persisted worker-side, the one placement).", "mode"),
 		retries: r.Counter("netmr_retries_total",
 			"Shards requeued with backoff after a launch failure."),
 		backoffSeconds: r.Histogram("netmr_retry_backoff_seconds",

@@ -1,7 +1,9 @@
 package netmr
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -65,6 +67,20 @@ func startCluster(t *testing.T, n int) (*Master, []*Worker) {
 		t.Fatal(err)
 	}
 	return master, workers
+}
+
+// waitIdle waits until n worker handles are in the master's idle pool. A
+// worker is counted (WaitForWorkers) before admit puts its handle there,
+// so a test that needs a particular worker drawn for a launch waits for
+// the handle itself.
+func waitIdle(t *testing.T, master *Master, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); len(master.idle) < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers reached the idle pool", len(master.idle), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func testLines(t *testing.T, n int) []string {
@@ -160,9 +176,7 @@ func TestWorkerFailureReassignsShards(t *testing.T) {
 	// once the helloack is read, which can be before admit has put its
 	// handle in the pool: wait for all three, or the dead one could join
 	// after the job has run.
-	for deadline := time.Now().Add(5 * time.Second); len(master.idle) < 3 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
+	waitIdle(t, master, 3)
 	workers[0].Stop()
 
 	got, stats, err := master.Run(context.Background(), "wordcount", lines, 12)
@@ -227,27 +241,66 @@ func TestBackToBackRuns(t *testing.T) {
 	}
 }
 
+// TestStatsPhases: the three master walls tile every successful run
+// exactly, SplitWall + ReduceWall + MergeWall = TotalWall, for Run and
+// RunResult, traced and untraced; on a traced run the breakdown's Ws is
+// MergeWall, a JSON dump derives the same Ws, and MaxTask + MaxReduce +
+// Ws + Wo = TotalWall.
 func TestStatsPhases(t *testing.T) {
-	master, _ := startCluster(t, 2)
-	_, stats, err := master.Run(context.Background(), "wordcount", testLines(t, 200), 4)
+	lines := testLines(t, 200)
+	for _, traced := range []bool{false, true} {
+		var master *Master
+		if traced {
+			master = startTracedCluster(t, 2, MasterConfig{})
+		} else {
+			master, _ = startCluster(t, 2)
+		}
+		for _, asMap := range []bool{true, false} {
+			var stats Stats
+			var err error
+			if asMap {
+				_, stats, err = master.Run(context.Background(), "wordcount", lines, 4)
+			} else {
+				_, stats, err = master.RunResult(context.Background(), "wordcount", lines, 4)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("traced=%v asMap=%v", traced, asMap)
+			if stats.SplitWall <= 0 || stats.ReduceWall <= 0 || stats.MergeWall < 0 {
+				t.Errorf("%s: implausible phase stats %+v", name, stats)
+			}
+			if sum := stats.SplitWall + stats.ReduceWall + stats.MergeWall; sum != stats.TotalWall {
+				t.Errorf("%s: SplitWall + ReduceWall + MergeWall = %v, TotalWall %v", name, sum, stats.TotalWall)
+			}
+			if traced {
+				checkTracedWalls(t, name, master.LastTrace(), stats)
+			}
+		}
+	}
+}
+
+// checkTracedWalls checks the breakdown of a traced run against its
+// Stats, live and from the run's JSON dump.
+func checkTracedWalls(t *testing.T, name string, trc *JobTrace, stats Stats) {
+	t.Helper()
+	b := trc.Breakdown(stats)
+	if b.Ws != stats.MergeWall.Seconds() {
+		t.Errorf("%s: Ws %v, MergeWall %v", name, b.Ws, stats.MergeWall.Seconds())
+	}
+	if sum := b.MaxTask + b.MaxReduce + b.Ws + b.Wo; math.Abs(sum-b.TotalWall) > 1e-9 {
+		t.Errorf("%s: MaxTask + MaxReduce + Ws + Wo = %v, TotalWall %v", name, sum, b.TotalWall)
+	}
+	var dump bytes.Buffer
+	if err := trc.WriteJSON(&dump); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadTraceJSON(&dump)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SplitWall <= 0 || stats.MergeWall < 0 || stats.TotalWall < stats.SplitWall {
-		t.Errorf("implausible phase stats %+v", stats)
-	}
-	// TotalWall is measured end to end, not derived: since the merge
-	// overlaps the split phase, summing the phases double counts the
-	// overlap window and can only over-estimate the wall.
-	if stats.TotalWall > stats.SplitWall+stats.MergeWall {
-		t.Errorf("TotalWall %v exceeds SplitWall %v + MergeWall %v",
-			stats.TotalWall, stats.SplitWall, stats.MergeWall)
-	}
-	if stats.MergeOverlapWall < 0 || stats.MergeOverlapWall > stats.MergeWall {
-		t.Errorf("MergeOverlapWall %v outside [0, MergeWall %v]", stats.MergeOverlapWall, stats.MergeWall)
-	}
-	if stats.Partitions < 1 {
-		t.Errorf("Partitions = %d, want >= 1", stats.Partitions)
+	if ws := back.Breakdown(back.DerivedStats()).Ws; ws != b.Ws {
+		t.Errorf("%s: Ws from the dump %v, live %v", name, ws, b.Ws)
 	}
 }
 
@@ -255,4 +308,49 @@ func TestStatsPhases(t *testing.T) {
 // cluster's result with.
 func runShard(j Job, records []string, sc *shardScratch) map[string]float64 {
 	return flatten(runShardPartitioned(j, records, sc, 1, nil))
+}
+
+// flatten collapses one map task's partitioned output into the flat map
+// serialMerge folds.
+func flatten(parts []partitionPartial) map[string]float64 {
+	n := 0
+	for _, p := range parts {
+		n += p.Partial.count()
+	}
+	out := make(map[string]float64, n)
+	for _, p := range parts {
+		p.Partial.addTo(out)
+	}
+	return out
+}
+
+// serialMerge is the test oracle: every partial folded through one
+// goroutine, in the order given. Jobs with a streaming Combine fold
+// partials directly into the result; the rest group values per key and
+// Reduce once.
+func serialMerge(job Job, partials []map[string]float64) map[string]float64 {
+	if job.Combine != nil {
+		out := map[string]float64{}
+		for _, p := range partials {
+			for k, v := range p {
+				if acc, ok := out[k]; ok {
+					out[k] = job.Combine(acc, v)
+				} else {
+					out[k] = v
+				}
+			}
+		}
+		return out
+	}
+	merged := map[string][]float64{}
+	for _, p := range partials {
+		for k, v := range p {
+			merged[k] = append(merged[k], v)
+		}
+	}
+	out := make(map[string]float64, len(merged))
+	for k, vs := range merged {
+		out[k] = job.Reduce(k, vs)
+	}
+	return out
 }

@@ -172,8 +172,8 @@ func TestPerWorkerStats(t *testing.T) {
 		totalShards += ws.ShardsRun
 		totalBusy += ws.Busy
 	}
-	if totalShards != 16 {
-		t.Errorf("per-worker shards sum to %d, want 16", totalShards)
+	if want := 16 + stats.ReduceTasks; totalShards != want {
+		t.Errorf("per-worker shards sum to %d, want %d (16 shards plus %d reduce tasks)", totalShards, want, stats.ReduceTasks)
 	}
 	if totalBusy <= 0 {
 		t.Error("cumulative busy time should be positive")

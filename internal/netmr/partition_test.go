@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -152,69 +153,7 @@ func TestRunShardPartitioned(t *testing.T) {
 	}
 }
 
-// TestMergeEngineMatchesSerialMerge drives the engine with partitioned
-// feeds in shuffled arrival orders and checks the result is
-// byte-identical to the legacy serial merge — for both the Combine fold
-// and the grouped Reduce paths, at several widths.
-func TestMergeEngineMatchesSerialMerge(t *testing.T) {
-	lines := testLines(t, 300)
-	const shards = 10
-	per := len(lines) / shards
-
-	plain := wordCountJob()
-	combined := wordCountJob()
-	combined.Combine = func(acc, v float64) float64 { return acc + v }
-
-	for name, job := range map[string]Job{"reduce": plain, "combine": combined} {
-		t.Run(name, func(t *testing.T) {
-			partials := make([]map[string]float64, shards)
-			for i := range partials {
-				partials[i] = runShard(job, lines[i*per:(i+1)*per], newShardScratch())
-			}
-			want := serialMerge(job, partials)
-
-			for _, parts := range []int{1, 2, 4, 7} {
-				for seed := int64(0); seed < 3; seed++ {
-					eng := newMergeEngine(job, parts, shards)
-					order := rand.New(rand.NewSource(seed)).Perm(shards)
-					for _, i := range order {
-						eng.feed(runShardPartitioned(job, lines[i*per:(i+1)*per], newShardScratch(), parts, nil))
-					}
-					got, err := eng.finalize(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("parts=%d seed=%d: engine result diverged from serial merge", parts, seed)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestMergeEngineShutdownIdempotent: an abandoned engine (Run erroring
-// out mid-job) must be safe to shut down repeatedly, including after
-// finalize.
-func TestMergeEngineShutdownIdempotent(t *testing.T) {
-	eng := newMergeEngine(wordCountJob(), 3, 4)
-	eng.feed([]partitionPartial{{ID: 1, Partial: sectionFromMap(map[string]float64{"a": 1})}})
-	eng.shutdown()
-	eng.shutdown()
-	if _, err := eng.finalize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if d := eng.overlapped(); d <= 0 {
-		t.Errorf("overlapped busy after feed = %v, want > 0", d)
-	}
-	fresh := newMergeEngine(wordCountJob(), 2, 1)
-	if d := fresh.overlapped(); d != 0 {
-		t.Errorf("overlapped busy of unfed engine = %v, want 0", d)
-	}
-	fresh.shutdown()
-}
-
-// TestValidateParts: partition ids outside [0, P) must be rejected at
+// TestValidateParts: partition ids outside [0, R) must be rejected at
 // dispatch, never routed.
 func TestValidateParts(t *testing.T) {
 	ok := []partitionPartial{{ID: 0}, {ID: 3}}
@@ -265,48 +204,40 @@ func runWordCount(t *testing.T, cfg MasterConfig, workers int, lines []string, s
 	return out, stats
 }
 
-// TestResultsIdenticalAcrossPartitionConfigs: the partition count, the
-// overlap, and the SerialMerge fallback are pure performance knobs — the
-// reduced output must be identical under every configuration.
+// TestResultsIdenticalAcrossPartitionConfigs: the reduce partition count
+// R is a pure performance knob — the reduced output must be identical
+// under every R, fewer, as many and more reducers than workers, and the
+// GOMAXPROCS default.
 func TestResultsIdenticalAcrossPartitionConfigs(t *testing.T) {
 	lines := testLines(t, 500)
 	want := runShard(wordCountJob(), lines, newShardScratch())
 
-	base := MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second}
-	configs := map[string]MasterConfig{
-		"serial":       {TaskTimeout: base.TaskTimeout, JobTimeout: base.JobTimeout, SerialMerge: true},
-		"partitions-1": {TaskTimeout: base.TaskTimeout, JobTimeout: base.JobTimeout, Partitions: 1},
-		"partitions-3": {TaskTimeout: base.TaskTimeout, JobTimeout: base.JobTimeout, Partitions: 3},
-		"partitions-8": {TaskTimeout: base.TaskTimeout, JobTimeout: base.JobTimeout, Partitions: 8},
-	}
-	for name, cfg := range configs {
+	for name, R := range map[string]int{
+		"partitions-1": 1, "partitions-2": 2, "partitions-3": 3, "partitions-4": 4, "partitions-8": 8, "default": 0,
+	} {
 		t.Run(name, func(t *testing.T) {
+			cfg := MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Reducers: R}
 			got, stats := runWordCount(t, cfg, 2, lines, 12)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: result diverged from local reference", name)
 			}
-			if cfg.SerialMerge {
-				if stats.MergeOverlapWall != 0 {
-					t.Errorf("SerialMerge overlapped %v, want 0", stats.MergeOverlapWall)
-				}
-				if stats.Partitions != 1 {
-					t.Errorf("SerialMerge Partitions = %d, want 1", stats.Partitions)
-				}
+			if R == 0 {
+				R = runtime.GOMAXPROCS(0)
 			}
-			if stats.TotalWall > stats.SplitWall+stats.MergeWall {
-				t.Errorf("%s: TotalWall %v > SplitWall+MergeWall %v", name, stats.TotalWall, stats.SplitWall+stats.MergeWall)
+			if stats.Reducers != R || stats.ReduceTasks != R {
+				t.Errorf("%s: Reducers = %d, ReduceTasks = %d, want %d", name, stats.Reducers, stats.ReduceTasks, R)
 			}
 		})
 	}
 }
 
 // TestFlatResultToMapTaskFailsLaunch: a map task has one reply shape, a
-// presult. A flat result frame in its place — even one whose Parts would
+// mapdone. A flat result frame in its place — even one whose Parts would
 // pass validation — fails that worker's launch, and the job completes via
 // reassignment to an honest worker.
 func TestFlatResultToMapTaskFailsLaunch(t *testing.T) {
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, Partitions: 4,
+		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, Reducers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,13 +278,13 @@ func TestFlatResultToMapTaskFailsLaunch(t *testing.T) {
 	}
 }
 
-// TestPresultOutOfRangePartsFailsLaunch: a presult whose partition ids
-// fall outside [0, P) must fail that worker's launch (never reach the
-// router), and the job must still complete via reassignment to an
-// honest worker.
-func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
+// TestMapdoneOutOfRangePartsFailsLaunch: a mapdone whose inline
+// partition ids fall outside [0, R) must fail that worker's launch (never
+// reach the gather planner), be counted as a reassignment, and the job
+// must still complete on an honest worker.
+func TestMapdoneOutOfRangePartsFailsLaunch(t *testing.T) {
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, Partitions: 4,
+		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, Reducers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -364,8 +295,8 @@ func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
 	}
 	t.Cleanup(master.Close)
 	rogueWorker(t, addr, "rogue", func(m message) (message, bool) {
-		return message{Type: "presult", TaskID: m.TaskID, Attempt: m.Attempt,
-			Parts: []partitionPartial{{ID: 99, Partial: sectionFromMap(map[string]float64{"smuggled": 1})}}}, m.Type == "task"
+		return message{Type: "mapdone", TaskID: m.TaskID, Attempt: m.Attempt, Run: m.Run,
+			Parts: []partitionPartial{{ID: 4, Partial: sectionFromMap(map[string]float64{"smuggled": 1})}}}, m.Type == "task"
 	})
 	honest, err := NewWorker(mustRegistry(t))
 	if err != nil {
@@ -375,9 +306,7 @@ func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(honest.Stop)
-	if err := master.WaitForWorkers(2, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	waitIdle(t, master, 2) // so the rogue is drawn for one of the six shards
 	lines := testLines(t, 200)
 	got, stats, err := master.Run(context.Background(), "wordcount", lines, 6)
 	if err != nil {
@@ -385,13 +314,20 @@ func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
 	}
 	want := runShard(wordCountJob(), lines, newShardScratch())
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("result diverged from reference with a rogue presult worker in the pool")
+		t.Fatal("result diverged from reference with a rogue mapdone worker in the pool")
 	}
-	// The rogue's first bad frame drops it; any shard it had been
-	// assigned must have been reassigned to the honest worker.
+	// The rogue's first bad frame drops it; the shard it had been
+	// assigned is reassigned to the honest worker.
+	rogue := false
 	for _, ws := range stats.PerWorker {
-		if ws.ID == "rogue" && ws.ShardsRun > 0 {
-			t.Errorf("rogue presult worker credited with %d shards", ws.ShardsRun)
+		if ws.ID == "rogue" {
+			rogue = true
+			if ws.ShardsRun > 0 || ws.Reassignments == 0 {
+				t.Errorf("rogue mapdone worker: %+v, want no shard credited and its launch reassigned", ws)
+			}
 		}
+	}
+	if !rogue || stats.Reassignments == 0 {
+		t.Errorf("rogue launched %v, Reassignments = %d; want its launch counted as a reassignment", rogue, stats.Reassignments)
 	}
 }

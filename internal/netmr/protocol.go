@@ -1,18 +1,17 @@
 // Package netmr is a real, network-distributed MapReduce runtime: a
 // master listens on TCP, workers connect, the master scatters input
 // shards to the workers (the split phase, with barrier synchronization),
-// and every map task hands back its output hash-partitioned and
-// key-sorted. The partitions are then combined either on the master,
-// folded by the partitioned merge engine while the map phase drains, or,
-// with MasterConfig.Reducers set, by reduce tasks on the workers, which
-// keep their map output and fetch each other's — the execution structure
-// of Fig. 1 running over genuine sockets rather than the simulator.
+// and every map task keeps its output hash-partitioned and key-sorted
+// on its worker. Reduce tasks on the workers, which fetch each other's
+// map output, then combine the partitions — the execution structure of
+// Fig. 1 running over genuine sockets rather than the simulator.
 //
 // It exists so the library is a usable distributed system and so the
-// IPSO phase decomposition (Wp from the parallel map wave, Ws from the
-// serial merge, Wo from dispatch) can be measured on real wall clocks.
-// Values are restricted to string→float64 pairs so results serialize
-// uniformly; that covers counting, summing and histogram workloads.
+// IPSO phase decomposition (Wp from the parallel map and reduce waves, Ws
+// from the master's merge window, Wo from dispatch) can be measured on
+// real wall clocks. Values are restricted to string→float64 pairs so
+// results serialize uniformly; that covers counting, summing and
+// histogram workloads.
 //
 // The master tolerates worker failure: a shard whose worker dies or
 // times out is reassigned to another live worker (up to a retry budget),
@@ -23,8 +22,8 @@
 // four-byte preamble ('N', 'M', 'R', protocolVersion) written together
 // with the first frame, and from then on carries the one frame layout of
 // codec.go. Nothing is negotiated: the worker's hello names its identity,
-// jobs and shuffle listener, the master's helloack the cluster's
-// partition count, reducer count and shuffle timeout.
+// jobs and shuffle listener, the master's helloack the cluster's reducer
+// count and shuffle timeout.
 package netmr
 
 import (
@@ -48,7 +47,7 @@ import (
 // versions that met. A field can be added without a bump only as
 // DESIGN.md §6 describes: tagged, optional, skipped by a decoder that
 // does not know the tag.
-const protocolVersion = 1
+const protocolVersion = 2
 
 // preamble opens every connection in both directions.
 var preamble = [4]byte{'N', 'M', 'R', protocolVersion}
@@ -67,24 +66,23 @@ func checkPreamble(p [4]byte) error {
 // message is the single wire frame (codec.go). Every frame carries every
 // field; the comments name the frame types that set each.
 type message struct {
-	Type       string             // hello | helloack | task | taskbatch | presult | mapdone | reducetask | morelocs | result | error | ping | pong | fetch | fetchresult | replicate | replicack
-	ID         string             // hello: worker identity
-	Job        string             // task | reducetask
-	TaskID     int                // task | presult | mapdone | error: map task; reducetask | morelocs | result | fetch | fetchresult: reduce partition; replicate | replicack: map task
-	Attempt    int                // task | reducetask and their replies: retry ordinal, 0-based
-	Records    []string           // task
-	Folded     section            // result: the reduce partition's folded output
-	Jobs       []string           // hello
-	Message    string             // error; morelocs: "abort"
-	Batch      []taskSpec         // taskbatch
-	Partitions int                // helloack: merge partition count P
-	Parts      []partitionPartial // presult | mapdone | replicate: per-partition sections of one map task; reducetask | morelocs | fetchresult: per-map-task sections of one partition (ID is the map task id)
-	Trace      string             // task | taskbatch | reducetask: job trace ID, which asks for Spans; echoed on the reply
-	Spans      []spanSummary      // presult | mapdone | result: worker-side phase spans
+	Type    string             // hello | helloack | task | taskbatch | mapdone | reducetask | morelocs | result | error | ping | pong | fetch | fetchresult | replicate | replicack
+	ID      string             // hello: worker identity
+	Job     string             // task | reducetask
+	TaskID  int                // task | mapdone | error: map task; reducetask | morelocs | result | fetch | fetchresult: reduce partition; replicate | replicack: map task
+	Attempt int                // task | reducetask and their replies: retry ordinal, 0-based
+	Records []string           // task
+	Folded  section            // result: the reduce partition's folded output
+	Jobs    []string           // hello
+	Message string             // error; morelocs: "abort"
+	Batch   []taskSpec         // taskbatch
+	Parts   []partitionPartial // mapdone | replicate: per-partition sections of one map task; reducetask | morelocs | fetchresult: per-map-task sections of one partition (ID is the map task id)
+	Trace   string             // task | taskbatch | reducetask: job trace ID, which asks for Spans; echoed on the reply
+	Spans   []spanSummary      // mapdone | result: worker-side phase spans
 
 	// Distributed reduce.
-	Run      string     // task | mapdone | reducetask | morelocs | fetch | replicate: run id intermediate output is keyed by; on a task it asks for mapdone in place of presult
-	Reducers int        // helloack: reduce partition count R, 0 when the master merges; replicate: the run's R
+	Run      string     // task | taskbatch | mapdone | reducetask | morelocs | fetch | replicate: run id intermediate output is keyed by
+	Reducers int        // helloack: reduce partition count R; replicate: the run's R
 	Fetch    string     // hello: worker's shuffle listener address; error (of a reduce task): the holder whose fetch failed
 	Bytes    int64      // result: intermediate bytes fetched over a socket
 	Tasks    []int      // fetch: map task ids whose partition slice is wanted
@@ -278,7 +276,7 @@ type Job struct {
 	// Combine, when set, declares Reduce a streaming fold:
 	// Reduce(k, vs) must equal vs[0] folded with Combine over vs[1:].
 	// Workers then combine values as they are emitted instead of
-	// buffering them per key, and the master merges partials the same
+	// buffering them per key, and reducers fold partials the same
 	// way — the zero-buffer path for associative reductions (sums,
 	// counts, min/max).
 	Combine func(acc, value float64) float64
@@ -481,9 +479,9 @@ func (sc *shardScratch) values(j Job) []float64 {
 // (nil: an untraced task; the marks then cost a nil check). This is the
 // only place map output is sorted and encoded: every later hop moves the
 // sections as bytes. The per-key reduction is its own pass, the "combine"
-// span, so Wp splits into its two constituents; the hashing is the cost
-// the master's merge does not pay (the "partition" span); the sort and
-// encode are the "encode" span.
+// span, so Wp splits into its two constituents; the hashing that routes
+// each key to its reducer is the "partition" span; the sort and encode
+// are the "encode" span.
 func runShardPartitioned(j Job, records []string, sc *shardScratch, parts int, clock *spanClock) []partitionPartial {
 	if parts < 1 {
 		parts = 1
@@ -541,7 +539,7 @@ const (
 	spanDecode    = "decode"    // wire decode of the task frame
 	spanMap       = "map"       // Map pass over the records (incl. streaming Combine)
 	spanCombine   = "combine"   // per-key reduction of buffered emissions
-	spanPartition = "partition" // hash-splitting keys into merge partitions
+	spanPartition = "partition" // hash-splitting keys into reduce partitions
 	spanEncode    = "encode"    // map task: sorting and encoding the sections; reduce task: sealing the merged section
 	spanFetch     = "fetch"     // reduce task: pulling intermediate sections from peers
 	spanReduce    = "reduce"    // reduce task: merge-fold of the gathered sections

@@ -24,30 +24,34 @@ import (
 // master's choice, not a failure.
 var errEarlyAborted = errors.New("netmr: early reduce launch aborted")
 
-// startReduce readies the run's reduce-side state before the map phase:
-// the map-output records, and the reduce launch reports, which exist this
-// early because early launches start under the map tail.
-func (r *jobRun) startReduce() {
-	cfg := r.m.cfg
-	r.stats.Reducers = cfg.Reducers
-	r.mapLocs = make(map[int]string, r.shards)
-	r.replicaLocs = make(map[int]string, r.shards)
-	r.replicaParts = make(map[int][]partitionPartial)
+// newJobRun readies one Run's state before the map phase: the map-output
+// records, and the reduce launch reports, which exist this early because
+// early launches start under the map tail.
+func (m *Master) newJobRun(name string, job Job, records []string, shards int, stats *Stats) *jobRun {
+	cfg := m.cfg
+	stats.Reducers = cfg.Reducers
 	// The buffers cover every lineage the reduce phase can start plus one
 	// early launch per partition, so no reporter can ever block.
 	rcap := cfg.Reducers * (1 + cfg.MaxAttempts*(1+cfg.SpeculationMaxClones))
-	r.rResults = make(chan launchDone, rcap)
-	r.rFails = make(chan launchFail, rcap)
-	r.earlyLaunched = map[int]bool{}
-	r.earlyActive = map[int]chan message{}
+	return &jobRun{
+		m: m, name: name, job: job, runID: fmt.Sprintf("%s#%d", name, m.runSeq.Add(1)),
+		records: records, shards: shards, stats: stats, ledger: newPerWorkerLedger(),
+		mapLocs:       make(map[int]string, shards),
+		replicaLocs:   make(map[int]string, shards),
+		replicaParts:  make(map[int][]partitionPartial),
+		rResults:      make(chan launchDone, rcap),
+		rFails:        make(chan launchFail, rcap),
+		earlyLaunched: map[int]bool{},
+		earlyActive:   map[int]chan message{},
+	}
 }
 
-// stored records a winning map output persisted on its worker: whose
-// shuffle listener holds the task's partitions, and where the durable
-// copy lives — a peer replica when the push succeeded, the inline
-// partition set on the master otherwise — and streams the location to
-// every running early reducer.
-func (r *jobRun) stored(d launchDone) {
+// accept takes a shard's winning output, persisted on its worker: it
+// records whose shuffle listener holds the task's partitions, and where
+// the durable copy lives — a peer replica when the push succeeded, the
+// inline partition set on the master otherwise — and streams the
+// location to every running early reducer.
+func (r *jobRun) accept(d launchDone) {
 	id := d.task.id
 	r.mapLocs[id] = d.fetchAddr
 	if d.repAddr != "" {
@@ -69,6 +73,7 @@ func (r *jobRun) stored(d launchDone) {
 		r.m.metrics.locsStreamed.Inc()
 	}
 	r.absorb(d)
+	r.stats.Completed++
 	r.stats.MapOutputsStored++
 	r.m.metrics.mapOutputs.With("stored").Inc()
 }
@@ -90,10 +95,11 @@ func (r *jobRun) absorb(d launchDone) {
 
 // reduceTail runs the reduce phase after the barrier: the per-key fold
 // happens on the workers, and the R disjoint, key-sorted sections that
-// come back are the result. What is left for the master's "merge" window
-// is the one map Run's callers are owed — O(keys) inserts, no
-// Reduce/Combine calls — and nothing at all for RunResult's.
-func (r *jobRun) reduceTail(ctx context.Context, deadline <-chan time.Time, splitStart, barrier time.Time, asMap bool) (*Result, error) {
+// come back are the result. What is left for the master's merge window is
+// the one map Run's callers are owed, written to asMap — O(keys) inserts,
+// no Reduce/Combine calls — and nothing at all for RunResult's (asMap
+// nil).
+func (r *jobRun) reduceTail(ctx context.Context, deadline <-chan time.Time, splitStart, barrier time.Time, asMap *map[string]float64) (*Result, error) {
 	m, stats := r.m, r.stats
 	_, reduceSpan := obs.StartSpan(ctx, "reduce")
 	finals, err := r.runReducePhase(ctx, deadline)
@@ -108,8 +114,8 @@ func (r *jobRun) reduceTail(ctx context.Context, deadline <-chan time.Time, spli
 	}
 	_, mergeSpan := obs.StartSpan(ctx, "merge")
 	out := &Result{parts: finals}
-	if asMap {
-		out = &Result{flat: out.Map()}
+	if asMap != nil {
+		*asMap = out.Map()
 	}
 	mergeSpan.End()
 	end := time.Now()
@@ -117,7 +123,6 @@ func (r *jobRun) reduceTail(ctx context.Context, deadline <-chan time.Time, spli
 	stats.MergeWall = end.Sub(reduceEnd)
 	stats.TotalWall = end.Sub(splitStart)
 	m.metrics.mergeSeconds.Observe(stats.MergeWall.Seconds())
-	m.metrics.mergeWidth.Set(float64(m.cfg.Reducers))
 	return out, nil
 }
 

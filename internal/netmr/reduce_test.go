@@ -266,9 +266,7 @@ func TestRogueReduceErrorReassigned(t *testing.T) {
 	rogueWorker(t, addr, "rogue-reducer", func(m message) (message, bool) {
 		return message{Type: "error", TaskID: m.TaskID, Message: "rogue: reduce refused"}, m.Type == "reducetask"
 	})
-	if err := master.WaitForWorkers(3, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	waitIdle(t, master, 3) // so the rogue is drawn for one of the four reduce tasks
 
 	lines := testLines(t, 300)
 	got, stats, err := master.Run(context.Background(), "wordcount", lines, 6)
@@ -315,9 +313,7 @@ func TestMalformedReduceResultRefused(t *testing.T) {
 			rogueWorker(t, addr, "malformed-reducer", func(m message) (message, bool) {
 				return message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Folded: section(bad)}, m.Type == "reducetask"
 			})
-			if err := master.WaitForWorkers(3, 5*time.Second); err != nil {
-				t.Fatal(err)
-			}
+			waitIdle(t, master, 3) // so the rogue is drawn for one of the four reduce tasks
 			lines := testLines(t, 300)
 			res, stats, err := master.RunResult(context.Background(), "wordcount", lines, 6)
 			if err != nil {

@@ -86,7 +86,8 @@ func TestLatencyQuantile(t *testing.T) {
 // two ops exempt: a helloack that cannot be sent refuses the worker) so
 // one shard burns its full MaxAttempts budget; the returned
 // error must name the shard, the attempt count, and wrap the final
-// injected error — with the master merging and with a distributed reduce.
+// injected error — at the default reducer count (0: GOMAXPROCS) and at
+// R = 2.
 func TestRetryBudgetExhaustionSurfacesLastError(t *testing.T) {
 	for _, reducers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("reducers=%d", reducers), func(t *testing.T) {
@@ -203,8 +204,9 @@ func startSleeperCluster(t *testing.T, cfg MasterConfig, workers int) *Master {
 // the clone's result lands while shard 1 (700 ms) is still pending —
 // and must be discarded exactly once. Shard 1's clone is still in
 // flight when the map phase completes, so it is counted as a
-// cancellation. With a distributed reduce the two reduce tasks are too
-// few to speculate on, so the counts are the map phase's either way.
+// cancellation. The reduce tasks (R = 2, and the GOMAXPROCS default)
+// finish within a speculation tick of the barrier, so the counts are the
+// map phase's either way.
 func TestDuplicateSpeculativeResultDiscardedOnce(t *testing.T) {
 	for _, reducers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("reducers=%d", reducers), func(t *testing.T) {

@@ -76,8 +76,7 @@ func sectionedResult(m map[string]float64, R int) *Result {
 
 // TestResultAgreesWithSerialMerge: over R partitions — empty ones, an
 // empty job and single-key partitions included — every reader of a
-// Result agrees with the serialMerge oracle, as does the wrapped map of
-// the master-merge paths.
+// Result agrees with the serialMerge oracle.
 func TestResultAgreesWithSerialMerge(t *testing.T) {
 	job := wordCountJob()
 	partials := func(tasks, keys int) []map[string]float64 {
@@ -104,36 +103,30 @@ func TestResultAgreesWithSerialMerge(t *testing.T) {
 				checkResult(t, sectionedResult(want, R), want)
 			})
 		}
-		t.Run(tc.name+"/master-merge", func(t *testing.T) {
-			checkResult(t, &Result{flat: want}, want)
-		})
 	}
 }
 
-// TestRunResultEveryMergePath: RunResult answers like Run's map on the
-// distributed reduce (sections at the master), on the master-merge
-// engine and under SerialMerge (the map those paths produce, wrapped).
+// TestRunResultEveryMergePath: RunResult's sections answer like Run's
+// map, at a pinned reducer count and at the GOMAXPROCS default.
 func TestRunResultEveryMergePath(t *testing.T) {
 	lines := testLines(t, 400)
 	want := runShard(wordCountJob(), lines, newShardScratch())
 	for _, tc := range []struct {
-		name      string
-		cfg       MasterConfig
-		sectioned bool
+		name string
+		R    int
 	}{
-		{"distributed-reduce", MasterConfig{Reducers: 3}, true},
-		{"master-merge", MasterConfig{Partitions: 2}, false},
-		{"serial-merge", MasterConfig{SerialMerge: true, Reducers: 3}, false},
+		{"distributed-reduce", 3},
+		{"default", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.TaskTimeout, tc.cfg.JobTimeout = 10*time.Second, 30*time.Second
-			master, _ := startReduceCluster(t, tc.cfg, 2)
+			cfg := MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Reducers: tc.R}
+			master, _ := startReduceCluster(t, cfg, 2)
 			res, stats, err := master.RunResult(context.Background(), "wordcount", lines, 6)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (res.parts != nil) != tc.sectioned || (stats.ReduceTasks > 0) != tc.sectioned {
-				t.Fatalf("sections held = %v, reduce tasks = %d; want sectioned = %v", res.parts != nil, stats.ReduceTasks, tc.sectioned)
+			if R := master.cfg.Reducers; len(res.parts) != R || stats.ReduceTasks != R {
+				t.Fatalf("sections held = %d, reduce tasks = %d; want %d", len(res.parts), stats.ReduceTasks, R)
 			}
 			checkResult(t, res, want)
 			got, _, err := master.Run(context.Background(), "wordcount", lines, 6)

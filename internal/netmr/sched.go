@@ -11,8 +11,8 @@ import (
 	"ipso/internal/chaos"
 )
 
-// The scheduling loop of a Run. Both phases — the map shards, then with
-// Reducers set the reduce partitions — go through schedule, which owns
+// The scheduling loop of a Run. Both phases — the map shards, then the
+// reduce partitions — go through schedule, which owns
 // every coordinating decision: the ready queue with backoff maturity, the
 // live launches of each task, first-result-wins, the retry budget, the
 // all-workers-lost exit, speculation, cancellation and the job deadline.

@@ -260,11 +260,12 @@ func (s section) addTo(m map[string]float64) {
 	s.each(func(k string, v float64) { m[k] = v })
 }
 
-// partitionPartial is one slice of map output: on a presult, mapdone or
-// replicate frame the keys of one map task that hash to partition ID; on
-// a reducetask, morelocs or fetchresult frame the keys map task ID
+// partitionPartial is one slice of map output: on a mapdone or replicate
+// frame the keys of one map task that hash to partition ID; on a
+// reducetask, morelocs or fetchresult frame the keys map task ID
 // contributed to the partition being reduced. Empty slices are omitted
-// from presult lists and kept (as held-but-empty markers) elsewhere.
+// from a map task's own set and kept (as held-but-empty markers) on the
+// reduce side's frames.
 type partitionPartial struct {
 	ID      int
 	Partial section

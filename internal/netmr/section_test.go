@@ -65,7 +65,6 @@ func mapEncodeBody(t testing.TB, m message, folded map[string]float64, parts []m
 		b = binary.AppendVarint(b, int64(spec.Attempt))
 		b = appendStrings(b, spec.Records)
 	}
-	b = binary.AppendVarint(b, int64(m.Partitions))
 	b = binary.AppendUvarint(b, uint64(len(parts)))
 	for _, part := range parts {
 		b = binary.AppendVarint(b, int64(part.id))
@@ -155,7 +154,7 @@ func TestSectionFramesMatchMapEncoder(t *testing.T) {
 			folded.add(k, v)
 		}
 		frames := []message{
-			{Type: "presult", TaskID: trial, Attempt: 1, Parts: secs, Trace: "wc-1", Spans: []spanSummary{{Phase: "map", End: 0.5}}},
+			{Type: "mapdone", TaskID: trial, Attempt: 1, Run: "wc#1", Parts: secs, Trace: "wc-1", Spans: []spanSummary{{Phase: "map", End: 0.5}}},
 			{Type: "mapdone", TaskID: trial, Run: "wc#1", Parts: secs, Rep: "127.0.0.1:7002", Spills: 1, Spilled: 99},
 			{Type: "replicate", Run: "wc#1", TaskID: trial, Reducers: 8, Parts: secs},
 			{Type: "fetchresult", TaskID: 3, Parts: secs},
@@ -278,7 +277,7 @@ func TestDecodeRejectsBadSections(t *testing.T) {
 }
 
 // TestSectionMergeMatchesSerialMerge pins the reducer's merge to the
-// master's serialMerge on the shapes the random sweep may miss: a key
+// serialMerge oracle on the shapes the random sweep may miss: a key
 // every task holds, tasks gathered out of order, empty and single-key
 // sections, one section alone, nothing at all — Combine on and off, with
 // a Reduce that is sensitive to the order its values arrive in.

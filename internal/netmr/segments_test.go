@@ -41,7 +41,7 @@ func segmentFamilies(a, b section) []message {
 	return []message{
 		{Type: "task", Job: "wc", TaskID: 1, Records: []string{"r1", strings.Repeat("r", 20000)}, Run: "wc#1"},
 		{Type: "taskbatch", Batch: []taskSpec{{Job: "wc", TaskID: 2, Records: []string{"a", "b"}}}},
-		{Type: "presult", TaskID: 3, Attempt: 1, Parts: parts, Spans: spans},
+		{Type: "mapdone", TaskID: 3, Attempt: 1, Run: "wc#1", Parts: parts, Spans: spans},
 		{Type: "mapdone", TaskID: 3, Run: "wc#1", Rep: "127.0.0.1:7002"},
 		{Type: "mapdone", TaskID: 3, Run: "wc#1", Parts: parts, Spills: 2, Spilled: 1 << 20},
 		{Type: "replicate", TaskID: 3, Run: "wc#1", Reducers: 4, Parts: parts},
@@ -51,7 +51,7 @@ func segmentFamilies(a, b section) []message {
 		{Type: "result", TaskID: 2, Folded: a, Bytes: 99, Failovers: 1, Spans: spans},
 		{Type: "result", TaskID: 2, Folded: small},
 		{Type: "hello", ID: "w", Jobs: []string{"wc"}, Fetch: "127.0.0.1:7003"},
-		{Type: "helloack", Partitions: 4, Reducers: 4, ShuffleMs: 30000},
+		{Type: "helloack", Reducers: 4, ShuffleMs: 30000},
 		{Type: "ping"},
 		{Type: "error", TaskID: 2, Message: "fetch failed", Fetch: "127.0.0.1:7001"},
 	}

@@ -388,7 +388,7 @@ func mergeSources(srcs []*mergeSource, fn func(*mergeSource) error) error {
 // mergeFold merges srcs and streams every key's values, in map-task
 // order, through the job's fold — Combine as they arrive, or one Reduce
 // over the key's collected values — appending each result to out: the
-// same semantics as the master's serialMerge, with the output born as a
+// semantics of the tests' serialMerge oracle, with the output born as a
 // section instead of a map.
 func mergeFold(job Job, srcs []*mergeSource, out *sectionBuilder) error {
 	var key string

@@ -59,7 +59,7 @@ func randomTaskPartials(rng *rand.Rand, tasks, keys int, dist string) []taskMap 
 }
 
 // oracleFold is the reference the section merge must reproduce: the
-// master's serialMerge over the inputs' maps in ascending map-task order.
+// serialMerge oracle over the inputs' maps in ascending map-task order.
 func oracleFold(job Job, inputs []taskMap) map[string]float64 {
 	ref := append([]taskMap(nil), inputs...)
 	sort.Slice(ref, func(i, j int) bool { return ref[i].task < ref[j].task })

@@ -16,8 +16,8 @@ import (
 // per-job timeline from its own dispatch events and the span summaries
 // traced workers piggyback on result frames, then attributes the job's
 // wall clock into the IPSO workload phases (Eq. 14-17): Wp — the
-// parallelizable map compute, Ws — the serial merge residue on the
-// master's critical path, and Wo — everything scale-out itself induced
+// parallelizable map compute, Ws — the master's merge window on the
+// critical path, and Wo — everything scale-out itself induced
 // (queue wait, RPC and serialization, retry/speculation waste). The
 // breakdown is the measured ε(n)/q(n) input the live model fit consumes.
 
@@ -291,10 +291,10 @@ func ReadTraceJSON(r io.Reader) (*JobTrace, error) {
 
 // DerivedStats reconstructs the master-side walls Breakdown needs from
 // the trace's own spans — for reports rendered offline from a WriteJSON
-// dump, where the original Stats is gone. The "merge" phase span is the
-// post-barrier residue by construction (the overlapped portion ran
-// inside the split wall), so MergeOverlapWall stays zero and Ws comes
-// out right; Workers counts the distinct workers that ran launches.
+// dump, where the original Stats is gone. Each master phase span is its
+// wall, rounded to the nanosecond it was measured in, so Breakdown gives
+// the same Ws from a dump as from the live Stats; Workers counts the
+// distinct workers that ran launches.
 func (t *JobTrace) DerivedStats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -307,14 +307,14 @@ func (t *JobTrace) DerivedStats() Stats {
 		}
 		switch sp.Phase {
 		case "split":
-			s.SplitWall = time.Duration(sp.Duration() * float64(time.Second))
+			s.SplitWall = wall(sp)
 		case "merge":
-			s.MergeWall = time.Duration(sp.Duration() * float64(time.Second))
+			s.MergeWall = wall(sp)
 		case "reduce":
 			// Master-level reduce phase only: a worker's "reduce" sub-span
 			// shares the name but rides a launch ordinal.
 			if sp.Launch < 0 {
-				s.ReduceWall = time.Duration(sp.Duration() * float64(time.Second))
+				s.ReduceWall = wall(sp)
 			}
 		case "task", "rtask":
 			if sp.Worker != "" {
@@ -327,23 +327,29 @@ func (t *JobTrace) DerivedStats() Stats {
 	return s
 }
 
+// wall is sp's duration as the time.Duration it was measured as.
+func wall(sp TraceSpan) time.Duration {
+	return time.Duration(math.Round(sp.Duration() * float64(time.Second)))
+}
+
 // PhaseBreakdown is the wall-clock attribution of one traced Run into
 // the IPSO phases, in seconds. The headline accounts are exact by
 // construction: MaxTask + MaxReduce + Ws + Wo = TotalWall, matching the
 // parallel-time denominator of the speedup derivation (Eq. 8 rearranged,
-// as core.SpeedupSweep consumes it); MaxReduce is zero whenever the run
-// merged on the master. A distributed reduce moves the per-key fold out
-// of Ws and into Reduce — distributed Wp, paced by the slowest reduce
-// task — leaving Ws only the union of the R disjoint partition results.
+// as core.SpeedupSweep consumes it). The reduce tasks keep the per-key
+// fold out of Ws and in Reduce — distributed Wp, paced by the slowest
+// reduce task — leaving Ws only the master's merge window: the union of
+// the R disjoint partition results into Run's map, nothing for
+// RunResult.
 // The remaining fields attribute where Wo actually went.
 type PhaseBreakdown struct {
 	Workers int
 
 	Wp        float64 // Σ map+combine over winning launches (parallelizable compute)
-	Ws        float64 // merge tail beyond the split barrier (serial residue)
+	Ws        float64 // master merge window, Stats.MergeWall (serial residue)
 	Wo        float64 // TotalWall − MaxTask − MaxReduce − Ws: scale-out-induced overhead
 	MaxTask   float64 // max per-winning-launch map+combine: measured E[max Tp,i]
-	Reduce    float64 // Σ worker-side fold over winning reduce launches (distributed Ws→Wp)
+	Reduce    float64 // Σ worker-side fold over winning reduce launches (distributed Wp)
 	MaxReduce float64 // max per-winning-reduce-launch fold: the reduce wave's critical path
 
 	TotalWall float64
@@ -368,7 +374,7 @@ type PhaseBreakdown struct {
 }
 
 // Breakdown attributes the traced run's wall clock. stats supplies the
-// master-side phase walls (split/merge/overlap/total) the trace's own
+// master-side phase walls (split/reduce/merge/total) the trace's own
 // spans mirror; worker sub-phases refine the launch windows. Without
 // worker spans (an untraced or mixed cluster) the whole launch window
 // counts as compute — the pre-tracing approximation.
@@ -377,13 +383,7 @@ func (t *JobTrace) Breakdown(stats Stats) PhaseBreakdown {
 		Workers:   stats.Workers,
 		TotalWall: stats.TotalWall.Seconds(),
 	}
-	// Serial residue: the merge work on the critical path after the split
-	// barrier. The overlapped portion ran under the map wave and is
-	// already inside the split wall.
-	b.Ws = (stats.MergeWall - stats.MergeOverlapWall).Seconds()
-	if b.Ws < 0 {
-		b.Ws = 0
-	}
+	b.Ws = stats.MergeWall.Seconds()
 
 	// Group worker sub-phases per launch, then account winning launches
 	// into Wp (map) or Reduce (rtask) and the serialization phases,

@@ -53,11 +53,12 @@ func startTracedCluster(t *testing.T, n int, cfg MasterConfig) *Master {
 }
 
 // TestTracedRunTimeline: a clean traced run yields a sealed trace with
-// one ok launch per shard, master split/merge phases, worker sub-phase
+// one ok launch per shard and per reduce task, master split/reduce/merge
+// phases, worker sub-phase
 // spans nested inside every launch window, and a breakdown whose phases
 // are consistent with the run's stats.
 func TestTracedRunTimeline(t *testing.T) {
-	master := startTracedCluster(t, 2, MasterConfig{Partitions: 2})
+	master := startTracedCluster(t, 2, MasterConfig{Reducers: 2})
 	lines := testLines(t, 400)
 	_, stats, err := master.Run(context.Background(), "wordcount", lines, 6)
 	if err != nil {
@@ -71,8 +72,8 @@ func TestTracedRunTimeline(t *testing.T) {
 		t.Fatalf("OpenLaunches = %d after Run returned", open)
 	}
 	outcomes := trc.Outcomes()
-	if outcomes[outcomeOK] != 6 {
-		t.Fatalf("ok launches = %d, want 6 (outcomes %v)", outcomes[outcomeOK], outcomes)
+	if want := 6 + stats.ReduceTasks; outcomes[outcomeOK] != want {
+		t.Fatalf("ok launches = %d, want %d (outcomes %v)", outcomes[outcomeOK], want, outcomes)
 	}
 
 	phases := map[string]int{}
@@ -87,6 +88,7 @@ func TestTracedRunTimeline(t *testing.T) {
 			phases[sp.Phase]++
 		case sp.Phase == "task":
 			launches[sp.Launch] = sp
+		case sp.Phase == "rtask":
 		default:
 			if subsByLaunch[sp.Launch] == nil {
 				subsByLaunch[sp.Launch] = map[string]int{}
@@ -94,8 +96,8 @@ func TestTracedRunTimeline(t *testing.T) {
 			subsByLaunch[sp.Launch][sp.Phase]++
 		}
 	}
-	if phases["split"] != 1 || phases["merge"] != 1 {
-		t.Fatalf("master phases = %v, want one split and one merge", phases)
+	if phases["split"] != 1 || phases["reduce"] != 1 || phases["merge"] != 1 {
+		t.Fatalf("master phases = %v, want one split, one reduce and one merge", phases)
 	}
 	for id, task := range launches {
 		subs := subsByLaunch[id]
@@ -170,9 +172,9 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	if ds.Workers != stats.Workers {
 		t.Fatalf("derived workers = %d, want %d", ds.Workers, stats.Workers)
 	}
-	mergeDiff := (ds.MergeWall - (stats.MergeWall - stats.MergeOverlapWall)).Abs()
-	if mergeDiff > 5*time.Millisecond {
-		t.Fatalf("derived merge wall %v far from residual merge %v", ds.MergeWall, stats.MergeWall-stats.MergeOverlapWall)
+	if ds.SplitWall != stats.SplitWall || ds.ReduceWall != stats.ReduceWall || ds.MergeWall != stats.MergeWall {
+		t.Fatalf("derived walls (split %v, reduce %v, merge %v), live (%v, %v, %v)",
+			ds.SplitWall, ds.ReduceWall, ds.MergeWall, stats.SplitWall, stats.ReduceWall, stats.MergeWall)
 	}
 	var report bytes.Buffer
 	if err := back.WriteReport(&report, ds); err != nil {
@@ -278,10 +280,11 @@ func TestTraceLifecycleUnderChaos(t *testing.T) {
 			t.Fatalf("non-terminal outcome %q in sealed trace", o)
 		}
 	}
-	if outcomes[outcomeOK] != 16 {
-		t.Fatalf("ok launches = %d, want 16 (one winner per shard); outcomes %v", outcomes[outcomeOK], outcomes)
+	winners := 16 + stats.ReduceTasks
+	if outcomes[outcomeOK] != winners {
+		t.Fatalf("ok launches = %d, want %d (one winner per shard and reduce task); outcomes %v", outcomes[outcomeOK], winners, outcomes)
 	}
-	if launches == 16 {
+	if launches == winners {
 		t.Fatalf("only winning launches recorded; retries/speculation invisible (outcomes %v)", outcomes)
 	}
 	if got := outcomes[outcomeFailed] + outcomes[outcomeDuplicate] + outcomes[outcomeCancelled]; got == 0 {

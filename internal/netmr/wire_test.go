@@ -73,7 +73,7 @@ func rogueWorker(t *testing.T, addr, id string, reply func(m message) (message, 
 	}
 	t.Cleanup(w.Stop)
 	c, ack := dialAsWorker(t, addr, id, w.fetchAddr)
-	w.partitions, w.reducers = ack.Partitions, ack.Reducers
+	w.reducers = ack.Reducers
 	w.store.setReducers(ack.Reducers)
 	go func() {
 		for {
@@ -192,7 +192,7 @@ func TestFrameRefusals(t *testing.T) {
 		{name: "unsorted section keys", stream: withSection("\x02" + pair("b") + pair("a"))},
 		{name: "repeated section key", stream: withSection("\x02" + pair("a") + pair("a"))},
 		{name: "part id outside [0,P)", parts: 4, stream: streamOf(frameBody(t, encodeBinary(t,
-			message{Type: "presult", Parts: []partitionPartial{{ID: 4, Partial: sectionFromMap(map[string]float64{"k": 1})}}})))},
+			message{Type: "mapdone", Run: "wc#1", Parts: []partitionPartial{{ID: 4, Partial: sectionFromMap(map[string]float64{"k": 1})}}})))},
 		{name: "string count overrun", stream: streamOf(overrunCount(t, message{Type: "task"}, message{Type: "task", Records: []string{"r"}}))},
 		{name: "int count overrun", stream: streamOf(overrunCount(t, message{Type: "fetch"}, message{Type: "fetch", Tasks: []int{1}}))},
 		{name: "loc count overrun", stream: streamOf(overrunCount(t, message{Type: "morelocs"}, message{Type: "morelocs", Locs: []fetchLoc{{Addr: "a:1"}}}))},
@@ -222,6 +222,56 @@ func TestFrameRefusals(t *testing.T) {
 	}
 	if m, _, err := recvStream(streamOf(valid)); err != nil || m.Job != "wc" {
 		t.Fatalf("control stream refused: %+v, %v", m, err)
+	}
+
+	// A map task the worker cannot key or partition is refused with an
+	// error frame per shard naming the cause, and the worker keeps serving.
+	for _, tc := range []struct {
+		name     string
+		reducers int
+		frame    message
+		cause    string
+	}{
+		{"task without a run id", 2, message{Type: "task", Job: "wordcount", TaskID: 3, Records: []string{"a b"}}, "map task 3 has no run id"},
+		{"taskbatch without a run id", 2, message{Type: "taskbatch", Batch: []taskSpec{
+			{Job: "wordcount", TaskID: 4, Records: []string{"a"}}, {Job: "wordcount", TaskID: 5}}}, "has no run id"},
+		{"task before the helloack", 0, message{Type: "task", Job: "wordcount", TaskID: 6, Run: "wordcount#1"}, "map task 6 arrived before a helloack set the reducer count"},
+	} {
+		t.Run("worker refuses "+tc.name, func(t *testing.T) {
+			w, err := NewWorker(mustRegistry(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(w.Stop)
+			w.reducers = tc.reducers
+			master, worker := net.Pipe()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				w.serve(newConn(worker))
+			}()
+			c := newConn(master)
+			defer func() {
+				_ = c.close()
+				<-served
+			}()
+			if err := c.send(tc.frame, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			shards := max(1, len(tc.frame.Batch))
+			for i := 0; i < shards; i++ {
+				reply, err := c.recv(5 * time.Second)
+				if err != nil || reply.Type != "error" || !strings.Contains(reply.Message, tc.cause) {
+					t.Fatalf("reply %d: %+v, %v; want an error frame saying %q", i, reply, err, tc.cause)
+				}
+			}
+			if err := c.send(message{Type: "ping"}, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if reply, err := c.recv(5 * time.Second); err != nil || reply.Type != "pong" {
+				t.Fatalf("after the refusal: %+v, %v; want a pong", reply, err)
+			}
+		})
 	}
 }
 

@@ -20,13 +20,10 @@ type Worker struct {
 	chaos    *chaos.Injector
 	scratch  *shardScratch // reused across every shard this worker runs
 
-	// partitions and reducers are the cluster's merge partition count P
-	// and reduce partition count R (0: the master merges), both from the
-	// helloack, written once by Start before any task arrives. A map task
-	// splits its output by R when its frame carries a run id (the output
-	// then stays here for the reduce phase) and by P otherwise.
-	partitions int
-	reducers   int
+	// reducers is the cluster's reduce partition count R from the
+	// helloack, written once by Start before any task arrives: a map task
+	// splits its output by R and keeps it here for the reduce phase.
+	reducers int
 
 	// fetchAddr is this worker's shuffle listener address (advertised in
 	// the hello) and store its intermediate map-output store, which the
@@ -182,7 +179,7 @@ func (w *Worker) Start(masterAddr string) (err error) {
 		_ = c.close()
 		return err
 	}
-	w.partitions, w.reducers = ack.Partitions, ack.Reducers
+	w.reducers = ack.Reducers
 	w.store.setReducers(ack.Reducers)
 	if ack.ShuffleMs > 0 {
 		// The shuffle deadline is the cluster's, so every worker agrees on
@@ -260,22 +257,31 @@ func (w *Worker) serve(c *conn) {
 	}
 }
 
-// runTask executes one shard and reports its result (or error) to the
-// master. It returns false when the serve loop must exit: a send
-// failure or an injected crash. run, when non-empty, is the persist-mode
-// signal of a distributed-reduce job: the shard's output is partitioned
-// by the reducer count, stored for peer fetches, and only a mapdone
-// travels back; otherwise a presult carries the sections. trace, when
-// non-empty, is the job trace ID stamped on the task frame: the task then
-// records its phases and ships them back with the ID, decode being the
-// wire-decode cost of the frame that carried this shard. rep, in persist
-// mode, names the peer shuffle listener to replicate the partition set to
-// before mapdone.
+// runTask executes one shard and reports it to the master. It returns
+// false when the serve loop must exit: a send failure or an injected
+// crash. run is the run id the shard's output is keyed by: the output is
+// partitioned by the reducer count, stored for peer fetches, and only a
+// mapdone travels back. trace, when non-empty, is the job trace ID
+// stamped on the task frame: the task then records its phases and ships
+// them back with the ID, decode being the wire-decode cost of the frame
+// that carried this shard. rep names the peer shuffle listener to
+// replicate the partition set to before mapdone.
 func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records []string, run, trace, rep string, decode time.Duration) bool {
 	job, ok := w.registry.lookup(jobName)
 	if !ok {
 		workerTasks.With("unknown_job").Inc()
 		_ = c.send(message{Type: "error", TaskID: taskID, Message: fmt.Sprintf("unknown job %q", jobName)}, 5*time.Second)
+		return true
+	}
+	if run == "" || w.reducers <= 0 {
+		// Without a run id there is no key to store the output under, and
+		// before a helloack no reducer count to partition it by: such a
+		// map task has no valid reply but a refusal.
+		cause := "has no run id"
+		if run != "" {
+			cause = "arrived before a helloack set the reducer count"
+		}
+		_ = c.send(message{Type: "error", TaskID: taskID, Message: fmt.Sprintf("map task %d %s", taskID, cause)}, 5*time.Second)
 		return true
 	}
 	if f := w.chaos.TaskFault("task", taskID, attempt); f.Delay > 0 || f.Crash {
@@ -294,83 +300,69 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 	if trace != "" {
 		clock = newSpanClock(decode)
 	}
-	if run != "" && w.reducers > 0 {
-		// Persist mode: partition by the reduce count, keep the output
-		// local for the reduce phase, acknowledge with a mapdone. The
-		// shuffle bytes this keeps off the master are the whole point.
-		// The sections built here are the ones the store holds, the
-		// replica receives and the reducers fetch — nothing re-encodes.
-		parts := runShardPartitioned(job, records, w.scratch, w.reducers, clock)
-		putStart := time.Now()
-		spills, spilled, saved, perr := w.store.put(run, taskID, parts, w.reducers)
-		if perr != nil {
-			// Spill failure leaves the set resident — correct, just over
-			// budget; the job proceeds.
-			workerSpillErrors.Inc()
-		}
-		putDur := time.Since(putStart)
-		done := message{Type: "mapdone", TaskID: taskID, Attempt: attempt, Run: run, Trace: trace,
-			Spills: spills, Spilled: spilled, CompBytes: saved}
-		if spills > 0 {
-			workerSpillRuns.Add(float64(spills))
-			workerSpilledBytes.Add(float64(spilled))
-		}
-		var repDur time.Duration
-		if rep != "" {
-			repStart := time.Now()
-			if rerr := w.pool.replicateParts(rep, run, taskID, parts, w.reducers, w.shuffleTO()); rerr == nil {
-				done.Rep = rep
-				workerReplications.With("ok").Inc()
-			} else {
-				// The named peer would not take the replica: ship the
-				// set inline so the master holds it instead.
-				done.Parts = parts
-				workerReplications.With("failed").Inc()
-			}
-			repDur = time.Since(repStart)
-		} else {
-			// No peer qualifies: the master holds the replica.
-			done.Parts = parts
-		}
-		if clock != nil {
-			done.Spans = clock.spans
-			if spills > 0 {
-				done.Spans = appendSpanAfter(done.Spans, spanSpill, putDur)
-			}
-			done.Spans = appendSpanAfter(done.Spans, spanReplicate, repDur)
-		}
-		workerTaskSeconds.Observe(time.Since(start).Seconds())
-		workerTasks.With("ok").Inc()
-		if w.closeFetchAfterMapdone {
-			// Chaos hook: the shuffle plane dies — listener and accepted
-			// peer sockets both, before the mapdone leaves — but the worker
-			// does not, so the master keeps routing fetches here and
-			// reducers must fail over to the replica addresses themselves.
-			w.closeFetchPlane()
-		}
-		if c.send(done, 30*time.Second) != nil {
-			return false
-		}
-		if w.killAfterMapdone {
-			// Chaos hook: die right after acknowledging the map output,
-			// taking the shuffle plane — and the only primary copy —
-			// with us.
-			w.closeFetchPlane()
-			w.store.evictAll()
-			return false
-		}
-		return true
+	// The sections built here are the ones the store holds, the replica
+	// receives and the reducers fetch — nothing re-encodes. The shuffle
+	// bytes this keeps off the master are the whole point.
+	parts := runShardPartitioned(job, records, w.scratch, w.reducers, clock)
+	putStart := time.Now()
+	spills, spilled, saved, perr := w.store.put(run, taskID, parts, w.reducers)
+	if perr != nil {
+		// Spill failure leaves the set resident — correct, just over
+		// budget; the job proceeds.
+		workerSpillErrors.Inc()
 	}
-	// The result ships split by key hash, so the master's merge engine
-	// hands each section straight to its partition's folder.
-	res := message{Type: "presult", TaskID: taskID, Attempt: attempt, Trace: trace,
-		Parts: runShardPartitioned(job, records, w.scratch, w.partitions, clock)}
+	putDur := time.Since(putStart)
+	done := message{Type: "mapdone", TaskID: taskID, Attempt: attempt, Run: run, Trace: trace,
+		Spills: spills, Spilled: spilled, CompBytes: saved}
+	if spills > 0 {
+		workerSpillRuns.Add(float64(spills))
+		workerSpilledBytes.Add(float64(spilled))
+	}
+	var repDur time.Duration
+	if rep != "" {
+		repStart := time.Now()
+		if rerr := w.pool.replicateParts(rep, run, taskID, parts, w.reducers, w.shuffleTO()); rerr == nil {
+			done.Rep = rep
+			workerReplications.With("ok").Inc()
+		} else {
+			// The named peer would not take the replica: ship the
+			// set inline so the master holds it instead.
+			done.Parts = parts
+			workerReplications.With("failed").Inc()
+		}
+		repDur = time.Since(repStart)
+	} else {
+		// No peer qualifies: the master holds the replica.
+		done.Parts = parts
+	}
 	if clock != nil {
-		res.Spans = clock.spans
+		done.Spans = clock.spans
+		if spills > 0 {
+			done.Spans = appendSpanAfter(done.Spans, spanSpill, putDur)
+		}
+		done.Spans = appendSpanAfter(done.Spans, spanReplicate, repDur)
 	}
 	workerTaskSeconds.Observe(time.Since(start).Seconds())
 	workerTasks.With("ok").Inc()
-	return c.send(res, 30*time.Second) == nil
+	if w.closeFetchAfterMapdone {
+		// Chaos hook: the shuffle plane dies — listener and accepted
+		// peer sockets both, before the mapdone leaves — but the worker
+		// does not, so the master keeps routing fetches here and
+		// reducers must fail over to the replica addresses themselves.
+		w.closeFetchPlane()
+	}
+	if c.send(done, 30*time.Second) != nil {
+		return false
+	}
+	if w.killAfterMapdone {
+		// Chaos hook: die right after acknowledging the map output,
+		// taking the shuffle plane — and the only primary copy —
+		// with us.
+		w.closeFetchPlane()
+		w.store.evictAll()
+		return false
+	}
+	return true
 }
 
 // Stop closes the connection and waits for the serve loop to exit. It is
