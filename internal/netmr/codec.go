@@ -45,7 +45,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // frameTypes maps message type strings to their wire bytes. 0 is
 // reserved so a zeroed buffer never looks like a valid frame; 9 is
-// unassigned.
+// retired (the presult frame v1 had) and stays unassigned.
 var frameTypes = map[string]byte{
 	"hello":       1,
 	"helloack":    2,
@@ -62,6 +62,7 @@ var frameTypes = map[string]byte{
 	"replicate":   14,
 	"replicack":   15,
 	"morelocs":    16,
+	"release":     17,
 }
 
 // compressibleFrames names the bulk payload frame types the flag layer

@@ -78,6 +78,7 @@ func codecMessages() []message {
 			Parts: []partitionPartial{{ID: 6, Partial: ""}}},
 		{Type: "morelocs", Run: "wc#2", TaskID: 1, Message: "abort"},
 		{Type: "result", TaskID: 2, Attempt: 1, Folded: sectionFromMap(map[string]float64{"f": 1}), Bytes: 77, Failovers: 3},
+		{Type: "release", Run: "wc#2"},
 	}
 }
 

@@ -117,7 +117,8 @@ func heldTasks(w *Worker) map[int]int64 {
 // from exactly one peer, its predecessor in sorted shuffle-address order
 // (the first address used to hold everyone's), and with one shard and
 // one reduce task a worker the reducers fetch (n−2)/n of the map output:
-// two of the four shards of each partition are at home.
+// two of the four shards of each partition are at home. A store is read
+// as the run's release frame arrives, the last moment it holds the run.
 func TestRingReplicaPlacement(t *testing.T) {
 	const n = 4
 	lines := testLines(t, 800)
@@ -138,9 +139,11 @@ func TestRingReplicaPlacement(t *testing.T) {
 	t.Cleanup(master.Close)
 	type member struct {
 		w      *Worker
-		mapped []int // the shards this worker mapped
+		mapped []int         // the shards this worker mapped
+		held   map[int]int64 // its store as the release arrived
 	}
 	var mu sync.Mutex
+	released := make(chan struct{}, n)
 	ring := make([]*member, n)
 	for i := range ring {
 		mem := &member{}
@@ -164,6 +167,10 @@ func TestRingReplicaPlacement(t *testing.T) {
 		if mem.w, err = NewWorker(reg); err != nil {
 			t.Fatal(err)
 		}
+		mem.w.onRelease = func() {
+			mem.held = heldTasks(mem.w)
+			released <- struct{}{}
+		}
 		if err := mem.w.Start(addr); err != nil {
 			t.Fatal(err)
 		}
@@ -181,6 +188,13 @@ func TestRingReplicaPlacement(t *testing.T) {
 	if !reflect.DeepEqual(got, shardReference(wordCountJob(), lines, n)) {
 		t.Fatal("output diverged from the serialMerge oracle")
 	}
+	for range ring { // every worker is idle when the reduce phase ends
+		select {
+		case <-released:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a worker got no release frame")
+		}
+	}
 
 	sort.Slice(ring, func(a, b int) bool { return ring[a].w.fetchAddr < ring[b].w.fetchAddr })
 	var mapOutput int64
@@ -188,7 +202,7 @@ func TestRingReplicaPlacement(t *testing.T) {
 		if len(mem.mapped) != 1 {
 			t.Fatalf("worker %d mapped shards %v; the fixture wants one each", i, mem.mapped)
 		}
-		held := heldTasks(mem.w)
+		held := mem.held
 		mapOutput += held[mem.mapped[0]]
 		pred := ring[(i+n-1)%n]
 		want := map[int]bool{mem.mapped[0]: true, pred.mapped[0]: true}

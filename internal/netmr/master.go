@@ -463,17 +463,7 @@ func (m *Master) heartbeatLoop() {
 		// Take a snapshot of the currently idle workers; ping each and
 		// return the healthy ones. Workers grabbed here are simply not
 		// available for dispatch until their ping round-trip completes.
-		var batch []*workerHandle
-	drain:
-		for {
-			select {
-			case w := <-m.idle:
-				batch = append(batch, w)
-			default:
-				break drain
-			}
-		}
-		for _, w := range batch {
+		for _, w := range m.drainIdle() {
 			if m.ping(w) {
 				m.metrics.heartbeats.With("ok").Inc()
 				m.idle <- w
@@ -481,6 +471,19 @@ func (m *Master) heartbeatLoop() {
 				m.metrics.heartbeats.With("failed").Inc()
 				m.dropWorker(w)
 			}
+		}
+	}
+}
+
+// drainIdle takes every worker the idle pool holds right now.
+func (m *Master) drainIdle() []*workerHandle {
+	var batch []*workerHandle
+	for {
+		select {
+		case w := <-m.idle:
+			batch = append(batch, w)
+		default:
+			return batch
 		}
 	}
 }
@@ -656,6 +659,7 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	}
 	r := m.newJobRun(jobName, job, records, shards, &stats)
 	defer func() { stats.PerWorker = r.ledger.snapshot() }()
+	defer r.release() // every error exit; a successful run released already
 
 	// The job trace opens a launch span at every dispatch and is sealed
 	// on every exit path, so no retry, speculation or cancellation
@@ -715,6 +719,7 @@ type jobRun struct {
 	replicaParts map[int][]partitionPartial
 	rResults     chan launchDone
 	rFails       chan launchFail
+	over         atomic.Bool   // the run is released: its intermediates are gone
 	scratch      *shardScratch // lazy, only allocated if lineage re-execution happens
 	recoveryAt   time.Time     // first dispatch that routed around a lost intermediate
 
@@ -807,14 +812,17 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int,
 		elapsed := now.Sub(prev)
 		prev = now
 		r.landed(w, elapsed, launchOf(launches, acked), reply.Spans)
-		results <- launchDone{
+		d := launchDone{
 			task: t, parts: reply.Parts,
 			fetchAddr: w.fetch,
 			repAddr:   reply.Rep, spills: reply.Spills, spilled: reply.Spilled,
 			compBytes: reply.CompBytes,
 			elapsed:   elapsed, launch: launchOf(launches, acked),
 		}
-		acked++
+		if acked++; acked == len(tasks) {
+			m.idle <- w // back to the pool before the last report, as in dispatchReduce
+		}
+		results <- d
 	}
 	if err != nil {
 		// Lost or misbehaving worker: drop it, then fail every shard it
@@ -827,9 +835,7 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int,
 			fails <- launchFail{task: t, err: err}
 			elapsed = 0 // the round-trip is charged once
 		}
-		return
 	}
-	m.idle <- w // back to the pool
 }
 
 // validateParts rejects a partition set whose ids fall outside [0, n):
@@ -880,14 +886,9 @@ func (m *Master) Close() {
 	if m.ln != nil {
 		m.ln.Close()
 	}
-	for {
-		select {
-		case w := <-m.idle:
-			_ = w.c.close()
-			m.count.Add(-1)
-			m.metrics.workers.Set(float64(m.count.Load()))
-		default:
-			return
-		}
+	for _, w := range m.drainIdle() {
+		_ = w.c.close()
+		m.count.Add(-1)
+		m.metrics.workers.Set(float64(m.count.Load()))
 	}
 }

@@ -46,8 +46,8 @@ import (
 // listener answering with its own preamble so both ends can name the two
 // versions that met. A field can be added without a bump only as
 // DESIGN.md §6 describes: tagged, optional, skipped by a decoder that
-// does not know the tag.
-const protocolVersion = 2
+// does not know the tag. v3 added the release frame.
+const protocolVersion = 3
 
 // preamble opens every connection in both directions.
 var preamble = [4]byte{'N', 'M', 'R', protocolVersion}
@@ -66,7 +66,7 @@ func checkPreamble(p [4]byte) error {
 // message is the single wire frame (codec.go). Every frame carries every
 // field; the comments name the frame types that set each.
 type message struct {
-	Type    string             // hello | helloack | task | taskbatch | mapdone | reducetask | morelocs | result | error | ping | pong | fetch | fetchresult | replicate | replicack
+	Type    string             // hello | helloack | task | taskbatch | mapdone | reducetask | morelocs | result | error | ping | pong | fetch | fetchresult | replicate | replicack | release
 	ID      string             // hello: worker identity
 	Job     string             // task | reducetask
 	TaskID  int                // task | mapdone | error: map task; reducetask | morelocs | result | fetch | fetchresult: reduce partition; replicate | replicack: map task
@@ -81,7 +81,7 @@ type message struct {
 	Spans   []spanSummary      // mapdone | result: worker-side phase spans
 
 	// Distributed reduce.
-	Run      string     // task | taskbatch | mapdone | reducetask | morelocs | fetch | replicate: run id intermediate output is keyed by
+	Run      string     // task | taskbatch | mapdone | reducetask | morelocs | fetch | replicate | release: run id intermediate output is keyed by
 	Reducers int        // helloack: reduce partition count R; replicate: the run's R
 	Fetch    string     // hello: worker's shuffle listener address; error (of a reduce task): the holder whose fetch failed
 	Bytes    int64      // result: intermediate bytes fetched over a socket

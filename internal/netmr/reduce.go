@@ -113,6 +113,7 @@ func (r *jobRun) reduceTail(ctx context.Context, deadline <-chan time.Time, spli
 		return nil, err
 	}
 	_, mergeSpan := obs.StartSpan(ctx, "merge")
+	r.release() // the workers' reclaim overlaps the union below
 	out := &Result{parts: finals}
 	if asMap != nil {
 		*asMap = out.Map()
@@ -287,26 +288,30 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 	elapsed := time.Since(start)
 	if err == nil {
 		switch {
+		// The worker rejoins the pool before its report: the report may
+		// end the run, whose release goes to the pool.
 		case reply.Type == "result" && reply.TaskID == t.id:
 			r.landed(w, elapsed, launch, reply.Spans)
+			m.idle <- w
 			r.rResults <- launchDone{
 				task: t, sec: reply.Folded, bytes: reply.Bytes,
 				compBytes: reply.CompBytes, spills: reply.Spills, spilled: reply.Spilled,
 				failovers: reply.Failovers, elapsed: elapsed, launch: launch,
 			}
-			m.idle <- w
 			return
 		case reply.Type == "error" && reply.TaskID == t.id && (reply.Fetch != "" || aborted):
 			// An abort acknowledgement is not a failure: the partition
 			// goes back to the queue without charging its budget.
 			outcome, ferr := outcomeCancelled, errEarlyAborted
 			if reply.Fetch != "" {
-				m.markAddrDead(reply.Fetch)
+				if !r.over.Load() { // after the release every holder refuses the run
+					m.markAddrDead(reply.Fetch)
+				}
 				outcome, ferr = outcomeFailed, fmt.Errorf("netmr: reduce partition %d: fetch from %s failed: %s", t.id, reply.Fetch, reply.Message)
 			}
 			r.trc.closeLaunch(launch, outcome, nil)
-			r.rFails <- launchFail{task: t, err: ferr}
 			m.idle <- w
+			r.rFails <- launchFail{task: t, err: ferr}
 			return
 		}
 		what := "reduce partition"
@@ -322,6 +327,24 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 	m.dropWorker(w) // before the report, as in dispatchMap
 	r.lost(w, elapsed, launch)
 	r.rFails <- launchFail{task: t, err: err}
+}
+
+// release tells every idle worker, once, that the run is over, so each
+// frees the run's map outputs, replicas and spill files now. Nothing
+// answers it. A worker busy with an abandoned launch misses it, and the
+// next run's first output evicts the run there instead.
+func (r *jobRun) release() {
+	if r.over.Swap(true) {
+		return
+	}
+	m := r.m
+	for _, w := range m.drainIdle() {
+		if w.c.send(message{Type: "release", Run: r.runID}, m.cfg.HeartbeatTimeout) != nil {
+			m.dropWorker(w)
+			continue
+		}
+		m.idle <- w
+	}
 }
 
 // earlyOK reports whether a spare worker should start an early reduce

@@ -42,15 +42,18 @@ type storedTask struct {
 }
 
 // interStore is a worker's intermediate store. It holds the partitioned
-// map output of exactly one run at a time: a task stored under a new
-// run id evicts everything from the previous run — including its spill
-// files and its granted reducer count, so a stale count never validates
-// fetches against an evicted run. The serve goroutine writes;
+// map output of exactly one run, and lives as long as the run: the
+// master's release frame, sent as the run ends, drops everything the run
+// left here, spill files and scratch dir included. A task stored under a
+// new run id evicts the previous run the same way, reducer count
+// included; that is the fallback for a worker busy with an abandoned
+// launch when the release went out. The serve goroutine writes;
 // shuffle-server goroutines read concurrently, hence the lock.
 type interStore struct {
 	mu       sync.Mutex
 	run      string
 	reducers int
+	left     string // the run last given up: a put for it is a straggler's, refused
 
 	budget  int64  // resident-byte watermark; 0 = never spill
 	baseDir string // spill scratch root; "" = os.TempDir()
@@ -79,12 +82,17 @@ func (s *interStore) configure(budget int64, dir string) {
 }
 
 // setReducers publishes the helloack-granted reduce partition count to
-// the shuffle server goroutines (which validate fetch requests with it).
+// the shuffle server goroutines (which validate fetch requests with it),
+// and forgets the run left: a new master's run ids may repeat.
 func (s *interStore) setReducers(r int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reducers = r
+	s.left = ""
 }
+
+// errRunLeft refuses a put for the run the store last gave up.
+var errRunLeft = errors.New("the run is over")
 
 // put stores one map task's partitioned output under run — its own or a
 // peer's it replicates — evicting any previous run's intermediates
@@ -93,12 +101,16 @@ func (s *interStore) setReducers(r int) {
 // count cannot leak forward). When the byte budget is exceeded, whole
 // partition sets spill to disk in ascending task order until the store
 // fits again; spills/spilled report what this call flushed. A spill
-// error leaves the set resident (correct, just over budget).
+// error leaves the set resident (correct, just over budget). A put for
+// the run the store last left is refused with errRunLeft.
 func (s *interStore) put(run string, task int, parts []partitionPartial, reducers int) (spills int, spilled, saved int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if run == s.left {
+		return 0, 0, 0, fmt.Errorf("netmr: put of map task %d for run %q: %w", task, run, errRunLeft)
+	}
 	if s.run != run {
-		s.evictLocked()
+		s.leaveLocked()
 		s.run = run
 		s.reducers = reducers
 	}
@@ -166,9 +178,11 @@ func (s *interStore) spillLocked() (int, int64, int64, error) {
 	return spills, spilled, saved, nil
 }
 
-// evictLocked drops every held task, spill files and scratch dir
-// included.
-func (s *interStore) evictLocked() {
+// leaveLocked drops the run held: every task, spill files and scratch
+// dir included. Its id is cleared, so late fetches are refused rather
+// than answered from a torn-down store, and kept in left, so its
+// stragglers are too.
+func (s *interStore) leaveLocked() {
 	for _, st := range s.tasks {
 		if st.spill != nil {
 			st.spill.remove()
@@ -180,16 +194,27 @@ func (s *interStore) evictLocked() {
 		_ = os.RemoveAll(s.dir)
 		s.dir = ""
 	}
+	if s.run != "" {
+		s.left, s.run = s.run, ""
+	}
 }
 
-// evictAll is evictLocked for Worker.Stop: nothing survives, and the
-// run id is cleared so late fetches are refused rather than answered
-// from a torn-down store.
+// release ends run on the master's word: dropped if it is the run held,
+// refused from now on either way.
+func (s *interStore) release(run string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.run == run {
+		s.leaveLocked()
+	}
+	s.left = run
+}
+
+// evictAll is leaveLocked for Worker.Stop: nothing survives.
 func (s *interStore) evictAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.evictLocked()
-	s.run = ""
+	s.leaveLocked()
 }
 
 // stats reports the high-water resident bytes and cumulative spill

@@ -2,12 +2,14 @@ package netmr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -299,6 +301,154 @@ func TestEvictedRunReducersReset(t *testing.T) {
 	}
 	if _, _, _, err := fetchPartition(addr, "wc#2", 1, []int{0}, defaultShuffleTimeout); err != nil {
 		t.Errorf("valid fetch against the new run refused: %v", err)
+	}
+}
+
+// TestStragglerCannotEvictNextRun: a straggling launch of a finished run
+// must not evict the run after it. Once run k is released, or evicted by
+// run k+1's first put, a late put of k into the worker's own store and a
+// late replicate of k from a peer are both refused, and k+1's output is
+// still served. A new helloack forgets the run left: a new master's run
+// ids may repeat the last one's.
+func TestStragglerCannotEvictNextRun(t *testing.T) {
+	set := func(key string) []partitionPartial {
+		return []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{key: 1})}}
+	}
+	for _, released := range []bool{true, false} {
+		w, err := NewWorker(mustRegistry(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := w.startFetchListener()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Stop)
+		w.store.setReducers(2)
+		if _, _, _, err := w.store.put("wc#1", 0, set("k"), 2); err != nil {
+			t.Fatal(err)
+		}
+		if released {
+			w.store.release("wc#1")
+		}
+		if _, _, _, err := w.store.put("wc#2", 1, set("next"), 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := w.store.put("wc#1", 0, set("late"), 2); !errors.Is(err, errRunLeft) {
+			t.Errorf("released=%v: late put of the run left = %v, want errRunLeft", released, err)
+		}
+		pool := newShufflePool(1)
+		if err := pool.replicateParts(addr, "wc#1", 2, set("late"), 2, defaultShuffleTimeout); err == nil {
+			t.Errorf("released=%v: late replicate of the run left accepted", released)
+		}
+		pool.closeAll()
+		got, _, _, err := fetchPartition(addr, "wc#2", 0, []int{1}, defaultShuffleTimeout)
+		if err != nil || len(got) != 1 || got[0].Partial != set("next")[0].Partial {
+			t.Errorf("released=%v: the next run's output after the stragglers: %v, %v", released, got, err)
+		}
+		w.store.setReducers(2) // a new master session
+		if _, _, _, err := w.store.put("wc#1", 0, set("k"), 2); err != nil {
+			t.Errorf("released=%v: after a new helloack, put of a repeated run id = %v", released, err)
+		}
+	}
+}
+
+// TestRunLeavesNothing: whichever way Run ends, ok, failed with its retry
+// budget exhausted or cancelled, every worker idle at its end gets the
+// release, after which its store holds no task and its spill dir no file.
+// A rogue worker that maps like the others, only faster, is back in the
+// idle pool first and draws the one reduce partition; in the failing and
+// cancelled runs it waits until both spilling workers are idle, then
+// reports a failed fetch or cancels the run. The cancelled run's reducer
+// reports its fetch failure only after the release, naming a healthy
+// worker, which must stay a live holder: after the release every holder
+// refuses the run, so the failure says nothing about it.
+func TestRunLeavesNothing(t *testing.T) {
+	master, addr := startReduceCluster(t, MasterConfig{
+		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Reducers: 1, MaxAttempts: 1,
+	}, 0)
+	type member struct {
+		w   *Worker
+		dir string
+	}
+	var heldAtRelease atomic.Int64
+	pool := make([]member, 2)
+	for i := range pool {
+		slow := chaos.New(chaos.Config{Seed: int64(i), TaskLatency: chaos.Dist{Kind: chaos.DistFixed, Base: 30 * time.Millisecond}})
+		dir := t.TempDir()
+		w, err := NewWorker(mustRegistry(t), WithChaos(slow), WithWorkerConfig(WorkerConfig{SpillBudget: 1, SpillDir: dir}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.onRelease = func() { heldAtRelease.Add(int64(len(heldTasks(w)))) }
+		if err := w.Start(addr); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Stop)
+		pool[i] = member{w, dir}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mode atomic.Value
+	mode.Store("ok")
+	resume := make(chan struct{})
+	rogueWorker(t, addr, "rogue", func(m message) (message, bool) {
+		how := mode.Load().(string)
+		if m.Type != "reducetask" || how == "ok" {
+			return message{}, false
+		}
+		for deadline := time.Now().Add(5 * time.Second); len(master.idle) < len(pool) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		holder := "127.0.0.1:1"
+		if how == "cancel" {
+			cancel()
+			select {
+			case <-resume:
+			case <-time.After(5 * time.Second):
+			}
+			holder = pool[0].w.fetchAddr
+		}
+		return message{Type: "error", TaskID: m.TaskID, Fetch: holder, Message: "rogue: holder unreachable"}, true
+	})
+	lines := testLines(t, 300)
+	for _, tc := range []struct{ mode, wantErr string }{
+		{"ok", ""}, {"fail", "retry budget exhausted"}, {"cancel", context.Canceled.Error()},
+	} {
+		mode.Store(tc.mode)
+		heldAtRelease.Store(0)
+		waitIdle(t, master, len(pool)+1)
+		got, _, err := master.Run(ctx, "wordcount", lines, len(pool)+1)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Fatal(err)
+		case tc.wantErr == "" && !reflect.DeepEqual(got, runShard(wordCountJob(), lines, newShardScratch())):
+			t.Fatal("output diverged from the reference")
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Fatalf("%s: err = %v, want one saying %q", tc.mode, err, tc.wantErr)
+		}
+		// The release is fire and forget: wait for it to land.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			held, files := 0, 0
+			for _, mem := range pool {
+				held += len(heldTasks(mem.w))
+				files += spillFilesLeft(t, mem.dir)
+			}
+			if held == 0 && files == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d task(s) still held and %d spill file(s) left after the run", tc.mode, held, files)
+			}
+		}
+		if heldAtRelease.Load() == 0 {
+			t.Errorf("%s: the stores held nothing when the release arrived; the run left nothing to free", tc.mode)
+		}
+	}
+	close(resume)
+	waitIdle(t, master, len(pool)+1) // the rogue's late report is in
+	if !master.addrAlive(pool[0].w.fetchAddr) {
+		t.Error("a fetch failure reported after the release marked a healthy holder dead")
 	}
 }
 

@@ -59,7 +59,7 @@ func dialAsWorker(t testing.TB, addr, id, fetch string) (*conn, message) {
 }
 
 // rogueWorker joins the master as id and serves like a real worker — its
-// own shuffle listener and store, map tasks run by Worker.runTask —
+// own shuffle listener and store, every frame handled by Worker.handle —
 // except for the frames reply claims: reply returns the frame to answer m
 // with, or false to leave m to the worker.
 func rogueWorker(t *testing.T, addr, id string, reply func(m message) (message, bool)) {
@@ -87,15 +87,8 @@ func rogueWorker(t *testing.T, addr, id string, reply func(m message) (message, 
 				}
 				continue
 			}
-			switch m.Type {
-			case "task":
-				if !w.runTask(c, m.Job, m.TaskID, m.Attempt, m.Records, m.Run, m.Trace, m.Rep, 0) {
-					return
-				}
-			case "ping":
-				if c.send(message{Type: "pong"}, 5*time.Second) != nil {
-					return
-				}
+			if !w.handle(c, m) {
+				return
 			}
 		}
 	}()
@@ -284,8 +277,9 @@ func openFDs() int {
 	return len(ents)
 }
 
-// TestProtocolVersionMismatch: a peer that opens with another version, or
-// with bytes that are no preamble at all, is refused on the master port
+// TestProtocolVersionMismatch: a peer that opens with another version (a
+// later one, or v2, the generation before the release frame), or with
+// bytes that are no preamble at all, is refused on the master port
 // and on a shuffle port alike — the listener answers its own preamble and
 // hangs up, so whichever end reads names both versions — and a refusal
 // leaves nothing behind: no worker counted, no goroutine, no descriptor,
@@ -338,6 +332,7 @@ func TestProtocolVersionMismatch(t *testing.T) {
 			bytes []byte
 		}{
 			{"wrong version", append([]byte{'N', 'M', 'R', protocolVersion + 1}, hello...)},
+			{"v2 peer", append([]byte{'N', 'M', 'R', 2}, hello...)},
 			{"wrong magic", []byte("GET / HTTP/1.1\r\n\r\n")},
 		} {
 			raw, err := net.DialTimeout("tcp", port.addr, 5*time.Second)

@@ -64,6 +64,10 @@ type Worker struct {
 	// on their own — the worker-local failover scenario.
 	closeFetchAfterMapdone bool
 
+	// onRelease is a test hook: it runs on the serve goroutine as a
+	// release frame arrives, before the store frees the run.
+	onRelease func()
+
 	mu      sync.Mutex
 	netConn net.Conn
 	stopped bool
@@ -221,40 +225,45 @@ func (w *Worker) handshake(c *conn, id string) (message, error) {
 func (w *Worker) serve(c *conn) {
 	for {
 		m, err := c.recv(0) // block until the master sends work or closes
-		if err != nil {
+		if err != nil || !w.handle(c, m) {
 			return
 		}
-		switch m.Type {
-		case "task":
-			if !w.runTask(c, m.Job, m.TaskID, m.Attempt, m.Records, m.Run, m.Trace, m.Rep, c.lastDecode) {
-				return
-			}
-		case "taskbatch":
-			// One frame, several shards: each spec is executed in order
-			// and answered with its own result frame. The frame's wire
-			// decode happened once, so its cost is charged to the first
-			// shard's decode span only.
-			decode := c.lastDecode
-			for i := range m.Batch {
-				spec := &m.Batch[i]
-				if !w.runTask(c, spec.Job, spec.TaskID, spec.Attempt, spec.Records, m.Run, m.Trace, m.Rep, decode) {
-					return
-				}
-				decode = 0
-			}
-		case "reducetask":
-			if !w.runReduceTask(c, m, c.lastDecode) {
-				return
-			}
-		case "ping":
-			workerPings.Inc()
-			if err := c.send(message{Type: "pong"}, 5*time.Second); err != nil {
-				return
-			}
-		default:
-			// Ignore unknown frames.
-		}
 	}
+}
+
+// handle executes one frame from the master. It returns false when the
+// serve loop must exit.
+func (w *Worker) handle(c *conn, m message) bool {
+	switch m.Type {
+	case "task":
+		return w.runTask(c, m.Job, m.TaskID, m.Attempt, m.Records, m.Run, m.Trace, m.Rep, c.lastDecode)
+	case "taskbatch":
+		// One frame, several shards: each spec is executed in order
+		// and answered with its own result frame. The frame's wire
+		// decode happened once, so its cost is charged to the first
+		// shard's decode span only.
+		decode := c.lastDecode
+		for i := range m.Batch {
+			spec := &m.Batch[i]
+			if !w.runTask(c, spec.Job, spec.TaskID, spec.Attempt, spec.Records, m.Run, m.Trace, m.Rep, decode) {
+				return false
+			}
+			decode = 0
+		}
+	case "reducetask":
+		return w.runReduceTask(c, m, c.lastDecode)
+	case "ping":
+		workerPings.Inc()
+		return c.send(message{Type: "pong"}, 5*time.Second) == nil
+	case "release": // nothing is answered
+		if w.onRelease != nil {
+			w.onRelease()
+		}
+		w.store.release(m.Run)
+	default:
+		// Ignore unknown frames.
+	}
+	return true
 }
 
 // runTask executes one shard and reports it to the master. It returns
@@ -306,9 +315,9 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 	parts := runShardPartitioned(job, records, w.scratch, w.reducers, clock)
 	putStart := time.Now()
 	spills, spilled, saved, perr := w.store.put(run, taskID, parts, w.reducers)
-	if perr != nil {
+	if perr != nil && !errors.Is(perr, errRunLeft) {
 		// Spill failure leaves the set resident — correct, just over
-		// budget; the job proceeds.
+		// budget; the job proceeds. A refused put is a finished run's.
 		workerSpillErrors.Inc()
 	}
 	putDur := time.Since(putStart)
