@@ -11,12 +11,12 @@ import (
 )
 
 // distReducePoint is one measured operating point: the master's serial
-// work when Run unions the R reduce partitions into one map, against
-// RunResult, which hands the partitions back as the reducers sent them.
-// The per-key fold runs on the workers either way.
+// work when the R reduce partitions are unioned into one map after the
+// job, against RunResult, which hands the partitions back as the
+// reducers sent them. The per-key fold runs on the workers either way.
 type distReducePoint struct {
 	n          int
-	serialMs   float64 // master merge window of Run: union of R partitions into one map
+	serialMs   float64 // master merge window of RunResult plus Result.Map: union of R partitions into one map
 	residueMs  float64 // master merge window of RunResult: the sections as received
 	reduceMs   float64 // reduce phase wall (part of Wp)
 	shuffle    int64   // intermediate bytes moved worker→worker
@@ -24,10 +24,12 @@ type distReducePoint struct {
 }
 
 // distReduceMeasure runs the wordcount workload at each pool size with R
-// reduce tasks on the workers, once through Run (the master unions the R
-// disjoint partitions into one map, the Ws(n) of Eq. 14 left on it) and
-// once through RunResult (the master keeps the sections), then refits
-// ε(n)=α·n^δ on both serial series.
+// reduce tasks on the workers, twice through RunResult: once timing
+// Result.Map after it (the master unions the R disjoint partitions into
+// one map, the Ws(n) of Eq. 14 left on it) and once keeping the sections,
+// then refits ε(n)=α·n^δ on both serial series. Run's own union overlaps
+// the reduce tasks, so its merge window no longer holds all of it; timing
+// Map keeps the whole union in the serial series.
 func distReduceMeasure(ctx context.Context, workerCounts []int, lines, shards, reducers int) ([]distReducePoint, stats.PowerFit, stats.PowerFit, error) {
 	if len(workerCounts) < 2 || lines < 1 || shards < 1 || reducers < 1 {
 		return nil, stats.PowerFit{}, stats.PowerFit{}, fmt.Errorf(
@@ -44,7 +46,7 @@ func distReduceMeasure(ctx context.Context, workerCounts []int, lines, shards, r
 		if n < 1 {
 			return nil, stats.PowerFit{}, stats.PowerFit{}, fmt.Errorf("experiment: invalid worker count %d", n)
 		}
-		asMap, sections, err := runDistReduceWordCount(ctx, input, n, shards, reducers)
+		asMap, union, sections, err := runDistReduceWordCount(ctx, input, n, shards, reducers)
 		if err != nil {
 			return nil, stats.PowerFit{}, stats.PowerFit{}, err
 		}
@@ -54,7 +56,7 @@ func distReduceMeasure(ctx context.Context, workerCounts []int, lines, shards, r
 		}
 		p := distReducePoint{
 			n:        n,
-			serialMs: positiveMs(asMap.MergeWall), residueMs: positiveMs(sections.MergeWall),
+			serialMs: positiveMs(asMap.MergeWall + union), residueMs: positiveMs(sections.MergeWall),
 			reduceMs: float64(sections.ReduceWall) / 1e6,
 			shuffle:  sections.ShuffleBytes, reduceRuns: sections.ReduceTasks,
 		}
@@ -77,8 +79,8 @@ func distReduceMeasure(ctx context.Context, workerCounts []int, lines, shards, r
 // DistReduce reports the distributed worker-side reduce study: with the
 // per-key fold in R reduce tasks on the workers, the serial work left on
 // the master is the union of R disjoint key spaces into one map when the
-// caller asks for a map (Run), and nothing when it takes the sections
-// (RunResult); the refitted in-proportion ratio ε(n) = α·n^δ (Eq. 14)
+// caller asks for a map (Result.Map), and nothing when it takes the
+// sections (RunResult); the refitted in-proportion ratio ε(n) = α·n^δ (Eq. 14)
 // shrinks with it — the model-level statement that reduce moved Ws into
 // Wp.
 func DistReduce(ctx context.Context, workerCounts []int, lines, shards, reducers int) (Report, error) {
@@ -89,7 +91,7 @@ func DistReduce(ctx context.Context, workerCounts []int, lines, shards, reducers
 	rep := Report{ID: "distreduce", Title: "Distributed worker-side reduce: master serial work, one map vs sections"}
 	tbl := Table{
 		Title: fmt.Sprintf("wordcount, R=%d reduce tasks on workers (wall-clock; machine-dependent)", reducers),
-		Headers: []string{"workers", "master union ms (Run)", "master merge ms (RunResult)",
+		Headers: []string{"workers", "master union ms (Map)", "master merge ms (RunResult)",
 			"reduce wall ms", "shuffle KiB", "reduce tasks"},
 	}
 	var xs, serial, residue []float64
@@ -113,29 +115,30 @@ func DistReduce(ctx context.Context, workerCounts []int, lines, shards, reducers
 	)
 	maxN := xs[len(xs)-1]
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("ε(n)=α·n^δ on master union ms, Run: %s", mapFit),
+		fmt.Sprintf("ε(n)=α·n^δ on master union ms, Map: %s", mapFit),
 		fmt.Sprintf("ε(n)=α·n^δ on master merge ms, RunResult: %s", secFit),
-		fmt.Sprintf("fitted serial work at n=%.0f: %.3f ms Run vs %.3f ms RunResult (%.1f× smaller with sections)",
+		fmt.Sprintf("fitted serial work at n=%.0f: %.3f ms Map vs %.3f ms RunResult (%.1f× smaller with sections)",
 			maxN, mapFit.Eval(maxN), secFit.Eval(maxN), mapFit.Eval(maxN)/secFit.Eval(maxN)),
 	)
 	return rep, nil
 }
 
 // runDistReduceWordCount measures one operating point: the same job on
-// one cluster with R reduce tasks, through Run and then RunResult.
-func runDistReduceWordCount(ctx context.Context, input []string, workers, shards, reducers int) (asMap, sections netmr.Stats, err error) {
+// one cluster with R reduce tasks, through RunResult twice, the first
+// time followed by the union into one map, whose time is returned.
+func runDistReduceWordCount(ctx context.Context, input []string, workers, shards, reducers int) (asMap netmr.Stats, union time.Duration, sections netmr.Stats, err error) {
 	job := wordCountNetJob()
 	registry, err := netmr.NewRegistry(job)
 	if err != nil {
-		return asMap, sections, err
+		return asMap, union, sections, err
 	}
 	master, err := netmr.NewMaster(registry, netmr.MasterConfig{MaxTaskBatch: 4, Reducers: reducers})
 	if err != nil {
-		return asMap, sections, err
+		return asMap, union, sections, err
 	}
 	addr, err := master.Listen("127.0.0.1:0")
 	if err != nil {
-		return asMap, sections, err
+		return asMap, union, sections, err
 	}
 	defer master.Close()
 
@@ -148,23 +151,27 @@ func runDistReduceWordCount(ctx context.Context, input []string, workers, shards
 	for i := 0; i < workers; i++ {
 		wreg, err := netmr.NewRegistry(job)
 		if err != nil {
-			return asMap, sections, err
+			return asMap, union, sections, err
 		}
 		w, err := netmr.NewWorker(wreg)
 		if err != nil {
-			return asMap, sections, err
+			return asMap, union, sections, err
 		}
 		if err := w.Start(addr); err != nil {
-			return asMap, sections, err
+			return asMap, union, sections, err
 		}
 		stops = append(stops, w.Stop)
 	}
 	if err := master.WaitForWorkers(workers, 30*time.Second); err != nil {
-		return asMap, sections, err
+		return asMap, union, sections, err
 	}
-	if _, asMap, err = master.Run(ctx, "wordcount", input, shards); err != nil {
-		return asMap, sections, err
+	res, asMap, err := master.RunResult(ctx, "wordcount", input, shards)
+	if err != nil {
+		return asMap, union, sections, err
 	}
+	start := time.Now()
+	res.Map()
+	union = time.Since(start)
 	_, sections, err = master.RunResult(ctx, "wordcount", input, shards)
-	return asMap, sections, err
+	return asMap, union, sections, err
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"ipso/internal/workload"
@@ -216,28 +217,76 @@ func benchmarkSectionMerge(b *testing.B, parts []partitionPartial) {
 		for _, p := range parts {
 			f.add(p.ID, p.Partial)
 		}
-		var out sectionBuilder
+		keys := 0
+		out := foldOut{cut: func(_ int, chunk section, _ int64) error {
+			keys += chunk.count()
+			return nil
+		}}
 		if _, err := f.fold(job, &out); err != nil {
 			b.Fatal(err)
 		}
-		if out.count != 32*7800 {
-			b.Fatalf("merged %d keys, want %d", out.count, 32*7800)
+		if keys += out.b.count; keys != 32*7800 {
+			b.Fatalf("merged %d keys, want %d", keys, 32*7800)
 		}
 	}
 }
 
-// BenchmarkResultMap is the master's whole merge window on tera-mem: the
-// two reduce results (250 k keys each) as they arrived, to the one map
-// Run returns.
+// BenchmarkResultMap is the union on tera-mem done after the job: the
+// two reduce results (250 k keys each) as they arrived, to one map.
 func BenchmarkResultMap(b *testing.B) {
 	parts := teraSections(2, 250_000)
-	res := &Result{parts: []section{parts[0].Partial, parts[1].Partial}}
+	res := &Result{parts: [][]section{{parts[0].Partial}, {parts[1].Partial}}}
 	b.SetBytes(sectionBytes(parts))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if n := len(res.Map()); n != 500_000 {
 			b.Fatalf("map of %d keys, want 500000", n)
+		}
+	}
+}
+
+// BenchmarkReduceTail is tera-mem's reduce tail as one wall: two reduce
+// tasks fold 16 map tasks' sections each (250 k keys a partition) at once
+// and hand their chunks to the master's outputs, each in a buffer of its
+// own as a received frame is, while the union builds Run's map; the wall
+// ends with the map in hand.
+func BenchmarkReduceTail(b *testing.B) {
+	const R, keys = 2, 500_000
+	secs := teraSections(32, keys/32)
+	job := benchJob(true)
+	b.SetBytes(sectionBytes(secs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o, quit := newOutputs(R, keys), make(chan struct{})
+		union := make(chan map[string]float64, 1)
+		go func() { union <- o.union(quit) }()
+		var wg sync.WaitGroup
+		for p := 0; p < R; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f := newSpillFolder(0, "", "bench")
+				for _, s := range secs[p*len(secs)/R : (p+1)*len(secs)/R] {
+					f.add(s.ID, s.Partial)
+				}
+				out := foldOut{cut: func(k int, chunk section, projected int64) error {
+					return o.admit(p, k, section(strings.Clone(string(chunk))), false, projected)
+				}}
+				_, err := f.fold(job, &out)
+				if err == nil {
+					err = o.admit(p, out.k, section(strings.Clone(string(out.b.section()))), true, 0)
+				}
+				if err != nil {
+					b.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		close(quit)
+		if n := len(<-union); n != keys {
+			b.Fatalf("map of %d keys, want %d", n, keys)
 		}
 	}
 }

@@ -29,7 +29,7 @@ import (
 // decodes, to be ignored downstream. A field a frame type does not use
 // costs its one zero byte. The CRC-32C is computed over the raw body
 // before compression, so it guards the decompressed payload end to end.
-// Only bulk payload frames (result/fetchresult/replicate) are
+// Only bulk payload frames (chunk/result/fetchresult/replicate) are
 // candidates for compression, and only when lzPack judges the saving
 // worth the decompression.
 const maxFrameBytes = 1 << 26 // 64 MiB hard cap: larger prefixes are corruption
@@ -45,7 +45,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // frameTypes maps message type strings to their wire bytes. 0 is
 // reserved so a zeroed buffer never looks like a valid frame; 9 is
-// retired (the presult frame v1 had) and stays unassigned.
+// retired (the presult frame v1 had) and stays unassigned; 18, the chunk
+// frame, came with v4.
 var frameTypes = map[string]byte{
 	"hello":       1,
 	"helloack":    2,
@@ -63,12 +64,14 @@ var frameTypes = map[string]byte{
 	"replicack":   15,
 	"morelocs":    16,
 	"release":     17,
+	"chunk":       18,
 }
 
 // compressibleFrames names the bulk payload frame types the flag layer
 // may compress; control frames always travel stored.
 var compressibleFrames = map[string]bool{
 	"result":      true,
+	"chunk":       true,
 	"fetchresult": true,
 	"replicate":   true,
 }

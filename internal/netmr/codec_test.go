@@ -79,6 +79,7 @@ func codecMessages() []message {
 		{Type: "morelocs", Run: "wc#2", TaskID: 1, Message: "abort"},
 		{Type: "result", TaskID: 2, Attempt: 1, Folded: sectionFromMap(map[string]float64{"f": 1}), Bytes: 77, Failovers: 3},
 		{Type: "release", Run: "wc#2"},
+		{Type: "chunk", TaskID: 3, Attempt: 1, Folded: sectionFromMap(map[string]float64{"c0": 1, "c1": 2}), Total: 2, Bytes: 5 << 20},
 	}
 }
 

@@ -348,11 +348,11 @@ func foldOf(t *testing.T, sets [][]partitionPartial, p int) section {
 	for task, set := range sets {
 		f.add(task, set[p].Partial)
 	}
-	var out sectionBuilder
+	var out foldOut
 	if _, err := f.fold(wordCountJob(), &out); err != nil {
 		t.Fatal(err)
 	}
-	return out.section()
+	return out.b.section()
 }
 
 // reduceOn hands w one reducetask frame the way its serve loop would and

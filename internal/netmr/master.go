@@ -192,7 +192,7 @@ type Stats struct {
 	Duplicates    int           // late sibling results of either phase discarded after completion
 	Cancellations int           // in-flight launches of either phase abandoned at exit or cancellation
 	SplitWall     time.Duration // scatter + parallel map (barrier to barrier)
-	MergeWall     time.Duration // master merge window: last reduce result to the output handed back
+	MergeWall     time.Duration // master merge window: last reduce result to the output handed back (Run: the union's unfinished tail)
 	TotalWall     time.Duration // end-to-end wall, measured (not derived)
 	PerWorker     []WorkerStats // per-worker breakdown, sorted by ID
 
@@ -201,7 +201,7 @@ type Stats struct {
 	ReduceTasks      int           // reduce tasks that delivered a partition result
 	MapOutputsStored int           // winning map outputs persisted worker-side for peer fetches
 	ShuffleBytes     int64         // intermediate bytes reducers fetched over a socket (reads from a reducer's own store count nothing)
-	ReduceWall       time.Duration // reduce phase wall (split barrier to last reduce result)
+	ReduceWall       time.Duration // reduce phase wall (split barrier to last reduce result; Run: with the union overlapping it)
 
 	// Out-of-core shuffle accounts: how much of the run's intermediate
 	// state left memory (spill), how much wire volume compression saved,
@@ -562,13 +562,11 @@ func (l *perWorkerLedger) snapshot() []WorkerStats {
 // launchDone is a successful launch's report back to the scheduling loop:
 // a map task's persisted output (mapdone — the payload stayed on the
 // worker, whose shuffle address rides along, parts then being the copy
-// the master holds for a mapper that could not replicate), or a reduce
-// task's partition result — sec, the folded partition as the section it
-// arrived as — with bytes carrying the shuffle volume the reducer
-// reported.
+// the master holds for a mapper that could not replicate), or the end of
+// a reduce task's output stream, whose chunks are in the run's outputs
+// already, with bytes carrying the shuffle volume the reducer reported.
 type launchDone struct {
 	task      shardTask
-	sec       section
 	parts     []partitionPartial
 	fetchAddr string
 	repAddr   string // peer holding the replica of a stored output ("" = none)
@@ -611,15 +609,16 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 }
 
 // RunResult is Run for callers that do not need the output as one map:
-// the Result holds the reducers' sections as they arrived, and the
+// the Result holds the reducers' chunks as they arrived, and the
 // master's merge window shrinks to nothing.
 func (m *Master) RunResult(ctx context.Context, jobName string, records []string, shards int) (*Result, Stats, error) {
 	return m.run(ctx, jobName, records, shards, nil)
 }
 
 // run is Run and RunResult. A non-nil asMap receives the output as one
-// map, built inside the merge window — span, trace phase,
-// Stats.MergeWall — where Run has always accounted for it.
+// map, built while the reducers stream it; what is left of that union
+// when the last result lands is in the merge window — span, trace phase,
+// Stats.MergeWall.
 func (m *Master) run(ctx context.Context, jobName string, records []string, shards int, asMap *map[string]float64) (result *Result, stats Stats, err error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
@@ -717,6 +716,7 @@ type jobRun struct {
 	mapLocs      map[int]string
 	replicaLocs  map[int]string
 	replicaParts map[int][]partitionPartial
+	out          *outputs // the reduce partitions' output streams
 	rResults     chan launchDone
 	rFails       chan launchFail
 	over         atomic.Bool   // the run is released: its intermediates are gone

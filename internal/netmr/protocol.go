@@ -46,8 +46,9 @@ import (
 // listener answering with its own preamble so both ends can name the two
 // versions that met. A field can be added without a bump only as
 // DESIGN.md §6 describes: tagged, optional, skipped by a decoder that
-// does not know the tag. v3 added the release frame.
-const protocolVersion = 3
+// does not know the tag. v3 added the release frame, v4 the chunk frame
+// a reducer streams its output in.
+const protocolVersion = 4
 
 // preamble opens every connection in both directions.
 var preamble = [4]byte{'N', 'M', 'R', protocolVersion}
@@ -66,13 +67,13 @@ func checkPreamble(p [4]byte) error {
 // message is the single wire frame (codec.go). Every frame carries every
 // field; the comments name the frame types that set each.
 type message struct {
-	Type    string             // hello | helloack | task | taskbatch | mapdone | reducetask | morelocs | result | error | ping | pong | fetch | fetchresult | replicate | replicack | release
+	Type    string             // hello | helloack | task | taskbatch | mapdone | reducetask | morelocs | chunk | result | error | ping | pong | fetch | fetchresult | replicate | replicack | release
 	ID      string             // hello: worker identity
 	Job     string             // task | reducetask
-	TaskID  int                // task | mapdone | error: map task; reducetask | morelocs | result | fetch | fetchresult: reduce partition; replicate | replicack: map task
+	TaskID  int                // task | mapdone | error: map task; reducetask | morelocs | chunk | result | fetch | fetchresult: reduce partition; replicate | replicack: map task
 	Attempt int                // task | reducetask and their replies: retry ordinal, 0-based
 	Records []string           // task
-	Folded  section            // result: the reduce partition's folded output
+	Folded  section            // chunk | result: one chunk of the reduce partition's folded output, the result frame's being the last
 	Jobs    []string           // hello
 	Message string             // error; morelocs: "abort"
 	Batch   []taskSpec         // taskbatch
@@ -84,7 +85,7 @@ type message struct {
 	Run      string     // task | taskbatch | mapdone | reducetask | morelocs | fetch | replicate | release: run id intermediate output is keyed by
 	Reducers int        // helloack: reduce partition count R; replicate: the run's R
 	Fetch    string     // hello: worker's shuffle listener address; error (of a reduce task): the holder whose fetch failed
-	Bytes    int64      // result: intermediate bytes fetched over a socket
+	Bytes    int64      // result: intermediate bytes fetched over a socket; chunk: the partition's projected output bytes (first chunk only)
 	Tasks    []int      // fetch: map task ids whose partition slice is wanted
 	Locs     []fetchLoc // reducetask | morelocs: where winning map outputs are stored
 
@@ -99,7 +100,7 @@ type message struct {
 	// dispatch: the reducer gathers the initial Locs/Parts, then keeps
 	// receiving morelocs frames (same Run/TaskID, incremental Locs/Parts/
 	// Reps — or Message "abort") until it has covered Total map tasks.
-	Total     int        // reducetask: map tasks the run will eventually produce (early mode)
+	Total     int        // reducetask: map tasks the run will eventually produce (early mode); chunk | result: the chunk's place in the partition's output, from 0
 	Reps      []fetchLoc // reducetask | morelocs: replica shuffle addrs per map task (local failover)
 	Failovers int        // result: fetches locally rerouted to a replica
 }

@@ -39,6 +39,7 @@ func (m *Master) newJobRun(name string, job Job, records []string, shards int, s
 		mapLocs:       make(map[int]string, shards),
 		replicaLocs:   make(map[int]string, shards),
 		replicaParts:  make(map[int][]partitionPartial),
+		out:           newOutputs(cfg.Reducers, len(records)),
 		rResults:      make(chan launchDone, rcap),
 		rFails:        make(chan launchFail, rcap),
 		earlyLaunched: map[int]bool{},
@@ -94,15 +95,23 @@ func (r *jobRun) absorb(d launchDone) {
 }
 
 // reduceTail runs the reduce phase after the barrier: the per-key fold
-// happens on the workers, and the R disjoint, key-sorted sections that
-// come back are the result. What is left for the master's merge window is
-// the one map Run's callers are owed, written to asMap — O(keys) inserts,
-// no Reduce/Combine calls — and nothing at all for RunResult's (asMap
-// nil).
+// happens on the workers, and the R disjoint, key-sorted streams of
+// chunks that come back are the result. For Run's callers the chunks are
+// also unioned into the one map they are owed, written to asMap — O(keys)
+// inserts, no Reduce/Combine calls — by a goroutine that inserts each
+// chunk as it is taken, so the merge window holds only what is left of
+// it when the last result lands. RunResult's (asMap nil) holds nothing.
 func (r *jobRun) reduceTail(ctx context.Context, deadline <-chan time.Time, splitStart, barrier time.Time, asMap *map[string]float64) (*Result, error) {
 	m, stats := r.m, r.stats
+	var union chan map[string]float64
+	if asMap != nil {
+		union = make(chan map[string]float64, 1)
+		quit := make(chan struct{})
+		defer close(quit)
+		go func() { union <- r.out.union(quit) }()
+	}
 	_, reduceSpan := obs.StartSpan(ctx, "reduce")
-	finals, err := r.runReducePhase(ctx, deadline)
+	err := r.runReducePhase(ctx, deadline)
 	reduceSpan.End()
 	reduceEnd := time.Now()
 	stats.ReduceWall = reduceEnd.Sub(barrier)
@@ -113,10 +122,9 @@ func (r *jobRun) reduceTail(ctx context.Context, deadline <-chan time.Time, spli
 		return nil, err
 	}
 	_, mergeSpan := obs.StartSpan(ctx, "merge")
-	r.release() // the workers' reclaim overlaps the union below
-	out := &Result{parts: finals}
+	r.release() // the workers' reclaim overlaps the union's tail
 	if asMap != nil {
-		*asMap = out.Map()
+		*asMap = <-union
 	}
 	mergeSpan.End()
 	end := time.Now()
@@ -124,24 +132,22 @@ func (r *jobRun) reduceTail(ctx context.Context, deadline <-chan time.Time, spli
 	stats.MergeWall = end.Sub(reduceEnd)
 	stats.TotalWall = end.Sub(splitStart)
 	m.metrics.mergeSeconds.Observe(stats.MergeWall.Seconds())
-	return out, nil
+	return &Result{parts: r.out.chunks}, nil
 }
 
-// runReducePhase assigns the R reduce partitions to workers and returns
-// their folded partitions, indexed by partition id, each the key-sorted
-// section its reducer sent. Each dispatch plans its gather against the
-// liveness view of that instant (gatherPlan); the fold output is
-// byte-identical on every route — reducers order partials by map task id
-// before folding, not by arrival.
+// runReducePhase assigns the R reduce partitions to workers until each
+// one's output stream has ended in r.out. Each dispatch plans its gather
+// against the liveness view of that instant (gatherPlan); the fold output
+// is byte-identical on every route — reducers order partials by map task
+// id before folding, not by arrival.
 //
 // Early launches are already in flight when the phase starts, so they
 // enter the loop as seeded flights rather than queued tasks; each reports
 // exactly once on the reduce channels, possibly into their buffers before
 // this phase drains them. An early launch the master aborted fails with
 // errEarlyAborted and requeues without charging the attempt budget.
-func (r *jobRun) runReducePhase(ctx context.Context, deadline <-chan time.Time) ([]section, error) {
+func (r *jobRun) runReducePhase(ctx context.Context, deadline <-chan time.Time) error {
 	m := r.m
-	finals := make([]section, m.cfg.Reducers)
 	ph := &phase{
 		tasks: m.cfg.Reducers, kind: "rtask", noun: "reduce partition", maxBatch: 1,
 		results: r.rResults, fails: r.rFails, seeded: r.earlyLaunched,
@@ -156,7 +162,6 @@ func (r *jobRun) runReducePhase(ctx context.Context, deadline <-chan time.Time) 
 			}, launchOf(launches, 0), nil)
 		},
 		accept: func(d launchDone) {
-			finals[d.task.id] = d.sec
 			r.stats.ReduceTasks++
 			r.stats.ShuffleBytes += d.bytes
 			if d.failovers > 0 {
@@ -175,13 +180,13 @@ func (r *jobRun) runReducePhase(ctx context.Context, deadline <-chan time.Time) 
 		},
 	}
 	if err := m.schedule(ctx, ph, r.stats, r.trc, deadline); err != nil {
-		return nil, err
+		return err
 	}
 	if !r.recoveryAt.IsZero() {
 		r.stats.RecoveryWall = time.Since(r.recoveryAt)
 		m.metrics.recoverySeconds.Observe(r.stats.RecoveryWall.Seconds())
 	}
-	return finals, nil
+	return nil
 }
 
 // gatherPlan routes partition p's gather against the shuffle-address
@@ -261,8 +266,10 @@ func sortedLocs(by map[string][]int) []fetchLoc {
 // dispatchReduce runs one reduce launch on its own goroutine and reports
 // it exactly once on the reduce channels. An early launch (updates
 // non-nil) forwards the streamed morelocs updates until the map phase
-// closes the stream (barrier or abort), then collects the reply. A reply
-// that is not the partition's result drops the worker, with two
+// closes the stream (barrier or abort), then collects the reply: the
+// partition's chunks, each handed to r.out as it lands, up to the result
+// frame with the last. A chunk r.out refuses fails the launch. A reply
+// that is not the partition's chunk or result drops the worker, with two
 // exceptions that return it to the pool: a reducer's "the fetch failed"
 // report (an error frame naming the holder address), where the reducer
 // is healthy and the holder is not — the holder is marked dead and the
@@ -282,8 +289,13 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 		err = w.c.send(u, m.cfg.TaskTimeout)
 	}
 	var reply message
-	if err == nil {
-		reply, err = w.c.recv(m.cfg.TaskTimeout)
+	for err == nil {
+		if reply, err = w.c.recv(m.cfg.TaskTimeout); err != nil || reply.TaskID != t.id || reply.Type != "chunk" && reply.Type != "result" {
+			break
+		}
+		if err = r.out.admit(t.id, reply.Total, reply.Folded, reply.Type == "result", reply.Bytes); reply.Type == "result" {
+			break
+		}
 	}
 	elapsed := time.Since(start)
 	if err == nil {
@@ -294,7 +306,7 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 			r.landed(w, elapsed, launch, reply.Spans)
 			m.idle <- w
 			r.rResults <- launchDone{
-				task: t, sec: reply.Folded, bytes: reply.Bytes,
+				task: t, bytes: reply.Bytes,
 				compBytes: reply.CompBytes, spills: reply.Spills, spilled: reply.Spilled,
 				failovers: reply.Failovers, elapsed: elapsed, launch: launch,
 			}

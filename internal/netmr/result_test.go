@@ -56,27 +56,38 @@ func checkResult(t *testing.T, res *Result, want map[string]float64) {
 	}
 }
 
-// sectionedResult splits m by the reduce hash into the R sections a
-// distributed reduce hands the master (empty partitions stay empty).
-func sectionedResult(m map[string]float64, R int) *Result {
-	split := make([]map[string]float64, R)
-	for k, v := range m {
+// sectionedResult splits m by the reduce hash into the R partitions a
+// distributed reduce hands the master, each cut into chunks of at most
+// per pairs (0: one chunk) in key order; an empty partition is one empty
+// chunk.
+func sectionedResult(m map[string]float64, R, per int) *Result {
+	keys := make([][]string, R)
+	for k := range m {
 		p := partitionIndex(k, R)
-		if split[p] == nil {
-			split[p] = map[string]float64{}
-		}
-		split[p][k] = v
+		keys[p] = append(keys[p], k)
 	}
-	parts := make([]section, R)
-	for p, sm := range split {
-		parts[p] = sectionFromMap(sm)
+	parts := make([][]section, R)
+	for p, ks := range keys {
+		sort.Strings(ks)
+		for len(parts[p]) == 0 || len(ks) > 0 {
+			n := len(ks)
+			if per > 0 {
+				n = min(n, per)
+			}
+			chunk := map[string]float64{}
+			for _, k := range ks[:n] {
+				chunk[k] = m[k]
+			}
+			parts[p], ks = append(parts[p], sectionFromMap(chunk)), ks[n:]
+		}
 	}
 	return &Result{parts: parts}
 }
 
 // TestResultAgreesWithSerialMerge: over R partitions — empty ones, an
-// empty job and single-key partitions included — every reader of a
-// Result agrees with the serialMerge oracle.
+// empty job and single-key partitions included — and over chunks of one
+// pair, of a few and of the whole partition, every reader of a Result
+// agrees with the serialMerge oracle.
 func TestResultAgreesWithSerialMerge(t *testing.T) {
 	job := wordCountJob()
 	partials := func(tasks, keys int) []map[string]float64 {
@@ -99,9 +110,15 @@ func TestResultAgreesWithSerialMerge(t *testing.T) {
 	} {
 		want := serialMerge(job, tc.in)
 		for _, R := range []int{1, 2, 5} {
-			t.Run(fmt.Sprintf("%s/R=%d", tc.name, R), func(t *testing.T) {
-				checkResult(t, sectionedResult(want, R), want)
-			})
+			for _, per := range []int{0, 1, 7} {
+				name := fmt.Sprintf("%s/R=%d", tc.name, R)
+				if per > 0 {
+					name += fmt.Sprintf("/per=%d", per)
+				}
+				t.Run(name, func(t *testing.T) {
+					checkResult(t, sectionedResult(want, R, per), want)
+				})
+			}
 		}
 	}
 }

@@ -241,6 +241,16 @@ func (c *sectionCursor) next() (k string, v float64, ok bool) {
 	return k, v, true
 }
 
+// bounds is the first and the last key, "" for the empty section.
+func (s section) bounds() (first, last string) {
+	c := s.cursor()
+	first, _, _ = c.next()
+	for last = first; c.left > 0; {
+		last, _, _ = c.next()
+	}
+	return first, last
+}
+
 // count is the number of pairs.
 func (s section) count() int { return int(s.cursor().left) }
 

@@ -7,6 +7,8 @@ import (
 	"net"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -53,7 +55,11 @@ type interStore struct {
 	mu       sync.Mutex
 	run      string
 	reducers int
-	left     string // the run last given up: a put for it is a straggler's, refused
+	// next is the oldest run a put may still be for: the run held, or the
+	// one after the newest given up. Runs are numbered in order (the
+	// "#seq" of a run id), so a put for an older one is a straggler's,
+	// refused.
+	next int64
 
 	budget  int64  // resident-byte watermark; 0 = never spill
 	baseDir string // spill scratch root; "" = os.TempDir()
@@ -83,16 +89,24 @@ func (s *interStore) configure(budget int64, dir string) {
 
 // setReducers publishes the helloack-granted reduce partition count to
 // the shuffle server goroutines (which validate fetch requests with it),
-// and forgets the run left: a new master's run ids may repeat.
+// and forgets the runs left: a new master's run ids start over.
 func (s *interStore) setReducers(r int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reducers = r
-	s.left = ""
+	s.next = 0
 }
 
-// errRunLeft refuses a put for the run the store last gave up.
+// errRunLeft refuses a put for a run older than the newest the store has
+// held or given up.
 var errRunLeft = errors.New("the run is over")
+
+// runSeq is the sequence number a run id ends in ("wordcount#3": 3); 0
+// for an id without one.
+func runSeq(run string) int64 {
+	n, _ := strconv.ParseInt(run[strings.LastIndexByte(run, '#')+1:], 10, 64)
+	return n
+}
 
 // put stores one map task's partitioned output under run — its own or a
 // peer's it replicates — evicting any previous run's intermediates
@@ -102,16 +116,18 @@ var errRunLeft = errors.New("the run is over")
 // partition sets spill to disk in ascending task order until the store
 // fits again; spills/spilled report what this call flushed. A spill
 // error leaves the set resident (correct, just over budget). A put for
-// the run the store last left is refused with errRunLeft.
+// a run older than the newest the store has held or left is refused with
+// errRunLeft.
 func (s *interStore) put(run string, task int, parts []partitionPartial, reducers int) (spills int, spilled, saved int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if run == s.left {
+	seq := runSeq(run)
+	if seq < s.next {
 		return 0, 0, 0, fmt.Errorf("netmr: put of map task %d for run %q: %w", task, run, errRunLeft)
 	}
 	if s.run != run {
 		s.leaveLocked()
-		s.run = run
+		s.run, s.next = run, seq
 		s.reducers = reducers
 	}
 	if old, ok := s.tasks[task]; ok {
@@ -180,7 +196,7 @@ func (s *interStore) spillLocked() (int, int64, int64, error) {
 
 // leaveLocked drops the run held: every task, spill files and scratch
 // dir included. Its id is cleared, so late fetches are refused rather
-// than answered from a torn-down store, and kept in left, so its
+// than answered from a torn-down store, and next moves past it, so its
 // stragglers are too.
 func (s *interStore) leaveLocked() {
 	for _, st := range s.tasks {
@@ -195,19 +211,19 @@ func (s *interStore) leaveLocked() {
 		s.dir = ""
 	}
 	if s.run != "" {
-		s.left, s.run = s.run, ""
+		s.next, s.run = max(s.next, runSeq(s.run)+1), ""
 	}
 }
 
 // release ends run on the master's word: dropped if it is the run held,
-// refused from now on either way.
+// refused from now on, with every run before it, either way.
 func (s *interStore) release(run string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.run == run {
 		s.leaveLocked()
 	}
-	s.left = run
+	s.next = max(s.next, runSeq(run)+1)
 }
 
 // evictAll is leaveLocked for Worker.Stop: nothing survives.
@@ -557,15 +573,18 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 // of every map task — the sections the master sent inline, what its own
 // store holds (output or replica, no dial), peer fetches for the rest —
 // merge them by (key, ascending map task) through the job's fold, and
-// answer with a result frame whose Folded is the merge's output, already
-// in wire form, plus the intermediate bytes fetched. Fetches run
-// concurrently up to the shuffle fan-out over pooled connections, and
-// fetch failures fail over to replica holders locally when the task
-// frame named them. Under a spill budget the gathered sections pass
-// through sorted runs on disk, and what the store itself spilled is
-// streamed from its files; both join the same merge, so the output is
-// byte-identical at every budget, and a disk copy that fails mid-merge
-// costs one re-gather, not the task. On an early dispatch (Total > 0)
+// send the merge's output, already in wire form, as it is produced: a
+// chunk frame each time chunkBytes of it are ready, then a result frame
+// with the last chunk, the intermediate bytes fetched and the task's
+// accounts. A partition that fits one chunk travels in the result frame
+// alone. Fetches run concurrently up to the shuffle fan-out over pooled
+// connections, and fetch failures fail over to replica holders locally
+// when the task frame named them. Under a spill budget the gathered
+// sections pass through sorted runs on disk, and what the store itself
+// spilled is streamed from its files; both join the same merge, so the
+// output is byte-identical at every budget, and a disk copy that fails
+// mid-merge costs one re-gather, not the task: the fold then runs again
+// and sends its chunks again from the first. On an early dispatch (Total > 0)
 // the initial locations are only a prefix: the worker keeps receiving
 // morelocs frames — gathering each batch as it lands, under the map
 // tail — until every announced map output is covered or the master
@@ -669,11 +688,20 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		failedAddr, gatherErr = round(um.Parts, um.Locs)
 		clock.mark(spanFetch)
 	}
-	var out sectionBuilder
+	// The output leaves in chunks as the fold cuts them. A chunk that cannot
+	// be sent means the master is gone: nothing is left to do.
+	var lost error
+	out := foldOut{cut: func(k int, chunk section, projected int64) error {
+		lost = c.send(message{Type: "chunk", TaskID: m.TaskID, Attempt: m.Attempt, Folded: chunk, Total: k, Bytes: projected}, to)
+		return lost
+	}}
 	var merged bool
 	var foldErr error
 	if gatherErr == nil {
 		merged, foldErr = folder.fold(job, &out)
+	}
+	if lost != nil {
+		return false
 	}
 	if foldErr != nil {
 		// A block of a streamed section or of a run failed its check, or the
@@ -688,6 +716,9 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		if failedAddr, gatherErr = round(parts, locs); gatherErr == nil {
 			merged, foldErr = folder.fold(job, &out)
 		}
+	}
+	if lost != nil {
+		return false
 	}
 	if gatherErr != nil {
 		workerTasks.With("fetch_failed").Inc()
@@ -708,7 +739,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	workerReduceSeconds.Observe(time.Since(start).Seconds())
 	workerTasks.With("ok").Inc()
 	res := message{
-		Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Folded: out.section(), Bytes: fetched, Trace: m.Trace,
+		Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Folded: out.b.section(), Total: out.k, Bytes: fetched, Trace: m.Trace,
 		Failovers: failovers, CompBytes: compSaved + folder.compSaved, Spills: folder.spillRuns, Spilled: folder.spilledBytes,
 	}
 	if clock != nil {

@@ -243,6 +243,7 @@ func (b *blockReader) next(dst []byte) ([]byte, error) {
 type mergeSource struct {
 	r      frameReader  // the resident section, or the current block
 	left   uint64       // resident section: records not yet read
+	rest   []section    // resident: the sections that follow it (a reduce partition's later chunks)
 	blocks *blockReader // nil for a resident section
 	tagged bool         // a run: every record names its map task
 	live   bool         // key/task/val hold a record
@@ -253,9 +254,9 @@ type mergeSource struct {
 	val    float64
 }
 
-func sectionSource(task int, sec section) *mergeSource {
-	c := sec.cursor()
-	return &mergeSource{r: c.r, left: c.left, task: task}
+// sectionSource walks secs, key-sorted one after the other, as one input.
+func sectionSource(task int, secs ...section) *mergeSource {
+	return &mergeSource{rest: secs, task: task}
 }
 
 // advance loads the next record into the head; live turns false at the
@@ -264,8 +265,12 @@ func sectionSource(task int, sec section) *mergeSource {
 func (s *mergeSource) advance() error {
 	s.live = false
 	if s.blocks == nil {
-		if s.left == 0 {
-			return nil
+		for s.left == 0 {
+			if len(s.rest) == 0 {
+				return nil
+			}
+			c := s.rest[0].cursor()
+			s.r, s.left, s.rest = c.r, c.left, s.rest[1:]
 		}
 		s.left--
 	} else if s.r.off >= len(s.r.s) {
@@ -387,27 +392,29 @@ func mergeSources(srcs []*mergeSource, fn func(*mergeSource) error) error {
 
 // mergeFold merges srcs and streams every key's values, in map-task
 // order, through the job's fold — Combine as they arrive, or one Reduce
-// over the key's collected values — appending each result to out: the
+// over the key's collected values — adding each result to out: the
 // semantics of the tests' serialMerge oracle, with the output born as a
-// section instead of a map.
-func mergeFold(job Job, srcs []*mergeSource, out *sectionBuilder) error {
+// stream of sections instead of a map.
+func mergeFold(job Job, srcs []*mergeSource, out *foldOut) error {
 	var key string
 	var acc float64
 	var vals []float64
 	have := false
-	finish := func() {
+	finish := func() error {
 		if !have {
-			return
+			return nil
 		}
 		if job.Combine == nil {
 			acc, vals = job.Reduce(key, vals), vals[:0]
 		}
-		out.add(key, acc)
+		return out.add(key, acc)
 	}
 	err := mergeSources(srcs, func(s *mergeSource) error {
 		switch {
 		case !have || s.key != key:
-			finish()
+			if err := finish(); err != nil {
+				return err
+			}
 			key, acc, have = s.key, s.val, true
 		case job.Combine != nil:
 			acc = job.Combine(acc, s.val)
@@ -415,10 +422,61 @@ func mergeFold(job Job, srcs []*mergeSource, out *sectionBuilder) error {
 		if job.Combine == nil {
 			vals = append(vals, s.val)
 		}
+		out.in++
 		return nil
 	})
-	finish()
-	return err
+	if err != nil {
+		return err
+	}
+	return finish()
+}
+
+// chunkBytes is the most a chunk of a reduce task's output holds (a pair
+// larger than that travels alone). Boundaries depend on the output bytes
+// alone, so every launch of a partition cuts the same chunks.
+const chunkBytes = 1 << 20
+
+// foldOut is a fold's output on its way to the master: the pairs collect
+// in b, and before a pair would take them past chunkBytes, cut sends them
+// as chunk k and b starts over in the same buffer, so the master takes in
+// chunk k while the fold produces k+1. What b holds when the fold ends is
+// the last chunk, which rides the result frame. Without a cut the output
+// stays whole in b.
+type foldOut struct {
+	b   sectionBuilder
+	cut func(k int, chunk section, projected int64) error
+
+	k       int   // chunks cut by the current fold
+	in      int64 // records merged so far
+	inBytes int64 // bytes the fold merges in all
+}
+
+// start readies the output for a fold over inBytes of gathered sections,
+// dropping whatever an earlier, failed fold left. A fold only ever drops
+// bytes, so a small one gets a buffer of its own size, not a chunk's.
+func (o *foldOut) start(inBytes int64) {
+	o.b.reset(int(min(inBytes, chunkBytes)))
+	o.k, o.in, o.inBytes = 0, 0, inBytes
+}
+
+// add appends one folded pair, first cutting a chunk if the pair would
+// take the pairs held past chunkBytes. The first chunk carries the fold's
+// projected output bytes: the input's bytes scaled by the pairs out per
+// record in so far.
+func (o *foldOut) add(key string, v float64) error {
+	if o.cut != nil && o.b.count > 0 && len(o.b.buf)+len(key)+8 > chunkBytes {
+		var projected int64
+		if o.k == 0 {
+			projected = o.inBytes * int64(o.b.count) / max(o.in, 1)
+		}
+		if err := o.cut(o.k, o.b.section(), projected); err != nil {
+			return err
+		}
+		o.k++
+		o.b.reset(chunkBytes)
+	}
+	o.b.add(key, v)
+	return nil
 }
 
 // spillFolder holds what one reduce task has gathered, under a byte
@@ -527,15 +585,15 @@ func (f *spillFolder) flush() (err error) {
 }
 
 // fold merges the held sections, the streamed ones and every spilled run
-// into out, streaming the per-key fold off the loser tree. out is reset
-// with room for everything gathered — a fold only ever drops bytes — up
-// to the one frame the result has to fit anyway, so it never grows
-// mid-merge, and whatever an earlier, failed fold left in it is gone.
-// merged reports whether disk runs took part (the "mergeruns" span). The
-// folder comes back empty, the runs' files removed, ready to gather again.
-func (f *spillFolder) fold(job Job, out *sectionBuilder) (merged bool, err error) {
+// into out, streaming the per-key fold off the loser tree. out starts
+// over, chunk count included, so a fold that runs again after a failed
+// one sends its chunks again from the first; the master checks them
+// against the ones it took. merged reports whether disk runs took part
+// (the "mergeruns" span). The folder comes back empty, the runs' files
+// removed, ready to gather again.
+func (f *spillFolder) fold(job Job, out *foldOut) (merged bool, err error) {
 	defer f.discard()
-	out.reset(int(min(f.mem+f.onDisk, maxFrameBytes)))
+	out.start(f.mem + f.onDisk)
 	return len(f.runs) > 0, mergeFold(job, append(f.heldSources(), f.disk...), out)
 }
 

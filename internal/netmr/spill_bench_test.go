@@ -50,7 +50,7 @@ func benchmarkShuffleFold(b *testing.B, budget int64, local bool) {
 	}
 	b.SetBytes(sectionBytes(inputs))
 	b.ResetTimer()
-	var out sectionBuilder
+	var out foldOut
 	for i := 0; i < b.N; i++ {
 		f := newSpillFolder(budget, dir, "bench")
 		gathered, streams := inputs, []*mergeSource(nil)
@@ -73,8 +73,8 @@ func benchmarkShuffleFold(b *testing.B, budget int64, local bool) {
 		if budget > 0 && merged == local {
 			b.Fatalf("merged through runs: %v; want the gathered bytes spilled to runs, the store's streamed", merged)
 		}
-		if out.count != 4000 {
-			b.Fatalf("fold produced %d keys, want 4000", out.count)
+		if out.b.count != 4000 {
+			b.Fatalf("fold produced %d keys, want 4000", out.b.count)
 		}
 	}
 }

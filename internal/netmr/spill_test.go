@@ -99,12 +99,12 @@ func folderFold(t testing.TB, job Job, inputs []taskMap, budget int64, streamEve
 			f.stream(src)
 		}
 	}
-	var out sectionBuilder
+	var out foldOut
 	merged, err := f.fold(job, &out)
 	if err != nil {
 		t.Fatalf("budget=%d: fold: %v", budget, err)
 	}
-	got := out.section().toMap()
+	got := out.b.section().toMap()
 	if got == nil {
 		got = map[string]float64{}
 	}
@@ -305,11 +305,12 @@ func TestEvictedRunReducersReset(t *testing.T) {
 }
 
 // TestStragglerCannotEvictNextRun: a straggling launch of a finished run
-// must not evict the run after it. Once run k is released, or evicted by
-// run k+1's first put, a late put of k into the worker's own store and a
-// late replicate of k from a peer are both refused, and k+1's output is
-// still served. A new helloack forgets the run left: a new master's run
-// ids may repeat the last one's.
+// must not evict a run after it. Once runs k−1 and k are released, or
+// each evicted by the next run's first put, a late put into the worker's
+// own store and a late replicate from a peer are refused for both, k−1
+// landing during k+1 included, and k+1's output is still served. A new
+// helloack forgets the runs left: a new master's run ids may repeat the
+// last one's.
 func TestStragglerCannotEvictNextRun(t *testing.T) {
 	set := func(key string) []partitionPartial {
 		return []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{key: 1})}}
@@ -325,24 +326,28 @@ func TestStragglerCannotEvictNextRun(t *testing.T) {
 		}
 		t.Cleanup(w.Stop)
 		w.store.setReducers(2)
-		if _, _, _, err := w.store.put("wc#1", 0, set("k"), 2); err != nil {
+		for _, run := range []string{"wc#1", "wc#2"} {
+			if _, _, _, err := w.store.put(run, 0, set("k"), 2); err != nil {
+				t.Fatal(err)
+			}
+			if released {
+				w.store.release(run)
+			}
+		}
+		if _, _, _, err := w.store.put("wc#3", 1, set("next"), 2); err != nil {
 			t.Fatal(err)
-		}
-		if released {
-			w.store.release("wc#1")
-		}
-		if _, _, _, err := w.store.put("wc#2", 1, set("next"), 2); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := w.store.put("wc#1", 0, set("late"), 2); !errors.Is(err, errRunLeft) {
-			t.Errorf("released=%v: late put of the run left = %v, want errRunLeft", released, err)
 		}
 		pool := newShufflePool(1)
-		if err := pool.replicateParts(addr, "wc#1", 2, set("late"), 2, defaultShuffleTimeout); err == nil {
-			t.Errorf("released=%v: late replicate of the run left accepted", released)
+		for _, late := range []string{"wc#2", "wc#1"} {
+			if _, _, _, err := w.store.put(late, 0, set("late"), 2); !errors.Is(err, errRunLeft) {
+				t.Errorf("released=%v: late put of %s = %v, want errRunLeft", released, late, err)
+			}
+			if err := pool.replicateParts(addr, late, 2, set("late"), 2, defaultShuffleTimeout); err == nil {
+				t.Errorf("released=%v: late replicate of %s accepted", released, late)
+			}
 		}
 		pool.closeAll()
-		got, _, _, err := fetchPartition(addr, "wc#2", 0, []int{1}, defaultShuffleTimeout)
+		got, _, _, err := fetchPartition(addr, "wc#3", 0, []int{1}, defaultShuffleTimeout)
 		if err != nil || len(got) != 1 || got[0].Partial != set("next")[0].Partial {
 			t.Errorf("released=%v: the next run's output after the stragglers: %v, %v", released, got, err)
 		}
@@ -685,7 +690,7 @@ func TestCorruptSpillRunFailsFold(t *testing.T) {
 		if n := flipByteInFiles(t, dir, "reduce-run-*.spill"); n != 4 {
 			t.Fatalf("%s: damaged %d run files, want 4", name, n)
 		}
-		var out sectionBuilder
+		var out foldOut
 		if _, err := f.fold(wordCountJob(), &out); err == nil {
 			t.Fatalf("%s: fold over damaged runs succeeded", name)
 		}

@@ -338,9 +338,10 @@ func wall(sp TraceSpan) time.Duration {
 // parallel-time denominator of the speedup derivation (Eq. 8 rearranged,
 // as core.SpeedupSweep consumes it). The reduce tasks keep the per-key
 // fold out of Ws and in Reduce — distributed Wp, paced by the slowest
-// reduce task — leaving Ws only the master's merge window: the union of
-// the R disjoint partition results into Run's map, nothing for
-// RunResult.
+// reduce task — leaving Ws only the master's merge window: for Run what
+// is left of the union of the R disjoint partition streams into one map
+// when the last result lands (the rest overlaps the reduce tasks),
+// nothing for RunResult.
 // The remaining fields attribute where Wo actually went.
 type PhaseBreakdown struct {
 	Workers int

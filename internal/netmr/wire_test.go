@@ -64,6 +64,17 @@ func dialAsWorker(t testing.TB, addr, id, fetch string) (*conn, message) {
 // with, or false to leave m to the worker.
 func rogueWorker(t *testing.T, addr, id string, reply func(m message) (message, bool)) {
 	t.Helper()
+	rogueServe(t, addr, id, func(_ *Worker, c *conn, m message) (bool, bool) {
+		r, ok := reply(m)
+		return ok, !ok || c.send(r, 5*time.Second) == nil
+	})
+}
+
+// rogueServe is rogueWorker with the connection in hand: serve answers m
+// itself and says whether the rogue lives on, or leaves m to the worker
+// (handled false).
+func rogueServe(t *testing.T, addr, id string, serve func(w *Worker, c *conn, m message) (handled, alive bool)) {
+	t.Helper()
 	w, err := NewWorker(mustRegistry(t))
 	if err != nil {
 		t.Fatal(err)
@@ -81,13 +92,9 @@ func rogueWorker(t *testing.T, addr, id string, reply func(m message) (message, 
 			if err != nil {
 				return
 			}
-			if r, ok := reply(m); ok {
-				if c.send(r, 5*time.Second) != nil {
-					return
-				}
-				continue
-			}
-			if !w.handle(c, m) {
+			if handled, alive := serve(w, c, m); !alive {
+				return
+			} else if !handled && !w.handle(c, m) {
 				return
 			}
 		}
@@ -278,9 +285,9 @@ func openFDs() int {
 }
 
 // TestProtocolVersionMismatch: a peer that opens with another version (a
-// later one, or v2, the generation before the release frame), or with
-// bytes that are no preamble at all, is refused on the master port
-// and on a shuffle port alike — the listener answers its own preamble and
+// later one, v2, the generation before the release frame, or v3, the one
+// before the chunk frame), or with bytes that are no preamble at all, is
+// refused on the master port and on a shuffle port alike — the listener answers its own preamble and
 // hangs up, so whichever end reads names both versions — and a refusal
 // leaves nothing behind: no worker counted, no goroutine, no descriptor,
 // and the next good worker is admitted.
@@ -333,6 +340,7 @@ func TestProtocolVersionMismatch(t *testing.T) {
 		}{
 			{"wrong version", append([]byte{'N', 'M', 'R', protocolVersion + 1}, hello...)},
 			{"v2 peer", append([]byte{'N', 'M', 'R', 2}, hello...)},
+			{"v3 peer", append([]byte{'N', 'M', 'R', 3}, hello...)},
 			{"wrong magic", []byte("GET / HTTP/1.1\r\n\r\n")},
 		} {
 			raw, err := net.DialTimeout("tcp", port.addr, 5*time.Second)
