@@ -147,14 +147,35 @@ func BenchmarkLZ(b *testing.B) {
 	}
 }
 
+// lowcardJob is the ledger's wc-lowcard job: words cut at spaces by a
+// byte scan, no allocation per record, summed by Combine.
+func lowcardJob() Job {
+	j := benchJob(true)
+	j.Map = func(record string, emit func(string, float64)) {
+		start := 0
+		for i := 0; i <= len(record); i++ {
+			if i == len(record) || record[i] == ' ' {
+				if i > start {
+					emit(record[start:i], 1)
+				}
+				start = i + 1
+			}
+		}
+	}
+	return j
+}
+
 // BenchmarkMapKernel is one map task of a persist-mode job from records
 // to sections (runShardPartitioned at R = 2: map, group, hash, sort,
 // encode), MB/s of input, the output fresh per operation as runTask
 // needs it. tera is one tera-mem shard (15,625 distinct 100-byte
 // records, nothing combines); wordcount one shard of wc-lowcard's shape
-// (1000 distinct words: next to nothing to hash or sort); sharedprefix
-// is tera with every key behind the same 24 bytes, where a sort that
-// looks at the first 8 bytes alone learns nothing.
+// (1000 distinct words: next to nothing to hash or sort) through
+// strings.Fields, which allocates per record; wclowcard one wc-lowcard
+// shard as the ledger runs it (93,750 lines, a byte-scanning Map), where
+// the combiner's key lookups are the cost; sharedprefix is tera with
+// every key behind the same 24 bytes, where a sort that looks at the
+// first 8 bytes alone learns nothing.
 func BenchmarkMapKernel(b *testing.B) {
 	distinct := benchJob(true)
 	distinct.Map = func(record string, emit func(string, float64)) { emit(record, 1) }
@@ -171,17 +192,22 @@ func BenchmarkMapKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	lowcard, err := workload.TextLines(93_750, 10, 14)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name    string
 		job     Job
 		records []string
-	}{{"tera", distinct, teraLines}, {"wordcount", benchJob(true), text}, {"sharedprefix", distinct, shared}} {
+	}{{"tera", distinct, teraLines}, {"wordcount", benchJob(true), text},
+		{"wclowcard", lowcardJob(), lowcard}, {"sharedprefix", distinct, shared}} {
 		b.Run(tc.name, func(b *testing.B) {
 			var n int64
 			for _, r := range tc.records {
 				n += int64(len(r))
 			}
-			sc := newShardScratch()
+			sc := new(shardScratch)
 			b.SetBytes(n)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -284,9 +310,13 @@ func BenchmarkReduceTail(b *testing.B) {
 			}()
 		}
 		wg.Wait()
+		// The union returns once every partition's last chunk is in;
+		// quit closes after it, as in reduceTail: closed earlier it could
+		// win the union's select over a pending wake.
+		m := <-union
 		close(quit)
-		if n := len(<-union); n != keys {
-			b.Fatalf("map of %d keys, want %d", n, keys)
+		if len(m) != keys {
+			b.Fatalf("map of %d keys, want %d", len(m), keys)
 		}
 	}
 }

@@ -342,8 +342,8 @@ func TestCombineMatchesReduce(t *testing.T) {
 	combined := wordCountJob()
 	combined.Combine = func(acc, v float64) float64 { return acc + v }
 
-	a := runShard(plain, lines, newShardScratch())
-	b := runShard(combined, lines, newShardScratch())
+	a := runShard(plain, lines, new(shardScratch))
+	b := runShard(combined, lines, new(shardScratch))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("combiner path diverged from buffered path")
 	}
@@ -374,7 +374,7 @@ func TestRunShardPreservesValueOrder(t *testing.T) {
 		},
 	}
 	records := []string{"a=1 b=9 a=2", "b=8 a=3 c=5"}
-	got := runShard(j, records, newShardScratch())
+	got := runShard(j, records, new(shardScratch))
 	want := map[string]float64{
 		"a": 1 + 2*10 + 3*100,
 		"b": 9 + 8*10,

@@ -236,7 +236,7 @@ func TestCompressedCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("compressed cluster result diverged from reference")
 	}

@@ -42,7 +42,7 @@ func checkSectionOrder(t *testing.T, keys []string) {
 	}
 	identity := Job{Name: "id", Map: func(r string, emit func(string, float64)) { emit(r, 1) },
 		Reduce: func(_ string, vs []float64) float64 { return vs[0] }}
-	parts := runShardPartitioned(identity, keys, newShardScratch(), 1, nil)
+	parts := runShardPartitioned(identity, keys, new(shardScratch), 1, nil)
 	if got := sectionKeys(partOf(parts, 0)); !slices.Equal(got, want) {
 		t.Fatalf("runShardPartitioned order differs from slices.Sort:\n got %q\nwant %q", got, want)
 	}

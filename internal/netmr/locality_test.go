@@ -42,7 +42,7 @@ func (a fetchCounts) since(b fetchCounts) fetchCounts {
 func shardReference(job Job, lines []string, shards int) map[string]float64 {
 	partials := make([]map[string]float64, shards)
 	for id := range partials {
-		partials[id] = runShard(job, lines[len(lines)*id/shards:len(lines)*(id+1)/shards], newShardScratch())
+		partials[id] = runShard(job, lines[len(lines)*id/shards:len(lines)*(id+1)/shards], new(shardScratch))
 	}
 	return serialMerge(job, partials)
 }

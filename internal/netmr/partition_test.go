@@ -127,9 +127,9 @@ func TestRunShardPartitioned(t *testing.T) {
 
 	for name, job := range jobs {
 		t.Run(name, func(t *testing.T) {
-			want := runShard(job, lines, newShardScratch())
+			want := runShard(job, lines, new(shardScratch))
 			for _, parts := range []int{1, 2, 4, 9} {
-				got := runShardPartitioned(job, lines, newShardScratch(), parts, nil)
+				got := runShardPartitioned(job, lines, new(shardScratch), parts, nil)
 				flat := map[string]float64{}
 				for _, p := range got {
 					if p.ID < 0 || p.ID >= parts {
@@ -210,7 +210,7 @@ func runWordCount(t *testing.T, cfg MasterConfig, workers int, lines []string, s
 // GOMAXPROCS default.
 func TestResultsIdenticalAcrossPartitionConfigs(t *testing.T) {
 	lines := testLines(t, 500)
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 
 	for name, R := range map[string]int{
 		"partitions-1": 1, "partitions-2": 2, "partitions-3": 3, "partitions-4": 4, "partitions-8": 8, "default": 0,
@@ -268,7 +268,7 @@ func TestFlatResultToMapTaskFailsLaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, runShard(wordCountJob(), lines, newShardScratch())) {
+	if !reflect.DeepEqual(got, runShard(wordCountJob(), lines, new(shardScratch))) {
 		t.Fatal("result diverged from reference with a flat-result worker in the pool")
 	}
 	for _, ws := range stats.PerWorker {
@@ -312,7 +312,7 @@ func TestMapdoneOutOfRangePartsFailsLaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("result diverged from reference with a rogue mapdone worker in the pool")
 	}

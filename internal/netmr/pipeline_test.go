@@ -228,7 +228,7 @@ func runPipelineCluster(t *testing.T, reg *Registry, mcfg MasterConfig, wcfg Wor
 // show in the output.
 func TestParallelGatherMatchesSerial(t *testing.T) {
 	lines := testLines(t, 600)
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	for _, combine := range []bool{false, true} {
 		reg := pipelineRegistry(t, combine, 0)
 		var ref map[string]float64
@@ -259,7 +259,7 @@ func TestParallelGatherMatchesSerial(t *testing.T) {
 // launches whose wall spans the map tail.
 func TestEarlyShuffleMatchesBarrier(t *testing.T) {
 	lines := testLines(t, 300)
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	// A per-map delay leaves a tail: workers drain the map queue, go
 	// idle, and the master has stored outputs to hand an early reducer.
 	reg := pipelineRegistry(t, false, 20*time.Millisecond)
@@ -317,7 +317,7 @@ func TestEarlyShuffleMatchesBarrier(t *testing.T) {
 // or worker 0 no map task, and no fetch would fail over.
 func TestPooledFetchFailsOverToReplica(t *testing.T) {
 	lines := testLines(t, 500)
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	reg := pipelineRegistry(t, false, 0)
 	got, stats, _ := runPipelineCluster(t, reg,
 		MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: 3},
@@ -345,7 +345,7 @@ func TestPooledFetchFailsOverToReplica(t *testing.T) {
 // reference output.
 func TestEarlyShuffleFailoverUnderChaos(t *testing.T) {
 	lines := testLines(t, 400)
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	reg := pipelineRegistry(t, true, 10*time.Millisecond)
 	got, stats, _ := runPipelineCluster(t, reg, MasterConfig{
 		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second,

@@ -331,19 +331,12 @@ func (r *Registry) lookup(name string) (Job, bool) {
 	return j, ok
 }
 
-// partitionIndex hashes key into [0, parts) — the one hash function
-// workers and master must agree on, since a map task's partitions, a
-// lineage re-execution on the master and Result.Lookup must land
-// identical keys in identical partitions: a protocol constant that
-// protocolVersion covers, pinned by TestPartitionIndexGolden. The key
-// goes in 8 bytes per multiply
-// (the tail as keyPrefix pads it, told from real zeros by the length the
-// hash starts from); murmur3's finalizer then brings the well-mixed high
-// bits down to the low ones the modulo reads.
-func partitionIndex(key string, parts int) int {
-	if parts <= 1 {
-		return 0
-	}
+// keyHash is the one hash of a key, for partitionIndex and keyTable. The
+// key goes in 8 bytes per multiply (the tail as keyPrefix pads it, told
+// from real zeros by the length the hash starts from); murmur3's
+// finalizer then brings the well-mixed high bits down to the low ones
+// partitionIndex's modulo reads.
+func keyHash(key string) uint64 {
 	const mul = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
 	h := uint64(len(key)) * mul
 	for ; len(key) >= 8; key = key[8:] {
@@ -352,34 +345,42 @@ func partitionIndex(key string, parts int) int {
 	h = (bits.RotateLeft64(h, 29) ^ keyPrefix(key)) * mul
 	h = (h ^ h>>33) * 0xff51afd7ed558ccd
 	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
-	return int((h ^ h>>33) % uint64(parts))
+	return h ^ h>>33
+}
+
+// partitionIndex hashes key into [0, parts). Workers and master must
+// agree on it (a map task's partitions, a lineage re-execution on the
+// master and Result.Lookup land identical keys in identical partitions):
+// a protocol constant that protocolVersion covers, pinned by
+// TestPartitionIndexGolden.
+func partitionIndex(key string, parts int) int {
+	if parts <= 1 {
+		return 0
+	}
+	return int(keyHash(key) % uint64(parts))
 }
 
 // shardScratch holds the flat arena runShard executes in. One scratch
 // per worker is reused across every shard it runs, so steady-state
 // execution allocates only the result it ships back.
 type shardScratch struct {
-	keyIDs   map[string]int // key → dense id, reset per shard
-	keys     []string       // id → key
-	accs     []float64      // combiner path: running fold per key
-	logKeys  []int          // buffered path: emission log (key ids ...)
-	logVals  []float64      // ... and values, in emission order
-	counts   []int          // per-key emission counts
-	ends     []int          // per-key arena end offsets (prefix sums)
-	arena    []float64      // all values, grouped by key
-	vals     []float64      // id → shard-local result
-	partOf   []int          // partitioned collect: id → partition
-	partEnd  []int          // partitioned collect: per-partition window end in refs
-	refs     []keyRef       // partitioned collect: key ids by partition; upper half: the sort's buffer
-	combined bool           // run() took the combiner path
-}
-
-func newShardScratch() *shardScratch {
-	return &shardScratch{keyIDs: make(map[string]int)}
+	ids      keyTable  // key → dense id, reset per shard
+	keys     []string  // id → key
+	accs     []float64 // combiner path: running fold per key
+	logKeys  []int     // buffered path: emission log (key ids ...)
+	logVals  []float64 // ... and values, in emission order
+	counts   []int     // per-key emission counts
+	ends     []int     // per-key arena end offsets (prefix sums)
+	arena    []float64 // all values, grouped by key
+	vals     []float64 // id → shard-local result
+	partOf   []int     // partitioned collect: id → partition
+	partEnd  []int     // partitioned collect: per-partition window end in refs
+	refs     []keyRef  // partitioned collect: key ids by partition; upper half: the sort's buffer
+	combined bool      // run() took the combiner path
 }
 
 func (sc *shardScratch) reset() {
-	clear(sc.keyIDs)
+	sc.ids.reset()
 	sc.keys = sc.keys[:0]
 	sc.accs = sc.accs[:0]
 	sc.logKeys = sc.logKeys[:0]
@@ -402,13 +403,11 @@ func (sc *shardScratch) run(j Job, records []string) {
 	sc.combined = j.Combine != nil
 	if sc.combined {
 		emit := func(k string, v float64) {
-			if id, ok := sc.keyIDs[k]; ok {
+			if id, added := sc.ids.id(k, &sc.keys); added {
+				sc.accs = append(sc.accs, v)
+			} else {
 				sc.accs[id] = j.Combine(sc.accs[id], v)
-				return
 			}
-			sc.keyIDs[k] = len(sc.keys)
-			sc.keys = append(sc.keys, k)
-			sc.accs = append(sc.accs, v)
 		}
 		for _, rec := range records {
 			j.Map(rec, emit)
@@ -417,12 +416,7 @@ func (sc *shardScratch) run(j Job, records []string) {
 	}
 
 	emit := func(k string, v float64) {
-		id, ok := sc.keyIDs[k]
-		if !ok {
-			id = len(sc.keys)
-			sc.keyIDs[k] = id
-			sc.keys = append(sc.keys, k)
-		}
+		id, _ := sc.ids.id(k, &sc.keys)
 		sc.logKeys = append(sc.logKeys, id)
 		sc.logVals = append(sc.logVals, v)
 	}

@@ -236,7 +236,7 @@ func (r *jobRun) gatherPlan(p int, early bool) (locs []fetchLoc, inline []partit
 			}
 			// Primary and replica both gone: re-execute the map task.
 			if r.scratch == nil {
-				r.scratch = newShardScratch()
+				r.scratch = new(shardScratch)
 			}
 			parts = runShardPartitioned(r.job, r.shardRecords(task), r.scratch, m.cfg.Reducers, nil)
 			r.replicaParts[task] = parts

@@ -112,7 +112,7 @@ func TestDistributedReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("distributed-reduce result diverged from reference")
 	}
@@ -171,7 +171,7 @@ func TestDistributedReduce(t *testing.T) {
 // and the group-then-Reduce fold paths.
 func TestReduceMatchesReferenceAcrossConfigs(t *testing.T) {
 	lines := testLines(t, 400)
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 
 	for _, r := range []int{1, 2, 4, 8} {
 		master, _ := startReduceCluster(t, MasterConfig{
@@ -273,7 +273,7 @@ func TestRogueReduceErrorReassigned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("result diverged from reference after rogue reducer eviction")
 	}
@@ -319,7 +319,7 @@ func TestMalformedReduceResultRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkResult(t, res, runShard(wordCountJob(), lines, newShardScratch()))
+			checkResult(t, res, runShard(wordCountJob(), lines, new(shardScratch)))
 			if stats.ReduceTasks != 4 {
 				t.Errorf("ReduceTasks = %d, want 4", stats.ReduceTasks)
 			}

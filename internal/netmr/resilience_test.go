@@ -337,7 +337,7 @@ func TestChaosGauntlet(t *testing.T) {
 	}
 
 	lines := testLines(t, 160)
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 
 	result, stats, err := master.Run(context.Background(), "wordcount", lines, 16)
 	if err != nil {

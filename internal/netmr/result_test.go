@@ -127,7 +127,7 @@ func TestResultAgreesWithSerialMerge(t *testing.T) {
 // map, at a pinned reducer count and at the GOMAXPROCS default.
 func TestRunResultEveryMergePath(t *testing.T) {
 	lines := testLines(t, 400)
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	for _, tc := range []struct {
 		name string
 		R    int

@@ -427,7 +427,7 @@ func TestRunLeavesNothing(t *testing.T) {
 		switch {
 		case tc.wantErr == "" && err != nil:
 			t.Fatal(err)
-		case tc.wantErr == "" && !reflect.DeepEqual(got, runShard(wordCountJob(), lines, newShardScratch())):
+		case tc.wantErr == "" && !reflect.DeepEqual(got, runShard(wordCountJob(), lines, new(shardScratch))):
 			t.Fatal("output diverged from the reference")
 		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 			t.Fatalf("%s: err = %v, want one saying %q", tc.mode, err, tc.wantErr)
@@ -499,7 +499,7 @@ func TestSpillCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("spill-budget cluster result diverged from reference")
 	}
@@ -563,7 +563,7 @@ func TestReplicaRecoveryAfterMapperLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("post-recovery result diverged from reference")
 	}
@@ -766,7 +766,7 @@ func TestCorruptSpillFailsOverToReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("result diverged from reference after spill corruption")
 	}

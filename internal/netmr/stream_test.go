@@ -102,7 +102,7 @@ func checkStream(t *testing.T, res *Result, want map[string]float64, chunks int)
 // and Run's union inserts each key once.
 func TestStreamResumesAfterReducerDies(t *testing.T) {
 	lines := wideLines(40_000, 100) // about 4 MiB of output: five chunks
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	for _, api := range []string{"RunResult", "Run"} {
 		master, addr := startReduceCluster(t, MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: 1}, 0)
 		relayRogues(t, addr, 2, func(launch, i int, fr message) (message, bool) {
@@ -138,7 +138,7 @@ func TestStreamResumesAfterReducerDies(t *testing.T) {
 // again, which are checked and skipped, and wins with the result frame.
 func TestSpeculativeCloneSkipsDuplicateChunks(t *testing.T) {
 	lines := wideLines(50_000, 100) // two partitions of three chunks
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	master, addr := startReduceCluster(t, MasterConfig{
 		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: 2,
 		SpeculationInterval: 10 * time.Millisecond, SpeculationMinObservations: 1,
@@ -172,7 +172,7 @@ func TestSpeculativeCloneSkipsDuplicateChunks(t *testing.T) {
 // the cause and dropped; the third launch completes the stream.
 func TestDifferingChunkIsRefused(t *testing.T) {
 	lines := wideLines(40_000, 100)
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := runShard(wordCountJob(), lines, new(shardScratch))
 	master, addr := startReduceCluster(t, MasterConfig{
 		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: 1, MaxAttempts: 5,
 	}, 0)

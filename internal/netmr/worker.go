@@ -131,7 +131,7 @@ func NewWorker(registry *Registry, opts ...WorkerOption) (*Worker, error) {
 	}
 	w := &Worker{
 		registry:      registry,
-		scratch:       newShardScratch(),
+		scratch:       new(shardScratch),
 		store:         newInterStore(),
 		shuffleFanout: defaultShufflePoolPerPeer,
 		fetchConns:    make(map[net.Conn]struct{}),
