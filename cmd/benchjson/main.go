@@ -18,7 +18,10 @@
 // -max-ns-regress (off by default) additionally gates ns_per_op — it
 // exists to catch order-of-magnitude slowdowns, so its threshold should
 // be generous, well above runner noise. Either gate exits nonzero when
-// any benchmark grew by more than its percentage over the baseline.
+// any benchmark grew by more than its percentage over the baseline. A
+// benchmark the new document has and the baseline lacks fails too, so a
+// committed baseline stays complete; -allow-new lets it pass, for a
+// baseline measured from code that predates the benchmark.
 //
 // Custom b.ReportMetric units (e.g. "merge-ms/op") are preserved in a
 // per-benchmark metrics map, reported in comparisons, and never gated.
@@ -141,10 +144,10 @@ func readDoc(path string) (Document, error) {
 // compare diffs two documents and returns an error naming every
 // benchmark whose allocs_per_op regressed more than maxAllocRegress
 // percent, or — when maxNsRegress is non-negative — whose ns_per_op
-// regressed more than maxNsRegress percent. Benchmarks present in only
-// one document are reported but never fail the gates (new benchmarks
-// have no baseline; removed ones have nothing to regress).
-func compare(oldDoc, newDoc Document, maxAllocRegress, maxNsRegress float64, w io.Writer) error {
+// regressed more than maxNsRegress percent, and, unless allowNew, every
+// benchmark the baseline lacks. A benchmark only the baseline has is
+// reported and passes: a removed one has nothing to regress.
+func compare(oldDoc, newDoc Document, maxAllocRegress, maxNsRegress float64, allowNew bool, w io.Writer) error {
 	names := make([]string, 0, len(newDoc.Benchmarks))
 	for name := range newDoc.Benchmarks {
 		names = append(names, name)
@@ -156,6 +159,9 @@ func compare(oldDoc, newDoc Document, maxAllocRegress, maxNsRegress float64, w i
 		ob, ok := oldDoc.Benchmarks[name]
 		if !ok {
 			fmt.Fprintf(w, "%-50s (no baseline)\n", name)
+			if !allowNew {
+				failures = append(failures, fmt.Sprintf("%s has no baseline", name))
+			}
 			continue
 		}
 		nsDelta := pctChange(ob.NsPerOp, nb.NsPerOp)
@@ -178,7 +184,7 @@ func compare(oldDoc, newDoc Document, maxAllocRegress, maxNsRegress float64, w i
 		}
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("benchjson: regressions over the baseline:\n  %s", strings.Join(failures, "\n  "))
+		return fmt.Errorf("benchjson: regressions over the baseline, or benchmarks it lacks:\n  %s", strings.Join(failures, "\n  "))
 	}
 	return nil
 }
@@ -208,6 +214,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	compareMode := fs.Bool("compare", false, "compare two benchmark JSON files (args: old.json new.json) instead of converting")
 	maxAllocRegress := fs.String("max-alloc-regress", "10%", "with -compare: fail when allocs_per_op grows more than this over the baseline")
 	maxNsRegress := fs.String("max-ns-regress", "", "with -compare: also fail when ns_per_op grows more than this (empty = ns/op not gated)")
+	allowNew := fs.Bool("allow-new", false, "with -compare: pass a benchmark the baseline lacks instead of failing")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -243,7 +250,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return compare(oldDoc, newDoc, limit, nsLimit, stdout)
+		return compare(oldDoc, newDoc, limit, nsLimit, *allowNew, stdout)
 	}
 	benches, err := Parse(stdin)
 	if err != nil {

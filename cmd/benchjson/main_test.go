@@ -124,13 +124,13 @@ func TestCompareGatesOnAllocRegressions(t *testing.T) {
 	newDoc := Document{Benchmarks: map[string]Benchmark{
 		"BenchmarkA":   {NsPerOp: 500, AllocsPerOp: 1050}, // +5% allocs: fine; ns/op is not gated
 		"BenchmarkB":   {NsPerOp: 50, AllocsPerOp: 1200},  // +20% allocs: regression
-		"BenchmarkNew": {NsPerOp: 1, AllocsPerOp: 1},      // no baseline: fine
+		"BenchmarkNew": {NsPerOp: 1, AllocsPerOp: 1},      // no baseline: passed by -allow-new
 	}}
 	oldPath := writeDoc(t, "old.json", oldDoc)
 	newPath := writeDoc(t, "new.json", newDoc)
 
 	var out strings.Builder
-	err := run([]string{"-compare", oldPath, newPath, "-max-alloc-regress", "10%"}, strings.NewReader(""), &out)
+	err := run([]string{"-compare", oldPath, newPath, "-max-alloc-regress", "10%", "-allow-new"}, strings.NewReader(""), &out)
 	if err == nil {
 		t.Fatalf("20%% alloc regression passed the 10%% gate; output:\n%s", out.String())
 	}
@@ -145,8 +145,30 @@ func TestCompareGatesOnAllocRegressions(t *testing.T) {
 
 	// A looser limit passes.
 	out.Reset()
-	if err := run([]string{"-compare", oldPath, newPath, "-max-alloc-regress", "25"}, strings.NewReader(""), &out); err != nil {
+	if err := run([]string{"-compare", oldPath, newPath, "-max-alloc-regress", "25", "-allow-new"}, strings.NewReader(""), &out); err != nil {
 		t.Fatalf("25%% limit should pass: %v", err)
+	}
+}
+
+// TestCompareFailsWithoutBaseline: a benchmark the baseline lacks fails
+// the comparison, named, unless -allow-new; one only the baseline has
+// passes.
+func TestCompareFailsWithoutBaseline(t *testing.T) {
+	oldPath := writeDoc(t, "old.json", Document{Benchmarks: map[string]Benchmark{
+		"BenchmarkA":    {NsPerOp: 100, AllocsPerOp: 10},
+		"BenchmarkGone": {NsPerOp: 1, AllocsPerOp: 1},
+	}})
+	newPath := writeDoc(t, "new.json", Document{Benchmarks: map[string]Benchmark{
+		"BenchmarkA":   {NsPerOp: 100, AllocsPerOp: 10},
+		"BenchmarkNew": {NsPerOp: 1, AllocsPerOp: 1},
+	}})
+	var out strings.Builder
+	err := run([]string{"-compare", oldPath, newPath}, strings.NewReader(""), &out)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkNew has no baseline") || strings.Contains(err.Error(), "BenchmarkA") {
+		t.Errorf("a benchmark without a baseline: %v; want the comparison failed naming it alone", err)
+	}
+	if err := run([]string{"-compare", oldPath, newPath, "-allow-new"}, strings.NewReader(""), &out); err != nil {
+		t.Errorf("-allow-new: %v", err)
 	}
 }
 

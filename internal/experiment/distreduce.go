@@ -24,10 +24,11 @@ type distReducePoint struct {
 }
 
 // distReduceMeasure runs the wordcount workload at each pool size with R
-// reduce tasks on the workers, twice through RunResult: once timing
-// Result.Map after it (the master unions the R disjoint partitions into
-// one map, the Ws(n) of Eq. 14 left on it) and once keeping the sections,
-// then refits ε(n)=α·n^δ on both serial series. Run's own union overlaps
+// reduce tasks on the workers, once through RunResult, and reads both
+// serial series off that one run: its merge window keeps the sections,
+// and the same window plus a timed Result.Map after it is the master
+// unioning the R disjoint partitions into one map, the Ws(n) of Eq. 14
+// left on it. It then refits ε(n)=α·n^δ on both. Run's own union overlaps
 // the reduce tasks, so its merge window no longer holds all of it; timing
 // Map keeps the whole union in the serial series.
 func distReduceMeasure(ctx context.Context, workerCounts []int, lines, shards, reducers int) ([]distReducePoint, stats.PowerFit, stats.PowerFit, error) {
@@ -46,19 +47,19 @@ func distReduceMeasure(ctx context.Context, workerCounts []int, lines, shards, r
 		if n < 1 {
 			return nil, stats.PowerFit{}, stats.PowerFit{}, fmt.Errorf("experiment: invalid worker count %d", n)
 		}
-		asMap, union, sections, err := runDistReduceWordCount(ctx, input, n, shards, reducers)
+		run, union, err := runDistReduceWordCount(ctx, input, n, shards, reducers)
 		if err != nil {
 			return nil, stats.PowerFit{}, stats.PowerFit{}, err
 		}
-		if sections.ReduceTasks != reducers {
+		if run.ReduceTasks != reducers {
 			return nil, stats.PowerFit{}, stats.PowerFit{}, fmt.Errorf(
-				"experiment: distreduce at n=%d ran %d of %d reduce tasks on workers", n, sections.ReduceTasks, reducers)
+				"experiment: distreduce at n=%d ran %d of %d reduce tasks on workers", n, run.ReduceTasks, reducers)
 		}
 		p := distReducePoint{
 			n:        n,
-			serialMs: positiveMs(asMap.MergeWall + union), residueMs: positiveMs(sections.MergeWall),
-			reduceMs: float64(sections.ReduceWall) / 1e6,
-			shuffle:  sections.ShuffleBytes, reduceRuns: sections.ReduceTasks,
+			serialMs: positiveMs(run.MergeWall + union), residueMs: positiveMs(run.MergeWall),
+			reduceMs: float64(run.ReduceWall) / 1e6,
+			shuffle:  run.ShuffleBytes, reduceRuns: run.ReduceTasks,
 		}
 		points = append(points, p)
 		xs = append(xs, float64(n))
@@ -123,22 +124,22 @@ func DistReduce(ctx context.Context, workerCounts []int, lines, shards, reducers
 	return rep, nil
 }
 
-// runDistReduceWordCount measures one operating point: the same job on
-// one cluster with R reduce tasks, through RunResult twice, the first
-// time followed by the union into one map, whose time is returned.
-func runDistReduceWordCount(ctx context.Context, input []string, workers, shards, reducers int) (asMap netmr.Stats, union time.Duration, sections netmr.Stats, err error) {
+// runDistReduceWordCount measures one operating point: the job on one
+// cluster with R reduce tasks, through RunResult, followed by the union
+// into one map, whose time is returned.
+func runDistReduceWordCount(ctx context.Context, input []string, workers, shards, reducers int) (run netmr.Stats, union time.Duration, err error) {
 	job := wordCountNetJob()
 	registry, err := netmr.NewRegistry(job)
 	if err != nil {
-		return asMap, union, sections, err
+		return run, union, err
 	}
-	master, err := netmr.NewMaster(registry, netmr.MasterConfig{MaxTaskBatch: 4, Reducers: reducers})
+	master, err := netmr.NewMaster(registry, netmr.MasterConfig{Reducers: reducers})
 	if err != nil {
-		return asMap, union, sections, err
+		return run, union, err
 	}
 	addr, err := master.Listen("127.0.0.1:0")
 	if err != nil {
-		return asMap, union, sections, err
+		return run, union, err
 	}
 	defer master.Close()
 
@@ -151,27 +152,25 @@ func runDistReduceWordCount(ctx context.Context, input []string, workers, shards
 	for i := 0; i < workers; i++ {
 		wreg, err := netmr.NewRegistry(job)
 		if err != nil {
-			return asMap, union, sections, err
+			return run, union, err
 		}
 		w, err := netmr.NewWorker(wreg)
 		if err != nil {
-			return asMap, union, sections, err
+			return run, union, err
 		}
 		if err := w.Start(addr); err != nil {
-			return asMap, union, sections, err
+			return run, union, err
 		}
 		stops = append(stops, w.Stop)
 	}
 	if err := master.WaitForWorkers(workers, 30*time.Second); err != nil {
-		return asMap, union, sections, err
+		return run, union, err
 	}
-	res, asMap, err := master.RunResult(ctx, "wordcount", input, shards)
+	res, run, err := master.RunResult(ctx, "wordcount", input, shards)
 	if err != nil {
-		return asMap, union, sections, err
+		return run, union, err
 	}
 	start := time.Now()
 	res.Map()
-	union = time.Since(start)
-	_, sections, err = master.RunResult(ctx, "wordcount", input, shards)
-	return asMap, union, sections, err
+	return run, time.Since(start), nil
 }

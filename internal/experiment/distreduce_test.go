@@ -8,7 +8,8 @@ import (
 // TestDistReduceShrinksSerialFit is the acceptance check for the
 // distributed reduce phase: refitting ε(n)=α·n^δ on the master's serial
 // work must come out strictly smaller when RunResult keeps the R
-// sections than when Run unions them into one map.
+// sections than when Result.Map unions them into one map. Both series
+// come from the same run, so a hiccup in one run cannot reorder them.
 func TestDistReduceShrinksSerialFit(t *testing.T) {
 	grid := []int{1, 2, 4}
 	points, offFit, onFit, err := distReduceMeasure(context.Background(), grid, 4000, 8, 4)

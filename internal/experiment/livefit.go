@@ -279,7 +279,7 @@ func runTracedWordCount(ctx context.Context, input []string, workers, shards int
 		return netmr.PhaseBreakdown{}, err
 	}
 	master, err := netmr.NewMaster(registry, netmr.MasterConfig{
-		MaxTaskBatch: 4, Reducers: 4, Trace: true, Metrics: obs.NewRegistry(),
+		Reducers: 4, Trace: true, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
 		return netmr.PhaseBreakdown{}, err

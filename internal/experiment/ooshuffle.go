@@ -196,7 +196,7 @@ func runOOShuffleWordCount(ctx context.Context, input []string, workers, shards,
 		return fail(err)
 	}
 	master, err := netmr.NewMaster(registry, netmr.MasterConfig{
-		MaxTaskBatch: 4, Reducers: reducers, Trace: traced,
+		Reducers: reducers, Trace: traced,
 	})
 	if err != nil {
 		return fail(err)

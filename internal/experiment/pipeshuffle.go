@@ -104,7 +104,7 @@ func runPipeShuffleWordCount(ctx context.Context, input []string, workers, shard
 		return fail(err)
 	}
 	master, err := netmr.NewMaster(registry, netmr.MasterConfig{
-		MaxTaskBatch: 4, Reducers: reducers, Trace: true, EarlyShuffle: early,
+		Reducers: reducers, Trace: true, EarlyShuffle: early,
 	})
 	if err != nil {
 		return fail(err)

@@ -146,7 +146,7 @@ func runRealWordCount(ctx context.Context, input []string, workers, shards int) 
 	// worker still acks each shard individually, so the phase stats keep
 	// per-shard resolution. R is pinned to 4 (not GOMAXPROCS) so runs
 	// compare across machines.
-	master, err := netmr.NewMaster(registry, netmr.MasterConfig{MaxTaskBatch: 4, Reducers: 4})
+	master, err := netmr.NewMaster(registry, netmr.MasterConfig{Reducers: 4})
 	if err != nil {
 		return netmr.Stats{}, 0, err
 	}

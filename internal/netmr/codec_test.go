@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -290,11 +292,12 @@ func TestSendClearsStaleWriteDeadline(t *testing.T) {
 	}
 }
 
-// TestBatchedDispatch packs several shards per frame and checks the
-// per-shard accounting still adds up.
+// TestBatchedDispatch: small shards share a frame. Sixteen of them on
+// two workers arrive as two taskbatch frames of eight, the workers' fair
+// shares, and the per-shard accounting still adds up.
 func TestBatchedDispatch(t *testing.T) {
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, MaxTaskBatch: 4,
+		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,19 +307,19 @@ func TestBatchedDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(master.Close)
-	for i := 0; i < 2; i++ {
-		w, err := NewWorker(mustRegistry(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Start(addr); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(w.Stop)
+	var mu sync.Mutex
+	var frames []string // "<type>/<specs>", as received
+	for _, id := range []string{"w0", "w1"} {
+		rogueServe(t, addr, id, func(_ *Worker, _ *conn, m message) (bool, bool) {
+			if m.Type == "task" || m.Type == "taskbatch" {
+				mu.Lock()
+				frames = append(frames, fmt.Sprintf("%s/%d", m.Type, len(m.Batch)))
+				mu.Unlock()
+			}
+			return false, true
+		})
 	}
-	if err := master.WaitForWorkers(2, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	waitIdle(t, master, 2) // so each worker takes a batch
 	lines := testLines(t, 300)
 	got, stats, err := master.Run(context.Background(), "wordcount", lines, 16)
 	if err != nil {
@@ -331,6 +334,11 @@ func TestBatchedDispatch(t *testing.T) {
 	}
 	if total != float64(300*8) {
 		t.Errorf("total words %g, want %d", total, 300*8)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"taskbatch/8", "taskbatch/8"}; !reflect.DeepEqual(frames, want) {
+		t.Errorf("frames %v, want %v", frames, want)
 	}
 }
 

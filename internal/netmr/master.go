@@ -87,14 +87,6 @@ type MasterConfig struct {
 	// The job output is byte-identical either way.
 	EarlyShuffle bool
 
-	// MaxTaskBatch caps how many ready shards one dispatch may pack
-	// into a single taskbatch frame (default 1: every shard travels in
-	// its own frame). Batching amortizes the per-frame framing
-	// and syscall cost when shards are small; the worker still answers
-	// one result frame per shard, so retry, speculation and accounting
-	// see individual shards throughout.
-	MaxTaskBatch int
-
 	// Trace enables distributed job tracing: every Run stamps its trace
 	// ID on the task frames, which asks the workers to report their
 	// sub-phases, and assembles a JobTrace of launch-level spans and the
@@ -146,9 +138,6 @@ func (c MasterConfig) withDefaults() MasterConfig {
 	}
 	if c.SpeculationMaxClones <= 0 {
 		c.SpeculationMaxClones = 1
-	}
-	if c.MaxTaskBatch <= 0 {
-		c.MaxTaskBatch = 1
 	}
 	if c.ShuffleTimeout <= 0 {
 		c.ShuffleTimeout = defaultShuffleTimeout
@@ -741,9 +730,9 @@ func (r *jobRun) shardRecords(id int) []string {
 	return r.records[lo:hi]
 }
 
-// mapPhase is the map shards' phase: up to MaxTaskBatch shards a frame,
-// and with EarlyShuffle the map tail's spare workers start reduce tasks,
-// one of which each map retry calls back.
+// mapPhase is the map shards' phase: small shards share a frame (see
+// batchBytes), and with EarlyShuffle the map tail's spare workers start
+// reduce tasks, one of which each map retry calls back.
 func (r *jobRun) mapPhase() *phase {
 	cfg := r.m.cfg
 	// Every launch reports exactly once; the buffers are sized for the
@@ -753,8 +742,17 @@ func (r *jobRun) mapPhase() *phase {
 	results := make(chan launchDone, capacity)
 	fails := make(chan launchFail, capacity)
 	ph := &phase{
-		tasks: r.shards, kind: "task", noun: "shard", maxBatch: cfg.MaxTaskBatch,
+		tasks: r.shards, kind: "task", noun: "shard",
 		results: results, fails: fails,
+		weigh: func(id, room int) int {
+			n := 0
+			for _, rec := range r.shardRecords(id) {
+				if n += len(rec); n > room {
+					break
+				}
+			}
+			return n
+		},
 		launch: func(w *workerHandle, batch []shardTask, launches []int) {
 			r.m.metrics.shards.Add(float64(len(batch)))
 			go r.dispatchMap(w, batch, launches, results, fails)
@@ -772,9 +770,11 @@ func (r *jobRun) mapPhase() *phase {
 // the output the worker keeps, and Rep names it a replica peer — the next
 // live shuffle listener after its own — so its partitions survive the
 // worker; no eligible peer leaves Rep empty and the worker ships the copy
-// back inline instead. The worker answers one mapdone per shard in order;
-// each is reported individually, so a conn failure mid-batch fails
-// exactly the still-unacknowledged shards.
+// back inline instead. The worker answers one mapdone per shard in order,
+// several in one write when their shards ran quickly, and each is
+// reported individually, so a conn failure mid-batch fails exactly the
+// still-unacknowledged shards. Each shard has TaskTimeout: the first
+// answer may take the whole batch's.
 func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int, results chan<- launchDone, fails chan<- launchFail) {
 	m := r.m
 	rep := m.pickReplicaAddr(w.fetch)
@@ -790,12 +790,36 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int,
 		}
 		err = w.c.send(message{Type: "taskbatch", Batch: specs, Run: r.runID, Rep: rep, Trace: r.trc.frameID()}, m.cfg.TaskTimeout)
 	}
-	acked := 0
-	prev := start
-	for err == nil && acked < len(tasks) {
-		t := tasks[acked]
+	dones := make([]launchDone, 0, len(tasks))
+	var spans [][]spanSummary // per answer, traced runs only
+	// book reports the answers read since the last call, which left the
+	// worker in one write. Each shard's latency runs from the dispatch,
+	// the clock speculation reads; the time since the previous write is
+	// charged once, to the worker's ledger and to the trace (closeBatch).
+	booked, prev, traced := 0, start, 0.0
+	book := func() {
+		now := time.Now()
+		if launches != nil {
+			traced = r.trc.closeBatch(launches[booked:len(dones)], outcomeOK, spans[booked:], traced)
+		}
+		busy := now.Sub(prev)
+		prev = now
+		for ; booked < len(dones); booked++ {
+			d := dones[booked]
+			d.elapsed = now.Sub(start)
+			m.metrics.rpcSeconds.With(w.id).Observe(d.elapsed.Seconds())
+			r.ledger.shardDone(w.id, busy)
+			busy = 0
+			if booked == len(tasks)-1 {
+				m.idle <- w // back to the pool before the last report, as in dispatchReduce
+			}
+			results <- d
+		}
+	}
+	for err == nil && len(dones) < len(tasks) {
+		t := tasks[len(dones)]
 		var reply message
-		reply, err = w.c.recv(m.cfg.TaskTimeout)
+		reply, err = w.c.recv(m.cfg.TaskTimeout * time.Duration(len(tasks)-len(dones)))
 		if err == nil && (reply.Type != "mapdone" || reply.TaskID != t.id) {
 			err = fmt.Errorf("netmr: worker %s answered shard %d with %q (task %d)", w.id, t.id, reply.Type, reply.TaskID)
 		}
@@ -808,21 +832,22 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int,
 		if err != nil {
 			break
 		}
-		now := time.Now()
-		elapsed := now.Sub(prev)
-		prev = now
-		r.landed(w, elapsed, launchOf(launches, acked), reply.Spans)
-		d := launchDone{
-			task: t, parts: reply.Parts,
-			fetchAddr: w.fetch,
-			repAddr:   reply.Rep, spills: reply.Spills, spilled: reply.Spilled,
-			compBytes: reply.CompBytes,
-			elapsed:   elapsed, launch: launchOf(launches, acked),
+		dones = append(dones, launchDone{
+			task: t, parts: reply.Parts, fetchAddr: w.fetch,
+			repAddr: reply.Rep, spills: reply.Spills, spilled: reply.Spilled,
+			compBytes: reply.CompBytes, launch: launchOf(launches, len(dones)),
+		})
+		if launches != nil {
+			spans = append(spans, reply.Spans)
 		}
-		if acked++; acked == len(tasks) {
-			m.idle <- w // back to the pool before the last report, as in dispatchReduce
+		// Bytes already read past this answer are the next one's: it
+		// left in the same write, so the two are booked together.
+		if len(dones) == len(tasks) || w.c.r.Buffered() == 0 {
+			book()
 		}
-		results <- d
+	}
+	if booked < len(dones) {
+		book()
 	}
 	if err != nil {
 		// Lost or misbehaving worker: drop it, then fail every shard it
@@ -830,9 +855,10 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int,
 		// all-workers-lost check already counts it gone.
 		m.dropWorker(w)
 		elapsed := time.Since(prev)
-		for i, t := range tasks[acked:] {
-			r.lost(w, elapsed, launchOf(launches, acked+i))
-			fails <- launchFail{task: t, err: err}
+		for i := booked; i < len(tasks); i++ {
+			launch := launchOf(launches, i)
+			r.lost(w, elapsed, launch)
+			fails <- launchFail{task: tasks[i], err: err, launch: launch}
 			elapsed = 0 // the round-trip is charged once
 		}
 	}

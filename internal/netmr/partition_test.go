@@ -249,8 +249,9 @@ func TestFlatResultToMapTaskFailsLaunch(t *testing.T) {
 	t.Cleanup(master.Close)
 	rogueWorker(t, addr, "rogue", func(m message) (message, bool) {
 		smuggled := sectionFromMap(map[string]float64{"smuggled": 1})
-		return message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Folded: smuggled,
-			Parts: []partitionPartial{{ID: 0, Partial: smuggled}}}, m.Type == "task"
+		id, attempt, isMap := firstShard(m)
+		return message{Type: "result", TaskID: id, Attempt: attempt, Folded: smuggled,
+			Parts: []partitionPartial{{ID: 0, Partial: smuggled}}}, isMap
 	})
 	honest, err := NewWorker(mustRegistry(t))
 	if err != nil {
@@ -278,6 +279,15 @@ func TestFlatResultToMapTaskFailsLaunch(t *testing.T) {
 	}
 }
 
+// firstShard is the first shard a map task frame carries (the shard of a
+// task frame, the first spec of a taskbatch) and whether m is one.
+func firstShard(m message) (id, attempt int, ok bool) {
+	if m.Type == "taskbatch" && len(m.Batch) > 0 {
+		return m.Batch[0].TaskID, m.Batch[0].Attempt, true
+	}
+	return m.TaskID, m.Attempt, m.Type == "task"
+}
+
 // TestMapdoneOutOfRangePartsFailsLaunch: a mapdone whose inline
 // partition ids fall outside [0, R) must fail that worker's launch (never
 // reach the gather planner), be counted as a reassignment, and the job
@@ -295,8 +305,9 @@ func TestMapdoneOutOfRangePartsFailsLaunch(t *testing.T) {
 	}
 	t.Cleanup(master.Close)
 	rogueWorker(t, addr, "rogue", func(m message) (message, bool) {
-		return message{Type: "mapdone", TaskID: m.TaskID, Attempt: m.Attempt, Run: m.Run,
-			Parts: []partitionPartial{{ID: 4, Partial: sectionFromMap(map[string]float64{"smuggled": 1})}}}, m.Type == "task"
+		id, attempt, isMap := firstShard(m)
+		return message{Type: "mapdone", TaskID: id, Attempt: attempt, Run: m.Run,
+			Parts: []partitionPartial{{ID: 4, Partial: sectionFromMap(map[string]float64{"smuggled": 1})}}}, isMap
 	})
 	honest, err := NewWorker(mustRegistry(t))
 	if err != nil {

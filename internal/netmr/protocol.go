@@ -165,6 +165,13 @@ func newConn(raw net.Conn) *conn {
 }
 
 func (c *conn) send(m message, timeout time.Duration) error {
+	return c.sendFrames([]message{m}, timeout)
+}
+
+// sendFrames sends ms back to back in one write (on a new connection
+// behind its preamble): one writev on a TCP conn, one fault op on a chaos
+// conn.
+func (c *conn) sendFrames(ms []message, timeout time.Duration) error {
 	if timeout > 0 {
 		if err := c.raw.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 			return err
@@ -177,11 +184,27 @@ func (c *conn) send(m message, timeout time.Duration) error {
 	if !c.greeted {
 		lead = preamble[:]
 	}
-	e := encBufPool.Get().(*frameEnc)
-	segs, err := e.encode(&m, lead, sectionRefBytes)
+	// Each frame's segments alias its own encoder until the write is done.
+	var one [1]*frameEnc
+	encs := one[:0]
+	var segs net.Buffers
+	var err error
+	for i := range ms {
+		e := encBufPool.Get().(*frameEnc)
+		encs = append(encs, e)
+		var s net.Buffers
+		if s, err = e.encode(&ms[i], lead, sectionRefBytes); err != nil {
+			err = fmt.Errorf("netmr: send %s: %w", ms[i].Type, err)
+			break
+		}
+		lead = nil
+		if len(ms) == 1 {
+			segs = s
+		} else {
+			segs = append(segs, s...)
+		}
+	}
 	if err == nil {
-		// One write per frame (and on a new connection its preamble): one
-		// writev on a TCP conn, one fault op on a chaos conn.
 		if len(segs) == 1 {
 			_, err = c.raw.Write(segs[0])
 		} else if bw, ok := c.raw.(interface {
@@ -189,17 +212,19 @@ func (c *conn) send(m message, timeout time.Duration) error {
 		}); ok {
 			_, err = bw.WriteBuffers(segs)
 		} else {
-			e.out = segs
-			_, err = e.out.WriteTo(c.raw)
+			encs[0].out = segs
+			_, err = encs[0].out.WriteTo(c.raw)
 		}
 		c.greeted = true
+		if err != nil {
+			err = fmt.Errorf("netmr: send %s: %w", ms[0].Type, err)
+		}
 	}
-	clear(e.segs[:cap(e.segs)]) // the pool must not keep a frame's sections alive
-	encBufPool.Put(e)
-	if err != nil {
-		return fmt.Errorf("netmr: send %s: %w", m.Type, err)
+	for _, e := range encs {
+		clear(e.segs[:cap(e.segs)]) // the pool must not keep a frame's sections alive
+		encBufPool.Put(e)
 	}
-	return nil
+	return err
 }
 
 // readPreamble checks the peer's opening bytes. A listener that refuses

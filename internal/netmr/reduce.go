@@ -149,7 +149,7 @@ func (r *jobRun) reduceTail(ctx context.Context, deadline <-chan time.Time, spli
 func (r *jobRun) runReducePhase(ctx context.Context, deadline <-chan time.Time) error {
 	m := r.m
 	ph := &phase{
-		tasks: m.cfg.Reducers, kind: "rtask", noun: "reduce partition", maxBatch: 1,
+		tasks: m.cfg.Reducers, kind: "rtask", noun: "reduce partition",
 		results: r.rResults, fails: r.rFails, seeded: r.earlyLaunched,
 		launch: func(w *workerHandle, batch []shardTask, launches []int) {
 			t := batch[0]
@@ -323,7 +323,7 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 			}
 			r.trc.closeLaunch(launch, outcome, nil)
 			m.idle <- w
-			r.rFails <- launchFail{task: t, err: ferr}
+			r.rFails <- launchFail{task: t, err: ferr, launch: launch}
 			return
 		}
 		what := "reduce partition"
@@ -338,7 +338,7 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 	}
 	m.dropWorker(w) // before the report, as in dispatchMap
 	r.lost(w, elapsed, launch)
-	r.rFails <- launchFail{task: t, err: err}
+	r.rFails <- launchFail{task: t, err: err, launch: launch}
 }
 
 // release tells every idle worker, once, that the run is over, so each

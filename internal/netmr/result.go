@@ -35,7 +35,7 @@ func (r *Result) Len() int {
 func (r *Result) Each(fn func(key string, value float64)) {
 	srcs := make([]*mergeSource, len(r.parts))
 	for p, chunks := range r.parts {
-		srcs[p] = sectionSource(p, chunks...)
+		srcs[p] = chunksSource(p, chunks)
 	}
 	// Sections were checked on arrival, so walking them cannot fail.
 	_ = mergeSources(srcs, func(s *mergeSource) error {
@@ -116,7 +116,7 @@ type outputs struct {
 	chunks [][]section // per partition: the chunks taken, in stream order
 	ended  []bool      // per partition: its last chunk, the result frame's, is among them
 	tail   []string    // per partition: the last key taken
-	pairs  float64     // projected output pairs of the partitions heard from ...
+	pairs  float64     // output pairs of the partitions heard from, exact or projected ...
 	heard  int         // ... and how many those are
 	limit  float64     // what a projection is capped at: the run's input records
 	wake   chan struct{}
@@ -154,15 +154,16 @@ func (o *outputs) admit(p, k int, chunk section, last bool, projected int64) err
 	}
 	o.chunks[p], o.ended[p], o.tail[p] = append(taken, chunk), last, tail
 	if k == 0 {
-		// A whole partition counts itself; a first chunk scales its pairs
-		// by the bytes its reducer projects. A job may well emit more keys
-		// than it reads records, but the cap keeps a bogus projection from
-		// costing more than the input does.
+		// A whole partition counts itself exactly; a first chunk scales its
+		// pairs by the bytes its reducer projects. A job may well emit more
+		// keys than it reads records, but the cap keeps a bogus projection
+		// from costing more than the input does. A count is not capped:
+		// the frame decode checked it against the chunk's bytes.
 		n := float64(chunk.count())
 		if !last && len(chunk) > 0 {
-			n = max(n, float64(projected)/float64(len(chunk))*n)
+			n = max(n, min(float64(projected)/float64(len(chunk))*n, o.limit))
 		}
-		o.pairs += min(n, o.limit)
+		o.pairs += n
 		o.heard++
 	}
 	select {
@@ -172,11 +173,17 @@ func (o *outputs) admit(p, k int, chunk section, last bool, projected int64) err
 	return nil
 }
 
+// presize is the size union makes its map with: the pairs of the
+// partitions heard from, scaled to all of them. o.mu is held.
+func (o *outputs) presize() int {
+	return int(o.pairs * float64(len(o.chunks)) / float64(o.heard))
+}
+
 // union builds Run's map from the chunks as they are taken, on its own
 // goroutine, so only the chunks that land last are left for the merge
-// window. The map is presized once, from the projections of the
-// partitions heard from scaled to all of them. It returns when every
-// partition has ended, or nil when quit closes first.
+// window. The map is presized once, when the first partition is heard
+// from. It returns when every partition has ended, or nil when quit
+// closes first.
 func (o *outputs) union(quit <-chan struct{}) map[string]float64 {
 	var out map[string]float64
 	done := make([]int, len(o.chunks)) // per partition: chunks inserted
@@ -191,7 +198,7 @@ func (o *outputs) union(quit <-chan struct{}) map[string]float64 {
 			complete = complete && o.ended[p]
 		}
 		if out == nil && o.heard > 0 {
-			out = make(map[string]float64, int(min(o.pairs*float64(len(o.chunks))/float64(o.heard), o.limit)))
+			out = make(map[string]float64, o.presize())
 		}
 		o.mu.Unlock()
 		for _, s := range todo {

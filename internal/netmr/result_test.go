@@ -239,3 +239,52 @@ func TestRecvOwnsFrameBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestUnionPresizeCoversExactCounts: a partition that arrived whole
+// counts its pairs exactly, and the union's map is presized for all of
+// them even where a job emits more keys than it read records (about
+// 1,000 distinct words from smalljobs' 400 lines); only a projection is
+// capped at the input's records.
+func TestUnionPresizeCoversExactCounts(t *testing.T) {
+	const records = 400
+	keys := func(p, n int) section {
+		m := make(map[string]float64, n)
+		for i := 0; i < n; i++ {
+			m[fmt.Sprintf("p%d-word%04d", p, i)] = 1
+		}
+		return sectionFromMap(m)
+	}
+	o := newOutputs(2, records)
+	for p, n := range []int{560, 440} {
+		if err := o.admit(p, 0, keys(p, n), true, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := o.presize(); got < 1000 {
+		t.Errorf("presize %d for two whole partitions of 1000 pairs in all, input %d records", got, records)
+	}
+	// Heard from one whole partition of 560: scaled to both.
+	o = newOutputs(2, records)
+	if err := o.admit(0, 0, keys(0, 560), true, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.presize(); got != 1120 {
+		t.Errorf("presize %d from one whole partition of 560 pairs, want 1120", got)
+	}
+	// A first chunk projecting an absurd output: the projection is capped
+	// at the input's records, the chunk's own pairs are not.
+	o = newOutputs(2, records)
+	if err := o.admit(0, 0, keys(0, 500), false, 1<<50); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.presize(); got != 1000 {
+		t.Errorf("presize %d from a 500-pair chunk projecting 2^50 bytes, want 1000 (its own count, scaled)", got)
+	}
+	o = newOutputs(2, records)
+	if err := o.admit(0, 0, keys(0, 100), false, 1<<50); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.presize(); got != 2*records {
+		t.Errorf("presize %d from a 100-pair chunk projecting 2^50 bytes, want %d (the cap, scaled)", got, 2*records)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -22,12 +23,15 @@ import (
 // phase is what schedule needs to know about one phase's tasks, ids
 // 0..tasks-1.
 type phase struct {
-	tasks    int
-	kind     string // trace launch kind: "task" (map shard) or "rtask" (reduce partition)
-	noun     string // what errors call a task: "shard" or "reduce partition"
-	maxBatch int    // tasks one dispatch may carry
-	results  <-chan launchDone
-	fails    <-chan launchFail
+	tasks   int
+	kind    string // trace launch kind: "task" (map shard) or "rtask" (reduce partition)
+	noun    string // what errors call a task: "shard" or "reduce partition"
+	results <-chan launchDone
+	fails   <-chan launchFail
+	// weigh, when set, lets a dispatch carry several tasks (see
+	// batchBytes): it returns task id's input bytes, or any count past
+	// room once they exceed it. Unset, every dispatch carries one task.
+	weigh func(id, room int) int
 	// seeded tasks were launched before the loop started (early reduce
 	// launches): they start as live flights instead of queued tasks.
 	seeded map[int]bool
@@ -60,19 +64,32 @@ type shardTask struct {
 	readyAt     time.Time // zero: dispatchable immediately
 }
 
+// first reports whether t is a task's first launch: neither a retry nor
+// a speculative clone.
+func (t shardTask) first() bool { return t.attempts == 0 && !t.speculative }
+
 // flight tracks the live launches of one task: how many are out, when
-// the latest started (the straggler clock), and how many clones exist.
+// the latest started (the straggler clock), how many clones exist, and
+// the trace launch ordinals of those the loop dispatched (traced runs).
 type flight struct {
 	launches   int
 	lastLaunch time.Time
 	clones     int
+	traced     []int
+}
+
+// reported drops a launch that reported from the flight's traced ones.
+func (f *flight) reported(launch int) {
+	f.launches--
+	f.traced = slices.DeleteFunc(f.traced, func(l int) bool { return l == launch })
 }
 
 // launchFail is a failed launch's report, carrying the cause so budget
 // exhaustion can surface the last real error.
 type launchFail struct {
-	task shardTask
-	err  error
+	task   shardTask
+	err    error
+	launch int // trace launch ordinal, -1 when the run is untraced
 }
 
 // launchOf is the trace launch ordinal of batch entry i, -1 untraced.
@@ -212,20 +229,40 @@ func (m *Master) schedule(ctx context.Context, ph *phase, stats *Stats, trc *Job
 	return nil
 }
 
-// dispatch takes the ready task at queue[readyIdx], packs up to maxBatch
-// ready tasks in queue order, and launches them on w.
+// batchBytes bounds the input bytes of one dispatch's tasks. Sending a
+// frame costs about 50 µs on the ledger's 2-vCPU host whatever it
+// carries: some 25 µs to deliver the task frame and 25 µs for the
+// replica peer's ack, against about 45 µs of map work for one of
+// smalljobs' 3.5 KB shards. The map kernels run at 100–320 MB/s there
+// (BenchmarkMapKernel), so 256 KiB is 0.8–2.6 ms of map work, on which
+// the frame's cost is 2–6 %: past that a bigger batch saves little and
+// only holds more shards on one worker. Larger shards (tera-mem's
+// 1.5 MB, wc-lowcard's 6.5 MB) travel one per frame.
+const batchBytes = 256 << 10
+
+// dispatch takes the ready task at queue[readyIdx] and launches it on w
+// with, when the phase weighs its tasks, the ready tasks that follow it
+// in queue order while their input bytes stay within batchBytes and the
+// batch within the worker's fair share, ⌈tasks / live workers⌉.
+// Speculative clones and retries travel alone: a clone that shared a
+// frame would wait on its mates, which is what it was launched to avoid.
 func (s *scheduler) dispatch(w *workerHandle, readyIdx int) {
 	batch := append(make([]shardTask, 0, 1), s.queue[readyIdx])
 	s.queue = append(s.queue[:readyIdx], s.queue[readyIdx+1:]...)
-	if s.ph.maxBatch > 1 {
+	live := max(s.m.WorkerCount(), 1)
+	share := (s.ph.tasks + live - 1) / live
+	if s.ph.weigh != nil && share > 1 && len(s.queue) > 0 && batch[0].first() {
 		now := time.Now()
+		room := batchBytes - s.ph.weigh(batch[0].id, batchBytes)
 		kept := s.queue[:0]
 		for _, t := range s.queue {
-			if len(batch) < s.ph.maxBatch && !t.readyAt.After(now) {
-				batch = append(batch, t)
-			} else {
-				kept = append(kept, t)
+			if room >= 0 && len(batch) < share && t.first() && !t.readyAt.After(now) {
+				if room -= s.ph.weigh(t.id, room); room >= 0 {
+					batch = append(batch, t)
+					continue
+				}
 			}
+			kept = append(kept, t)
 		}
 		s.queue = kept
 	}
@@ -245,6 +282,8 @@ func (s *scheduler) dispatch(w *workerHandle, readyIdx int) {
 		launches = make([]int, len(batch))
 		for i, t := range batch {
 			launches[i] = s.trc.openLaunch(s.ph.kind, t.id, t.attempts, w.id)
+			f := s.inflight[t.id]
+			f.traced = append(f.traced, launches[i])
 		}
 	}
 	s.ph.launch(w, batch, launches)
@@ -254,7 +293,7 @@ func (s *scheduler) dispatch(w *workerHandle, readyIdx int) {
 // late sibling's is discarded and counted once.
 func (s *scheduler) result(r launchDone) {
 	if f := s.inflight[r.task.id]; f != nil {
-		f.launches--
+		f.reported(r.launch)
 	}
 	if s.done[r.task.id] {
 		// The dispatch goroutine closed the launch ok before it knew;
@@ -282,7 +321,7 @@ func (s *scheduler) fail(fl launchFail) error {
 	m := s.m
 	f := s.inflight[fl.task.id]
 	if f != nil {
-		f.launches--
+		f.reported(fl.launch)
 	}
 	if s.ph.failed != nil && s.ph.failed(fl.err) {
 		if !s.done[fl.task.id] && !s.queued(fl.task.id) {
@@ -357,11 +396,13 @@ func (s *scheduler) queued(id int) bool {
 	return false
 }
 
-// abandon counts the launches still in flight as cancelled.
+// abandon counts the launches still in flight as cancelled, and the
+// trace shows them so, whether or not their report is already on its way.
 func (s *scheduler) abandon() {
 	n := 0
 	for _, f := range s.inflight {
 		n += f.launches
+		s.trc.cancel(f.traced)
 	}
 	if n > 0 {
 		s.stats.Cancellations += n

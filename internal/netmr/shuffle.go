@@ -337,9 +337,18 @@ func (w *Worker) startFetchListener() (string, error) {
 			if err != nil {
 				return // listener closed
 			}
+			// A socket accepted just before the plane closed is closed
+			// here: the teardown's snapshot did not hold it.
 			w.mu.Lock()
-			w.fetchConns[raw] = struct{}{}
+			open := w.fetchLn == ln
+			if open {
+				w.fetchConns[raw] = struct{}{}
+			}
 			w.mu.Unlock()
+			if !open {
+				_ = raw.Close()
+				return
+			}
 			go w.serveFetch(raw)
 		}
 	}()
@@ -354,6 +363,7 @@ func (w *Worker) startFetchListener() (string, error) {
 func (w *Worker) closeFetchPlane() {
 	w.mu.Lock()
 	ln := w.fetchLn
+	w.fetchLn = nil
 	conns := make([]net.Conn, 0, len(w.fetchConns))
 	for c := range w.fetchConns {
 		conns = append(conns, c)
@@ -445,24 +455,31 @@ func fetchExchange(c *conn, addr, run string, partition int, tasks []int, timeou
 	}
 }
 
-// replicateExchange runs one replicate request/response over an
-// established shuffle connection.
-func replicateExchange(c *conn, addr, run string, task int, parts []partitionPartial, reducers int, timeout time.Duration) error {
-	if err := c.send(message{Type: "replicate", Run: run, TaskID: task, Parts: parts, Reducers: reducers}, timeout); err != nil {
-		return err
+// replicateExchange pushes replicate frames to the peer over an
+// established shuffle connection, all in one write, then reads the
+// replies in order, so the sets cost one round trip together. A refusal
+// (an error frame from a healthy peer) lands in errs[i] as a peerRefusal
+// and fails only its own set. It returns how many sets were answered and
+// the connection failure that stopped it, if any.
+func replicateExchange(c *conn, addr string, frames []message, timeout time.Duration, errs []error) (int, error) {
+	if err := c.sendFrames(frames, timeout); err != nil {
+		return 0, err
 	}
-	reply, err := c.recv(timeout)
-	if err != nil {
-		return err
+	for i := range frames {
+		task := frames[i].TaskID
+		reply, err := c.recv(timeout)
+		if err != nil {
+			return i, err
+		}
+		switch {
+		case reply.Type == "replicack" && reply.TaskID == task:
+		case reply.Type == "error":
+			errs[i] = &peerRefusal{msg: fmt.Sprintf("netmr: replicate to %s refused: %s", addr, reply.Message)}
+		default:
+			return i, fmt.Errorf("netmr: replicate of map task %d to %s answered %q (task %d)", task, addr, reply.Type, reply.TaskID)
+		}
 	}
-	switch reply.Type {
-	case "replicack":
-		return nil
-	case "error":
-		return &peerRefusal{msg: fmt.Sprintf("netmr: replicate to %s refused: %s", addr, reply.Message)}
-	default:
-		return fmt.Errorf("netmr: replicate to %s answered %q", addr, reply.Type)
-	}
+	return len(frames), nil
 }
 
 // fetchError names the peer whose fetch (or local read) failed, so the

@@ -160,10 +160,23 @@ func (p *shufflePool) fetchPartition(addr, run string, partition int, tasks []in
 	return parts, n, saved, err
 }
 
-// replicateParts pushes one persisted partition set to a peer over the
-// pool and waits for the replicack.
-func (p *shufflePool) replicateParts(addr, run string, task int, parts []partitionPartial, reducers int, timeout time.Duration) error {
-	return p.withConn(addr, timeout, func(c *conn) error {
-		return replicateExchange(c, addr, run, task, parts, reducers, timeout)
-	})
+// replicate pushes a batch's partition sets, its replicate frames, to
+// the peer at addr in one exchange over the pool and returns each set's
+// outcome: nil once the peer acknowledged it, the refusal for a set the
+// peer declined, and the connection's failure for every set left
+// unanswered when a fresh connection fails too (a stale pooled one is
+// redialed once, for the sets it left unanswered).
+func (p *shufflePool) replicate(addr string, frames []message, timeout time.Duration) []error {
+	errs := make([]error, len(frames))
+	done := 0
+	if err := p.withConn(addr, timeout, func(c *conn) error {
+		n, err := replicateExchange(c, addr, frames[done:], timeout, errs[done:])
+		done += n
+		return err
+	}); err != nil {
+		for i := done; i < len(frames); i++ {
+			errs[i] = err
+		}
+	}
+	return errs
 }

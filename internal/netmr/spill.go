@@ -254,8 +254,15 @@ type mergeSource struct {
 	val    float64
 }
 
-// sectionSource walks secs, key-sorted one after the other, as one input.
-func sectionSource(task int, secs ...section) *mergeSource {
+// sectionSource walks sec as one input: the cursor starts on it, so no
+// slice is allocated to hold it.
+func sectionSource(task int, sec section) *mergeSource {
+	c := sec.cursor()
+	return &mergeSource{r: c.r, left: c.left, task: task}
+}
+
+// chunksSource walks secs, key-sorted one after the other, as one input.
+func chunksSource(task int, secs []section) *mergeSource {
 	return &mergeSource{rest: secs, task: task}
 }
 

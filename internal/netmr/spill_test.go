@@ -342,7 +342,7 @@ func TestStragglerCannotEvictNextRun(t *testing.T) {
 			if _, _, _, err := w.store.put(late, 0, set("late"), 2); !errors.Is(err, errRunLeft) {
 				t.Errorf("released=%v: late put of %s = %v, want errRunLeft", released, late, err)
 			}
-			if err := pool.replicateParts(addr, late, 2, set("late"), 2, defaultShuffleTimeout); err == nil {
+			if err := pool.replicate(addr, []message{{Type: "replicate", Run: late, TaskID: 2, Parts: set("late"), Reducers: 2}}, defaultShuffleTimeout)[0]; err == nil {
 				t.Errorf("released=%v: late replicate of %s accepted", released, late)
 			}
 		}

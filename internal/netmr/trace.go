@@ -122,39 +122,92 @@ func (t *JobTrace) openLaunch(phase string, shard, attempt int, worker string) i
 // the trace sealed must not corrupt it — and so is any close on the nil
 // trace of an untraced run.
 func (t *JobTrace) closeLaunch(id int, outcome string, worker []spanSummary) {
+	t.closeBatch([]int{id}, outcome, [][]spanSummary{worker}, 0)
+}
+
+// closeBatch closes launches whose answers left the worker in one write:
+// shards of one task frame it ran back to back, each with its reported
+// spans. Their windows tile the round trip: the last shard's worker
+// window ends at this close, each earlier one ends where the next begins,
+// and only the first launch keeps its start, moved up to after (the
+// close of the frame's previous write, 0 for its first) — so the frame's
+// legs and whatever the worker did not report are charged once, not once
+// per shard. One launch closes as closeLaunch says. It returns the close
+// time, the next write's after.
+func (t *JobTrace) closeBatch(ids []int, outcome string, worker [][]spanSummary, after float64) float64 {
 	if t == nil {
-		return
+		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	ends := make([]float64, len(ids))
+	closed := t.since(time.Now())
+	end := closed
+	for i := len(ids) - 1; i >= 0; i-- {
+		ends[i] = end
+		end -= spanWindow(worker[i])
+	}
+	for i, id := range ids {
+		from := after
+		if i > 0 {
+			from = ends[i] // so it starts where its spans begin
+		}
+		t.closeLocked(id, outcome, ends[i], from, worker[i])
+	}
+	return closed
+}
+
+// spanWindow is the length of a worker's reported window: where its last
+// span ends.
+func spanWindow(worker []spanSummary) float64 {
+	w := 0.0
+	for _, ws := range worker {
+		w = max(w, ws.End)
+	}
+	return w
+}
+
+// closeLocked seals launch id at end with the worker's spans aligned to
+// end there too; its start moves up to from when that is later, but not
+// past where the spans begin: a write the master read late leaves the
+// next one less time than its shards took.
+func (t *JobTrace) closeLocked(id int, outcome string, end, from float64, worker []spanSummary) {
 	sp, ok := t.open[id]
 	if !ok {
 		return
 	}
 	delete(t.open, id)
-	now := t.since(time.Now())
-	sp.End = now
-	sp.Outcome = outcome
+	window := spanWindow(worker)
+	sp.Start = max(sp.Start, min(from, end-window))
+	// Clock skew guard: never place worker time before dispatch.
+	base := max(end-window, sp.Start)
+	sp.End, sp.Outcome = end, outcome
 	t.byID[id] = len(t.spans)
 	t.spans = append(t.spans, *sp)
-	if len(worker) == 0 {
-		return
-	}
-	maxEnd := 0.0
-	for _, ws := range worker {
-		if ws.End > maxEnd {
-			maxEnd = ws.End
-		}
-	}
-	base := now - maxEnd
-	if base < sp.Start {
-		base = sp.Start // clock skew guard: never place worker time before dispatch
-	}
 	for _, ws := range worker {
 		t.spans = append(t.spans, TraceSpan{
 			Launch: id, Shard: sp.Shard, Attempt: sp.Attempt, Worker: sp.Worker,
 			Phase: ws.Phase, Start: base + ws.Start, End: base + ws.End,
 		})
+	}
+}
+
+// cancel marks launches the scheduler abandoned cancelled: an open one
+// closes now, one already closed by a report the loop never took is
+// relabelled.
+func (t *JobTrace) cancel(ids []int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	now := t.since(time.Now())
+	for _, id := range ids {
+		if _, open := t.open[id]; open {
+			t.closeLocked(id, outcomeCancelled, now, 0, nil)
+		} else if i, ok := t.byID[id]; ok {
+			t.spans[i].Outcome = outcomeCancelled
+		}
 	}
 }
 

@@ -236,20 +236,9 @@ func (w *Worker) serve(c *conn) {
 func (w *Worker) handle(c *conn, m message) bool {
 	switch m.Type {
 	case "task":
-		return w.runTask(c, m.Job, m.TaskID, m.Attempt, m.Records, m.Run, m.Trace, m.Rep, c.lastDecode)
+		return w.runBatch(c, &m, []taskSpec{{Job: m.Job, TaskID: m.TaskID, Attempt: m.Attempt, Records: m.Records}})
 	case "taskbatch":
-		// One frame, several shards: each spec is executed in order
-		// and answered with its own result frame. The frame's wire
-		// decode happened once, so its cost is charged to the first
-		// shard's decode span only.
-		decode := c.lastDecode
-		for i := range m.Batch {
-			spec := &m.Batch[i]
-			if !w.runTask(c, spec.Job, spec.TaskID, spec.Attempt, spec.Records, m.Run, m.Trace, m.Rep, decode) {
-				return false
-			}
-			decode = 0
-		}
+		return w.runBatch(c, &m, m.Batch)
 	case "reducetask":
 		return w.runReduceTask(c, m, c.lastDecode)
 	case "ping":
@@ -266,101 +255,85 @@ func (w *Worker) handle(c *conn, m message) bool {
 	return true
 }
 
-// runTask executes one shard and reports it to the master. It returns
-// false when the serve loop must exit: a send failure or an injected
-// crash. run is the run id the shard's output is keyed by: the output is
-// partitioned by the reducer count, stored for peer fetches, and only a
-// mapdone travels back. trace, when non-empty, is the job trace ID
-// stamped on the task frame: the task then records its phases and ships
-// them back with the ID, decode being the wire-decode cost of the frame
-// that carried this shard. rep names the peer shuffle listener to
-// replicate the partition set to before mapdone.
-func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records []string, run, trace, rep string, decode time.Duration) bool {
-	job, ok := w.registry.lookup(jobName)
-	if !ok {
-		workerTasks.With("unknown_job").Inc()
-		_ = c.send(message{Type: "error", TaskID: taskID, Message: fmt.Sprintf("unknown job %q", jobName)}, 5*time.Second)
-		return true
-	}
-	if run == "" || w.reducers <= 0 {
-		// Without a run id there is no key to store the output under, and
-		// before a helloack no reducer count to partition it by: such a
-		// map task has no valid reply but a refusal.
-		cause := "has no run id"
-		if run != "" {
-			cause = "arrived before a helloack set the reducer count"
-		}
-		_ = c.send(message{Type: "error", TaskID: taskID, Message: fmt.Sprintf("map task %d %s", taskID, cause)}, 5*time.Second)
-		return true
-	}
-	if f := w.chaos.TaskFault("task", taskID, attempt); f.Delay > 0 || f.Crash {
-		if f.Delay > 0 {
-			time.Sleep(f.Delay)
-		}
-		if f.Crash {
-			// A crashed worker dies without a word: the connection
-			// closes and the master reassigns the shard.
-			workerTasks.With("crashed").Inc()
+// flushAfter bounds how long finished shards of a task frame wait for
+// their mates: once the shards mapped since the last answers have run
+// this long, their answers leave before the next shard starts. It is the
+// map work of a batchBytes batch at the slower map kernel's rate, on
+// which the ~50 µs an answer write and a replica round trip cost is
+// 2–3 %; shards that cost more per byte than the kernels, as the test
+// suite's sleeper job's do, then answer one by one. A shard that finishes
+// sooner still waits on the mate after it.
+const flushAfter = 2 * time.Millisecond
+
+// runBatch runs the shards of one task frame in order (mapShard) and
+// answers them, the shards mapped within flushAfter of each other
+// together (answer). run (the frame's Run) keys the stored output; with a
+// trace ID the shards record their phases, the first charged the frame's
+// wire decode. It returns false when the serve loop must exit: a send
+// failure or an injected crash, which still answers the shards before it.
+func (w *Worker) runBatch(c *conn, m *message, specs []taskSpec) bool {
+	replies := make([]message, 0, len(specs))
+	decode, since := c.lastDecode, time.Now()
+	for i := range specs {
+		reply, ok := w.mapShard(&specs[i], m.Run, m.Trace, decode)
+		if !ok {
+			if len(replies) > 0 {
+				w.answer(c, m, replies)
+			}
 			return false
 		}
+		decode = 0
+		replies = append(replies, reply)
+		if i == len(specs)-1 || time.Since(since) >= flushAfter {
+			if !w.answer(c, m, replies) {
+				return false
+			}
+			replies, since = replies[:0], time.Now()
+		}
 	}
-	start := time.Now()
-	var clock *spanClock
-	if trace != "" {
-		clock = newSpanClock(decode)
+	return true
+}
+
+// answer sends the answers of shards mapped back to back. Their stored
+// partition sets go to the replica peer m.Rep in one exchange, and the
+// answers leave in one write, one per shard in order; with a trace ID the
+// shared push is the last pushed shard's replicate span. It returns false
+// when the serve loop must exit.
+func (w *Worker) answer(c *conn, m *message, replies []message) bool {
+	var outs []message
+	var pushed []int // the replies of outs
+	if m.Rep != "" {
+		for i := range replies {
+			if d := &replies[i]; d.Type == "mapdone" {
+				outs = append(outs, message{Type: "replicate", Run: m.Run, TaskID: d.TaskID, Parts: d.Parts, Reducers: w.reducers})
+				pushed = append(pushed, i)
+			}
+		}
 	}
-	// The sections built here are the ones the store holds, the replica
-	// receives and the reducers fetch — nothing re-encodes. The shuffle
-	// bytes this keeps off the master are the whole point.
-	parts := runShardPartitioned(job, records, w.scratch, w.reducers, clock)
-	putStart := time.Now()
-	spills, spilled, saved, perr := w.store.put(run, taskID, parts, w.reducers)
-	if perr != nil && !errors.Is(perr, errRunLeft) {
-		// Spill failure leaves the set resident — correct, just over
-		// budget; the job proceeds. A refused put is a finished run's.
-		workerSpillErrors.Inc()
-	}
-	putDur := time.Since(putStart)
-	done := message{Type: "mapdone", TaskID: taskID, Attempt: attempt, Run: run, Trace: trace,
-		Spills: spills, Spilled: spilled, CompBytes: saved}
-	if spills > 0 {
-		workerSpillRuns.Add(float64(spills))
-		workerSpilledBytes.Add(float64(spilled))
-	}
-	var repDur time.Duration
-	if rep != "" {
+	if len(outs) > 0 {
 		repStart := time.Now()
-		if rerr := w.pool.replicateParts(rep, run, taskID, parts, w.reducers, w.shuffleTO()); rerr == nil {
-			done.Rep = rep
-			workerReplications.With("ok").Inc()
-		} else {
-			// The named peer would not take the replica: ship the
-			// set inline so the master holds it instead.
-			done.Parts = parts
-			workerReplications.With("failed").Inc()
+		for i, err := range w.pool.replicate(m.Rep, outs, w.shuffleTO()) {
+			if d := &replies[pushed[i]]; err == nil {
+				d.Rep, d.Parts = m.Rep, nil
+				workerReplications.With("ok").Inc()
+			} else {
+				// The named peer would not take the replica: the set
+				// rides its mapdone inline so the master holds it instead.
+				workerReplications.With("failed").Inc()
+			}
 		}
-		repDur = time.Since(repStart)
-	} else {
-		// No peer qualifies: the master holds the replica.
-		done.Parts = parts
-	}
-	if clock != nil {
-		done.Spans = clock.spans
-		if spills > 0 {
-			done.Spans = appendSpanAfter(done.Spans, spanSpill, putDur)
+		if last := &replies[pushed[len(pushed)-1]]; m.Trace != "" {
+			last.Spans = appendSpanAfter(last.Spans, spanReplicate, time.Since(repStart))
 		}
-		done.Spans = appendSpanAfter(done.Spans, spanReplicate, repDur)
 	}
-	workerTaskSeconds.Observe(time.Since(start).Seconds())
-	workerTasks.With("ok").Inc()
 	if w.closeFetchAfterMapdone {
 		// Chaos hook: the shuffle plane dies — listener and accepted
-		// peer sockets both, before the mapdone leaves — but the worker
+		// peer sockets both, before the mapdones leave — but the worker
 		// does not, so the master keeps routing fetches here and
 		// reducers must fail over to the replica addresses themselves.
 		w.closeFetchPlane()
 	}
-	if c.send(done, 30*time.Second) != nil {
+	if c.sendFrames(replies, 30*time.Second) != nil {
 		return false
 	}
 	if w.killAfterMapdone {
@@ -372,6 +345,73 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 		return false
 	}
 	return true
+}
+
+// mapShard executes one shard and returns its answer: a mapdone, its
+// output stored under run and split by the reducer count, carrying the
+// partition set inline until a replica peer takes it; or an error frame
+// for a shard this worker cannot run. ok is false when an injected crash
+// kills the worker. trace, when non-empty, makes the shard record its
+// phases, decode being the wire-decode cost charged to it.
+func (w *Worker) mapShard(spec *taskSpec, run, trace string, decode time.Duration) (reply message, ok bool) {
+	taskID := spec.TaskID
+	job, found := w.registry.lookup(spec.Job)
+	if !found {
+		workerTasks.With("unknown_job").Inc()
+		return message{Type: "error", TaskID: taskID, Message: fmt.Sprintf("unknown job %q", spec.Job)}, true
+	}
+	if run == "" || w.reducers <= 0 {
+		// Without a run id there is no key to store the output under, and
+		// before a helloack no reducer count to partition it by: such a
+		// map task has no valid reply but a refusal.
+		cause := "has no run id"
+		if run != "" {
+			cause = "arrived before a helloack set the reducer count"
+		}
+		return message{Type: "error", TaskID: taskID, Message: fmt.Sprintf("map task %d %s", taskID, cause)}, true
+	}
+	if f := w.chaos.TaskFault("task", taskID, spec.Attempt); f.Delay > 0 || f.Crash {
+		if f.Delay > 0 {
+			time.Sleep(f.Delay)
+		}
+		if f.Crash {
+			// A crashed worker dies without a word: the connection
+			// closes and the master reassigns the shard.
+			workerTasks.With("crashed").Inc()
+			return message{}, false
+		}
+	}
+	start := time.Now()
+	var clock *spanClock
+	if trace != "" {
+		clock = newSpanClock(decode)
+	}
+	// The sections built here are the ones the store holds, the replica
+	// receives and the reducers fetch — nothing re-encodes. The shuffle
+	// bytes this keeps off the master are the whole point.
+	parts := runShardPartitioned(job, spec.Records, w.scratch, w.reducers, clock)
+	putStart := time.Now()
+	spills, spilled, saved, perr := w.store.put(run, taskID, parts, w.reducers)
+	if perr != nil && !errors.Is(perr, errRunLeft) {
+		// Spill failure leaves the set resident — correct, just over
+		// budget; the job proceeds. A refused put is a finished run's.
+		workerSpillErrors.Inc()
+	}
+	reply = message{Type: "mapdone", TaskID: taskID, Attempt: spec.Attempt, Run: run, Trace: trace,
+		Parts: parts, Spills: spills, Spilled: spilled, CompBytes: saved}
+	if spills > 0 {
+		workerSpillRuns.Add(float64(spills))
+		workerSpilledBytes.Add(float64(spilled))
+	}
+	if clock != nil {
+		reply.Spans = clock.spans
+		if spills > 0 {
+			reply.Spans = appendSpanAfter(reply.Spans, spanSpill, time.Since(putStart))
+		}
+	}
+	workerTaskSeconds.Observe(time.Since(start).Seconds())
+	workerTasks.With("ok").Inc()
+	return reply, true
 }
 
 // Stop closes the connection and waits for the serve loop to exit. It is
