@@ -42,13 +42,12 @@
 // keeps resident, spilling sorted runs to -spill-dir (default: the OS
 // temp dir) beyond it — 0 keeps everything in memory.
 //
-// Pipelined shuffle knobs: -shuffle-fanout (worker) bounds how many
-// peers one reduce task fetches from concurrently over pooled
-// connections (1 restores the serial gather); -early-shuffle (master)
-// dispatches reduce tasks as soon as the first map output lands,
-// streaming later map locations to the running reducers so their
-// fetches hide under the map tail — output stays byte-identical either
-// way.
+// Pipelined shuffle: the master dispatches reduce tasks as soon as a map
+// output is stored and no map shard waits for a worker, and streams the
+// locations of later map outputs to the running reducers, so their
+// fetches hide under the map tail. -shuffle-fanout (worker) bounds how
+// many peers one reduce task fetches from concurrently over pooled
+// connections (1 restores the serial gather).
 //
 // Resilience knobs (master): -maxattempts bounds the retry budget per
 // shard lineage, -retrybase/-retrymax/-retryjitter/-retryseed shape the
@@ -152,7 +151,6 @@ func run(args []string, out io.Writer) error {
 	spillBudget := fs.Int64("spill-budget", 0, "worker: resident bytes of intermediate state before spilling to disk (0 = never spill)")
 	spillDir := fs.String("spill-dir", "", "worker: scratch root for spill files (empty = OS temp dir)")
 	shuffleFanout := fs.Int("shuffle-fanout", 0, "worker: concurrent peers one reduce task fetches from (0 = default 4, 1 = serial gather)")
-	earlyShuffle := fs.Bool("early-shuffle", false, "master: dispatch reduce tasks before the map barrier, streaming later map locations to running reducers")
 
 	chaosSeed := fs.Int64("chaos-seed", 0, "fault injection seed (faults are byte-reproducible per seed)")
 	chaosLatency := fs.String("chaos-latency", "", "injected wire latency distribution (e.g. fixed:5ms, pareto:10ms,1.5,2s)")
@@ -186,8 +184,8 @@ func run(args []string, out io.Writer) error {
 			retryBase:   *retryBase, retryMax: *retryMax,
 			retryJitter: *retryJitter, retrySeed: *retrySeed,
 			speculate: *speculate, reducers: *reducers,
-			shuffleTimeout: *shuffleTimeout, earlyShuffle: *earlyShuffle,
-			chaos: injector,
+			shuffleTimeout: *shuffleTimeout,
+			chaos:          injector,
 		})
 	case "worker":
 		return runWorker(out, *addr, injector, netmr.WorkerConfig{
@@ -256,7 +254,6 @@ type masterOptions struct {
 	speculate           time.Duration
 	reducers            int
 	shuffleTimeout      time.Duration
-	earlyShuffle        bool
 	chaos               *chaos.Injector
 }
 
@@ -275,7 +272,6 @@ func runMaster(out io.Writer, opts masterOptions) error {
 		SpeculationInterval: opts.speculate,
 		Reducers:            opts.reducers,
 		ShuffleTimeout:      opts.shuffleTimeout,
-		EarlyShuffle:        opts.earlyShuffle,
 		Trace:               opts.trace,
 		Chaos:               opts.chaos,
 	})
@@ -388,9 +384,9 @@ func printStats(out io.Writer, stats netmr.Stats) {
 		fmt.Fprintf(out, "out-of-core: %d spill run(s), %s spilled, %s saved by frame compression\n",
 			stats.SpillRuns, formatBytes(stats.SpilledBytes), formatBytes(stats.CompressedBytes))
 	}
-	if stats.EarlyReduceTasks > 0 || stats.LocsStreamed > 0 {
-		fmt.Fprintf(out, "pipelined shuffle: %d reduce task(s) launched before the barrier, %d location update(s) streamed, %d abort(s)\n",
-			stats.EarlyReduceTasks, stats.LocsStreamed, stats.EarlyAborts)
+	if stats.EarlyReduceTasks > 0 {
+		fmt.Fprintf(out, "pipelined shuffle: %d reduce task(s) launched before the barrier, %d called back\n",
+			stats.EarlyReduceTasks, stats.EarlyAborts)
 	}
 	if stats.ReplicaFetches > 0 || stats.RecoveryWall > 0 || stats.Failovers > 0 {
 		fmt.Fprintf(out, "recovery: %d replica fetch(es), %d worker-local failover(s), recovery wall %v\n",

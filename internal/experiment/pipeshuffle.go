@@ -11,19 +11,16 @@ import (
 	"ipso/internal/workload"
 )
 
-// PipeShuffle is the pipelined-shuffle study: the same traced wordcount
-// run with the classic map barrier (every reduce task waits for every
-// map output) and with early dispatch (reduce tasks launch on the first
-// stored map output; later locations stream to them over morelocs
-// frames, so their fetches hide under the map tail). Outputs must be
-// byte-identical — pipelining may only move work in time, never change
-// it — and the refitted overhead ratio q(n) = n·Wo/Wp quantifies what
-// the hidden fetch window buys: time a reducer spends fetching inside
-// the map window is covered by MaxTask and leaves Wo. On hosts wide
-// enough to actually overlap map and fetch the pipelined q(n) sits at
-// or below the barrier q(n); a single-core host cannot overlap and
-// the comparison is machine-dependent, so only the output identity is
-// asserted, never the wall-clock ordering.
+// PipeShuffle is the pipelined-shuffle study: a traced wordcount run per
+// worker count, whose reduce tasks launch on the first stored map output
+// and receive the later locations over morelocs frames, so their fetches
+// hide under the map tail. The output must equal the local reference —
+// pipelining may only move work in time, never change it — and the
+// refitted overhead ratio q(n) = n·Wo/Wp shows what the hidden fetch
+// window buys: time a reducer spends fetching inside the map window is
+// covered by MaxTask and leaves Wo. How much hides is machine-dependent
+// (a single-core host cannot overlap map and fetch at all), so only the
+// output identity is asserted.
 func PipeShuffle(ctx context.Context, workerCounts []int, lines, shards, reducers int) (Report, error) {
 	if len(workerCounts) < 2 || lines < 1 || shards < 1 || reducers < 1 {
 		return Report{}, fmt.Errorf(
@@ -34,67 +31,53 @@ func PipeShuffle(ctx context.Context, workerCounts []int, lines, shards, reducer
 	if err != nil {
 		return Report{}, err
 	}
-	rep := Report{ID: "pipeshuffle", Title: "Pipelined shuffle: early reduce dispatch vs the map barrier"}
-	tbl := Table{
-		Title: fmt.Sprintf("wordcount, R=%d: barrier vs early dispatch, traced refits (wall-clock; machine-dependent)",
-			reducers),
-		Headers: []string{"workers", "q(n) barrier", "q(n) early", "hidden fetch ms", "early launches", "locs streamed", "identical"},
+	// wordcount's reduce is the sum, so the local reference adds up emits.
+	want, job := map[string]float64{}, wordCountNetJob()
+	for _, rec := range input {
+		job.Map(rec, func(k string, v float64) { want[k] += v })
 	}
-	var xs, qBar, qEarly []float64
+	rep := Report{ID: "pipeshuffle", Title: "Pipelined shuffle: reduce tasks launched under the map tail"}
+	tbl := Table{
+		Title:   fmt.Sprintf("wordcount, R=%d: traced refits (wall-clock; machine-dependent)", reducers),
+		Headers: []string{"workers", "q(n)", "hidden fetch ms", "early launches", "identical"},
+	}
+	var xs, qs []float64
 	for _, n := range workerCounts {
 		if n < 1 {
 			return Report{}, fmt.Errorf("experiment: invalid worker count %d", n)
 		}
-		outB, _, bdB, err := runPipeShuffleWordCount(ctx, input, n, shards, reducers, false)
+		out, st, bd, err := runPipeShuffleWordCount(ctx, input, n, shards, reducers)
 		if err != nil {
 			return Report{}, err
 		}
-		outE, stE, bdE, err := runPipeShuffleWordCount(ctx, input, n, shards, reducers, true)
-		if err != nil {
-			return Report{}, err
-		}
-		if !reflect.DeepEqual(outB, outE) {
-			return Report{}, fmt.Errorf("experiment: pipeshuffle at n=%d — early dispatch changed the output", n)
+		if !reflect.DeepEqual(out, want) {
+			return Report{}, fmt.Errorf("experiment: pipeshuffle at n=%d differs from the local reference", n)
 		}
 		fN := float64(n)
-		qb := clampPositive(fN * bdB.Wo / clampPositive(bdB.Wp))
-		qe := clampPositive(fN * bdE.Wo / clampPositive(bdE.Wp))
+		q := clampPositive(fN * bd.Wo / clampPositive(bd.Wp))
 		tbl.Rows = append(tbl.Rows, []string{
-			fmt.Sprintf("%d", n), f2(qb), f2(qe),
-			fmt.Sprintf("%.3f", bdE.HiddenFetch*1e3),
-			fmt.Sprintf("%d", stE.EarlyReduceTasks),
-			fmt.Sprintf("%d", stE.LocsStreamed),
+			fmt.Sprintf("%d", n), f2(q),
+			fmt.Sprintf("%.3f", bd.HiddenFetch*1e3),
+			fmt.Sprintf("%d", st.EarlyReduceTasks),
 			"yes",
 		})
-		xs = append(xs, fN)
-		qBar, qEarly = append(qBar, qb), append(qEarly, qe)
+		xs, qs = append(xs, fN), append(qs, q)
 	}
 	rep.Tables = append(rep.Tables, tbl)
-	rep.Series = append(rep.Series,
-		Series{Name: "pipeshuffle/q-barrier", X: xs, Y: qBar},
-		Series{Name: "pipeshuffle/q-early", X: xs, Y: qEarly},
-	)
-	barFit, err := stats.PowerLaw(xs, qBar)
+	rep.Series = append(rep.Series, Series{Name: "pipeshuffle/q", X: xs, Y: qs})
+	fit, err := stats.PowerLaw(xs, qs)
 	if err != nil {
-		return Report{}, fmt.Errorf("experiment: pipeshuffle q(n) fit, barrier: %w", err)
+		return Report{}, fmt.Errorf("experiment: pipeshuffle q(n) fit: %w", err)
 	}
-	earlyFit, err := stats.PowerLaw(xs, qEarly)
-	if err != nil {
-		return Report{}, fmt.Errorf("experiment: pipeshuffle q(n) fit, early: %w", err)
-	}
-	maxN := xs[len(xs)-1]
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("q(n)=β·n^γ, barrier:   %s", barFit),
-		fmt.Sprintf("q(n)=β·n^γ, pipelined: %s", earlyFit),
-		fmt.Sprintf("fitted overhead ratio at n=%.0f: %.4f barrier vs %.4f pipelined", maxN, barFit.Eval(maxN), earlyFit.Eval(maxN)),
-		"every operating point produced the byte-identical output; fetch time a reducer hides inside the map window is covered by MaxTask and leaves Wo — on hosts wide enough to overlap map and fetch this shrinks q(n), while a single-core host cannot overlap at all and pays the streaming machinery instead (the hidden-fetch column records what actually moved under the map window)",
+		fmt.Sprintf("q(n)=β·n^γ: %s", fit),
+		"every operating point produced the local reference's output; fetch time a reducer hides inside the map window is covered by MaxTask and leaves Wo (the hidden-fetch column records what actually moved under the map window)",
 	)
 	return rep, nil
 }
 
-// runPipeShuffleWordCount measures one traced operating point with early
-// reduce dispatch on or off.
-func runPipeShuffleWordCount(ctx context.Context, input []string, workers, shards, reducers int, early bool) (map[string]float64, netmr.Stats, netmr.PhaseBreakdown, error) {
+// runPipeShuffleWordCount measures one traced operating point.
+func runPipeShuffleWordCount(ctx context.Context, input []string, workers, shards, reducers int) (map[string]float64, netmr.Stats, netmr.PhaseBreakdown, error) {
 	fail := func(err error) (map[string]float64, netmr.Stats, netmr.PhaseBreakdown, error) {
 		return nil, netmr.Stats{}, netmr.PhaseBreakdown{}, err
 	}
@@ -104,7 +87,7 @@ func runPipeShuffleWordCount(ctx context.Context, input []string, workers, shard
 		return fail(err)
 	}
 	master, err := netmr.NewMaster(registry, netmr.MasterConfig{
-		Reducers: reducers, Trace: true, EarlyShuffle: early,
+		Reducers: reducers, Trace: true,
 	})
 	if err != nil {
 		return fail(err)

@@ -6,9 +6,8 @@ import (
 )
 
 // TestPipeShuffleReport: the pipelined-shuffle study must produce one
-// table row per operating point, both q(n) series, and the two fit
-// notes plus the comparison — with early dispatch actually firing at
-// every multi-worker point.
+// table row per operating point, the q(n) series, and the fit note plus
+// the invariant note.
 func TestPipeShuffleReport(t *testing.T) {
 	rep, err := PipeShuffle(context.Background(), []int{1, 2}, 2000, 4, 2)
 	if err != nil {
@@ -22,19 +21,17 @@ func TestPipeShuffleReport(t *testing.T) {
 			t.Errorf("row %v not marked byte-identical", row)
 		}
 	}
-	for _, name := range []string{"pipeshuffle/q-barrier", "pipeshuffle/q-early"} {
-		s := seriesByName(t, rep, name)
-		if len(s.X) != 2 {
-			t.Errorf("%s has %d samples, want 2", name, len(s.X))
-		}
-		for _, v := range s.Y {
-			if v <= 0 {
-				t.Errorf("%s has nonpositive sample %g", name, v)
-			}
+	s := seriesByName(t, rep, "pipeshuffle/q")
+	if len(s.X) != 2 {
+		t.Errorf("pipeshuffle/q has %d samples, want 2", len(s.X))
+	}
+	for _, v := range s.Y {
+		if v <= 0 {
+			t.Errorf("pipeshuffle/q has nonpositive sample %g", v)
 		}
 	}
-	if len(rep.Notes) != 4 {
-		t.Errorf("expected two q(n) fit notes, the comparison, and the invariant note, got %v", rep.Notes)
+	if len(rep.Notes) != 2 {
+		t.Errorf("expected the q(n) fit note and the invariant note, got %v", rep.Notes)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 	"time"
 )
 
-// dispatchBatches runs the map phase of a job over records in shards on
-// a master with that many live workers, the launch replaced by
-// a recorder: it returns the task ids each dispatch carried.
+// dispatchBatches runs a job's task graph over records in shards on a
+// master with that many live workers, the launches replaced by recorders:
+// it returns the map task ids each dispatch carried.
 func dispatchBatches(t *testing.T, records []string, shards, workers int) [][]int {
 	t.Helper()
 	m, err := NewMaster(mustRegistry(t), MasterConfig{})
@@ -26,20 +26,21 @@ func dispatchBatches(t *testing.T, records []string, shards, workers int) [][]in
 	}
 	var stats Stats
 	r := m.newJobRun("wordcount", wordCountJob(), records, shards, &stats)
-	ph := r.mapPhase()
-	results := make(chan launchDone, shards)
-	ph.results = results
 	var batches [][]int
-	ph.launch = func(w *workerHandle, batch []shardTask, _ []int) {
+	r.maps.launch = func(w *workerHandle, batch []shardTask, _ []int) {
 		ids := make([]int, len(batch))
 		for i, task := range batch {
 			ids[i] = task.id
-			results <- launchDone{task: task, launch: -1}
+			r.results <- launchDone{task: task, launch: -1}
 		}
 		batches = append(batches, ids)
 		m.idle <- w
 	}
-	if err := m.schedule(context.Background(), ph, &stats, nil, nil); err != nil {
+	r.reduces.launch = func(w *workerHandle, batch []shardTask, _ []int) {
+		r.results <- launchDone{task: batch[0], launch: -1}
+		m.idle <- w
+	}
+	if err := m.schedule(context.Background(), r, nil); err != nil {
 		t.Fatal(err)
 	}
 	return batches
@@ -86,19 +87,17 @@ func TestDispatchSendsClonesAndRetriesAlone(t *testing.T) {
 	m.count.Store(2)
 	var stats Stats
 	r := m.newJobRun("wordcount", wordCountJob(), testLines(t, 80), 8, &stats)
-	ph := r.mapPhase()
 	var batches [][]int
-	ph.launch = func(_ *workerHandle, batch []shardTask, _ []int) {
+	r.maps.launch = func(_ *workerHandle, batch []shardTask, _ []int) {
 		ids := make([]int, len(batch))
 		for i, task := range batch {
 			ids[i] = task.id
 		}
 		batches = append(batches, ids)
 	}
-	s := &scheduler{m: m, ph: ph, stats: &stats, inflight: map[int]*flight{}, done: map[int]bool{},
-		queue: []shardTask{{id: 0, speculative: true}, {id: 1}, {id: 2}, {id: 3, attempts: 1}, {id: 4}}}
-	for len(s.queue) > 0 {
-		s.dispatch(&workerHandle{id: "a"}, 0)
+	r.maps.queue = []shardTask{{id: 0, speculative: true}, {id: 1}, {id: 2}, {id: 3, attempts: 1}, {id: 4}}
+	for len(r.maps.queue) > 0 {
+		r.dispatch(r.maps, &workerHandle{id: "a"}, 0)
 	}
 	if want := [][]int{{0}, {1, 2, 4}, {3}}; !reflect.DeepEqual(batches, want) {
 		t.Errorf("dispatches %v, want %v", batches, want)

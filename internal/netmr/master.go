@@ -67,25 +67,17 @@ type MasterConfig struct {
 	// Reducers is R, the number of reduce tasks that combine a job's
 	// output: workers keep their map output hash-split into R partitions
 	// and answer with a mapdone, the master assigns the R partitions back
-	// to the workers as reduce tasks (scheduled through the same
-	// retry/backoff/speculation loop as map shards), and intermediate
-	// data flows worker→worker over fetch frames. A value <= 0 means
-	// GOMAXPROCS (the default).
+	// to the workers as reduce tasks (scheduled in the same
+	// retry/backoff/speculation loop as map shards, as soon as a map
+	// output is stored and no map task waits for a worker), and
+	// intermediate data flows worker→worker over fetch frames. A value
+	// <= 0 means GOMAXPROCS (the default).
 	Reducers int
 
 	// ShuffleTimeout bounds one worker-to-worker shuffle round-trip — a
 	// reducer's fetch of a peer's stored partitions, or a mapper's
 	// replication push (default 30 s). Workers learn it on the helloack.
 	ShuffleTimeout time.Duration
-
-	// EarlyShuffle, when true, lets the master
-	// dispatch reduce tasks before the map barrier: once the first map
-	// output lands, idle workers receive a reducetask announcing the
-	// run's total map count, and the locations of later outputs stream to
-	// them over morelocs frames as their mapdones land — so fetch time
-	// hides under the map tail instead of serializing behind the barrier.
-	// The job output is byte-identical either way.
-	EarlyShuffle bool
 
 	// Trace enables distributed job tracing: every Run stamps its trace
 	// ID on the task frames, which asks the workers to report their
@@ -180,7 +172,7 @@ type Stats struct {
 	SpecWins      int           // map and reduce tasks won by a speculative clone
 	Duplicates    int           // late sibling results of either phase discarded after completion
 	Cancellations int           // in-flight launches of either phase abandoned at exit or cancellation
-	SplitWall     time.Duration // scatter + parallel map (barrier to barrier)
+	SplitWall     time.Duration // scatter + parallel map (run start to the last accepted map result, the barrier)
 	MergeWall     time.Duration // master merge window: last reduce result to the output handed back (Run: the union's unfinished tail)
 	TotalWall     time.Duration // end-to-end wall, measured (not derived)
 	PerWorker     []WorkerStats // per-worker breakdown, sorted by ID
@@ -190,7 +182,7 @@ type Stats struct {
 	ReduceTasks      int           // reduce tasks that delivered a partition result
 	MapOutputsStored int           // winning map outputs persisted worker-side for peer fetches
 	ShuffleBytes     int64         // intermediate bytes reducers fetched over a socket (reads from a reducer's own store count nothing)
-	ReduceWall       time.Duration // reduce phase wall (split barrier to last reduce result; Run: with the union overlapping it)
+	ReduceWall       time.Duration // barrier to last reduce result (Run: with the union overlapping it)
 
 	// Out-of-core shuffle accounts: how much of the run's intermediate
 	// state left memory (spill), how much wire volume compression saved,
@@ -202,10 +194,9 @@ type Stats struct {
 	ReplicaFetches  int           // fetch routings redirected to a replica after a holder died
 	RecoveryWall    time.Duration // first detected intermediate loss to reduce completion
 
-	// Pipelined-shuffle accounts, zero on barrier-mode runs.
+	// Pipelined-shuffle accounts.
 	EarlyReduceTasks int // reduce tasks dispatched before the map barrier
-	EarlyAborts      int // early launches aborted to free their worker for a map retry
-	LocsStreamed     int // morelocs updates streamed to running early reducers
+	EarlyAborts      int // reduce launches called back to free their worker for a map task
 	Failovers        int // reducer fetches rerouted worker-locally to a replica
 }
 
@@ -385,7 +376,7 @@ func (m *Master) acceptLoop(ln net.Listener) {
 // the cluster's values, and put the handle in the idle pool. The shuffle
 // address and the worker count are registered before the handle becomes
 // visible — a Run that draws it must find both — and withdrawn if the
-// helloack cannot be sent or the pool is full.
+// helloack cannot be sent, the pool is full or the master is closed.
 func (m *Master) admit(raw net.Conn) {
 	c := newConn(m.cfg.Chaos.WrapConn("", raw))
 	hello, err := c.recv(10 * time.Second)
@@ -399,11 +390,19 @@ func (m *Master) admit(raw net.Conn) {
 	ack := message{Type: "helloack", Reducers: m.cfg.Reducers, ShuffleMs: m.cfg.ShuffleTimeout.Milliseconds()}
 	admitted := c.send(ack, 10*time.Second) == nil
 	if admitted {
-		select {
-		case m.idle <- w:
-		default:
-			admitted = false // pool full
+		// Under closeMu, so Close cannot drain the pool between the check
+		// and the send: a handle put there after Close would never close.
+		m.closeMu.Lock()
+		if m.closed {
+			admitted = false
+		} else {
+			select {
+			case m.idle <- w:
+			default:
+				admitted = false // pool full
+			}
 		}
+		m.closeMu.Unlock()
 	}
 	if !admitted {
 		m.markAddrDead(w.fetch)
@@ -508,32 +507,21 @@ type perWorkerLedger struct {
 	by map[string]*WorkerStats
 }
 
-func newPerWorkerLedger() *perWorkerLedger {
-	return &perWorkerLedger{by: map[string]*WorkerStats{}}
-}
-
-func (l *perWorkerLedger) get(id string) *WorkerStats {
-	if ws, ok := l.by[id]; ok {
-		return ws
+// book charges worker id busy time for a launch that completed, or for
+// one it failed, which counts as a reassignment.
+func (l *perWorkerLedger) book(id string, busy time.Duration, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ws := l.by[id]
+	if ws == nil {
+		ws = &WorkerStats{ID: id}
+		l.by[id] = ws
 	}
-	ws := &WorkerStats{ID: id}
-	l.by[id] = ws
-	return ws
-}
-
-func (l *perWorkerLedger) shardDone(id string, busy time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ws := l.get(id)
-	ws.ShardsRun++
-	ws.Busy += busy
-}
-
-func (l *perWorkerLedger) shardFailed(id string, busy time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ws := l.get(id)
-	ws.Reassignments++
+	if ok {
+		ws.ShardsRun++
+	} else {
+		ws.Reassignments++
+	}
 	ws.Busy += busy
 }
 
@@ -659,32 +647,54 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 		m.traceMu.Unlock()
 		defer r.trc.seal()
 	}
-	// Covers every error return, so an abandoned job never leaves an early
-	// reducer blocked in its stream recv.
-	defer r.closeEarly(true)
+	// Run's callers are owed one map, which a goroutine builds from each
+	// chunk as it is taken (O(keys) inserts, no Reduce/Combine calls).
+	var union chan map[string]float64
+	if asMap != nil {
+		union = make(chan map[string]float64, 1)
+		quit := make(chan struct{})
+		defer close(quit)
+		go func() { union <- r.out.union(quit) }()
+	}
 
-	splitStart := time.Now()
-	_, splitSpan := obs.StartSpan(ctx, "map")
+	r.start = time.Now()
+	_, r.mapSpan = obs.StartSpan(ctx, "map")
 	deadline := time.NewTimer(m.cfg.JobTimeout)
 	defer deadline.Stop()
-	if err := m.schedule(ctx, r.mapPhase(), &stats, r.trc, deadline.C); err != nil {
+	err = m.schedule(ctx, r, deadline.C)
+	if r.barrier.IsZero() {
 		return nil, stats, err
 	}
-	// Stream complete: every winning output has been streamed, so close
-	// each early reducer's update channel — the reducer folds as soon as
-	// its coverage reaches Total.
-	r.closeEarly(false)
-	splitSpan.End()
-	barrier := time.Now()
-	stats.SplitWall = barrier.Sub(splitStart)
-	r.trc.addPhase("split", splitStart, barrier)
-	m.metrics.splitSeconds.Observe(stats.SplitWall.Seconds())
-	result, err = r.reduceTail(ctx, deadline.C, splitStart, barrier, asMap)
-	return result, stats, err
+	r.reduceSpan.End()
+	reduceEnd := time.Now()
+	stats.ReduceWall = reduceEnd.Sub(r.barrier)
+	m.metrics.reduceSeconds.Observe(stats.ReduceWall.Seconds())
+	m.metrics.shuffleBytes.Add(float64(stats.ShuffleBytes))
+	r.trc.addPhase("reduce", r.barrier, reduceEnd)
+	if err != nil {
+		return nil, stats, err
+	}
+	if !r.recoveryAt.IsZero() {
+		stats.RecoveryWall = reduceEnd.Sub(r.recoveryAt)
+		m.metrics.recoverySeconds.Observe(stats.RecoveryWall.Seconds())
+	}
+	_, mergeSpan := obs.StartSpan(ctx, "merge")
+	r.release() // the workers' reclaim overlaps the union's tail
+	if asMap != nil {
+		*asMap = <-union
+	}
+	mergeSpan.End()
+	end := time.Now()
+	r.trc.addPhase("merge", reduceEnd, end)
+	stats.MergeWall = end.Sub(reduceEnd)
+	stats.TotalWall = end.Sub(r.start)
+	m.metrics.mergeSeconds.Observe(stats.MergeWall.Seconds())
+	return &Result{parts: r.out.chunks}, stats, nil
 }
 
-// jobRun is one Run's state shared by its phases: the job and its input,
-// the stats, trace and per-worker ledger, and the shuffle's routing state.
+// jobRun is one Run's state: the job and its input, the stats, trace and
+// per-worker ledger, the task graph the scheduling loop runs, and the
+// shuffle's routing state.
 type jobRun struct {
 	m       *Master
 	name    string
@@ -696,6 +706,15 @@ type jobRun struct {
 	ledger  *perWorkerLedger
 	trc     *JobTrace // nil when the run is untraced
 
+	// The task graph: its two phases, where every launch of either
+	// reports, and the window walls — the barrier is the last accepted map
+	// output, zero before it.
+	maps, reduces       *phase
+	results             chan launchDone
+	fails               chan launchFail
+	start, barrier      time.Time
+	mapSpan, reduceSpan *obs.Span
+
 	// Whose shuffle listener holds each winning map output (mapLocs),
 	// where its peer replica lives (replicaLocs), and the master-held
 	// copies of outputs whose mapper could not replicate — no eligible
@@ -705,22 +724,19 @@ type jobRun struct {
 	mapLocs      map[int]string
 	replicaLocs  map[int]string
 	replicaParts map[int][]partitionPartial
-	out          *outputs // the reduce partitions' output streams
-	rResults     chan launchDone
-	rFails       chan launchFail
+	out          *outputs      // the reduce partitions' output streams
 	over         atomic.Bool   // the run is released: its intermediates are gone
 	scratch      *shardScratch // lazy, only allocated if lineage re-execution happens
 	recoveryAt   time.Time     // first dispatch that routed around a lost intermediate
 
-	// Early shuffle: the partitions launched before the barrier, and
-	// whether more may launch. earlyActive holds the morelocs update
-	// stream of each early launch still in the map phase's hands; a
-	// stream is closed at the barrier (complete) or right after an abort
-	// marker, and its buffer takes every update it can get (one per map
-	// task, plus the abort), so the loop never blocks on a send.
-	earlyLaunched map[int]bool
-	earlyActive   map[int]chan message
-	earlyOff      bool
+	// streams holds the morelocs updates of each reduce launch still
+	// waiting on map outputs, buffered for every update it can get (one
+	// per map task, plus an abort). hold: a plan needed lineage
+	// re-execution, so reduce dispatch waits for the barrier. calledBack:
+	// the partitions whose launch was called back and has not reported.
+	streams    map[int]chan message
+	calledBack map[int]bool
+	hold       bool
 }
 
 // shardRecords is shard id's slice of the input.
@@ -731,37 +747,23 @@ func (r *jobRun) shardRecords(id int) []string {
 }
 
 // mapPhase is the map shards' phase: small shards share a frame (see
-// batchBytes), and with EarlyShuffle the map tail's spare workers start
-// reduce tasks, one of which each map retry calls back.
+// batchBytes).
 func (r *jobRun) mapPhase() *phase {
-	cfg := r.m.cfg
-	// Every launch reports exactly once; the buffers are sized for the
-	// worst case (every lineage of every shard burning its full budget)
-	// so dispatch goroutines can never block after Run returns.
-	capacity := r.shards * cfg.MaxAttempts * (1 + cfg.SpeculationMaxClones)
-	results := make(chan launchDone, capacity)
-	fails := make(chan launchFail, capacity)
-	ph := &phase{
-		tasks: r.shards, kind: "task", noun: "shard",
-		results: results, fails: fails,
-		weigh: func(id, room int) int {
-			n := 0
-			for _, rec := range r.shardRecords(id) {
-				if n += len(rec); n > room {
-					break
-				}
+	ph := newPhase(r.shards, "task", "shard")
+	ph.weigh = func(id, room int) int {
+		n := 0
+		for _, rec := range r.shardRecords(id) {
+			if n += len(rec); n > room {
+				break
 			}
-			return n
-		},
-		launch: func(w *workerHandle, batch []shardTask, launches []int) {
-			r.m.metrics.shards.Add(float64(len(batch)))
-			go r.dispatchMap(w, batch, launches, results, fails)
-		},
-		accept: r.accept,
+		}
+		return n
 	}
-	if cfg.EarlyShuffle {
-		ph.spare, ph.useSpare, ph.retried = r.earlyOK, r.launchEarly, r.abortOneEarly
+	ph.launch = func(w *workerHandle, batch []shardTask, launches []int) {
+		r.m.metrics.shards.Add(float64(len(batch)))
+		go r.dispatchMap(w, batch, launches)
 	}
+	ph.accept = r.accept
 	return ph
 }
 
@@ -775,7 +777,7 @@ func (r *jobRun) mapPhase() *phase {
 // reported individually, so a conn failure mid-batch fails exactly the
 // still-unacknowledged shards. Each shard has TaskTimeout: the first
 // answer may take the whole batch's.
-func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int, results chan<- launchDone, fails chan<- launchFail) {
+func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int) {
 	m := r.m
 	rep := m.pickReplicaAddr(w.fetch)
 	start := time.Now()
@@ -808,12 +810,12 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int,
 			d := dones[booked]
 			d.elapsed = now.Sub(start)
 			m.metrics.rpcSeconds.With(w.id).Observe(d.elapsed.Seconds())
-			r.ledger.shardDone(w.id, busy)
+			r.ledger.book(w.id, busy, true)
 			busy = 0
 			if booked == len(tasks)-1 {
 				m.idle <- w // back to the pool before the last report, as in dispatchReduce
 			}
-			results <- d
+			r.results <- d
 		}
 	}
 	for err == nil && len(dones) < len(tasks) {
@@ -858,7 +860,7 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int,
 		for i := booked; i < len(tasks); i++ {
 			launch := launchOf(launches, i)
 			r.lost(w, elapsed, launch)
-			fails <- launchFail{task: tasks[i], err: err, launch: launch}
+			r.fails <- launchFail{task: tasks[i], err: err, launch: launch}
 			elapsed = 0 // the round-trip is charged once
 		}
 	}
@@ -876,18 +878,10 @@ func validateParts(parts []partitionPartial, n int) error {
 	return nil
 }
 
-// landed books a launch that delivered: its round-trip on the worker's
-// ledger and RPC histogram, its trace launch closed ok.
-func (r *jobRun) landed(w *workerHandle, elapsed time.Duration, launch int, spans []spanSummary) {
-	r.m.metrics.rpcSeconds.With(w.id).Observe(elapsed.Seconds())
-	r.ledger.shardDone(w.id, elapsed)
-	r.trc.closeLaunch(launch, outcomeOK, spans)
-}
-
 // lost books a launch its worker failed: charged to the worker as a
 // reassignment, its trace launch closed failed.
 func (r *jobRun) lost(w *workerHandle, elapsed time.Duration, launch int) {
-	r.ledger.shardFailed(w.id, elapsed)
+	r.ledger.book(w.id, elapsed, false)
 	r.m.metrics.reassignments.With(w.id).Inc()
 	r.trc.closeLaunch(launch, outcomeFailed, nil)
 }

@@ -40,7 +40,6 @@ type masterMetrics struct {
 
 	earlyLaunches *obs.Counter
 	earlyAborts   *obs.Counter
-	locsStreamed  *obs.Counter
 	failovers     *obs.Counter
 }
 
@@ -105,9 +104,7 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 		earlyLaunches: r.Counter("netmr_early_reduce_launches_total",
 			"Reduce tasks dispatched before the map barrier (pipelined shuffle)."),
 		earlyAborts: r.Counter("netmr_early_reduce_aborts_total",
-			"Early reduce launches aborted to free their worker for a map retry."),
-		locsStreamed: r.Counter("netmr_morelocs_streamed_total",
-			"morelocs updates streamed to running early reducers."),
+			"Reduce launches called back before the barrier to free their worker for a map task."),
 		failovers: r.Counter("netmr_reduce_failovers_total",
 			"Reducer fetches rerouted worker-locally to a replica holder."),
 	}

@@ -5,10 +5,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"ipso/internal/chaos"
+	"ipso/internal/obs"
 	"ipso/internal/workload"
 )
 
@@ -353,4 +356,49 @@ func serialMerge(job Job, partials []map[string]float64) map[string]float64 {
 		out[k] = job.Reduce(k, vs)
 	}
 	return out
+}
+
+// TestAdmitRacingCloseLeavesNoConnection: a worker whose handshake races
+// Close ends with its connection closed and uncounted. WaitForWorkers
+// counts a worker before admit puts its handle in the idle pool, so a
+// Close right after it can drain the pool first; a handle put there
+// afterwards would never be closed, a descriptor left open on the master
+// port. Injected latency on the master's side of the connection holds
+// the helloack 20 ms, so each round's Close lands in that window; the
+// worker must then see the master hang up.
+func TestAdmitRacingCloseLeavesNoConnection(t *testing.T) {
+	goroutines, fds := runtime.NumGoroutine(), openFDs()
+	slow := chaos.New(chaos.Config{Latency: chaos.Dist{Kind: chaos.DistFixed, Base: 20 * time.Millisecond}, Metrics: obs.NewRegistry()})
+	for round := 0; round < 5; round++ {
+		master, err := NewMaster(mustRegistry(t), MasterConfig{Chaos: slow})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := master.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorker(mustRegistry(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		started := make(chan error, 1)
+		go func() { started <- w.Start(addr) }()
+		if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		master.Close()
+		if err := <-started; err == nil {
+			select {
+			case <-w.done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round %d: the worker's connection is still open after Close", round)
+			}
+		}
+		if n, idle := master.WorkerCount(), len(master.idle); n != 0 || idle != 0 {
+			t.Fatalf("round %d: %d worker(s) counted and %d handle(s) idle after Close", round, n, idle)
+		}
+		w.Stop()
+	}
+	settled(t, goroutines, fds)
 }

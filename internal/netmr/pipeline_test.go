@@ -6,11 +6,13 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"ipso/internal/chaos"
+	"ipso/internal/obs"
 )
 
 // shufflePingServer is a minimal shuffle-plane peer: it accepts
@@ -252,52 +254,41 @@ func TestParallelGatherMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEarlyShuffleMatchesBarrier runs the same job with and without
-// early reduce dispatch: the outputs must be identical, the early run
-// must actually launch reducers before the barrier, and the trace
-// invariant MaxTask + MaxReduce + Ws + Wo = TotalWall must survive
-// launches whose wall spans the map tail.
-func TestEarlyShuffleMatchesBarrier(t *testing.T) {
+// TestReduceUnderMapTailMatchesOracle: reduce tasks launch under the
+// map tail — more task frames than workers, each map slow — and the
+// output equals the oracle; the trace invariant MaxTask + MaxReduce + Ws
+// + Wo = TotalWall must survive launches whose wall spans the map tail.
+func TestReduceUnderMapTailMatchesOracle(t *testing.T) {
 	lines := testLines(t, 300)
 	want := runShard(wordCountJob(), lines, new(shardScratch))
 	// A per-map delay leaves a tail: workers drain the map queue, go
-	// idle, and the master has stored outputs to hand an early reducer.
+	// idle, and the master has stored outputs to hand a reducer.
 	reg := pipelineRegistry(t, false, 20*time.Millisecond)
-	run := func(early bool) (map[string]float64, Stats, *JobTrace) {
-		return runPipelineCluster(t, reg, MasterConfig{
-			TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second,
-			Reducers: 3, Trace: true, EarlyShuffle: early,
-		}, WorkerConfig{}, 3, 7, lines, nil)
+	got, stats, trc := runPipelineCluster(t, reg, MasterConfig{
+		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second,
+		Reducers: 3, Trace: true,
+	}, WorkerConfig{}, 3, 7, lines, nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("run diverged from reference")
 	}
-	gotB, statsB, _ := run(false)
-	gotE, statsE, trcE := run(true)
-	if !reflect.DeepEqual(gotB, want) {
-		t.Fatal("barrier run diverged from reference")
+	if stats.EarlyReduceTasks == 0 {
+		t.Error("no reduce task launched before the barrier")
 	}
-	if !reflect.DeepEqual(gotE, gotB) {
-		t.Fatal("early-shuffle run diverged from the barrier run")
+	if stats.ReduceTasks != 3 {
+		t.Errorf("ReduceTasks = %d, want 3", stats.ReduceTasks)
 	}
-	if statsB.EarlyReduceTasks != 0 {
-		t.Errorf("barrier run launched %d early reduce tasks, want 0", statsB.EarlyReduceTasks)
+	if trc == nil {
+		t.Fatal("run produced no trace")
 	}
-	if statsE.EarlyReduceTasks == 0 {
-		t.Error("early run launched no reduce task before the barrier")
+	if trc.OpenLaunches() != 0 {
+		t.Fatalf("run left %d launches open", trc.OpenLaunches())
 	}
-	if statsE.ReduceTasks != 3 {
-		t.Errorf("ReduceTasks = %d, want 3", statsE.ReduceTasks)
-	}
-	if trcE == nil {
-		t.Fatal("early run produced no trace")
-	}
-	if trcE.OpenLaunches() != 0 {
-		t.Fatalf("early run left %d launches open", trcE.OpenLaunches())
-	}
-	b := trcE.Breakdown(statsE)
+	b := trc.Breakdown(stats)
 	if b.TotalWall <= 0 || b.Wo < 0 || b.Ws < 0 || b.MaxReduce < 0 {
 		t.Fatalf("inconsistent breakdown: %+v", b)
 	}
 	if sum := b.MaxTask + b.MaxReduce + b.Ws + b.Wo; math.Abs(sum-b.TotalWall) > 1e-6 {
-		t.Fatalf("invariant broken under early shuffle: MaxTask+MaxReduce+Ws+Wo = %v, TotalWall = %v", sum, b.TotalWall)
+		t.Fatalf("invariant broken under the map tail: MaxTask+MaxReduce+Ws+Wo = %v, TotalWall = %v", sum, b.TotalWall)
 	}
 }
 
@@ -339,17 +330,17 @@ func TestPooledFetchFailsOverToReplica(t *testing.T) {
 	}
 }
 
-// TestEarlyShuffleFailoverUnderChaos combines the two: early dispatch
-// on, one listener cut after the first mapdone — morelocs streaming,
-// replica failover and the barrier-free path must still converge on the
+// TestReduceUnderMapTailFailoverUnderChaos combines the two: reduce
+// tasks under the map tail, one listener cut after the first mapdone —
+// morelocs streaming and replica failover must still converge on the
 // reference output.
-func TestEarlyShuffleFailoverUnderChaos(t *testing.T) {
+func TestReduceUnderMapTailFailoverUnderChaos(t *testing.T) {
 	lines := testLines(t, 400)
 	want := runShard(wordCountJob(), lines, new(shardScratch))
 	reg := pipelineRegistry(t, true, 10*time.Millisecond)
 	got, stats, _ := runPipelineCluster(t, reg, MasterConfig{
 		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second,
-		Reducers: 3, EarlyShuffle: true,
+		Reducers: 3,
 	}, WorkerConfig{SpillBudget: 4096, SpillDir: t.TempDir()}, 3, 6, lines,
 		func(i int, w *Worker) {
 			if i == 0 {
@@ -357,9 +348,110 @@ func TestEarlyShuffleFailoverUnderChaos(t *testing.T) {
 			}
 		})
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("early+chaos run diverged from reference")
+		t.Fatal("chaos run diverged from reference")
 	}
 	if stats.ReduceTasks != 3 {
 		t.Errorf("ReduceTasks = %d, want 3", stats.ReduceTasks)
 	}
+}
+
+// TestMapRetryCallsBackReduceLaunch is the call-back rule: two workers,
+// two reduce tasks, every task attempt 50 ms late (the per-map delay),
+// and the first attempt of shard 1 crashes its worker after the frame's
+// shard 0 answered. By then the other worker has mapped shard 2 and holds
+// a reduce launch waiting on shard 1, so the retry finds no idle worker:
+// the loop must call that launch back, or the run would sit until
+// JobTimeout. The output is the oracle's, and no goroutine, descriptor
+// or spill file outlives the run.
+func TestMapRetryCallsBackReduceLaunch(t *testing.T) {
+	const jobTimeout = 20 * time.Second
+	plan := chaos.Config{CrashRate: 0.1, TaskLatency: chaos.Dist{Kind: chaos.DistFixed, Base: 50 * time.Millisecond}}
+	// Of every attempt the run can make, shard 1's first alone crashes.
+	onlyShard1Crashes := func(seed int64) bool {
+		cfg := plan
+		cfg.Seed, cfg.Metrics = seed, obs.NewRegistry()
+		in := chaos.New(cfg)
+		for attempt := 0; attempt < 3; attempt++ {
+			for task := 0; task < 3; task++ {
+				if in.TaskFault("task", task, attempt).Crash != (task == 1 && attempt == 0) {
+					return false
+				}
+			}
+			for p := 0; p < 2; p++ {
+				if in.TaskFault("reduce", p, attempt).Crash {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for plan.Seed = 1; !onlyShard1Crashes(plan.Seed); plan.Seed++ {
+	}
+
+	goroutines, fds := runtime.NumGoroutine(), openFDs()
+	master, err := NewMaster(mustRegistry(t), MasterConfig{
+		TaskTimeout: 10 * time.Second, JobTimeout: jobTimeout, Reducers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := master.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := make([]*Worker, 2)
+	dirs := make([]string, 2)
+	for i := range workers {
+		dirs[i] = t.TempDir()
+		w, err := NewWorker(mustRegistry(t), WithChaos(chaos.New(plan)), WithWorkerConfig(WorkerConfig{SpillBudget: 1, SpillDir: dirs[i]}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Start(addr); err != nil {
+			t.Fatal(err)
+		}
+		workers[i] = w
+	}
+	waitIdle(t, master, 2)
+
+	lines := testLines(t, 60)
+	start := time.Now()
+	got, stats, err := master.Run(context.Background(), "wordcount", lines, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wall := time.Since(start); wall > jobTimeout/4 {
+		t.Errorf("the run took %v: a map retry waited on reduce launches", wall)
+	}
+	if !reflect.DeepEqual(got, runShard(wordCountJob(), lines, new(shardScratch))) {
+		t.Fatal("output diverged from the oracle")
+	}
+	if stats.EarlyAborts < 1 {
+		t.Errorf("EarlyAborts = %d: the map retry called no reduce launch back (stats %+v)", stats.EarlyAborts, stats)
+	}
+	if stats.ReduceTasks != 2 {
+		t.Errorf("ReduceTasks = %d, want 2", stats.ReduceTasks)
+	}
+	// The survivor frees the run when the release lands; the crashed
+	// worker's store goes with it.
+	for i, w := range workers {
+		select {
+		case <-w.done:
+			continue // crashed
+		default:
+		}
+		for deadline := time.Now().Add(5 * time.Second); len(heldTasks(w)) > 0 || spillFilesLeft(t, dirs[i]) > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the survivor still holds %d task(s) and %d spill file(s) after the run", len(heldTasks(w)), spillFilesLeft(t, dirs[i]))
+			}
+		}
+	}
+	master.Close()
+	for i, w := range workers {
+		w.Stop()
+		if n := spillFilesLeft(t, dirs[i]); n != 0 {
+			t.Errorf("worker %d left %d spill file(s)", i, n)
+		}
+	}
+	settled(t, goroutines, fds)
 }

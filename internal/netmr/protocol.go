@@ -96,11 +96,12 @@ type message struct {
 	CompBytes int64  // mapdone | result: bytes compression saved (spill sections; shuffle frames)
 	ShuffleMs int64  // helloack: shuffle timeout, milliseconds
 
-	// Pipelined shuffle. Total > 0 on a reducetask marks it an early
-	// dispatch: the reducer gathers the initial Locs/Parts, then keeps
-	// receiving morelocs frames (same Run/TaskID, incremental Locs/Parts/
-	// Reps — or Message "abort") until it has covered Total map tasks.
-	Total     int        // reducetask: map tasks the run will eventually produce (early mode); chunk | result: the chunk's place in the partition's output, from 0
+	// Pipelined shuffle. A reducetask names the run's map count as Total:
+	// the reducer gathers the initial Locs/Parts, then keeps receiving
+	// morelocs frames (same Run/TaskID, incremental Locs/Parts/Reps — or
+	// Message "abort") until it has covered Total map tasks. Total 0 means
+	// the frame names every map output.
+	Total     int        // reducetask: map tasks the run produces; chunk | result: the chunk's place in the partition's output, from 0
 	Reps      []fetchLoc // reducetask | morelocs: replica shuffle addrs per map task (local failover)
 	Failovers int        // result: fetches locally rerouted to a replica
 }
@@ -566,7 +567,7 @@ const (
 	spanSpill     = "spill"     // writing sorted spill runs when the memory budget is exceeded
 	spanMergeRuns = "mergeruns" // reduce task: merge-fold when spilled runs take part
 	spanReplicate = "replicate" // pushing a persisted partition set to the replica peer
-	spanAwait     = "await"     // early reduce task: waiting for the next morelocs round
+	spanAwait     = "await"     // reduce task: waiting for the next morelocs round
 )
 
 // spanClock accumulates spanSummary intervals against a fixed epoch —

@@ -10,48 +10,52 @@ import (
 	"ipso/internal/obs"
 )
 
-// Master-side half of the distributed reduce: after the split barrier the
-// R partitions go back out to the workers as reduce tasks, through the
-// same scheduling loop as map shards (sched.go). The master never folds a
-// key here — its remaining job is routing: telling each reducer where the
-// winning map outputs live (the gather plan) and carrying inline the
-// copies only it holds. With EarlyShuffle, reduce tasks start before the
-// barrier on the workers the map tail leaves idle.
+// Master-side half of the distributed reduce: the R partitions go out to
+// the workers as reduce tasks in the same scheduling loop as the map
+// shards (sched.go), as soon as a map output is stored. The master never
+// folds a key here — its remaining job is routing: telling each reducer
+// where the winning map outputs live (the gather plan), streaming the
+// locations of the outputs that land after its launch, and carrying
+// inline the copies only it holds.
 
-// errEarlyAborted marks an early reduce launch the master itself called
-// back (its worker was needed for a map retry). The reduce phase requeues
-// the partition without charging the attempt budget — an abort is the
-// master's choice, not a failure.
-var errEarlyAborted = errors.New("netmr: early reduce launch aborted")
+// errCalledBack marks a reduce launch the master itself took back: its
+// worker was needed for a map task, or its plan would have needed
+// lineage re-execution before the barrier. The loop requeues the
+// partition without charging the attempt budget — the master's choice,
+// not a failure.
+var errCalledBack = errors.New("netmr: reduce launch called back")
 
-// newJobRun readies one Run's state before the map phase: the map-output
-// records, and the reduce launch reports, which exist this early because
-// early launches start under the map tail.
+// newJobRun readies one Run's state: the task graph, the map-output
+// records and the reduce output streams.
 func (m *Master) newJobRun(name string, job Job, records []string, shards int, stats *Stats) *jobRun {
 	cfg := m.cfg
 	stats.Reducers = cfg.Reducers
-	// The buffers cover every lineage the reduce phase can start plus one
-	// early launch per partition, so no reporter can ever block.
-	rcap := cfg.Reducers * (1 + cfg.MaxAttempts*(1+cfg.SpeculationMaxClones))
-	return &jobRun{
+	// Every launch reports exactly once, and the buffers take every launch
+	// that can be out at once, so no reporter blocks after Run returns: a
+	// task's lineages (its first and its clones) each have one launch out
+	// at a time, a retry or requeue leaving only after the report.
+	capacity := (shards + cfg.Reducers) * (1 + cfg.SpeculationMaxClones)
+	r := &jobRun{
 		m: m, name: name, job: job, runID: fmt.Sprintf("%s#%d", name, m.runSeq.Add(1)),
-		records: records, shards: shards, stats: stats, ledger: newPerWorkerLedger(),
-		mapLocs:       make(map[int]string, shards),
-		replicaLocs:   make(map[int]string, shards),
-		replicaParts:  make(map[int][]partitionPartial),
-		out:           newOutputs(cfg.Reducers, len(records)),
-		rResults:      make(chan launchDone, rcap),
-		rFails:        make(chan launchFail, rcap),
-		earlyLaunched: map[int]bool{},
-		earlyActive:   map[int]chan message{},
+		records: records, shards: shards, stats: stats, ledger: &perWorkerLedger{by: map[string]*WorkerStats{}},
+		results:      make(chan launchDone, capacity),
+		fails:        make(chan launchFail, capacity),
+		mapLocs:      make(map[int]string, shards),
+		replicaLocs:  make(map[int]string, shards),
+		replicaParts: make(map[int][]partitionPartial),
+		out:          newOutputs(cfg.Reducers, len(records)),
+		streams:      map[int]chan message{},
+		calledBack:   map[int]bool{},
 	}
+	r.maps, r.reduces = r.mapPhase(), r.reducePhase()
+	return r
 }
 
 // accept takes a shard's winning output, persisted on its worker: it
 // records whose shuffle listener holds the task's partitions, and where
 // the durable copy lives — a peer replica when the push succeeded, the
 // inline partition set on the master otherwise — and streams the
-// location to every running early reducer.
+// location to every reduce launch still waiting on map outputs.
 func (r *jobRun) accept(d launchDone) {
 	id := d.task.id
 	r.mapLocs[id] = d.fetchAddr
@@ -63,15 +67,13 @@ func (r *jobRun) accept(d launchDone) {
 	// Exactly once per task per launch: the launch's plan covered the
 	// tasks stored before it, this covers the ones after — both on the
 	// scheduling goroutine.
-	for p, updates := range r.earlyActive {
+	for p, updates := range r.streams {
 		u := message{Type: "morelocs", Run: r.runID, TaskID: p,
 			Locs: []fetchLoc{{Addr: d.fetchAddr, Tasks: []int{id}}}}
 		if d.repAddr != "" {
 			u.Reps = []fetchLoc{{Addr: d.repAddr, Tasks: []int{id}}}
 		}
 		updates <- u
-		r.stats.LocsStreamed++
-		r.m.metrics.locsStreamed.Inc()
 	}
 	r.absorb(d)
 	r.stats.Completed++
@@ -82,127 +84,82 @@ func (r *jobRun) accept(d launchDone) {
 // absorb adds what a stored map output or a reduce result reports of
 // spill runs and compression savings to the run's accounts.
 func (r *jobRun) absorb(d launchDone) {
-	if d.spills > 0 {
-		r.stats.SpillRuns += d.spills
-		r.stats.SpilledBytes += d.spilled
-		r.m.metrics.spillRuns.Add(float64(d.spills))
-		r.m.metrics.spilledBytes.Add(float64(d.spilled))
-	}
-	if d.compBytes > 0 {
-		r.stats.CompressedBytes += d.compBytes
-		r.m.metrics.compressedBytes.Add(float64(d.compBytes))
-	}
+	r.stats.SpillRuns += d.spills
+	r.stats.SpilledBytes += d.spilled
+	r.stats.CompressedBytes += d.compBytes
+	r.m.metrics.spillRuns.Add(float64(d.spills))
+	r.m.metrics.spilledBytes.Add(float64(d.spilled))
+	r.m.metrics.compressedBytes.Add(float64(d.compBytes))
 }
 
-// reduceTail runs the reduce phase after the barrier: the per-key fold
-// happens on the workers, and the R disjoint, key-sorted streams of
-// chunks that come back are the result. For Run's callers the chunks are
-// also unioned into the one map they are owed, written to asMap — O(keys)
-// inserts, no Reduce/Combine calls — by a goroutine that inserts each
-// chunk as it is taken, so the merge window holds only what is left of
-// it when the last result lands. RunResult's (asMap nil) holds nothing.
-func (r *jobRun) reduceTail(ctx context.Context, deadline <-chan time.Time, splitStart, barrier time.Time, asMap *map[string]float64) (*Result, error) {
-	m, stats := r.m, r.stats
-	var union chan map[string]float64
-	if asMap != nil {
-		union = make(chan map[string]float64, 1)
-		quit := make(chan struct{})
-		defer close(quit)
-		go func() { union <- r.out.union(quit) }()
-	}
-	_, reduceSpan := obs.StartSpan(ctx, "reduce")
-	err := r.runReducePhase(ctx, deadline)
-	reduceSpan.End()
-	reduceEnd := time.Now()
-	stats.ReduceWall = reduceEnd.Sub(barrier)
-	m.metrics.reduceSeconds.Observe(stats.ReduceWall.Seconds())
-	m.metrics.shuffleBytes.Add(float64(stats.ShuffleBytes))
-	r.trc.addPhase("reduce", barrier, reduceEnd)
-	if err != nil {
-		return nil, err
-	}
-	_, mergeSpan := obs.StartSpan(ctx, "merge")
-	r.release() // the workers' reclaim overlaps the union's tail
-	if asMap != nil {
-		*asMap = <-union
-	}
-	mergeSpan.End()
-	end := time.Now()
-	r.trc.addPhase("merge", reduceEnd, end)
-	stats.MergeWall = end.Sub(reduceEnd)
-	stats.TotalWall = end.Sub(splitStart)
-	m.metrics.mergeSeconds.Observe(stats.MergeWall.Seconds())
-	return &Result{parts: r.out.chunks}, nil
+// passBarrier closes the split window when the last map output is
+// accepted: the reduce launches under way have every location now, so
+// their streams end, and the reduce window opens.
+func (r *jobRun) passBarrier(ctx context.Context) {
+	r.closeStreams(false)
+	r.mapSpan.End()
+	_, r.reduceSpan = obs.StartSpan(ctx, "reduce")
+	r.barrier = time.Now()
+	r.stats.SplitWall = r.barrier.Sub(r.start)
+	r.trc.addPhase("split", r.start, r.barrier)
+	r.m.metrics.splitSeconds.Observe(r.stats.SplitWall.Seconds())
 }
 
-// runReducePhase assigns the R reduce partitions to workers until each
-// one's output stream has ended in r.out. Each dispatch plans its gather
-// against the liveness view of that instant (gatherPlan); the fold output
-// is byte-identical on every route — reducers order partials by map task
-// id before folding, not by arrival.
-//
-// Early launches are already in flight when the phase starts, so they
-// enter the loop as seeded flights rather than queued tasks; each reports
-// exactly once on the reduce channels, possibly into their buffers before
-// this phase drains them. An early launch the master aborted fails with
-// errEarlyAborted and requeues without charging the attempt budget.
-func (r *jobRun) runReducePhase(ctx context.Context, deadline <-chan time.Time) error {
+// reducePhase is the R reduce partitions' phase. Each launch plans its
+// gather against the liveness view of that instant (gatherPlan) and
+// names the run's map count as Total, so a launch before the barrier is
+// sent the outputs that land after it (accept). The fold output is
+// byte-identical on every route: reducers order partials by map task id.
+func (r *jobRun) reducePhase() *phase {
 	m := r.m
-	ph := &phase{
-		tasks: m.cfg.Reducers, kind: "rtask", noun: "reduce partition",
-		results: r.rResults, fails: r.rFails, seeded: r.earlyLaunched,
-		launch: func(w *workerHandle, batch []shardTask, launches []int) {
-			t := batch[0]
-			// Planned here, on the loop's goroutine: the plan reads and
-			// fills the shared replica cache and stats.
-			locs, inline, reps, _ := r.gatherPlan(t.id, false)
-			go r.dispatchReduce(w, t, message{
-				Type: "reducetask", Job: r.name, TaskID: t.id, Attempt: t.attempts, Run: r.runID,
-				Locs: locs, Parts: inline, Reps: reps, Trace: r.trc.frameID(),
-			}, launchOf(launches, 0), nil)
-		},
-		accept: func(d launchDone) {
-			r.stats.ReduceTasks++
-			r.stats.ShuffleBytes += d.bytes
-			if d.failovers > 0 {
-				r.stats.Failovers += d.failovers
-				m.metrics.failovers.Add(float64(d.failovers))
-			}
-			r.absorb(d)
-			m.metrics.reduceTasks.With("ok").Inc()
-		},
-		failed: func(err error) bool {
-			if errors.Is(err, errEarlyAborted) {
-				return true
-			}
-			m.metrics.reduceTasks.With("failed").Inc()
-			return false
-		},
+	ph := newPhase(m.cfg.Reducers, "rtask", "reduce partition")
+	ph.launch = func(w *workerHandle, batch []shardTask, launches []int) {
+		t, launch := batch[0], launchOf(launches, 0)
+		// Planned here, on the loop's goroutine: the plan reads and fills
+		// the shared replica cache and stats.
+		locs, inline, reps, ok := r.gatherPlan(t.id)
+		if !ok { // taken back before it starts, see errCalledBack
+			r.hold = true
+			r.trc.closeLaunch(launch, outcomeCancelled, nil)
+			m.idle <- w
+			r.fails <- launchFail{task: t, err: errCalledBack, launch: launch}
+			return
+		}
+		var updates chan message
+		if r.barrier.IsZero() {
+			updates = make(chan message, r.shards+1) // one per map output, and an abort
+			r.streams[t.id] = updates
+			r.stats.EarlyReduceTasks++
+			m.metrics.earlyLaunches.Inc()
+		}
+		go r.dispatchReduce(w, t, message{
+			Type: "reducetask", Job: r.name, TaskID: t.id, Attempt: t.attempts, Run: r.runID,
+			Locs: locs, Parts: inline, Reps: reps, Total: r.shards, Trace: r.trc.frameID(),
+		}, launch, updates)
 	}
-	if err := m.schedule(ctx, ph, r.stats, r.trc, deadline); err != nil {
-		return err
+	ph.accept = func(d launchDone) {
+		r.stats.ReduceTasks++
+		r.stats.ShuffleBytes += d.bytes
+		r.stats.Failovers += d.failovers
+		m.metrics.failovers.Add(float64(d.failovers))
+		r.absorb(d)
+		m.metrics.reduceTasks.With("ok").Inc()
 	}
-	if !r.recoveryAt.IsZero() {
-		r.stats.RecoveryWall = time.Since(r.recoveryAt)
-		m.metrics.recoverySeconds.Observe(r.stats.RecoveryWall.Seconds())
-	}
-	return nil
+	return ph
 }
 
 // gatherPlan routes partition p's gather against the shuffle-address
 // liveness of this instant: each live holder with the (sorted) map tasks
 // to fetch from it, the replica holders the reducer may fail over to
 // worker-locally, and inline the partition's slice of every output only
-// the master still has. A map output whose primary died is read from its
-// live replica, else from the master-held copy, else re-executed from
-// lineage on the master and cached where an inline copy would have been,
-// so R partitions pay for one re-execution. An early plan (launched
-// before the barrier) refuses that re-execution instead — ok false: the
-// barrier path recovers — does not start the recovery clock, and keeps
-// the empty inline sections too, so the reducer's coverage count can
-// reach Total. Runs on the scheduling goroutine: it mutates the replica
-// cache and stats.
-func (r *jobRun) gatherPlan(p int, early bool) (locs []fetchLoc, inline []partitionPartial, reps []fetchLoc, ok bool) {
+// the master still has — empty slices too, since the reducer counts one
+// section per map task towards Total. A map output whose primary died is
+// read from its live replica, else from the master-held copy, else
+// re-executed from lineage on the master and cached where an inline copy
+// would have been, so R partitions pay for one re-execution. Before the
+// barrier a plan refuses that re-execution instead (ok false). Runs on
+// the scheduling goroutine: it mutates the replica cache and stats.
+func (r *jobRun) gatherPlan(p int) (locs []fetchLoc, inline []partitionPartial, reps []fetchLoc, ok bool) {
 	m := r.m
 	byAddr := map[string][]int{}
 	repBy := map[string][]int{}
@@ -220,7 +177,7 @@ func (r *jobRun) gatherPlan(p int, early bool) (locs []fetchLoc, inline []partit
 			}
 			continue
 		}
-		if !early && r.recoveryAt.IsZero() {
+		if r.recoveryAt.IsZero() {
 			r.recoveryAt = time.Now()
 		}
 		if hasRep {
@@ -231,7 +188,7 @@ func (r *jobRun) gatherPlan(p int, early bool) (locs []fetchLoc, inline []partit
 		}
 		parts, held := r.replicaParts[task]
 		if !held {
-			if early {
+			if r.barrier.IsZero() {
 				return nil, nil, nil, false
 			}
 			// Primary and replica both gone: re-execute the map task.
@@ -242,9 +199,7 @@ func (r *jobRun) gatherPlan(p int, early bool) (locs []fetchLoc, inline []partit
 			r.replicaParts[task] = parts
 			m.metrics.mapReexecs.Inc()
 		}
-		if sec := partOf(parts, p); early || len(sec) > 0 {
-			inline = append(inline, partitionPartial{ID: task, Partial: sec})
-		}
+		inline = append(inline, partitionPartial{ID: task, Partial: partOf(parts, p)})
 	}
 	return sortedLocs(byAddr), inline, sortedLocs(repBy), true
 }
@@ -264,16 +219,16 @@ func sortedLocs(by map[string][]int) []fetchLoc {
 }
 
 // dispatchReduce runs one reduce launch on its own goroutine and reports
-// it exactly once on the reduce channels. An early launch (updates
-// non-nil) forwards the streamed morelocs updates until the map phase
-// closes the stream (barrier or abort), then collects the reply: the
+// it exactly once on the run's channels. A launch before the barrier
+// (updates non-nil) forwards the streamed morelocs updates until the loop
+// closes the stream (barrier or call-back), then collects the reply: the
 // partition's chunks, each handed to r.out as it lands, up to the result
 // frame with the last. A chunk r.out refuses fails the launch. A reply
 // that is not the partition's chunk or result drops the worker, with two
 // exceptions that return it to the pool: a reducer's "the fetch failed"
 // report (an error frame naming the holder address), where the reducer
 // is healthy and the holder is not — the holder is marked dead and the
-// retry re-plans around the loss — and an aborted early launch's
+// retry re-plans around the loss — and a called-back launch's
 // acknowledgement.
 func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch int, updates <-chan message) {
 	m := r.m
@@ -303,42 +258,40 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 		// The worker rejoins the pool before its report: the report may
 		// end the run, whose release goes to the pool.
 		case reply.Type == "result" && reply.TaskID == t.id:
-			r.landed(w, elapsed, launch, reply.Spans)
+			m.metrics.rpcSeconds.With(w.id).Observe(elapsed.Seconds())
+			r.ledger.book(w.id, elapsed, true)
+			r.trc.closeLaunch(launch, outcomeOK, reply.Spans)
 			m.idle <- w
-			r.rResults <- launchDone{
+			r.results <- launchDone{
 				task: t, bytes: reply.Bytes,
 				compBytes: reply.CompBytes, spills: reply.Spills, spilled: reply.Spilled,
 				failovers: reply.Failovers, elapsed: elapsed, launch: launch,
 			}
 			return
 		case reply.Type == "error" && reply.TaskID == t.id && (reply.Fetch != "" || aborted):
-			// An abort acknowledgement is not a failure: the partition
-			// goes back to the queue without charging its budget.
-			outcome, ferr := outcomeCancelled, errEarlyAborted
+			outcome, ferr := outcomeCancelled, errCalledBack
 			if reply.Fetch != "" {
 				if !r.over.Load() { // after the release every holder refuses the run
 					m.markAddrDead(reply.Fetch)
 				}
+				m.metrics.reduceTasks.With("failed").Inc()
 				outcome, ferr = outcomeFailed, fmt.Errorf("netmr: reduce partition %d: fetch from %s failed: %s", t.id, reply.Fetch, reply.Message)
 			}
 			r.trc.closeLaunch(launch, outcome, nil)
 			m.idle <- w
-			r.rFails <- launchFail{task: t, err: ferr, launch: launch}
+			r.fails <- launchFail{task: t, err: ferr, launch: launch}
 			return
-		}
-		what := "reduce partition"
-		if updates != nil {
-			what = "early reduce partition"
 		}
 		detail := reply.Message
 		if detail == "" {
 			detail = fmt.Sprintf("frame %q (task %d)", reply.Type, reply.TaskID)
 		}
-		err = fmt.Errorf("netmr: worker %s failed %s %d: %s", w.id, what, t.id, detail)
+		err = fmt.Errorf("netmr: worker %s failed reduce partition %d: %s", w.id, t.id, detail)
 	}
+	m.metrics.reduceTasks.With("failed").Inc()
 	m.dropWorker(w) // before the report, as in dispatchMap
 	r.lost(w, elapsed, launch)
-	r.rFails <- launchFail{task: t, err: err, launch: launch}
+	r.fails <- launchFail{task: t, err: err, launch: launch}
 }
 
 // release tells every idle worker, once, that the run is over, so each
@@ -359,86 +312,42 @@ func (r *jobRun) release() {
 	}
 }
 
-// earlyOK reports whether a spare worker should start an early reduce
-// task: only in the map tail — a non-empty queue means shards still need
-// workers — and only once a map output is stored, since a launch with
-// none known buys nothing over waiting for the next mapdone.
-func (r *jobRun) earlyOK(queued int) bool {
-	return !r.earlyOff && len(r.earlyLaunched) < r.m.cfg.Reducers && queued == 0 && len(r.mapLocs) > 0
-}
-
-// launchEarly starts the lowest partition not yet launched (earlyOK saw
-// one) on a spare worker: a reducetask naming the map outputs stored so
-// far plus the run's total map count. Every later winning output streams
-// to it as a morelocs frame, so the reducer fetches under the map tail
-// and folds the moment its coverage completes.
-func (r *jobRun) launchEarly(w *workerHandle) {
-	m := r.m
-	p := 0
-	for r.earlyLaunched[p] {
-		p++
+// callBack takes back the highest reduce launch still waiting on map
+// outputs — it launched last and has overlapped the least fetching, the
+// cheapest to lose — because a ready map task needs its worker. The
+// launch acknowledges, and its partition is requeued free of charge.
+func (r *jobRun) callBack() {
+	p := -1
+	for q := range r.streams {
+		p = max(p, q)
 	}
-	locs, inline, reps, ok := r.gatherPlan(p, true)
-	if !ok {
-		// An intermediate would need lineage re-execution; leave recovery
-		// to the barrier path and stop early dispatching for this run
-		// (earlyOK now keeps the loop from drawing a worker again).
-		r.earlyOff = true
-		m.idle <- w
-		return
-	}
-	updates := make(chan message, r.shards+2)
-	r.earlyLaunched[p] = true
-	r.earlyActive[p] = updates
-	r.stats.EarlyReduceTasks++
-	m.metrics.earlyLaunches.Inc()
-	launch := -1
-	if r.trc != nil {
-		launch = r.trc.openLaunch("rtask", p, 0, w.id)
-	}
-	go r.dispatchReduce(w, shardTask{id: p}, message{
-		Type: "reducetask", Job: r.name, TaskID: p, Run: r.runID,
-		Locs: locs, Parts: inline, Reps: reps, Total: r.shards, Trace: r.trc.frameID(),
-	}, launch, updates)
-}
-
-// abortOneEarly calls an early launch back because a map retry needs its
-// worker; its partition reruns from the reduce phase's queue.
-func (r *jobRun) abortOneEarly() {
-	if len(r.earlyActive) == 0 {
-		return
-	}
-	// Deterministic pick: the highest partition launched last and has
-	// overlapped the least fetching — the cheapest launch to lose.
-	maxP := -1
-	for p := range r.earlyActive {
-		maxP = max(maxP, p)
-	}
-	r.endEarly(maxP, true)
-}
-
-// closeEarly ends every open update stream: complete at the barrier, or
-// aborted on an error return mid-map so no early reducer stays blocked in
-// its stream recv.
-func (r *jobRun) closeEarly(abort bool) {
-	ps := make([]int, 0, len(r.earlyActive))
-	for p := range r.earlyActive {
-		ps = append(ps, p)
-	}
-	sort.Ints(ps)
-	for _, p := range ps {
-		r.endEarly(p, abort)
-	}
-}
-
-// endEarly closes partition p's update stream, after an abort marker when
-// abort is set.
-func (r *jobRun) endEarly(p int, abort bool) {
-	if abort {
-		r.earlyActive[p] <- message{Type: "morelocs", Run: r.runID, TaskID: p, Message: "abort"}
+	if p >= 0 {
+		r.endStream(p, true)
+		r.calledBack[p] = true
 		r.stats.EarlyAborts++
 		r.m.metrics.earlyAborts.Inc()
 	}
-	close(r.earlyActive[p])
-	delete(r.earlyActive, p)
+}
+
+// closeStreams ends every open location stream: complete at the barrier,
+// or after an abort marker when the run ends without one, so no reducer
+// stays blocked in its stream recv.
+func (r *jobRun) closeStreams(abort bool) {
+	for p := range r.streams {
+		r.endStream(p, abort)
+	}
+}
+
+// endStream closes partition p's location stream, if it has one, after an
+// abort marker when abort is set.
+func (r *jobRun) endStream(p int, abort bool) {
+	updates, ok := r.streams[p]
+	if !ok {
+		return
+	}
+	if abort {
+		updates <- message{Type: "morelocs", Run: r.runID, TaskID: p, Message: "abort"}
+	}
+	close(updates)
+	delete(r.streams, p)
 }

@@ -204,11 +204,14 @@ func startSleeperCluster(t *testing.T, cfg MasterConfig, workers int) *Master {
 // the clone's result lands while shard 1 (700 ms) is still pending —
 // and must be discarded exactly once. Shard 1's clone is still in
 // flight when the map phase completes, so it is counted as a
-// cancellation. The reduce tasks (R = 2, and the GOMAXPROCS default)
+// cancellation. The reduce tasks (R = 2, 4 and the GOMAXPROCS default)
 // finish within a speculation tick of the barrier, so the counts are the
-// map phase's either way.
+// map phase's either way. Shards 0 and 1 share one frame, so the three
+// other workers go idle under the map tail and take reduce launches; at
+// R = 4 they all do, and the clones run only because a ready map task
+// calls a reduce launch back.
 func TestDuplicateSpeculativeResultDiscardedOnce(t *testing.T) {
-	for _, reducers := range []int{0, 2} {
+	for _, reducers := range []int{0, 2, 4} {
 		t.Run(fmt.Sprintf("reducers=%d", reducers), func(t *testing.T) {
 			master := startSleeperCluster(t, MasterConfig{
 				TaskTimeout:                10 * time.Second,
@@ -239,6 +242,9 @@ func TestDuplicateSpeculativeResultDiscardedOnce(t *testing.T) {
 			}
 			if stats.Cancellations != 1 {
 				t.Fatalf("Cancellations = %d, want 1 (shard 1's clone outlived the job)", stats.Cancellations)
+			}
+			if reducers == 4 && stats.EarlyAborts == 0 {
+				t.Fatal("EarlyAborts = 0: the clones found no idle worker, yet no reduce launch was called back")
 			}
 		})
 	}

@@ -2,63 +2,66 @@ package netmr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
 	"ipso/internal/chaos"
 )
 
-// The scheduling loop of a Run. Both phases — the map shards, then the
-// reduce partitions — go through schedule, which owns
-// every coordinating decision: the ready queue with backoff maturity, the
-// live launches of each task, first-result-wins, the retry budget, the
-// all-workers-lost exit, speculation, cancellation and the job deadline.
-// A phase says only how to dispatch, what to do with a winning result,
-// and the few hooks where the two phases differ.
+// The scheduling loop of a Run. A job is one task graph, its map shards
+// and the R reduce tasks that depend on them, and schedule runs all of it:
+// the ready queues with backoff maturity, the live launches of each task,
+// first-result-wins, the retry budget, the all-workers-lost exit,
+// speculation, cancellation and the job deadline. The dependency edge is
+// three rules of the loop: map tasks dispatch first (next); a ready map
+// task — a retry or a speculative clone — with no idle worker calls a
+// reduce launch back (schedule); and a reduce plan that would need
+// lineage re-execution waits for the barrier (gatherPlan).
 
-// phase is what schedule needs to know about one phase's tasks, ids
-// 0..tasks-1.
+// phase is one kind of task in the graph, ids 0..tasks-1: how to launch
+// and accept them, and the loop's state of them.
 type phase struct {
-	tasks   int
-	kind    string // trace launch kind: "task" (map shard) or "rtask" (reduce partition)
-	noun    string // what errors call a task: "shard" or "reduce partition"
-	results <-chan launchDone
-	fails   <-chan launchFail
+	tasks int
+	kind  string // trace launch kind: "task" (map shard) or "rtask" (reduce partition)
+	noun  string // what errors call a task: "shard" or "reduce partition"
 	// weigh, when set, lets a dispatch carry several tasks (see
 	// batchBytes): it returns task id's input bytes, or any count past
 	// room once they exceed it. Unset, every dispatch carries one task.
 	weigh func(id, room int) int
-	// seeded tasks were launched before the loop started (early reduce
-	// launches): they start as live flights instead of queued tasks.
-	seeded map[int]bool
-
 	// launch hands batch to w; launches are its trace launch ordinals (nil
 	// untraced). It runs on the loop's goroutine and starts the
 	// round-trip on another, which reports every task of the batch
-	// exactly once on results or fails.
+	// exactly once on the run's results or fails.
 	launch func(w *workerHandle, batch []shardTask, launches []int)
 	// accept takes a task's winning result.
 	accept func(r launchDone)
-	// failed, when set, sees every failure report; true requeues the task
-	// without charging its attempt budget.
-	failed func(err error) bool
-	// retried, when set, runs after a failed task is requeued.
-	retried func()
-	// spare, when set, asks for an idle worker while no task is ready
-	// (queued counts the tasks still waiting out a backoff); such a worker
-	// goes to useSpare.
-	spare    func(queued int) bool
-	useSpare func(w *workerHandle)
+
+	queue    []shardTask
+	inflight map[int]*flight
+	done     []bool
+	lat      []float64 // winning-launch latencies, the speculation reference
+	pending  int
+}
+
+// newPhase readies a phase for the loop: every task queued, none done.
+func newPhase(tasks int, kind, noun string) *phase {
+	ph := &phase{tasks: tasks, kind: kind, noun: noun, queue: make([]shardTask, tasks),
+		inflight: make(map[int]*flight, tasks), done: make([]bool, tasks), pending: tasks}
+	for id := range ph.queue {
+		ph.queue[id] = shardTask{id: id, ph: ph}
+	}
+	return ph
 }
 
 // shardTask is one launchable unit: a task id plus its lineage state
 // (retry ordinal, speculative flag, backoff maturity).
 type shardTask struct {
 	id          int
+	ph          *phase // the task's kind: a run's maps or reduces
 	attempts    int
 	speculative bool
 	readyAt     time.Time // zero: dispatchable immediately
@@ -100,133 +103,102 @@ func launchOf(launches []int, i int) int {
 	return launches[i]
 }
 
-// scheduler is one schedule call's state.
-type scheduler struct {
-	m        *Master
-	ph       *phase
-	stats    *Stats
-	trc      *JobTrace
-	queue    []shardTask
-	inflight map[int]*flight
-	done     map[int]bool
-	lat      []float64 // winning-launch latencies, the speculation reference
-	pending  int
-}
-
-// schedule runs ph's tasks to completion on the master's idle workers.
-// A launch that fails is requeued with capped exponential backoff, up to
-// MaxAttempts per lineage; a task survives an exhausted lineage while a
-// sibling launch is live or queued. Cancelling ctx, the deadline, budget
-// exhaustion and the loss of every worker end the phase with an error;
-// launches still in flight at any exit are abandoned and counted in
-// Stats.Cancellations.
-func (m *Master) schedule(ctx context.Context, ph *phase, stats *Stats, trc *JobTrace, deadline <-chan time.Time) error {
-	s := &scheduler{
-		m: m, ph: ph, stats: stats, trc: trc,
-		queue:    make([]shardTask, 0, ph.tasks),
-		inflight: make(map[int]*flight, ph.tasks),
-		done:     make(map[int]bool, ph.tasks),
-		pending:  ph.tasks,
-	}
-	for id := 0; id < ph.tasks; id++ {
-		if !ph.seeded[id] {
-			s.queue = append(s.queue, shardTask{id: id})
-		}
-	}
-	// Seeded launches are live flights this loop inherits; their ages
-	// start now so the speculation clock does not read the time before
-	// this phase as straggling.
-	for id := range ph.seeded {
-		s.inflight[id] = &flight{launches: 1, lastLaunch: time.Now()}
-	}
-
+// schedule runs r's task graph to completion on the master's idle
+// workers. A launch that fails is requeued with capped exponential
+// backoff, up to MaxAttempts per lineage; a task survives an exhausted
+// lineage while a sibling launch is live or queued. Cancelling ctx, the
+// deadline, budget exhaustion and the loss of every worker end the run
+// with an error. Launches still in flight at any exit are abandoned and
+// counted in Stats.Cancellations, and so are the map launches still out
+// at the barrier.
+func (m *Master) schedule(ctx context.Context, r *jobRun, deadline <-chan time.Time) error {
 	var specTick <-chan time.Time
 	if m.cfg.SpeculationInterval > 0 {
 		ticker := time.NewTicker(m.cfg.SpeculationInterval)
 		defer ticker.Stop()
 		specTick = ticker.C
 	}
-	wake := time.NewTimer(time.Hour)
-	if !wake.Stop() {
-		<-wake.C
-	}
-	defer wake.Stop()
+	// Every exit abandons what is still out — a clone race the run
+	// outlived, on success; the workers rejoin the pool when their
+	// round-trip ends — and calls back the reduce launches still waiting
+	// on map outputs, so none stays blocked.
+	defer func() {
+		r.abandon(r.maps)
+		r.abandon(r.reduces)
+		r.closeStreams(true)
+	}()
 
-	for s.pending > 0 {
-		// Compact finished tasks out of the queue (their retries and
-		// clones are moot), then find a dispatchable task and the next
-		// backoff maturity.
-		kept := s.queue[:0]
-		for _, t := range s.queue {
-			if !s.done[t.id] {
-				kept = append(kept, t)
-			}
-		}
-		s.queue = kept
+	for r.reduces.pending > 0 {
 		now := time.Now()
-		readyIdx := -1
-		var earliest time.Time
-		for i, t := range s.queue {
-			if !t.readyAt.After(now) {
-				readyIdx = i
-				break
-			}
-			if earliest.IsZero() || t.readyAt.Before(earliest) {
-				earliest = t.readyAt
-			}
+		ph, readyIdx, earliest := r.next(now)
+		if ph == r.maps && readyIdx >= 0 && len(m.idle) == 0 && len(r.calledBack) == 0 {
+			// Reduce launches may hold every worker, waiting on this map
+			// task; one at a time, the next once the last has reported.
+			r.callBack()
 		}
 		var idleCh chan *workerHandle
 		var wakeCh <-chan time.Time
-		if readyIdx >= 0 || (ph.spare != nil && ph.spare(len(s.queue))) {
+		if readyIdx >= 0 {
 			idleCh = m.idle
 		} else if !earliest.IsZero() {
-			if !wake.Stop() {
-				select {
-				case <-wake.C:
-				default:
-				}
-			}
-			wake.Reset(earliest.Sub(now))
-			wakeCh = wake.C
+			wakeCh = time.After(earliest.Sub(now))
 		}
 
 		select {
 		case w := <-idleCh:
-			if readyIdx < 0 {
-				ph.useSpare(w)
-				continue
-			}
-			s.dispatch(w, readyIdx)
+			r.dispatch(ph, w, readyIdx)
 
-		case r := <-ph.results:
-			s.result(r)
+		case d := <-r.results:
+			r.result(ctx, d)
 
-		case fl := <-ph.fails:
-			if err := s.fail(fl); err != nil {
-				s.abandon()
+		case fl := <-r.fails:
+			if err := r.fail(fl); err != nil {
 				return err
 			}
 
 		case <-specTick:
-			s.speculate()
+			r.speculate(r.maps)
+			r.speculate(r.reduces)
 
 		case <-wakeCh:
 			// A backoff matured; rescan the queue.
 
 		case <-ctx.Done():
-			s.abandon()
 			return ctx.Err()
 
 		case <-deadline:
-			s.abandon()
 			return fmt.Errorf("netmr: job timed out after %v", m.cfg.JobTimeout)
 		}
 	}
-	// Launches still out for tasks that already completed (clone races
-	// the phase outlived) are abandoned; their workers rejoin the idle
-	// pool when their round-trip finishes.
-	s.abandon()
 	return nil
+}
+
+// next finds the task an idle worker would take now: the first ready map
+// task in queue order, or, while no map task is queued, the first ready
+// reduce task — once a map output is stored, and not while a refused
+// plan holds reduce dispatch for the barrier. Finished tasks leave the
+// queues first (their retries and clones are moot). With none ready,
+// earliest is the next backoff maturity of the queue that goes next.
+func (r *jobRun) next(now time.Time) (ph *phase, readyIdx int, earliest time.Time) {
+	for _, q := range []*phase{r.maps, r.reduces} {
+		q.queue = slices.DeleteFunc(q.queue, func(t shardTask) bool { return q.done[t.id] })
+	}
+	ph = r.maps
+	if len(ph.queue) == 0 {
+		ph = r.reduces
+		if len(r.mapLocs) == 0 || r.hold && r.barrier.IsZero() {
+			return ph, -1, time.Time{}
+		}
+	}
+	for i, t := range ph.queue {
+		if !t.readyAt.After(now) {
+			return ph, i, time.Time{}
+		}
+		if earliest.IsZero() || t.readyAt.Before(earliest) {
+			earliest = t.readyAt
+		}
+	}
+	return ph, -1, earliest
 }
 
 // batchBytes bounds the input bytes of one dispatch's tasks. Sending a
@@ -240,214 +212,211 @@ func (m *Master) schedule(ctx context.Context, ph *phase, stats *Stats, trc *Job
 // 1.5 MB, wc-lowcard's 6.5 MB) travel one per frame.
 const batchBytes = 256 << 10
 
-// dispatch takes the ready task at queue[readyIdx] and launches it on w
-// with, when the phase weighs its tasks, the ready tasks that follow it
+// dispatch takes the ready task at ph.queue[readyIdx] and launches it on
+// w with, when the phase weighs its tasks, the ready tasks that follow it
 // in queue order while their input bytes stay within batchBytes and the
 // batch within the worker's fair share, ⌈tasks / live workers⌉.
 // Speculative clones and retries travel alone: a clone that shared a
 // frame would wait on its mates, which is what it was launched to avoid.
-func (s *scheduler) dispatch(w *workerHandle, readyIdx int) {
-	batch := append(make([]shardTask, 0, 1), s.queue[readyIdx])
-	s.queue = append(s.queue[:readyIdx], s.queue[readyIdx+1:]...)
-	live := max(s.m.WorkerCount(), 1)
-	share := (s.ph.tasks + live - 1) / live
-	if s.ph.weigh != nil && share > 1 && len(s.queue) > 0 && batch[0].first() {
+func (r *jobRun) dispatch(ph *phase, w *workerHandle, readyIdx int) {
+	batch := append(make([]shardTask, 0, 1), ph.queue[readyIdx])
+	ph.queue = append(ph.queue[:readyIdx], ph.queue[readyIdx+1:]...)
+	live := max(r.m.WorkerCount(), 1)
+	share := (ph.tasks + live - 1) / live
+	if ph.weigh != nil && share > 1 && len(ph.queue) > 0 && batch[0].first() {
 		now := time.Now()
-		room := batchBytes - s.ph.weigh(batch[0].id, batchBytes)
-		kept := s.queue[:0]
-		for _, t := range s.queue {
+		room := batchBytes - ph.weigh(batch[0].id, batchBytes)
+		kept := ph.queue[:0]
+		for _, t := range ph.queue {
 			if room >= 0 && len(batch) < share && t.first() && !t.readyAt.After(now) {
-				if room -= s.ph.weigh(t.id, room); room >= 0 {
+				if room -= ph.weigh(t.id, room); room >= 0 {
 					batch = append(batch, t)
 					continue
 				}
 			}
 			kept = append(kept, t)
 		}
-		s.queue = kept
+		ph.queue = kept
 	}
 	for _, t := range batch {
-		f := s.inflight[t.id]
+		f := ph.inflight[t.id]
 		if f == nil {
 			f = &flight{}
-			s.inflight[t.id] = f
+			ph.inflight[t.id] = f
 		}
 		f.launches++
 		f.lastLaunch = time.Now()
 	}
 	var launches []int
-	if s.trc != nil {
+	if r.trc != nil {
 		// Every launch gets a unique ordinal — (task, attempt) collides
 		// when speculation clones a lineage.
 		launches = make([]int, len(batch))
 		for i, t := range batch {
-			launches[i] = s.trc.openLaunch(s.ph.kind, t.id, t.attempts, w.id)
-			f := s.inflight[t.id]
+			launches[i] = r.trc.openLaunch(ph.kind, t.id, t.attempts, w.id)
+			f := ph.inflight[t.id]
 			f.traced = append(f.traced, launches[i])
 		}
 	}
-	s.ph.launch(w, batch, launches)
+	ph.launch(w, batch, launches)
 }
 
 // result applies first-result-wins: a task's first report is accepted, a
-// late sibling's is discarded and counted once.
-func (s *scheduler) result(r launchDone) {
-	if f := s.inflight[r.task.id]; f != nil {
-		f.reported(r.launch)
+// late sibling's is discarded and counted once. The last map output
+// accepted is the barrier; a map launch still out then was abandoned
+// there, and its report is not counted.
+func (r *jobRun) result(ctx context.Context, d launchDone) {
+	ph := d.task.ph
+	if ph == r.maps && ph.pending == 0 {
+		return
 	}
-	if s.done[r.task.id] {
+	if f := ph.inflight[d.task.id]; f != nil {
+		f.reported(d.launch)
+	}
+	if ph.done[d.task.id] {
 		// The dispatch goroutine closed the launch ok before it knew;
 		// relabel it.
-		s.stats.Duplicates++
-		s.m.metrics.duplicates.Inc()
-		if s.trc != nil && r.launch >= 0 {
-			s.trc.relabel(r.launch, outcomeDuplicate)
+		r.stats.Duplicates++
+		r.m.metrics.duplicates.Inc()
+		if r.trc != nil && d.launch >= 0 {
+			r.trc.relabel(d.launch, outcomeDuplicate)
 		}
 		return
 	}
-	s.done[r.task.id] = true
-	if r.task.speculative {
-		s.stats.SpecWins++
-		s.m.metrics.specWins.Inc()
+	ph.done[d.task.id] = true
+	if d.task.speculative {
+		r.stats.SpecWins++
+		r.m.metrics.specWins.Inc()
 	}
-	s.lat = append(s.lat, r.elapsed.Seconds())
-	s.ph.accept(r)
-	s.pending--
+	lat := d.elapsed
+	if ph == r.reduces {
+		lat = min(lat, time.Since(r.barrier)) // a reduce task's clock starts at the barrier
+	}
+	ph.lat = append(ph.lat, lat.Seconds())
+	ph.accept(d)
+	if ph.pending--; ph == r.maps && ph.pending == 0 {
+		r.abandon(r.maps)
+		r.passBarrier(ctx)
+		for _, f := range r.reduces.inflight {
+			f.lastLaunch = r.barrier
+		}
+	}
 }
 
 // fail requeues a failed launch's task with backoff, or returns the
-// error that ends the phase.
-func (s *scheduler) fail(fl launchFail) error {
-	m := s.m
-	f := s.inflight[fl.task.id]
+// error that ends the run. A launch the master called back is requeued
+// as it was, charging nothing.
+func (r *jobRun) fail(fl launchFail) error {
+	m, ph, t := r.m, fl.task.ph, fl.task
+	f := ph.inflight[t.id]
 	if f != nil {
 		f.reported(fl.launch)
 	}
-	if s.ph.failed != nil && s.ph.failed(fl.err) {
-		if !s.done[fl.task.id] && !s.queued(fl.task.id) {
-			s.queue = append(s.queue, fl.task)
+	if ph == r.reduces {
+		r.endStream(t.id, false)
+		delete(r.calledBack, t.id)
+	}
+	if errors.Is(fl.err, errCalledBack) {
+		if !ph.done[t.id] && !ph.queued(t.id) {
+			ph.queue = append(ph.queue, t)
 		}
 		return nil
 	}
-	if s.done[fl.task.id] {
+	if ph.done[t.id] {
 		return nil // sibling already delivered; failure is moot
 	}
-	t := fl.task
 	t.attempts++
+	live := f != nil && f.launches > 0
 	if t.attempts >= m.cfg.MaxAttempts {
 		// This lineage is out of budget. The task survives only if a
 		// sibling launch is live or queued.
-		if (f != nil && f.launches > 0) || s.queued(t.id) {
-			return nil
+		if !live && !ph.queued(t.id) {
+			return fmt.Errorf("netmr: %s %d failed %d times, retry budget exhausted: %w", ph.noun, t.id, t.attempts, fl.err)
 		}
-		return fmt.Errorf("netmr: %s %d failed %d times, retry budget exhausted: %w", s.ph.noun, t.id, t.attempts, fl.err)
-	}
-	if m.WorkerCount() == 0 && (f == nil || f.launches == 0) {
+	} else if m.WorkerCount() == 0 && !live {
 		// Here a reduce task is just a "partition".
-		return fmt.Errorf("netmr: all workers lost with %s %d outstanding: %w", strings.TrimPrefix(s.ph.noun, "reduce "), t.id, fl.err)
-	}
-	delay := backoffDelay(m.cfg.RetryBaseDelay, m.cfg.RetryMaxDelay, m.cfg.RetryJitter, m.cfg.RetrySeed, t.id, t.attempts)
-	m.metrics.retries.Inc()
-	m.metrics.backoffSeconds.Observe(delay.Seconds())
-	s.stats.Reassignments++
-	t.readyAt = time.Now().Add(delay)
-	s.queue = append(s.queue, t)
-	if s.ph.retried != nil {
-		s.ph.retried()
+		return fmt.Errorf("netmr: all workers lost with %s %d outstanding: %w", strings.TrimPrefix(ph.noun, "reduce "), t.id, fl.err)
+	} else {
+		delay := backoffDelay(m.cfg.RetryBaseDelay, m.cfg.RetryMaxDelay, m.cfg.RetryJitter, m.cfg.RetrySeed, t.id, t.attempts)
+		m.metrics.retries.Inc()
+		m.metrics.backoffSeconds.Observe(delay.Seconds())
+		r.stats.Reassignments++
+		t.readyAt = time.Now().Add(delay)
+		ph.queue = append(ph.queue, t)
 	}
 	return nil
 }
 
-// speculate queues a clone of every task whose latest launch has run
-// longer than the completion-latency quantile times the multiplier.
-func (s *scheduler) speculate() {
-	cfg := s.m.cfg
-	if len(s.lat) < cfg.SpeculationMinObservations {
+// speculate queues a clone of every task of ph whose latest launch has
+// run longer than the phase's completion-latency quantile times the
+// multiplier.
+func (r *jobRun) speculate(ph *phase) {
+	cfg := r.m.cfg
+	if len(ph.lat) < cfg.SpeculationMinObservations {
 		return
 	}
-	threshold := latencyQuantile(s.lat, cfg.SpeculationQuantile) * cfg.SpeculationMultiplier
+	threshold := latencyQuantile(ph.lat, cfg.SpeculationQuantile) * cfg.SpeculationMultiplier
 	now := time.Now()
-	ids := make([]int, 0, len(s.inflight))
-	for id := range s.inflight {
+	ids := make([]int, 0, len(ph.inflight))
+	for id := range ph.inflight {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
-		f := s.inflight[id]
-		if s.done[id] || f.launches == 0 || f.clones >= cfg.SpeculationMaxClones {
+		f := ph.inflight[id]
+		if ph.done[id] || f.launches == 0 || f.clones >= cfg.SpeculationMaxClones {
 			continue
 		}
 		if now.Sub(f.lastLaunch).Seconds() < threshold {
 			continue
 		}
 		f.clones++
-		s.stats.Speculations++
-		s.m.metrics.speculations.Inc()
-		s.queue = append(s.queue, shardTask{id: id, speculative: true})
+		r.stats.Speculations++
+		r.m.metrics.speculations.Inc()
+		ph.queue = append(ph.queue, shardTask{id: id, ph: ph, speculative: true})
 	}
 }
 
-func (s *scheduler) queued(id int) bool {
-	for _, t := range s.queue {
-		if t.id == id {
-			return true
-		}
-	}
-	return false
+func (ph *phase) queued(id int) bool {
+	return slices.ContainsFunc(ph.queue, func(t shardTask) bool { return t.id == id })
 }
 
-// abandon counts the launches still in flight as cancelled, and the
-// trace shows them so, whether or not their report is already on its way.
-func (s *scheduler) abandon() {
+// abandon counts ph's launches still in flight as cancelled, and the
+// trace shows them so, whether or not their report is already on its
+// way. The phase forgets them: a second abandon counts nothing.
+func (r *jobRun) abandon(ph *phase) {
 	n := 0
-	for _, f := range s.inflight {
+	for _, f := range ph.inflight {
 		n += f.launches
-		s.trc.cancel(f.traced)
+		r.trc.cancel(f.traced)
 	}
-	if n > 0 {
-		s.stats.Cancellations += n
-		s.m.metrics.cancellations.Add(float64(n))
-	}
+	clear(ph.inflight)
+	r.stats.Cancellations += n
+	r.m.metrics.cancellations.Add(float64(n))
 }
 
 // backoffDelay is the capped exponential backoff with deterministic
-// jitter: base·2^(attempt-1) clamped to max, scaled by a factor drawn
-// uniformly from [1-jitter, 1+jitter] out of the (seed, shard, attempt)
-// stream, clamped to max again so the cap is absolute.
-func backoffDelay(base, max time.Duration, jitter float64, seed int64, shard, attempt int) time.Duration {
-	if base <= 0 || max <= 0 || attempt < 1 {
+// jitter: base·2^(attempt-1) clamped to ceiling, scaled by a factor
+// drawn uniformly from [1-jitter, 1+jitter] out of the (seed, shard,
+// attempt) stream, clamped to ceiling again so the cap is absolute.
+func backoffDelay(base, ceiling time.Duration, jitter float64, seed int64, shard, attempt int) time.Duration {
+	if base <= 0 || ceiling <= 0 || attempt < 1 {
 		return 0
 	}
 	d := base
-	for i := 1; i < attempt && d < max; i++ {
+	for i := 1; i < attempt && d < ceiling; i++ {
 		d *= 2
-	}
-	if d > max {
-		d = max
 	}
 	if jitter > 0 {
 		rng := chaos.NewSplitMix64(chaos.Derive(uint64(seed), uint64(shard), uint64(attempt)))
-		d = time.Duration(float64(d) * (1 + jitter*(2*rng.Float64()-1)))
+		d = time.Duration(float64(min(d, ceiling)) * (1 + jitter*(2*rng.Float64()-1)))
 	}
-	if d > max {
-		d = max
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	return max(min(d, ceiling), 0)
 }
 
 // latencyQuantile returns the q-quantile (nearest-rank) of xs.
 func latencyQuantile(xs []float64, q float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	idx := int(math.Round(q * float64(len(s)-1)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[min(max(int(math.Round(q*float64(len(s)-1))), 0), len(s)-1)]
 }

@@ -601,11 +601,10 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 // spilled is streamed from its files; both join the same merge, so the
 // output is byte-identical at every budget, and a disk copy that fails
 // mid-merge costs one re-gather, not the task: the fold then runs again
-// and sends its chunks again from the first. On an early dispatch (Total > 0)
-// the initial locations are only a prefix: the worker keeps receiving
-// morelocs frames — gathering each batch as it lands, under the map
-// tail — until every announced map output is covered or the master
-// aborts the launch. A gather failure is answered with an error frame
+// and sends its chunks again from the first. A task launched under the
+// map tail names only the outputs stored so far: the worker keeps
+// receiving morelocs frames — gathering each batch as it lands — until
+// it has covered Total map outputs or the master calls the launch back. A gather failure is answered with an error frame
 // naming the peer that failed (Fetch), so the master can consult
 // replica locations instead of evicting the healthy reducer.
 func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
@@ -678,9 +677,8 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	parts, locs := m.Parts, m.Locs // everything announced so far, should the gather have to run again
 	failedAddr, gatherErr := round(parts, locs)
 	clock.mark(spanFetch)
-	// Early dispatch: the master announced how many map outputs the run
-	// will produce and streams the still-missing locations as their
-	// mapdones land. The blocked recv is the await span — together with
+	// The master announced how many map outputs the run produces and
+	// streams the still-missing locations as their mapdones land. The blocked recv is the await span — together with
 	// the per-round fetch spans, the overlap the trace assembler shows
 	// hiding under the map tail.
 	for gatherErr == nil && m.Total > 0 && covered < m.Total {
@@ -697,7 +695,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 			// The master wants this worker back (a map shard needs
 			// retrying); acknowledge and re-enter the serve loop.
 			workerTasks.With("aborted").Inc()
-			_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: "early reduce aborted"}, to)
+			_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: "reduce launch called back"}, to)
 			return true
 		}
 		noteReps(um.Reps)

@@ -1,12 +1,9 @@
 package netmr
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
-
-	"ipso/internal/workload"
 )
 
 // benchFetchWorker boots one worker's shuffle plane — store filled with
@@ -98,61 +95,4 @@ func BenchmarkShuffleFetch(b *testing.B) {
 			}
 		}
 	})
-}
-
-// benchmarkPipelineRun drives whole jobs through a local cluster with
-// early shuffle on or off; the delta is the barrier cost the pipelined
-// dispatch hides under the map tail.
-func benchmarkPipelineRun(b *testing.B, early bool) {
-	reg, err := NewRegistry(wordCountJob())
-	if err != nil {
-		b.Fatal(err)
-	}
-	master, err := NewMaster(reg, MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second,
-		Reducers: 3, EarlyShuffle: early,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(master.Close)
-	for i := 0; i < 3; i++ {
-		w, err := NewWorker(reg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Start(addr); err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(w.Stop)
-	}
-	if err := master.WaitForWorkers(3, 5*time.Second); err != nil {
-		b.Fatal(err)
-	}
-	lines, err := workload.TextLines(400, 8, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, _, err := master.Run(context.Background(), "wordcount", lines, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// BenchmarkEarlyShuffle: barrier is the classic all-maps-then-reduce
-// run, early the pipelined dispatch. CI gates early generously against
-// barrier — it must never be a regression at this scale.
-func BenchmarkEarlyShuffle(b *testing.B) {
-	b.Run("barrier", func(b *testing.B) { benchmarkPipelineRun(b, false) })
-	b.Run("early", func(b *testing.B) { benchmarkPipelineRun(b, true) })
 }

@@ -40,6 +40,19 @@ func wideLines(n, width int) []string {
 // place in the task's output and returns the frame to send, or false to
 // die there, the connection closed. It returns whether the rogue lives on.
 func relayReduce(w *Worker, c *conn, m message, edit func(i int, fr message) (message, bool)) bool {
+	// A launch under the map tail names the map outputs stored so far and
+	// is sent the rest as morelocs frames: the relay folds them into the
+	// task before running it, so the pipe carries the task alone.
+	for coverage(m) < m.Total {
+		u, err := c.recv(30 * time.Second)
+		if err != nil {
+			return false
+		}
+		if u.Message == "abort" {
+			return c.send(message{Type: "error", TaskID: m.TaskID, Message: "aborted"}, 5*time.Second) == nil
+		}
+		m.Locs, m.Parts, m.Reps = append(m.Locs, u.Locs...), append(m.Parts, u.Parts...), append(m.Reps, u.Reps...)
+	}
 	near, far := net.Pipe()
 	defer far.Close()
 	go func() {
@@ -64,6 +77,16 @@ func relayReduce(w *Worker, c *conn, m message, edit func(i int, fr message) (me
 			return true
 		}
 	}
+}
+
+// coverage is how many map outputs reduce task m names: its inline
+// sections and the tasks of its locations.
+func coverage(m message) int {
+	n := len(m.Parts)
+	for _, loc := range m.Locs {
+		n += len(loc.Tasks)
+	}
+	return n
 }
 
 // relayRogues starts n rogue workers that run reduce tasks through

@@ -413,15 +413,15 @@ type PhaseBreakdown struct {
 	Partition float64 // worker-side hash splitting (winning launches)
 	Encode    float64 // wire-shape result building (winning launches)
 	Fetch     float64 // reducer-side shuffle gathers (winning reduce launches)
-	Await     float64 // early reducers idle between morelocs deliveries
+	Await     float64 // reducers launched under the map tail, idle between morelocs deliveries
 	Spill     float64 // out-of-core writes: spill-run flushes under memory pressure
 	Replicate float64 // mapper-side replica pushes to peer workers
 	RPCGap    float64 // winning launch round-trip time not covered by worker spans
 	Wasted    float64 // launch time of failed, duplicate and cancelled launches
 
 	// HiddenFetch is the portion of winning reducers' fetch+await time
-	// that ran inside the split-phase window — shuffle work the early
-	// dispatch hid under the map tail. It refines, never changes, the
+	// that ran inside the split-phase window — shuffle work hidden under
+	// the map tail. It refines, never changes, the
 	// invariant MaxTask+MaxReduce+Ws+Wo = TotalWall: hidden time was
 	// never on the post-barrier critical path to begin with.
 	HiddenFetch float64
@@ -459,7 +459,7 @@ func (t *JobTrace) Breakdown(stats Stats) PhaseBreakdown {
 	t.mu.Lock()
 	spans := t.spans
 	// The split-phase window first: fetch/await spans overlapping it ran
-	// under the map tail (early shuffle), and the overlap is attributed
+	// under the map tail, and the overlap is attributed
 	// separately as HiddenFetch.
 	var splitStart, splitEnd float64
 	for i := range spans {
