@@ -812,10 +812,13 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int)
 			m.metrics.rpcSeconds.With(w.id).Observe(d.elapsed.Seconds())
 			r.ledger.book(w.id, busy, true)
 			busy = 0
-			if booked == len(tasks)-1 {
-				m.idle <- w // back to the pool before the last report, as in dispatchReduce
-			}
 			r.results <- d
+			if booked == len(tasks)-1 {
+				// Back to the pool after the last report, so the loop
+				// applies it before it hands the worker on: a map report
+				// cannot end the run, as a reduce report can.
+				m.idle <- w
+			}
 		}
 	}
 	for err == nil && len(dones) < len(tasks) {

@@ -101,7 +101,7 @@ type message struct {
 	// morelocs frames (same Run/TaskID, incremental Locs/Parts/Reps — or
 	// Message "abort") until it has covered Total map tasks. Total 0 means
 	// the frame names every map output.
-	Total     int        // reducetask: map tasks the run produces; chunk | result: the chunk's place in the partition's output, from 0
+	Total     int        // reducetask: map tasks the run produces; chunk | result: the chunk's place in the partition's output, from 0; replicate: the push's set count
 	Reps      []fetchLoc // reducetask | morelocs: replica shuffle addrs per map task (local failover)
 	Failovers int        // result: fetches locally rerouted to a replica
 }

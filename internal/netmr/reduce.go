@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -220,16 +221,16 @@ func sortedLocs(by map[string][]int) []fetchLoc {
 
 // dispatchReduce runs one reduce launch on its own goroutine and reports
 // it exactly once on the run's channels. A launch before the barrier
-// (updates non-nil) forwards the streamed morelocs updates until the loop
-// closes the stream (barrier or call-back), then collects the reply: the
-// partition's chunks, each handed to r.out as it lands, up to the result
-// frame with the last. A chunk r.out refuses fails the launch. A reply
-// that is not the partition's chunk or result drops the worker, with two
-// exceptions that return it to the pool: a reducer's "the fetch failed"
-// report (an error frame naming the holder address), where the reducer
-// is healthy and the holder is not — the holder is marked dead and the
-// retry re-plans around the loss — and a called-back launch's
-// acknowledgement.
+// (updates non-nil) forwards the streamed morelocs updates, those queued
+// together as one frame, until the loop closes the stream (barrier or
+// call-back), then collects the reply: the partition's chunks, each
+// handed to r.out as it lands, up to the result frame with the last. A
+// chunk r.out refuses fails the launch. A reply that is not the
+// partition's chunk or result drops the worker, with two exceptions that
+// return it to the pool: a reducer's "the fetch failed" report (an error
+// frame naming the holder address), where the reducer is healthy and the
+// holder is not — the holder is marked dead and the retry re-plans around
+// the loss — and a called-back launch's acknowledgement.
 func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch int, updates <-chan message) {
 	m := r.m
 	start := time.Now()
@@ -240,8 +241,20 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 		if !open {
 			break
 		}
-		aborted = aborted || u.Message == "abort"
-		err = w.c.send(u, m.cfg.TaskTimeout)
+		// What is queued behind u leaves with it, one morelocs frame with
+		// each holder's map tasks in one entry; an abort goes alone and last.
+		frames := []message{u}
+		for len(updates) > 0 && frames[len(frames)-1].Message != "abort" {
+			if v := <-updates; v.Message == "abort" {
+				frames = append(frames, v)
+			} else {
+				frames[0].Locs = mergeLocs(frames[0].Locs, v.Locs)
+				frames[0].Reps = mergeLocs(frames[0].Reps, v.Reps)
+				frames[0].Parts = append(frames[0].Parts, v.Parts...)
+			}
+		}
+		aborted = aborted || frames[len(frames)-1].Message == "abort"
+		err = w.c.sendFrames(frames, m.cfg.TaskTimeout)
 	}
 	var reply message
 	for err == nil {
@@ -292,6 +305,19 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 	m.dropWorker(w) // before the report, as in dispatchMap
 	r.lost(w, elapsed, launch)
 	r.fails <- launchFail{task: t, err: err, launch: launch}
+}
+
+// mergeLocs adds the map tasks of src's holders to dst's entries for the
+// same address, or as entries of their own.
+func mergeLocs(dst, src []fetchLoc) []fetchLoc {
+	for _, l := range src {
+		if i := slices.IndexFunc(dst, func(d fetchLoc) bool { return d.Addr == l.Addr }); i >= 0 {
+			dst[i].Tasks = append(dst[i].Tasks, l.Tasks...)
+		} else {
+			dst = append(dst, l)
+		}
+	}
+	return dst
 }
 
 // release tells every idle worker, once, that the run is over, so each

@@ -110,7 +110,7 @@ func launchOf(launches []int, i int) int {
 // deadline, budget exhaustion and the loss of every worker end the run
 // with an error. Launches still in flight at any exit are abandoned and
 // counted in Stats.Cancellations, and so are the map launches still out
-// at the barrier.
+// at the barrier. Every dispatch follows the reports already queued.
 func (m *Master) schedule(ctx context.Context, r *jobRun, deadline <-chan time.Time) error {
 	var specTick <-chan time.Time
 	if m.cfg.SpeculationInterval > 0 {
@@ -128,7 +128,10 @@ func (m *Master) schedule(ctx context.Context, r *jobRun, deadline <-chan time.T
 		r.closeStreams(true)
 	}()
 
-	for r.reduces.pending > 0 {
+	for {
+		if err := r.drain(ctx); err != nil || r.reduces.pending == 0 {
+			return err
+		}
 		now := time.Now()
 		ph, readyIdx, earliest := r.next(now)
 		if ph == r.maps && readyIdx >= 0 && len(m.idle) == 0 && len(r.calledBack) == 0 {
@@ -146,6 +149,12 @@ func (m *Master) schedule(ctx context.Context, r *jobRun, deadline <-chan time.T
 
 		select {
 		case w := <-idleCh:
+			if len(r.results)+len(r.fails) > 0 {
+				// Reports came in while the select waited: w goes back
+				// and takes its task once the loop has applied them.
+				m.idle <- w
+				continue
+			}
 			r.dispatch(ph, w, readyIdx)
 
 		case d := <-r.results:
@@ -170,7 +179,25 @@ func (m *Master) schedule(ctx context.Context, r *jobRun, deadline <-chan time.T
 			return fmt.Errorf("netmr: job timed out after %v", m.cfg.JobTimeout)
 		}
 	}
-	return nil
+}
+
+// drain applies every report already queued, so that no dispatch is
+// decided on a view older than the master's inbox: a reduce task whose
+// map outputs have all reported launches with its whole plan, not under
+// a stream of morelocs frames. It returns the error that ends the run.
+func (r *jobRun) drain(ctx context.Context) error {
+	for {
+		select {
+		case d := <-r.results:
+			r.result(ctx, d)
+		case fl := <-r.fails:
+			if err := r.fail(fl); err != nil {
+				return err
+			}
+		default:
+			return nil
+		}
+	}
 }
 
 // next finds the task an idle worker would take now: the first ready map

@@ -1,6 +1,7 @@
 package netmr
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -377,13 +378,20 @@ func (w *Worker) closeFetchPlane() {
 	}
 }
 
+// pushReadBytes sizes a shuffle connection's read buffer so that a
+// replica push of small sets, the frames of one write, is taken in one
+// read: a batch's push is a few sets of a few KB each, more than the
+// default 4 KiB buffer holds. A frame larger than the buffer still goes
+// mostly straight into its own body buffer.
+const pushReadBytes = 64 << 10
+
 // serveFetch handles one peer shuffle connection, which opens like any
 // other: the dialer's preamble rides its first frame, and a peer of
 // another version is refused there. A bad request gets an error frame
 // and the connection keeps serving — one rogue fetch must not take the
 // worker's other partitions down with it.
 func (w *Worker) serveFetch(raw net.Conn) {
-	c := newConn(raw)
+	c := &conn{raw: raw, r: bufio.NewReaderSize(raw, pushReadBytes)}
 	defer func() {
 		_ = c.close()
 		w.mu.Lock()
@@ -411,15 +419,17 @@ func (w *Worker) serveFetch(raw net.Conn) {
 				return
 			}
 		case "replicate":
-			if _, _, _, err := w.store.put(m.Run, m.TaskID, m.Parts, m.Reducers); err != nil {
-				workerServes.With("rejected").Inc()
-				if c.send(message{Type: "error", TaskID: m.TaskID, Message: err.Error()}, to) != nil {
-					return
+			// A push of Total sets (0: one) arrives in one write and is
+			// answered in one: every set is stored before any ack leaves.
+			acks := []message{w.storeReplica(m)}
+			for len(acks) < m.Total {
+				next, err := c.recv(to)
+				if err != nil || next.Type != "replicate" {
+					return // a push cut short: its sets go inline
 				}
-				continue
+				acks = append(acks, w.storeReplica(next))
 			}
-			workerReplicasStored.Inc()
-			if c.send(message{Type: "replicack", TaskID: m.TaskID}, to) != nil {
+			if c.sendFrames(acks, to) != nil {
 				return
 			}
 		default:
@@ -429,6 +439,22 @@ func (w *Worker) serveFetch(raw net.Conn) {
 			}
 		}
 	}
+}
+
+// storeReplica stores one pushed partition set and returns its answer: a
+// replicack, or an error frame for a run the store has left. A put whose
+// spill failed is acknowledged: the set stays resident, just over budget.
+func (w *Worker) storeReplica(m message) message {
+	_, _, _, err := w.store.put(m.Run, m.TaskID, m.Parts, m.Reducers)
+	if errors.Is(err, errRunLeft) {
+		workerServes.With("rejected").Inc()
+		return message{Type: "error", TaskID: m.TaskID, Message: err.Error()}
+	}
+	if err != nil {
+		workerSpillErrors.Inc()
+	}
+	workerReplicasStored.Inc()
+	return message{Type: "replicack", TaskID: m.TaskID}
 }
 
 // fetchExchange runs one fetch request/response over an established
@@ -456,12 +482,17 @@ func fetchExchange(c *conn, addr, run string, partition int, tasks []int, timeou
 }
 
 // replicateExchange pushes replicate frames to the peer over an
-// established shuffle connection, all in one write, then reads the
-// replies in order, so the sets cost one round trip together. A refusal
+// established shuffle connection, all in one write, each naming the
+// push's set count in Total, then reads the replies in order: the peer
+// stores every set before it answers them all in one write, so the sets
+// cost one round trip together. A refusal
 // (an error frame from a healthy peer) lands in errs[i] as a peerRefusal
 // and fails only its own set. It returns how many sets were answered and
 // the connection failure that stopped it, if any.
 func replicateExchange(c *conn, addr string, frames []message, timeout time.Duration, errs []error) (int, error) {
+	for i := range frames {
+		frames[i].Total = len(frames)
+	}
 	if err := c.sendFrames(frames, timeout); err != nil {
 		return 0, err
 	}
@@ -604,9 +635,10 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 // and sends its chunks again from the first. A task launched under the
 // map tail names only the outputs stored so far: the worker keeps
 // receiving morelocs frames — gathering each batch as it lands — until
-// it has covered Total map outputs or the master calls the launch back. A gather failure is answered with an error frame
-// naming the peer that failed (Fetch), so the master can consult
-// replica locations instead of evicting the healthy reducer.
+// it has covered Total map outputs or the master calls the launch back.
+// A gather failure is answered with an error frame naming the peer that
+// failed (Fetch), so the master can consult replica locations instead
+// of evicting the healthy reducer.
 func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	to := w.shuffleTO()
 	job, ok := w.registry.lookup(m.Job)
@@ -678,9 +710,10 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	failedAddr, gatherErr := round(parts, locs)
 	clock.mark(spanFetch)
 	// The master announced how many map outputs the run produces and
-	// streams the still-missing locations as their mapdones land. The blocked recv is the await span — together with
-	// the per-round fetch spans, the overlap the trace assembler shows
-	// hiding under the map tail.
+	// streams the still-missing locations as their mapdones land, those
+	// queued together in one frame. The blocked recv is the await span —
+	// together with the per-round fetch spans, the overlap the trace
+	// assembler shows hiding under the map tail.
 	for gatherErr == nil && m.Total > 0 && covered < m.Total {
 		um, err := c.recv(0)
 		if err != nil {

@@ -161,11 +161,11 @@ func (p *shufflePool) fetchPartition(addr, run string, partition int, tasks []in
 }
 
 // replicate pushes a batch's partition sets, its replicate frames, to
-// the peer at addr in one exchange over the pool and returns each set's
-// outcome: nil once the peer acknowledged it, the refusal for a set the
-// peer declined, and the connection's failure for every set left
-// unanswered when a fresh connection fails too (a stale pooled one is
-// redialed once, for the sets it left unanswered).
+// the peer at addr in one exchange over the pool, one write each way,
+// and returns each set's outcome: nil once the peer acknowledged it, the
+// refusal for a set the peer declined, and the connection's failure for
+// every set left unanswered when a fresh connection fails too (a stale
+// pooled one is redialed once, for the sets it left unanswered).
 func (p *shufflePool) replicate(addr string, frames []message, timeout time.Duration) []error {
 	errs := make([]error, len(frames))
 	done := 0
