@@ -380,9 +380,9 @@ func printStats(out io.Writer, stats netmr.Stats) {
 		fmt.Fprintf(out, "reduce: %d task(s) on workers, %d map output(s) stored, %s shuffled\n",
 			stats.ReduceTasks, stats.MapOutputsStored, formatBytes(stats.ShuffleBytes))
 	}
-	if stats.SpillRuns > 0 || stats.CompressedBytes > 0 {
-		fmt.Fprintf(out, "out-of-core: %d spill run(s), %s spilled, %s saved by frame compression\n",
-			stats.SpillRuns, formatBytes(stats.SpilledBytes), formatBytes(stats.CompressedBytes))
+	if stats.SpillRuns > 0 {
+		fmt.Fprintf(out, "out-of-core: %d spill run(s), %s spilled\n",
+			stats.SpillRuns, formatBytes(stats.SpilledBytes))
 	}
 	if stats.EarlyReduceTasks > 0 {
 		fmt.Fprintf(out, "pipelined shuffle: %d reduce task(s) launched before the barrier, %d called back\n",

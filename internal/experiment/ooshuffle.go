@@ -56,7 +56,7 @@ func ooShuffleBudgetSweep(ctx context.Context, rep *Report, input []string, work
 	tbl := Table{
 		Title: fmt.Sprintf("wordcount at n=%d, R=%d: spill budget sweep (wall-clock; machine-dependent)",
 			workers, reducers),
-		Headers: []string{"budget KiB", "total ms", "spill runs", "spilled KiB", "peak store KiB", "comp KiB saved", "identical"},
+		Headers: []string{"budget KiB", "total ms", "spill runs", "spilled KiB", "peak store KiB", "identical"},
 	}
 	var reference map[string]float64
 	var xs, wall []float64
@@ -92,7 +92,6 @@ func ooShuffleBudgetSweep(ctx context.Context, rep *Report, input []string, work
 			fmt.Sprintf("%d", st.SpillRuns),
 			fmt.Sprintf("%.1f", float64(st.SpilledBytes)/1024),
 			fmt.Sprintf("%.1f", float64(peak)/1024),
-			fmt.Sprintf("%.1f", float64(st.CompressedBytes)/1024),
 			"yes",
 		})
 		xs = append(xs, float64(budget))

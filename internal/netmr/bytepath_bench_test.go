@@ -13,10 +13,9 @@ import (
 
 // The per-layer microbenchmarks of the shuffle byte path, each with
 // SetBytes so `go test -bench` prints MB/s next to ns/op: what one frame
-// encode, one frame decode, one compression attempt and one reduce-side
-// merge cost per byte moved. The shapes are tera-mem's (100-byte keys
-// that do not compress, R = 2, 32 map tasks), where these layers are the
-// whole job.
+// encode, one frame decode and one reduce-side merge cost per byte
+// moved. The shapes are tera-mem's (100-byte random keys, R = 2, 32 map
+// tasks), where these layers are the whole job.
 
 func benchLines(n int) ([]string, error) {
 	return workload.TextLines(n, 8, 42)
@@ -70,8 +69,8 @@ func sectionBytes(parts []partitionPartial) (n int64) {
 // BenchmarkFrameEncode encodes the replicate frame of one tera-mem map
 // task (two sections, ≈1.7 MB) with a fresh encoder each time, what a
 // send pays after a collection has emptied encBufPool, and writes its
-// segments into a sink as send does: the checksum and the compression
-// probe read the sections, nothing copies them.
+// segments into a sink as send does: the checksum reads the sections,
+// nothing copies them.
 func BenchmarkFrameEncode(b *testing.B) {
 	m := message{Type: "replicate", Run: "tera#1", TaskID: 7, Reducers: 2, Parts: teraSections(2, 7800)}
 	b.SetBytes(sectionBytes(m.Parts))
@@ -93,57 +92,21 @@ func BenchmarkFrameEncode(b *testing.B) {
 
 // BenchmarkFrameDecode decodes the same frame the way recv does: a
 // buffer of the frame's own (the copy stands in for the socket read),
-// flag layer off, checksum, one walk over each section.
+// checksum, one walk over each section.
 func BenchmarkFrameDecode(b *testing.B) {
 	m := message{Type: "replicate", Run: "tera#1", TaskID: 7, Reducers: 2, Parts: teraSections(2, 7800)}
-	body := wireBody(b, encodeBinary(b, m))
+	body := frameBody(b, encodeBinary(b, m))
 	var out message
 	b.SetBytes(sectionBytes(m.Parts))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		raw, _, err := unwrapCompressedBody(bytes.Clone(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := decodeFrame(raw, &out); err != nil {
+		if err := decodeFrame(bytes.Clone(body), &out); err != nil {
 			b.Fatal(err)
 		}
 	}
 	if len(out.Parts) != 2 {
 		b.Fatalf("decoded %d parts", len(out.Parts))
-	}
-}
-
-// BenchmarkLZ runs the shared compression policy over 1 MiB of text (it
-// is compressed in full), of bytes that do not compress (it is
-// dropped after one 8 KiB probe — the case that used to cost a full
-// pass per hop), over one spill block of such bytes, and over one spill
-// block of a TeraSort section, the bytes the ledger spills and replicates:
-// there the probe meets a repeated value and length byte every 109 bytes,
-// so its stride never widens, and the whole 64 KiB block used to be tried.
-func BenchmarkLZ(b *testing.B) {
-	text := []byte(strings.Repeat("the quick brown fox jumps over the lazy dog ", 1<<20/44+1))[:1<<20]
-	noise := make([]byte, 1<<20)
-	rand.New(rand.NewSource(14)).Read(noise)
-	tera := []byte(teraSections(1, 7800)[0].Partial[:spillBlockSize])
-	for _, tc := range []struct {
-		name string
-		raw  []byte
-		want bool
-	}{{"text", text, true}, {"incompressible", noise, false}, {"incompressible-block", noise[:spillBlockSize], false}, {"tera-block", tera, false}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var dst []byte
-			b.SetBytes(int64(len(tc.raw)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var ok bool
-				if dst, ok = lzPack(dst[:0], tc.raw); ok != tc.want {
-					b.Fatalf("packed=%v, want %v", ok, tc.want)
-				}
-			}
-		})
 	}
 }
 

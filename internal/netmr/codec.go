@@ -1,7 +1,6 @@
 package netmr
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -17,29 +16,21 @@ import (
 // four-byte preamble of protocol.go; after it every frame is
 //
 //	uvarint(len(body)) || body
-//	body  = flag || payload
-//	flag 0x00: payload = raw                                (stored)
-//	flag 0x01: payload = uvarint(len(raw)) || lzCompress(raw) (compressed)
-//	raw   = type byte || fields... || crc32c(raw[:len(raw)-4]) (4 B LE)
+//	body  = type byte || fields... || crc32c(body[:len(body)-4]) (4 B LE)
 //
 // There is one layout: every field of message is encoded in a fixed
 // order (strings as uvarint length + bytes, ints as varints, sections as
 // the bytes they are, spans as IEEE-754 pairs) whatever the frame type,
 // so any frame round-trips exactly and an unknown type byte still
 // decodes, to be ignored downstream. A field a frame type does not use
-// costs its one zero byte. The CRC-32C is computed over the raw body
-// before compression, so it guards the decompressed payload end to end.
-// Only bulk payload frames (chunk/result/fetchresult/replicate) are
-// candidates for compression, and only when lzPack judges the saving
-// worth the decompression.
+// costs its one zero byte. The CRC-32C guards the body end to end.
 const maxFrameBytes = 1 << 26 // 64 MiB hard cap: larger prefixes are corruption
 
 // frameHeadroom is the space encode leaves in front of a body for
 // what goes before it and is only known afterwards — the caller's lead
-// bytes (the preamble), the uvarint length prefix, the compression flag
-// — so the header is written backwards into it instead of shifting the
-// body.
-const frameHeadroom = len(preamble) + binary.MaxVarintLen64 + 1
+// bytes (the preamble) and the uvarint length prefix — so the header is
+// written backwards into it instead of shifting the body.
+const frameHeadroom = len(preamble) + binary.MaxVarintLen64
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -65,15 +56,6 @@ var frameTypes = map[string]byte{
 	"morelocs":    16,
 	"release":     17,
 	"chunk":       18,
-}
-
-// compressibleFrames names the bulk payload frame types the flag layer
-// may compress; control frames always travel stored.
-var compressibleFrames = map[string]bool{
-	"result":      true,
-	"chunk":       true,
-	"fetchresult": true,
-	"replicate":   true,
 }
 
 var frameNames = func() map[byte]string {
@@ -222,7 +204,6 @@ func (e *frameEnc) encode(m *message, lead []byte, refMin int) (net.Buffers, err
 	b = appendString(b, m.Rep)
 	b = binary.AppendVarint(b, int64(m.Spills))
 	b = binary.AppendVarint(b, m.Spilled)
-	b = binary.AppendVarint(b, m.CompBytes)
 	b = binary.AppendVarint(b, m.ShuffleMs)
 	b = binary.AppendVarint(b, int64(m.Total))
 	b = appendLocs(b, m.Reps)
@@ -231,50 +212,22 @@ func (e *frameEnc) encode(m *message, lead []byte, refMin int) (net.Buffers, err
 	// The last piece closes with the CRC over every segment, read where each
 	// lies (b grows for it first, so it never moves under the pieces).
 	b = slices.Grow(b, 4)
-	crc, rawLen := uint32(0), len(b)-e.at+4
+	crc, bodyLen := uint32(0), len(b)-e.at+4
 	for _, s := range e.segs {
-		crc, rawLen = crc32.Update(crc, crcTable, s), rawLen+len(s)
+		crc, bodyLen = crc32.Update(crc, crcTable, s), bodyLen+len(s)
 	}
 	b = binary.LittleEndian.AppendUint32(b, crc32.Update(crc, crcTable, b[e.at:]))
 	e.segs = append(e.segs, b[e.at:])
 
-	// A frame is judged for compression on its first bytes, gathered behind
-	// the length prefix, and one in segments is materialized only to be
-	// compressed: a section that travels stored is never copied.
-	bodyLen, flag := 1+rawLen, byte(0)
-	if compressibleFrames[m.Type] && rawLen >= lzCompressThreshold {
-		bufp := lzBufPool.Get().(*[]byte)
-		packed := binary.AppendUvarint((*bufp)[:0], uint64(rawLen))
-		head := packed
-		for _, s := range e.segs {
-			head = append(head, s[:min(len(s), len(packed)+lzProbeBytes-len(head))]...)
-		}
-		head, ok := lzProbe(head, rawLen, head[len(packed):])
-		packed, raw := head[:len(packed)], b[frameHeadroom:]
-		if ok && len(e.segs) > 1 {
-			raw = bytes.Join(e.segs, nil)
-		}
-		if ok {
-			if packed, ok = lzPackWhole(packed, raw); ok {
-				b = append(b[:frameHeadroom], packed...)
-				e.segs = append(e.segs[:0], b[frameHeadroom:])
-				bodyLen, flag = 1+len(packed), 1
-			}
-		}
-		*bufp = packed[:0]
-		lzBufPool.Put(bufp)
-	}
-	// The header goes in backwards from the body: the flag, the length,
-	// the caller's lead.
+	// The header goes in backwards from the body: the length, the
+	// caller's lead.
 	e.buf = b
 	if bodyLen > maxFrameBytes {
 		return nil, fmt.Errorf("netmr: frame of %d bytes exceeds the %d limit", bodyLen, maxFrameBytes)
 	}
-	start := frameHeadroom - 1
-	b[start] = flag
 	var prefix [binary.MaxVarintLen64]byte
 	pn := binary.PutUvarint(prefix[:], uint64(bodyLen))
-	start -= pn
+	start := frameHeadroom - pn
 	copy(b[start:], prefix[:pn])
 	start -= len(lead)
 	copy(b[start:], lead)
@@ -293,50 +246,6 @@ func appendLocs(b []byte, locs []fetchLoc) []byte {
 		}
 	}
 	return b
-}
-
-// lzBufPool recycles compression scratch buffers across sends.
-var lzBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// unwrapCompressedBody strips the flag layer from a received frame
-// body, returning the raw checksummed body that decodeFrame expects: the
-// rest of body when it travelled stored, a buffer of exactly the declared
-// length when it travelled compressed. A declared length the payload
-// cannot reach — one input byte yields at most 255 output bytes — is
-// refused before anything is allocated, so a decode never allocates more
-// than a multiple of the bytes actually received.
-func unwrapCompressedBody(body []byte) (raw []byte, compressed bool, err error) {
-	if len(body) == 0 {
-		return nil, false, fmt.Errorf("netmr: empty frame body")
-	}
-	switch body[0] {
-	case 0:
-		return body[1:], false, nil
-	case 1:
-		rawLen, n := binary.Uvarint(body[1:])
-		if n <= 0 || rawLen > maxFrameBytes {
-			return nil, false, fmt.Errorf("netmr: bad compressed frame length prefix")
-		}
-		payload := body[1+n:]
-		if rawLen > 255*uint64(len(payload)) {
-			return nil, false, fmt.Errorf("netmr: compressed frame declared %d bytes, more than its %d-byte payload can hold", rawLen, len(payload))
-		}
-		out, err := lzDecompress(make([]byte, 0, rawLen), payload, int(rawLen))
-		if err != nil {
-			return nil, false, err
-		}
-		if uint64(len(out)) != rawLen {
-			return nil, false, fmt.Errorf("netmr: compressed frame declared %d bytes but decompressed to %d", rawLen, len(out))
-		}
-		return out, true, nil
-	default:
-		return nil, false, fmt.Errorf("netmr: unknown compression flag %d", body[0])
-	}
 }
 
 // frameReader is the cursor decodeFrame parses with. All strings are
@@ -479,8 +388,7 @@ func (r *frameReader) locs() ([]fetchLoc, error) {
 	return out, nil
 }
 
-// decodeFrame parses one raw checksummed body (unwrapCompressedBody has
-// stripped the flag layer) into m, reusing m.Records' and m.Batch's
+// decodeFrame parses one checksummed frame body into m, reusing m.Records' and m.Batch's
 // backing arrays when the caller passes them back in. All other slice
 // fields are freshly allocated (results outlive the next recv on the
 // master); sections — Parts and Folded — are checked by one walk each
@@ -636,9 +544,6 @@ func decodeFrame(body []byte, m *message) error {
 		return err
 	}
 	if m.Spilled, err = r.varint(); err != nil {
-		return err
-	}
-	if m.CompBytes, err = r.varint(); err != nil {
 		return err
 	}
 	if m.ShuffleMs, err = r.varint(); err != nil {

@@ -100,27 +100,15 @@ func encodeBinary(t testing.TB, m message) []byte {
 	return segs[0]
 }
 
-// wireBody strips the uvarint length prefix the way recv does, leaving
-// the body as it travels: flag byte, then the stored or compressed
-// payload.
-func wireBody(t testing.TB, frame []byte) []byte {
+// frameBody strips the uvarint length prefix the way recv does, leaving
+// the checksummed body decodeFrame takes.
+func frameBody(t testing.TB, frame []byte) []byte {
 	t.Helper()
 	n, k := binary.Uvarint(frame)
 	if k <= 0 || int(n) != len(frame)-k {
 		t.Fatalf("length prefix says %d of a %d-byte frame", n, len(frame))
 	}
 	return bytes.Clone(frame[k:]) // decodeFrame keeps the body it is given
-}
-
-// frameBody is the raw checksummed body under the flag layer: what
-// decodeFrame takes.
-func frameBody(t testing.TB, frame []byte) []byte {
-	t.Helper()
-	raw, _, err := unwrapCompressedBody(wireBody(t, frame))
-	if err != nil {
-		t.Fatalf("unwrap: %v", err)
-	}
-	return raw
 }
 
 func decodeBinary(t *testing.T, frame []byte) message {

@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -83,6 +86,37 @@ func reduceFrameSeeds() []message {
 	}
 }
 
+// shuffleFrameSeeds are the out-of-core shuffle's wire shapes
+// (replication, spill accounting, and a result whose section is big
+// enough to leave from where it lies) FuzzDecodeFrame and the
+// new-connection fuzzer start from.
+func shuffleFrameSeeds() []message {
+	big := map[string]float64{}
+	for i := 0; i < 754; i++ { // 29 × 26 distinct keys, 34 KB: above sectionRefBytes
+		big["the-quick-brown-fox-"+strings.Repeat("x", i%29)+string(rune('a'+i%26))] = float64(i)
+	}
+	return []message{
+		{Type: "task", Job: "wc", TaskID: 3, Records: []string{"a b", "b c"},
+			Run: "wc#1", Rep: "127.0.0.1:7009"},
+		{Type: "mapdone", TaskID: 3, Attempt: 1, Run: "wc#1",
+			Rep: "127.0.0.1:7009", Spills: 2, Spilled: 4096},
+		{Type: "mapdone", TaskID: 4, Run: "wc#1",
+			Parts: []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"inline": 1})}}},
+		{Type: "reducetask", Job: "wc", TaskID: 1, Run: "wc#1",
+			Locs: []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{0, 2}}}},
+		{Type: "replicate", Run: "wc#1", TaskID: 2, Reducers: 4,
+			Parts: []partitionPartial{
+				{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
+				{ID: 3, Partial: ""},
+			}},
+		{Type: "replicack", TaskID: 2},
+		{Type: "result", TaskID: 1, Attempt: 1, Folded: sectionFromMap(map[string]float64{"folded": 9}),
+			Bytes: 1 << 20, Spills: 1, Spilled: 2048},
+		{Type: "result", TaskID: 0, Folded: sectionFromMap(big)},
+		{Type: "helloack", Reducers: 4, ShuffleMs: 15000},
+	}
+}
+
 // preambleSeeds open a connection the ways FuzzDecodeCompressedFrame's
 // first step must refuse: too short, another magic, another version.
 func preambleSeeds() [][]byte {
@@ -98,7 +132,7 @@ func preambleSeeds() [][]byte {
 func fuzzCorpora(t testing.TB) map[string][][]byte {
 	corpora := map[string][][]byte{}
 	for name, msgs := range map[string][]message{
-		"FuzzDecodeFrame":             codecMessages(),
+		"FuzzDecodeFrame":             append(codecMessages(), shuffleFrameSeeds()...),
 		"FuzzDecodeReduceFrame":       reduceFrameSeeds(),
 		"FuzzDecodePartitionedResult": partitionedSeeds(),
 		"FuzzDecodeSpanSummary":       spanSeeds(),
@@ -107,11 +141,11 @@ func fuzzCorpora(t testing.TB) map[string][][]byte {
 			corpora[name] = append(corpora[name], seedVariants(frameBody(t, encodeBinary(t, m)))...)
 		}
 	}
-	// The compressed-frame fuzzer reads what a listener reads first on a
-	// new connection: the preamble, then the body under its flag layer.
-	for _, m := range compFrameSeeds() {
-		for _, body := range seedVariants(wireBody(t, encodeBinary(t, m))) {
-			corpora["FuzzDecodeCompressedFrame"] = append(corpora["FuzzDecodeCompressedFrame"], afterPreamble(body))
+	// The new-connection fuzzer reads what a listener reads first: the
+	// preamble, then a length-prefixed frame.
+	for _, m := range shuffleFrameSeeds() {
+		for _, frame := range seedVariants(encodeBinary(t, m)) {
+			corpora["FuzzDecodeCompressedFrame"] = append(corpora["FuzzDecodeCompressedFrame"], afterPreamble(frame))
 		}
 	}
 	corpora["FuzzDecodeCompressedFrame"] = append(corpora["FuzzDecodeCompressedFrame"], preambleSeeds()...)
@@ -220,24 +254,27 @@ func FuzzDecodeReduceFrame(f *testing.F) {
 }
 
 // FuzzDecodeCompressedFrame feeds the receive path of a new connection —
-// preamble check, flag unwrap, decompression, CRC, decode — arbitrary
-// bytes: it must refuse or decode, never panic, and a body that decodes
-// must re-encode and round-trip to the same message.
+// conn.recv: preamble check, length prefix and its cap, checksum, decode
+// — arbitrary bytes: it must refuse or decode, never panic, and a frame it
+// accepts must re-encode and round-trip to the same message. (The name is
+// the v4 wire's, whose bulk frames could travel compressed.) A stream that
+// declares more body than it holds, up to the cap, is skipped: recv sizes
+// its buffer by the declaration, TestFrameRefusals bounds that, and the
+// fuzzer need not pay it per input.
 func FuzzDecodeCompressedFrame(f *testing.F) {
 	for _, stream := range fuzzCorpora(f)["FuzzDecodeCompressedFrame"] {
 		f.Add(stream)
 	}
-	f.Add(afterPreamble(overdeclaredCompBody()))
+	f.Add(binary.AppendUvarint(afterPreamble(nil), maxFrameBytes+1))
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		var p [len(preamble)]byte
-		if copy(p[:], stream) < len(p) || checkPreamble(p) != nil {
+		frame := stream[min(len(stream), len(preamble)):]
+		n, k := binary.Uvarint(frame)
+		if k > 0 && n <= maxFrameBytes && n > uint64(len(frame)-k) {
 			return
 		}
-		raw, _, err := unwrapCompressedBody(bytes.Clone(stream[len(p):]))
-		if err != nil {
-			return
+		if _, _, err := recvStream(stream); err == nil {
+			fuzzDecode(t, frame[k:][:n])
 		}
-		fuzzDecode(t, raw)
 	})
 }
 
@@ -283,42 +320,47 @@ func TestCommittedCorpusMatchesEncoder(t *testing.T) {
 	}
 }
 
-// spillBlockSeeds are a two-block file (one block stored, one compressed)
-// as the block writer frames it, and that file damaged every way a disk or
-// a lying header can: cut inside a header and inside a body, each length
-// off by one, a payload length past the file, an unknown flag, a flipped
-// payload bit.
+// spillBlockSeeds are a two-block file as the block writer frames it, and
+// that file damaged every way a disk or a lying header can: cut inside a
+// header and inside a body, a length off by one bit in either block, a
+// flipped checksum or body bit, a zero length, and a length past the
+// file, by one byte and by a gigabyte.
 func spillBlockSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	var file bytes.Buffer
 	w := blockWriter{w: bufio.NewWriter(&file)}
-	var stored, text []byte
+	var first, text []byte
 	for i := 0; i < 40; i++ {
-		stored = binary.LittleEndian.AppendUint64(appendString(stored, fmt.Sprintf("k%03d", i)), math.Float64bits(float64(i)))
+		first = binary.LittleEndian.AppendUint64(appendString(first, fmt.Sprintf("k%03d", i)), math.Float64bits(float64(i)))
 	}
 	for i := 0; i < 900; i++ {
 		text = binary.LittleEndian.AppendUint64(appendString(text, fmt.Sprintf("shared-prefix-key-%05d", i)), math.Float64bits(1))
 	}
-	for _, blk := range [][]byte{stored, text} {
-		w.compress = true
+	for _, blk := range [][]byte{first, text} {
 		if err := w.block(blk); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.w.Flush(); err != nil || w.saved == 0 {
-		t.Fatalf("fixture: flush err %v, %d bytes saved; want the second block compressed", err, w.saved)
+	if err := w.w.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	whole := file.Bytes()
-	second := 1 + 2 + 2 + 4 + len(stored) // the first header: flag, two 2-byte lengths, the checksum
+	second := 2 + 4 + len(first) // the first header: a 2-byte length, the checksum
 	seeds := map[string][]byte{"whole": whole, "cut-in-header": whole[:second+3], "cut-in-body": whole[:len(whole)-9]}
 	for name, at := range map[string]int{
-		"raw-length-lies": 1, "stored-length-lies": 3, "unknown-flag": 0, "payload-bit": 20,
-		"compressed-raw-length-lies": second + 1, "compressed-stored-length-lies": second + 4, "compressed-payload-bit": second + 40,
+		"raw-length-lies": 0, "checksum-bit": 2, "payload-bit": 20,
+		"second-raw-length-lies": second, "second-payload-bit": second + 40,
 	} {
 		seeds[name] = bytes.Clone(whole)
 		seeds[name][at] ^= 0x02
 	}
-	seeds["length-past-the-file"] = append(bytes.Clone(whole[:second+4]), 0xff, 0xff, 0x7f, 0, 0, 0, 0, 1, 2, 3)
+	// Headers whose length is refused before anything is read for it.
+	header := func(n uint64) []byte {
+		return binary.LittleEndian.AppendUint32(binary.AppendUvarint(bytes.Clone(whole[:second]), n), crc32.Checksum(text, crcTable))
+	}
+	seeds["zero-length"] = append(header(0), text...)
+	seeds["raw-length-past-the-extent"] = append(header(uint64(len(text)+1)), text...)
+	seeds["length-past-the-file"] = append(header(1<<30), 1, 2, 3)
 	return seeds
 }
 
@@ -344,10 +386,14 @@ func spillBlockWalk(t testing.TB, data []byte, tagged bool) (int, error) {
 }
 
 // TestSpillBlockRejectsDamage: the whole file streams back record for
-// record; every damaged one is an error, whichever block the damage is in.
+// record; every damaged one is an error, whichever block the damage is in,
+// and none allocates for a length the file cannot hold.
 func TestSpillBlockRejectsDamage(t *testing.T) {
 	for name, data := range spillBlockSeeds(t) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		n, err := spillBlockWalk(t, data, false)
+		runtime.ReadMemStats(&after)
 		if name == "whole" {
 			if want := 40*4 + 900*23 + 940*8; err != nil || n != want {
 				t.Errorf("whole: %d record bytes, err %v; want %d", n, err, want)
@@ -355,20 +401,23 @@ func TestSpillBlockRejectsDamage(t *testing.T) {
 		} else if err == nil {
 			t.Errorf("%s: streamed %d record bytes without an error", name, n)
 		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: walking %d bytes allocated %d", name, len(data), grew)
+		}
 	}
 }
 
 // FuzzSpillBlock holds the block reader of spill files and run files to
 // the decoders' property: over arbitrary file bytes it yields records of
-// verified blocks or errors, never panics, and yields no more than the
-// 255 bytes a byte of compressed input can stand for.
+// verified blocks or errors, never panics, and yields no more record
+// bytes than the file holds.
 func FuzzSpillBlock(f *testing.F) {
 	for _, data := range sortedBodies(spillBlockSeeds(f)) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, tagged := range []bool{false, true} {
-			if n, _ := spillBlockWalk(t, data, tagged); n > 255*len(data) {
+			if n, _ := spillBlockWalk(t, data, tagged); n > len(data) {
 				t.Fatalf("%d record bytes from a %d-byte file", n, len(data))
 			}
 		}

@@ -216,9 +216,9 @@ func TestRingReplicaPlacement(t *testing.T) {
 	if d.local != 2*n || d.ok != 2*n || d.failed != 0 {
 		t.Errorf("fetches local/ok/failed = %v/%v/%v, want %d/%d/0", d.local, d.ok, d.failed, 2*n, 2*n)
 	}
-	// ShuffleBytes counts frames as they crossed the socket; add back what
-	// compression saved and allow for hash skew and frame headers.
-	crossed := float64(stats.ShuffleBytes + stats.CompressedBytes)
+	// ShuffleBytes counts frames as they crossed the socket; allow for hash
+	// skew and frame headers.
+	crossed := float64(stats.ShuffleBytes)
 	if want := float64(mapOutput) * (n - 2) / n; math.Abs(crossed-want) > 0.1*want {
 		t.Errorf("reducers fetched %.0f bytes of %d map output, want ≈ (n−2)/n = %.0f", crossed, mapOutput, want)
 	}
@@ -262,7 +262,7 @@ func storeWorkerWith(t *testing.T, reg *Registry, run string, sets [][]partition
 	}
 	t.Cleanup(w.Stop)
 	for _, task := range tasks {
-		if _, _, _, err := w.store.put(run, task, sets[task], len(sets[task])); err != nil {
+		if _, _, err := w.store.put(run, task, sets[task], len(sets[task])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,8 +319,8 @@ func TestPartiallyHeldLocationIsSplit(t *testing.T) {
 }
 
 // streamSets builds four map tasks' partition sets over R partitions,
-// every section four blocks long with keys that do not compress, so a
-// spilled one is stored raw and a reducer holding it streams it.
+// every section four blocks long, so a reducer holding a spilled one
+// streams it block by block.
 func streamSets(R int) [][]partitionPartial {
 	rng := rand.New(rand.NewSource(24))
 	sets := make([][]partitionPartial, 4)
@@ -375,11 +375,7 @@ func reduceOn(t *testing.T, w *Worker, m message) message {
 // partition p in w's store.
 func blockStarts(t *testing.T, w *Worker, task, p int) (f *os.File, starts []int64) {
 	t.Helper()
-	sf := w.store.tasks[task].spill
-	if sf.secs[p].packed {
-		t.Fatalf("fixture: task %d's section compressed, it will not stream", task)
-	}
-	r := sf.blocks(p)
+	r := w.store.tasks[task].spill.blocks(p)
 	for r.off < r.end {
 		starts = append(starts, r.off)
 		if _, err := r.next(nil); err != nil {
@@ -552,7 +548,7 @@ func TestStreamSurvivesStoreChurn(t *testing.T) {
 			old = reducer.store.tasks[1].spill.f
 			done := make(chan error)
 			go func() { // another goroutine's put, as a replicate frame's would be
-				_, _, _, err := reducer.store.put(tc.putRun, 1, sets[1], R)
+				_, _, err := reducer.store.put(tc.putRun, 1, sets[1], R)
 				done <- err
 			}()
 			if err := <-done; err != nil {

@@ -185,14 +185,17 @@ type Stats struct {
 	ReduceWall       time.Duration // barrier to last reduce result (Run: with the union overlapping it)
 
 	// Out-of-core shuffle accounts: how much of the run's intermediate
-	// state left memory (spill), how much wire volume compression saved,
-	// and what intermediate losses cost. All zero on a run that fit in
-	// memory on an all-healthy cluster.
-	SpillRuns       int           // sorted spill runs workers flushed under memory pressure
-	SpilledBytes    int64         // bytes of intermediate state written to spill files
-	CompressedBytes int64         // shuffle wire bytes saved by frame compression
-	ReplicaFetches  int           // fetch routings redirected to a replica after a holder died
-	RecoveryWall    time.Duration // first detected intermediate loss to reduce completion
+	// state left memory (spill) and what intermediate losses cost. All
+	// zero on a run that fit in memory on an all-healthy cluster.
+	SpillRuns      int           // sorted spill runs workers flushed under memory pressure
+	SpilledBytes   int64         // bytes of intermediate state written to spill files
+	ReplicaFetches int           // fetch routings redirected to a replica after a holder died
+	RecoveryWall   time.Duration // first detected intermediate loss to reduce completion
+
+	// CompressedBytes is always 0: frames and spill blocks travel stored.
+	// It stays only for the ledger's netmr.lz.bytes_saved row and goes
+	// when that row does.
+	CompressedBytes int64
 
 	// Pipelined-shuffle accounts.
 	EarlyReduceTasks int // reduce tasks dispatched before the map barrier
@@ -550,7 +553,6 @@ type launchDone struct {
 	bytes     int64
 	spills    int   // spill runs the launch flushed under memory pressure
 	spilled   int64 // bytes those runs wrote
-	compBytes int64 // shuffle wire bytes compression saved (reduce results)
 	failovers int   // fetches the reducer rerouted to a replica locally
 	elapsed   time.Duration
 	launch    int // trace launch ordinal, -1 when the run is untraced
@@ -840,7 +842,7 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int)
 		dones = append(dones, launchDone{
 			task: t, parts: reply.Parts, fetchAddr: w.fetch,
 			repAddr: reply.Rep, spills: reply.Spills, spilled: reply.Spilled,
-			compBytes: reply.CompBytes, launch: launchOf(launches, len(dones)),
+			launch: launchOf(launches, len(dones)),
 		})
 		if launches != nil {
 			spans = append(spans, reply.Spans)

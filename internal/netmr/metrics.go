@@ -33,7 +33,6 @@ type masterMetrics struct {
 
 	spillRuns       *obs.Counter
 	spilledBytes    *obs.Counter
-	compressedBytes *obs.Counter
 	replicaFetches  *obs.Counter
 	mapReexecs      *obs.Counter
 	recoverySeconds *obs.Histogram
@@ -93,8 +92,6 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 			"Sorted spill runs workers flushed under memory pressure."),
 		spilledBytes: r.Counter("netmr_spilled_bytes_total",
 			"Bytes of intermediate state workers wrote to spill files."),
-		compressedBytes: r.Counter("netmr_compressed_bytes_total",
-			"Shuffle wire bytes saved by frame compression."),
 		replicaFetches: r.Counter("netmr_replica_fetches_total",
 			"Fetch routings redirected to a replica after the primary holder died."),
 		mapReexecs: r.Counter("netmr_map_reexecutions_total",

@@ -40,15 +40,15 @@ import (
 // protocolVersion is the wire generation this build speaks, the last
 // byte of the connection preamble. It covers everything two peers must
 // agree on byte for byte: the frame layout and frame type bytes of
-// codec.go, the section encoding, the compression flag layer and
-// partitionIndex. Changing any of them is a version bump, and peers of
+// codec.go, the section encoding and partitionIndex. Changing any of them is a version bump, and peers of
 // different versions refuse each other at the first read, the refusing
 // listener answering with its own preamble so both ends can name the two
 // versions that met. A field can be added without a bump only as
 // DESIGN.md §6 describes: tagged, optional, skipped by a decoder that
 // does not know the tag. v3 added the release frame, v4 the chunk frame
-// a reducer streams its output in.
-const protocolVersion = 4
+// a reducer streams its output in, and v5 dropped the flag byte in front
+// of every body and the CompBytes field.
+const protocolVersion = 5
 
 // preamble opens every connection in both directions.
 var preamble = [4]byte{'N', 'M', 'R', protocolVersion}
@@ -93,7 +93,6 @@ type message struct {
 	Rep       string // task | taskbatch: peer shuffle addr to replicate to; mapdone: addr actually replicated to
 	Spills    int    // mapdone | result: spill runs written while producing this output
 	Spilled   int64  // mapdone | result: bytes written to spill files
-	CompBytes int64  // mapdone | result: bytes compression saved (spill sections; shuffle frames)
 	ShuffleMs int64  // helloack: shuffle timeout, milliseconds
 
 	// Pipelined shuffle. A reducetask names the run's map count as Total:
@@ -151,12 +150,6 @@ type conn struct {
 	// lastFrameLen is the encoded body size of the most recent recv — what
 	// a reducer charges to Stats.ShuffleBytes per fetched frame.
 	lastFrameLen int
-
-	// lastRawLen is the decompressed body size of the most recent recv
-	// (lastFrameLen-1 for stored bodies); lastRawLen - lastFrameLen is the
-	// wire saving frame compression bought, which reducers report as
-	// CompBytes.
-	lastRawLen int
 
 	scratch message // decode target; Records/Batch backing reused
 }
@@ -277,10 +270,6 @@ func (c *conn) recv(timeout time.Duration) (message, error) {
 	}
 	c.lastFrameLen = len(body)
 	decodeStart := time.Now()
-	if body, _, err = unwrapCompressedBody(body); err != nil {
-		return message{}, fmt.Errorf("netmr: recv: %w", err)
-	}
-	c.lastRawLen = len(body)
 	if err := decodeFrame(body, &c.scratch); err != nil {
 		return message{}, err
 	}

@@ -83,14 +83,12 @@ func (r *jobRun) accept(d launchDone) {
 }
 
 // absorb adds what a stored map output or a reduce result reports of
-// spill runs and compression savings to the run's accounts.
+// spill runs to the run's accounts.
 func (r *jobRun) absorb(d launchDone) {
 	r.stats.SpillRuns += d.spills
 	r.stats.SpilledBytes += d.spilled
-	r.stats.CompressedBytes += d.compBytes
 	r.m.metrics.spillRuns.Add(float64(d.spills))
 	r.m.metrics.spilledBytes.Add(float64(d.spilled))
-	r.m.metrics.compressedBytes.Add(float64(d.compBytes))
 }
 
 // passBarrier closes the split window when the last map output is
@@ -277,7 +275,7 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 			m.idle <- w
 			r.results <- launchDone{
 				task: t, bytes: reply.Bytes,
-				compBytes: reply.CompBytes, spills: reply.Spills, spilled: reply.Spilled,
+				spills: reply.Spills, spilled: reply.Spilled,
 				failovers: reply.Failovers, elapsed: elapsed, launch: launch,
 			}
 			return

@@ -211,13 +211,13 @@ func TestRogueFetchRejected(t *testing.T) {
 		{ID: 1, Partial: sectionFromMap(map[string]float64{"b": 2})},
 	}, 2)
 
-	if _, _, _, err := fetchPartition(addr, "wc#1", 99, []int{0}, defaultShuffleTimeout); err == nil {
+	if _, _, err := fetchPartition(addr, "wc#1", 99, []int{0}, defaultShuffleTimeout); err == nil {
 		t.Error("out-of-range partition id served")
 	}
-	if _, _, _, err := fetchPartition(addr, "evil#7", 0, []int{0}, defaultShuffleTimeout); err == nil {
+	if _, _, err := fetchPartition(addr, "evil#7", 0, []int{0}, defaultShuffleTimeout); err == nil {
 		t.Error("foreign job's run id served")
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#1", 0, []int{5}, defaultShuffleTimeout); err == nil {
+	if _, _, err := fetchPartition(addr, "wc#1", 0, []int{5}, defaultShuffleTimeout); err == nil {
 		t.Error("unknown map task served")
 	}
 

@@ -89,7 +89,6 @@ func mapEncodeBody(t testing.TB, m message, folded map[string]float64, parts []m
 	b = appendString(b, m.Rep)
 	b = binary.AppendVarint(b, int64(m.Spills))
 	b = binary.AppendVarint(b, m.Spilled)
-	b = binary.AppendVarint(b, m.CompBytes)
 	b = binary.AppendVarint(b, m.ShuffleMs)
 	b = binary.AppendVarint(b, int64(m.Total))
 	b = locs(b, m.Reps)
@@ -129,9 +128,7 @@ func randomPairs(rng *rand.Rand, n int) map[string]float64 {
 // TestSectionFramesMatchMapEncoder is the encoding property: for every
 // frame type that carries Parts or Folded, a frame built from sections is
 // byte for byte the frame the reference encoder builds from the same data
-// as maps. The body under the flag layer is compared, and the whole frame
-// whenever it travels stored: which bodies get compressed is policy, what
-// they decompress to is not.
+// as maps, behind its length prefix.
 func TestSectionFramesMatchMapEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 60; trial++ {
@@ -163,7 +160,7 @@ func TestSectionFramesMatchMapEncoder(t *testing.T) {
 			{Type: "morelocs", Run: "wc#1", TaskID: 2, Parts: secs,
 				Reps: []fetchLoc{{Addr: "127.0.0.1:7002", Tasks: []int{4}}}},
 			{Type: "result", TaskID: 1, Attempt: 2, Folded: sectionFromMap(partial), Bytes: 99, Failovers: 2},
-			{Type: "result", TaskID: 1, Attempt: 2, Folded: folded.section(), Bytes: 99, CompBytes: 7},
+			{Type: "result", TaskID: 1, Attempt: 2, Folded: folded.section(), Bytes: 99, Spills: 1, Spilled: 7},
 		}
 		for _, m := range frames {
 			var refFolded map[string]float64
@@ -175,19 +172,8 @@ func TestSectionFramesMatchMapEncoder(t *testing.T) {
 				refParts = nil
 			}
 			want := mapEncodeBody(t, m, refFolded, refParts)
-			frame := encodeBinary(t, m)
-			raw, compressed, err := unwrapCompressedBody(wireBody(t, frame))
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, m.Type, err)
-			}
-			if !compressed {
-				stored := append(binary.AppendUvarint(nil, uint64(len(want)+1)), 0)
-				if string(frame) != string(append(stored, want...)) {
-					t.Fatalf("trial %d %s: stored frame differs from the reference encoder's", trial, m.Type)
-				}
-			}
-			if string(raw) != string(want) {
-				t.Fatalf("trial %d %s: body differs from the reference encoder's", trial, m.Type)
+			if frame := encodeBinary(t, m); string(frame) != string(append(binary.AppendUvarint(nil, uint64(len(want))), want...)) {
+				t.Fatalf("trial %d %s: frame differs from the reference encoder's", trial, m.Type)
 			}
 		}
 	}
@@ -327,49 +313,6 @@ func TestSectionMergeMatchesSerialMerge(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestLZPackPolicy pins the one compression policy: small inputs are
-// never tried, text is kept, random bytes are refused — on the prefix
-// alone when the input is long — and a refusal leaves dst untouched.
-func TestLZPackPolicy(t *testing.T) {
-	text := []byte(strings.Repeat("the quick brown fox jumps over the lazy dog ", 8000))
-	rng := rand.New(rand.NewSource(3))
-	noise := make([]byte, len(text))
-	rng.Read(noise)
-	mixed := append(append([]byte(nil), noise[:3*lzProbeBytes]...), text...) // incompressible head, compressible tail
-	for _, tc := range []struct {
-		name string
-		raw  []byte
-		want bool
-	}{
-		{"below-threshold", text[:lzCompressThreshold-1], false},
-		{"text", text, true},
-		{"text-one-block", text[:spillBlockSize], true},
-		{"noise", noise, false},
-		{"noise-one-block", noise[:spillBlockSize], false},
-		{"judged-on-prefix", mixed, false},
-	} {
-		dst := []byte("hdr")
-		out, ok := lzPack(dst, tc.raw)
-		if ok != tc.want {
-			t.Errorf("%s: packed=%v, want %v", tc.name, ok, tc.want)
-			continue
-		}
-		if !ok {
-			if string(out) != "hdr" {
-				t.Errorf("%s: refusal left %d bytes behind dst", tc.name, len(out)-3)
-			}
-			continue
-		}
-		if len(out)-3 > len(tc.raw)-len(tc.raw)/lzMinSaving {
-			t.Errorf("%s: kept a form that saves under 1/%d", tc.name, lzMinSaving)
-		}
-		back, err := lzDecompress(nil, out[3:], len(tc.raw))
-		if err != nil || string(back) != string(tc.raw) {
-			t.Errorf("%s: round trip failed: %v", tc.name, err)
 		}
 	}
 }

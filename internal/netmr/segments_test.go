@@ -2,7 +2,6 @@ package netmr
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -22,7 +21,7 @@ import (
 // the committed fuzz corpus pins byte for byte), and the send path to one
 // write, one chaos op, and no more allocations than a contiguous send.
 
-// textSection is a section of n shared-prefix keys: it compresses.
+// textSection is a section of n shared-prefix keys.
 func textSection(n, salt int) section {
 	m := make(map[string]float64, n)
 	for i := 0; i < n; i++ {
@@ -57,61 +56,44 @@ func segmentFamilies(a, b section) []message {
 	}
 }
 
-// TestSegmentsAreTheContiguousFrame: for every frame family, stored and
-// compressed, the segments concatenated are the contiguous encoding byte
-// for byte, lead included; a stored frame sends its big sections from
-// their own bytes and a compressed one goes out as one segment.
+// TestSegmentsAreTheContiguousFrame: for every frame family the segments
+// concatenated are the contiguous encoding byte for byte, lead included,
+// and the big sections are sent from their own bytes.
 func TestSegmentsAreTheContiguousFrame(t *testing.T) {
 	tera := teraSections(2, 400)
-	for _, tc := range []struct {
-		name string
-		a, b section
-	}{
-		{"stored", tera[0].Partial, tera[1].Partial},
-		{"compressed", textSection(3000, 0), textSection(3000, 1)},
-	} {
-		if len(tc.a) < sectionRefBytes || len(tc.b) < sectionRefBytes {
-			t.Fatalf("%s: fixture sections of %d and %d bytes are not referenced", tc.name, len(tc.a), len(tc.b))
+	a, b := tera[0].Partial, tera[1].Partial
+	if len(a) < sectionRefBytes || len(b) < sectionRefBytes {
+		t.Fatalf("fixture sections of %d and %d bytes are not referenced", len(a), len(b))
+	}
+	for _, m := range segmentFamilies(a, b) {
+		var whole, split frameEnc
+		want, err := whole.encode(&m, preamble[:], math.MaxInt)
+		if err != nil || len(want) != 1 {
+			t.Fatalf("%s: contiguous encode gave %d segments, %v", m.Type, len(want), err)
 		}
-		for _, m := range segmentFamilies(tc.a, tc.b) {
-			name := tc.name + "/" + m.Type
-			var whole, split frameEnc
-			want, err := whole.encode(&m, preamble[:], math.MaxInt)
-			if err != nil || len(want) != 1 {
-				t.Fatalf("%s: contiguous encode gave %d segments, %v", name, len(want), err)
-			}
-			segs, err := split.encode(&m, preamble[:], sectionRefBytes)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !bytes.Equal(bytes.Join(segs, nil), want[0]) {
-				t.Fatalf("%s: the segments are not the contiguous frame", name)
-			}
-			big := 0 // the big sections the frame carries
-			if m.Folded == tc.a {
-				big = 1
-			} else if len(m.Parts) > 0 {
-				big = 2
-			}
-			_, k := binary.Uvarint(want[0][len(preamble):])
-			compressed := want[0][len(preamble)+k] == 1
-			if compressed != (tc.name == "compressed" && compressibleFrames[m.Type] && big > 0) {
-				t.Fatalf("%s: compressed=%v", name, compressed)
-			}
-			refs, wantRefs := 0, big
-			if compressed {
-				wantRefs = 0
-			}
-			for _, seg := range segs {
-				for _, sec := range []section{tc.a, tc.b} {
-					if len(seg) == len(sec) && &seg[0] == unsafe.StringData(string(sec)) {
-						refs++
-					}
+		segs, err := split.encode(&m, preamble[:], sectionRefBytes)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Type, err)
+		}
+		if !bytes.Equal(bytes.Join(segs, nil), want[0]) {
+			t.Fatalf("%s: the segments are not the contiguous frame", m.Type)
+		}
+		wantRefs := 0 // the big sections the frame carries
+		if m.Folded == a {
+			wantRefs = 1
+		} else if len(m.Parts) > 0 {
+			wantRefs = 2
+		}
+		refs := 0
+		for _, seg := range segs {
+			for _, sec := range []section{a, b} {
+				if len(seg) == len(sec) && &seg[0] == unsafe.StringData(string(sec)) {
+					refs++
 				}
 			}
-			if refs != wantRefs || len(segs) != 1+2*wantRefs {
-				t.Fatalf("%s: %d segments, %d of them sections sent in place; want %d in place", name, len(segs), refs, wantRefs)
-			}
+		}
+		if refs != wantRefs || len(segs) != 1+2*wantRefs {
+			t.Fatalf("%s: %d segments, %d of them sections sent in place; want %d in place", m.Type, len(segs), refs, wantRefs)
 		}
 	}
 }

@@ -119,12 +119,12 @@ func runSeq(run string) int64 {
 // error leaves the set resident (correct, just over budget). A put for
 // a run older than the newest the store has held or left is refused with
 // errRunLeft.
-func (s *interStore) put(run string, task int, parts []partitionPartial, reducers int) (spills int, spilled, saved int64, err error) {
+func (s *interStore) put(run string, task int, parts []partitionPartial, reducers int) (spills int, spilled int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := runSeq(run)
 	if seq < s.next {
-		return 0, 0, 0, fmt.Errorf("netmr: put of map task %d for run %q: %w", task, run, errRunLeft)
+		return 0, 0, fmt.Errorf("netmr: put of map task %d for run %q: %w", task, run, errRunLeft)
 	}
 	if s.run != run {
 		s.leaveLocked()
@@ -146,24 +146,24 @@ func (s *interStore) put(run string, task int, parts []partitionPartial, reducer
 	s.tasks[task] = st
 	s.mem += st.bytes
 	if s.budget > 0 && s.mem > s.budget {
-		spills, spilled, saved, err = s.spillLocked()
+		spills, spilled, err = s.spillLocked()
 		s.totalSpills += spills
 		s.totalSpilled += spilled
 	}
 	if s.mem > s.peak {
 		s.peak = s.mem
 	}
-	return spills, spilled, saved, err
+	return spills, spilled, err
 }
 
 // spillLocked flushes resident partition sets in ascending task order
 // until the store fits its budget again. spilled counts bytes that hit
-// disk; saved is what section compression kept off it.
-func (s *interStore) spillLocked() (int, int64, int64, error) {
+// disk.
+func (s *interStore) spillLocked() (int, int64, error) {
 	if s.dir == "" {
 		dir, err := ensureSpillDir(s.baseDir, s.run)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 		s.dir = dir
 	}
@@ -175,24 +175,23 @@ func (s *interStore) spillLocked() (int, int64, int64, error) {
 	}
 	sort.Ints(ids)
 	var spills int
-	var spilled, saved int64
+	var spilled int64
 	for _, id := range ids {
 		if s.mem <= s.budget {
 			break
 		}
 		st := s.tasks[id]
-		sf, n, sv, err := writeSpillFile(s.dir, id, st.parts, s.reducers)
+		sf, n, err := writeSpillFile(s.dir, id, st.parts, s.reducers)
 		if err != nil {
-			return spills, spilled, saved, err
+			return spills, spilled, err
 		}
 		st.spill = sf
 		st.parts = nil
 		s.mem -= st.bytes
 		spills++
 		spilled += n
-		saved += sv
 	}
-	return spills, spilled, saved, nil
+	return spills, spilled, nil
 }
 
 // leaveLocked drops the run held: every task, spill files and scratch
@@ -268,13 +267,13 @@ func (s *interStore) split(run string, tasks []int) (held, missing []int) {
 // section, which still acknowledges the task is held). Resident or read
 // back from the task's spill file, the section is handed on as the bytes
 // it is — nothing here decodes one. With stream set, a spilled section
-// stored uncompressed is not read: it comes back as a merge source over
-// the store's file, for the reducer's fold to read block by block. A
-// mismatched run, an out-of-range partition or an unknown task id is a
-// request the serving worker must refuse — not panic over — whatever a
-// rogue or confused reducer sends; so is a spilled section that fails its
-// checksum, or whose file the store closed meanwhile: disk reads run
-// outside the lock, so they never block a put or another fetch.
+// is not read: it comes back as a merge source over the store's file,
+// for the reducer's fold to read block by block. A mismatched run, an
+// out-of-range partition or an unknown task id is a request the serving
+// worker must refuse — not panic over — whatever a rogue or confused
+// reducer sends; so is a spilled section that fails its checksum, or
+// whose file the store closed meanwhile: disk reads run outside the
+// lock, so they never block a put or another fetch.
 func (s *interStore) slice(run string, partition int, tasks []int, stream bool) ([]partitionPartial, []*mergeSource, error) {
 	out, files, err := s.snapshot(run, partition, tasks)
 	if err != nil {
@@ -284,7 +283,7 @@ func (s *interStore) slice(run string, partition int, tasks []int, stream bool) 
 	n := 0
 	for i, sf := range files {
 		if sf != nil {
-			if r := sf.blocks(partition); stream && r != nil && !sf.secs[partition].packed {
+			if r := sf.blocks(partition); stream && r != nil {
 				streams = append(streams, &mergeSource{task: out[i].ID, blocks: r})
 				continue
 			}
@@ -445,7 +444,7 @@ func (w *Worker) serveFetch(raw net.Conn) {
 // replicack, or an error frame for a run the store has left. A put whose
 // spill failed is acknowledged: the set stays resident, just over budget.
 func (w *Worker) storeReplica(m message) message {
-	_, _, _, err := w.store.put(m.Run, m.TaskID, m.Parts, m.Reducers)
+	_, _, err := w.store.put(m.Run, m.TaskID, m.Parts, m.Reducers)
 	if errors.Is(err, errRunLeft) {
 		workerServes.With("rejected").Inc()
 		return message{Type: "error", TaskID: m.TaskID, Message: err.Error()}
@@ -458,26 +457,24 @@ func (w *Worker) storeReplica(m message) message {
 }
 
 // fetchExchange runs one fetch request/response over an established
-// shuffle connection, returning the per-task partials, the encoded bytes
-// transferred, and the wire bytes frame compression saved. A refusal
-// (error frame from a healthy peer) comes back as a peerRefusal so the
-// pool knows the connection survived it.
-func fetchExchange(c *conn, addr, run string, partition int, tasks []int, timeout time.Duration) ([]partitionPartial, int64, int64, error) {
+// shuffle connection, returning the per-task partials and the encoded
+// bytes transferred. A refusal (error frame from a healthy peer) comes
+// back as a peerRefusal so the pool knows the connection survived it.
+func fetchExchange(c *conn, addr, run string, partition int, tasks []int, timeout time.Duration) ([]partitionPartial, int64, error) {
 	if err := c.send(message{Type: "fetch", Run: run, TaskID: partition, Tasks: tasks}, timeout); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	reply, err := c.recv(timeout)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	switch reply.Type {
 	case "fetchresult":
-		saved := max(int64(c.lastRawLen)-int64(c.lastFrameLen), 0)
-		return reply.Parts, int64(c.lastFrameLen), saved, nil
+		return reply.Parts, int64(c.lastFrameLen), nil
 	case "error":
-		return nil, 0, 0, &peerRefusal{msg: fmt.Sprintf("netmr: fetch from %s refused: %s", addr, reply.Message)}
+		return nil, 0, &peerRefusal{msg: fmt.Sprintf("netmr: fetch from %s refused: %s", addr, reply.Message)}
 	default:
-		return nil, 0, 0, fmt.Errorf("netmr: fetch from %s answered %q", addr, reply.Type)
+		return nil, 0, fmt.Errorf("netmr: fetch from %s answered %q", addr, reply.Type)
 	}
 }
 
@@ -532,7 +529,6 @@ type locResult struct {
 	parts     []partitionPartial
 	streams   []*mergeSource
 	fetched   int64
-	saved     int64
 	failovers int
 }
 
@@ -551,7 +547,7 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 	ctx := runner.WithWorkers(context.Background(), w.shuffleFanout)
 	fetch := func(res *locResult, addr string, tasks []int) error {
 		fetchStart := time.Now()
-		parts, n, sv, err := w.pool.fetchPartition(addr, run, partition, tasks, to)
+		parts, n, err := w.pool.fetchPartition(addr, run, partition, tasks, to)
 		workerFetchSeconds.Observe(time.Since(fetchStart).Seconds())
 		if err != nil {
 			workerFetches.With("failed").Inc()
@@ -560,7 +556,6 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 		workerFetches.With("ok").Inc()
 		res.parts = append(res.parts, parts...)
 		res.fetched += n
-		res.saved += sv
 		return nil
 	}
 	return runner.Map(ctx, len(locs), func(_ context.Context, i int) (res locResult, err error) {
@@ -673,7 +668,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		}
 	}
 	noteReps(m.Reps)
-	var fetched, compSaved int64
+	var fetched int64
 	failovers, stream := 0, true // the first gather leaves the store's spilled sections on disk, for the fold to stream
 	// round gathers one batch of map outputs: the sections the master sent
 	// inline (copies it holds for mappers that could not replicate, or
@@ -694,7 +689,6 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		}
 		for _, r := range results {
 			fetched += r.fetched
-			compSaved += r.saved
 			failovers += r.failovers
 			for _, p := range r.parts {
 				folder.add(p.ID, p.Partial)
@@ -788,7 +782,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	workerTasks.With("ok").Inc()
 	res := message{
 		Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Folded: out.b.section(), Total: out.k, Bytes: fetched, Trace: m.Trace,
-		Failovers: failovers, CompBytes: compSaved + folder.compSaved, Spills: folder.spillRuns, Spilled: folder.spilledBytes,
+		Failovers: failovers, Spills: folder.spillRuns, Spilled: folder.spilledBytes,
 	}
 	if clock != nil {
 		clock.mark(spanEncode)

@@ -29,7 +29,7 @@ func benchFetchWorker(b *testing.B, tasks, keysPerTask, R int) (addr, run string
 			}
 			parts = append(parts, partitionPartial{ID: p, Partial: sectionFromMap(m)})
 		}
-		if _, _, _, err := w.store.put(run, task, parts, R); err != nil {
+		if _, _, err := w.store.put(run, task, parts, R); err != nil {
 			b.Fatal(err)
 		}
 		ids = append(ids, task)
@@ -49,10 +49,10 @@ func benchFetchWorker(b *testing.B, tasks, keysPerTask, R int) (addr, run string
 // fetchPartition is one fetch exchange over a fresh dial-per-call
 // connection: the unpooled baseline BenchmarkShuffleFetch compares the
 // pool against, and the plain client the shuffle-server tests drive.
-func fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration) ([]partitionPartial, int64, int64, error) {
+func fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration) ([]partitionPartial, int64, error) {
 	c, err := dialShuffle(addr, timeout)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	defer func() { _ = c.close() }()
 	return fetchExchange(c, addr, run, partition, tasks, timeout)
@@ -70,7 +70,7 @@ func BenchmarkShuffleFetch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			parts, _, _, err := fetchPartition(addr, run, i%R, ids, 10*time.Second)
+			parts, _, err := fetchPartition(addr, run, i%R, ids, 10*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func BenchmarkShuffleFetch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			parts, _, _, err := p.fetchPartition(addr, run, i%R, ids, 10*time.Second)
+			parts, _, err := p.fetchPartition(addr, run, i%R, ids, 10*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -151,13 +151,13 @@ func (p *shufflePool) withConn(addr string, timeout time.Duration, fn func(c *co
 
 // fetchPartition runs one fetch exchange over the pool: reused
 // connection, stale-redial-once.
-func (p *shufflePool) fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration) (parts []partitionPartial, n, saved int64, err error) {
+func (p *shufflePool) fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration) (parts []partitionPartial, n int64, err error) {
 	err = p.withConn(addr, timeout, func(c *conn) error {
 		var ferr error
-		parts, n, saved, ferr = fetchExchange(c, addr, run, partition, tasks, timeout)
+		parts, n, ferr = fetchExchange(c, addr, run, partition, tasks, timeout)
 		return ferr
 	})
-	return parts, n, saved, err
+	return parts, n, err
 }
 
 // replicate pushes a batch's partition sets, its replicate frames, to

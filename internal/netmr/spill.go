@@ -42,17 +42,16 @@ type spillSection struct {
 	off, n int64  // on-disk extent; n is 0 when the task emitted nothing into the partition
 	count  uint64 // records: with raw, what rebuilds the section's count prefix and size
 	raw    int64  // the section's own length
-	packed bool   // some block is stored compressed
 }
 
 // writeSpillFile flushes parts (a task's partition set, partition count
-// reducers) to a new file under dir and returns the handle, the bytes
-// that hit disk, and the bytes compression saved. The sections' own bytes
-// are checksummed, probed and written; nothing is copied first.
-func writeSpillFile(dir string, task int, parts []partitionPartial, reducers int) (*spillFile, int64, int64, error) {
+// reducers) to a new file under dir and returns the handle and the bytes
+// that hit disk. The sections' own bytes are checksummed and written;
+// nothing is copied first.
+func writeSpillFile(dir string, task int, parts []partitionPartial, reducers int) (*spillFile, int64, error) {
 	f, err := os.CreateTemp(dir, fmt.Sprintf("task-%d-*.spill", task))
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("netmr: spill create: %w", err)
+		return nil, 0, fmt.Errorf("netmr: spill create: %w", err)
 	}
 	sf := &spillFile{f: f, secs: make([]spillSection, reducers)}
 	w := blockWriter{w: bufio.NewWriter(f)}
@@ -62,8 +61,6 @@ func writeSpillFile(dir string, task int, parts []partitionPartial, reducers int
 		}
 		c := part.Partial.cursor()
 		sec := spillSection{off: w.written, count: c.left, raw: int64(len(part.Partial))}
-		saved := w.saved
-		w.compress = true
 		for start := c.r.off; c.left > 0 && err == nil; {
 			if c.next(); c.r.off-start >= spillBlockSize || c.left == 0 {
 				blk := c.r.s[start:c.r.off]
@@ -74,7 +71,7 @@ func writeSpillFile(dir string, task int, parts []partitionPartial, reducers int
 		if err != nil {
 			break
 		}
-		sec.n, sec.packed = w.written-sec.off, w.saved > saved
+		sec.n = w.written - sec.off
 		sf.secs[part.ID] = sec
 	}
 	if err == nil {
@@ -82,9 +79,9 @@ func writeSpillFile(dir string, task int, parts []partitionPartial, reducers int
 	}
 	if err != nil {
 		sf.remove()
-		return nil, 0, 0, fmt.Errorf("netmr: spill write: %w", err)
+		return nil, 0, fmt.Errorf("netmr: spill write: %w", err)
 	}
-	return sf, w.written, w.saved, nil
+	return sf, w.written, nil
 }
 
 // blocks opens a reader over one partition's section; nil when the task
@@ -128,14 +125,13 @@ func removeFile(f *os.File) {
 	_ = os.Remove(f.Name())
 }
 
-// spillBlockSize is the raw-byte granularity spill files and run files
-// are framed, compressed and checksummed at: big enough to amortize block
-// headers and give the compressor context, small enough to keep the
-// read-back streaming.
+// spillBlockSize is the byte granularity spill files and run files
+// are framed and checksummed at: big enough to amortize block headers,
+// small enough to keep the read-back streaming.
 const spillBlockSize = 64 << 10
 
-// blockHeaderMax bounds a block header: flag, two uvarints, the checksum.
-const blockHeaderMax = 1 + 2*binary.MaxVarintLen64 + 4
+// blockHeaderMax bounds a block header: the length uvarint, the checksum.
+const blockHeaderMax = binary.MaxVarintLen64 + 4
 
 // blockWriter is the one writer of spill files and run files. Either is a
 // key-sorted record sequence
@@ -144,37 +140,22 @@ const blockHeaderMax = 1 + 2*binary.MaxVarintLen64 + 4
 //
 // (a run's records carry their map task, a spilled section's all belong
 // to one) cut after a whole record into blocks of at least spillBlockSize
-// raw bytes, each framed as flag(1B: 0 raw, 1 compressed) ‖ uvarint(raw
-// length) ‖ uvarint(payload length) ‖ crc32c(raw block, 4 B LE) ‖ payload.
+// bytes, each framed as uvarint(length) ‖ crc32c(block, 4 B LE) ‖ block.
 type blockWriter struct {
 	w       *bufio.Writer
-	scratch []byte // the compressed form of the block in hand
-	// compress asks lzPack about the next block. The blocks of one section
-	// or run are alike: once one does not compress, the rest are written
-	// raw without asking again.
-	compress       bool
-	written, saved int64 // bytes that hit disk, bytes compression kept off it
+	written int64 // bytes that hit disk
 }
 
-// block frames one raw block onto the file.
+// block frames one block onto the file.
 func (bw *blockWriter) block(blk []byte) error {
-	flag, payload := byte(0), blk
-	if bw.compress {
-		if bw.scratch, bw.compress = lzPack(bw.scratch[:0], blk); bw.compress {
-			flag, payload = 1, bw.scratch
-		}
-	}
 	var hdr [blockHeaderMax]byte
-	hdr[0] = flag
-	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(blk)))
-	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
+	n := binary.PutUvarint(hdr[:], uint64(len(blk)))
 	binary.LittleEndian.PutUint32(hdr[n:], crc32.Checksum(blk, crcTable))
 	n += 4
-	bw.written += int64(n + len(payload))
-	bw.saved += int64(len(blk) - len(payload))
+	bw.written += int64(n + len(blk))
 	_, err := bw.w.Write(hdr[:n])
 	if err == nil {
-		_, err = bw.w.Write(payload)
+		_, err = bw.w.Write(blk)
 	}
 	return err
 }
@@ -187,7 +168,6 @@ func (bw *blockWriter) block(blk []byte) error {
 type blockReader struct {
 	f        *os.File
 	off, end int64
-	pay      []byte // compressed payload scratch, reused across blocks
 }
 
 // next appends the next block's records to dst, growing it by exactly
@@ -203,36 +183,23 @@ func (b *blockReader) next(dst []byte) ([]byte, error) {
 	if _, err := b.f.ReadAt(h, b.off); err != nil {
 		return nil, fmt.Errorf("netmr: spill block header: %w", err)
 	}
-	rawLen, n1 := binary.Uvarint(h[1:])
-	payLen, n2 := binary.Uvarint(h[1+max(n1, 0):])
-	n := 1 + n1 + n2 + 4 // the header's length, once both lengths parsed
-	// One compressed byte yields at most 255, so besides the frame cap the
-	// payload bounds what a header can make this allocate.
-	if n1 <= 0 || n2 <= 0 || n > len(h) || h[0] > 1 || rawLen == 0 || rawLen > maxFrameBytes ||
-		payLen > uint64(b.end-b.off)-uint64(n) || rawLen > 255*payLen || (h[0] == 0 && rawLen != payLen) {
-		return nil, fmt.Errorf("netmr: spill block header of %s is corrupt (flag %d, %d raw, %d stored)", filepath.Base(b.f.Name()), h[0], rawLen, payLen)
+	rawLen, n1 := binary.Uvarint(h)
+	n := n1 + 4 // the header's length, once the length parsed
+	// A block is stored as it is, so the extent left bounds what a header
+	// can make this allocate.
+	if n1 <= 0 || n > len(h) || rawLen == 0 || rawLen > uint64(b.end-b.off)-uint64(n) {
+		return nil, fmt.Errorf("netmr: spill block header of %s is corrupt (%d bytes declared, %d left)", filepath.Base(b.f.Name()), rawLen, b.end-b.off)
 	}
 	at := len(dst)
 	dst = slices.Grow(dst, int(rawLen))[:at+int(rawLen)]
-	blk, body := dst[at:], dst[at:]
-	if h[0] == 1 {
-		b.pay = grown(b.pay, int(payLen))
-		body = b.pay
-	}
-	_, err := b.f.ReadAt(body, b.off+int64(n))
-	if err == nil && h[0] == 1 {
-		var out []byte // decompressed in place: dst has the room
-		if out, err = lzDecompress(dst[:at], body, int(rawLen)); err == nil && len(out) != len(dst) {
-			err = fmt.Errorf("decompressed to %d bytes, want %d", len(out)-at, rawLen)
-		}
-	}
-	if err != nil {
+	blk := dst[at:]
+	if _, err := b.f.ReadAt(blk, b.off+int64(n)); err != nil {
 		return nil, fmt.Errorf("netmr: spill block body of %s: %w", filepath.Base(b.f.Name()), err)
 	}
 	if crc32.Checksum(blk, crcTable) != binary.LittleEndian.Uint32(h[n-4:]) {
 		return nil, fmt.Errorf("netmr: spill block of %s failed its checksum", filepath.Base(b.f.Name()))
 	}
-	b.off += int64(n) + int64(payLen)
+	b.off += int64(n) + int64(rawLen)
 	return dst, nil
 }
 
@@ -504,8 +471,7 @@ type spillFolder struct {
 	runs   []*os.File         // the runs' files, removed on discard
 
 	spillRuns    int
-	spilledBytes int64         // bytes that hit disk (post-compression)
-	compSaved    int64         // bytes block compression kept off disk
+	spilledBytes int64         // bytes that hit disk
 	flushDur     time.Duration // wall time spent writing runs (the "spill" span)
 }
 
@@ -557,7 +523,7 @@ func (f *spillFolder) flush() (err error) {
 	if err != nil {
 		return fmt.Errorf("netmr: spill run create: %w", err)
 	}
-	w := blockWriter{w: bufio.NewWriter(file), compress: true}
+	w := blockWriter{w: bufio.NewWriter(file)}
 	var blk []byte
 	err = mergeSources(f.heldSources(), func(s *mergeSource) error {
 		blk = appendString(blk, s.key)
@@ -584,7 +550,6 @@ func (f *spillFolder) flush() (err error) {
 	f.disk = append(f.disk, &mergeSource{blocks: &blockReader{f: file, end: w.written}, tagged: true})
 	f.spillRuns++
 	f.spilledBytes += w.written
-	f.compSaved += w.saved
 	f.onDisk += f.mem
 	clear(f.held)
 	f.held, f.mem = f.held[:0], 0

@@ -7,9 +7,9 @@ import (
 
 // spillBenchInputs builds one reduce partition's gathered inputs: tasks
 // map-task sections over a shared key space, so every key folds tasks
-// values, with keys that do not compress (tera-spill's shape, the one
-// workload of the ledger that pays the out-of-core tax): a store that
-// spills them stores them raw and a reducer holding them streams them.
+// values, with random keys (tera-spill's shape, the one workload of the
+// ledger that pays the out-of-core tax): a reducer whose store spilled
+// them streams them.
 func spillBenchInputs(tasks, keys int) []partitionPartial {
 	rng := rand.New(rand.NewSource(16))
 	space := make([]string, keys)
@@ -43,7 +43,7 @@ func benchmarkShuffleFold(b *testing.B, budget int64, local bool) {
 	if local {
 		for _, in := range inputs {
 			tasks = append(tasks, in.ID)
-			if _, _, _, err := store.put("bench", in.ID, []partitionPartial{{ID: 0, Partial: in.Partial}}, 1); err != nil {
+			if _, _, err := store.put("bench", in.ID, []partitionPartial{{ID: 0, Partial: in.Partial}}, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -88,7 +88,7 @@ func folderFold(t testing.TB, job Job, inputs []taskMap, budget int64, streamEve
 			f.add(in.task, sec)
 			continue
 		}
-		if _, _, _, err := store.put("fold#1", in.task, []partitionPartial{{ID: 0, Partial: sec}}, 1); err != nil {
+		if _, _, err := store.put("fold#1", in.task, []partitionPartial{{ID: 0, Partial: sec}}, 1); err != nil {
 			t.Fatal(err)
 		}
 		parts, streams, err := store.slice("fold#1", 0, []int{in.task}, true)
@@ -146,6 +146,59 @@ func TestSpillFoldMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestSpillFileRoundTrip: every section of a spill file — one that spans
+// several blocks, a tiny one, an absent one — reads back exactly, and the
+// bytes that hit disk are the records plus one header a block.
+func TestSpillFileRoundTrip(t *testing.T) {
+	const R = 4
+	rng := rand.New(rand.NewSource(7))
+	big := map[string]float64{}
+	for len(big) < 3000 { // ≈ 99 KB: two blocks
+		big[randomKey(rng, 24)] = rng.Float64()
+	}
+	parts := []partitionPartial{
+		{ID: 0, Partial: sectionFromMap(big)},
+		{ID: 2, Partial: sectionFromMap(map[string]float64{"a": 1, "b": 2})},
+		// partitions 1 and 3 absent: the task emitted nothing into them
+	}
+	sf, onDisk, err := writeSpillFile(t.TempDir(), 0, parts, R)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.remove()
+	var raw, blocks int64
+	for _, part := range parts {
+		raw += int64(len(part.Partial))
+		for r := sf.blocks(part.ID); r.off < r.end; blocks++ {
+			if _, err := r.next(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if blocks != 3 {
+		t.Fatalf("%d blocks, want two for the big section and one for the tiny one", blocks)
+	}
+	// Each section leaves its count prefix in the index and gains a header
+	// a block.
+	if slack := onDisk - raw; slack <= 0 || slack > blocks*int64(blockHeaderMax) {
+		t.Errorf("%d bytes on disk for %d bytes of sections in %d blocks", onDisk, raw, blocks)
+	}
+	for _, want := range parts {
+		got, err := sf.section(want.ID)
+		if err != nil {
+			t.Fatalf("section %d: %v", want.ID, err)
+		}
+		if got != want.Partial {
+			t.Fatalf("section %d round trip diverged", want.ID)
+		}
+	}
+	for _, p := range []int{1, 3} {
+		if got, err := sf.section(p); err != nil || got != "" || sf.blocks(p) != nil {
+			t.Fatalf("absent section %d = (%q, %v), want the empty section and no blocks", p, got, err)
+		}
+	}
+}
+
 // TestInterStoreSpillMatchesMemory: the map-side store must serve the
 // identical partition slices whether a task's set is resident or read
 // back from its spill file, at every budget.
@@ -166,7 +219,7 @@ func TestInterStoreSpillMatchesMemory(t *testing.T) {
 	}
 	reference := newInterStore()
 	for task, parts := range sets {
-		if _, _, _, err := reference.put("wc#1", task, parts, R); err != nil {
+		if _, _, err := reference.put("wc#1", task, parts, R); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +232,7 @@ func TestInterStoreSpillMatchesMemory(t *testing.T) {
 		s.configure(budget, t.TempDir())
 		var spilled int64
 		for task, parts := range sets {
-			_, n, _, err := s.put("wc#1", task, parts, R)
+			_, n, err := s.put("wc#1", task, parts, R)
 			if err != nil {
 				t.Fatalf("budget=%d: put: %v", budget, err)
 			}
@@ -220,7 +273,7 @@ func TestSliceReadsOutsideTheLock(t *testing.T) {
 	s.configure(1, t.TempDir())
 	defer s.evictAll()
 	put := func(task int) {
-		if _, _, _, err := s.put("wc#1", task, sets[task], R); err != nil {
+		if _, _, err := s.put("wc#1", task, sets[task], R); err != nil {
 			t.Error(err)
 		}
 	}
@@ -283,23 +336,23 @@ func TestEvictedRunReducersReset(t *testing.T) {
 		{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
 		{ID: 3, Partial: sectionFromMap(map[string]float64{"d": 4})},
 	}
-	if _, _, _, err := w.store.put("wc#1", 0, parts4, 4); err != nil {
+	if _, _, err := w.store.put("wc#1", 0, parts4, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#1", 3, []int{0}, defaultShuffleTimeout); err != nil {
+	if _, _, err := fetchPartition(addr, "wc#1", 3, []int{0}, defaultShuffleTimeout); err != nil {
 		t.Fatalf("partition 3 under the 4-reducer run refused: %v", err)
 	}
 	// New run with a smaller reducer count evicts the old one wholesale.
-	if _, _, _, err := w.store.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"z": 1})}}, 2); err != nil {
+	if _, _, err := w.store.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"z": 1})}}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#1", 0, []int{0}, defaultShuffleTimeout); err == nil {
+	if _, _, err := fetchPartition(addr, "wc#1", 0, []int{0}, defaultShuffleTimeout); err == nil {
 		t.Error("stale fetch against the evicted run served")
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#2", 3, []int{0}, defaultShuffleTimeout); err == nil {
+	if _, _, err := fetchPartition(addr, "wc#2", 3, []int{0}, defaultShuffleTimeout); err == nil {
 		t.Error("partition valid only under the evicted run's count served")
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#2", 1, []int{0}, defaultShuffleTimeout); err != nil {
+	if _, _, err := fetchPartition(addr, "wc#2", 1, []int{0}, defaultShuffleTimeout); err != nil {
 		t.Errorf("valid fetch against the new run refused: %v", err)
 	}
 }
@@ -327,19 +380,19 @@ func TestStragglerCannotEvictNextRun(t *testing.T) {
 		t.Cleanup(w.Stop)
 		w.store.setReducers(2)
 		for _, run := range []string{"wc#1", "wc#2"} {
-			if _, _, _, err := w.store.put(run, 0, set("k"), 2); err != nil {
+			if _, _, err := w.store.put(run, 0, set("k"), 2); err != nil {
 				t.Fatal(err)
 			}
 			if released {
 				w.store.release(run)
 			}
 		}
-		if _, _, _, err := w.store.put("wc#3", 1, set("next"), 2); err != nil {
+		if _, _, err := w.store.put("wc#3", 1, set("next"), 2); err != nil {
 			t.Fatal(err)
 		}
 		pool := newShufflePool(1)
 		for _, late := range []string{"wc#2", "wc#1"} {
-			if _, _, _, err := w.store.put(late, 0, set("late"), 2); !errors.Is(err, errRunLeft) {
+			if _, _, err := w.store.put(late, 0, set("late"), 2); !errors.Is(err, errRunLeft) {
 				t.Errorf("released=%v: late put of %s = %v, want errRunLeft", released, late, err)
 			}
 			if err := pool.replicate(addr, []message{{Type: "replicate", Run: late, TaskID: 2, Parts: set("late"), Reducers: 2}}, defaultShuffleTimeout)[0]; err == nil {
@@ -347,12 +400,12 @@ func TestStragglerCannotEvictNextRun(t *testing.T) {
 			}
 		}
 		pool.closeAll()
-		got, _, _, err := fetchPartition(addr, "wc#3", 0, []int{1}, defaultShuffleTimeout)
+		got, _, err := fetchPartition(addr, "wc#3", 0, []int{1}, defaultShuffleTimeout)
 		if err != nil || len(got) != 1 || got[0].Partial != set("next")[0].Partial {
 			t.Errorf("released=%v: the next run's output after the stragglers: %v, %v", released, got, err)
 		}
 		w.store.setReducers(2) // a new master session
-		if _, _, _, err := w.store.put("wc#1", 0, set("k"), 2); err != nil {
+		if _, _, err := w.store.put("wc#1", 0, set("k"), 2); err != nil {
 			t.Errorf("released=%v: after a new helloack, put of a repeated run id = %v", released, err)
 		}
 	}
@@ -613,8 +666,8 @@ func flipByteInFiles(t testing.TB, dir, glob string) int {
 
 // TestCorruptSpillSectionRefused: a spilled section whose bytes changed
 // on disk must never reach a socket — the fetch is answered with an
-// error frame (the connection survives it), whether the section was
-// stored raw or compressed, while undamaged sections still serve.
+// error frame (the connection survives it), in whichever section the
+// damage lies, while undamaged sections still serve.
 func TestCorruptSpillSectionRefused(t *testing.T) {
 	w, err := NewWorker(mustRegistry(t), WithWorkerConfig(WorkerConfig{SpillBudget: 1, SpillDir: t.TempDir()}))
 	if err != nil {
@@ -630,32 +683,29 @@ func TestCorruptSpillSectionRefused(t *testing.T) {
 		text[fmt.Sprintf("shared-prefix-key-%05d", i)] = float64(i)
 	}
 	parts := []partitionPartial{
-		{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1, "b": 2})}, // stored raw
-		{ID: 1, Partial: sectionFromMap(text)},                               // stored compressed
+		{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1, "b": 2})},
+		{ID: 1, Partial: sectionFromMap(text)},
 	}
 	for task := 0; task < 2; task++ {
-		if spills, _, _, err := w.store.put("wc#1", task, parts, 2); err != nil || spills != 1 {
+		if spills, _, err := w.store.put("wc#1", task, parts, 2); err != nil || spills != 1 {
 			t.Fatalf("put task %d: spills=%d err=%v", task, spills, err)
 		}
 	}
 	for p, want := range parts {
-		got, _, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout)
+		got, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout)
 		if err != nil || got[0].Partial != want.Partial || got[1].Partial != want.Partial {
 			t.Fatalf("partition %d before the damage: err=%v", p, err)
 		}
 	}
 	// Damage task 0's file in each section in turn.
 	sf := w.store.tasks[0].spill
-	if sf.secs[0].packed || !sf.secs[1].packed {
-		t.Fatalf("fixture: want section 0 raw and section 1 compressed, index=%+v", sf.secs)
-	}
 	for p := range parts {
 		flipByteAt(t, sf.f, sf.secs[p].off+sf.secs[p].n/2)
-		_, _, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout)
+		_, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout)
 		if !isPeerRefusal(err) {
 			t.Fatalf("partition %d: damaged section answered with %v, want an error frame", p, err)
 		}
-		if got, _, _, err := fetchPartition(addr, "wc#1", p, []int{1}, defaultShuffleTimeout); err != nil || got[0].Partial != parts[p].Partial {
+		if got, _, err := fetchPartition(addr, "wc#1", p, []int{1}, defaultShuffleTimeout); err != nil || got[0].Partial != parts[p].Partial {
 			t.Fatalf("partition %d: undamaged task refused after the damage: %v", p, err)
 		}
 	}
@@ -665,35 +715,24 @@ func TestCorruptSpillSectionRefused(t *testing.T) {
 // disk fails the fold with an error instead of folding garbage.
 func TestCorruptSpillRunFailsFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, name := range []string{"compressed", "raw"} {
-		dir := t.TempDir()
-		f := newSpillFolder(512, dir, "fold#1")
-		for task := 0; task < 4; task++ {
-			m := map[string]float64{}
-			for i := 0; i < 700; i++ {
-				k := fmt.Sprintf("gather-key-%06d", i)
-				if name == "raw" { // keys and values that do not compress
-					b := make([]byte, 16)
-					rng.Read(b)
-					k = string(b)
-				}
-				m[k] = rng.Float64()
-			}
-			f.add(task, sectionFromMap(m))
+	dir := t.TempDir()
+	f := newSpillFolder(512, dir, "fold#1")
+	for task := 0; task < 4; task++ {
+		m := map[string]float64{}
+		for i := 0; i < 700; i++ {
+			m[fmt.Sprintf("gather-key-%06d", i)] = rng.Float64()
 		}
-		if f.spillRuns != 4 {
-			t.Fatalf("%s: %d runs, want 4", name, f.spillRuns)
-		}
-		if (f.compSaved > 0) != (name == "compressed") {
-			t.Fatalf("%s: compSaved=%d", name, f.compSaved)
-		}
-		if n := flipByteInFiles(t, dir, "reduce-run-*.spill"); n != 4 {
-			t.Fatalf("%s: damaged %d run files, want 4", name, n)
-		}
-		var out foldOut
-		if _, err := f.fold(wordCountJob(), &out); err == nil {
-			t.Fatalf("%s: fold over damaged runs succeeded", name)
-		}
+		f.add(task, sectionFromMap(m))
+	}
+	if f.spillRuns != 4 {
+		t.Fatalf("%d runs, want 4", f.spillRuns)
+	}
+	if n := flipByteInFiles(t, dir, "reduce-run-*.spill"); n != 4 {
+		t.Fatalf("damaged %d run files, want 4", n)
+	}
+	var out foldOut
+	if _, err := f.fold(wordCountJob(), &out); err == nil {
+		t.Fatal("fold over damaged runs succeeded")
 	}
 }
 

@@ -122,11 +122,10 @@ func recvStream(stream []byte) (message, *streamConn, error) {
 	return m, sc, err
 }
 
-// streamOf frames a raw checksummed body the way it travels stored on a
-// new connection: preamble, length, flag 0, body.
+// streamOf frames a checksummed body the way it travels on a new
+// connection: preamble, length, body.
 func streamOf(raw []byte) []byte {
-	s := binary.AppendUvarint(afterPreamble(nil), uint64(len(raw)+1))
-	return append(append(s, 0), raw...)
+	return append(binary.AppendUvarint(afterPreamble(nil), uint64(len(raw))), raw...)
 }
 
 // afterPreamble is what a new connection delivers when b follows its
@@ -175,8 +174,6 @@ func TestFrameRefusals(t *testing.T) {
 	badCRC := bytes.Clone(valid)
 	badCRC[len(badCRC)-1] ^= 1
 	trailing := resum(append(bytes.Clone(valid[:len(valid)-4]), 0, 0, 0, 0, 0))
-	flag2 := streamOf(valid)
-	flag2[len(preamble)+1] = 2
 
 	cases := []struct {
 		name   string
@@ -187,8 +184,7 @@ func TestFrameRefusals(t *testing.T) {
 		{name: "truncated body", stream: afterPreamble(big[:len(big)/2])},
 		{name: "trailing bytes", stream: streamOf(trailing)},
 		{name: "length prefix over the cap", stream: binary.AppendUvarint(afterPreamble(nil), maxFrameBytes+1)},
-		{name: "compression flag 2", stream: flag2},
-		{name: "declared length over 255x payload", stream: append(binary.AppendUvarint(afterPreamble(nil), 10), overdeclaredCompBody()...)},
+		{name: "empty body", stream: streamOf(nil)},
 		{name: "unsorted section keys", stream: withSection("\x02" + pair("b") + pair("a"))},
 		{name: "repeated section key", stream: withSection("\x02" + pair("a") + pair("a"))},
 		{name: "part id outside [0,P)", parts: 4, stream: streamOf(frameBody(t, encodeBinary(t,
@@ -372,7 +368,7 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	}
 	stray.Stop()
 	pool := newShufflePool(1)
-	if _, _, _, err := pool.fetchPartition(other.Addr().String(), "wc#1", 0, []int{0}, 5*time.Second); err == nil || !strings.Contains(err.Error(), wantErr) {
+	if _, _, err := pool.fetchPartition(other.Addr().String(), "wc#1", 0, []int{0}, 5*time.Second); err == nil || !strings.Contains(err.Error(), wantErr) {
 		t.Errorf("fetch from another version = %v, want an error saying %q", err, wantErr)
 	}
 	pool.closeAll()

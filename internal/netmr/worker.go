@@ -391,14 +391,14 @@ func (w *Worker) mapShard(spec *taskSpec, run, trace string, decode time.Duratio
 	// bytes this keeps off the master are the whole point.
 	parts := runShardPartitioned(job, spec.Records, w.scratch, w.reducers, clock)
 	putStart := time.Now()
-	spills, spilled, saved, perr := w.store.put(run, taskID, parts, w.reducers)
+	spills, spilled, perr := w.store.put(run, taskID, parts, w.reducers)
 	if perr != nil && !errors.Is(perr, errRunLeft) {
 		// Spill failure leaves the set resident — correct, just over
 		// budget; the job proceeds. A refused put is a finished run's.
 		workerSpillErrors.Inc()
 	}
 	reply = message{Type: "mapdone", TaskID: taskID, Attempt: spec.Attempt, Run: run, Trace: trace,
-		Parts: parts, Spills: spills, Spilled: spilled, CompBytes: saved}
+		Parts: parts, Spills: spills, Spilled: spilled}
 	if spills > 0 {
 		workerSpillRuns.Add(float64(spills))
 		workerSpilledBytes.Add(float64(spilled))
