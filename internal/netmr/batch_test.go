@@ -25,7 +25,7 @@ func dispatchBatches(t *testing.T, records []string, shards, workers int) [][]in
 		m.idle <- &workerHandle{id: string(rune('a' + i))}
 	}
 	var stats Stats
-	r := m.newJobRun("wordcount", wordCountJob(), records, shards, &stats)
+	r := m.newJobRun("wordcount", records, shards, &stats)
 	var batches [][]int
 	r.maps.launch = func(w *workerHandle, batch []shardTask, _ []int) {
 		ids := make([]int, len(batch))
@@ -86,7 +86,7 @@ func TestDispatchSendsClonesAndRetriesAlone(t *testing.T) {
 	}
 	m.count.Store(2)
 	var stats Stats
-	r := m.newJobRun("wordcount", wordCountJob(), testLines(t, 80), 8, &stats)
+	r := m.newJobRun("wordcount", testLines(t, 80), 8, &stats)
 	var batches [][]int
 	r.maps.launch = func(_ *workerHandle, batch []shardTask, _ []int) {
 		ids := make([]int, len(batch))
@@ -171,11 +171,13 @@ func settled(t *testing.T, goroutines, fds int) {
 	}
 }
 
-// TestBatchPushFaultsShipInline: a batch pushes its partition sets to the
-// replica peer in one exchange. A set the peer refuses, and every set the
-// peer never answered because it died partway through, rides its mapdone
-// inline; the sets it acked are named replicated. Nothing leaks.
-func TestBatchPushFaultsShipInline(t *testing.T) {
+// TestBatchPushFaultsAnswerUnreplicated: a batch pushes its partition sets
+// to the replica peer in one exchange. A set the peer refuses, and every
+// set the peer never answered because it died partway through, is
+// answered by a mapdone that names no replica and carries nothing, its
+// output whole in the mapper's store; the sets it acked are named
+// replicated. Nothing leaks.
+func TestBatchPushFaultsAnswerUnreplicated(t *testing.T) {
 	lines := testLines(t, 40)
 	specs := make([]taskSpec, 4)
 	for i := range specs {
@@ -214,12 +216,18 @@ func TestBatchPushFaultsShipInline(t *testing.T) {
 				if err != nil || reply.Type != "mapdone" || reply.TaskID != i {
 					t.Fatalf("answer %d: %+v, %v; want shard %d's mapdone", i, reply, err, i)
 				}
+				wantRep := ""
 				if tc.replicated[i] {
-					if reply.Rep != peer || reply.Parts != nil {
-						t.Errorf("shard %d: Rep %q with %d inline parts; want it replicated to %s", i, reply.Rep, len(reply.Parts), peer)
-					}
-				} else if want := runShard(wordCountJob(), spec.Records, new(shardScratch)); reply.Rep != "" || !reflect.DeepEqual(flatten(reply.Parts), want) {
-					t.Errorf("shard %d: Rep %q, inline %v; want its output inline", i, reply.Rep, flatten(reply.Parts))
+					wantRep = peer
+				}
+				if reply.Rep != wantRep || reply.Parts != nil {
+					t.Errorf("shard %d: Rep %q with %d inline parts; want Rep %q and nothing inline", i, reply.Rep, len(reply.Parts), wantRep)
+				}
+				w.store.mu.Lock()
+				st := w.store.tasks[i]
+				w.store.mu.Unlock()
+				if st == nil || !reflect.DeepEqual(flatten(st.parts), runShard(wordCountJob(), spec.Records, new(shardScratch))) {
+					t.Errorf("shard %d: the mapper's store does not hold its output", i)
 				}
 			}
 			_ = c.close()
@@ -233,8 +241,8 @@ func TestBatchPushFaultsShipInline(t *testing.T) {
 
 // TestBatchReplicaPeerFaultsKeepOutput: on a cluster one of whose workers
 // replicates to a peer that refuses some sets, or dies partway through a
-// batch's push, those shards' outputs ride inline to the master and the
-// job's output still equals the local reference. Nothing leaks.
+// batch's push, those shards' outputs live in their mapper's store alone
+// and the job's output still equals the local reference. Nothing leaks.
 func TestBatchReplicaPeerFaultsKeepOutput(t *testing.T) {
 	lines := testLines(t, 400)
 	want := runShard(wordCountJob(), lines, new(shardScratch))

@@ -35,13 +35,12 @@ const frameHeadroom = len(preamble) + binary.MaxVarintLen64
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // frameTypes maps message type strings to their wire bytes. 0 is
-// reserved so a zeroed buffer never looks like a valid frame; 9 is
-// retired (the presult frame v1 had) and stays unassigned; 18, the chunk
-// frame, came with v4.
+// reserved so a zeroed buffer never looks like a valid frame; 3 (the
+// single-shard task frame, until v5) and 9 (the presult frame v1 had) are
+// retired and stay unassigned; 18, the chunk frame, came with v4.
 var frameTypes = map[string]byte{
 	"hello":       1,
 	"helloack":    2,
-	"task":        3,
 	"result":      4,
 	"error":       5,
 	"ping":        6,
@@ -109,11 +108,11 @@ func sizeStrings(ss []string) int {
 }
 
 // frameSizeHint is the encoded size of what a frame of m copies in bulk —
-// records, batch, sections under refMin — plus room for the small fields
-// of an ordinary frame, so the encode buffer is allocated once.
+// batch, sections under refMin — plus room for the small fields of an
+// ordinary frame, so the encode buffer is allocated once.
 func frameSizeHint(m *message, refMin int) int {
 	const v = binary.MaxVarintLen64
-	n := frameHeadroom + 1024 + sizeStrings(m.Records)
+	n := frameHeadroom + 1024
 	if len(m.Folded) < refMin {
 		n += len(m.Folded)
 	}
@@ -169,7 +168,6 @@ func (e *frameEnc) encode(m *message, lead []byte, refMin int) (net.Buffers, err
 	b = appendString(b, m.Job)
 	b = binary.AppendVarint(b, int64(m.TaskID))
 	b = binary.AppendVarint(b, int64(m.Attempt))
-	b = appendStrings(b, m.Records)
 	b = e.section(b, m.Folded, refMin)
 	b = appendStrings(b, m.Jobs)
 	b = appendString(b, m.Message)
@@ -388,7 +386,7 @@ func (r *frameReader) locs() ([]fetchLoc, error) {
 	return out, nil
 }
 
-// decodeFrame parses one checksummed frame body into m, reusing m.Records' and m.Batch's
+// decodeFrame parses one checksummed frame body into m, reusing m.Batch's
 // backing arrays when the caller passes them back in. All other slice
 // fields are freshly allocated (results outlive the next recv on the
 // master); sections — Parts and Folded — are checked by one walk each
@@ -406,7 +404,7 @@ func decodeFrame(body []byte, m *message) error {
 	if got := crc32.Checksum(payload, crcTable); got != sum {
 		return fmt.Errorf("netmr: frame checksum mismatch (got %08x, want %08x)", got, sum)
 	}
-	recs, batch := m.Records, m.Batch
+	batch := m.Batch
 	*m = message{}
 	// The one unsafe conversion: payload is non-empty (checked above) and,
 	// by the ownership rule, immutable from here on.
@@ -429,9 +427,6 @@ func decodeFrame(body []byte, m *message) error {
 		return err
 	}
 	if m.Attempt, err = r.int(); err != nil {
-		return err
-	}
-	if m.Records, err = r.strings(recs); err != nil {
 		return err
 	}
 	if m.Folded, err = r.section(); err != nil {

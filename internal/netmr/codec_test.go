@@ -26,8 +26,8 @@ func codecMessages() []message {
 		{Type: "hello", ID: "127.0.0.1:5555", Jobs: []string{"a", "b"}},
 		{Type: "helloack"},
 		{Type: "helloack", Reducers: 8},
-		{Type: "task", Job: "wordcount", TaskID: 3, Attempt: 1, Records: []string{"the quick", "brown fox", ""}},
-		{Type: "task", Job: "", TaskID: -7, Attempt: 0, Records: []string{strings.Repeat("x", 4096)}},
+		{Type: "taskbatch", Batch: []taskSpec{{Job: "wordcount", TaskID: 3, Attempt: 1, Records: []string{"the quick", "brown fox", ""}}}},
+		{Type: "taskbatch", Batch: []taskSpec{{Job: "", TaskID: -7, Attempt: 0, Records: []string{strings.Repeat("x", 4096)}}}},
 		{Type: "result", TaskID: 12, Attempt: 2, Folded: sectionFromMap(map[string]float64{
 			"alpha": 1, "beta": -2.5, "": 3.25, "πκλ": 1e-300, "big": math.MaxFloat64,
 		})},
@@ -37,25 +37,23 @@ func codecMessages() []message {
 			{Job: "wc", TaskID: 5, Attempt: 2, Records: nil},
 			{Job: "other", TaskID: -1, Records: []string{"a", "b", "c"}},
 		}},
-		{Type: "mapdone", TaskID: 7, Attempt: 1, Run: "wc#2", Parts: []partitionPartial{
+		{Type: "replicate", TaskID: 7, Run: "wc#2", Reducers: 4, Parts: []partitionPartial{
 			{ID: 0, Partial: sectionFromMap(map[string]float64{"alpha": 2, "": -1})},
 			{ID: 3, Partial: sectionFromMap(map[string]float64{"πκλ": 1e-300})},
 		}},
-		{Type: "mapdone", TaskID: -2, Parts: []partitionPartial{
+		{Type: "replicate", TaskID: -2, Parts: []partitionPartial{
 			{ID: 1, Partial: ""},
 		}},
-		{Type: "task", Job: "wc", TaskID: 1, Records: []string{"traced"}, Trace: "wc-3"},
+		{Type: "taskbatch", Batch: []taskSpec{{Job: "wc", TaskID: 1, Records: []string{"traced"}}}, Trace: "wc-3"},
 		{Type: "result", TaskID: 4, Attempt: 1, Folded: sectionFromMap(map[string]float64{"k": 2}), Trace: "wc-3", Spans: []spanSummary{
 			{Phase: "decode", Start: 0, End: 0.001},
 			{Phase: "map", Start: 0.001, End: 0.25},
 			{Phase: "", Start: -1.5, End: math.MaxFloat64},
 		}},
-		{Type: "mapdone", TaskID: 7, Trace: "", Spans: []spanSummary{{Phase: "encode", Start: 1, End: 1}}, Parts: []partitionPartial{
-			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
-		}},
+		{Type: "mapdone", TaskID: 7, Trace: "", Spans: []spanSummary{{Phase: "encode", Start: 1, End: 1}}, Rep: "127.0.0.1:7002"},
 		{Type: "hello", ID: "127.0.0.1:5556", Jobs: []string{"wc"}, Fetch: "127.0.0.1:7001"},
 		{Type: "helloack", Reducers: 4, ShuffleMs: 30000},
-		{Type: "task", Job: "wc", TaskID: 2, Records: []string{"persist me"}, Run: "wc#1"},
+		{Type: "taskbatch", Batch: []taskSpec{{Job: "wc", TaskID: 2, Records: []string{"persist me"}}}, Run: "wc#1"},
 		{Type: "mapdone", TaskID: 2, Attempt: 1, Run: "wc#1"},
 		{Type: "reducetask", Job: "wc", TaskID: 1, Attempt: 0, Run: "wc#1",
 			Locs: []fetchLoc{
@@ -63,7 +61,7 @@ func codecMessages() []message {
 				{Addr: "127.0.0.1:7002", Tasks: []int{1}},
 				{Addr: "", Tasks: nil},
 			},
-			Parts: []partitionPartial{{ID: 3, Partial: sectionFromMap(map[string]float64{"inline": 1})}}},
+			Total: 3},
 		{Type: "fetch", Run: "wc#1", TaskID: 0, Tasks: []int{0, 1, 2, -5}},
 		{Type: "fetchresult", TaskID: 0, Parts: []partitionPartial{
 			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1})},
@@ -75,9 +73,8 @@ func codecMessages() []message {
 			Reps:  []fetchLoc{{Addr: "127.0.0.1:7003", Tasks: []int{0}}, {Addr: "", Tasks: nil}},
 			Total: 8},
 		{Type: "morelocs", Run: "wc#2", TaskID: 3,
-			Locs:  []fetchLoc{{Addr: "127.0.0.1:7002", Tasks: []int{5}}},
-			Reps:  []fetchLoc{{Addr: "127.0.0.1:7004", Tasks: []int{5}}},
-			Parts: []partitionPartial{{ID: 6, Partial: ""}}},
+			Locs: []fetchLoc{{Addr: "127.0.0.1:7002", Tasks: []int{5}}},
+			Reps: []fetchLoc{{Addr: "127.0.0.1:7004", Tasks: []int{5}}}},
 		{Type: "morelocs", Run: "wc#2", TaskID: 1, Message: "abort"},
 		{Type: "result", TaskID: 2, Attempt: 1, Folded: sectionFromMap(map[string]float64{"f": 1}), Bytes: 77, Failovers: 3},
 		{Type: "release", Run: "wc#2"},
@@ -123,9 +120,6 @@ func decodeBinary(t *testing.T, frame []byte) message {
 // normalize maps a hand-written message's empty slices onto the
 // decoder's nil convention so the two can be DeepEqual'd.
 func normalize(m message) message {
-	if len(m.Records) == 0 {
-		m.Records = nil
-	}
 	if len(m.Jobs) == 0 {
 		m.Jobs = nil
 	}
@@ -299,7 +293,7 @@ func TestBatchedDispatch(t *testing.T) {
 	var frames []string // "<type>/<specs>", as received
 	for _, id := range []string{"w0", "w1"} {
 		rogueServe(t, addr, id, func(_ *Worker, _ *conn, m message) (bool, bool) {
-			if m.Type == "task" || m.Type == "taskbatch" {
+			if m.Type == "taskbatch" {
 				mu.Lock()
 				frames = append(frames, fmt.Sprintf("%s/%d", m.Type, len(m.Batch)))
 				mu.Unlock()

@@ -33,14 +33,15 @@ func seedVariants(body []byte) [][]byte {
 }
 
 // partitionedSeeds are the shapes FuzzDecodePartitionedResult starts
-// from: mapdone frames carrying a map task's partition set inline.
+// from: replicate frames carrying a map task's partition set to its
+// replica peer, and the bare mapdone that answers the task.
 func partitionedSeeds() []message {
 	return []message{
-		{Type: "mapdone", TaskID: 1, Attempt: 1, Run: "wc#1", Parts: []partitionPartial{
+		{Type: "replicate", TaskID: 1, Run: "wc#1", Reducers: 3, Parts: []partitionPartial{
 			{ID: 0, Partial: sectionFromMap(map[string]float64{"a": 1, "b": 2})},
 			{ID: 2, Partial: sectionFromMap(map[string]float64{"c": -3.5})},
 		}},
-		{Type: "mapdone", TaskID: 0, Run: "wc#1", Parts: []partitionPartial{{ID: 7}}},
+		{Type: "replicate", TaskID: 0, Run: "wc#1", Parts: []partitionPartial{{ID: 7}}},
 		{Type: "mapdone"},
 	}
 }
@@ -56,9 +57,9 @@ func spanSeeds() []message {
 		}},
 		{Type: "mapdone", TaskID: 3, Trace: "j-9", Spans: []spanSummary{
 			{Phase: "partition", Start: 0.1, End: 0.2},
-		}, Parts: []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"k": 1})}}},
+		}, Rep: "127.0.0.1:7002"},
 		{Type: "result", TaskID: 2, Trace: "", Spans: nil},
-		{Type: "task", Job: "wc", TaskID: 0, Records: []string{"r"}, Trace: "wc-2"},
+		{Type: "taskbatch", Batch: []taskSpec{{Job: "wc", TaskID: 0, Records: []string{"r"}}}, Trace: "wc-2"},
 	}
 }
 
@@ -71,7 +72,7 @@ func reduceFrameSeeds() []message {
 				{Addr: "127.0.0.1:7001", Tasks: []int{0, 2}},
 				{Addr: "127.0.0.1:7002", Tasks: []int{1}},
 			},
-			Parts: []partitionPartial{{ID: 3, Partial: sectionFromMap(map[string]float64{"inline": 1})}}},
+			Reps: []fetchLoc{{Addr: "127.0.0.1:7003", Tasks: []int{0, 1, 2}}}, Total: 4},
 		{Type: "reducetask", Job: "", TaskID: -1, Run: "", Locs: []fetchLoc{{Addr: "", Tasks: nil}}},
 		{Type: "fetch", Run: "wc#1", TaskID: 0, Tasks: []int{0, 1, 2}},
 		{Type: "fetch", Run: "", TaskID: -9, Tasks: nil},
@@ -96,12 +97,11 @@ func shuffleFrameSeeds() []message {
 		big["the-quick-brown-fox-"+strings.Repeat("x", i%29)+string(rune('a'+i%26))] = float64(i)
 	}
 	return []message{
-		{Type: "task", Job: "wc", TaskID: 3, Records: []string{"a b", "b c"},
+		{Type: "taskbatch", Batch: []taskSpec{{Job: "wc", TaskID: 3, Records: []string{"a b", "b c"}}},
 			Run: "wc#1", Rep: "127.0.0.1:7009"},
 		{Type: "mapdone", TaskID: 3, Attempt: 1, Run: "wc#1",
 			Rep: "127.0.0.1:7009", Spills: 2, Spilled: 4096},
-		{Type: "mapdone", TaskID: 4, Run: "wc#1",
-			Parts: []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"inline": 1})}}},
+		{Type: "mapdone", TaskID: 4, Run: "wc#1"},
 		{Type: "reducetask", Job: "wc", TaskID: 1, Run: "wc#1",
 			Locs: []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{0, 2}}}},
 		{Type: "replicate", Run: "wc#1", TaskID: 2, Reducers: 4,
@@ -234,8 +234,8 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // The three targets below are FuzzDecodeFrame started from one family of
-// seeds each: mapdone partition sets, traced frames, the reduce phase's
-// frames.
+// seeds each: replicated partition sets, traced frames, the reduce
+// phase's frames.
 // They stay as named replays of their committed corpora.
 
 func FuzzDecodePartitionedResult(f *testing.F) {
@@ -257,22 +257,16 @@ func FuzzDecodeReduceFrame(f *testing.F) {
 // conn.recv: preamble check, length prefix and its cap, checksum, decode
 // — arbitrary bytes: it must refuse or decode, never panic, and a frame it
 // accepts must re-encode and round-trip to the same message. (The name is
-// the v4 wire's, whose bulk frames could travel compressed.) A stream that
-// declares more body than it holds, up to the cap, is skipped: recv sizes
-// its buffer by the declaration, TestFrameRefusals bounds that, and the
-// fuzzer need not pay it per input.
+// the v4 wire's, whose bulk frames could travel compressed.)
 func FuzzDecodeCompressedFrame(f *testing.F) {
 	for _, stream := range fuzzCorpora(f)["FuzzDecodeCompressedFrame"] {
 		f.Add(stream)
 	}
 	f.Add(binary.AppendUvarint(afterPreamble(nil), maxFrameBytes+1))
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		frame := stream[min(len(stream), len(preamble)):]
-		n, k := binary.Uvarint(frame)
-		if k > 0 && n <= maxFrameBytes && n > uint64(len(frame)-k) {
-			return
-		}
 		if _, _, err := recvStream(stream); err == nil {
+			frame := stream[len(preamble):]
+			n, k := binary.Uvarint(frame)
 			fuzzDecode(t, frame[k:][:n])
 		}
 	})
@@ -365,19 +359,11 @@ func spillBlockSeeds(t testing.TB) map[string][]byte {
 }
 
 // spillBlockWalk streams data back as a run file (tagged) or a spilled
-// section and returns the bytes of the records it yielded.
-func spillBlockWalk(t testing.TB, data []byte, tagged bool) (int, error) {
-	t.Helper()
-	name := filepath.Join(t.TempDir(), "blocks")
-	if err := os.WriteFile(name, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	src := &mergeSource{blocks: &blockReader{f: f, end: int64(len(data))}, tagged: tagged}
+// section, read from memory, and returns the bytes of the records it
+// yielded.
+func spillBlockWalk(data []byte, tagged bool) (int, error) {
+	blocks := &blockReader{f: bytes.NewReader(data), name: "blocks", end: int64(len(data))}
+	src := &mergeSource{blocks: blocks, tagged: tagged}
 	for n := 0; ; n += len(src.key) + 8 {
 		if err := src.advance(); err != nil || !src.live {
 			return n, err
@@ -392,7 +378,7 @@ func TestSpillBlockRejectsDamage(t *testing.T) {
 	for name, data := range spillBlockSeeds(t) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		n, err := spillBlockWalk(t, data, false)
+		n, err := spillBlockWalk(data, false)
 		runtime.ReadMemStats(&after)
 		if name == "whole" {
 			if want := 40*4 + 900*23 + 940*8; err != nil || n != want {
@@ -417,7 +403,7 @@ func FuzzSpillBlock(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, tagged := range []bool{false, true} {
-			if n, _ := spillBlockWalk(t, data, tagged); n > len(data) {
+			if n, _ := spillBlockWalk(data, tagged); n > len(data) {
 				t.Fatalf("%d record bytes from a %d-byte file", n, len(data))
 			}
 		}

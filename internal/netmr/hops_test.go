@@ -116,8 +116,8 @@ func answerBatch(t *testing.T, lines []string, rep string) ([]taskSpec, []messag
 
 // TestReplicaPushAnsweredInOneWrite: a four-shard answer's push reaches
 // the mapper as one write of the peer, whether the peer stores every set
-// or refuses them all because it has left the run; refused sets ride
-// their mapdones inline.
+// or refuses them all because it has left the run; the mapdones of
+// refused sets name no replica, and no mapdone carries a set.
 func TestReplicaPushAnsweredInOneWrite(t *testing.T) {
 	lines := testLines(t, 40)
 	for _, tc := range []struct {
@@ -145,10 +145,12 @@ func TestReplicaPushAnsweredInOneWrite(t *testing.T) {
 				switch {
 				case d.Type != "mapdone" || d.TaskID != i:
 					t.Errorf("answer %d: %q for task %d", i, d.Type, d.TaskID)
-				case !tc.runLeft && (d.Rep != addr || d.Parts != nil):
-					t.Errorf("shard %d: Rep %q, %d inline parts; want it replicated", i, d.Rep, len(d.Parts))
-				case tc.runLeft && (d.Rep != "" || !reflect.DeepEqual(flatten(d.Parts), runShard(wordCountJob(), specs[i].Records, new(shardScratch)))):
-					t.Errorf("shard %d: Rep %q, inline %v; want its output inline", i, d.Rep, flatten(d.Parts))
+				case d.Parts != nil:
+					t.Errorf("shard %d: %d inline parts; want none", i, len(d.Parts))
+				case !tc.runLeft && d.Rep != addr:
+					t.Errorf("shard %d: Rep %q; want it replicated to %s", i, d.Rep, addr)
+				case tc.runLeft && d.Rep != "":
+					t.Errorf("shard %d: Rep %q; want no replica named", i, d.Rep)
 				}
 			}
 			want := float64(len(specs))
@@ -224,7 +226,7 @@ func reduceOverPipe(t *testing.T, updates []message, tasks int, reply message) (
 		t.Fatal(err)
 	}
 	var stats Stats
-	r := m.newJobRun("wordcount", wordCountJob(), testLines(t, 40), tasks, &stats)
+	r := m.newJobRun("wordcount", testLines(t, 40), tasks, &stats)
 	stream := make(chan message, len(updates))
 	for _, u := range updates {
 		stream <- u
@@ -234,7 +236,7 @@ func reduceOverPipe(t *testing.T, updates []message, tasks int, reply message) (
 	defer master.Close()
 	defer worker.Close()
 	go r.dispatchReduce(&workerHandle{id: "fake", c: newConn(master)}, shardTask{id: 0, ph: r.reduces},
-		message{Type: "reducetask", Job: "wordcount", Run: r.runID, Total: tasks}, -1, stream)
+		message{Type: "reducetask", Job: "wordcount", Run: r.runID, Total: tasks}, -1, &locStream{updates: stream})
 	c := newConn(worker)
 	if first, err := c.recv(5 * time.Second); err != nil || first.Type != "reducetask" {
 		t.Fatalf("first frame %+v, %v; want the reducetask", first, err)
@@ -322,7 +324,7 @@ func TestReportsApplyBeforeDispatch(t *testing.T) {
 		m.idle <- &workerHandle{id: "a"}
 		m.idle <- &workerHandle{id: "b"}
 		var stats Stats
-		r := m.newJobRun("wordcount", wordCountJob(), testLines(t, 80), 8, &stats)
+		r := m.newJobRun("wordcount", testLines(t, 80), 8, &stats)
 		r.maps.launch = func(w *workerHandle, batch []shardTask, _ []int) {
 			for _, task := range batch {
 				r.results <- launchDone{task: task, fetchAddr: w.id, launch: -1}
@@ -357,7 +359,7 @@ func TestMapLaunchReportsBeforeRejoining(t *testing.T) {
 	}
 	m.idle = make(chan *workerHandle)
 	var stats Stats
-	r := m.newJobRun("wordcount", wordCountJob(), testLines(t, 40), 2, &stats)
+	r := m.newJobRun("wordcount", testLines(t, 40), 2, &stats)
 	r.results = make(chan launchDone)
 	master, worker := net.Pipe()
 	defer master.Close()

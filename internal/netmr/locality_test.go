@@ -382,7 +382,7 @@ func blockStarts(t *testing.T, w *Worker, task, p int) (f *os.File, starts []int
 			t.Fatal(err)
 		}
 	}
-	return r.f, starts
+	return w.store.tasks[task].spill.f, starts
 }
 
 // flipByteAt flips one bit of f's byte at off; a second call restores it.
@@ -416,7 +416,7 @@ func spillFilesLeft(t *testing.T, dir string) int {
 // damaged output from the replica holder the frame named, each a counted
 // failover beside the re-gather's own, and the output is the healthy
 // one. With no replica named the task fails, naming the reducer's own
-// address for the master's lineage.
+// address for the master to plan around.
 func TestDamagedLocalCopyIsRerouted(t *testing.T) {
 	const run, R = "wc#1", 2
 	sets := streamSets(R)

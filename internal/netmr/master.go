@@ -166,7 +166,7 @@ type WorkerStats struct {
 type Stats struct {
 	Workers       int           // workers used at job start
 	Shards        int           // split-phase tasks
-	Completed     int           // map shards that delivered a result
+	Completed     int           // map shards whose result is stored
 	Reassignments int           // map and reduce tasks requeued (with backoff) after a launch failure
 	Speculations  int           // speculative clones launched for straggling map or reduce tasks
 	SpecWins      int           // map and reduce tasks won by a speculative clone
@@ -180,7 +180,7 @@ type Stats struct {
 	// Reduce accounts.
 	Reducers         int           // reduce tasks the run distributed (R)
 	ReduceTasks      int           // reduce tasks that delivered a partition result
-	MapOutputsStored int           // winning map outputs persisted worker-side for peer fetches
+	MapOutputsStored int           // winning map outputs persisted worker-side for peer fetches, a lost output's re-run too
 	ShuffleBytes     int64         // intermediate bytes reducers fetched over a socket (reads from a reducer's own store count nothing)
 	ReduceWall       time.Duration // barrier to last reduce result (Run: with the union overlapping it)
 
@@ -289,8 +289,8 @@ func (m *Master) liveAddrs() []string {
 // wrapping (a replica on the primary's disk would die with it). The
 // ring spreads replica bytes evenly, so every reducer finds its own
 // output and its predecessor's replica, 2/n of its partition, in its
-// own store. Empty when the mapper is the only live worker — the master
-// then holds the fallback copy inline on the mapdone frame.
+// own store. Empty when the mapper is the only live worker: its output
+// then lives in its store alone.
 func (m *Master) pickReplicaAddr(self string) string {
 	addrs := m.liveAddrs()
 	at := sort.SearchStrings(addrs, self)
@@ -302,9 +302,9 @@ func (m *Master) pickReplicaAddr(self string) string {
 	return ""
 }
 
-// NewMaster builds a master able to run jobs from the registry (the
-// master re-executes a lost map output from lineage, so it needs the
-// jobs too).
+// NewMaster builds a master able to run jobs from the registry. It only
+// checks a Run's job name there: the workers run the job's functions, a
+// lost map output included.
 func NewMaster(registry *Registry, cfg MasterConfig) (*Master, error) {
 	if registry == nil || len(registry.jobs) == 0 {
 		return nil, errors.New("netmr: master needs a non-empty registry")
@@ -541,13 +541,11 @@ func (l *perWorkerLedger) snapshot() []WorkerStats {
 
 // launchDone is a successful launch's report back to the scheduling loop:
 // a map task's persisted output (mapdone — the payload stayed on the
-// worker, whose shuffle address rides along, parts then being the copy
-// the master holds for a mapper that could not replicate), or the end of
-// a reduce task's output stream, whose chunks are in the run's outputs
-// already, with bytes carrying the shuffle volume the reducer reported.
+// worker, whose shuffle address rides along), or the end of a reduce
+// task's output stream, whose chunks are in the run's outputs already,
+// with bytes carrying the shuffle volume the reducer reported.
 type launchDone struct {
 	task      shardTask
-	parts     []partitionPartial
 	fetchAddr string
 	repAddr   string // peer holding the replica of a stored output ("" = none)
 	bytes     int64
@@ -621,8 +619,7 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
-	job, ok := m.registry.lookup(jobName)
-	if !ok {
+	if _, ok := m.registry.lookup(jobName); !ok {
 		return nil, Stats{}, fmt.Errorf("netmr: unknown job %q", jobName)
 	}
 	if shards < 1 {
@@ -635,7 +632,7 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	if stats.Workers == 0 {
 		return nil, Stats{}, errors.New("netmr: no workers connected")
 	}
-	r := m.newJobRun(jobName, job, records, shards, &stats)
+	r := m.newJobRun(jobName, records, shards, &stats)
 	defer func() { stats.PerWorker = r.ledger.snapshot() }()
 	defer r.release() // every error exit; a successful run released already
 
@@ -694,13 +691,12 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	return &Result{parts: r.out.chunks}, stats, nil
 }
 
-// jobRun is one Run's state: the job and its input, the stats, trace and
-// per-worker ledger, the task graph the scheduling loop runs, and the
+// jobRun is one Run's state: the job's name and input, the stats, trace
+// and per-worker ledger, the task graph the scheduling loop runs, and the
 // shuffle's routing state.
 type jobRun struct {
 	m       *Master
 	name    string
-	job     Job
 	runID   string // keys the run's intermediate output on the workers
 	records []string
 	shards  int
@@ -709,36 +705,29 @@ type jobRun struct {
 	trc     *JobTrace // nil when the run is untraced
 
 	// The task graph: its two phases, where every launch of either
-	// reports, and the window walls — the barrier is the last accepted map
-	// output, zero before it.
+	// reports, and the window walls — the barrier is the map output
+	// accepted when no other map task was pending, zero before it.
 	maps, reduces       *phase
 	results             chan launchDone
 	fails               chan launchFail
 	start, barrier      time.Time
 	mapSpan, reduceSpan *obs.Span
 
-	// Whose shuffle listener holds each winning map output (mapLocs),
-	// where its peer replica lives (replicaLocs), and the master-held
-	// copies of outputs whose mapper could not replicate — no eligible
-	// peer, or the push failed — which rode inline on the mapdone frame
-	// (replicaParts). Gather plans consult all three before resorting to
-	// map re-execution lineage.
-	mapLocs      map[int]string
-	replicaLocs  map[int]string
-	replicaParts map[int][]partitionPartial
-	out          *outputs      // the reduce partitions' output streams
-	over         atomic.Bool   // the run is released: its intermediates are gone
-	scratch      *shardScratch // lazy, only allocated if lineage re-execution happens
-	recoveryAt   time.Time     // first dispatch that routed around a lost intermediate
+	// Whose shuffle listener holds each located map output (mapLocs) and
+	// where its peer replica lives, when its mapper's push succeeded
+	// (replicaLocs). An output with neither alive is a map task to run
+	// again (reopen).
+	mapLocs     map[int]string
+	replicaLocs map[int]string
+	out         *outputs    // the reduce partitions' output streams
+	over        atomic.Bool // the run is released: its intermediates are gone
+	recoveryAt  time.Time   // first dispatch that routed around a lost intermediate
 
-	// streams holds the morelocs updates of each reduce launch still
-	// waiting on map outputs, buffered for every update it can get (one
-	// per map task, plus an abort). hold: a plan needed lineage
-	// re-execution, so reduce dispatch waits for the barrier. calledBack:
-	// the partitions whose launch was called back and has not reported.
-	streams    map[int]chan message
-	calledBack map[int]bool
-	hold       bool
+	// streams holds the location stream of each reduce launch still
+	// awaiting map outputs; calledBack the streams of the launches called
+	// back that have not reported.
+	streams    map[*locStream]bool
+	calledBack map[*locStream]bool
 }
 
 // shardRecords is shard id's slice of the input.
@@ -769,31 +758,24 @@ func (r *jobRun) mapPhase() *phase {
 	return ph
 }
 
-// dispatchMap ships one or several shards to a worker: a single shard in
-// its own task frame, several in one taskbatch frame. The Run stamp keys
-// the output the worker keeps, and Rep names it a replica peer — the next
-// live shuffle listener after its own — so its partitions survive the
-// worker; no eligible peer leaves Rep empty and the worker ships the copy
-// back inline instead. The worker answers one mapdone per shard in order,
-// several in one write when their shards ran quickly, and each is
-// reported individually, so a conn failure mid-batch fails exactly the
-// still-unacknowledged shards. Each shard has TaskTimeout: the first
-// answer may take the whole batch's.
+// dispatchMap ships one or several shards to a worker in one taskbatch
+// frame. The Run stamp keys the output the worker keeps, and Rep names it
+// a replica peer — the next live shuffle listener after its own — so its
+// partitions survive the worker; with no eligible peer Rep is empty and
+// the output lives in the worker's store alone. The worker answers one
+// mapdone per shard in order, several in one write when their shards ran
+// quickly, and each is reported individually, so a conn failure
+// mid-batch fails exactly the still-unacknowledged shards. Each shard has
+// TaskTimeout: the first answer may take the whole batch's.
 func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int) {
 	m := r.m
 	rep := m.pickReplicaAddr(w.fetch)
 	start := time.Now()
-	var err error
-	if len(tasks) == 1 {
-		t := tasks[0]
-		err = w.c.send(message{Type: "task", Job: r.name, TaskID: t.id, Attempt: t.attempts, Records: r.shardRecords(t.id), Run: r.runID, Rep: rep, Trace: r.trc.frameID()}, m.cfg.TaskTimeout)
-	} else {
-		specs := make([]taskSpec, len(tasks))
-		for i, t := range tasks {
-			specs[i] = taskSpec{Job: r.name, TaskID: t.id, Attempt: t.attempts, Records: r.shardRecords(t.id)}
-		}
-		err = w.c.send(message{Type: "taskbatch", Batch: specs, Run: r.runID, Rep: rep, Trace: r.trc.frameID()}, m.cfg.TaskTimeout)
+	specs := make([]taskSpec, len(tasks))
+	for i, t := range tasks {
+		specs[i] = taskSpec{Job: r.name, TaskID: t.id, Attempt: t.attempts, Records: r.shardRecords(t.id)}
 	}
+	err := w.c.send(message{Type: "taskbatch", Batch: specs, Run: r.runID, Rep: rep, Trace: r.trc.frameID()}, m.cfg.TaskTimeout)
 	dones := make([]launchDone, 0, len(tasks))
 	var spans [][]spanSummary // per answer, traced runs only
 	// book reports the answers read since the last call, which left the
@@ -830,17 +812,11 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int)
 		if err == nil && (reply.Type != "mapdone" || reply.TaskID != t.id) {
 			err = fmt.Errorf("netmr: worker %s answered shard %d with %q (task %d)", w.id, t.id, reply.Type, reply.TaskID)
 		}
-		if err == nil {
-			// The gather planner indexes the part ids a mapdone carries
-			// when its mapper had no peer to replicate to, so none reaches
-			// it unchecked.
-			err = validateParts(reply.Parts, m.cfg.Reducers)
-		}
 		if err != nil {
 			break
 		}
 		dones = append(dones, launchDone{
-			task: t, parts: reply.Parts, fetchAddr: w.fetch,
+			task: t, fetchAddr: w.fetch,
 			repAddr: reply.Rep, spills: reply.Spills, spilled: reply.Spilled,
 			launch: launchOf(launches, len(dones)),
 		})
@@ -869,18 +845,6 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int)
 			elapsed = 0 // the round-trip is charged once
 		}
 	}
-}
-
-// validateParts rejects a partition set whose ids fall outside [0, n):
-// routing an attacker- or corruption-supplied id would index out of
-// range, so a bad frame fails the launch instead.
-func validateParts(parts []partitionPartial, n int) error {
-	for _, p := range parts {
-		if p.ID < 0 || p.ID >= n {
-			return fmt.Errorf("netmr: partition id %d outside [0,%d)", p.ID, n)
-		}
-	}
-	return nil
 }
 
 // lost books a launch its worker failed: charged to the worker as a

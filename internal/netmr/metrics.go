@@ -95,7 +95,7 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 		replicaFetches: r.Counter("netmr_replica_fetches_total",
 			"Fetch routings redirected to a replica after the primary holder died."),
 		mapReexecs: r.Counter("netmr_map_reexecutions_total",
-			"Map tasks re-executed from lineage after both the primary and its replica were lost."),
+			"Map tasks queued to run again on a worker after the primary and the replica of their output were both lost."),
 		recoverySeconds: r.Histogram("netmr_recovery_seconds",
 			"Wall time from first detected intermediate loss to reduce-phase completion.", nil),
 		earlyLaunches: r.Counter("netmr_early_reduce_launches_total",

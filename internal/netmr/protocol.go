@@ -34,6 +34,7 @@ import (
 	"math/bits"
 	"net"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -46,9 +47,10 @@ import (
 // versions that met. A field can be added without a bump only as
 // DESIGN.md §6 describes: tagged, optional, skipped by a decoder that
 // does not know the tag. v3 added the release frame, v4 the chunk frame
-// a reducer streams its output in, and v5 dropped the flag byte in front
-// of every body and the CompBytes field.
-const protocolVersion = 5
+// a reducer streams its output in, v5 dropped the flag byte in front of
+// every body and the CompBytes field, and v6 retired the task frame (a
+// single shard travels as a taskbatch of one) and its Records field.
+const protocolVersion = 6
 
 // preamble opens every connection in both directions.
 var preamble = [4]byte{'N', 'M', 'R', protocolVersion}
@@ -67,22 +69,21 @@ func checkPreamble(p [4]byte) error {
 // message is the single wire frame (codec.go). Every frame carries every
 // field; the comments name the frame types that set each.
 type message struct {
-	Type    string             // hello | helloack | task | taskbatch | mapdone | reducetask | morelocs | chunk | result | error | ping | pong | fetch | fetchresult | replicate | replicack | release
+	Type    string             // hello | helloack | taskbatch | mapdone | reducetask | morelocs | chunk | result | error | ping | pong | fetch | fetchresult | replicate | replicack | release
 	ID      string             // hello: worker identity
-	Job     string             // task | reducetask
-	TaskID  int                // task | mapdone | error: map task; reducetask | morelocs | chunk | result | fetch | fetchresult: reduce partition; replicate | replicack: map task
-	Attempt int                // task | reducetask and their replies: retry ordinal, 0-based
-	Records []string           // task
+	Job     string             // reducetask
+	TaskID  int                // mapdone | error: map task; reducetask | morelocs | chunk | result | fetch | fetchresult: reduce partition; replicate | replicack: map task
+	Attempt int                // reducetask and the replies to it and to a taskbatch: retry ordinal, 0-based
 	Folded  section            // chunk | result: one chunk of the reduce partition's folded output, the result frame's being the last
 	Jobs    []string           // hello
 	Message string             // error; morelocs: "abort"
-	Batch   []taskSpec         // taskbatch
-	Parts   []partitionPartial // mapdone | replicate: per-partition sections of one map task; reducetask | morelocs | fetchresult: per-map-task sections of one partition (ID is the map task id)
-	Trace   string             // task | taskbatch | reducetask: job trace ID, which asks for Spans; echoed on the reply
+	Batch   []taskSpec         // taskbatch: its shards, one or more
+	Parts   []partitionPartial // replicate: per-partition sections of one map task; fetchresult: per-map-task sections of one partition (ID is the map task id)
+	Trace   string             // taskbatch | reducetask: job trace ID, which asks for Spans; echoed on the reply
 	Spans   []spanSummary      // mapdone | result: worker-side phase spans
 
 	// Distributed reduce.
-	Run      string     // task | taskbatch | mapdone | reducetask | morelocs | fetch | replicate | release: run id intermediate output is keyed by
+	Run      string     // taskbatch | mapdone | reducetask | morelocs | fetch | replicate | release: run id intermediate output is keyed by
 	Reducers int        // helloack: reduce partition count R; replicate: the run's R
 	Fetch    string     // hello: worker's shuffle listener address; error (of a reduce task): the holder whose fetch failed
 	Bytes    int64      // result: intermediate bytes fetched over a socket; chunk: the partition's projected output bytes (first chunk only)
@@ -90,16 +91,16 @@ type message struct {
 	Locs     []fetchLoc // reducetask | morelocs: where winning map outputs are stored
 
 	// Out-of-core shuffle.
-	Rep       string // task | taskbatch: peer shuffle addr to replicate to; mapdone: addr actually replicated to
+	Rep       string // taskbatch: peer shuffle addr to replicate to; mapdone: addr actually replicated to
 	Spills    int    // mapdone | result: spill runs written while producing this output
 	Spilled   int64  // mapdone | result: bytes written to spill files
 	ShuffleMs int64  // helloack: shuffle timeout, milliseconds
 
 	// Pipelined shuffle. A reducetask names the run's map count as Total:
-	// the reducer gathers the initial Locs/Parts, then keeps receiving
-	// morelocs frames (same Run/TaskID, incremental Locs/Parts/Reps — or
-	// Message "abort") until it has covered Total map tasks. Total 0 means
-	// the frame names every map output.
+	// the reducer gathers the initial Locs, then keeps receiving morelocs
+	// frames (same Run/TaskID, incremental Locs/Reps — or Message "abort")
+	// until it has covered Total map tasks. Total 0 means the frame names
+	// every map output.
 	Total     int        // reducetask: map tasks the run produces; chunk | result: the chunk's place in the partition's output, from 0; replicate: the push's set count
 	Reps      []fetchLoc // reducetask | morelocs: replica shuffle addrs per map task (local failover)
 	Failovers int        // result: fetches locally rerouted to a replica
@@ -125,7 +126,7 @@ type spanSummary struct {
 }
 
 // taskSpec is one shard inside a taskbatch frame; the worker answers
-// each spec with its own result frame, in order.
+// each spec with its own mapdone frame, in order.
 type taskSpec struct {
 	Job     string
 	TaskID  int
@@ -151,7 +152,7 @@ type conn struct {
 	// a reducer charges to Stats.ShuffleBytes per fetched frame.
 	lastFrameLen int
 
-	scratch message // decode target; Records/Batch backing reused
+	scratch message // decode target; Batch backing reused
 }
 
 func newConn(raw net.Conn) *conn {
@@ -262,10 +263,9 @@ func (c *conn) recv(timeout time.Duration) (message, error) {
 		return message{}, fmt.Errorf("netmr: recv: frame length %d exceeds the %d limit", n, maxFrameBytes)
 	}
 	// Each frame is read into a buffer of its own, which decodeFrame keeps
-	// as the text of the message it returns: no reused read buffer, no
-	// second copy.
-	body := make([]byte, n)
-	if _, err := io.ReadFull(c.r, body); err != nil {
+	// as the text of the message it returns: no reused read buffer.
+	body, err := readBody(c.r, int(n))
+	if err != nil {
 		return message{}, fmt.Errorf("netmr: recv: %w", err)
 	}
 	c.lastFrameLen = len(body)
@@ -274,13 +274,41 @@ func (c *conn) recv(timeout time.Duration) (message, error) {
 		return message{}, err
 	}
 	c.lastDecode = time.Since(decodeStart)
-	// The scratch's Records/Batch backing arrays are reclaimed on the
-	// next recv; callers are done with them by then (the worker finishes
-	// a task before receiving the next frame).
+	// The scratch's Batch backing arrays are reclaimed on the next recv;
+	// callers are done with them by then (the worker finishes a task before
+	// receiving the next frame).
 	return c.scratch, nil
 }
 
 func (c *conn) close() error { return c.raw.Close() }
+
+// recvStep is how much of a longer frame body must have arrived before
+// the body gets a buffer of its own.
+const recvStep = 1 << 20
+
+// probePool holds the buffers the first recvStep of a longer body is read
+// into: a fresh one per frame would be garbage the size of the step.
+var probePool = sync.Pool{New: func() any { return new([recvStep]byte) }}
+
+// readBody reads an n-byte frame body. The first recvStep of a longer one
+// lands in a pooled probe before the body's buffer is allocated, so a peer
+// costs no more than a probe until it has sent recvStep bytes of a body,
+// whatever length it declared.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	if n <= recvStep {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r, body)
+		return body, err
+	}
+	probe := probePool.Get().(*[recvStep]byte)
+	defer probePool.Put(probe)
+	if _, err := io.ReadFull(r, probe[:]); err != nil {
+		return nil, err
+	}
+	body := make([]byte, n)
+	_, err := io.ReadFull(r, body[copy(body, probe[:]):])
+	return body, err
+}
 
 // Job is a MapReduce job executable by workers that registered it. Map
 // and Reduce must be pure (no shared state): the same job name must mean
@@ -364,8 +392,8 @@ func keyHash(key string) uint64 {
 }
 
 // partitionIndex hashes key into [0, parts). Workers and master must
-// agree on it (a map task's partitions, a lineage re-execution on the
-// master and Result.Lookup land identical keys in identical partitions):
+// agree on it (a map task's partitions and Result.Lookup land identical
+// keys in identical partitions):
 // a protocol constant that protocolVersion covers, pinned by
 // TestPartitionIndexGolden.
 func partitionIndex(key string, parts int) int {

@@ -14,21 +14,33 @@ import (
 // Master-side half of the distributed reduce: the R partitions go out to
 // the workers as reduce tasks in the same scheduling loop as the map
 // shards (sched.go), as soon as a map output is stored. The master never
-// folds a key here — its remaining job is routing: telling each reducer
-// where the winning map outputs live (the gather plan), streaming the
-// locations of the outputs that land after its launch, and carrying
-// inline the copies only it holds.
+// folds a key, holds a map output or runs a map function here — its job
+// is routing: telling each reducer where the winning map outputs live
+// (the gather plan), and streaming the locations of the outputs that land
+// after its launch. A map output with no live copy left is a map task to
+// run again (reopen).
 
 // errCalledBack marks a reduce launch the master itself took back: its
-// worker was needed for a map task, or its plan would have needed
-// lineage re-execution before the barrier. The loop requeues the
-// partition without charging the attempt budget — the master's choice,
-// not a failure.
+// worker was needed for a map task. The loop requeues the partition
+// without charging the attempt budget — the master's choice, not a
+// failure.
 var errCalledBack = errors.New("netmr: reduce launch called back")
+
+// locStream is a reduce launch's location stream: its partition, the
+// morelocs updates its dispatch goroutine forwards, buffered for every
+// one it can get (one per awaited map output, plus an abort), and the map
+// tasks whose output was not located when it launched and has not been
+// sent since. Each launch has its own: a partition may have two launches
+// out, a speculative clone's and the one it shadows.
+type locStream struct {
+	p       int
+	updates chan message
+	awaits  []int
+}
 
 // newJobRun readies one Run's state: the task graph, the map-output
 // records and the reduce output streams.
-func (m *Master) newJobRun(name string, job Job, records []string, shards int, stats *Stats) *jobRun {
+func (m *Master) newJobRun(name string, records []string, shards int, stats *Stats) *jobRun {
 	cfg := m.cfg
 	stats.Reducers = cfg.Reducers
 	// Every launch reports exactly once, and the buffers take every launch
@@ -37,49 +49,67 @@ func (m *Master) newJobRun(name string, job Job, records []string, shards int, s
 	// at a time, a retry or requeue leaving only after the report.
 	capacity := (shards + cfg.Reducers) * (1 + cfg.SpeculationMaxClones)
 	r := &jobRun{
-		m: m, name: name, job: job, runID: fmt.Sprintf("%s#%d", name, m.runSeq.Add(1)),
+		m: m, name: name, runID: fmt.Sprintf("%s#%d", name, m.runSeq.Add(1)),
 		records: records, shards: shards, stats: stats, ledger: &perWorkerLedger{by: map[string]*WorkerStats{}},
-		results:      make(chan launchDone, capacity),
-		fails:        make(chan launchFail, capacity),
-		mapLocs:      make(map[int]string, shards),
-		replicaLocs:  make(map[int]string, shards),
-		replicaParts: make(map[int][]partitionPartial),
-		out:          newOutputs(cfg.Reducers, len(records)),
-		streams:      map[int]chan message{},
-		calledBack:   map[int]bool{},
+		results:     make(chan launchDone, capacity),
+		fails:       make(chan launchFail, capacity),
+		mapLocs:     make(map[int]string, shards),
+		replicaLocs: make(map[int]string, shards),
+		out:         newOutputs(cfg.Reducers, len(records)),
+		streams:     map[*locStream]bool{},
+		calledBack:  map[*locStream]bool{},
 	}
 	r.maps, r.reduces = r.mapPhase(), r.reducePhase()
 	return r
 }
 
 // accept takes a shard's winning output, persisted on its worker: it
-// records whose shuffle listener holds the task's partitions, and where
-// the durable copy lives — a peer replica when the push succeeded, the
-// inline partition set on the master otherwise — and streams the
-// location to every reduce launch still waiting on map outputs.
+// records whose shuffle listener holds the task's partitions and which
+// peer holds its replica, if the push succeeded, and streams the location
+// to every reduce launch that awaits it.
 func (r *jobRun) accept(d launchDone) {
 	id := d.task.id
 	r.mapLocs[id] = d.fetchAddr
 	if d.repAddr != "" {
 		r.replicaLocs[id] = d.repAddr
-	} else if d.parts != nil {
-		r.replicaParts[id] = d.parts
 	}
-	// Exactly once per task per launch: the launch's plan covered the
-	// tasks stored before it, this covers the ones after — both on the
-	// scheduling goroutine.
-	for p, updates := range r.streams {
-		u := message{Type: "morelocs", Run: r.runID, TaskID: p,
+	// Exactly once per task per awaiting launch: the launch's plan covered
+	// the outputs located before it, this covers the ones after — both on
+	// the scheduling goroutine. A stream ends with its last awaited output.
+	for s := range r.streams {
+		i := slices.Index(s.awaits, id)
+		if i < 0 {
+			continue
+		}
+		u := message{Type: "morelocs", Run: r.runID, TaskID: s.p,
 			Locs: []fetchLoc{{Addr: d.fetchAddr, Tasks: []int{id}}}}
 		if d.repAddr != "" {
 			u.Reps = []fetchLoc{{Addr: d.repAddr, Tasks: []int{id}}}
 		}
-		updates <- u
+		s.updates <- u
+		if s.awaits = slices.Delete(s.awaits, i, i+1); len(s.awaits) == 0 {
+			r.endStream(s, false)
+		}
 	}
 	r.absorb(d)
 	r.stats.Completed++
 	r.stats.MapOutputsStored++
 	r.m.metrics.mapOutputs.With("stored").Inc()
+}
+
+// reopen queues map task id to run again: its output has neither a live
+// primary nor a live replica. The task is pending again, as before its
+// first run, and no longer completed: its launch goes first, calling a
+// reduce launch back if those hold every worker, and the reduce launches
+// that await it are sent the re-run's location when it lands (accept).
+func (r *jobRun) reopen(id int) {
+	delete(r.mapLocs, id)
+	delete(r.replicaLocs, id)
+	r.maps.done[id] = false
+	r.maps.pending++
+	r.stats.Completed--
+	r.maps.queue = append(r.maps.queue, shardTask{id: id, ph: r.maps})
+	r.m.metrics.mapReexecs.Inc()
 }
 
 // absorb adds what a stored map output or a reduce result reports of
@@ -91,11 +121,9 @@ func (r *jobRun) absorb(d launchDone) {
 	r.m.metrics.spilledBytes.Add(float64(d.spilled))
 }
 
-// passBarrier closes the split window when the last map output is
-// accepted: the reduce launches under way have every location now, so
-// their streams end, and the reduce window opens.
+// passBarrier closes the split window when no map task is pending any
+// more, and opens the reduce window.
 func (r *jobRun) passBarrier(ctx context.Context) {
-	r.closeStreams(false)
 	r.mapSpan.End()
 	_, r.reduceSpan = obs.StartSpan(ctx, "reduce")
 	r.barrier = time.Now()
@@ -106,35 +134,30 @@ func (r *jobRun) passBarrier(ctx context.Context) {
 
 // reducePhase is the R reduce partitions' phase. Each launch plans its
 // gather against the liveness view of that instant (gatherPlan) and
-// names the run's map count as Total, so a launch before the barrier is
-// sent the outputs that land after it (accept). The fold output is
-// byte-identical on every route: reducers order partials by map task id.
+// names the run's map count as Total, so a launch that awaits map outputs
+// is sent them as they land (accept). The fold output is byte-identical
+// on every route: reducers order partials by map task id.
 func (r *jobRun) reducePhase() *phase {
 	m := r.m
 	ph := newPhase(m.cfg.Reducers, "rtask", "reduce partition")
 	ph.launch = func(w *workerHandle, batch []shardTask, launches []int) {
 		t, launch := batch[0], launchOf(launches, 0)
-		// Planned here, on the loop's goroutine: the plan reads and fills
-		// the shared replica cache and stats.
-		locs, inline, reps, ok := r.gatherPlan(t.id)
-		if !ok { // taken back before it starts, see errCalledBack
-			r.hold = true
-			r.trc.closeLaunch(launch, outcomeCancelled, nil)
-			m.idle <- w
-			r.fails <- launchFail{task: t, err: errCalledBack, launch: launch}
-			return
-		}
-		var updates chan message
-		if r.barrier.IsZero() {
-			updates = make(chan message, r.shards+1) // one per map output, and an abort
-			r.streams[t.id] = updates
-			r.stats.EarlyReduceTasks++
-			m.metrics.earlyLaunches.Inc()
+		// Planned here, on the loop's goroutine: the plan reads the
+		// locations and may re-open map tasks.
+		locs, reps, awaits := r.gatherPlan()
+		var s *locStream
+		if len(awaits) > 0 {
+			s = &locStream{p: t.id, updates: make(chan message, len(awaits)+1), awaits: awaits}
+			r.streams[s] = true
+			if r.barrier.IsZero() {
+				r.stats.EarlyReduceTasks++
+				m.metrics.earlyLaunches.Inc()
+			}
 		}
 		go r.dispatchReduce(w, t, message{
 			Type: "reducetask", Job: r.name, TaskID: t.id, Attempt: t.attempts, Run: r.runID,
-			Locs: locs, Parts: inline, Reps: reps, Total: r.shards, Trace: r.trc.frameID(),
-		}, launch, updates)
+			Locs: locs, Reps: reps, Total: r.shards, Trace: r.trc.frameID(),
+		}, launch, s)
 	}
 	ph.accept = func(d launchDone) {
 		r.stats.ReduceTasks++
@@ -147,24 +170,22 @@ func (r *jobRun) reducePhase() *phase {
 	return ph
 }
 
-// gatherPlan routes partition p's gather against the shuffle-address
+// gatherPlan routes a reduce launch's gather against the shuffle-address
 // liveness of this instant: each live holder with the (sorted) map tasks
 // to fetch from it, the replica holders the reducer may fail over to
-// worker-locally, and inline the partition's slice of every output only
-// the master still has — empty slices too, since the reducer counts one
-// section per map task towards Total. A map output whose primary died is
-// read from its live replica, else from the master-held copy, else
-// re-executed from lineage on the master and cached where an inline copy
-// would have been, so R partitions pay for one re-execution. Before the
-// barrier a plan refuses that re-execution instead (ok false). Runs on
-// the scheduling goroutine: it mutates the replica cache and stats.
-func (r *jobRun) gatherPlan(p int) (locs []fetchLoc, inline []partitionPartial, reps []fetchLoc, ok bool) {
+// worker-locally, and the map tasks whose output is not located, which
+// the launch awaits. A map output whose primary died is read from its
+// live replica; with neither alive its task is re-opened and awaited like
+// one not run yet. Runs on the scheduling goroutine: it mutates the task
+// graph and stats.
+func (r *jobRun) gatherPlan() (locs, reps []fetchLoc, awaits []int) {
 	m := r.m
 	byAddr := map[string][]int{}
 	repBy := map[string][]int{}
 	for task := 0; task < r.shards; task++ {
 		addr, stored := r.mapLocs[task]
 		if !stored {
+			awaits = append(awaits, task)
 			continue
 		}
 		rep, hasRep := r.replicaLocs[task]
@@ -185,22 +206,10 @@ func (r *jobRun) gatherPlan(p int) (locs []fetchLoc, inline []partitionPartial, 
 			m.metrics.replicaFetches.Inc()
 			continue
 		}
-		parts, held := r.replicaParts[task]
-		if !held {
-			if r.barrier.IsZero() {
-				return nil, nil, nil, false
-			}
-			// Primary and replica both gone: re-execute the map task.
-			if r.scratch == nil {
-				r.scratch = new(shardScratch)
-			}
-			parts = runShardPartitioned(r.job, r.shardRecords(task), r.scratch, m.cfg.Reducers, nil)
-			r.replicaParts[task] = parts
-			m.metrics.mapReexecs.Inc()
-		}
-		inline = append(inline, partitionPartial{ID: task, Partial: partOf(parts, p)})
+		r.reopen(task)
+		awaits = append(awaits, task)
 	}
-	return sortedLocs(byAddr), inline, sortedLocs(repBy), true
+	return sortedLocs(byAddr), sortedLocs(repBy), awaits
 }
 
 // sortedLocs lists the holders of by in address order.
@@ -218,37 +227,36 @@ func sortedLocs(by map[string][]int) []fetchLoc {
 }
 
 // dispatchReduce runs one reduce launch on its own goroutine and reports
-// it exactly once on the run's channels. A launch before the barrier
-// (updates non-nil) forwards the streamed morelocs updates, those queued
-// together as one frame, until the loop closes the stream (barrier or
-// call-back), then collects the reply: the partition's chunks, each
-// handed to r.out as it lands, up to the result frame with the last. A
-// chunk r.out refuses fails the launch. A reply that is not the
-// partition's chunk or result drops the worker, with two exceptions that
-// return it to the pool: a reducer's "the fetch failed" report (an error
-// frame naming the holder address), where the reducer is healthy and the
-// holder is not — the holder is marked dead and the retry re-plans around
-// the loss — and a called-back launch's acknowledgement.
-func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch int, updates <-chan message) {
+// it exactly once on the run's channels. A launch that awaits map outputs
+// (s non-nil) forwards the streamed morelocs updates, those queued
+// together as one frame, until the loop closes the stream (the last
+// awaited output located, or a call-back), then collects the reply: the
+// partition's chunks, each handed to r.out as it lands, up to the result
+// frame with the last. A chunk r.out refuses fails the launch. A reply
+// that is not the partition's chunk or result drops the worker, with two
+// exceptions that return it to the pool: a reducer's "the fetch failed"
+// report (an error frame naming the holder address), where the reducer is
+// healthy and the holder is not — the holder is marked dead and the retry
+// re-plans around the loss — and a called-back launch's acknowledgement.
+func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch int, s *locStream) {
 	m := r.m
 	start := time.Now()
 	err := w.c.send(fr, m.cfg.TaskTimeout)
 	aborted := false
-	for err == nil && updates != nil {
-		u, open := <-updates
+	for err == nil && s != nil {
+		u, open := <-s.updates
 		if !open {
 			break
 		}
 		// What is queued behind u leaves with it, one morelocs frame with
 		// each holder's map tasks in one entry; an abort goes alone and last.
 		frames := []message{u}
-		for len(updates) > 0 && frames[len(frames)-1].Message != "abort" {
-			if v := <-updates; v.Message == "abort" {
+		for len(s.updates) > 0 && frames[len(frames)-1].Message != "abort" {
+			if v := <-s.updates; v.Message == "abort" {
 				frames = append(frames, v)
 			} else {
 				frames[0].Locs = mergeLocs(frames[0].Locs, v.Locs)
 				frames[0].Reps = mergeLocs(frames[0].Reps, v.Reps)
-				frames[0].Parts = append(frames[0].Parts, v.Parts...)
 			}
 		}
 		aborted = aborted || frames[len(frames)-1].Message == "abort"
@@ -290,7 +298,7 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 			}
 			r.trc.closeLaunch(launch, outcome, nil)
 			m.idle <- w
-			r.fails <- launchFail{task: t, err: ferr, launch: launch}
+			r.fails <- launchFail{task: t, err: ferr, launch: launch, stream: s}
 			return
 		}
 		detail := reply.Message
@@ -302,7 +310,7 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 	m.metrics.reduceTasks.With("failed").Inc()
 	m.dropWorker(w) // before the report, as in dispatchMap
 	r.lost(w, elapsed, launch)
-	r.fails <- launchFail{task: t, err: err, launch: launch}
+	r.fails <- launchFail{task: t, err: err, launch: launch, stream: s}
 }
 
 // mergeLocs adds the map tasks of src's holders to dst's entries for the
@@ -336,42 +344,34 @@ func (r *jobRun) release() {
 	}
 }
 
-// callBack takes back the highest reduce launch still waiting on map
+// callBack takes back the highest reduce launch still awaiting map
 // outputs — it launched last and has overlapped the least fetching, the
 // cheapest to lose — because a ready map task needs its worker. The
 // launch acknowledges, and its partition is requeued free of charge.
 func (r *jobRun) callBack() {
-	p := -1
-	for q := range r.streams {
-		p = max(p, q)
+	var last *locStream
+	for s := range r.streams {
+		if last == nil || s.p > last.p {
+			last = s
+		}
 	}
-	if p >= 0 {
-		r.endStream(p, true)
-		r.calledBack[p] = true
+	if last != nil {
+		r.endStream(last, true)
+		r.calledBack[last] = true
 		r.stats.EarlyAborts++
 		r.m.metrics.earlyAborts.Inc()
 	}
 }
 
-// closeStreams ends every open location stream: complete at the barrier,
-// or after an abort marker when the run ends without one, so no reducer
-// stays blocked in its stream recv.
-func (r *jobRun) closeStreams(abort bool) {
-	for p := range r.streams {
-		r.endStream(p, abort)
-	}
-}
-
-// endStream closes partition p's location stream, if it has one, after an
+// endStream closes location stream s, if it is still open, after an
 // abort marker when abort is set.
-func (r *jobRun) endStream(p int, abort bool) {
-	updates, ok := r.streams[p]
-	if !ok {
+func (r *jobRun) endStream(s *locStream, abort bool) {
+	if !r.streams[s] {
 		return
 	}
 	if abort {
-		updates <- message{Type: "morelocs", Run: r.runID, TaskID: p, Message: "abort"}
+		s.updates <- message{Type: "morelocs", Run: r.runID, TaskID: s.p, Message: "abort"}
 	}
-	close(updates)
-	delete(r.streams, p)
+	close(s.updates)
+	delete(r.streams, s)
 }

@@ -18,9 +18,10 @@ import (
 // first-result-wins, the retry budget, the all-workers-lost exit,
 // speculation, cancellation and the job deadline. The dependency edge is
 // three rules of the loop: map tasks dispatch first (next); a ready map
-// task — a retry or a speculative clone — with no idle worker calls a
-// reduce launch back (schedule); and a reduce plan that would need
-// lineage re-execution waits for the barrier (gatherPlan).
+// task — a retry, a speculative clone or a task re-opened for a lost
+// output — with no idle worker calls a reduce launch back (schedule); and
+// a reduce launch awaits the map outputs its plan could not locate on a
+// stream of their locations (gatherPlan, accept).
 
 // phase is one kind of task in the graph, ids 0..tasks-1: how to launch
 // and accept them, and the loop's state of them.
@@ -58,13 +59,15 @@ func newPhase(tasks int, kind, noun string) *phase {
 }
 
 // shardTask is one launchable unit: a task id plus its lineage state
-// (retry ordinal, speculative flag, backoff maturity).
+// (retry ordinal, speculative flag, backoff maturity) and, once
+// dispatched, the flight its launch joined.
 type shardTask struct {
 	id          int
 	ph          *phase // the task's kind: a run's maps or reduces
 	attempts    int
 	speculative bool
 	readyAt     time.Time // zero: dispatchable immediately
+	flight      *flight
 }
 
 // first reports whether t is a task's first launch: neither a retry nor
@@ -92,7 +95,8 @@ func (f *flight) reported(launch int) {
 type launchFail struct {
 	task   shardTask
 	err    error
-	launch int // trace launch ordinal, -1 when the run is untraced
+	launch int        // trace launch ordinal, -1 when the run is untraced
+	stream *locStream // a reduce launch's location stream, nil when it had none
 }
 
 // launchOf is the trace launch ordinal of batch entry i, -1 untraced.
@@ -120,12 +124,14 @@ func (m *Master) schedule(ctx context.Context, r *jobRun, deadline <-chan time.T
 	}
 	// Every exit abandons what is still out — a clone race the run
 	// outlived, on success; the workers rejoin the pool when their
-	// round-trip ends — and calls back the reduce launches still waiting
-	// on map outputs, so none stays blocked.
+	// round-trip ends — and calls back the reduce launches still awaiting
+	// map outputs, so none stays blocked.
 	defer func() {
 		r.abandon(r.maps)
 		r.abandon(r.reduces)
-		r.closeStreams(true)
+		for s := range r.streams {
+			r.endStream(s, true)
+		}
 	}()
 
 	for {
@@ -202,8 +208,7 @@ func (r *jobRun) drain(ctx context.Context) error {
 
 // next finds the task an idle worker would take now: the first ready map
 // task in queue order, or, while no map task is queued, the first ready
-// reduce task — once a map output is stored, and not while a refused
-// plan holds reduce dispatch for the barrier. Finished tasks leave the
+// reduce task once a map output is stored. Finished tasks leave the
 // queues first (their retries and clones are moot). With none ready,
 // earliest is the next backoff maturity of the queue that goes next.
 func (r *jobRun) next(now time.Time) (ph *phase, readyIdx int, earliest time.Time) {
@@ -213,7 +218,7 @@ func (r *jobRun) next(now time.Time) (ph *phase, readyIdx int, earliest time.Tim
 	ph = r.maps
 	if len(ph.queue) == 0 {
 		ph = r.reduces
-		if len(r.mapLocs) == 0 || r.hold && r.barrier.IsZero() {
+		if len(r.mapLocs) == 0 {
 			return ph, -1, time.Time{}
 		}
 	}
@@ -265,7 +270,7 @@ func (r *jobRun) dispatch(ph *phase, w *workerHandle, readyIdx int) {
 		}
 		ph.queue = kept
 	}
-	for _, t := range batch {
+	for i, t := range batch {
 		f := ph.inflight[t.id]
 		if f == nil {
 			f = &flight{}
@@ -273,6 +278,7 @@ func (r *jobRun) dispatch(ph *phase, w *workerHandle, readyIdx int) {
 		}
 		f.launches++
 		f.lastLaunch = time.Now()
+		batch[i].flight = f
 	}
 	var launches []int
 	if r.trc != nil {
@@ -289,17 +295,18 @@ func (r *jobRun) dispatch(ph *phase, w *workerHandle, readyIdx int) {
 }
 
 // result applies first-result-wins: a task's first report is accepted, a
-// late sibling's is discarded and counted once. The last map output
-// accepted is the barrier; a map launch still out then was abandoned
-// there, and its report is not counted.
+// late sibling's is discarded and counted once. The map output accepted
+// when no other map task is pending is the barrier; a map launch still
+// out then was abandoned there, and its report is not counted. A task
+// re-opened after the barrier is pending again, and the launches of its
+// new flight report as before it.
 func (r *jobRun) result(ctx context.Context, d launchDone) {
 	ph := d.task.ph
-	if ph == r.maps && ph.pending == 0 {
-		return
+	f := ph.inflight[d.task.id]
+	if f != d.task.flight {
+		return // abandoned at the barrier, which forgets every map flight
 	}
-	if f := ph.inflight[d.task.id]; f != nil {
-		f.reported(d.launch)
-	}
+	f.reported(d.launch)
 	if ph.done[d.task.id] {
 		// The dispatch goroutine closed the launch ok before it knew;
 		// relabel it.
@@ -321,7 +328,7 @@ func (r *jobRun) result(ctx context.Context, d launchDone) {
 	}
 	ph.lat = append(ph.lat, lat.Seconds())
 	ph.accept(d)
-	if ph.pending--; ph == r.maps && ph.pending == 0 {
+	if ph.pending--; ph == r.maps && ph.pending == 0 && r.barrier.IsZero() {
 		r.abandon(r.maps)
 		r.passBarrier(ctx)
 		for _, f := range r.reduces.inflight {
@@ -336,12 +343,13 @@ func (r *jobRun) result(ctx context.Context, d launchDone) {
 func (r *jobRun) fail(fl launchFail) error {
 	m, ph, t := r.m, fl.task.ph, fl.task
 	f := ph.inflight[t.id]
-	if f != nil {
-		f.reported(fl.launch)
+	if f != t.flight {
+		return nil // abandoned at the barrier
 	}
+	f.reported(fl.launch)
 	if ph == r.reduces {
-		r.endStream(t.id, false)
-		delete(r.calledBack, t.id)
+		r.endStream(fl.stream, false)
+		delete(r.calledBack, fl.stream)
 	}
 	if errors.Is(fl.err, errCalledBack) {
 		if !ph.done[t.id] && !ph.queued(t.id) {
@@ -353,7 +361,7 @@ func (r *jobRun) fail(fl launchFail) error {
 		return nil // sibling already delivered; failure is moot
 	}
 	t.attempts++
-	live := f != nil && f.launches > 0
+	live := f.launches > 0
 	if t.attempts >= m.cfg.MaxAttempts {
 		// This lineage is out of budget. The task survives only if a
 		// sibling launch is live or queued.
@@ -376,7 +384,8 @@ func (r *jobRun) fail(fl launchFail) error {
 
 // speculate queues a clone of every task of ph whose latest launch has
 // run longer than the phase's completion-latency quantile times the
-// multiplier.
+// multiplier. A reduce launch that awaits a map output is no straggler:
+// a clone would await the same re-run.
 func (r *jobRun) speculate(ph *phase) {
 	cfg := r.m.cfg
 	if len(ph.lat) < cfg.SpeculationMinObservations {
@@ -389,9 +398,13 @@ func (r *jobRun) speculate(ph *phase) {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
+	awaiting := map[int]bool{} // reduce partitions with a launch on a location stream
+	for s := range r.streams {
+		awaiting[s.p] = true
+	}
 	for _, id := range ids {
 		f := ph.inflight[id]
-		if ph.done[id] || f.launches == 0 || f.clones >= cfg.SpeculationMaxClones {
+		if ph.done[id] || f.launches == 0 || f.clones >= cfg.SpeculationMaxClones || ph == r.reduces && awaiting[id] {
 			continue
 		}
 		if now.Sub(f.lastLaunch).Seconds() < threshold {

@@ -54,7 +54,6 @@ func mapEncodeBody(t testing.TB, m message, folded map[string]float64, parts []m
 	b = appendString(b, m.Job)
 	b = binary.AppendVarint(b, int64(m.TaskID))
 	b = binary.AppendVarint(b, int64(m.Attempt))
-	b = appendStrings(b, m.Records)
 	b = pairs(b, folded)
 	b = appendStrings(b, m.Jobs)
 	b = appendString(b, m.Message)
@@ -151,13 +150,13 @@ func TestSectionFramesMatchMapEncoder(t *testing.T) {
 			folded.add(k, v)
 		}
 		frames := []message{
-			{Type: "mapdone", TaskID: trial, Attempt: 1, Run: "wc#1", Parts: secs, Trace: "wc-1", Spans: []spanSummary{{Phase: "map", End: 0.5}}},
-			{Type: "mapdone", TaskID: trial, Run: "wc#1", Parts: secs, Rep: "127.0.0.1:7002", Spills: 1, Spilled: 99},
+			{Type: "mapdone", TaskID: trial, Attempt: 1, Run: "wc#1", Trace: "wc-1", Spans: []spanSummary{{Phase: "map", End: 0.5}}},
+			{Type: "mapdone", TaskID: trial, Run: "wc#1", Rep: "127.0.0.1:7002", Spills: 1, Spilled: 99},
 			{Type: "replicate", Run: "wc#1", TaskID: trial, Reducers: 8, Parts: secs},
 			{Type: "fetchresult", TaskID: 3, Parts: secs},
-			{Type: "reducetask", Job: "wc", TaskID: 2, Run: "wc#1", Parts: secs, Total: 9,
+			{Type: "reducetask", Job: "wc", TaskID: 2, Run: "wc#1", Total: 9,
 				Locs: []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{0, 1}}}},
-			{Type: "morelocs", Run: "wc#1", TaskID: 2, Parts: secs,
+			{Type: "morelocs", Run: "wc#1", TaskID: 2,
 				Reps: []fetchLoc{{Addr: "127.0.0.1:7002", Tasks: []int{4}}}},
 			{Type: "result", TaskID: 1, Attempt: 2, Folded: sectionFromMap(partial), Bytes: 99, Failovers: 2},
 			{Type: "result", TaskID: 1, Attempt: 2, Folded: folded.section(), Bytes: 99, Spills: 1, Spilled: 7},

@@ -38,15 +38,15 @@ func segmentFamilies(a, b section) []message {
 	locs := []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{0, 2}}}
 	spans := []spanSummary{{Phase: "encode", Start: 0.5, End: 0.75}}
 	return []message{
-		{Type: "task", Job: "wc", TaskID: 1, Records: []string{"r1", strings.Repeat("r", 20000)}, Run: "wc#1"},
+		{Type: "taskbatch", Batch: []taskSpec{{Job: "wc", TaskID: 1, Records: []string{"r1", strings.Repeat("r", 20000)}}}, Run: "wc#1"},
 		{Type: "taskbatch", Batch: []taskSpec{{Job: "wc", TaskID: 2, Records: []string{"a", "b"}}}},
-		{Type: "mapdone", TaskID: 3, Attempt: 1, Run: "wc#1", Parts: parts, Spans: spans},
+		{Type: "mapdone", TaskID: 3, Attempt: 1, Run: "wc#1", Spans: spans},
 		{Type: "mapdone", TaskID: 3, Run: "wc#1", Rep: "127.0.0.1:7002"},
-		{Type: "mapdone", TaskID: 3, Run: "wc#1", Parts: parts, Spills: 2, Spilled: 1 << 20},
+		{Type: "mapdone", TaskID: 3, Run: "wc#1", Spills: 2, Spilled: 1 << 20},
 		{Type: "replicate", TaskID: 3, Run: "wc#1", Reducers: 4, Parts: parts},
 		{Type: "fetchresult", TaskID: 2, Parts: parts},
-		{Type: "reducetask", Job: "wc", TaskID: 2, Run: "wc#1", Locs: locs, Reps: locs, Parts: parts, Total: 6},
-		{Type: "morelocs", TaskID: 2, Run: "wc#1", Locs: locs, Parts: parts},
+		{Type: "reducetask", Job: "wc", TaskID: 2, Run: "wc#1", Locs: locs, Reps: locs, Total: 6},
+		{Type: "morelocs", TaskID: 2, Run: "wc#1", Locs: locs},
 		{Type: "result", TaskID: 2, Folded: a, Bytes: 99, Failovers: 1, Spans: spans},
 		{Type: "result", TaskID: 2, Folded: small},
 		{Type: "hello", ID: "w", Jobs: []string{"wc"}, Fetch: "127.0.0.1:7003"},
@@ -122,7 +122,7 @@ func TestSegmentedFrameRoundTrips(t *testing.T) {
 	sent := []message{
 		{Type: "replicate", TaskID: 7, Run: "tera#1", Reducers: 3, Parts: teraSections(3, 400)},
 		{Type: "fetchresult", TaskID: 1, Parts: []partitionPartial{{ID: 0, Partial: textSection(3000, 0)}, {ID: 4, Partial: textSection(3000, 1)}}},
-		{Type: "reducetask", Job: "wc", TaskID: 1, Run: "tera#1", Parts: teraSections(3, 400)},
+		{Type: "replicate", TaskID: 8, Run: "tera#1", Reducers: 3, Parts: teraSections(3, 400)},
 		{Type: "ping"},
 	}
 	for name, pair := range map[string]func(*testing.T) (net.Conn, net.Conn){"tcp": tcp, "pipe": pipe} {
@@ -204,7 +204,7 @@ func TestSendAllocs(t *testing.T) {
 func TestOversizedFrameIsRefusedBeforeWriting(t *testing.T) {
 	third := section(strings.Repeat("x", maxFrameBytes/3+1))
 	sink := &sinkConn{}
-	err := newConn(sink).send(message{Type: "reducetask", Parts: []partitionPartial{{ID: 0, Partial: third}, {ID: 1, Partial: third}, {ID: 2, Partial: third}}}, 0)
+	err := newConn(sink).send(message{Type: "replicate", Parts: []partitionPartial{{ID: 0, Partial: third}, {ID: 1, Partial: third}, {ID: 2, Partial: third}}}, 0)
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("send of a %d-byte frame: %v, want the limit refused", 3*len(third), err)
 	}

@@ -20,10 +20,9 @@ import (
 // its partitioned map output keyed by (run, map task), serves it to peer
 // reducers over fetch/fetchresult frames on a dedicated shuffle
 // listener, and executes reduce tasks by reading every map task's slice
-// of its partition from its own store, from those peers or from the
-// sections the master sends inline, and folding them — the OSDI'04 shape
-// where reduce work scales with the cluster instead of living in the
-// master process.
+// of its partition from its own store or from those peers, and folding
+// them — the OSDI'04 shape where reduce work scales with the cluster
+// instead of living in the master process.
 //
 // The store is out-of-core: a configurable byte budget bounds how much
 // intermediate output stays resident, whole partition sets spilling to
@@ -424,7 +423,7 @@ func (w *Worker) serveFetch(raw net.Conn) {
 			for len(acks) < m.Total {
 				next, err := c.recv(to)
 				if err != nil || next.Type != "replicate" {
-					return // a push cut short: its sets go inline
+					return // a push cut short: its sets stay unreplicated
 				}
 				acks = append(acks, w.storeReplica(next))
 			}
@@ -511,8 +510,7 @@ func replicateExchange(c *conn, addr string, frames []message, timeout time.Dura
 }
 
 // fetchError names the peer whose fetch (or local read) failed, so the
-// reduce error frame can carry the address for the master's recovery
-// lineage.
+// reduce error frame can carry the address the master plans around.
 type fetchError struct {
 	addr string
 	err  error
@@ -613,9 +611,9 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 }
 
 // runReduceTask executes one reduce task: gather the partition's section
-// of every map task — the sections the master sent inline, what its own
-// store holds (output or replica, no dial), peer fetches for the rest —
-// merge them by (key, ascending map task) through the job's fold, and
+// of every map task — what its own store holds (output or replica, no
+// dial), peer fetches for the rest — merge them by (key, ascending map
+// task) through the job's fold, and
 // send the merge's output, already in wire form, as it is produced: a
 // chunk frame each time chunkBytes of it are ready, then a result frame
 // with the last chunk, the intermediate bytes fetched and the task's
@@ -627,10 +625,11 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 // spilled is streamed from its files; both join the same merge, so the
 // output is byte-identical at every budget, and a disk copy that fails
 // mid-merge costs one re-gather, not the task: the fold then runs again
-// and sends its chunks again from the first. A task launched under the
-// map tail names only the outputs stored so far: the worker keeps
-// receiving morelocs frames — gathering each batch as it lands — until
-// it has covered Total map outputs or the master calls the launch back.
+// and sends its chunks again from the first. A task launched while some
+// map outputs are not located (under the map tail, or after a loss)
+// names only those located: the worker keeps receiving morelocs frames —
+// gathering each batch as it lands — until it has covered Total map
+// outputs or the master calls the launch back.
 // A gather failure is answered with an error frame naming the peer that
 // failed (Fetch), so the master can consult replica locations instead
 // of evicting the healthy reducer.
@@ -670,15 +669,9 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	noteReps(m.Reps)
 	var fetched int64
 	failovers, stream := 0, true // the first gather leaves the store's spilled sections on disk, for the fold to stream
-	// round gathers one batch of map outputs: the sections the master sent
-	// inline (copies it holds for mappers that could not replicate, or
-	// recovered map re-executions; ID is the map task id there, not a
-	// partition index), then the fetch locations, concurrently.
-	round := func(parts []partitionPartial, locs []fetchLoc) (string, error) {
-		for _, p := range parts {
-			folder.add(p.ID, p.Partial)
-		}
-		covered += len(parts)
+	// round gathers one batch of map outputs from their locations,
+	// concurrently.
+	round := func(locs []fetchLoc) (string, error) {
 		results, err := w.fetchRound(m.Run, m.TaskID, locs, repOf, stream, to)
 		if err != nil {
 			var fe *fetchError
@@ -700,8 +693,8 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		}
 		return "", nil
 	}
-	parts, locs := m.Parts, m.Locs // everything announced so far, should the gather have to run again
-	failedAddr, gatherErr := round(parts, locs)
+	locs := m.Locs // everything announced so far, should the gather have to run again
+	failedAddr, gatherErr := round(locs)
 	clock.mark(spanFetch)
 	// The master announced how many map outputs the run produces and
 	// streams the still-missing locations as their mapdones land, those
@@ -726,8 +719,8 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 			return true
 		}
 		noteReps(um.Reps)
-		parts, locs = append(parts, um.Parts...), append(locs, um.Locs...)
-		failedAddr, gatherErr = round(um.Parts, um.Locs)
+		locs = append(locs, um.Locs...)
+		failedAddr, gatherErr = round(um.Locs)
 		clock.mark(spanFetch)
 	}
 	// The output leaves in chunks as the fold cuts them. A chunk that cannot
@@ -755,7 +748,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		stream = false
 		failovers++
 		workerFailovers.Inc()
-		if failedAddr, gatherErr = round(parts, locs); gatherErr == nil {
+		if failedAddr, gatherErr = round(locs); gatherErr == nil {
 			merged, foldErr = folder.fold(job, &out)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -91,7 +92,7 @@ func (sf *spillFile) blocks(partition int) *blockReader {
 		return nil
 	}
 	sec := sf.secs[partition]
-	return &blockReader{f: sf.f, off: sec.off, end: sec.off + sec.n}
+	return newBlockReader(sf.f, sec.off, sec.off+sec.n)
 }
 
 // section reads one partition's section back whole, undecoded (empty
@@ -112,7 +113,7 @@ func (sf *spillFile) section(partition int) (section, error) {
 		}
 	}
 	if int64(len(buf)) != sec.raw {
-		return "", fmt.Errorf("netmr: spill read: section %d of %s is %d bytes, want %d", partition, filepath.Base(sf.f.Name()), len(buf), sec.raw)
+		return "", fmt.Errorf("netmr: spill read: section %d of %s is %d bytes, want %d", partition, r.name, len(buf), sec.raw)
 	}
 	return section(unsafe.String(&buf[0], len(buf))), nil
 }
@@ -164,10 +165,19 @@ func (bw *blockWriter) block(blk []byte) error {
 // back by ReadAt, so it needs no descriptor or file position of its own
 // and never holds more than one block resident. f is a run file, or the
 // store's handle on a spill file, which the store may close at any time:
-// that fails the next read, it never yields another file's bytes.
+// that fails the next read, it never yields another file's bytes. f needs
+// only ReadAt, so the blocks can be read from memory too; name is what
+// its errors call f.
 type blockReader struct {
-	f        *os.File
+	f        io.ReaderAt
+	name     string
 	off, end int64
+	hdr      [blockHeaderMax]byte // a header read into a local would escape through f
+}
+
+// newBlockReader reads the blocks in [off, end) of file.
+func newBlockReader(file *os.File, off, end int64) *blockReader {
+	return &blockReader{f: file, name: filepath.Base(file.Name()), off: off, end: end}
 }
 
 // next appends the next block's records to dst, growing it by exactly
@@ -178,8 +188,7 @@ func (b *blockReader) next(dst []byte) ([]byte, error) {
 	if b.off >= b.end {
 		return dst, nil
 	}
-	var hdr [blockHeaderMax]byte
-	h := hdr[:min(int64(len(hdr)), b.end-b.off)]
+	h := b.hdr[:min(int64(len(b.hdr)), b.end-b.off)]
 	if _, err := b.f.ReadAt(h, b.off); err != nil {
 		return nil, fmt.Errorf("netmr: spill block header: %w", err)
 	}
@@ -188,16 +197,16 @@ func (b *blockReader) next(dst []byte) ([]byte, error) {
 	// A block is stored as it is, so the extent left bounds what a header
 	// can make this allocate.
 	if n1 <= 0 || n > len(h) || rawLen == 0 || rawLen > uint64(b.end-b.off)-uint64(n) {
-		return nil, fmt.Errorf("netmr: spill block header of %s is corrupt (%d bytes declared, %d left)", filepath.Base(b.f.Name()), rawLen, b.end-b.off)
+		return nil, fmt.Errorf("netmr: spill block header of %s is corrupt (%d bytes declared, %d left)", b.name, rawLen, b.end-b.off)
 	}
 	at := len(dst)
 	dst = slices.Grow(dst, int(rawLen))[:at+int(rawLen)]
 	blk := dst[at:]
 	if _, err := b.f.ReadAt(blk, b.off+int64(n)); err != nil {
-		return nil, fmt.Errorf("netmr: spill block body of %s: %w", filepath.Base(b.f.Name()), err)
+		return nil, fmt.Errorf("netmr: spill block body of %s: %w", b.name, err)
 	}
 	if crc32.Checksum(blk, crcTable) != binary.LittleEndian.Uint32(h[n-4:]) {
-		return nil, fmt.Errorf("netmr: spill block of %s failed its checksum", filepath.Base(b.f.Name()))
+		return nil, fmt.Errorf("netmr: spill block of %s failed its checksum", b.name)
 	}
 	b.off += int64(n) + int64(rawLen)
 	return dst, nil
@@ -547,7 +556,7 @@ func (f *spillFolder) flush() (err error) {
 		return fmt.Errorf("netmr: spill run write: %w", err)
 	}
 	f.runs = append(f.runs, file)
-	f.disk = append(f.disk, &mergeSource{blocks: &blockReader{f: file, end: w.written}, tagged: true})
+	f.disk = append(f.disk, &mergeSource{blocks: newBlockReader(file, 0, w.written), tagged: true})
 	f.spillRuns++
 	f.spilledBytes += w.written
 	f.onDisk += f.mem

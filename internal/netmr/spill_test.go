@@ -576,8 +576,8 @@ func TestSpillCluster(t *testing.T) {
 // TestReplicaRecoveryAfterMapperLoss is the chaos test of the tentpole:
 // a mapper that dies right after its first mapdone — shuffle listener
 // and only primary copy gone with it — must not fail the job or change
-// its output: the reduce phase reroutes to the peer replica (or the
-// master-held copy / lineage re-execution) and completes.
+// its output: the reduce phase reroutes to the peer replica (or runs the
+// map task again on a worker) and completes.
 func TestReplicaRecoveryAfterMapperLoss(t *testing.T) {
 	const workers, shards, R = 3, 6, 3
 	master, err := NewMaster(mustRegistry(t), MasterConfig{

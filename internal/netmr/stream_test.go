@@ -40,7 +40,7 @@ func wideLines(n, width int) []string {
 // place in the task's output and returns the frame to send, or false to
 // die there, the connection closed. It returns whether the rogue lives on.
 func relayReduce(w *Worker, c *conn, m message, edit func(i int, fr message) (message, bool)) bool {
-	// A launch under the map tail names the map outputs stored so far and
+	// A launch under the map tail names the map outputs located so far and
 	// is sent the rest as morelocs frames: the relay folds them into the
 	// task before running it, so the pipe carries the task alone.
 	for coverage(m) < m.Total {
@@ -51,7 +51,7 @@ func relayReduce(w *Worker, c *conn, m message, edit func(i int, fr message) (me
 		if u.Message == "abort" {
 			return c.send(message{Type: "error", TaskID: m.TaskID, Message: "aborted"}, 5*time.Second) == nil
 		}
-		m.Locs, m.Parts, m.Reps = append(m.Locs, u.Locs...), append(m.Parts, u.Parts...), append(m.Reps, u.Reps...)
+		m.Locs, m.Reps = append(m.Locs, u.Locs...), append(m.Reps, u.Reps...)
 	}
 	near, far := net.Pipe()
 	defer far.Close()
@@ -79,10 +79,10 @@ func relayReduce(w *Worker, c *conn, m message, edit func(i int, fr message) (me
 	}
 }
 
-// coverage is how many map outputs reduce task m names: its inline
-// sections and the tasks of its locations.
+// coverage is how many map outputs reduce task m names: the tasks of its
+// locations.
 func coverage(m message) int {
-	n := len(m.Parts)
+	n := 0
 	for _, loc := range m.Locs {
 		n += len(loc.Tasks)
 	}

@@ -157,9 +157,9 @@ func overrunCount(t *testing.T, base, with message) []byte {
 }
 
 // TestFrameRefusals pins every check on bytes from outside to the one
-// layout: each stream must be refused — by recv, or for a part id by
-// validateParts — without allocating more than a small multiple of the
-// bytes received.
+// layout: each stream must be refused by recv without allocating more
+// than a small multiple of the bytes received, or, for a body that
+// declares more than it sends, more than the first step of its buffer.
 func TestFrameRefusals(t *testing.T) {
 	pair := func(k string) string {
 		return string(binary.LittleEndian.AppendUint64(appendString(nil, k), math.Float64bits(1)))
@@ -168,8 +168,11 @@ func TestFrameRefusals(t *testing.T) {
 		m := message{Type: "fetchresult", Parts: []partitionPartial{{ID: 0, Partial: section(sec)}}}
 		return streamOf(frameBody(t, encodeBinary(t, m)))
 	}
-	valid := frameBody(t, encodeBinary(t, message{Type: "task", Job: "wc", Records: []string{"a b", "c"}}))
-	big := encodeBinary(t, message{Type: "task", Records: []string{strings.Repeat("x", 1<<20)}})
+	shard := func(records ...string) message {
+		return message{Type: "taskbatch", Batch: []taskSpec{{Job: "wc", Records: records}}}
+	}
+	valid := frameBody(t, encodeBinary(t, shard("a b", "c")))
+	big := encodeBinary(t, shard(strings.Repeat("x", 1<<20)))
 
 	badCRC := bytes.Clone(valid)
 	badCRC[len(badCRC)-1] ^= 1
@@ -178,18 +181,17 @@ func TestFrameRefusals(t *testing.T) {
 	cases := []struct {
 		name   string
 		stream []byte
-		parts  int // > 0: recv succeeds, validateParts(Parts, parts) must refuse
+		bound  uint64 // the allocation bound when the default does not apply
 	}{
 		{name: "bad CRC", stream: streamOf(badCRC)},
 		{name: "truncated body", stream: afterPreamble(big[:len(big)/2])},
 		{name: "trailing bytes", stream: streamOf(trailing)},
 		{name: "length prefix over the cap", stream: binary.AppendUvarint(afterPreamble(nil), maxFrameBytes+1)},
+		{name: "length prefix at the cap, 5 bytes sent", stream: append(binary.AppendUvarint(afterPreamble(nil), maxFrameBytes), 1, 2, 3, 4, 5), bound: 2 << 20},
 		{name: "empty body", stream: streamOf(nil)},
 		{name: "unsorted section keys", stream: withSection("\x02" + pair("b") + pair("a"))},
 		{name: "repeated section key", stream: withSection("\x02" + pair("a") + pair("a"))},
-		{name: "part id outside [0,P)", parts: 4, stream: streamOf(frameBody(t, encodeBinary(t,
-			message{Type: "mapdone", Run: "wc#1", Parts: []partitionPartial{{ID: 4, Partial: sectionFromMap(map[string]float64{"k": 1})}}})))},
-		{name: "string count overrun", stream: streamOf(overrunCount(t, message{Type: "task"}, message{Type: "task", Records: []string{"r"}}))},
+		{name: "string count overrun", stream: streamOf(overrunCount(t, message{Type: "hello"}, message{Type: "hello", Jobs: []string{"r"}}))},
 		{name: "int count overrun", stream: streamOf(overrunCount(t, message{Type: "fetch"}, message{Type: "fetch", Tasks: []int{1}}))},
 		{name: "loc count overrun", stream: streamOf(overrunCount(t, message{Type: "morelocs"}, message{Type: "morelocs", Locs: []fetchLoc{{Addr: "a:1"}}}))},
 		{name: "span count overrun", stream: streamOf(overrunCount(t, message{Type: "mapdone"}, message{Type: "mapdone", Spans: []spanSummary{{Phase: "map"}}}))},
@@ -200,24 +202,28 @@ func TestFrameRefusals(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			m, _, err := recvStream(tc.stream)
 			runtime.ReadMemStats(&after)
-			if tc.parts > 0 {
-				if err != nil {
-					t.Fatalf("recv: %v", err)
-				}
-				err = validateParts(m.Parts, tc.parts)
-			}
 			if err == nil {
 				t.Fatalf("accepted: %+v", m)
 			}
 			// The bufio reader and the conn are the constant; a frame is read
-			// into one buffer of its declared size, at most the stream's own.
-			if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(4*len(tc.stream)+32<<10); grew > bound {
+			// into a buffer of its declared size, at most the stream's own,
+			// or into the first step of one.
+			bound := tc.bound
+			if bound == 0 {
+				bound = uint64(4*len(tc.stream) + 32<<10)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
 				t.Errorf("refusing %d bytes allocated %d, more than %d", len(tc.stream), grew, bound)
 			}
 		})
 	}
-	if m, _, err := recvStream(streamOf(valid)); err != nil || m.Job != "wc" {
+	if m, _, err := recvStream(streamOf(valid)); err != nil || len(m.Batch) != 1 || m.Batch[0].Job != "wc" {
 		t.Fatalf("control stream refused: %+v, %v", m, err)
+	}
+	// A body past recvStep arrives through the probe.
+	huge := strings.Repeat("x", 3<<20)
+	if m, _, err := recvStream(streamOf(frameBody(t, encodeBinary(t, shard(huge))))); err != nil || m.Batch[0].Records[0] != huge {
+		t.Fatalf("a body of %d bytes: %v", len(huge), err)
 	}
 
 	// A map task the worker cannot key or partition is refused with an
@@ -228,10 +234,10 @@ func TestFrameRefusals(t *testing.T) {
 		frame    message
 		cause    string
 	}{
-		{"task without a run id", 2, message{Type: "task", Job: "wordcount", TaskID: 3, Records: []string{"a b"}}, "map task 3 has no run id"},
+		{"task without a run id", 2, message{Type: "taskbatch", Batch: []taskSpec{{Job: "wordcount", TaskID: 3, Records: []string{"a b"}}}}, "map task 3 has no run id"},
 		{"taskbatch without a run id", 2, message{Type: "taskbatch", Batch: []taskSpec{
 			{Job: "wordcount", TaskID: 4, Records: []string{"a"}}, {Job: "wordcount", TaskID: 5}}}, "has no run id"},
-		{"task before the helloack", 0, message{Type: "task", Job: "wordcount", TaskID: 6, Run: "wordcount#1"}, "map task 6 arrived before a helloack set the reducer count"},
+		{"task before the helloack", 0, message{Type: "taskbatch", Batch: []taskSpec{{Job: "wordcount", TaskID: 6}}, Run: "wordcount#1"}, "map task 6 arrived before a helloack set the reducer count"},
 	} {
 		t.Run("worker refuses "+tc.name, func(t *testing.T) {
 			w, err := NewWorker(mustRegistry(t))
@@ -254,8 +260,7 @@ func TestFrameRefusals(t *testing.T) {
 			if err := c.send(tc.frame, 5*time.Second); err != nil {
 				t.Fatal(err)
 			}
-			shards := max(1, len(tc.frame.Batch))
-			for i := 0; i < shards; i++ {
+			for i := range tc.frame.Batch {
 				reply, err := c.recv(5 * time.Second)
 				if err != nil || reply.Type != "error" || !strings.Contains(reply.Message, tc.cause) {
 					t.Fatalf("reply %d: %+v, %v; want an error frame saying %q", i, reply, err, tc.cause)

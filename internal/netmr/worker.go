@@ -235,10 +235,8 @@ func (w *Worker) serve(c *conn) {
 // serve loop must exit.
 func (w *Worker) handle(c *conn, m message) bool {
 	switch m.Type {
-	case "task":
-		return w.runBatch(c, &m, []taskSpec{{Job: m.Job, TaskID: m.TaskID, Attempt: m.Attempt, Records: m.Records}})
 	case "taskbatch":
-		return w.runBatch(c, &m, m.Batch)
+		return w.runBatch(c, &m)
 	case "reducetask":
 		return w.runReduceTask(c, m, c.lastDecode)
 	case "ping":
@@ -271,11 +269,11 @@ const flushAfter = 2 * time.Millisecond
 // trace ID the shards record their phases, the first charged the frame's
 // wire decode. It returns false when the serve loop must exit: a send
 // failure or an injected crash, which still answers the shards before it.
-func (w *Worker) runBatch(c *conn, m *message, specs []taskSpec) bool {
-	replies := make([]message, 0, len(specs))
+func (w *Worker) runBatch(c *conn, m *message) bool {
+	replies := make([]message, 0, len(m.Batch))
 	decode, since := c.lastDecode, time.Now()
-	for i := range specs {
-		reply, ok := w.mapShard(&specs[i], m.Run, m.Trace, decode)
+	for i := range m.Batch {
+		reply, ok := w.mapShard(&m.Batch[i], m.Run, m.Trace, decode)
 		if !ok {
 			if len(replies) > 0 {
 				w.answer(c, m, replies)
@@ -284,7 +282,7 @@ func (w *Worker) runBatch(c *conn, m *message, specs []taskSpec) bool {
 		}
 		decode = 0
 		replies = append(replies, reply)
-		if i == len(specs)-1 || time.Since(since) >= flushAfter {
+		if i == len(m.Batch)-1 || time.Since(since) >= flushAfter {
 			if !w.answer(c, m, replies) {
 				return false
 			}
@@ -296,29 +294,31 @@ func (w *Worker) runBatch(c *conn, m *message, specs []taskSpec) bool {
 
 // answer sends the answers of shards mapped back to back. Their stored
 // partition sets go to the replica peer m.Rep in one exchange, and the
-// answers leave in one write, one per shard in order; with a trace ID the
-// shared push is the last pushed shard's replicate span. It returns false
-// when the serve loop must exit.
+// answers leave in one write, one per shard in order, each naming the
+// peer in Rep if it took the set; no answer carries a set. With a trace
+// ID the shared push is the last pushed shard's replicate span. It
+// returns false when the serve loop must exit.
 func (w *Worker) answer(c *conn, m *message, replies []message) bool {
 	var outs []message
 	var pushed []int // the replies of outs
-	if m.Rep != "" {
-		for i := range replies {
-			if d := &replies[i]; d.Type == "mapdone" {
+	for i := range replies {
+		if d := &replies[i]; d.Type == "mapdone" {
+			if m.Rep != "" {
 				outs = append(outs, message{Type: "replicate", Run: m.Run, TaskID: d.TaskID, Parts: d.Parts, Reducers: w.reducers})
 				pushed = append(pushed, i)
 			}
+			d.Parts = nil
 		}
 	}
 	if len(outs) > 0 {
 		repStart := time.Now()
 		for i, err := range w.pool.replicate(m.Rep, outs, w.shuffleTO()) {
-			if d := &replies[pushed[i]]; err == nil {
-				d.Rep, d.Parts = m.Rep, nil
+			if err == nil {
+				replies[pushed[i]].Rep = m.Rep
 				workerReplications.With("ok").Inc()
 			} else {
-				// The named peer would not take the replica: the set
-				// rides its mapdone inline so the master holds it instead.
+				// The named peer would not take the replica: the output
+				// lives in this worker's store alone.
 				workerReplications.With("failed").Inc()
 			}
 		}
@@ -349,7 +349,7 @@ func (w *Worker) answer(c *conn, m *message, replies []message) bool {
 
 // mapShard executes one shard and returns its answer: a mapdone, its
 // output stored under run and split by the reducer count, carrying the
-// partition set inline until a replica peer takes it; or an error frame
+// partition set for answer's replica push only; or an error frame
 // for a shard this worker cannot run. ok is false when an injected crash
 // kills the worker. trace, when non-empty, makes the shard record its
 // phases, decode being the wire-decode cost charged to it.
