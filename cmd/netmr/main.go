@@ -35,12 +35,11 @@
 // partitions themselves, leaving the master only the union of R
 // disjoint key spaces.
 //
-// Out-of-core shuffle knobs: -shuffle-timeout bounds one worker-to-worker
-// shuffle round-trip (on the master it is pushed cluster-wide via the
-// helloack; on a worker it is the local default until a master overrides
-// it); -spill-budget bounds the bytes of intermediate state a worker
-// keeps resident, spilling sorted runs to -spill-dir (default: the OS
-// temp dir) beyond it — 0 keeps everything in memory.
+// Out-of-core shuffle knobs: -shuffle-timeout (master) bounds one
+// worker-to-worker shuffle round-trip, pushed to every worker on the
+// helloack; -spill-budget (worker) bounds the bytes of intermediate
+// state a worker keeps resident, spilling sorted runs to -spill-dir
+// (default: the OS temp dir) beyond it — 0 keeps everything in memory.
 //
 // Pipelined shuffle: the master dispatches reduce tasks as soon as a map
 // output is stored and no map shard waits for a worker, and streams the
@@ -147,7 +146,7 @@ func run(args []string, out io.Writer) error {
 	retrySeed := fs.Int64("retryseed", 0, "master: deterministic jitter seed")
 	speculate := fs.Duration("speculate", 0, "master: straggler-check interval enabling speculative clones (0 = disabled)")
 	reducers := fs.Int("reducers", 0, "master: reduce tasks R run on workers (0 = GOMAXPROCS)")
-	shuffleTimeout := fs.Duration("shuffle-timeout", 0, "worker-to-worker shuffle round-trip bound (0 = default 30s; the master pushes its value cluster-wide)")
+	shuffleTimeout := fs.Duration("shuffle-timeout", 0, "master: worker-to-worker shuffle round-trip bound, pushed to every worker (0 = default 30s)")
 	spillBudget := fs.Int64("spill-budget", 0, "worker: resident bytes of intermediate state before spilling to disk (0 = never spill)")
 	spillDir := fs.String("spill-dir", "", "worker: scratch root for spill files (empty = OS temp dir)")
 	shuffleFanout := fs.Int("shuffle-fanout", 0, "worker: concurrent peers one reduce task fetches from (0 = default 4, 1 = serial gather)")
@@ -189,8 +188,7 @@ func run(args []string, out io.Writer) error {
 		})
 	case "worker":
 		return runWorker(out, *addr, injector, netmr.WorkerConfig{
-			ShuffleTimeout: *shuffleTimeout, SpillBudget: *spillBudget, SpillDir: *spillDir,
-			ShuffleFanout: *shuffleFanout,
+			SpillBudget: *spillBudget, SpillDir: *spillDir, ShuffleFanout: *shuffleFanout,
 		})
 	default:
 		return errors.New("need -role master or -role worker")

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -90,9 +89,9 @@ func selfDiagWidths(maxWidth int) []int {
 
 // selfDiagProbe runs one width: a serial init phase, the parallel map
 // through the instrumented runner pool, and a serial merge, all under a
-// span recorder. It returns the recorded spans round-tripped through the
-// JSON trace format — the experiment reads only what a log file would
-// hold, never engine internals.
+// span recorder. It returns the recorded spans as the trace log they are
+// — the experiment reads only what a log file would hold, never engine
+// internals.
 func selfDiagProbe(ctx context.Context, width, tasks, rounds int, seed int64) (*trace.Log, error) {
 	rec := obs.NewRecorder("selfdiag")
 	pctx := runner.WithWorkers(obs.WithRecorder(ctx, rec), width)
@@ -153,11 +152,7 @@ func selfDiagProbe(ctx context.Context, width, tasks, rounds int, seed int64) (*
 	sp.End()
 	selfDiagSink.Store(merged)
 
-	var buf bytes.Buffer
-	if err := rec.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return trace.ReadJSON(&buf)
+	return rec.Log(), nil
 }
 
 // selfDiagMedianProbe runs selfDiagRepeats probes at one width and keeps

@@ -48,9 +48,9 @@ type MasterConfig struct {
 	RetrySeed      int64
 
 	// SpeculationInterval, when positive, makes the master check for
-	// straggling shards on this period and clone them onto idle workers
-	// (first result wins, the loser is discarded). Zero disables
-	// speculation (the default).
+	// straggling shards on this period and clone them onto idle workers,
+	// once per task (first result wins, the loser is discarded). Zero
+	// disables speculation (the default).
 	SpeculationInterval time.Duration
 	// SpeculationQuantile picks the reference completion latency from
 	// the shards finished so far (default 0.75); a shard is a straggler
@@ -61,8 +61,6 @@ type MasterConfig struct {
 	// SpeculationMinObservations is how many shards must have completed
 	// before the threshold is trusted (default 3).
 	SpeculationMinObservations int
-	// SpeculationMaxClones bounds the clones per shard (default 1).
-	SpeculationMaxClones int
 
 	// Reducers is R, the number of reduce tasks that combine a job's
 	// output: workers keep their map output hash-split into R partitions
@@ -76,7 +74,8 @@ type MasterConfig struct {
 
 	// ShuffleTimeout bounds one worker-to-worker shuffle round-trip — a
 	// reducer's fetch of a peer's stored partitions, or a mapper's
-	// replication push (default 30 s). Workers learn it on the helloack.
+	// replication push (default 30 s). Workers learn it on the helloack,
+	// rounded up to 1 ms.
 	ShuffleTimeout time.Duration
 
 	// Trace enables distributed job tracing: every Run stamps its trace
@@ -127,9 +126,6 @@ func (c MasterConfig) withDefaults() MasterConfig {
 	}
 	if c.SpeculationMinObservations <= 0 {
 		c.SpeculationMinObservations = 3
-	}
-	if c.SpeculationMaxClones <= 0 {
-		c.SpeculationMaxClones = 1
 	}
 	if c.ShuffleTimeout <= 0 {
 		c.ShuffleTimeout = defaultShuffleTimeout
@@ -390,7 +386,9 @@ func (m *Master) admit(raw net.Conn) {
 	w := &workerHandle{id: hello.ID, c: c, fetch: hello.Fetch}
 	m.addFetchAddr(w.fetch)
 	m.count.Add(1)
-	ack := message{Type: "helloack", Reducers: m.cfg.Reducers, ShuffleMs: m.cfg.ShuffleTimeout.Milliseconds()}
+	// A timeout under 1 ms goes out as 1 ms: a zero would not reach the
+	// workers.
+	ack := message{Type: "helloack", Reducers: m.cfg.Reducers, ShuffleMs: max(1, m.cfg.ShuffleTimeout.Milliseconds())}
 	admitted := c.send(ack, 10*time.Second) == nil
 	if admitted {
 		// Under closeMu, so Close cannot drain the pool between the check
@@ -573,9 +571,6 @@ type launchDone struct {
 // Stats.Duplicates). Cancelling ctx aborts the job between events,
 // abandoning in-flight launches (counted in Stats.Cancellations), and
 // returns the context's error; the JobTimeout deadline applies on top.
-// When ctx carries an obs recorder, the split, reduce and merge phases
-// are recorded as spans ("map", "reduce" and "merge" in the trace
-// vocabulary).
 func (m *Master) Run(ctx context.Context, jobName string, records []string, shards int) (map[string]float64, Stats, error) {
 	var out map[string]float64
 	_, stats, err := m.run(ctx, jobName, records, shards, &out)
@@ -594,7 +589,7 @@ func (m *Master) RunResult(ctx context.Context, jobName string, records []string
 
 // run is Run and RunResult. A non-nil asMap receives the output as one
 // map, built while the reducers stream it; what is left of that union
-// when the last result lands is in the merge window — span, trace phase,
+// when the last result lands is in the merge window — trace phase and
 // Stats.MergeWall.
 func (m *Master) run(ctx context.Context, jobName string, records []string, shards int, asMap *map[string]float64) (result *Result, stats Stats, err error) {
 	m.runMu.Lock()
@@ -657,14 +652,12 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	}
 
 	r.start = time.Now()
-	_, r.mapSpan = obs.StartSpan(ctx, "map")
 	deadline := time.NewTimer(m.cfg.JobTimeout)
 	defer deadline.Stop()
 	err = m.schedule(ctx, r, deadline.C)
 	if r.barrier.IsZero() {
 		return nil, stats, err
 	}
-	r.reduceSpan.End()
 	reduceEnd := time.Now()
 	stats.ReduceWall = reduceEnd.Sub(r.barrier)
 	m.metrics.reduceSeconds.Observe(stats.ReduceWall.Seconds())
@@ -677,12 +670,10 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 		stats.RecoveryWall = reduceEnd.Sub(r.recoveryAt)
 		m.metrics.recoverySeconds.Observe(stats.RecoveryWall.Seconds())
 	}
-	_, mergeSpan := obs.StartSpan(ctx, "merge")
 	r.release() // the workers' reclaim overlaps the union's tail
 	if asMap != nil {
 		*asMap = <-union
 	}
-	mergeSpan.End()
 	end := time.Now()
 	r.trc.addPhase("merge", reduceEnd, end)
 	stats.MergeWall = end.Sub(reduceEnd)
@@ -707,11 +698,10 @@ type jobRun struct {
 	// The task graph: its two phases, where every launch of either
 	// reports, and the window walls — the barrier is the map output
 	// accepted when no other map task was pending, zero before it.
-	maps, reduces       *phase
-	results             chan launchDone
-	fails               chan launchFail
-	start, barrier      time.Time
-	mapSpan, reduceSpan *obs.Span
+	maps, reduces  *phase
+	results        chan launchDone
+	fails          chan launchFail
+	start, barrier time.Time
 
 	// Whose shuffle listener holds each located map output (mapLocs) and
 	// where its peer replica lives, when its mapper's push succeeded

@@ -283,6 +283,38 @@ func TestStatsPhases(t *testing.T) {
 	}
 }
 
+// TestShuffleTimeoutReachesWorkers: a worker's shuffle timeout is the
+// master's, learnt on the helloack; one under a millisecond goes out as
+// 1 ms, not as a zero the worker would not adopt.
+func TestShuffleTimeoutReachesWorkers(t *testing.T) {
+	for _, c := range []struct{ set, want time.Duration }{
+		{0, defaultShuffleTimeout},
+		{1500 * time.Millisecond, 1500 * time.Millisecond},
+		{200 * time.Microsecond, time.Millisecond},
+	} {
+		master, err := NewMaster(mustRegistry(t), MasterConfig{ShuffleTimeout: c.set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := master.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorker(mustRegistry(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Start(addr); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.shuffleTO(); got != c.want {
+			t.Errorf("master ShuffleTimeout %v: worker's is %v, want %v", c.set, got, c.want)
+		}
+		w.Stop()
+		master.Close()
+	}
+}
+
 // checkTracedWalls checks the breakdown of a traced run against its
 // Stats, live and from the run's JSON dump.
 func checkTracedWalls(t *testing.T, name string, trc *JobTrace, stats Stats) {

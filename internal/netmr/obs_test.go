@@ -1,7 +1,6 @@
 package netmr
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"ipso/internal/obs"
-	"ipso/internal/trace"
 )
 
 func countJob() Job {
@@ -118,31 +116,6 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	health := httpGet(t, "http://"+httpAddr+"/healthz")
 	if !strings.Contains(health, `"status":"ok"`) || !strings.Contains(health, `"workers":2`) {
 		t.Errorf("healthz = %s", health)
-	}
-}
-
-func TestRunRecordsPhaseSpans(t *testing.T) {
-	cfg := MasterConfig{Metrics: obs.NewRegistry()}
-	master, _ := startObsCluster(t, cfg, 1)
-
-	rec := obs.NewRecorder("netmr")
-	ctx := obs.WithRecorder(context.Background(), rec)
-	if _, _, err := master.Run(ctx, "count", []string{"x y", "z"}, 2); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	log, err := trace.ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := log.PhaseSpan(trace.PhaseMap); !ok {
-		t.Error("no split-phase span recorded")
-	}
-	if _, _, ok := log.PhaseSpan(trace.PhaseMerge); !ok {
-		t.Error("no merge-phase span recorded")
 	}
 }
 

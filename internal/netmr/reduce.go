@@ -1,14 +1,11 @@
 package netmr
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"time"
-
-	"ipso/internal/obs"
 )
 
 // Master-side half of the distributed reduce: the R partitions go out to
@@ -47,7 +44,7 @@ func (m *Master) newJobRun(name string, records []string, shards int, stats *Sta
 	// that can be out at once, so no reporter blocks after Run returns: a
 	// task's lineages (its first and its clones) each have one launch out
 	// at a time, a retry or requeue leaving only after the report.
-	capacity := (shards + cfg.Reducers) * (1 + cfg.SpeculationMaxClones)
+	capacity := (shards + cfg.Reducers) * (1 + maxClones)
 	r := &jobRun{
 		m: m, name: name, runID: fmt.Sprintf("%s#%d", name, m.runSeq.Add(1)),
 		records: records, shards: shards, stats: stats, ledger: &perWorkerLedger{by: map[string]*WorkerStats{}},
@@ -123,9 +120,7 @@ func (r *jobRun) absorb(d launchDone) {
 
 // passBarrier closes the split window when no map task is pending any
 // more, and opens the reduce window.
-func (r *jobRun) passBarrier(ctx context.Context) {
-	r.mapSpan.End()
-	_, r.reduceSpan = obs.StartSpan(ctx, "reduce")
+func (r *jobRun) passBarrier() {
 	r.barrier = time.Now()
 	r.stats.SplitWall = r.barrier.Sub(r.start)
 	r.trc.addPhase("split", r.start, r.barrier)

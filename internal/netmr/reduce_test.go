@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ipso/internal/trace"
 )
 
 // startReduceCluster boots a master with the given config and n workers,
@@ -407,7 +409,7 @@ func TestReduceCancellationAbandonsLaunch(t *testing.T) {
 	}
 	cancelled := 0
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var sp TraceSpan
+		var sp trace.Event
 		if err := json.Unmarshal([]byte(line), &sp); err != nil {
 			t.Fatal(err)
 		}

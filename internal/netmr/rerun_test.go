@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ipso/internal/obs"
+	"ipso/internal/trace"
 )
 
 // A map output whose primary and replica are both lost is a map task to
@@ -63,7 +64,7 @@ func rerunMaster(t *testing.T) (*Master, string) {
 // the re-run rule: the reference output, netmr_map_reexecutions_total
 // risen, and a lost shard with a second ok launch, on survivor. It
 // returns that launch's span and the split phase's.
-func checkRerun(t *testing.T, master *Master, survivor string) (rerun, split TraceSpan) {
+func checkRerun(t *testing.T, master *Master, survivor string) (rerun, split trace.Event) {
 	t.Helper()
 	waitIdle(t, master, 3) // so each worker maps one shard
 	lines := testLines(t, 300)
@@ -80,13 +81,13 @@ func checkRerun(t *testing.T, master *Master, survivor string) (rerun, split Tra
 	if stats.Completed != 3 || stats.MapOutputsStored < 4 || stats.RecoveryWall <= 0 {
 		t.Errorf("Completed %d, MapOutputsStored %d, RecoveryWall %v; want 3, at least 4 and > 0", stats.Completed, stats.MapOutputsStored, stats.RecoveryWall)
 	}
-	oks := map[int][]TraceSpan{}
+	oks := map[int][]trace.Event{}
 	for _, sp := range master.LastTrace().Spans() {
 		switch {
 		case sp.Phase == "split":
 			split = sp
 		case sp.Phase == "task" && sp.Outcome == outcomeOK:
-			oks[sp.Shard] = append(oks[sp.Shard], sp)
+			oks[sp.Task] = append(oks[sp.Task], sp)
 		}
 	}
 	for shard, launches := range oks {

@@ -135,7 +135,7 @@ func (m *Master) schedule(ctx context.Context, r *jobRun, deadline <-chan time.T
 	}()
 
 	for {
-		if err := r.drain(ctx); err != nil || r.reduces.pending == 0 {
+		if err := r.drain(); err != nil || r.reduces.pending == 0 {
 			return err
 		}
 		now := time.Now()
@@ -164,7 +164,7 @@ func (m *Master) schedule(ctx context.Context, r *jobRun, deadline <-chan time.T
 			r.dispatch(ph, w, readyIdx)
 
 		case d := <-r.results:
-			r.result(ctx, d)
+			r.result(d)
 
 		case fl := <-r.fails:
 			if err := r.fail(fl); err != nil {
@@ -191,11 +191,11 @@ func (m *Master) schedule(ctx context.Context, r *jobRun, deadline <-chan time.T
 // decided on a view older than the master's inbox: a reduce task whose
 // map outputs have all reported launches with its whole plan, not under
 // a stream of morelocs frames. It returns the error that ends the run.
-func (r *jobRun) drain(ctx context.Context) error {
+func (r *jobRun) drain() error {
 	for {
 		select {
 		case d := <-r.results:
-			r.result(ctx, d)
+			r.result(d)
 		case fl := <-r.fails:
 			if err := r.fail(fl); err != nil {
 				return err
@@ -300,7 +300,7 @@ func (r *jobRun) dispatch(ph *phase, w *workerHandle, readyIdx int) {
 // out then was abandoned there, and its report is not counted. A task
 // re-opened after the barrier is pending again, and the launches of its
 // new flight report as before it.
-func (r *jobRun) result(ctx context.Context, d launchDone) {
+func (r *jobRun) result(d launchDone) {
 	ph := d.task.ph
 	f := ph.inflight[d.task.id]
 	if f != d.task.flight {
@@ -330,7 +330,7 @@ func (r *jobRun) result(ctx context.Context, d launchDone) {
 	ph.accept(d)
 	if ph.pending--; ph == r.maps && ph.pending == 0 && r.barrier.IsZero() {
 		r.abandon(r.maps)
-		r.passBarrier(ctx)
+		r.passBarrier()
 		for _, f := range r.reduces.inflight {
 			f.lastLaunch = r.barrier
 		}
@@ -382,6 +382,9 @@ func (r *jobRun) fail(fl launchFail) error {
 	return nil
 }
 
+// maxClones bounds the speculative clones of one task.
+const maxClones = 1
+
 // speculate queues a clone of every task of ph whose latest launch has
 // run longer than the phase's completion-latency quantile times the
 // multiplier. A reduce launch that awaits a map output is no straggler:
@@ -404,7 +407,7 @@ func (r *jobRun) speculate(ph *phase) {
 	}
 	for _, id := range ids {
 		f := ph.inflight[id]
-		if ph.done[id] || f.launches == 0 || f.clones >= cfg.SpeculationMaxClones || ph == r.reduces && awaiting[id] {
+		if ph.done[id] || f.launches == 0 || f.clones >= maxClones || ph == r.reduces && awaiting[id] {
 			continue
 		}
 		if now.Sub(f.lastLaunch).Seconds() < threshold {

@@ -2,14 +2,16 @@ package netmr
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"ipso/internal/trace"
 )
 
 // Distributed job tracing: the master-side assembler that reconstructs a
@@ -29,32 +31,19 @@ const (
 	outcomeCancelled = "cancelled" // abandoned in flight at job exit or cancellation
 )
 
-// TraceSpan is one interval of the assembled job timeline, on the
-// master's clock (seconds since the job trace epoch). Launch-level spans
-// have Phase "task" (a map shard) or "rtask" (a reduce partition) and a
-// unique Launch ordinal — (shard, attempt) alone collides when a
-// speculative clone restarts a lineage — with the worker-reported
-// sub-phases sharing that ordinal. Master-level phase spans ("split",
-// "reduce", "merge") have Launch and Shard of -1.
-type TraceSpan struct {
-	Launch  int     `json:"launch"`
-	Shard   int     `json:"task"`
-	Attempt int     `json:"stage"`
-	Worker  string  `json:"worker,omitempty"`
-	Phase   string  `json:"phase"`
-	Outcome string  `json:"outcome,omitempty"`
-	Start   float64 `json:"start"`
-	End     float64 `json:"end"`
-}
-
-// Duration returns End − Start.
-func (s TraceSpan) Duration() float64 { return s.End - s.Start }
-
-// JobTrace is the assembled trace of one Run. The master opens a
-// launch-level span at every dispatch and closes it when the launch
-// reports (or abandons it at exit), so a sealed trace never holds an
-// open span whatever retry, speculation or cancellation path the run
-// took — the invariant the chaos regression pins.
+// JobTrace is the assembled trace of one Run: trace events on the
+// master's clock (seconds since the job trace epoch), each carrying the
+// job and the trace ID. Launch-level spans have Phase "task" (a map
+// shard) or "rtask" (a reduce partition), Task the shard or partition,
+// Stage the attempt and a unique Launch ordinal — (shard, attempt) alone
+// collides when a speculative clone restarts a lineage — with the
+// worker-reported sub-phases sharing that ordinal. Master-level phase
+// spans ("split", "reduce", "merge") have Launch and Task of -1.
+//
+// The master opens a launch-level span at every dispatch and closes it
+// when the launch reports (or abandons it at exit), so a sealed trace
+// never holds an open span whatever retry, speculation or cancellation
+// path the run took — the invariant the chaos regression pins.
 type JobTrace struct {
 	Job string
 	ID  string
@@ -63,9 +52,9 @@ type JobTrace struct {
 	epoch  time.Time
 	sealed bool
 	next   int
-	open   map[int]*TraceSpan // launch ordinal → in-flight launch span
-	byID   map[int]int        // launch ordinal → index in spans (closed)
-	spans  []TraceSpan
+	open   map[int]*trace.Event // launch ordinal → in-flight launch span
+	byID   map[int]int          // launch ordinal → index in spans (closed)
+	spans  []trace.Event
 }
 
 // newJobTrace starts an empty trace; seq distinguishes this run's trace
@@ -75,7 +64,7 @@ func newJobTrace(job string, seq int) *JobTrace {
 		Job:   job,
 		ID:    fmt.Sprintf("%s-%d", job, seq),
 		epoch: time.Now(),
-		open:  map[int]*TraceSpan{},
+		open:  map[int]*trace.Event{},
 		byID:  map[int]int{},
 	}
 }
@@ -105,9 +94,9 @@ func (t *JobTrace) openLaunch(phase string, shard, attempt int, worker string) i
 	}
 	id := t.next
 	t.next++
-	t.open[id] = &TraceSpan{
-		Launch: id, Shard: shard, Attempt: attempt, Worker: worker,
-		Phase: phase, Start: t.since(time.Now()),
+	t.open[id] = &trace.Event{
+		Job: t.Job, Stage: attempt, Phase: trace.Phase(phase), Task: shard, Start: t.since(time.Now()),
+		Launch: id, Worker: worker, Trace: t.ID,
 	}
 	return id
 }
@@ -185,9 +174,10 @@ func (t *JobTrace) closeLocked(id int, outcome string, end, from float64, worker
 	t.byID[id] = len(t.spans)
 	t.spans = append(t.spans, *sp)
 	for _, ws := range worker {
-		t.spans = append(t.spans, TraceSpan{
-			Launch: id, Shard: sp.Shard, Attempt: sp.Attempt, Worker: sp.Worker,
-			Phase: ws.Phase, Start: base + ws.Start, End: base + ws.End,
+		t.spans = append(t.spans, trace.Event{
+			Job: t.Job, Stage: sp.Stage, Phase: trace.Phase(ws.Phase), Task: sp.Task,
+			Start: base + ws.Start, End: base + ws.End,
+			Launch: id, Worker: sp.Worker, Trace: t.ID,
 		})
 	}
 }
@@ -229,9 +219,9 @@ func (t *JobTrace) addPhase(phase string, start, end time.Time) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.spans = append(t.spans, TraceSpan{
-		Launch: -1, Shard: -1, Phase: phase,
-		Start: t.since(start), End: t.since(end),
+	t.spans = append(t.spans, trace.Event{
+		Job: t.Job, Phase: trace.Phase(phase), Task: -1,
+		Start: t.since(start), End: t.since(end), Launch: -1, Trace: t.ID,
 	})
 }
 
@@ -263,12 +253,10 @@ func (t *JobTrace) seal() {
 }
 
 // Spans returns a copy of the recorded timeline in close order.
-func (t *JobTrace) Spans() []TraceSpan {
+func (t *JobTrace) Spans() []trace.Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]TraceSpan, len(t.spans))
-	copy(out, t.spans)
-	return out
+	return slices.Clone(t.spans)
 }
 
 // OpenLaunches reports the launches still in flight — zero on any
@@ -292,52 +280,24 @@ func (t *JobTrace) Outcomes() map[string]int {
 	return out
 }
 
-// WriteJSON dumps the timeline as JSON Lines. The field names reuse the
-// trace.Event schema (job/stage/phase/task/start/end — stage carries the
-// attempt, task the shard) with the launch ordinal, worker and outcome
-// as extra fields, so trace.ReadJSON and its extraction helpers parse
-// the dump unchanged while trace-aware tooling sees the full identity.
+// WriteJSON dumps the timeline as a trace event log (JSON Lines), so
+// trace.ReadJSON and its extraction helpers parse the dump and
+// ReadTraceJSON reads it back whole.
 func (t *JobTrace) WriteJSON(w io.Writer) error {
-	type line struct {
-		Job string `json:"job"`
-		TraceSpan
-		TraceID string `json:"trace"`
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, sp := range t.Spans() {
-		if err := enc.Encode(line{Job: t.Job, TraceSpan: sp, TraceID: t.ID}); err != nil {
-			return fmt.Errorf("netmr: encode trace span: %w", err)
-		}
-	}
-	return bw.Flush()
+	return trace.NewLog(t.Spans()...).WriteJSON(w)
 }
 
 // ReadTraceJSON parses a WriteJSON dump back into a JobTrace (sealed;
-// suitable for rendering reports offline). Lines with unknown extra
-// fields parse fine; the job and trace ID are taken from the first line.
+// suitable for rendering reports offline). The job and trace ID are
+// taken from the first line.
 func ReadTraceJSON(r io.Reader) (*JobTrace, error) {
-	type line struct {
-		Job string `json:"job"`
-		TraceSpan
-		TraceID string `json:"trace"`
+	l, err := trace.ReadJSON(r)
+	if err != nil {
+		return nil, err
 	}
-	t := &JobTrace{sealed: true, open: map[int]*TraceSpan{}, byID: map[int]int{}}
-	dec := json.NewDecoder(r)
-	for {
-		var l line
-		if err := dec.Decode(&l); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("netmr: decode trace span: %w", err)
-		}
-		if t.Job == "" {
-			t.Job, t.ID = l.Job, l.TraceID
-		}
-		if l.End < l.Start {
-			return nil, fmt.Errorf("netmr: trace span ends before it starts: %+v", l.TraceSpan)
-		}
-		t.spans = append(t.spans, l.TraceSpan)
+	t := &JobTrace{sealed: true, spans: l.Events()}
+	if len(t.spans) > 0 {
+		t.Job, t.ID = t.spans[0].Job, t.spans[0].Trace
 	}
 	return t, nil
 }
@@ -381,7 +341,7 @@ func (t *JobTrace) DerivedStats() Stats {
 }
 
 // wall is sp's duration as the time.Duration it was measured as.
-func wall(sp TraceSpan) time.Duration {
+func wall(sp trace.Event) time.Duration {
 	return time.Duration(math.Round(sp.Duration() * float64(time.Second)))
 }
 
@@ -443,7 +403,7 @@ func (t *JobTrace) Breakdown(stats Stats) PhaseBreakdown {
 	// into Wp (map) or Reduce (rtask) and the serialization phases,
 	// losing launches into Wasted.
 	type launchAcc struct {
-		span    TraceSpan
+		span    trace.Event
 		compute float64 // map + combine, or the reduce fold on an rtask
 		decode  float64
 		part    float64
@@ -468,7 +428,7 @@ func (t *JobTrace) Breakdown(stats Stats) PhaseBreakdown {
 			splitStart, splitEnd = sp.Start, sp.End
 		}
 	}
-	overlap := func(sp *TraceSpan) float64 {
+	overlap := func(sp *trace.Event) float64 {
 		lo, hi := sp.Start, sp.End
 		if lo < splitStart {
 			lo = splitStart
@@ -587,8 +547,8 @@ func (t *JobTrace) WriteReport(w io.Writer, stats Stats) error {
 
 	// Timeline: master phases first, then launches in start order with
 	// their worker sub-phases indented beneath.
-	var phases, tasks []TraceSpan
-	subs := map[int][]TraceSpan{}
+	var phases, tasks []trace.Event
+	subs := map[int][]trace.Event{}
 	for _, sp := range spans {
 		switch {
 		case sp.Launch < 0:
@@ -615,7 +575,7 @@ func (t *JobTrace) WriteReport(w io.Writer, stats Stats) error {
 			kind = "rpart"
 		}
 		fmt.Fprintf(bw, "launch %3d %s %3d attempt %d %-9s %s worker %s\n",
-			sp.Launch, kind, sp.Shard, sp.Attempt, sp.Outcome, fmtWindow(sp), sp.Worker)
+			sp.Launch, kind, sp.Task, sp.Stage, sp.Outcome, fmtWindow(sp), sp.Worker)
 		ss := subs[sp.Launch]
 		sort.Slice(ss, func(i, j int) bool { return ss[i].Start < ss[j].Start })
 		for _, sub := range ss {
@@ -649,7 +609,7 @@ func (t *JobTrace) WriteReport(w io.Writer, stats Stats) error {
 }
 
 // fmtWindow renders a span window compactly in milliseconds.
-func fmtWindow(sp TraceSpan) string {
+func fmtWindow(sp trace.Event) string {
 	dur := sp.Duration() * 1e3
 	if math.IsNaN(dur) || math.IsInf(dur, 0) {
 		dur = 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"ipso/internal/chaos"
 	"ipso/internal/obs"
+	"ipso/internal/trace"
 )
 
 // startTracedCluster brings up a traced master plus n plain workers.
@@ -78,14 +80,14 @@ func TestTracedRunTimeline(t *testing.T) {
 
 	phases := map[string]int{}
 	subsByLaunch := map[int]map[string]int{}
-	launches := map[int]TraceSpan{}
+	launches := map[int]trace.Event{}
 	for _, sp := range trc.Spans() {
 		if sp.End < sp.Start {
 			t.Fatalf("span ends before it starts: %+v", sp)
 		}
 		switch {
 		case sp.Launch < 0:
-			phases[sp.Phase]++
+			phases[string(sp.Phase)]++
 		case sp.Phase == "task":
 			launches[sp.Launch] = sp
 		case sp.Phase == "rtask":
@@ -93,7 +95,7 @@ func TestTracedRunTimeline(t *testing.T) {
 			if subsByLaunch[sp.Launch] == nil {
 				subsByLaunch[sp.Launch] = map[string]int{}
 			}
-			subsByLaunch[sp.Launch][sp.Phase]++
+			subsByLaunch[sp.Launch][string(sp.Phase)]++
 		}
 	}
 	if phases["split"] != 1 || phases["reduce"] != 1 || phases["merge"] != 1 {
@@ -192,6 +194,54 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadTraceJSON(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("non-JSON dump must be rejected")
+	}
+}
+
+// TestTraceDumpIsATraceLog: a job trace dump is a trace event log.
+// trace.ReadJSON parses a clean traced run's dump with every event's
+// launch, worker, outcome and trace ID kept, the paper's extraction
+// (PhaseTotal over map and combine) gives Breakdown's Wp, and
+// Log.Breakdown accepts it.
+func TestTraceDumpIsATraceLog(t *testing.T) {
+	master := startTracedCluster(t, 2, MasterConfig{Reducers: 2})
+	_, stats, err := master.Run(context.Background(), "wordcount", testLines(t, 400), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trc := master.LastTrace()
+	var buf bytes.Buffer
+	if err := trc.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	log, err := trace.ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := log.Events()
+	if !reflect.DeepEqual(evs, trc.Spans()) {
+		t.Fatal("trace.ReadJSON read the dump as other events than the trace holds")
+	}
+	for _, ev := range evs {
+		if ev.Trace != trc.ID || ev.Job != trc.Job {
+			t.Fatalf("event %+v: want job %q and trace %q", ev, trc.Job, trc.ID)
+		}
+		switch {
+		case ev.Launch < 0:
+			if ev.Worker != "" || ev.Outcome != "" || ev.Task != -1 {
+				t.Fatalf("master phase %+v carries a launch's fields", ev)
+			}
+		case ev.Worker == "":
+			t.Fatalf("launch event %+v names no worker", ev)
+		case (ev.Phase == "task" || ev.Phase == "rtask") && ev.Outcome != outcomeOK:
+			t.Fatalf("launch %+v of a clean run is not ok", ev)
+		}
+	}
+	b := trc.Breakdown(stats)
+	if wp := log.PhaseTotal(trace.PhaseMap) + log.PhaseTotal(spanCombine); math.Abs(wp-b.Wp) > 1e-9 || wp <= 0 {
+		t.Errorf("PhaseTotal(map) + PhaseTotal(combine) = %v, Breakdown's Wp %v", wp, b.Wp)
+	}
+	if _, err := log.Breakdown(); err != nil {
+		t.Errorf("Log.Breakdown refused the dump: %v", err)
 	}
 }
 

@@ -45,9 +45,10 @@ type Worker struct {
 	pool          *shufflePool
 	shuffleFanout int
 
-	// Out-of-core configuration (WithWorkerConfig). The shuffle timeout
-	// is atomic because Start adopts the helloack's while the
-	// fetch-listener goroutines are already serving peers.
+	// Out-of-core configuration: the shuffle timeout is the master's,
+	// adopted from the helloack — atomic because the fetch-listener
+	// goroutines are already serving peers — and the rest comes from
+	// WithWorkerConfig.
 	shuffleTimeoutNs atomic.Int64
 	spillBudget      int64
 	spillDir         string
@@ -87,10 +88,6 @@ func WithChaos(in *chaos.Injector) WorkerOption {
 
 // WorkerConfig is the out-of-core shuffle tuning of one worker.
 type WorkerConfig struct {
-	// ShuffleTimeout bounds one shuffle round-trip (fetch or replicate).
-	// Zero means the 30s default; the master's helloack may lower or
-	// raise it cluster-wide.
-	ShuffleTimeout time.Duration
 	// SpillBudget bounds the bytes of intermediate state kept resident —
 	// both the map-output store and each reduce task's gather buffer.
 	// Zero keeps everything in memory (the previous behavior).
@@ -107,9 +104,6 @@ type WorkerConfig struct {
 // WithWorkerConfig applies out-of-core shuffle settings.
 func WithWorkerConfig(cfg WorkerConfig) WorkerOption {
 	return func(w *Worker) {
-		if cfg.ShuffleTimeout > 0 {
-			w.shuffleTimeoutNs.Store(int64(cfg.ShuffleTimeout))
-		}
 		w.spillBudget = cfg.SpillBudget
 		w.spillDir = cfg.SpillDir
 		if cfg.ShuffleFanout > 0 {

@@ -1,8 +1,8 @@
 // Package obs is the observability layer of the harness: a
 // dependency-free metrics registry (counters, gauges, fixed-bucket
 // histograms, all race-safe and exportable in Prometheus text format)
-// plus wall-clock spans recorded as JSON Lines in the same event schema
-// internal/trace reads.
+// plus wall-clock spans recorded as the trace.Event log internal/trace
+// reads.
 //
 // Section V of the paper derives every IPSO parameter from execution
 // logs. internal/trace does that for the simulated engines; this package

@@ -1,36 +1,25 @@
 package obs
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
+
+	"ipso/internal/trace"
 )
 
-// SpanEvent is one finished span, in exactly the JSON shape of
-// trace.Event so recorded span logs feed the same extraction tooling
+// Recorder collects finished spans for one job execution as trace
+// events, so recorded span logs feed the same extraction tooling
 // (PhaseTotal, MaxTaskDuration, ...) the harness applies to simulated
-// engine logs. Start and End are seconds since the recorder's epoch.
-type SpanEvent struct {
-	Job   string  `json:"job"`
-	Stage int     `json:"stage"`
-	Phase string  `json:"phase"`
-	Task  int     `json:"task"`
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
-}
-
-// Recorder collects finished spans for one job execution. It is safe for
-// concurrent use; a nil *Recorder is a valid no-op sink, which is what
-// code paths see when the context carries no recorder.
+// engine logs; Start and End are seconds since the recorder's epoch. It
+// is safe for concurrent use; a nil *Recorder is a valid no-op sink,
+// which is what code paths see when the context carries no recorder.
 type Recorder struct {
 	job   string
 	epoch time.Time
 
 	mu     sync.Mutex
-	events []SpanEvent
+	events []trace.Event
 }
 
 // NewRecorder starts an empty span log for the named job; span
@@ -39,39 +28,15 @@ func NewRecorder(job string) *Recorder {
 	return &Recorder{job: job, epoch: time.Now()}
 }
 
-// Events returns a copy of the finished spans in end order.
-func (r *Recorder) Events() []SpanEvent {
+// Log returns the finished spans so far, in end order; empty for a nil
+// recorder.
+func (r *Recorder) Log() *trace.Log {
 	if r == nil {
-		return nil
+		return trace.NewLog()
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]SpanEvent, len(r.events))
-	copy(out, r.events)
-	return out
-}
-
-// Len reports the number of finished spans.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-// WriteJSON writes the spans as JSON Lines, one event per line — the
-// format trace.ReadJSON parses.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range r.Events() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return trace.NewLog(r.events...)
 }
 
 type recorderKey struct{}
@@ -147,10 +112,10 @@ func (s *Span) End() {
 	}
 	s.once.Do(func() {
 		end := time.Now()
-		e := SpanEvent{
+		e := trace.Event{
 			Job:   s.rec.job,
 			Stage: s.stage,
-			Phase: s.phase,
+			Phase: trace.Phase(s.phase),
 			Task:  s.task,
 			Start: s.start.Sub(s.rec.epoch).Seconds(),
 			End:   end.Sub(s.rec.epoch).Seconds(),

@@ -36,7 +36,7 @@ func TestSpanRecordingAndNesting(t *testing.T) {
 	outer.End()
 	outer.End() // idempotent
 
-	evs := rec.Events()
+	evs := rec.Log().Events()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
 	}
@@ -55,9 +55,6 @@ func TestSpanRecordingAndNesting(t *testing.T) {
 	}
 }
 
-// Duration helper mirrored from trace.Event for test readability.
-func (e SpanEvent) Duration() float64 { return e.End - e.Start }
-
 func TestRecorderJSONIsTraceCompatible(t *testing.T) {
 	rec := NewRecorder("selftest")
 	ctx := WithRecorder(context.Background(), rec)
@@ -71,7 +68,7 @@ func TestRecorderJSONIsTraceCompatible(t *testing.T) {
 	m.End()
 
 	var buf bytes.Buffer
-	if err := rec.WriteJSON(&buf); err != nil {
+	if err := rec.Log().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(buf.String(), "\n"); got != 4 {
@@ -118,14 +115,14 @@ func TestRecorderConcurrentSpans(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if rec.Len() != 16 {
-		t.Errorf("recorded %d spans, want 16", rec.Len())
+	if n := rec.Log().Len(); n != 16 {
+		t.Errorf("recorded %d spans, want 16", n)
 	}
 }
 
 func TestNilRecorderAccessors(t *testing.T) {
 	var rec *Recorder
-	if rec.Events() != nil || rec.Len() != 0 {
+	if log := rec.Log(); len(log.Events()) != 0 || log.Len() != 0 {
 		t.Error("nil recorder must read as empty")
 	}
 	if RecorderFrom(context.Background()) != nil {

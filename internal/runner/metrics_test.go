@@ -68,14 +68,14 @@ func TestMapRecordsTaskSpans(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() != n {
-		t.Fatalf("recorded %d spans, want %d", rec.Len(), n)
+	if got := rec.Log().Len(); got != n {
+		t.Fatalf("recorded %d spans, want %d", got, n)
 	}
 
 	// The span log round-trips through the trace tooling: n task events
 	// in the "map" phase, one per task index.
 	var buf bytes.Buffer
-	if err := rec.WriteJSON(&buf); err != nil {
+	if err := rec.Log().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	log, err := trace.ReadJSON(&buf)

@@ -13,6 +13,9 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"job":"sort","stage":0,"phase":"map","task":1,"start":0,"end":2}`)
 	f.Add(`{"start":5,"end":1}`)
 	f.Add(`{"phase":"merge"}` + "\n" + `{"phase":"reduce","start":1,"end":3}`)
+	// A distributed run's job trace dump: a launch and a master phase.
+	f.Add(`{"job":"wc","stage":1,"phase":"task","task":3,"start":0.5,"end":1.5,"launch":4,"worker":"w1","outcome":"ok","trace":"wc-1"}` + "\n" +
+		`{"job":"wc","stage":0,"phase":"split","task":-1,"start":0,"end":2,"launch":-1,"trace":"wc-1"}`)
 	f.Add(`not json at all`)
 	f.Add(``)
 	f.Fuzz(func(t *testing.T, input string) {

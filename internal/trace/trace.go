@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -38,14 +39,23 @@ const (
 	PhaseDeser     Phase = "deser"     // task scheduling+deserialization overhead
 )
 
-// Event is one timestamped interval in a job execution.
+// Event is one timestamped interval in a job execution: a simulated
+// engine's phase or task, a recorded in-process span, or a span of a
+// distributed run's job trace. The last four fields identify a
+// distributed run's launches; they are empty elsewhere and then absent
+// from the JSON.
 type Event struct {
 	Job   string  `json:"job"`
-	Stage int     `json:"stage"` // 0 for single-stage jobs
+	Stage int     `json:"stage"` // 0 for single-stage jobs; a launch's attempt
 	Phase Phase   `json:"phase"`
-	Task  int     `json:"task"` // -1 for phase-level events
+	Task  int     `json:"task"` // -1 for phase-level events; a launch's shard or partition
 	Start float64 `json:"start"`
 	End   float64 `json:"end"`
+
+	Launch  int    `json:"launch,omitempty"`  // launch ordinal; -1 for a master phase
+	Worker  string `json:"worker,omitempty"`  // the worker that ran the launch
+	Outcome string `json:"outcome,omitempty"` // a launch span's outcome
+	Trace   string `json:"trace,omitempty"`   // the job trace's ID
 }
 
 // Duration returns End − Start.
@@ -56,8 +66,9 @@ type Log struct {
 	events []Event
 }
 
-// NewLog returns an empty log.
-func NewLog() *Log { return &Log{} }
+// NewLog returns a log holding a copy of events, which the caller
+// vouches end no earlier than they start (Add and ReadJSON check it).
+func NewLog(events ...Event) *Log { return &Log{events: slices.Clone(events)} }
 
 // Add appends an event. Events with End < Start are rejected.
 func (l *Log) Add(e Event) error {

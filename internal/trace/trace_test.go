@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -120,6 +121,28 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back.Events(), l.Events()) {
 		t.Error("round-tripped events differ")
+	}
+}
+
+// TestEventKeysWithoutLaunchFields: an event whose launch fields are
+// zero (every simulated engine's) encodes with exactly the six keys of
+// the original schema, in order, so simulator logs keep their bytes.
+func TestEventKeysWithoutLaunchFields(t *testing.T) {
+	b, err := json.Marshal(Event{Job: "sort", Stage: 1, Phase: PhaseMap, Task: -1, Start: 0.5, End: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"job":"sort","stage":1,"phase":"map","task":-1,"start":0.5,"end":2}`; string(b) != want {
+		t.Errorf("encoded %s, want %s", b, want)
+	}
+}
+
+func TestNewLogCopiesEvents(t *testing.T) {
+	evs := []Event{{Job: "a", Phase: PhaseMap, End: 1}}
+	l := NewLog(evs...)
+	evs[0].Job = "mutated"
+	if l.Len() != 1 || l.Events()[0].Job != "a" {
+		t.Errorf("log = %+v, want its own copy of the one event", l.Events())
 	}
 }
 
