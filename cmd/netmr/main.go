@@ -44,17 +44,17 @@
 // Pipelined shuffle: the master dispatches reduce tasks as soon as a map
 // output is stored and no map shard waits for a worker, and streams the
 // locations of later map outputs to the running reducers, so their
-// fetches hide under the map tail. -shuffle-fanout (worker) bounds how
-// many peers one reduce task fetches from concurrently over pooled
-// connections (1 restores the serial gather).
+// fetches hide under the map tail. A reduce task fetches from up to 4
+// peers at a time over pooled connections; there is no flag.
 //
 // Resilience knobs (master): -maxattempts bounds the retry budget per
-// shard lineage, -retrybase/-retrymax/-retryjitter/-retryseed shape the
-// capped exponential backoff, and -speculate enables straggler cloning
-// on the given check interval. If the job cannot finish (for example
-// every worker died), the master still prints the partial statistics it
-// gathered — including the per-worker breakdown — before exiting
-// nonzero, so a degraded run is diagnosable from its output.
+// shard lineage, -retrybase sets the first retry's backoff (doubled per
+// attempt up to 2 s, with ±20 % deterministic jitter), and -speculate
+// enables straggler cloning on the given check interval. If the job
+// cannot finish (for example every worker died), the master still prints
+// the partial statistics it gathered — including the per-worker
+// breakdown — before exiting nonzero, so a degraded run is diagnosable
+// from its output.
 //
 // Fault injection (both roles): -chaos-seed plus -chaos-latency,
 // -chaos-task-latency (distributions like fixed:5ms, exp:5ms,
@@ -141,15 +141,11 @@ func run(args []string, out io.Writer) error {
 
 	maxAttempts := fs.Int("maxattempts", 0, "master: retry budget per shard lineage (0 = default 3)")
 	retryBase := fs.Duration("retrybase", 0, "master: initial retry backoff (0 = default 20ms)")
-	retryMax := fs.Duration("retrymax", 0, "master: retry backoff cap (0 = default 2s)")
-	retryJitter := fs.Float64("retryjitter", 0, "master: retry jitter fraction (0 = default 0.2, negative disables)")
-	retrySeed := fs.Int64("retryseed", 0, "master: deterministic jitter seed")
 	speculate := fs.Duration("speculate", 0, "master: straggler-check interval enabling speculative clones (0 = disabled)")
 	reducers := fs.Int("reducers", 0, "master: reduce tasks R run on workers (0 = GOMAXPROCS)")
 	shuffleTimeout := fs.Duration("shuffle-timeout", 0, "master: worker-to-worker shuffle round-trip bound, pushed to every worker (0 = default 30s)")
 	spillBudget := fs.Int64("spill-budget", 0, "worker: resident bytes of intermediate state before spilling to disk (0 = never spill)")
 	spillDir := fs.String("spill-dir", "", "worker: scratch root for spill files (empty = OS temp dir)")
-	shuffleFanout := fs.Int("shuffle-fanout", 0, "worker: concurrent peers one reduce task fetches from (0 = default 4, 1 = serial gather)")
 
 	chaosSeed := fs.Int64("chaos-seed", 0, "fault injection seed (faults are byte-reproducible per seed)")
 	chaosLatency := fs.String("chaos-latency", "", "injected wire latency distribution (e.g. fixed:5ms, pareto:10ms,1.5,2s)")
@@ -179,16 +175,14 @@ func run(args []string, out io.Writer) error {
 			workers: *workers, seed: *seed,
 			metricsAddr: *metricsAddr, heartbeat: *heartbeat,
 			trace: *trace || *traceFile != "", traceFile: *traceFile,
-			maxAttempts: *maxAttempts,
-			retryBase:   *retryBase, retryMax: *retryMax,
-			retryJitter: *retryJitter, retrySeed: *retrySeed,
+			maxAttempts: *maxAttempts, retryBase: *retryBase,
 			speculate: *speculate, reducers: *reducers,
 			shuffleTimeout: *shuffleTimeout,
 			chaos:          injector,
 		})
 	case "worker":
 		return runWorker(out, *addr, injector, netmr.WorkerConfig{
-			SpillBudget: *spillBudget, SpillDir: *spillDir, ShuffleFanout: *shuffleFanout,
+			SpillBudget: *spillBudget, SpillDir: *spillDir,
 		})
 	default:
 		return errors.New("need -role master or -role worker")
@@ -245,14 +239,12 @@ type masterOptions struct {
 	trace         bool
 	traceFile     string
 
-	maxAttempts         int
-	retryBase, retryMax time.Duration
-	retryJitter         float64
-	retrySeed           int64
-	speculate           time.Duration
-	reducers            int
-	shuffleTimeout      time.Duration
-	chaos               *chaos.Injector
+	maxAttempts    int
+	retryBase      time.Duration
+	speculate      time.Duration
+	reducers       int
+	shuffleTimeout time.Duration
+	chaos          *chaos.Injector
 }
 
 func runMaster(out io.Writer, opts masterOptions) error {
@@ -264,9 +256,6 @@ func runMaster(out io.Writer, opts masterOptions) error {
 		HeartbeatInterval:   opts.heartbeat,
 		MaxAttempts:         opts.maxAttempts,
 		RetryBaseDelay:      opts.retryBase,
-		RetryMaxDelay:       opts.retryMax,
-		RetryJitter:         opts.retryJitter,
-		RetrySeed:           opts.retrySeed,
 		SpeculationInterval: opts.speculate,
 		Reducers:            opts.reducers,
 		ShuffleTimeout:      opts.shuffleTimeout,

@@ -190,7 +190,7 @@ func TestRunMasterDegradedPrintsPartialStats(t *testing.T) {
 	err := run([]string{
 		"-role", "master", "-addr", addr,
 		"-job", "wordcount", "-lines", "100", "-shards", "4", "-workers", "1",
-		"-retrybase", "1ms", "-retrymax", "2ms",
+		"-retrybase", "1ms",
 	}, &sb)
 	if werr := <-workerReady; werr != nil {
 		t.Fatalf("worker: %v", werr)

@@ -128,44 +128,11 @@ func DistReduce(ctx context.Context, workerCounts []int, lines, shards, reducers
 // cluster with R reduce tasks, through RunResult, followed by the union
 // into one map, whose time is returned.
 func runDistReduceWordCount(ctx context.Context, input []string, workers, shards, reducers int) (run netmr.Stats, union time.Duration, err error) {
-	job := wordCountNetJob()
-	registry, err := netmr.NewRegistry(job)
+	master, stop, err := startCluster(wordCountNetJob(), workers, netmr.MasterConfig{Reducers: reducers}, nil)
 	if err != nil {
 		return run, union, err
 	}
-	master, err := netmr.NewMaster(registry, netmr.MasterConfig{Reducers: reducers})
-	if err != nil {
-		return run, union, err
-	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		return run, union, err
-	}
-	defer master.Close()
-
-	stops := make([]func(), 0, workers)
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	for i := 0; i < workers; i++ {
-		wreg, err := netmr.NewRegistry(job)
-		if err != nil {
-			return run, union, err
-		}
-		w, err := netmr.NewWorker(wreg)
-		if err != nil {
-			return run, union, err
-		}
-		if err := w.Start(addr); err != nil {
-			return run, union, err
-		}
-		stops = append(stops, w.Stop)
-	}
-	if err := master.WaitForWorkers(workers, 30*time.Second); err != nil {
-		return run, union, err
-	}
+	defer stop()
 	res, run, err := master.RunResult(ctx, "wordcount", input, shards)
 	if err != nil {
 		return run, union, err

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"time"
 
 	"ipso/internal/core"
 	"ipso/internal/netmr"
@@ -273,46 +272,13 @@ func checkLiveFitGauges(fams []obs.PromFamily, model string, nStar int) error {
 // runTracedWordCount runs one traced wordcount job on a fresh in-process
 // cluster and returns the trace's phase attribution.
 func runTracedWordCount(ctx context.Context, input []string, workers, shards int) (netmr.PhaseBreakdown, error) {
-	job := wordCountNetJob()
-	registry, err := netmr.NewRegistry(job)
-	if err != nil {
-		return netmr.PhaseBreakdown{}, err
-	}
-	master, err := netmr.NewMaster(registry, netmr.MasterConfig{
+	master, stop, err := startCluster(wordCountNetJob(), workers, netmr.MasterConfig{
 		Reducers: 4, Trace: true, Metrics: obs.NewRegistry(),
-	})
+	}, nil)
 	if err != nil {
 		return netmr.PhaseBreakdown{}, err
 	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		return netmr.PhaseBreakdown{}, err
-	}
-	defer master.Close()
-
-	stops := make([]func(), 0, workers)
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	for i := 0; i < workers; i++ {
-		wreg, err := netmr.NewRegistry(job)
-		if err != nil {
-			return netmr.PhaseBreakdown{}, err
-		}
-		w, err := netmr.NewWorker(wreg)
-		if err != nil {
-			return netmr.PhaseBreakdown{}, err
-		}
-		if err := w.Start(addr); err != nil {
-			return netmr.PhaseBreakdown{}, err
-		}
-		stops = append(stops, w.Stop)
-	}
-	if err := master.WaitForWorkers(workers, 30*time.Second); err != nil {
-		return netmr.PhaseBreakdown{}, err
-	}
+	defer stop()
 	_, stats, err := master.RunResult(ctx, "wordcount", input, shards)
 	if err != nil {
 		return netmr.PhaseBreakdown{}, err

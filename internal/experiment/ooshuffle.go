@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"time"
 
 	"ipso/internal/netmr"
 	"ipso/internal/stats"
@@ -189,56 +188,28 @@ func runOOShuffleWordCount(ctx context.Context, input []string, workers, shards,
 	fail := func(err error) (map[string]float64, netmr.Stats, netmr.PhaseBreakdown, int64, error) {
 		return nil, netmr.Stats{}, netmr.PhaseBreakdown{}, 0, err
 	}
-	job := wordCountNetJob()
-	registry, err := netmr.NewRegistry(job)
-	if err != nil {
-		return fail(err)
-	}
-	master, err := netmr.NewMaster(registry, netmr.MasterConfig{
-		Reducers: reducers, Trace: traced,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	defer master.Close()
-
 	spillDir := ""
 	if budget > 0 {
-		spillDir, err = os.MkdirTemp("", "ooshuffle-*")
-		if err != nil {
+		var err error
+		if spillDir, err = os.MkdirTemp("", "ooshuffle-*"); err != nil {
 			return fail(err)
 		}
 		defer func() { _ = os.RemoveAll(spillDir) }()
 	}
-	pool := make([]*netmr.Worker, 0, workers)
-	defer func() {
-		for _, w := range pool {
-			w.Stop()
+	// The last option keeps each worker, whose store peak is read below.
+	var pool []*netmr.Worker
+	master, stop, err := startCluster(wordCountNetJob(), workers, netmr.MasterConfig{
+		Reducers: reducers, Trace: traced,
+	}, func(int) []netmr.WorkerOption {
+		return []netmr.WorkerOption{
+			netmr.WithWorkerConfig(netmr.WorkerConfig{SpillBudget: budget, SpillDir: spillDir}),
+			func(w *netmr.Worker) { pool = append(pool, w) },
 		}
-	}()
-	for i := 0; i < workers; i++ {
-		wreg, err := netmr.NewRegistry(job)
-		if err != nil {
-			return fail(err)
-		}
-		w, err := netmr.NewWorker(wreg, netmr.WithWorkerConfig(netmr.WorkerConfig{
-			SpillBudget: budget, SpillDir: spillDir,
-		}))
-		if err != nil {
-			return fail(err)
-		}
-		if err := w.Start(addr); err != nil {
-			return fail(err)
-		}
-		pool = append(pool, w)
-	}
-	if err := master.WaitForWorkers(workers, 30*time.Second); err != nil {
+	})
+	if err != nil {
 		return fail(err)
 	}
+	defer stop()
 	out, st, err := master.Run(ctx, "wordcount", input, shards)
 	if err != nil {
 		return fail(err)

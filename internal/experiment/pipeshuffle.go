@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"time"
 
 	"ipso/internal/netmr"
 	"ipso/internal/stats"
@@ -81,46 +80,13 @@ func runPipeShuffleWordCount(ctx context.Context, input []string, workers, shard
 	fail := func(err error) (map[string]float64, netmr.Stats, netmr.PhaseBreakdown, error) {
 		return nil, netmr.Stats{}, netmr.PhaseBreakdown{}, err
 	}
-	job := wordCountNetJob()
-	registry, err := netmr.NewRegistry(job)
-	if err != nil {
-		return fail(err)
-	}
-	master, err := netmr.NewMaster(registry, netmr.MasterConfig{
+	master, stop, err := startCluster(wordCountNetJob(), workers, netmr.MasterConfig{
 		Reducers: reducers, Trace: true,
-	})
+	}, nil)
 	if err != nil {
 		return fail(err)
 	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	defer master.Close()
-
-	stops := make([]func(), 0, workers)
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	for i := 0; i < workers; i++ {
-		wreg, err := netmr.NewRegistry(job)
-		if err != nil {
-			return fail(err)
-		}
-		w, err := netmr.NewWorker(wreg)
-		if err != nil {
-			return fail(err)
-		}
-		if err := w.Start(addr); err != nil {
-			return fail(err)
-		}
-		stops = append(stops, w.Stop)
-	}
-	if err := master.WaitForWorkers(workers, 30*time.Second); err != nil {
-		return fail(err)
-	}
+	defer stop()
 	out, st, err := master.Run(ctx, "wordcount", input, shards)
 	if err != nil {
 		return fail(err)

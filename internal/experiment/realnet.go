@@ -48,6 +48,47 @@ func wordCountNetJob() netmr.Job {
 	}
 }
 
+// startCluster brings up an in-process loopback cluster: a master running
+// job under cfg and n workers, worker i built with opts(i) when opts is
+// set, all of them joined. stop shuts the workers down, then the master.
+func startCluster(job netmr.Job, n int, cfg netmr.MasterConfig, opts func(i int) []netmr.WorkerOption) (*netmr.Master, func(), error) {
+	registry, err := netmr.NewRegistry(job)
+	if err != nil {
+		return nil, nil, err
+	}
+	master, err := netmr.NewMaster(registry, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	var workers []*netmr.Worker
+	stop := func() {
+		for _, w := range workers {
+			w.Stop()
+		}
+		master.Close()
+	}
+	addr, err := master.Listen("127.0.0.1:0")
+	for i := 0; err == nil && i < n; i++ {
+		var o []netmr.WorkerOption
+		if opts != nil {
+			o = opts(i)
+		}
+		var w *netmr.Worker
+		if w, err = netmr.NewWorker(registry, o...); err == nil {
+			workers = append(workers, w)
+			err = w.Start(addr)
+		}
+	}
+	if err == nil {
+		err = master.WaitForWorkers(n, 30*time.Second)
+	}
+	if err != nil {
+		stop()
+		return nil, nil, err
+	}
+	return master, stop, nil
+}
+
 // RealNet measures the actual TCP MapReduce runtime: the same WordCount
 // computation is run over the network with growing worker pools and the
 // measured wall-clock speedups (against the one-worker execution) are
@@ -137,48 +178,15 @@ func positiveMs(d time.Duration) float64 {
 // returns its stats and how long the union of its output into one map
 // took.
 func runRealWordCount(ctx context.Context, input []string, workers, shards int) (netmr.Stats, time.Duration, error) {
-	job := wordCountNetJob()
-	registry, err := netmr.NewRegistry(job)
-	if err != nil {
-		return netmr.Stats{}, 0, err
-	}
 	// Batched dispatch amortizes framing and syscalls across shards; the
 	// worker still acks each shard individually, so the phase stats keep
 	// per-shard resolution. R is pinned to 4 (not GOMAXPROCS) so runs
 	// compare across machines.
-	master, err := netmr.NewMaster(registry, netmr.MasterConfig{Reducers: 4})
+	master, stop, err := startCluster(wordCountNetJob(), workers, netmr.MasterConfig{Reducers: 4}, nil)
 	if err != nil {
 		return netmr.Stats{}, 0, err
 	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		return netmr.Stats{}, 0, err
-	}
-	defer master.Close()
-
-	stops := make([]func(), 0, workers)
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	for i := 0; i < workers; i++ {
-		wreg, err := netmr.NewRegistry(job)
-		if err != nil {
-			return netmr.Stats{}, 0, err
-		}
-		w, err := netmr.NewWorker(wreg)
-		if err != nil {
-			return netmr.Stats{}, 0, err
-		}
-		if err := w.Start(addr); err != nil {
-			return netmr.Stats{}, 0, err
-		}
-		stops = append(stops, w.Stop)
-	}
-	if err := master.WaitForWorkers(workers, 30*time.Second); err != nil {
-		return netmr.Stats{}, 0, err
-	}
+	defer stop()
 	res, stats, err := master.RunResult(ctx, "wordcount", input, shards)
 	if err != nil {
 		return stats, 0, err

@@ -180,60 +180,28 @@ func runStragglerValidation(ctx context.Context) (int, float64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	job := wordCountNetJob()
-	registry, err := netmr.NewRegistry(job)
-	if err != nil {
-		return 0, 0, err
-	}
 	// Reducers pinned above 1 so the validation also covers mapdone
 	// frames and reduce results racing their speculative duplicates.
-	master, err := netmr.NewMaster(registry, netmr.MasterConfig{
+	master, stop, err := startCluster(wordCountNetJob(), 3, netmr.MasterConfig{
 		SpeculationInterval: 5 * time.Millisecond,
 		Reducers:            4,
+	}, func(i int) []netmr.WorkerOption {
+		if i != 0 {
+			return nil
+		}
+		// The slow machine: every task pays a fixed delay. 40 ms is still
+		// ~8 speculation intervals, so clones always fire; the reported
+		// facts (distinct/total words) are input-determined, so the
+		// smaller constant only trims the experiment's wall clock.
+		return []netmr.WorkerOption{netmr.WithChaos(chaos.New(chaos.Config{
+			Seed:        1,
+			TaskLatency: chaos.Dist{Kind: chaos.DistFixed, Base: 40 * time.Millisecond},
+		}))}
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer master.Close()
-
-	var stops []func()
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	for i := 0; i < 3; i++ {
-		wreg, err := netmr.NewRegistry(job)
-		if err != nil {
-			return 0, 0, err
-		}
-		var opts []netmr.WorkerOption
-		if i == 0 { // the slow machine: every task pays a fixed delay
-			// 40 ms is still ~8 speculation intervals, so clones always
-			// fire; the reported facts (distinct/total words) are
-			// input-determined, so the smaller constant only trims the
-			// experiment's wall clock.
-			opts = append(opts, netmr.WithChaos(chaos.New(chaos.Config{
-				Seed:        1,
-				TaskLatency: chaos.Dist{Kind: chaos.DistFixed, Base: 40 * time.Millisecond},
-			})))
-		}
-		w, err := netmr.NewWorker(wreg, opts...)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := w.Start(addr); err != nil {
-			return 0, 0, err
-		}
-		stops = append(stops, w.Stop)
-	}
-	if err := master.WaitForWorkers(3, 30*time.Second); err != nil {
-		return 0, 0, err
-	}
+	defer stop()
 	result, _, err := master.Run(ctx, "wordcount", input, 12)
 	if err != nil {
 		return 0, 0, err

@@ -593,7 +593,7 @@ func TestMapperLossFinishesFromLocalReplica(t *testing.T) {
 	lines := testLines(t, 400)
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
 		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: 2,
-		HeartbeatInterval: 5 * time.Millisecond, HeartbeatTimeout: time.Second,
+		HeartbeatInterval: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -671,29 +671,29 @@ func TestPickReplicaAddrRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.pickReplicaAddr("a:1"); got != "" {
+	if got := m.pickReplicaAddr("a:1", nil); got != "" {
 		t.Errorf("no address registered: got %q, want none", got)
 	}
 	m.addFetchAddr("a:1")
-	if got := m.pickReplicaAddr("a:1"); got != "" {
+	if got := m.pickReplicaAddr("a:1", nil); got != "" {
 		t.Errorf("single live address: got %q, want none (a replica beside its primary is no replica)", got)
 	}
 	for _, addr := range []string{"b:1", "c:1", "d:1"} {
 		m.addFetchAddr(addr)
 	}
 	for self, want := range map[string]string{"a:1": "b:1", "b:1": "c:1", "c:1": "d:1", "d:1": "a:1", "b:2": "c:1", "zz:9": "a:1"} {
-		if got := m.pickReplicaAddr(self); got != want {
+		if got := m.pickReplicaAddr(self, nil); got != want {
 			t.Errorf("pickReplicaAddr(%q) = %q, want %q", self, got, want)
 		}
 	}
 	m.markAddrDead("c:1")
 	for self, want := range map[string]string{"b:1": "d:1", "c:1": "d:1", "d:1": "a:1"} {
-		if got := m.pickReplicaAddr(self); got != want {
+		if got := m.pickReplicaAddr(self, nil); got != want {
 			t.Errorf("with c:1 dead, pickReplicaAddr(%q) = %q, want %q", self, got, want)
 		}
 	}
 	m.markAddrDead("a:1")
-	if got := m.pickReplicaAddr("d:1"); got != "b:1" {
+	if got := m.pickReplicaAddr("d:1", nil); got != "b:1" {
 		t.Errorf("with a:1 and c:1 dead, pickReplicaAddr(d:1) = %q, want b:1 (wrap past the dead head)", got)
 	}
 }

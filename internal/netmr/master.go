@@ -31,36 +31,19 @@ type MasterConfig struct {
 	// HeartbeatInterval, when positive, makes the master ping idle
 	// workers on this period and drop the ones that do not answer —
 	// detecting dead workers before a job pays a reassignment for them.
-	// Zero disables heartbeats (the default).
+	// Zero disables heartbeats (the default). A ping round-trip is
+	// bounded by heartbeatTimeout.
 	HeartbeatInterval time.Duration
-	// HeartbeatTimeout bounds one ping round-trip (default 5 s).
-	HeartbeatTimeout time.Duration
 
 	// RetryBaseDelay is the backoff before a failed shard's first retry
-	// (default 20 ms); it doubles per attempt up to RetryMaxDelay
-	// (default 2 s), with a deterministic ±RetryJitter fraction of
-	// jitter (default 0.2; negative disables) seeded by RetrySeed —
-	// so churned clusters do not retry in lockstep, yet a fixed seed
-	// reproduces the exact delay schedule.
+	// (default 20 ms); it doubles per attempt up to retryMaxDelay.
 	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	RetryJitter    float64
-	RetrySeed      int64
 
 	// SpeculationInterval, when positive, makes the master check for
 	// straggling shards on this period and clone them onto idle workers,
 	// once per task (first result wins, the loser is discarded). Zero
 	// disables speculation (the default).
 	SpeculationInterval time.Duration
-	// SpeculationQuantile picks the reference completion latency from
-	// the shards finished so far (default 0.75); a shard is a straggler
-	// when its current launch has been running longer than
-	// SpeculationMultiplier (default 2) times that reference.
-	SpeculationQuantile   float64
-	SpeculationMultiplier float64
-	// SpeculationMinObservations is how many shards must have completed
-	// before the threshold is trusted (default 3).
-	SpeculationMinObservations int
 
 	// Reducers is R, the number of reduce tasks that combine a job's
 	// output: workers keep their map output hash-split into R partitions
@@ -104,28 +87,8 @@ func (c MasterConfig) withDefaults() MasterConfig {
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 5 * time.Minute
 	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 5 * time.Second
-	}
 	if c.RetryBaseDelay <= 0 {
 		c.RetryBaseDelay = 20 * time.Millisecond
-	}
-	if c.RetryMaxDelay <= 0 {
-		c.RetryMaxDelay = 2 * time.Second
-	}
-	if c.RetryJitter == 0 {
-		c.RetryJitter = 0.2
-	} else if c.RetryJitter < 0 {
-		c.RetryJitter = 0
-	}
-	if c.SpeculationQuantile <= 0 || c.SpeculationQuantile > 1 {
-		c.SpeculationQuantile = 0.75
-	}
-	if c.SpeculationMultiplier <= 0 {
-		c.SpeculationMultiplier = 2
-	}
-	if c.SpeculationMinObservations <= 0 {
-		c.SpeculationMinObservations = 3
 	}
 	if c.ShuffleTimeout <= 0 {
 		c.ShuffleTimeout = defaultShuffleTimeout
@@ -207,9 +170,10 @@ type workerHandle struct {
 
 // Master coordinates a pool of connected workers.
 type Master struct {
-	cfg      MasterConfig
-	registry *Registry
-	metrics  *masterMetrics
+	cfg       MasterConfig
+	registry  *Registry
+	metrics   *masterMetrics
+	straggler stragglerRule // defaultStraggler; a test may set another before Run
 
 	ln      net.Listener
 	idle    chan *workerHandle
@@ -235,9 +199,9 @@ type Master struct {
 
 	// Shuffle-address liveness: which workers' shuffle listeners are
 	// believed reachable. An address is marked dead when its worker is
-	// dropped or when a reducer reports a failed fetch against it; the
-	// reduce scheduler consults the registry per dispatch to route around
-	// dead holders via replicas.
+	// dropped, and live again when a worker is admitted on it; the run
+	// consults it, beside its own fetch reports (jobRun.fetchDead), per
+	// dispatch to route around dead holders via replicas.
 	addrMu   sync.Mutex
 	addrLive map[string]bool
 }
@@ -258,21 +222,22 @@ func (m *Master) markAddrDead(addr string) {
 	}
 }
 
-// addrAlive reports whether addr is believed reachable.
-func (m *Master) addrAlive(addr string) bool {
+// addrAlive reports whether addr is believed reachable and not in dead,
+// which addrMu guards.
+func (m *Master) addrAlive(addr string, dead map[string]bool) bool {
 	m.addrMu.Lock()
 	defer m.addrMu.Unlock()
-	return m.addrLive[addr]
+	return m.addrLive[addr] && !dead[addr]
 }
 
-// liveAddrs returns the sorted live shuffle addresses — the candidate
-// replica holders.
-func (m *Master) liveAddrs() []string {
+// liveAddrs returns the sorted live shuffle addresses not in dead — the
+// candidate replica holders.
+func (m *Master) liveAddrs(dead map[string]bool) []string {
 	m.addrMu.Lock()
 	defer m.addrMu.Unlock()
 	out := make([]string, 0, len(m.addrLive))
 	for addr, live := range m.addrLive {
-		if live {
+		if live && !dead[addr] {
 			out = append(out, addr)
 		}
 	}
@@ -286,9 +251,9 @@ func (m *Master) liveAddrs() []string {
 // ring spreads replica bytes evenly, so every reducer finds its own
 // output and its predecessor's replica, 2/n of its partition, in its
 // own store. Empty when the mapper is the only live worker: its output
-// then lives in its store alone.
-func (m *Master) pickReplicaAddr(self string) string {
-	addrs := m.liveAddrs()
+// then lives in its store alone. Addresses in dead are not live.
+func (m *Master) pickReplicaAddr(self string, dead map[string]bool) string {
+	addrs := m.liveAddrs(dead)
 	at := sort.SearchStrings(addrs, self)
 	for i := range addrs {
 		if addr := addrs[(at+i)%len(addrs)]; addr != self {
@@ -307,11 +272,12 @@ func NewMaster(registry *Registry, cfg MasterConfig) (*Master, error) {
 	}
 	cfg = cfg.withDefaults()
 	return &Master{
-		cfg:      cfg,
-		registry: registry,
-		metrics:  newMasterMetrics(cfg.Metrics),
-		idle:     make(chan *workerHandle, 1024),
-		addrLive: make(map[string]bool),
+		cfg:       cfg,
+		registry:  registry,
+		metrics:   newMasterMetrics(cfg.Metrics),
+		straggler: defaultStraggler,
+		idle:      make(chan *workerHandle, 1024),
+		addrLive:  make(map[string]bool),
 	}, nil
 }
 
@@ -477,11 +443,15 @@ func (m *Master) drainIdle() []*workerHandle {
 	}
 }
 
+// heartbeatTimeout bounds one ping round-trip and one release write to
+// an idle worker.
+const heartbeatTimeout = 5 * time.Second
+
 func (m *Master) ping(w *workerHandle) bool {
-	if err := w.c.send(message{Type: "ping"}, m.cfg.HeartbeatTimeout); err != nil {
+	if err := w.c.send(message{Type: "ping"}, heartbeatTimeout); err != nil {
 		return false
 	}
-	reply, err := w.c.recv(m.cfg.HeartbeatTimeout)
+	reply, err := w.c.recv(heartbeatTimeout)
 	return err == nil && reply.Type == "pong"
 }
 
@@ -713,6 +683,11 @@ type jobRun struct {
 	over        atomic.Bool // the run is released: its intermediates are gone
 	recoveryAt  time.Time   // first dispatch that routed around a lost intermediate
 
+	// fetchDead holds the shuffle addresses a reducer of this run failed
+	// to fetch from (guarded by m.addrMu): the run routes around them,
+	// and the next run tries them again.
+	fetchDead map[string]bool
+
 	// streams holds the location stream of each reduce launch still
 	// awaiting map outputs; calledBack the streams of the launches called
 	// back that have not reported.
@@ -759,7 +734,7 @@ func (r *jobRun) mapPhase() *phase {
 // TaskTimeout: the first answer may take the whole batch's.
 func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int) {
 	m := r.m
-	rep := m.pickReplicaAddr(w.fetch)
+	rep := m.pickReplicaAddr(w.fetch, r.fetchDead)
 	start := time.Now()
 	specs := make([]taskSpec, len(tasks))
 	for i, t := range tasks {

@@ -230,7 +230,6 @@ func startMisbehavingWorker(t *testing.T, addr, id string) (stop func()) {
 func TestHeartbeatDropsDeadIdleWorker(t *testing.T) {
 	cfg := MasterConfig{
 		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatTimeout:  500 * time.Millisecond,
 		Metrics:           obs.NewRegistry(),
 	}
 	master, addr := startObsCluster(t, cfg, 1)

@@ -391,11 +391,10 @@ func keyHash(key string) uint64 {
 	return h ^ h>>33
 }
 
-// partitionIndex hashes key into [0, parts). Workers and master must
-// agree on it (a map task's partitions and Result.Lookup land identical
-// keys in identical partitions):
-// a protocol constant that protocolVersion covers, pinned by
-// TestPartitionIndexGolden.
+// partitionIndex hashes key into [0, parts). Every worker must agree on
+// it (the map tasks of a run land identical keys in identical
+// partitions): a protocol constant that protocolVersion covers, pinned
+// by TestPartitionIndexGolden.
 func partitionIndex(key string, parts int) int {
 	if parts <= 1 {
 		return 0

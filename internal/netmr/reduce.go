@@ -52,6 +52,7 @@ func (m *Master) newJobRun(name string, records []string, shards int, stats *Sta
 		fails:       make(chan launchFail, capacity),
 		mapLocs:     make(map[int]string, shards),
 		replicaLocs: make(map[int]string, shards),
+		fetchDead:   map[string]bool{},
 		out:         newOutputs(cfg.Reducers, len(records)),
 		streams:     map[*locStream]bool{},
 		calledBack:  map[*locStream]bool{},
@@ -184,8 +185,8 @@ func (r *jobRun) gatherPlan() (locs, reps []fetchLoc, awaits []int) {
 			continue
 		}
 		rep, hasRep := r.replicaLocs[task]
-		hasRep = hasRep && m.addrAlive(rep)
-		if m.addrAlive(addr) {
+		hasRep = hasRep && m.addrAlive(rep, r.fetchDead)
+		if m.addrAlive(addr, r.fetchDead) {
 			byAddr[addr] = append(byAddr[addr], task)
 			if hasRep {
 				repBy[rep] = append(repBy[rep], task)
@@ -231,8 +232,9 @@ func sortedLocs(by map[string][]int) []fetchLoc {
 // that is not the partition's chunk or result drops the worker, with two
 // exceptions that return it to the pool: a reducer's "the fetch failed"
 // report (an error frame naming the holder address), where the reducer is
-// healthy and the holder is not — the holder is marked dead and the retry
-// re-plans around the loss — and a called-back launch's acknowledgement.
+// healthy and the holder is not — the holder is marked dead for the run
+// and the retry re-plans around the loss — and a called-back launch's
+// acknowledgement.
 func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch int, s *locStream) {
 	m := r.m
 	start := time.Now()
@@ -285,9 +287,9 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 		case reply.Type == "error" && reply.TaskID == t.id && (reply.Fetch != "" || aborted):
 			outcome, ferr := outcomeCancelled, errCalledBack
 			if reply.Fetch != "" {
-				if !r.over.Load() { // after the release every holder refuses the run
-					m.markAddrDead(reply.Fetch)
-				}
+				m.addrMu.Lock()
+				r.fetchDead[reply.Fetch] = true
+				m.addrMu.Unlock()
 				m.metrics.reduceTasks.With("failed").Inc()
 				outcome, ferr = outcomeFailed, fmt.Errorf("netmr: reduce partition %d: fetch from %s failed: %s", t.id, reply.Fetch, reply.Message)
 			}
@@ -331,7 +333,7 @@ func (r *jobRun) release() {
 	}
 	m := r.m
 	for _, w := range m.drainIdle() {
-		if w.c.send(message{Type: "release", Run: r.runID}, m.cfg.HeartbeatTimeout) != nil {
+		if w.c.send(message{Type: "release", Run: r.runID}, heartbeatTimeout) != nil {
 			m.dropWorker(w)
 			continue
 		}

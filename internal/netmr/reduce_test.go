@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -340,7 +341,7 @@ func TestMalformedReduceResultRefused(t *testing.T) {
 func TestReduceRetryBudgetExhausted(t *testing.T) {
 	master, addr := startReduceCluster(t, MasterConfig{
 		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second,
-		Reducers: 1, MaxAttempts: 3, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 4 * time.Millisecond,
+		Reducers: 1, MaxAttempts: 3, RetryBaseDelay: time.Millisecond,
 	}, 0)
 	const refusal = "rogue: holder unreachable"
 	rogueWorker(t, addr, "bogus-holder", func(m message) (message, bool) {
@@ -361,6 +362,62 @@ func TestReduceRetryBudgetExhausted(t *testing.T) {
 	}
 	if stats.Reassignments != 2 {
 		t.Fatalf("Reassignments = %d, want 2 (three launches, two requeues)", stats.Reassignments)
+	}
+}
+
+// TestFetchReportExilesForOneRun: a reducer's report that a fetch from a
+// healthy holder failed routes the rest of that run around the holder,
+// and only that run. The holder's worker keeps taking tasks, so the next
+// run on the same master fetches its outputs from it again: no replica
+// fetch, no recovery.
+func TestFetchReportExilesForOneRun(t *testing.T) {
+	master, addr := startReduceCluster(t, MasterConfig{
+		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Reducers: 4,
+	}, 0)
+	holder, err := NewWorker(mustRegistry(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Start(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(holder.Stop)
+	// The rogue accuses the holder once, from a launch given its whole
+	// plan (one under the map tail would be sent more locations first),
+	// and serves everything else as a worker.
+	var reported atomic.Bool
+	rogueServe(t, addr, "accuser", func(_ *Worker, c *conn, m message) (bool, bool) {
+		if m.Type != "reducetask" || coverage(m) < m.Total || reported.Swap(true) {
+			return false, true
+		}
+		return true, c.send(message{Type: "error", TaskID: m.TaskID, Fetch: holder.fetchAddr, Message: "rogue: fetch failed"}, 5*time.Second) == nil
+	})
+	if err := master.WaitForWorkers(2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	lines := testLines(t, 400)
+	want := runShard(wordCountJob(), lines, new(shardScratch))
+	run := func() Stats {
+		t.Helper()
+		got, stats, err := master.Run(context.Background(), "wordcount", lines, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("output diverged from the single-shard reference")
+		}
+		return stats
+	}
+	for i := 0; !reported.Load(); i++ {
+		if i == 5 {
+			t.Fatal("fixture: no reduce launch with its whole plan reached the rogue in 5 runs")
+		}
+		if stats := run(); reported.Load() && stats.ReplicaFetches == 0 {
+			t.Fatal("the run that heard the report fetched nothing from a replica: it did not route around the holder")
+		}
+	}
+	if stats := run(); stats.ReplicaFetches != 0 || stats.RecoveryWall != 0 {
+		t.Fatalf("the next run still routes around the healthy holder: ReplicaFetches = %d, RecoveryWall = %v", stats.ReplicaFetches, stats.RecoveryWall)
 	}
 }
 

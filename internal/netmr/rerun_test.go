@@ -236,11 +236,12 @@ func speculativeRun(t *testing.T, reducers, attempts int, live ...string) (*Mast
 	t.Helper()
 	m, err := NewMaster(mustRegistry(t), MasterConfig{
 		Reducers: reducers, MaxAttempts: attempts, RetryBaseDelay: time.Millisecond, TaskTimeout: 5 * time.Second,
-		SpeculationInterval: time.Millisecond, SpeculationQuantile: 0.01, SpeculationMultiplier: 1, SpeculationMinObservations: 1,
+		SpeculationInterval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.straggler = stragglerRule{q: 0.01, mult: 1, minObs: 1}
 	for _, addr := range live {
 		m.addrLive[addr] = true
 	}

@@ -97,7 +97,6 @@ func TestRetryBudgetExhaustionSurfacesLastError(t *testing.T) {
 				JobTimeout:     10 * time.Second,
 				MaxAttempts:    3,
 				RetryBaseDelay: time.Millisecond,
-				RetryMaxDelay:  4 * time.Millisecond,
 				Reducers:       reducers,
 				Chaos:          inj,
 				Metrics:        obs.NewRegistry(),
@@ -214,14 +213,12 @@ func TestDuplicateSpeculativeResultDiscardedOnce(t *testing.T) {
 	for _, reducers := range []int{0, 2, 4} {
 		t.Run(fmt.Sprintf("reducers=%d", reducers), func(t *testing.T) {
 			master := startSleeperCluster(t, MasterConfig{
-				TaskTimeout:                10 * time.Second,
-				JobTimeout:                 30 * time.Second,
-				SpeculationInterval:        25 * time.Millisecond,
-				SpeculationQuantile:        0.5,
-				SpeculationMultiplier:      2,
-				SpeculationMinObservations: 3,
-				Reducers:                   reducers,
+				TaskTimeout:         10 * time.Second,
+				JobTimeout:          30 * time.Second,
+				SpeculationInterval: 25 * time.Millisecond,
+				Reducers:            reducers,
 			}, 4)
+			master.straggler = stragglerRule{q: 0.5, mult: 2, minObs: 3}
 
 			records := []string{"slow:300", "slower:700", "c:30", "c:30", "c:30", "c:30", "c:30", "c:30"}
 			result, stats, err := master.Run(context.Background(), "sleeper", records, len(records))
@@ -256,12 +253,11 @@ func TestDuplicateSpeculativeResultDiscardedOnce(t *testing.T) {
 // abandoned launches.
 func TestContextCancellationAbortsSpeculation(t *testing.T) {
 	master := startSleeperCluster(t, MasterConfig{
-		TaskTimeout:                10 * time.Second,
-		JobTimeout:                 30 * time.Second,
-		SpeculationInterval:        20 * time.Millisecond,
-		SpeculationMultiplier:      2,
-		SpeculationMinObservations: 1,
+		TaskTimeout:         10 * time.Second,
+		JobTimeout:          30 * time.Second,
+		SpeculationInterval: 20 * time.Millisecond,
 	}, 2)
+	master.straggler = stragglerRule{q: 0.75, mult: 2, minObs: 1}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -296,8 +292,6 @@ func TestChaosGauntlet(t *testing.T) {
 		JobTimeout:          60 * time.Second,
 		MaxAttempts:         10,
 		RetryBaseDelay:      2 * time.Millisecond,
-		RetryMaxDelay:       50 * time.Millisecond,
-		RetrySeed:           1,
 		SpeculationInterval: 25 * time.Millisecond,
 		Metrics:             reg,
 	})

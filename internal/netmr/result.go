@@ -2,8 +2,6 @@ package netmr
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 )
 
@@ -14,9 +12,6 @@ import (
 // immutable and safe for concurrent use.
 type Result struct {
 	parts [][]section // per partition, indexed by partitionIndex(key, len(parts)): its chunks in key order
-
-	indexOnce sync.Once
-	index     [][][]int32 // per partition, per chunk: byte offset of every pair, built by the first Lookup
 }
 
 // Len is the number of keys.
@@ -42,52 +37,6 @@ func (r *Result) Each(fn func(key string, value float64)) {
 		fn(s.key, s.val)
 		return nil
 	})
-}
-
-// Lookup returns key's value: the key hashes to its partition as it did
-// on the workers, a binary search over the chunks' last keys finds the
-// one chunk that can hold it, and a second one finds it there.
-func (r *Result) Lookup(key string) (float64, bool) {
-	r.indexOnce.Do(r.buildIndex)
-	p := partitionIndex(key, len(r.parts))
-	chunks, offs := r.parts[p], r.index[p]
-	var rd frameReader
-	keyAt := func(c, i int) string {
-		rd = frameReader{s: string(chunks[c]), off: int(offs[c][i])}
-		k, _ := rd.string() // checked on arrival
-		return k
-	}
-	// An empty chunk is a whole, empty partition: admit takes no other.
-	c := sort.Search(len(chunks), func(c int) bool {
-		n := len(offs[c])
-		return n == 0 || keyAt(c, n-1) >= key
-	})
-	if c == len(chunks) {
-		return 0, false
-	}
-	i := sort.Search(len(offs[c]), func(i int) bool { return keyAt(c, i) >= key })
-	if i == len(offs[c]) || keyAt(c, i) != key {
-		return 0, false
-	}
-	return math.Float64frombits(u64at(rd.s, rd.off)), true // keyAt left the cursor on the value
-}
-
-// buildIndex records where each pair of each chunk starts (a chunk is at
-// most maxFrameBytes long, so an offset fits an int32).
-func (r *Result) buildIndex() {
-	r.index = make([][][]int32, len(r.parts))
-	for p, chunks := range r.parts {
-		r.index[p] = make([][]int32, len(chunks))
-		for i, s := range chunks {
-			c := s.cursor()
-			offs := make([]int32, 0, c.left)
-			for c.left > 0 {
-				offs = append(offs, int32(c.r.off))
-				c.next()
-			}
-			r.index[p][i] = offs
-		}
-	}
 }
 
 // Map returns the output as one map, for callers that want that shape.

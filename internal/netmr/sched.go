@@ -372,7 +372,7 @@ func (r *jobRun) fail(fl launchFail) error {
 		// Here a reduce task is just a "partition".
 		return fmt.Errorf("netmr: all workers lost with %s %d outstanding: %w", strings.TrimPrefix(ph.noun, "reduce "), t.id, fl.err)
 	} else {
-		delay := backoffDelay(m.cfg.RetryBaseDelay, m.cfg.RetryMaxDelay, m.cfg.RetryJitter, m.cfg.RetrySeed, t.id, t.attempts)
+		delay := backoffDelay(m.cfg.RetryBaseDelay, retryMaxDelay, retryJitter, retrySeed, t.id, t.attempts)
 		m.metrics.retries.Inc()
 		m.metrics.backoffSeconds.Observe(delay.Seconds())
 		r.stats.Reassignments++
@@ -385,16 +385,25 @@ func (r *jobRun) fail(fl launchFail) error {
 // maxClones bounds the speculative clones of one task.
 const maxClones = 1
 
-// speculate queues a clone of every task of ph whose latest launch has
-// run longer than the phase's completion-latency quantile times the
-// multiplier. A reduce launch that awaits a map output is no straggler:
-// a clone would await the same re-run.
+// stragglerRule is when speculation clones a launch: once it has run
+// mult times the q-quantile of its phase's completion latencies, trusted
+// after minObs completions. Every master runs defaultStraggler.
+type stragglerRule struct {
+	q, mult float64
+	minObs  int
+}
+
+var defaultStraggler = stragglerRule{q: 0.75, mult: 2, minObs: 3}
+
+// speculate queues a clone of every task of ph whose latest launch is a
+// straggler by the master's rule. A reduce launch that awaits a map
+// output is no straggler: a clone would await the same re-run.
 func (r *jobRun) speculate(ph *phase) {
-	cfg := r.m.cfg
-	if len(ph.lat) < cfg.SpeculationMinObservations {
+	rule := r.m.straggler
+	if len(ph.lat) < rule.minObs {
 		return
 	}
-	threshold := latencyQuantile(ph.lat, cfg.SpeculationQuantile) * cfg.SpeculationMultiplier
+	threshold := latencyQuantile(ph.lat, rule.q) * rule.mult
 	now := time.Now()
 	ids := make([]int, 0, len(ph.inflight))
 	for id := range ph.inflight {
@@ -437,6 +446,16 @@ func (r *jobRun) abandon(ph *phase) {
 	r.stats.Cancellations += n
 	r.m.metrics.cancellations.Add(float64(n))
 }
+
+// A failed launch's retry waits RetryBaseDelay doubled per attempt up to
+// retryMaxDelay, scaled by ±retryJitter drawn from the seed, the task and
+// the attempt: churned clusters do not retry in lockstep, yet every run
+// has the same delay schedule.
+const (
+	retryMaxDelay = 2 * time.Second
+	retryJitter   = 0.2
+	retrySeed     = 0
+)
 
 // backoffDelay is the capped exponential backoff with deterministic
 // jitter: base·2^(attempt-1) clamped to ceiling, scaled by a factor

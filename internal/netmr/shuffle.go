@@ -531,18 +531,17 @@ type locResult struct {
 }
 
 // fetchRound pulls partition's slice from every location concurrently,
-// bounded by the worker's shuffle fan-out, with results in location
-// order. Every map task the worker's own store holds, its own output or
-// a peer's replica, is read from the store (or, with stream set, left on
-// its disk for the fold to stream); only the rest of a location is
-// fetched from its address, through the connection pool. A primary's
-// failure — a dead peer, a refusal, or the worker's own output failing
-// its checksum — fails over to the map tasks' replica holders when repOf
-// names them; only when that too fails (or no replica covers a task)
-// does the round error, naming the primary so the master routes
-// recovery around it.
+// bounded by shuffleFanout, with results in location order. Every map
+// task the worker's own store holds, its own output or a peer's replica,
+// is read from the store (or, with stream set, left on its disk for the
+// fold to stream); only the rest of a location is fetched from its
+// address, through the connection pool. A primary's failure — a dead
+// peer, a refusal, or the worker's own output failing its checksum —
+// fails over to the map tasks' replica holders when repOf names them;
+// only when that too fails (or no replica covers a task) does the round
+// error, naming the primary so the master routes recovery around it.
 func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf map[int]string, stream bool, to time.Duration) ([]locResult, error) {
-	ctx := runner.WithWorkers(context.Background(), w.shuffleFanout)
+	ctx := runner.WithWorkers(context.Background(), shuffleFanout)
 	fetch := func(res *locResult, addr string, tasks []int) error {
 		fetchStart := time.Now()
 		parts, n, err := w.pool.fetchPartition(addr, run, partition, tasks, to)

@@ -81,7 +81,7 @@ func BenchmarkShuffleFetch(b *testing.B) {
 	})
 	b.Run("pooled", func(b *testing.B) {
 		addr, run, ids := benchFetchWorker(b, tasks, keys, R)
-		p := newShufflePool(defaultShufflePoolPerPeer)
+		p := newShufflePool(shuffleFanout)
 		b.Cleanup(p.closeAll)
 		b.ReportAllocs()
 		b.ResetTimer()

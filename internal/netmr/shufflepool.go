@@ -25,10 +25,10 @@ import (
 // failures: the connection returns to the pool and the refusal
 // propagates without a redial.
 
-// defaultShufflePoolPerPeer caps the idle connections kept per peer.
-// The parallel gather holds at most fanout connections to one peer at
-// a time, so the cap follows the default fanout.
-const defaultShufflePoolPerPeer = 4
+// shuffleFanout bounds how many peers one reduce task fetches from
+// concurrently, and so how many connections it holds to one peer at a
+// time: a worker's pool keeps that many idle per peer.
+const shuffleFanout = 4
 
 // shufflePool is a worker's cache of idle shuffle-plane connections,
 // keyed by peer address. Fetch goroutines check conns out and in
@@ -41,9 +41,6 @@ type shufflePool struct {
 }
 
 func newShufflePool(perPeer int) *shufflePool {
-	if perPeer <= 0 {
-		perPeer = defaultShufflePoolPerPeer
-	}
 	return &shufflePool{perPeer: perPeer, idle: map[string][]*conn{}}
 }
 

@@ -505,7 +505,7 @@ func TestRunLeavesNothing(t *testing.T) {
 	}
 	close(resume)
 	waitIdle(t, master, len(pool)+1) // the rogue's late report is in
-	if !master.addrAlive(pool[0].w.fetchAddr) {
+	if !master.addrAlive(pool[0].w.fetchAddr, nil) {
 		t.Error("a fetch failure reported after the release marked a healthy holder dead")
 	}
 }

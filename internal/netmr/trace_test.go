@@ -259,8 +259,6 @@ func TestTraceLifecycleUnderChaos(t *testing.T) {
 		JobTimeout:          60 * time.Second,
 		MaxAttempts:         10,
 		RetryBaseDelay:      2 * time.Millisecond,
-		RetryMaxDelay:       50 * time.Millisecond,
-		RetrySeed:           1,
 		SpeculationInterval: 25 * time.Millisecond,
 		Metrics:             reg,
 		Trace:               true,
@@ -436,8 +434,6 @@ func TestHealthzDegradedOnEvictionAndRecovery(t *testing.T) {
 	master := startTracedCluster(t, 2, MasterConfig{
 		MaxAttempts:    10,
 		RetryBaseDelay: 2 * time.Millisecond,
-		RetryMaxDelay:  20 * time.Millisecond,
-		RetrySeed:      1,
 	})
 	obsAddr, err := master.ServeObservability("127.0.0.1:0")
 	if err != nil {

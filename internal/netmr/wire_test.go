@@ -433,13 +433,13 @@ func TestRefusedAdmissionLeavesNothing(t *testing.T) {
 	if _, err := c.recv(5 * time.Second); err == nil {
 		t.Fatal("the refused worker's connection stayed open")
 	}
-	if addrs := master.liveAddrs(); len(addrs) != 0 {
+	if addrs := master.liveAddrs(nil); len(addrs) != 0 {
 		t.Errorf("liveAddrs = %v after a refused admission", addrs)
 	}
 	if n := master.WorkerCount(); n != 0 {
 		t.Errorf("WorkerCount = %d after a refused admission", n)
 	}
-	if got := master.pickReplicaAddr("127.0.0.1:7002"); got != "" {
+	if got := master.pickReplicaAddr("127.0.0.1:7002", nil); got != "" {
 		t.Errorf("pickReplicaAddr names %q, the refused worker", got)
 	}
 }

@@ -38,12 +38,9 @@ type Worker struct {
 	// and the peers' pooled connections riding them — fully alive.
 	fetchConns map[net.Conn]struct{}
 
-	// pool caches idle shuffle-plane connections
-	// per peer (reused by reduce fetches and replication pushes), and
-	// shuffleFanout bounds how many peers one reduce task fetches from
-	// concurrently.
-	pool          *shufflePool
-	shuffleFanout int
+	// pool caches idle shuffle-plane connections per peer, reused by
+	// reduce fetches and replication pushes.
+	pool *shufflePool
 
 	// Out-of-core configuration: the shuffle timeout is the master's,
 	// adopted from the helloack — atomic because the fetch-listener
@@ -95,10 +92,6 @@ type WorkerConfig struct {
 	// SpillDir is the scratch root for spill files; empty means the OS
 	// temp dir. Files live under <SpillDir>/netmr-spill/<run>/.
 	SpillDir string
-	// ShuffleFanout bounds how many peers one reduce task fetches from
-	// concurrently; it also caps the idle connections the shuffle pool
-	// keeps per peer. Zero means the default (4); 1 gathers serially.
-	ShuffleFanout int
 }
 
 // WithWorkerConfig applies out-of-core shuffle settings.
@@ -106,9 +99,6 @@ func WithWorkerConfig(cfg WorkerConfig) WorkerOption {
 	return func(w *Worker) {
 		w.spillBudget = cfg.SpillBudget
 		w.spillDir = cfg.SpillDir
-		if cfg.ShuffleFanout > 0 {
-			w.shuffleFanout = cfg.ShuffleFanout
-		}
 	}
 }
 
@@ -124,19 +114,18 @@ func NewWorker(registry *Registry, opts ...WorkerOption) (*Worker, error) {
 		return nil, errors.New("netmr: worker needs a non-empty registry")
 	}
 	w := &Worker{
-		registry:      registry,
-		scratch:       new(shardScratch),
-		store:         newInterStore(),
-		shuffleFanout: defaultShufflePoolPerPeer,
-		fetchConns:    make(map[net.Conn]struct{}),
-		done:          make(chan struct{}),
+		registry:   registry,
+		scratch:    new(shardScratch),
+		store:      newInterStore(),
+		fetchConns: make(map[net.Conn]struct{}),
+		done:       make(chan struct{}),
 	}
 	w.shuffleTimeoutNs.Store(int64(defaultShuffleTimeout))
 	for _, opt := range opts {
 		opt(w)
 	}
 	w.store.configure(w.spillBudget, w.spillDir)
-	w.pool = newShufflePool(w.shuffleFanout)
+	w.pool = newShufflePool(shuffleFanout)
 	return w, nil
 }
 
