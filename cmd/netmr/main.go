@@ -35,11 +35,11 @@
 // partitions themselves, leaving the master only the union of R
 // disjoint key spaces.
 //
-// Out-of-core shuffle knobs: -shuffle-timeout (master) bounds one
-// worker-to-worker shuffle round-trip, pushed to every worker on the
-// helloack; -spill-budget (worker) bounds the bytes of intermediate
-// state a worker keeps resident, spilling sorted runs to -spill-dir
-// (default: the OS temp dir) beyond it — 0 keeps everything in memory.
+// Out-of-core shuffle knobs (worker): -spill-budget bounds the bytes of
+// intermediate state a worker keeps resident, spilling sorted runs to
+// -spill-dir (default: the OS temp dir) beyond it — 0 keeps everything
+// in memory. The time bounds are constants, not flags: 30 s per
+// exchange, 5 s per ping or release, 5 min per job.
 //
 // Pipelined shuffle: the master dispatches reduce tasks as soon as a map
 // output is stored and no map shard waits for a worker, and streams the
@@ -143,7 +143,6 @@ func run(args []string, out io.Writer) error {
 	retryBase := fs.Duration("retrybase", 0, "master: initial retry backoff (0 = default 20ms)")
 	speculate := fs.Duration("speculate", 0, "master: straggler-check interval enabling speculative clones (0 = disabled)")
 	reducers := fs.Int("reducers", 0, "master: reduce tasks R run on workers (0 = GOMAXPROCS)")
-	shuffleTimeout := fs.Duration("shuffle-timeout", 0, "master: worker-to-worker shuffle round-trip bound, pushed to every worker (0 = default 30s)")
 	spillBudget := fs.Int64("spill-budget", 0, "worker: resident bytes of intermediate state before spilling to disk (0 = never spill)")
 	spillDir := fs.String("spill-dir", "", "worker: scratch root for spill files (empty = OS temp dir)")
 
@@ -177,8 +176,7 @@ func run(args []string, out io.Writer) error {
 			trace: *trace || *traceFile != "", traceFile: *traceFile,
 			maxAttempts: *maxAttempts, retryBase: *retryBase,
 			speculate: *speculate, reducers: *reducers,
-			shuffleTimeout: *shuffleTimeout,
-			chaos:          injector,
+			chaos: injector,
 		})
 	case "worker":
 		return runWorker(out, *addr, injector, netmr.WorkerConfig{
@@ -239,12 +237,11 @@ type masterOptions struct {
 	trace         bool
 	traceFile     string
 
-	maxAttempts    int
-	retryBase      time.Duration
-	speculate      time.Duration
-	reducers       int
-	shuffleTimeout time.Duration
-	chaos          *chaos.Injector
+	maxAttempts int
+	retryBase   time.Duration
+	speculate   time.Duration
+	reducers    int
+	chaos       *chaos.Injector
 }
 
 func runMaster(out io.Writer, opts masterOptions) error {
@@ -258,7 +255,6 @@ func runMaster(out io.Writer, opts masterOptions) error {
 		RetryBaseDelay:      opts.retryBase,
 		SpeculationInterval: opts.speculate,
 		Reducers:            opts.reducers,
-		ShuffleTimeout:      opts.shuffleTimeout,
 		Trace:               opts.trace,
 		Chaos:               opts.chaos,
 	})

@@ -40,7 +40,7 @@ func dispatchBatches(t *testing.T, records []string, shards, workers int) [][]in
 		r.results <- launchDone{task: batch[0], launch: -1}
 		m.idle <- w
 	}
-	if err := m.schedule(context.Background(), r, nil); err != nil {
+	if err := m.schedule(context.Background(), r); err != nil {
 		t.Fatal(err)
 	}
 	return batches
@@ -254,7 +254,7 @@ func TestBatchReplicaPeerFaultsKeepOutput(t *testing.T) {
 			goroutines, fds := runtime.NumGoroutine(), openFDs()
 			failed := workerReplications.With("failed").Value()
 			peer, stop := fakeReplicaPeer(t, map[int]bool{1: true, 2: true, 5: true, 6: true}, tc.cut)
-			master, err := NewMaster(mustRegistry(t), MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second})
+			master, err := NewMaster(mustRegistry(t), MasterConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,7 +277,7 @@ func TestBatchReplicaPeerFaultsKeepOutput(t *testing.T) {
 			// The peer joins the replica ring only: some worker's next
 			// live shuffle address is the peer's.
 			master.addFetchAddr(peer)
-			got, stats, err := master.Run(context.Background(), "wordcount", lines, 8)
+			got, stats, err := master.Run(runCtx(t), "wordcount", lines, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

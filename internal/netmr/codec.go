@@ -202,7 +202,6 @@ func (e *frameEnc) encode(m *message, lead []byte, refMin int) (net.Buffers, err
 	b = appendString(b, m.Rep)
 	b = binary.AppendVarint(b, int64(m.Spills))
 	b = binary.AppendVarint(b, m.Spilled)
-	b = binary.AppendVarint(b, m.ShuffleMs)
 	b = binary.AppendVarint(b, int64(m.Total))
 	b = appendLocs(b, m.Reps)
 	b = binary.AppendVarint(b, int64(m.Failovers))
@@ -539,9 +538,6 @@ func decodeFrame(body []byte, m *message) error {
 		return err
 	}
 	if m.Spilled, err = r.varint(); err != nil {
-		return err
-	}
-	if m.ShuffleMs, err = r.varint(); err != nil {
 		return err
 	}
 	if m.Total, err = r.int(); err != nil {

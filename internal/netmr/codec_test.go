@@ -2,7 +2,6 @@ package netmr
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -52,7 +51,7 @@ func codecMessages() []message {
 		}},
 		{Type: "mapdone", TaskID: 7, Trace: "", Spans: []spanSummary{{Phase: "encode", Start: 1, End: 1}}, Rep: "127.0.0.1:7002"},
 		{Type: "hello", ID: "127.0.0.1:5556", Jobs: []string{"wc"}, Fetch: "127.0.0.1:7001"},
-		{Type: "helloack", Reducers: 4, ShuffleMs: 30000},
+		{Type: "helloack", Reducers: 4},
 		{Type: "taskbatch", Batch: []taskSpec{{Job: "wc", TaskID: 2, Records: []string{"persist me"}}}, Run: "wc#1"},
 		{Type: "mapdone", TaskID: 2, Attempt: 1, Run: "wc#1"},
 		{Type: "reducetask", Job: "wc", TaskID: 1, Attempt: 0, Run: "wc#1",
@@ -278,9 +277,7 @@ func TestSendClearsStaleWriteDeadline(t *testing.T) {
 // two workers arrive as two taskbatch frames of eight, the workers' fair
 // shares, and the per-shard accounting still adds up.
 func TestBatchedDispatch(t *testing.T) {
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second,
-	})
+	master, err := NewMaster(mustRegistry(t), MasterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +300,7 @@ func TestBatchedDispatch(t *testing.T) {
 	}
 	waitIdle(t, master, 2) // so each worker takes a batch
 	lines := testLines(t, 300)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 16)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

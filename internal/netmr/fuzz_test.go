@@ -113,7 +113,7 @@ func shuffleFrameSeeds() []message {
 		{Type: "result", TaskID: 1, Attempt: 1, Folded: sectionFromMap(map[string]float64{"folded": 9}),
 			Bytes: 1 << 20, Spills: 1, Spilled: 2048},
 		{Type: "result", TaskID: 0, Folded: sectionFromMap(big)},
-		{Type: "helloack", Reducers: 4, ShuffleMs: 15000},
+		{Type: "helloack", Reducers: 4},
 	}
 }
 

@@ -205,9 +205,7 @@ func TestSpillFailedReplicaAcknowledged(t *testing.T) {
 	}
 
 	lines := testLines(t, 400)
-	got, _, _ := runPipelineCluster(t, mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Reducers: 2,
-	}, WorkerConfig{SpillBudget: 1, SpillDir: dir}, 2, 8, lines, nil)
+	got, _, _ := runPipelineCluster(t, mustRegistry(t), MasterConfig{Reducers: 2}, WorkerConfig{SpillBudget: 1, SpillDir: dir}, 2, 8, lines, nil)
 	if want := runShard(wordCountJob(), lines, new(shardScratch)); !reflect.DeepEqual(got, want) {
 		t.Error("output diverged from the reference")
 	}
@@ -221,7 +219,7 @@ func TestSpillFailedReplicaAcknowledged(t *testing.T) {
 // the launch's report.
 func reduceOverPipe(t *testing.T, updates []message, tasks int, reply message) (frames []message, report any) {
 	t.Helper()
-	m, err := NewMaster(mustRegistry(t), MasterConfig{Reducers: 2, TaskTimeout: 5 * time.Second})
+	m, err := NewMaster(mustRegistry(t), MasterConfig{Reducers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +337,7 @@ func TestReportsApplyBeforeDispatch(t *testing.T) {
 			r.results <- launchDone{task: batch[0], launch: -1}
 			m.idle <- w
 		}
-		if err := m.schedule(context.Background(), r, nil); err != nil {
+		if err := m.schedule(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
 		if early > 0 {
@@ -353,7 +351,7 @@ func TestReportsApplyBeforeDispatch(t *testing.T) {
 // the worker has the report to apply first. Both channels are unbuffered
 // here, so the test sees the launch's sends in the order it makes them.
 func TestMapLaunchReportsBeforeRejoining(t *testing.T) {
-	m, err := NewMaster(mustRegistry(t), MasterConfig{Reducers: 2, TaskTimeout: 5 * time.Second})
+	m, err := NewMaster(mustRegistry(t), MasterConfig{Reducers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package netmr
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -68,7 +67,7 @@ func TestLocalGatherMatchesSerialMerge(t *testing.T) {
 			name := fmt.Sprintf("n=%d/budget=%d", n, budget)
 			before := readFetchCounts()
 			got, stats, _ := runPipelineCluster(t, pipelineRegistry(t, false, 200*time.Microsecond),
-				MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: n},
+				MasterConfig{Reducers: n},
 				WorkerConfig{SpillBudget: budget, SpillDir: t.TempDir()},
 				n, shards, lines, nil)
 			if !reflect.DeepEqual(got, want) {
@@ -124,7 +123,7 @@ func TestRingReplicaPlacement(t *testing.T) {
 		lines[lo] = fmt.Sprintf("shard-%d %s", id, lines[lo])
 		first[lines[lo]] = id
 	}
-	master, err := NewMaster(mustRegistry(t), MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: n})
+	master, err := NewMaster(mustRegistry(t), MasterConfig{Reducers: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestRingReplicaPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := readFetchCounts()
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, n)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +297,7 @@ func TestPartiallyHeldLocationIsSplit(t *testing.T) {
 	locs := []fetchLoc{{Addr: primary.fetchAddr, Tasks: []int{0, 1, 2}}, {Addr: reducer.fetchAddr, Tasks: []int{3}}}
 	before := readFetchCounts()
 	for p := 0; p < R; p++ {
-		results, err := reducer.fetchRound(run, p, locs, nil, false, defaultShuffleTimeout)
+		results, err := reducer.fetchRound(run, p, locs, nil, false)
 		if err != nil {
 			t.Fatalf("partition %d: %v", p, err)
 		}
@@ -592,7 +591,7 @@ func TestStreamSurvivesStoreChurn(t *testing.T) {
 func TestMapperLossFinishesFromLocalReplica(t *testing.T) {
 	lines := testLines(t, 400)
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: 2,
+		Reducers:          2,
 		HeartbeatInterval: 5 * time.Millisecond,
 	})
 	if err != nil {
@@ -640,7 +639,7 @@ func TestMapperLossFinishesFromLocalReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := readFetchCounts()
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 2)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

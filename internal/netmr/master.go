@@ -17,17 +17,12 @@ import (
 
 // MasterConfig tunes the master.
 type MasterConfig struct {
-	// TaskTimeout bounds one shard execution round-trip (default 30 s) —
-	// the per-shard deadline that turns a hung worker into a retry.
-	TaskTimeout time.Duration
 	// MaxAttempts is how many times a shard lineage may be tried before
 	// the job fails (default 3) — the Hadoop-style task re-execution
 	// budget. A speculative clone starts a fresh lineage with its own
 	// budget; the job fails only when a shard has no live or queued
 	// launch left.
 	MaxAttempts int
-	// JobTimeout bounds a whole Run call (default 5 min).
-	JobTimeout time.Duration
 	// HeartbeatInterval, when positive, makes the master ping idle
 	// workers on this period and drop the ones that do not answer —
 	// detecting dead workers before a job pays a reassignment for them.
@@ -55,12 +50,6 @@ type MasterConfig struct {
 	// <= 0 means GOMAXPROCS (the default).
 	Reducers int
 
-	// ShuffleTimeout bounds one worker-to-worker shuffle round-trip — a
-	// reducer's fetch of a peer's stored partitions, or a mapper's
-	// replication push (default 30 s). Workers learn it on the helloack,
-	// rounded up to 1 ms.
-	ShuffleTimeout time.Duration
-
 	// Trace enables distributed job tracing: every Run stamps its trace
 	// ID on the task frames, which asks the workers to report their
 	// sub-phases, and assembles a JobTrace of launch-level spans and the
@@ -78,20 +67,11 @@ type MasterConfig struct {
 }
 
 func (c MasterConfig) withDefaults() MasterConfig {
-	if c.TaskTimeout <= 0 {
-		c.TaskTimeout = 30 * time.Second
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.JobTimeout <= 0 {
-		c.JobTimeout = 5 * time.Minute
-	}
 	if c.RetryBaseDelay <= 0 {
 		c.RetryBaseDelay = 20 * time.Millisecond
-	}
-	if c.ShuffleTimeout <= 0 {
-		c.ShuffleTimeout = defaultShuffleTimeout
 	}
 	if c.Reducers <= 0 {
 		c.Reducers = runtime.GOMAXPROCS(0)
@@ -199,11 +179,13 @@ type Master struct {
 
 	// Shuffle-address liveness: which workers' shuffle listeners are
 	// believed reachable. An address is marked dead when its worker is
-	// dropped, and live again when a worker is admitted on it; the run
+	// dropped (once the run ends, if its listener still took a dial then:
+	// orphans), and live again when a worker is admitted on it; the run
 	// consults it, beside its own fetch reports (jobRun.fetchDead), per
 	// dispatch to route around dead holders via replicas.
 	addrMu   sync.Mutex
 	addrLive map[string]bool
+	orphans  map[string]bool
 }
 
 // addFetchAddr registers (or revives) a shuffle listener address.
@@ -211,6 +193,7 @@ func (m *Master) addFetchAddr(addr string) {
 	m.addrMu.Lock()
 	defer m.addrMu.Unlock()
 	m.addrLive[addr] = true
+	delete(m.orphans, addr)
 }
 
 // markAddrDead records that fetches against addr should not be routed.
@@ -278,6 +261,7 @@ func NewMaster(registry *Registry, cfg MasterConfig) (*Master, error) {
 		straggler: defaultStraggler,
 		idle:      make(chan *workerHandle, 1024),
 		addrLive:  make(map[string]bool),
+		orphans:   make(map[string]bool),
 	}, nil
 }
 
@@ -352,10 +336,7 @@ func (m *Master) admit(raw net.Conn) {
 	w := &workerHandle{id: hello.ID, c: c, fetch: hello.Fetch}
 	m.addFetchAddr(w.fetch)
 	m.count.Add(1)
-	// A timeout under 1 ms goes out as 1 ms: a zero would not reach the
-	// workers.
-	ack := message{Type: "helloack", Reducers: m.cfg.Reducers, ShuffleMs: max(1, m.cfg.ShuffleTimeout.Milliseconds())}
-	admitted := c.send(ack, 10*time.Second) == nil
+	admitted := c.send(message{Type: "helloack", Reducers: m.cfg.Reducers}, 10*time.Second) == nil
 	if admitted {
 		// Under closeMu, so Close cannot drain the pool between the check
 		// and the send: a handle put there after Close would never close.
@@ -384,13 +365,36 @@ func (m *Master) admit(raw net.Conn) {
 // dropWorker closes a failed worker's connection and updates the
 // population accounting. Every eviction marks the master degraded on
 // /healthz until a Run completes cleanly on the surviving population.
+// A worker whose control connection failed keeps its shuffle listener
+// until it stops, so its address dies at once only when a dial is
+// refused; one that still takes a dial serves the outputs it holds until
+// the run ends (buryOrphans).
 func (m *Master) dropWorker(w *workerHandle) {
 	_ = w.c.close()
-	m.markAddrDead(w.fetch)
+	if raw, err := net.DialTimeout("tcp", w.fetch, heartbeatTimeout); err == nil {
+		_ = raw.Close()
+		m.addrMu.Lock()
+		m.orphans[w.fetch] = true
+		m.addrMu.Unlock()
+	} else {
+		m.markAddrDead(w.fetch)
+	}
 	m.count.Add(-1)
 	m.evicted.Add(1)
 	m.metrics.workersLost.Inc()
 	m.metrics.workers.Set(float64(m.count.Load()))
+}
+
+// buryOrphans marks dead the shuffle addresses of the dropped workers
+// whose listeners outlived them: no run after the one that held their
+// outputs routes or replicates to a worker it cannot release.
+func (m *Master) buryOrphans() {
+	m.addrMu.Lock()
+	defer m.addrMu.Unlock()
+	for addr := range m.orphans {
+		m.addrLive[addr] = false
+		delete(m.orphans, addr)
+	}
 }
 
 // LastTrace returns the JobTrace of the most recent (possibly still
@@ -443,9 +447,19 @@ func (m *Master) drainIdle() []*workerHandle {
 	}
 }
 
-// heartbeatTimeout bounds one ping round-trip and one release write to
-// an idle worker.
-const heartbeatTimeout = 5 * time.Second
+// The time bounds of a run, the same for every caller. exchangeTimeout
+// bounds one exchange: a task or reduce frame and each answer between the
+// master and a worker (a map batch's wait is that per shard still owed), a
+// worker's fetch or replicate round trip with a peer. jobTimeout bounds a
+// whole Run under the caller's ctx: reopen gives each lost output a fresh
+// lineage, so no other bound guarantees that a run ends. heartbeatTimeout
+// bounds a ping round-trip, a release write and the probe of a dropped
+// worker's shuffle listener.
+const (
+	exchangeTimeout  = 30 * time.Second
+	jobTimeout       = 5 * time.Minute
+	heartbeatTimeout = 5 * time.Second
+)
 
 func (m *Master) ping(w *workerHandle) bool {
 	if err := w.c.send(message{Type: "ping"}, heartbeatTimeout); err != nil {
@@ -540,7 +554,8 @@ type launchDone struct {
 // result wins and late siblings are discarded exactly once (counted in
 // Stats.Duplicates). Cancelling ctx aborts the job between events,
 // abandoning in-flight launches (counted in Stats.Cancellations), and
-// returns the context's error; the JobTimeout deadline applies on top.
+// returns the context's error. A run never outlasts jobTimeout, whatever
+// ctx allows.
 func (m *Master) Run(ctx context.Context, jobName string, records []string, shards int) (map[string]float64, Stats, error) {
 	var out map[string]float64
 	_, stats, err := m.run(ctx, jobName, records, shards, &out)
@@ -622,9 +637,9 @@ func (m *Master) run(ctx context.Context, jobName string, records []string, shar
 	}
 
 	r.start = time.Now()
-	deadline := time.NewTimer(m.cfg.JobTimeout)
-	defer deadline.Stop()
-	err = m.schedule(ctx, r, deadline.C)
+	ctx, cancel := context.WithTimeout(ctx, jobTimeout)
+	defer cancel()
+	err = m.schedule(ctx, r)
 	if r.barrier.IsZero() {
 		return nil, stats, err
 	}
@@ -731,7 +746,7 @@ func (r *jobRun) mapPhase() *phase {
 // mapdone per shard in order, several in one write when their shards ran
 // quickly, and each is reported individually, so a conn failure
 // mid-batch fails exactly the still-unacknowledged shards. Each shard has
-// TaskTimeout: the first answer may take the whole batch's.
+// exchangeTimeout: the first answer may take the whole batch's.
 func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int) {
 	m := r.m
 	rep := m.pickReplicaAddr(w.fetch, r.fetchDead)
@@ -740,7 +755,7 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int)
 	for i, t := range tasks {
 		specs[i] = taskSpec{Job: r.name, TaskID: t.id, Attempt: t.attempts, Records: r.shardRecords(t.id)}
 	}
-	err := w.c.send(message{Type: "taskbatch", Batch: specs, Run: r.runID, Rep: rep, Trace: r.trc.frameID()}, m.cfg.TaskTimeout)
+	err := w.c.send(message{Type: "taskbatch", Batch: specs, Run: r.runID, Rep: rep, Trace: r.trc.frameID()}, exchangeTimeout)
 	dones := make([]launchDone, 0, len(tasks))
 	var spans [][]spanSummary // per answer, traced runs only
 	// book reports the answers read since the last call, which left the
@@ -773,7 +788,7 @@ func (r *jobRun) dispatchMap(w *workerHandle, tasks []shardTask, launches []int)
 	for err == nil && len(dones) < len(tasks) {
 		t := tasks[len(dones)]
 		var reply message
-		reply, err = w.c.recv(m.cfg.TaskTimeout * time.Duration(len(tasks)-len(dones)))
+		reply, err = w.c.recv(exchangeTimeout * time.Duration(len(tasks)-len(dones)))
 		if err == nil && (reply.Type != "mapdone" || reply.TaskID != t.id) {
 			err = fmt.Errorf("netmr: worker %s answered shard %d with %q (task %d)", w.id, t.id, reply.Type, reply.TaskID)
 		}

@@ -45,7 +45,7 @@ func mustRegistry(t *testing.T) *Registry {
 // startCluster brings up a master plus n workers on localhost.
 func startCluster(t *testing.T, n int) (*Master, []*Worker) {
 	t.Helper()
-	master, err := NewMaster(mustRegistry(t), MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second})
+	master, err := NewMaster(mustRegistry(t), MasterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +70,14 @@ func startCluster(t *testing.T, n int) (*Master, []*Worker) {
 		t.Fatal(err)
 	}
 	return master, workers
+}
+
+// runCtx is a test run's context: a run that wedges fails its test
+// within a minute, not at jobTimeout.
+func runCtx(t testing.TB) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	t.Cleanup(cancel)
+	return ctx
 }
 
 // waitIdle waits until n worker handles are in the master's idle pool. A
@@ -117,7 +125,7 @@ func TestDistributedWordCountMatchesLocal(t *testing.T) {
 	master, _ := startCluster(t, 3)
 	lines := testLines(t, 500)
 
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 9)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +152,10 @@ func TestDistributedWordCountMatchesLocal(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	master, _ := startCluster(t, 1)
-	if _, _, err := master.Run(context.Background(), "nope", []string{"a"}, 1); err == nil {
+	if _, _, err := master.Run(runCtx(t), "nope", []string{"a"}, 1); err == nil {
 		t.Error("unknown job should error")
 	}
-	if _, _, err := master.Run(context.Background(), "wordcount", []string{"a"}, 0); err == nil {
+	if _, _, err := master.Run(runCtx(t), "wordcount", []string{"a"}, 0); err == nil {
 		t.Error("zero shards should error")
 	}
 }
@@ -157,14 +165,14 @@ func TestRunWithoutWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := master.Run(context.Background(), "wordcount", []string{"a"}, 1); err == nil {
+	if _, _, err := master.Run(runCtx(t), "wordcount", []string{"a"}, 1); err == nil {
 		t.Error("not-listening master should error")
 	}
 	if _, err := master.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer master.Close()
-	if _, _, err := master.Run(context.Background(), "wordcount", []string{"a"}, 1); err == nil {
+	if _, _, err := master.Run(runCtx(t), "wordcount", []string{"a"}, 1); err == nil {
 		t.Error("workerless run should error")
 	}
 }
@@ -182,7 +190,7 @@ func TestWorkerFailureReassignsShards(t *testing.T) {
 	waitIdle(t, master, 3)
 	workers[0].Stop()
 
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 12)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +209,7 @@ func TestWorkerFailureReassignsShards(t *testing.T) {
 func TestAllWorkersLostFailsCleanly(t *testing.T) {
 	master, workers := startCluster(t, 1)
 	workers[0].Stop()
-	if _, _, err := master.Run(context.Background(), "wordcount", testLines(t, 50), 4); err == nil {
+	if _, _, err := master.Run(runCtx(t), "wordcount", testLines(t, 50), 4); err == nil {
 		t.Error("run with every worker dead should fail")
 	}
 }
@@ -213,14 +221,14 @@ func TestSequentialVersusParallelShards(t *testing.T) {
 	lines := testLines(t, 400)
 
 	oneMaster, _ := startCluster(t, 1)
-	seq, _, err := oneMaster.Run(context.Background(), "wordcount", lines, 8)
+	seq, _, err := oneMaster.Run(runCtx(t), "wordcount", lines, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oneMaster.Close()
 
 	fourMaster, _ := startCluster(t, 4)
-	par, _, err := fourMaster.Run(context.Background(), "wordcount", lines, 8)
+	par, _, err := fourMaster.Run(runCtx(t), "wordcount", lines, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +246,7 @@ func TestBackToBackRuns(t *testing.T) {
 	master, _ := startCluster(t, 2)
 	lines := testLines(t, 100)
 	for i := 0; i < 3; i++ {
-		if _, _, err := master.Run(context.Background(), "wordcount", lines, 4); err != nil {
+		if _, _, err := master.Run(runCtx(t), "wordcount", lines, 4); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
@@ -262,9 +270,9 @@ func TestStatsPhases(t *testing.T) {
 			var stats Stats
 			var err error
 			if asMap {
-				_, stats, err = master.Run(context.Background(), "wordcount", lines, 4)
+				_, stats, err = master.Run(runCtx(t), "wordcount", lines, 4)
 			} else {
-				_, stats, err = master.RunResult(context.Background(), "wordcount", lines, 4)
+				_, stats, err = master.RunResult(runCtx(t), "wordcount", lines, 4)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -280,38 +288,6 @@ func TestStatsPhases(t *testing.T) {
 				checkTracedWalls(t, name, master.LastTrace(), stats)
 			}
 		}
-	}
-}
-
-// TestShuffleTimeoutReachesWorkers: a worker's shuffle timeout is the
-// master's, learnt on the helloack; one under a millisecond goes out as
-// 1 ms, not as a zero the worker would not adopt.
-func TestShuffleTimeoutReachesWorkers(t *testing.T) {
-	for _, c := range []struct{ set, want time.Duration }{
-		{0, defaultShuffleTimeout},
-		{1500 * time.Millisecond, 1500 * time.Millisecond},
-		{200 * time.Microsecond, time.Millisecond},
-	} {
-		master, err := NewMaster(mustRegistry(t), MasterConfig{ShuffleTimeout: c.set})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := master.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := NewWorker(mustRegistry(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Start(addr); err != nil {
-			t.Fatal(err)
-		}
-		if got := w.shuffleTO(); got != c.want {
-			t.Errorf("master ShuffleTimeout %v: worker's is %v, want %v", c.set, got, c.want)
-		}
-		w.Stop()
-		master.Close()
 	}
 }
 

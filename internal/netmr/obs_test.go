@@ -1,7 +1,6 @@
 package netmr
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"strconv"
@@ -81,7 +80,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	for i := range input {
 		input[i] = "a b c"
 	}
-	if _, _, err := master.Run(context.Background(), "count", input, 8); err != nil {
+	if _, _, err := master.Run(runCtx(t), "count", input, 8); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,7 +126,7 @@ func TestPerWorkerStats(t *testing.T) {
 	for i := range input {
 		input[i] = "k v"
 	}
-	_, stats, err := master.Run(context.Background(), "count", input, 16)
+	_, stats, err := master.Run(runCtx(t), "count", input, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestPerWorkerStats(t *testing.T) {
 }
 
 func TestPerWorkerStatsAttributeFailures(t *testing.T) {
-	cfg := MasterConfig{TaskTimeout: 2 * time.Second, Metrics: obs.NewRegistry()}
+	cfg := MasterConfig{Metrics: obs.NewRegistry()}
 	reg, err := NewRegistry(countJob())
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +191,7 @@ func TestPerWorkerStatsAttributeFailures(t *testing.T) {
 	for i := range input {
 		input[i] = "a"
 	}
-	_, stats, err := master.Run(context.Background(), "count", input, 8)
+	_, stats, err := master.Run(runCtx(t), "count", input, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +248,7 @@ func TestHeartbeatDropsDeadIdleWorker(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// The healthy worker must still be usable after surviving pings.
-	if _, _, err := master.Run(context.Background(), "count", []string{"a b"}, 1); err != nil {
+	if _, _, err := master.Run(runCtx(t), "count", []string{"a b"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	m := cfg.Metrics

@@ -1,7 +1,6 @@
 package netmr
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -179,7 +178,7 @@ func runWordCount(t *testing.T, cfg MasterConfig, workers int, lines []string, s
 	if err := master.WaitForWorkers(workers, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := master.Run(context.Background(), "wordcount", lines, shards)
+	out, stats, err := master.Run(runCtx(t), "wordcount", lines, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestResultsIdenticalAcrossPartitionConfigs(t *testing.T) {
 		"partitions-1": 1, "partitions-2": 2, "partitions-3": 3, "partitions-4": 4, "partitions-8": 8, "default": 0,
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg := MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Reducers: R}
+			cfg := MasterConfig{Reducers: R}
 			got, stats := runWordCount(t, cfg, 2, lines, 12)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: result diverged from local reference", name)
@@ -218,9 +217,7 @@ func TestResultsIdenticalAcrossPartitionConfigs(t *testing.T) {
 // pass validation — fails that worker's launch, and the job completes via
 // reassignment to an honest worker.
 func TestFlatResultToMapTaskFailsLaunch(t *testing.T) {
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, Reducers: 4,
-	})
+	master, err := NewMaster(mustRegistry(t), MasterConfig{Reducers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +244,7 @@ func TestFlatResultToMapTaskFailsLaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := testLines(t, 200)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 6)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,9 +273,7 @@ func firstShard(m message) (id, attempt int, ok bool) {
 // reducer, the shards' outputs are lost, and the master runs those map
 // tasks again on the honest worker, so the output is the reference's.
 func TestMapdoneInlinePartsIgnored(t *testing.T) {
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, Reducers: 4,
-	})
+	master, err := NewMaster(mustRegistry(t), MasterConfig{Reducers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +307,7 @@ func TestMapdoneInlinePartsIgnored(t *testing.T) {
 	waitIdle(t, master, 2) // so the rogue is drawn for some of the six shards
 	reexecs := master.metrics.mapReexecs.Value()
 	lines := testLines(t, 200)
-	got, _, err := master.Run(context.Background(), "wordcount", lines, 6)
+	got, _, err := master.Run(runCtx(t), "wordcount", lines, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

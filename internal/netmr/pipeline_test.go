@@ -1,7 +1,6 @@
 package netmr
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"net"
@@ -87,7 +86,7 @@ func TestShufflePoolReusesAndRedialsOnce(t *testing.T) {
 		return nil
 	}
 
-	if err := p.withConn(addr, time.Second, exchange); err != nil {
+	if err := p.withConn(addr, exchange); err != nil {
 		t.Fatalf("first exchange: %v", err)
 	}
 	if attempts != 1 {
@@ -106,7 +105,7 @@ func TestShufflePoolReusesAndRedialsOnce(t *testing.T) {
 	cut()
 	time.Sleep(20 * time.Millisecond)
 	attempts = 0
-	if err := p.withConn(addr, time.Second, exchange); err != nil {
+	if err := p.withConn(addr, exchange); err != nil {
 		t.Fatalf("exchange over a cut pool: %v", err)
 	}
 	if attempts != 2 {
@@ -119,7 +118,7 @@ func TestShufflePoolReusesAndRedialsOnce(t *testing.T) {
 	cut()
 	time.Sleep(20 * time.Millisecond)
 	attempts = 0
-	err := p.withConn(addr, time.Second, func(c *conn) error {
+	err := p.withConn(addr, func(c *conn) error {
 		attempts++
 		return fmt.Errorf("injected failure %d", attempts)
 	})
@@ -140,7 +139,7 @@ func TestShufflePoolKeepsConnOnRefusal(t *testing.T) {
 	defer p.closeAll()
 
 	attempts := 0
-	err := p.withConn(addr, time.Second, func(c *conn) error {
+	err := p.withConn(addr, func(c *conn) error {
 		attempts++
 		return &peerRefusal{msg: "unknown run"}
 	})
@@ -215,7 +214,7 @@ func runPipelineCluster(t *testing.T, reg *Registry, mcfg MasterConfig, wcfg Wor
 	if err := master.WaitForWorkers(workers, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, shards)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +233,7 @@ func TestParallelGatherMatchesSerial(t *testing.T) {
 		reg := pipelineRegistry(t, combine, 0)
 		for _, budget := range []int64{0, 2048} {
 			got, _, _ := runPipelineCluster(t, reg,
-				MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: 3},
+				MasterConfig{Reducers: 3},
 				WorkerConfig{SpillBudget: budget, SpillDir: t.TempDir()},
 				3, 6, lines, nil)
 			if !reflect.DeepEqual(got, want) {
@@ -255,7 +254,6 @@ func TestReduceUnderMapTailMatchesOracle(t *testing.T) {
 	// idle, and the master has stored outputs to hand a reducer.
 	reg := pipelineRegistry(t, false, 20*time.Millisecond)
 	got, stats, trc := runPipelineCluster(t, reg, MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second,
 		Reducers: 3, Trace: true,
 	}, WorkerConfig{}, 3, 7, lines, nil)
 	if !reflect.DeepEqual(got, want) {
@@ -301,7 +299,7 @@ func TestPooledFetchFailsOverToReplica(t *testing.T) {
 	want := runShard(wordCountJob(), lines, new(shardScratch))
 	reg := pipelineRegistry(t, false, 0)
 	got, stats, _ := runPipelineCluster(t, reg,
-		MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: 3},
+		MasterConfig{Reducers: 3},
 		WorkerConfig{}, 3, 6, lines,
 		func(i int, w *Worker) {
 			w.chaos = chaos.New(chaos.Config{Seed: int64(i), TaskLatency: chaos.Dist{Kind: chaos.DistFixed, Base: 20 * time.Millisecond}})
@@ -328,10 +326,7 @@ func TestReduceUnderMapTailFailoverUnderChaos(t *testing.T) {
 	lines := testLines(t, 400)
 	want := runShard(wordCountJob(), lines, new(shardScratch))
 	reg := pipelineRegistry(t, true, 10*time.Millisecond)
-	got, stats, _ := runPipelineCluster(t, reg, MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second,
-		Reducers: 3,
-	}, WorkerConfig{SpillBudget: 4096, SpillDir: t.TempDir()}, 3, 6, lines,
+	got, stats, _ := runPipelineCluster(t, reg, MasterConfig{Reducers: 3}, WorkerConfig{SpillBudget: 4096, SpillDir: t.TempDir()}, 3, 6, lines,
 		func(i int, w *Worker) {
 			if i == 0 {
 				w.closeFetchAfterMapdone = true
@@ -350,11 +345,10 @@ func TestReduceUnderMapTailFailoverUnderChaos(t *testing.T) {
 // and the first attempt of shard 1 crashes its worker after the frame's
 // shard 0 answered. By then the other worker has mapped shard 2 and holds
 // a reduce launch waiting on shard 1, so the retry finds no idle worker:
-// the loop must call that launch back, or the run would sit until
-// JobTimeout. The output is the oracle's, and no goroutine, descriptor
+// the loop must call that launch back, or the run would sit until its
+// ctx's deadline. The output is the oracle's, and no goroutine, descriptor
 // or spill file outlives the run.
 func TestMapRetryCallsBackReduceLaunch(t *testing.T) {
-	const jobTimeout = 20 * time.Second
 	plan := chaos.Config{CrashRate: 0.1, TaskLatency: chaos.Dist{Kind: chaos.DistFixed, Base: 50 * time.Millisecond}}
 	// Of every attempt the run can make, shard 1's first alone crashes.
 	onlyShard1Crashes := func(seed int64) bool {
@@ -379,9 +373,7 @@ func TestMapRetryCallsBackReduceLaunch(t *testing.T) {
 	}
 
 	goroutines, fds := runtime.NumGoroutine(), openFDs()
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: jobTimeout, Reducers: 2,
-	})
+	master, err := NewMaster(mustRegistry(t), MasterConfig{Reducers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,11 +398,11 @@ func TestMapRetryCallsBackReduceLaunch(t *testing.T) {
 
 	lines := testLines(t, 60)
 	start := time.Now()
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 3)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wall := time.Since(start); wall > jobTimeout/4 {
+	if wall := time.Since(start); wall > 5*time.Second {
 		t.Errorf("the run took %v: a map retry waited on reduce launches", wall)
 	}
 	if !reflect.DeepEqual(got, runShard(wordCountJob(), lines, new(shardScratch))) {

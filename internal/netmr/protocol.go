@@ -48,9 +48,11 @@ import (
 // DESIGN.md §6 describes: tagged, optional, skipped by a decoder that
 // does not know the tag. v3 added the release frame, v4 the chunk frame
 // a reducer streams its output in, v5 dropped the flag byte in front of
-// every body and the CompBytes field, and v6 retired the task frame (a
-// single shard travels as a taskbatch of one) and its Records field.
-const protocolVersion = 6
+// every body and the CompBytes field, v6 retired the task frame (a
+// single shard travels as a taskbatch of one) and its Records field, and
+// v7 the helloack's shuffle timeout: every bound is a constant of the
+// build.
+const protocolVersion = 7
 
 // preamble opens every connection in both directions.
 var preamble = [4]byte{'N', 'M', 'R', protocolVersion}
@@ -91,10 +93,9 @@ type message struct {
 	Locs     []fetchLoc // reducetask | morelocs: where winning map outputs are stored
 
 	// Out-of-core shuffle.
-	Rep       string // taskbatch: peer shuffle addr to replicate to; mapdone: addr actually replicated to
-	Spills    int    // mapdone | result: spill runs written while producing this output
-	Spilled   int64  // mapdone | result: bytes written to spill files
-	ShuffleMs int64  // helloack: shuffle timeout, milliseconds
+	Rep     string // taskbatch: peer shuffle addr to replicate to; mapdone: addr actually replicated to
+	Spills  int    // mapdone | result: spill runs written while producing this output
+	Spilled int64  // mapdone | result: bytes written to spill files
 
 	// Pipelined shuffle. A reducetask names the run's map count as Total:
 	// the reducer gathers the initial Locs, then keeps receiving morelocs

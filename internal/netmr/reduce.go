@@ -238,7 +238,7 @@ func sortedLocs(by map[string][]int) []fetchLoc {
 func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch int, s *locStream) {
 	m := r.m
 	start := time.Now()
-	err := w.c.send(fr, m.cfg.TaskTimeout)
+	err := w.c.send(fr, exchangeTimeout)
 	aborted := false
 	for err == nil && s != nil {
 		u, open := <-s.updates
@@ -257,11 +257,11 @@ func (r *jobRun) dispatchReduce(w *workerHandle, t shardTask, fr message, launch
 			}
 		}
 		aborted = aborted || frames[len(frames)-1].Message == "abort"
-		err = w.c.sendFrames(frames, m.cfg.TaskTimeout)
+		err = w.c.sendFrames(frames, exchangeTimeout)
 	}
 	var reply message
 	for err == nil {
-		if reply, err = w.c.recv(m.cfg.TaskTimeout); err != nil || reply.TaskID != t.id || reply.Type != "chunk" && reply.Type != "result" {
+		if reply, err = w.c.recv(exchangeTimeout); err != nil || reply.TaskID != t.id || reply.Type != "chunk" && reply.Type != "result" {
 			break
 		}
 		if err = r.out.admit(t.id, reply.Total, reply.Folded, reply.Type == "result", reply.Bytes); reply.Type == "result" {
@@ -326,7 +326,8 @@ func mergeLocs(dst, src []fetchLoc) []fetchLoc {
 // release tells every idle worker, once, that the run is over, so each
 // frees the run's map outputs, replicas and spill files now. Nothing
 // answers it. A worker busy with an abandoned launch misses it, and the
-// next run's first output evicts the run there instead.
+// next run's first output evicts the run there instead. The dropped
+// workers' listeners the run kept serving are dead from here on.
 func (r *jobRun) release() {
 	if r.over.Swap(true) {
 		return
@@ -339,6 +340,7 @@ func (r *jobRun) release() {
 		}
 		m.idle <- w
 	}
+	m.buryOrphans()
 }
 
 // callBack takes back the highest reduce launch still awaiting map

@@ -106,12 +106,11 @@ func TestInterStoreSliceRejectsRogue(t *testing.T) {
 func TestDistributedReduce(t *testing.T) {
 	const workers, shards, R = 4, 8, 4
 	master, _ := startReduceCluster(t, MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second,
 		Reducers: R, Trace: true,
 	}, workers)
 
 	lines := testLines(t, 600)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, shards)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +176,8 @@ func TestReduceMatchesReferenceAcrossConfigs(t *testing.T) {
 	want := runShard(wordCountJob(), lines, new(shardScratch))
 
 	for _, r := range []int{1, 2, 4, 8} {
-		master, _ := startReduceCluster(t, MasterConfig{
-			TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Reducers: r,
-		}, 3)
-		got, stats, err := master.Run(context.Background(), "wordcount", lines, 6)
+		master, _ := startReduceCluster(t, MasterConfig{Reducers: r}, 3)
+		got, stats, err := master.Run(runCtx(t), "wordcount", lines, 6)
 		if err != nil {
 			t.Fatalf("R=%d: %v", r, err)
 		}
@@ -214,39 +211,39 @@ func TestRogueFetchRejected(t *testing.T) {
 		{ID: 1, Partial: sectionFromMap(map[string]float64{"b": 2})},
 	}, 2)
 
-	if _, _, err := fetchPartition(addr, "wc#1", 99, []int{0}, defaultShuffleTimeout); err == nil {
+	if _, _, err := fetchPartition(addr, "wc#1", 99, []int{0}); err == nil {
 		t.Error("out-of-range partition id served")
 	}
-	if _, _, err := fetchPartition(addr, "evil#7", 0, []int{0}, defaultShuffleTimeout); err == nil {
+	if _, _, err := fetchPartition(addr, "evil#7", 0, []int{0}); err == nil {
 		t.Error("foreign job's run id served")
 	}
-	if _, _, err := fetchPartition(addr, "wc#1", 0, []int{5}, defaultShuffleTimeout); err == nil {
+	if _, _, err := fetchPartition(addr, "wc#1", 0, []int{5}); err == nil {
 		t.Error("unknown map task served")
 	}
 
 	// One connection, rogue frames first, then a valid fetch: the server
 	// must keep serving rather than hang up on the first bad request.
-	c, err := dialShuffle(addr, 5*time.Second)
+	c, err := dialShuffle(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.close() }()
-	if err := c.send(message{Type: "ping"}, defaultShuffleTimeout); err != nil {
+	if err := c.send(message{Type: "ping"}, exchangeTimeout); err != nil {
 		t.Fatal(err)
 	}
-	if reply, err := c.recv(defaultShuffleTimeout); err != nil || reply.Type != "error" {
+	if reply, err := c.recv(exchangeTimeout); err != nil || reply.Type != "error" {
 		t.Fatalf("non-fetch frame got (%+v, %v), want an error frame", reply, err)
 	}
-	if err := c.send(message{Type: "fetch", Run: "wc#1", TaskID: -1, Tasks: []int{0}}, defaultShuffleTimeout); err != nil {
+	if err := c.send(message{Type: "fetch", Run: "wc#1", TaskID: -1, Tasks: []int{0}}, exchangeTimeout); err != nil {
 		t.Fatal(err)
 	}
-	if reply, err := c.recv(defaultShuffleTimeout); err != nil || reply.Type != "error" {
+	if reply, err := c.recv(exchangeTimeout); err != nil || reply.Type != "error" {
 		t.Fatalf("negative partition got (%+v, %v), want an error frame", reply, err)
 	}
-	if err := c.send(message{Type: "fetch", Run: "wc#1", TaskID: 1, Tasks: []int{0}}, defaultShuffleTimeout); err != nil {
+	if err := c.send(message{Type: "fetch", Run: "wc#1", TaskID: 1, Tasks: []int{0}}, exchangeTimeout); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := c.recv(defaultShuffleTimeout)
+	reply, err := c.recv(exchangeTimeout)
 	if err != nil || reply.Type != "fetchresult" {
 		t.Fatalf("valid fetch after rogues got (%+v, %v), want fetchresult", reply, err)
 	}
@@ -260,9 +257,7 @@ func TestRogueFetchRejected(t *testing.T) {
 // with an error frame is dropped and the partition retried on an honest
 // worker; the job completes with the reference result.
 func TestRogueReduceErrorReassigned(t *testing.T) {
-	master, addr := startReduceCluster(t, MasterConfig{
-		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, Reducers: 4,
-	}, 2)
+	master, addr := startReduceCluster(t, MasterConfig{Reducers: 4}, 2)
 	// Honest map tasks, every reduce task answered with an error frame: the
 	// misbehaving-reducer shape the master must answer with an eviction and
 	// a reassignment, never a hang or a panic.
@@ -272,7 +267,7 @@ func TestRogueReduceErrorReassigned(t *testing.T) {
 	waitIdle(t, master, 3) // so the rogue is drawn for one of the four reduce tasks
 
 	lines := testLines(t, 300)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 6)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +302,7 @@ func TestMalformedReduceResultRefused(t *testing.T) {
 				t.Fatalf("decode accepted %s keys as %q", name, decoded.Folded)
 			}
 
-			master, addr := startReduceCluster(t, MasterConfig{
-				TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, Reducers: 4,
-			}, 2)
+			master, addr := startReduceCluster(t, MasterConfig{Reducers: 4}, 2)
 			// Honest map tasks, every reduce task answered with a well-framed,
 			// checksummed result whose Folded no honest merge could have
 			// produced.
@@ -318,7 +311,7 @@ func TestMalformedReduceResultRefused(t *testing.T) {
 			})
 			waitIdle(t, master, 3) // so the rogue is drawn for one of the four reduce tasks
 			lines := testLines(t, 300)
-			res, stats, err := master.RunResult(context.Background(), "wordcount", lines, 6)
+			res, stats, err := master.RunResult(runCtx(t), "wordcount", lines, 6)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -340,7 +333,6 @@ func TestMalformedReduceResultRefused(t *testing.T) {
 // partition and the attempt count and carry the reducer's last message.
 func TestReduceRetryBudgetExhausted(t *testing.T) {
 	master, addr := startReduceCluster(t, MasterConfig{
-		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second,
 		Reducers: 1, MaxAttempts: 3, RetryBaseDelay: time.Millisecond,
 	}, 0)
 	const refusal = "rogue: holder unreachable"
@@ -350,7 +342,7 @@ func TestReduceRetryBudgetExhausted(t *testing.T) {
 	if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := master.Run(context.Background(), "wordcount", testLines(t, 100), 2)
+	_, stats, err := master.Run(runCtx(t), "wordcount", testLines(t, 100), 2)
 	if err == nil {
 		t.Fatal("expected the reduce retry budget to run out, got success")
 	}
@@ -371,9 +363,7 @@ func TestReduceRetryBudgetExhausted(t *testing.T) {
 // run on the same master fetches its outputs from it again: no replica
 // fetch, no recovery.
 func TestFetchReportExilesForOneRun(t *testing.T) {
-	master, addr := startReduceCluster(t, MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Reducers: 4,
-	}, 0)
+	master, addr := startReduceCluster(t, MasterConfig{Reducers: 4}, 0)
 	holder, err := NewWorker(mustRegistry(t))
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +389,7 @@ func TestFetchReportExilesForOneRun(t *testing.T) {
 	want := runShard(wordCountJob(), lines, new(shardScratch))
 	run := func() Stats {
 		t.Helper()
-		got, stats, err := master.Run(context.Background(), "wordcount", lines, 12)
+		got, stats, err := master.Run(runCtx(t), "wordcount", lines, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +417,7 @@ func TestFetchReportExilesForOneRun(t *testing.T) {
 // launch open in the trace.
 func TestReduceCancellationAbandonsLaunch(t *testing.T) {
 	master, addr := startReduceCluster(t, MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Reducers: 1, Trace: true,
+		Reducers: 1, Trace: true,
 	}, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

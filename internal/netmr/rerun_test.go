@@ -46,7 +46,7 @@ func noUserCode(t *testing.T) *Registry {
 func rerunMaster(t *testing.T) (*Master, string) {
 	t.Helper()
 	master, err := NewMaster(noUserCode(t), MasterConfig{
-		TaskTimeout: 5 * time.Second, JobTimeout: 60 * time.Second, Reducers: 3,
+		Reducers:    3,
 		MaxAttempts: 10, RetryBaseDelay: 5 * time.Millisecond, Trace: true, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
@@ -68,7 +68,7 @@ func checkRerun(t *testing.T, master *Master, survivor string) (rerun, split tra
 	t.Helper()
 	waitIdle(t, master, 3) // so each worker maps one shard
 	lines := testLines(t, 300)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 3)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +184,79 @@ func TestLostOutputRerunBeforeBarrier(t *testing.T) {
 	checkRerun(t, master, survivor.netConn.LocalAddr().String())
 }
 
+// TestDroppedWorkerServesItsOutputs: a worker whose control connection
+// fails after its mapdones keeps its shuffle listener, which serves their
+// outputs until the run ends, so the reducers fetch them there: nothing
+// runs again and nothing is read from a replica. Two workers map four
+// shards, two a frame; the worker that draws shards 0 and 1 answers shard
+// 0 alone (it sleeps past flushAfter) and cuts its own control connection
+// mapping shard 1, which runs again on the other. The run's end marks the
+// dropped worker's address dead.
+func TestDroppedWorkerServesItsOutputs(t *testing.T) {
+	master, err := NewMaster(mustRegistry(t), MasterConfig{Reducers: 2, RetryBaseDelay: time.Millisecond, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := master.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(master.Close)
+	lines := testLines(t, 8)
+	var cutBy atomic.Pointer[Worker]
+	workers := make([]*Worker, 2)
+	for i := range workers {
+		job := wordCountJob()
+		inner := job.Map
+		job.Map = func(record string, emit func(string, float64)) {
+			switch self := workers[i]; {
+			case record == lines[0]:
+				time.Sleep(5 * time.Millisecond)
+			case record == lines[2] && cutBy.CompareAndSwap(nil, self):
+				self.mu.Lock()
+				_ = self.netConn.Close()
+				self.mu.Unlock()
+			}
+			inner(record, emit)
+		}
+		reg, err := NewRegistry(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorker(reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers[i] = w
+		if err := w.Start(addr); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Stop)
+	}
+	waitIdle(t, master, 2)
+
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, runShard(wordCountJob(), lines, new(shardScratch))) {
+		t.Fatal("output diverged from the oracle")
+	}
+	dropped := cutBy.Load()
+	if dropped == nil || master.WorkerCount() != 1 || stats.Reassignments == 0 {
+		t.Fatalf("no worker was dropped (%d left, %d reassignments)", master.WorkerCount(), stats.Reassignments)
+	}
+	if n := master.metrics.mapReexecs.Value(); n != 0 {
+		t.Errorf("netmr_map_reexecutions_total = %v: outputs the dropped worker still served ran again", n)
+	}
+	if stats.ReplicaFetches != 0 {
+		t.Errorf("ReplicaFetches = %d: reducers read replicas of outputs their primary still served", stats.ReplicaFetches)
+	}
+	if master.addrAlive(dropped.fetchAddr, nil) {
+		t.Error("the dropped worker's address is live after the run")
+	}
+}
+
 // pipeWorkers puts n workers named w0… in m's idle pool, each behind a
 // pipe whose far end plays a reducer: it takes a reducetask, reads its
 // morelocs until they cover every map output or an abort comes, and
@@ -235,8 +308,7 @@ func pipeWorkers(t *testing.T, m *Master, n int, fetchFails func(message) string
 func speculativeRun(t *testing.T, reducers, attempts int, live ...string) (*Master, *jobRun, *Stats) {
 	t.Helper()
 	m, err := NewMaster(mustRegistry(t), MasterConfig{
-		Reducers: reducers, MaxAttempts: attempts, RetryBaseDelay: time.Millisecond, TaskTimeout: 5 * time.Second,
-		SpeculationInterval: time.Millisecond,
+		Reducers: reducers, MaxAttempts: attempts, RetryBaseDelay: time.Millisecond, SpeculationInterval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +349,7 @@ func TestReduceLaunchAwaitingRerunIsNotStranded(t *testing.T) {
 			m.idle <- w
 		}()
 	}
-	if err := m.schedule(context.Background(), r, nil); err != nil {
+	if err := m.schedule(context.Background(), r); err != nil {
 		t.Fatal(err)
 	}
 	if n := m.metrics.mapReexecs.Value(); n < 1 {
@@ -339,7 +411,7 @@ func TestAbandonedMapReportAfterReopen(t *testing.T) {
 					m.idle <- w
 				}()
 			}
-			if err := m.schedule(context.Background(), r, nil); err != nil {
+			if err := m.schedule(context.Background(), r); err != nil {
 				t.Fatal(err)
 			}
 			if r.mapLocs[1] != "x2" || stats.Completed != 2 || stats.Cancellations < 1 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -93,8 +94,6 @@ func TestRetryBudgetExhaustionSurfacesLastError(t *testing.T) {
 		t.Run(fmt.Sprintf("reducers=%d", reducers), func(t *testing.T) {
 			inj := chaos.New(chaos.Config{Seed: 11, DropRate: 1, GraceOps: 2})
 			master, err := NewMaster(mustRegistry(t), MasterConfig{
-				TaskTimeout:    2 * time.Second,
-				JobTimeout:     10 * time.Second,
 				MaxAttempts:    3,
 				RetryBaseDelay: time.Millisecond,
 				Reducers:       reducers,
@@ -123,7 +122,7 @@ func TestRetryBudgetExhaustionSurfacesLastError(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			_, stats, err := master.Run(context.Background(), "wordcount", testLines(t, 8), 1)
+			_, stats, err := master.Run(runCtx(t), "wordcount", testLines(t, 8), 1)
 			if err == nil {
 				t.Fatal("expected retry budget exhaustion, got success")
 			}
@@ -199,7 +198,9 @@ func startSleeperCluster(t *testing.T, cfg MasterConfig, workers int) *Master {
 
 // TestDuplicateSpeculativeResultDiscardedOnce engineers a race the
 // original launch wins: shard 0 sleeps 300 ms, its clone (launched once
-// the fast shards establish a ~60 ms threshold) also sleeps 300 ms, so
+// all six fast shards have answered, at twice their median, ~120 ms: the
+// second 30 ms shard of a frame answers 60 ms after its dispatch, and none
+// is left in flight to be cloned) also sleeps 300 ms, so
 // the clone's result lands while shard 1 (700 ms) is still pending —
 // and must be discarded exactly once. Shard 1's clone is still in
 // flight when the map phase completes, so it is counted as a
@@ -213,15 +214,13 @@ func TestDuplicateSpeculativeResultDiscardedOnce(t *testing.T) {
 	for _, reducers := range []int{0, 2, 4} {
 		t.Run(fmt.Sprintf("reducers=%d", reducers), func(t *testing.T) {
 			master := startSleeperCluster(t, MasterConfig{
-				TaskTimeout:         10 * time.Second,
-				JobTimeout:          30 * time.Second,
 				SpeculationInterval: 25 * time.Millisecond,
 				Reducers:            reducers,
 			}, 4)
-			master.straggler = stragglerRule{q: 0.5, mult: 2, minObs: 3}
+			master.straggler = stragglerRule{q: 0.5, mult: 2, minObs: 6}
 
 			records := []string{"slow:300", "slower:700", "c:30", "c:30", "c:30", "c:30", "c:30", "c:30"}
-			result, stats, err := master.Run(context.Background(), "sleeper", records, len(records))
+			result, stats, err := master.Run(runCtx(t), "sleeper", records, len(records))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,11 +251,7 @@ func TestDuplicateSpeculativeResultDiscardedOnce(t *testing.T) {
 // must return the context error promptly and account for both
 // abandoned launches.
 func TestContextCancellationAbortsSpeculation(t *testing.T) {
-	master := startSleeperCluster(t, MasterConfig{
-		TaskTimeout:         10 * time.Second,
-		JobTimeout:          30 * time.Second,
-		SpeculationInterval: 20 * time.Millisecond,
-	}, 2)
+	master := startSleeperCluster(t, MasterConfig{SpeculationInterval: 20 * time.Millisecond}, 2)
 	master.straggler = stragglerRule{q: 0.75, mult: 2, minObs: 1}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -280,6 +275,61 @@ func TestContextCancellationAbortsSpeculation(t *testing.T) {
 	}
 }
 
+// TestJobBoundedByContextDeadline: a run is bounded by its caller's ctx.
+// A sleeper run whose deadline falls while shard 1 still sleeps returns an
+// error wrapping context.DeadlineExceeded at once, counts its two
+// abandoned launches (the sleeping shard and the reduce launch awaiting
+// it) in Cancellations, and leaves no goroutine, descriptor or spill file
+// behind.
+func TestJobBoundedByContextDeadline(t *testing.T) {
+	goroutines, fds := runtime.NumGoroutine(), openFDs()
+	master, err := NewMaster(sleeperRegistry(t), MasterConfig{Reducers: 1, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := master.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := make([]*Worker, 2)
+	dirs := make([]string, 2)
+	for i := range workers {
+		dirs[i] = t.TempDir()
+		w, err := NewWorker(sleeperRegistry(t), WithWorkerConfig(WorkerConfig{SpillBudget: 1, SpillDir: dirs[i]}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Start(addr); err != nil {
+			t.Fatal(err)
+		}
+		workers[i] = w
+	}
+	waitIdle(t, master, 2)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, stats, err := master.Run(ctx, "sleeper", []string{"fast:5", "slow:600"}, 2)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	if wall := time.Since(start); wall > 450*time.Millisecond {
+		t.Fatalf("Run took %v past a 150 ms deadline; it waited for in-flight launches", wall)
+	}
+	if stats.Cancellations != 2 {
+		t.Fatalf("Cancellations = %d, want 2 (the slow shard and the reduce launch awaiting it)", stats.Cancellations)
+	}
+	waitIdle(t, master, 2) // the abandoned launches come home
+	master.Close()
+	for i, w := range workers {
+		w.Stop()
+		if n := spillFilesLeft(t, dirs[i]); n != 0 {
+			t.Errorf("worker %d left %d spill file(s)", i, n)
+		}
+	}
+	settled(t, goroutines, fds)
+}
+
 // TestChaosGauntlet is the end-to-end resilience proof from the issue:
 // 9 workers dropping 30% of their writes, one worker that crashes on
 // its first task, and two slow-but-reliable workers that force
@@ -288,8 +338,6 @@ func TestContextCancellationAbortsSpeculation(t *testing.T) {
 func TestChaosGauntlet(t *testing.T) {
 	reg := obs.NewRegistry()
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout:         5 * time.Second,
-		JobTimeout:          60 * time.Second,
 		MaxAttempts:         10,
 		RetryBaseDelay:      2 * time.Millisecond,
 		SpeculationInterval: 25 * time.Millisecond,
@@ -339,7 +387,7 @@ func TestChaosGauntlet(t *testing.T) {
 	lines := testLines(t, 160)
 	want := runShard(wordCountJob(), lines, new(shardScratch))
 
-	result, stats, err := master.Run(context.Background(), "wordcount", lines, 16)
+	result, stats, err := master.Run(runCtx(t), "wordcount", lines, 16)
 	if err != nil {
 		t.Fatalf("job did not survive the gauntlet: %v (stats %+v)", err, stats)
 	}

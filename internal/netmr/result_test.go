@@ -1,7 +1,6 @@
 package netmr
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"reflect"
@@ -119,9 +118,9 @@ func TestRunResultEveryMergePath(t *testing.T) {
 		{"default", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Reducers: tc.R}
+			cfg := MasterConfig{Reducers: tc.R}
 			master, _ := startReduceCluster(t, cfg, 2)
-			res, stats, err := master.RunResult(context.Background(), "wordcount", lines, 6)
+			res, stats, err := master.RunResult(runCtx(t), "wordcount", lines, 6)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +128,7 @@ func TestRunResultEveryMergePath(t *testing.T) {
 				t.Fatalf("sections held = %d, reduce tasks = %d; want %d", len(res.parts), stats.ReduceTasks, R)
 			}
 			checkResult(t, res, want)
-			got, _, err := master.Run(context.Background(), "wordcount", lines, 6)
+			got, _, err := master.Run(runCtx(t), "wordcount", lines, 6)
 			if err != nil {
 				t.Fatal(err)
 			}

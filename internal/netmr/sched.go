@@ -16,12 +16,12 @@ import (
 // and the R reduce tasks that depend on them, and schedule runs all of it:
 // the ready queues with backoff maturity, the live launches of each task,
 // first-result-wins, the retry budget, the all-workers-lost exit,
-// speculation, cancellation and the job deadline. The dependency edge is
-// three rules of the loop: map tasks dispatch first (next); a ready map
-// task — a retry, a speculative clone or a task re-opened for a lost
-// output — with no idle worker calls a reduce launch back (schedule); and
-// a reduce launch awaits the map outputs its plan could not locate on a
-// stream of their locations (gatherPlan, accept).
+// speculation and cancellation (the job's bound is ctx's deadline). The
+// dependency edge is three rules of the loop: map tasks dispatch first
+// (next); a ready map task — a retry, a speculative clone or a task
+// re-opened for a lost output — with no idle worker calls a reduce launch
+// back (schedule); and a reduce launch awaits the map outputs its plan
+// could not locate on a stream of their locations (gatherPlan, accept).
 
 // phase is one kind of task in the graph, ids 0..tasks-1: how to launch
 // and accept them, and the loop's state of them.
@@ -110,12 +110,12 @@ func launchOf(launches []int, i int) int {
 // schedule runs r's task graph to completion on the master's idle
 // workers. A launch that fails is requeued with capped exponential
 // backoff, up to MaxAttempts per lineage; a task survives an exhausted
-// lineage while a sibling launch is live or queued. Cancelling ctx, the
-// deadline, budget exhaustion and the loss of every worker end the run
+// lineage while a sibling launch is live or queued. Cancelling ctx (or
+// its deadline), budget exhaustion and the loss of every worker end the run
 // with an error. Launches still in flight at any exit are abandoned and
 // counted in Stats.Cancellations, and so are the map launches still out
 // at the barrier. Every dispatch follows the reports already queued.
-func (m *Master) schedule(ctx context.Context, r *jobRun, deadline <-chan time.Time) error {
+func (m *Master) schedule(ctx context.Context, r *jobRun) error {
 	var specTick <-chan time.Time
 	if m.cfg.SpeculationInterval > 0 {
 		ticker := time.NewTicker(m.cfg.SpeculationInterval)
@@ -180,9 +180,6 @@ func (m *Master) schedule(ctx context.Context, r *jobRun, deadline <-chan time.T
 
 		case <-ctx.Done():
 			return ctx.Err()
-
-		case <-deadline:
-			return fmt.Errorf("netmr: job timed out after %v", m.cfg.JobTimeout)
 		}
 	}
 }

@@ -88,7 +88,6 @@ func mapEncodeBody(t testing.TB, m message, folded map[string]float64, parts []m
 	b = appendString(b, m.Rep)
 	b = binary.AppendVarint(b, int64(m.Spills))
 	b = binary.AppendVarint(b, m.Spilled)
-	b = binary.AppendVarint(b, m.ShuffleMs)
 	b = binary.AppendVarint(b, int64(m.Total))
 	b = locs(b, m.Reps)
 	b = binary.AppendVarint(b, int64(m.Failovers))

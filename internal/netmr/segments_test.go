@@ -50,7 +50,7 @@ func segmentFamilies(a, b section) []message {
 		{Type: "result", TaskID: 2, Folded: a, Bytes: 99, Failovers: 1, Spans: spans},
 		{Type: "result", TaskID: 2, Folded: small},
 		{Type: "hello", ID: "w", Jobs: []string{"wc"}, Fetch: "127.0.0.1:7003"},
-		{Type: "helloack", Reducers: 4, ShuffleMs: 30000},
+		{Type: "helloack", Reducers: 4},
 		{Type: "ping"},
 		{Type: "error", TaskID: 2, Message: "fetch failed", Fetch: "127.0.0.1:7001"},
 	}

@@ -30,10 +30,6 @@ import (
 // exceeded, and every persisted set is replicated to one peer so a
 // worker lost after mapdone does not lose its outputs.
 
-// defaultShuffleTimeout bounds one fetch round-trip between workers
-// unless WorkerConfig/MasterConfig override it.
-const defaultShuffleTimeout = 30 * time.Second
-
 // storedTask is one map task's partition set: its sections in memory
 // (parts) until the store's budget forces them to disk (spill), never
 // both. bytes is the sections' exact size — what the budget counts.
@@ -396,9 +392,8 @@ func (w *Worker) serveFetch(raw net.Conn) {
 		delete(w.fetchConns, raw)
 		w.mu.Unlock()
 	}()
-	to := w.shuffleTO()
 	for {
-		m, err := c.recv(to)
+		m, err := c.recv(exchangeTimeout)
 		if err != nil {
 			return // peer done (or garbage framing, or another version — either way, hang up)
 		}
@@ -407,13 +402,13 @@ func (w *Worker) serveFetch(raw net.Conn) {
 			parts, _, err := w.store.slice(m.Run, m.TaskID, m.Tasks, false)
 			if err != nil {
 				workerServes.With("rejected").Inc()
-				if c.send(message{Type: "error", TaskID: m.TaskID, Message: err.Error()}, to) != nil {
+				if c.send(message{Type: "error", TaskID: m.TaskID, Message: err.Error()}, exchangeTimeout) != nil {
 					return
 				}
 				continue
 			}
 			workerServes.With("ok").Inc()
-			if c.send(message{Type: "fetchresult", TaskID: m.TaskID, Parts: parts}, to) != nil {
+			if c.send(message{Type: "fetchresult", TaskID: m.TaskID, Parts: parts}, exchangeTimeout) != nil {
 				return
 			}
 		case "replicate":
@@ -421,18 +416,18 @@ func (w *Worker) serveFetch(raw net.Conn) {
 			// answered in one: every set is stored before any ack leaves.
 			acks := []message{w.storeReplica(m)}
 			for len(acks) < m.Total {
-				next, err := c.recv(to)
+				next, err := c.recv(exchangeTimeout)
 				if err != nil || next.Type != "replicate" {
 					return // a push cut short: its sets stay unreplicated
 				}
 				acks = append(acks, w.storeReplica(next))
 			}
-			if c.sendFrames(acks, to) != nil {
+			if c.sendFrames(acks, exchangeTimeout) != nil {
 				return
 			}
 		default:
 			workerServes.With("rejected").Inc()
-			if c.send(message{Type: "error", Message: fmt.Sprintf("unexpected frame %q on shuffle connection", m.Type)}, to) != nil {
+			if c.send(message{Type: "error", Message: fmt.Sprintf("unexpected frame %q on shuffle connection", m.Type)}, exchangeTimeout) != nil {
 				return
 			}
 		}
@@ -459,11 +454,11 @@ func (w *Worker) storeReplica(m message) message {
 // shuffle connection, returning the per-task partials and the encoded
 // bytes transferred. A refusal (error frame from a healthy peer) comes
 // back as a peerRefusal so the pool knows the connection survived it.
-func fetchExchange(c *conn, addr, run string, partition int, tasks []int, timeout time.Duration) ([]partitionPartial, int64, error) {
-	if err := c.send(message{Type: "fetch", Run: run, TaskID: partition, Tasks: tasks}, timeout); err != nil {
+func fetchExchange(c *conn, addr, run string, partition int, tasks []int) ([]partitionPartial, int64, error) {
+	if err := c.send(message{Type: "fetch", Run: run, TaskID: partition, Tasks: tasks}, exchangeTimeout); err != nil {
 		return nil, 0, err
 	}
-	reply, err := c.recv(timeout)
+	reply, err := c.recv(exchangeTimeout)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -485,16 +480,16 @@ func fetchExchange(c *conn, addr, run string, partition int, tasks []int, timeou
 // (an error frame from a healthy peer) lands in errs[i] as a peerRefusal
 // and fails only its own set. It returns how many sets were answered and
 // the connection failure that stopped it, if any.
-func replicateExchange(c *conn, addr string, frames []message, timeout time.Duration, errs []error) (int, error) {
+func replicateExchange(c *conn, addr string, frames []message, errs []error) (int, error) {
 	for i := range frames {
 		frames[i].Total = len(frames)
 	}
-	if err := c.sendFrames(frames, timeout); err != nil {
+	if err := c.sendFrames(frames, exchangeTimeout); err != nil {
 		return 0, err
 	}
 	for i := range frames {
 		task := frames[i].TaskID
-		reply, err := c.recv(timeout)
+		reply, err := c.recv(exchangeTimeout)
 		if err != nil {
 			return i, err
 		}
@@ -540,11 +535,11 @@ type locResult struct {
 // fails over to the map tasks' replica holders when repOf names them;
 // only when that too fails (or no replica covers a task) does the round
 // error, naming the primary so the master routes recovery around it.
-func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf map[int]string, stream bool, to time.Duration) ([]locResult, error) {
+func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf map[int]string, stream bool) ([]locResult, error) {
 	ctx := runner.WithWorkers(context.Background(), shuffleFanout)
 	fetch := func(res *locResult, addr string, tasks []int) error {
 		fetchStart := time.Now()
-		parts, n, err := w.pool.fetchPartition(addr, run, partition, tasks, to)
+		parts, n, err := w.pool.fetchPartition(addr, run, partition, tasks)
 		workerFetchSeconds.Observe(time.Since(fetchStart).Seconds())
 		if err != nil {
 			workerFetches.With("failed").Inc()
@@ -633,11 +628,10 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 // failed (Fetch), so the master can consult replica locations instead
 // of evicting the healthy reducer.
 func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
-	to := w.shuffleTO()
 	job, ok := w.registry.lookup(m.Job)
 	if !ok {
 		workerTasks.With("unknown_job").Inc()
-		_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: fmt.Sprintf("unknown job %q", m.Job)}, to)
+		_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: fmt.Sprintf("unknown job %q", m.Job)}, exchangeTimeout)
 		return true
 	}
 	if f := w.chaos.TaskFault("reduce", m.TaskID, m.Attempt); f.Delay > 0 || f.Crash {
@@ -671,7 +665,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	// round gathers one batch of map outputs from their locations,
 	// concurrently.
 	round := func(locs []fetchLoc) (string, error) {
-		results, err := w.fetchRound(m.Run, m.TaskID, locs, repOf, stream, to)
+		results, err := w.fetchRound(m.Run, m.TaskID, locs, repOf, stream)
 		if err != nil {
 			var fe *fetchError
 			if errors.As(err, &fe) {
@@ -714,7 +708,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 			// The master wants this worker back (a map shard needs
 			// retrying); acknowledge and re-enter the serve loop.
 			workerTasks.With("aborted").Inc()
-			_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: "reduce launch called back"}, to)
+			_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: "reduce launch called back"}, exchangeTimeout)
 			return true
 		}
 		noteReps(um.Reps)
@@ -726,7 +720,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	// be sent means the master is gone: nothing is left to do.
 	var lost error
 	out := foldOut{cut: func(k int, chunk section, projected int64) error {
-		lost = c.send(message{Type: "chunk", TaskID: m.TaskID, Attempt: m.Attempt, Folded: chunk, Total: k, Bytes: projected}, to)
+		lost = c.send(message{Type: "chunk", TaskID: m.TaskID, Attempt: m.Attempt, Folded: chunk, Total: k, Bytes: projected}, exchangeTimeout)
 		return lost
 	}}
 	var merged bool
@@ -756,13 +750,13 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	}
 	if gatherErr != nil {
 		workerTasks.With("fetch_failed").Inc()
-		_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: gatherErr.Error(), Fetch: failedAddr}, to)
+		_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: gatherErr.Error(), Fetch: failedAddr}, exchangeTimeout)
 		return true
 	}
 	workerShuffleBytes.Add(float64(fetched))
 	if foldErr != nil {
 		workerTasks.With("fold_failed").Inc()
-		_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: foldErr.Error()}, to)
+		_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: foldErr.Error()}, exchangeTimeout)
 		return true
 	}
 	if merged {
@@ -782,5 +776,5 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	}
 	workerSpillRuns.Add(float64(folder.spillRuns))
 	workerSpilledBytes.Add(float64(folder.spilledBytes))
-	return c.send(res, to) == nil
+	return c.send(res, exchangeTimeout) == nil
 }

@@ -3,7 +3,6 @@ package netmr
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 // benchFetchWorker boots one worker's shuffle plane — store filled with
@@ -49,13 +48,13 @@ func benchFetchWorker(b *testing.B, tasks, keysPerTask, R int) (addr, run string
 // fetchPartition is one fetch exchange over a fresh dial-per-call
 // connection: the unpooled baseline BenchmarkShuffleFetch compares the
 // pool against, and the plain client the shuffle-server tests drive.
-func fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration) ([]partitionPartial, int64, error) {
-	c, err := dialShuffle(addr, timeout)
+func fetchPartition(addr, run string, partition int, tasks []int) ([]partitionPartial, int64, error) {
+	c, err := dialShuffle(addr)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer func() { _ = c.close() }()
-	return fetchExchange(c, addr, run, partition, tasks, timeout)
+	return fetchExchange(c, addr, run, partition, tasks)
 }
 
 // BenchmarkShuffleFetch quantifies what connection pooling buys on the
@@ -70,7 +69,7 @@ func BenchmarkShuffleFetch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			parts, _, err := fetchPartition(addr, run, i%R, ids, 10*time.Second)
+			parts, _, err := fetchPartition(addr, run, i%R, ids)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -86,7 +85,7 @@ func BenchmarkShuffleFetch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			parts, _, err := p.fetchPartition(addr, run, i%R, ids, 10*time.Second)
+			parts, _, err := p.fetchPartition(addr, run, i%R, ids)
 			if err != nil {
 				b.Fatal(err)
 			}

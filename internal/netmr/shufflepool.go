@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 )
 
 // Pooled shuffle-plane connections. Before pooling, every reduce-side
@@ -59,8 +58,8 @@ func isPeerRefusal(err error) bool {
 
 // dialShuffle opens a fresh shuffle-plane connection; its preamble
 // leaves with the first exchange.
-func dialShuffle(addr string, timeout time.Duration) (*conn, error) {
-	raw, err := net.DialTimeout("tcp", addr, timeout)
+func dialShuffle(addr string) (*conn, error) {
+	raw, err := net.DialTimeout("tcp", addr, exchangeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("netmr: shuffle dial %s: %w", addr, err)
 	}
@@ -124,7 +123,7 @@ func (p *shufflePool) closeAll() {
 // indistinguishable from staleness, so the connection is evicted and
 // fn retried exactly once over a fresh dial; a failure over a fresh
 // connection propagates.
-func (p *shufflePool) withConn(addr string, timeout time.Duration, fn func(c *conn) error) error {
+func (p *shufflePool) withConn(addr string, fn func(c *conn) error) error {
 	if c := p.get(addr); c != nil {
 		err := fn(c)
 		if err == nil || isPeerRefusal(err) {
@@ -133,7 +132,7 @@ func (p *shufflePool) withConn(addr string, timeout time.Duration, fn func(c *co
 		}
 		p.evict(c)
 	}
-	c, err := dialShuffle(addr, timeout)
+	c, err := dialShuffle(addr)
 	if err != nil {
 		return err
 	}
@@ -148,10 +147,10 @@ func (p *shufflePool) withConn(addr string, timeout time.Duration, fn func(c *co
 
 // fetchPartition runs one fetch exchange over the pool: reused
 // connection, stale-redial-once.
-func (p *shufflePool) fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration) (parts []partitionPartial, n int64, err error) {
-	err = p.withConn(addr, timeout, func(c *conn) error {
+func (p *shufflePool) fetchPartition(addr, run string, partition int, tasks []int) (parts []partitionPartial, n int64, err error) {
+	err = p.withConn(addr, func(c *conn) error {
 		var ferr error
-		parts, n, ferr = fetchExchange(c, addr, run, partition, tasks, timeout)
+		parts, n, ferr = fetchExchange(c, addr, run, partition, tasks)
 		return ferr
 	})
 	return parts, n, err
@@ -163,11 +162,11 @@ func (p *shufflePool) fetchPartition(addr, run string, partition int, tasks []in
 // refusal for a set the peer declined, and the connection's failure for
 // every set left unanswered when a fresh connection fails too (a stale
 // pooled one is redialed once, for the sets it left unanswered).
-func (p *shufflePool) replicate(addr string, frames []message, timeout time.Duration) []error {
+func (p *shufflePool) replicate(addr string, frames []message) []error {
 	errs := make([]error, len(frames))
 	done := 0
-	if err := p.withConn(addr, timeout, func(c *conn) error {
-		n, err := replicateExchange(c, addr, frames[done:], timeout, errs[done:])
+	if err := p.withConn(addr, func(c *conn) error {
+		n, err := replicateExchange(c, addr, frames[done:], errs[done:])
 		done += n
 		return err
 	}); err != nil {

@@ -19,7 +19,7 @@ func BenchmarkSmallJob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	master, err := NewMaster(registry, MasterConfig{Reducers: 2, TaskTimeout: 30 * time.Second, JobTimeout: time.Minute})
+	master, err := NewMaster(registry, MasterConfig{Reducers: 2})
 	if err != nil {
 		b.Fatal(err)
 	}

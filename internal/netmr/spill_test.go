@@ -339,20 +339,20 @@ func TestEvictedRunReducersReset(t *testing.T) {
 	if _, _, err := w.store.put("wc#1", 0, parts4, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fetchPartition(addr, "wc#1", 3, []int{0}, defaultShuffleTimeout); err != nil {
+	if _, _, err := fetchPartition(addr, "wc#1", 3, []int{0}); err != nil {
 		t.Fatalf("partition 3 under the 4-reducer run refused: %v", err)
 	}
 	// New run with a smaller reducer count evicts the old one wholesale.
 	if _, _, err := w.store.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: sectionFromMap(map[string]float64{"z": 1})}}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fetchPartition(addr, "wc#1", 0, []int{0}, defaultShuffleTimeout); err == nil {
+	if _, _, err := fetchPartition(addr, "wc#1", 0, []int{0}); err == nil {
 		t.Error("stale fetch against the evicted run served")
 	}
-	if _, _, err := fetchPartition(addr, "wc#2", 3, []int{0}, defaultShuffleTimeout); err == nil {
+	if _, _, err := fetchPartition(addr, "wc#2", 3, []int{0}); err == nil {
 		t.Error("partition valid only under the evicted run's count served")
 	}
-	if _, _, err := fetchPartition(addr, "wc#2", 1, []int{0}, defaultShuffleTimeout); err != nil {
+	if _, _, err := fetchPartition(addr, "wc#2", 1, []int{0}); err != nil {
 		t.Errorf("valid fetch against the new run refused: %v", err)
 	}
 }
@@ -395,12 +395,12 @@ func TestStragglerCannotEvictNextRun(t *testing.T) {
 			if _, _, err := w.store.put(late, 0, set("late"), 2); !errors.Is(err, errRunLeft) {
 				t.Errorf("released=%v: late put of %s = %v, want errRunLeft", released, late, err)
 			}
-			if err := pool.replicate(addr, []message{{Type: "replicate", Run: late, TaskID: 2, Parts: set("late"), Reducers: 2}}, defaultShuffleTimeout)[0]; err == nil {
+			if err := pool.replicate(addr, []message{{Type: "replicate", Run: late, TaskID: 2, Parts: set("late"), Reducers: 2}})[0]; err == nil {
 				t.Errorf("released=%v: late replicate of %s accepted", released, late)
 			}
 		}
 		pool.closeAll()
-		got, _, err := fetchPartition(addr, "wc#3", 0, []int{1}, defaultShuffleTimeout)
+		got, _, err := fetchPartition(addr, "wc#3", 0, []int{1})
 		if err != nil || len(got) != 1 || got[0].Partial != set("next")[0].Partial {
 			t.Errorf("released=%v: the next run's output after the stragglers: %v, %v", released, got, err)
 		}
@@ -423,7 +423,7 @@ func TestStragglerCannotEvictNextRun(t *testing.T) {
 // refuses the run, so the failure says nothing about it.
 func TestRunLeavesNothing(t *testing.T) {
 	master, addr := startReduceCluster(t, MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Reducers: 1, MaxAttempts: 1,
+		Reducers: 1, MaxAttempts: 1,
 	}, 0)
 	type member struct {
 		w   *Worker
@@ -518,7 +518,6 @@ func TestSpillCluster(t *testing.T) {
 	const workers, shards, R = 3, 8, 3
 	const budget = 2048
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second,
 		Reducers: R, Trace: true,
 	})
 	if err != nil {
@@ -548,7 +547,7 @@ func TestSpillCluster(t *testing.T) {
 	}
 
 	lines := testLines(t, 1500)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, shards)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,9 +579,7 @@ func TestSpillCluster(t *testing.T) {
 // map task again on a worker) and completes.
 func TestReplicaRecoveryAfterMapperLoss(t *testing.T) {
 	const workers, shards, R = 3, 6, 3
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 5 * time.Second, JobTimeout: 60 * time.Second, Reducers: R,
-	})
+	master, err := NewMaster(mustRegistry(t), MasterConfig{Reducers: R})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +609,7 @@ func TestReplicaRecoveryAfterMapperLoss(t *testing.T) {
 	}
 
 	lines := testLines(t, 800)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, shards)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +689,7 @@ func TestCorruptSpillSectionRefused(t *testing.T) {
 		}
 	}
 	for p, want := range parts {
-		got, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout)
+		got, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1})
 		if err != nil || got[0].Partial != want.Partial || got[1].Partial != want.Partial {
 			t.Fatalf("partition %d before the damage: err=%v", p, err)
 		}
@@ -701,11 +698,11 @@ func TestCorruptSpillSectionRefused(t *testing.T) {
 	sf := w.store.tasks[0].spill
 	for p := range parts {
 		flipByteAt(t, sf.f, sf.secs[p].off+sf.secs[p].n/2)
-		_, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1}, defaultShuffleTimeout)
+		_, _, err := fetchPartition(addr, "wc#1", p, []int{0, 1})
 		if !isPeerRefusal(err) {
 			t.Fatalf("partition %d: damaged section answered with %v, want an error frame", p, err)
 		}
-		if got, _, err := fetchPartition(addr, "wc#1", p, []int{1}, defaultShuffleTimeout); err != nil || got[0].Partial != parts[p].Partial {
+		if got, _, err := fetchPartition(addr, "wc#1", p, []int{1}); err != nil || got[0].Partial != parts[p].Partial {
 			t.Fatalf("partition %d: undamaged task refused after the damage: %v", p, err)
 		}
 	}
@@ -773,9 +770,7 @@ func TestCorruptSpillFailsOverToReplica(t *testing.T) {
 		}
 		return r
 	}
-	master, err := NewMaster(reg(), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: R,
-	})
+	master, err := NewMaster(reg(), MasterConfig{Reducers: R})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -801,7 +796,7 @@ func TestCorruptSpillFailsOverToReplica(t *testing.T) {
 	if err := master.WaitForWorkers(workers, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, shards)
+	got, stats, err := master.Run(runCtx(t), "wordcount", lines, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

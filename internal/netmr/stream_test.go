@@ -1,7 +1,6 @@
 package netmr
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -127,14 +126,14 @@ func TestStreamResumesAfterReducerDies(t *testing.T) {
 	lines := wideLines(40_000, 100) // about 4 MiB of output: five chunks
 	want := runShard(wordCountJob(), lines, new(shardScratch))
 	for _, api := range []string{"RunResult", "Run"} {
-		master, addr := startReduceCluster(t, MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: 1}, 0)
+		master, addr := startReduceCluster(t, MasterConfig{Reducers: 1}, 0)
 		relayRogues(t, addr, 2, func(launch, i int, fr message) (message, bool) {
 			return fr, launch > 1 || i < 2
 		})
 		waitIdle(t, master, 2)
 		var stats Stats
 		if api == "Run" {
-			got, st, err := master.Run(context.Background(), "wordcount", lines, 4)
+			got, st, err := master.Run(runCtx(t), "wordcount", lines, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +142,7 @@ func TestStreamResumesAfterReducerDies(t *testing.T) {
 			}
 			stats = st
 		} else {
-			res, st, err := master.RunResult(context.Background(), "wordcount", lines, 4)
+			res, st, err := master.RunResult(runCtx(t), "wordcount", lines, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +162,7 @@ func TestSpeculativeCloneSkipsDuplicateChunks(t *testing.T) {
 	lines := wideLines(50_000, 100) // two partitions of three chunks
 	want := runShard(wordCountJob(), lines, new(shardScratch))
 	master, addr := startReduceCluster(t, MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: 2,
+		Reducers:            2,
 		SpeculationInterval: 10 * time.Millisecond,
 	}, 1)
 	master.straggler = stragglerRule{q: 0.75, mult: 2, minObs: 1}
@@ -181,7 +180,7 @@ func TestSpeculativeCloneSkipsDuplicateChunks(t *testing.T) {
 	})
 	t.Cleanup(func() { close(stall) })
 	waitIdle(t, master, 2) // one partition each: the straggler holds one back
-	res, stats, err := master.RunResult(context.Background(), "wordcount", lines, 4)
+	res, stats, err := master.RunResult(runCtx(t), "wordcount", lines, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestDifferingChunkIsRefused(t *testing.T) {
 	lines := wideLines(40_000, 100)
 	want := runShard(wordCountJob(), lines, new(shardScratch))
 	master, addr := startReduceCluster(t, MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second, Reducers: 1, MaxAttempts: 5,
+		Reducers: 1, MaxAttempts: 5,
 	}, 0)
 	relayRogues(t, addr, 3, func(launch, i int, fr message) (message, bool) {
 		switch {
@@ -214,7 +213,7 @@ func TestDifferingChunkIsRefused(t *testing.T) {
 		return fr, true
 	})
 	waitIdle(t, master, 3)
-	res, stats, err := master.RunResult(context.Background(), "wordcount", lines, 4)
+	res, stats, err := master.RunResult(runCtx(t), "wordcount", lines, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +291,8 @@ func TestPartitionLargerThanAFrame(t *testing.T) {
 	}
 	const n, width = 70_000, 1000
 	lines := wideLines(n, width)
-	master, _ := startReduceCluster(t, MasterConfig{TaskTimeout: 30 * time.Second, JobTimeout: 2 * time.Minute, Reducers: 1}, 2)
-	res, _, err := master.RunResult(context.Background(), "wordcount", lines, 8)
+	master, _ := startReduceCluster(t, MasterConfig{Reducers: 1}, 2)
+	res, _, err := master.RunResult(runCtx(t), "wordcount", lines, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,16 +10,11 @@ import (
 // cluster with tracing on or off — the on/off pair bounds the tracing
 // tax (span recording, piggybacked summaries, assembly) on real jobs.
 func benchmarkTracedRealNet(b *testing.B, traced bool) {
-	cfg := MasterConfig{
-		TaskTimeout: 30 * time.Second,
-		JobTimeout:  2 * time.Minute,
-		Trace:       traced,
-	}
 	registry, err := NewRegistry(wordCountJob())
 	if err != nil {
 		b.Fatal(err)
 	}
-	master, err := NewMaster(registry, cfg)
+	master, err := NewMaster(registry, MasterConfig{Trace: traced})
 	if err != nil {
 		b.Fatal(err)
 	}

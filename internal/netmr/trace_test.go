@@ -20,12 +20,6 @@ import (
 func startTracedCluster(t *testing.T, n int, cfg MasterConfig) *Master {
 	t.Helper()
 	cfg.Trace = true
-	if cfg.TaskTimeout == 0 {
-		cfg.TaskTimeout = 10 * time.Second
-	}
-	if cfg.JobTimeout == 0 {
-		cfg.JobTimeout = 30 * time.Second
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
@@ -62,7 +56,7 @@ func startTracedCluster(t *testing.T, n int, cfg MasterConfig) *Master {
 func TestTracedRunTimeline(t *testing.T) {
 	master := startTracedCluster(t, 2, MasterConfig{Reducers: 2})
 	lines := testLines(t, 400)
-	_, stats, err := master.Run(context.Background(), "wordcount", lines, 6)
+	_, stats, err := master.Run(runCtx(t), "wordcount", lines, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +133,7 @@ func TestTracedRunTimeline(t *testing.T) {
 func TestTraceJSONRoundTrip(t *testing.T) {
 	master := startTracedCluster(t, 1, MasterConfig{})
 	lines := testLines(t, 200)
-	_, stats, err := master.Run(context.Background(), "wordcount", lines, 4)
+	_, stats, err := master.Run(runCtx(t), "wordcount", lines, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +198,7 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 // Log.Breakdown accepts it.
 func TestTraceDumpIsATraceLog(t *testing.T) {
 	master := startTracedCluster(t, 2, MasterConfig{Reducers: 2})
-	_, stats, err := master.Run(context.Background(), "wordcount", testLines(t, 400), 6)
+	_, stats, err := master.Run(runCtx(t), "wordcount", testLines(t, 400), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +249,6 @@ func TestTraceDumpIsATraceLog(t *testing.T) {
 func TestTraceLifecycleUnderChaos(t *testing.T) {
 	reg := obs.NewRegistry()
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout:         5 * time.Second,
-		JobTimeout:          60 * time.Second,
 		MaxAttempts:         10,
 		RetryBaseDelay:      2 * time.Millisecond,
 		SpeculationInterval: 25 * time.Millisecond,
@@ -303,7 +295,7 @@ func TestTraceLifecycleUnderChaos(t *testing.T) {
 	}
 
 	lines := testLines(t, 160)
-	_, stats, err := master.Run(context.Background(), "wordcount", lines, 16)
+	_, stats, err := master.Run(runCtx(t), "wordcount", lines, 16)
 	if err != nil {
 		t.Fatalf("job did not survive the gauntlet: %v", err)
 	}
@@ -396,11 +388,7 @@ func TestTraceLifecycleUnderChaos(t *testing.T) {
 // seal the trace and close the in-flight launches as cancelled — no
 // span leaks on the abandon path.
 func TestTraceCancellationClosesLaunches(t *testing.T) {
-	master := startSleeperCluster(t, MasterConfig{
-		TaskTimeout: 10 * time.Second,
-		JobTimeout:  30 * time.Second,
-		Trace:       true,
-	}, 2)
+	master := startSleeperCluster(t, MasterConfig{Trace: true}, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(100 * time.Millisecond)
@@ -470,7 +458,7 @@ func TestHealthzDegradedOnEvictionAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := testLines(t, 200)
-	if _, stats, err := master.Run(context.Background(), "wordcount", lines, 8); err != nil {
+	if _, stats, err := master.Run(runCtx(t), "wordcount", lines, 8); err != nil {
 		t.Fatal(err)
 	} else if stats.Reassignments == 0 {
 		t.Skip("crasher drew no shards; nothing to degrade on")
@@ -485,7 +473,7 @@ func TestHealthzDegradedOnEvictionAndRecovery(t *testing.T) {
 	}
 
 	// A clean run on the two healthy workers recovers the status.
-	if _, stats, err := master.Run(context.Background(), "wordcount", lines, 8); err != nil {
+	if _, stats, err := master.Run(runCtx(t), "wordcount", lines, 8); err != nil {
 		t.Fatal(err)
 	} else if stats.Reassignments != 0 {
 		t.Skipf("recovery run still degraded (stats %+v)", stats)

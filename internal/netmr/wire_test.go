@@ -2,7 +2,6 @@ package netmr
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -293,7 +292,7 @@ func openFDs() int {
 // leaves nothing behind: no worker counted, no goroutine, no descriptor,
 // and the next good worker is admitted.
 func TestProtocolVersionMismatch(t *testing.T) {
-	master, err := NewMaster(mustRegistry(t), MasterConfig{TaskTimeout: 5 * time.Second})
+	master, err := NewMaster(mustRegistry(t), MasterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +372,7 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	}
 	stray.Stop()
 	pool := newShufflePool(1)
-	if _, _, err := pool.fetchPartition(other.Addr().String(), "wc#1", 0, []int{0}, 5*time.Second); err == nil || !strings.Contains(err.Error(), wantErr) {
+	if _, _, err := pool.fetchPartition(other.Addr().String(), "wc#1", 0, []int{0}); err == nil || !strings.Contains(err.Error(), wantErr) {
 		t.Errorf("fetch from another version = %v, want an error saying %q", err, wantErr)
 	}
 	pool.closeAll()
@@ -410,7 +409,7 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := master.Run(context.Background(), "wordcount", testLines(t, 20), 2); err != nil {
+	if _, _, err := master.Run(runCtx(t), "wordcount", testLines(t, 20), 2); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ipso/internal/chaos"
@@ -42,13 +41,9 @@ type Worker struct {
 	// reduce fetches and replication pushes.
 	pool *shufflePool
 
-	// Out-of-core configuration: the shuffle timeout is the master's,
-	// adopted from the helloack — atomic because the fetch-listener
-	// goroutines are already serving peers — and the rest comes from
-	// WithWorkerConfig.
-	shuffleTimeoutNs atomic.Int64
-	spillBudget      int64
-	spillDir         string
+	// Out-of-core configuration, from WithWorkerConfig.
+	spillBudget int64
+	spillDir    string
 
 	// killAfterMapdone is a test hook: after the first successful
 	// mapdone the worker tears its shuffle listener down and dies, the
@@ -102,12 +97,6 @@ func WithWorkerConfig(cfg WorkerConfig) WorkerOption {
 	}
 }
 
-// shuffleTO is the current shuffle round-trip bound, safe to read from
-// the fetch-server goroutines while Start updates it.
-func (w *Worker) shuffleTO() time.Duration {
-	return time.Duration(w.shuffleTimeoutNs.Load())
-}
-
 // NewWorker builds a worker executing jobs from the registry.
 func NewWorker(registry *Registry, opts ...WorkerOption) (*Worker, error) {
 	if registry == nil || len(registry.jobs) == 0 {
@@ -120,7 +109,6 @@ func NewWorker(registry *Registry, opts ...WorkerOption) (*Worker, error) {
 		fetchConns: make(map[net.Conn]struct{}),
 		done:       make(chan struct{}),
 	}
-	w.shuffleTimeoutNs.Store(int64(defaultShuffleTimeout))
 	for _, opt := range opts {
 		opt(w)
 	}
@@ -168,11 +156,6 @@ func (w *Worker) Start(masterAddr string) (err error) {
 	}
 	w.reducers = ack.Reducers
 	w.store.setReducers(ack.Reducers)
-	if ack.ShuffleMs > 0 {
-		// The shuffle deadline is the cluster's, so every worker agrees on
-		// when a fetch has hung.
-		w.shuffleTimeoutNs.Store(int64(time.Duration(ack.ShuffleMs) * time.Millisecond))
-	}
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
@@ -224,7 +207,7 @@ func (w *Worker) handle(c *conn, m message) bool {
 		return w.runReduceTask(c, m, c.lastDecode)
 	case "ping":
 		workerPings.Inc()
-		return c.send(message{Type: "pong"}, 5*time.Second) == nil
+		return c.send(message{Type: "pong"}, heartbeatTimeout) == nil
 	case "release": // nothing is answered
 		if w.onRelease != nil {
 			w.onRelease()
@@ -295,7 +278,7 @@ func (w *Worker) answer(c *conn, m *message, replies []message) bool {
 	}
 	if len(outs) > 0 {
 		repStart := time.Now()
-		for i, err := range w.pool.replicate(m.Rep, outs, w.shuffleTO()) {
+		for i, err := range w.pool.replicate(m.Rep, outs) {
 			if err == nil {
 				replies[pushed[i]].Rep = m.Rep
 				workerReplications.With("ok").Inc()
@@ -316,7 +299,7 @@ func (w *Worker) answer(c *conn, m *message, replies []message) bool {
 		// reducers must fail over to the replica addresses themselves.
 		w.closeFetchPlane()
 	}
-	if c.sendFrames(replies, 30*time.Second) != nil {
+	if c.sendFrames(replies, exchangeTimeout) != nil {
 		return false
 	}
 	if w.killAfterMapdone {
