@@ -104,7 +104,7 @@ func answerBatch(t *testing.T, lines []string, rep string) ([]taskSpec, []messag
 		}
 		got <- out
 	}()
-	if !w.answer(newConn(worker), &message{Run: "wordcount#1", Rep: rep}, replies) {
+	if !w.answer(newConn(worker), &message{Run: "wordcount#1", Rep: rep}, replies)() {
 		t.Fatal("answer failed")
 	}
 	out := <-got
@@ -233,8 +233,8 @@ func reduceOverPipe(t *testing.T, updates []message, tasks int, reply message) (
 	master, worker := net.Pipe()
 	defer master.Close()
 	defer worker.Close()
-	go r.dispatchReduce(&workerHandle{id: "fake", c: newConn(master)}, shardTask{id: 0, ph: r.reduces},
-		message{Type: "reducetask", Job: "wordcount", Run: r.runID, Total: tasks}, -1, &locStream{updates: stream})
+	go r.dispatchReduce(&workerHandle{id: "fake", c: newConn(master)}, &reduceLaunch{t: shardTask{id: 0, ph: r.reduces},
+		fr: message{Type: "reducetask", Job: "wordcount", Run: r.runID, Total: tasks}, launch: -1, s: &locStream{updates: stream}})
 	c := newConn(worker)
 	if first, err := c.recv(5 * time.Second); err != nil || first.Type != "reducetask" {
 		t.Fatalf("first frame %+v, %v; want the reducetask", first, err)
@@ -362,7 +362,7 @@ func TestMapLaunchReportsBeforeRejoining(t *testing.T) {
 	master, worker := net.Pipe()
 	defer master.Close()
 	defer worker.Close()
-	go r.dispatchMap(&workerHandle{id: "fake", c: newConn(master), fetch: "a"}, []shardTask{{id: 0, ph: r.maps}, {id: 1, ph: r.maps}}, nil)
+	go r.dispatchMap(&workerHandle{id: "fake", c: newConn(master), fetch: "a"}, []shardTask{{id: 0, ph: r.maps}, {id: 1, ph: r.maps}}, nil, nil)
 	c := newConn(worker)
 	if f, err := c.recv(5 * time.Second); err != nil || f.Type != "taskbatch" {
 		t.Fatalf("frame %+v, %v; want the taskbatch", f, err)

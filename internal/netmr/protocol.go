@@ -23,12 +23,13 @@
 // with the first frame, and from then on carries the one frame layout of
 // codec.go. Nothing is negotiated: the worker's hello names its identity,
 // jobs and shuffle listener, the master's helloack the cluster's reducer
-// count and shuffle timeout.
+// count.
 package netmr
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -87,7 +88,7 @@ type message struct {
 	// Distributed reduce.
 	Run      string     // taskbatch | mapdone | reducetask | morelocs | fetch | replicate | release: run id intermediate output is keyed by
 	Reducers int        // helloack: reduce partition count R; replicate: the run's R
-	Fetch    string     // hello: worker's shuffle listener address; error (of a reduce task): the holder whose fetch failed
+	Fetch    string     // hello: worker's shuffle listener address; replicate: the pushing mapper's; error (of a reduce task): the holder whose fetch failed
 	Bytes    int64      // result: intermediate bytes fetched over a socket; chunk: the partition's projected output bytes (first chunk only)
 	Tasks    []int      // fetch: map task ids whose partition slice is wanted
 	Locs     []fetchLoc // reducetask | morelocs: where winning map outputs are stored
@@ -98,10 +99,18 @@ type message struct {
 	Spilled int64  // mapdone | result: bytes written to spill files
 
 	// Pipelined shuffle. A reducetask names the run's map count as Total:
-	// the reducer gathers the initial Locs, then keeps receiving morelocs
-	// frames (same Run/TaskID, incremental Locs/Reps — or Message "abort")
-	// until it has covered Total map tasks. Total 0 means the frame names
-	// every map output.
+	// the reducer gathers the initial Locs, then awaits the rest until it
+	// has covered Total map tasks, taking each from its own store as it
+	// lands there (its own output or a replica), and the others from the
+	// morelocs frames that name them (same Run/TaskID, incremental
+	// Locs/Reps — or Message "abort"). The master sends no location of an
+	// output the reducer's worker holds. Total 0 means the frame names
+	// every map output. Frame order on a worker's connection: a reducetask
+	// may ride in the write of the taskbatch that takes the worker's last
+	// map work, behind it; the worker starts it once the batch's last shard
+	// is mapped, and the batch's answers all leave before the launch's
+	// first reply. A morelocs for a launch that has answered is stale, and
+	// ignored.
 	Total     int        // reducetask: map tasks the run produces; chunk | result: the chunk's place in the partition's output, from 0; replicate: the push's set count
 	Reps      []fetchLoc // reducetask | morelocs: replica shuffle addrs per map task (local failover)
 	Failovers int        // result: fetches locally rerouted to a replica
@@ -136,7 +145,7 @@ type taskSpec struct {
 }
 
 // conn wraps a net.Conn with the preamble, framing and deadlines. A conn
-// is used by one goroutine at a time, so its scratch needs no locking.
+// is sent on by one goroutine at a time and received on by one.
 type conn struct {
 	raw net.Conn
 	r   *bufio.Reader
@@ -153,7 +162,21 @@ type conn struct {
 	// a reducer charges to Stats.ShuffleBytes per fetched frame.
 	lastFrameLen int
 
-	scratch message // decode target; Batch backing reused
+	// in carries the frames a reader goroutine decodes once startReader
+	// has run (a worker's master connection); recv then takes them from
+	// it. quit, closed by close, ends the reader, and read closes once it
+	// has.
+	in         chan inFrame
+	quit, read chan struct{}
+	quitOnce   sync.Once
+}
+
+// inFrame is one frame the reader decoded, or the error that ended it.
+type inFrame struct {
+	m      message
+	n      int           // body bytes
+	decode time.Duration // decode cost
+	err    error
 }
 
 func newConn(raw net.Conn) *conn {
@@ -243,45 +266,131 @@ func (c *conn) readPreamble() error {
 	return err
 }
 
+// recv returns the next frame, waiting at most timeout for it (0: no
+// bound). Every frame is decoded into a message of its own, so what a
+// caller keeps of one outlives the next recv.
 func (c *conn) recv(timeout time.Duration) (message, error) {
+	if c.in == nil {
+		return c.took(c.readFrame(timeout), true)
+	}
+	var expire <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expire = t.C
+	}
+	m, expired, err := recvOr(c, expire)
+	if expired {
+		err = fmt.Errorf("netmr: recv: no frame within %v", timeout)
+	}
+	return m, err
+}
+
+// recvOr is recv without a bound on a conn with a reader, which also
+// returns, with woke set and no message, when wake fires first.
+func recvOr[T any](c *conn, wake <-chan T) (m message, woke bool, err error) {
+	select {
+	case f, ok := <-c.in:
+		m, err = c.took(f, ok)
+		return m, false, err
+	case <-wake:
+		return message{}, true, nil
+	}
+}
+
+// waiting takes the frame the reader has decoded already, if one waits
+// (ok); nothing on a conn without a reader.
+func (c *conn) waiting() (m message, ok bool, err error) {
+	select {
+	case f, open := <-c.in:
+		m, err = c.took(f, open)
+		return m, true, err
+	default:
+		return message{}, false, nil
+	}
+}
+
+// took books frame f, from a reader that had not ended (ok), as the one
+// received.
+func (c *conn) took(f inFrame, ok bool) (message, error) {
+	if !ok {
+		return message{}, errors.New("netmr: recv: connection closed")
+	}
+	if f.err != nil {
+		return message{}, f.err
+	}
+	c.lastFrameLen, c.lastDecode = f.n, f.decode
+	return f.m, nil
+}
+
+// startReader moves c's reads onto a goroutine of its own, which decodes
+// frames ahead of recv until a read fails or c closes: a worker's reduce
+// launch waits on its master's next frame and on its own store at once
+// (runReduceTask). The goroutine ends with the connection: close waits
+// for it.
+func (c *conn) startReader() {
+	c.in, c.quit, c.read = make(chan inFrame), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(c.read)
+		defer close(c.in)
+		for {
+			f := c.readFrame(0)
+			select {
+			case c.in <- f:
+			case <-c.quit:
+				return
+			}
+			if f.err != nil {
+				return
+			}
+		}
+	}()
+}
+
+// readFrame reads and decodes one frame from the socket.
+func (c *conn) readFrame(timeout time.Duration) inFrame {
 	if timeout > 0 {
 		if err := c.raw.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return message{}, err
+			return inFrame{err: err}
 		}
 	} else if err := c.raw.SetReadDeadline(time.Time{}); err != nil {
-		return message{}, err
+		return inFrame{err: err}
 	}
 	if !c.checked {
 		if err := c.readPreamble(); err != nil {
-			return message{}, err
+			return inFrame{err: err}
 		}
 	}
 	n, err := binary.ReadUvarint(c.r)
 	if err != nil {
-		return message{}, fmt.Errorf("netmr: recv: %w", err)
+		return inFrame{err: fmt.Errorf("netmr: recv: %w", err)}
 	}
 	if n > maxFrameBytes {
-		return message{}, fmt.Errorf("netmr: recv: frame length %d exceeds the %d limit", n, maxFrameBytes)
+		return inFrame{err: fmt.Errorf("netmr: recv: frame length %d exceeds the %d limit", n, maxFrameBytes)}
 	}
 	// Each frame is read into a buffer of its own, which decodeFrame keeps
 	// as the text of the message it returns: no reused read buffer.
 	body, err := readBody(c.r, int(n))
 	if err != nil {
-		return message{}, fmt.Errorf("netmr: recv: %w", err)
+		return inFrame{err: fmt.Errorf("netmr: recv: %w", err)}
 	}
-	c.lastFrameLen = len(body)
+	f := inFrame{n: len(body)}
 	decodeStart := time.Now()
-	if err := decodeFrame(body, &c.scratch); err != nil {
-		return message{}, err
-	}
-	c.lastDecode = time.Since(decodeStart)
-	// The scratch's Batch backing arrays are reclaimed on the next recv;
-	// callers are done with them by then (the worker finishes a task before
-	// receiving the next frame).
-	return c.scratch, nil
+	f.err = decodeFrame(body, &f.m)
+	f.decode = time.Since(decodeStart)
+	return f
 }
 
-func (c *conn) close() error { return c.raw.Close() }
+// close closes the connection and, when c has a reader, waits for it to
+// end.
+func (c *conn) close() error {
+	err := c.raw.Close()
+	if c.in != nil {
+		c.quitOnce.Do(func() { close(c.quit) })
+		<-c.read
+	}
+	return err
+}
 
 // recvStep is how much of a longer frame body must have arrived before
 // the body gets a buffer of its own.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,6 +38,11 @@ type storedTask struct {
 	parts []partitionPartial
 	bytes int64
 	spill *spillFile
+	// other is where the task's other copy lives: the peer that took the
+	// replica of the worker's own output, or the mapper that pushed a
+	// replica here; "" while unknown. A reducer that took the task from
+	// the store reads it there if the copy here fails.
+	other string
 }
 
 // interStore is a worker's intermediate store. It holds the partitioned
@@ -68,10 +74,14 @@ type interStore struct {
 	totalSpilled int64
 
 	tasks map[int]*storedTask
+
+	// landed holds a token after a put: a reduce launch that awaits map
+	// outputs looks in the store again when it takes one.
+	landed chan struct{}
 }
 
 func newInterStore() *interStore {
-	return &interStore{tasks: map[int]*storedTask{}}
+	return &interStore{tasks: map[int]*storedTask{}, landed: make(chan struct{}, 1)}
 }
 
 // configure sets the spill policy. Called before Start, so no lock
@@ -115,6 +125,11 @@ func runSeq(run string) int64 {
 // a run older than the newest the store has held or left is refused with
 // errRunLeft.
 func (s *interStore) put(run string, task int, parts []partitionPartial, reducers int) (spills int, spilled int64, err error) {
+	return s.putFrom(run, task, parts, reducers, "")
+}
+
+// putFrom is put for a replica that mapper other pushed.
+func (s *interStore) putFrom(run string, task int, parts []partitionPartial, reducers int, other string) (spills int, spilled int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := runSeq(run)
@@ -134,7 +149,9 @@ func (s *interStore) put(run string, task int, parts []partitionPartial, reducer
 			s.mem -= old.bytes
 		}
 	}
-	st := &storedTask{parts: parts}
+	// other is a substring of the frame it came in: a copy, so the frame
+	// does not outlive the sections the store spills.
+	st := &storedTask{parts: parts, other: strings.Clone(other)}
 	for _, p := range parts {
 		st.bytes += int64(len(p.Partial))
 	}
@@ -147,6 +164,10 @@ func (s *interStore) put(run string, task int, parts []partitionPartial, reducer
 	}
 	if s.mem > s.peak {
 		s.peak = s.mem
+	}
+	select {
+	case s.landed <- struct{}{}:
+	default:
 	}
 	return spills, spilled, err
 }
@@ -238,22 +259,44 @@ func (s *interStore) stats() (peak, spilled int64, runs int) {
 
 // split divides tasks into those the store holds for run, as its own
 // output or as a replica, and the rest, so a reducer dials a peer only
-// for what it does not already have.
-func (s *interStore) split(run string, tasks []int) (held, missing []int) {
+// for what it does not already have; others lists where the other copies
+// of the held ones are known to live, by holder.
+func (s *interStore) split(run string, tasks []int) (held, missing []int, others []fetchLoc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if run == "" || run != s.run {
-		return nil, tasks
+		return nil, tasks, nil
 	}
 	held = make([]int, 0, len(tasks)) // the usual answer: all of them
+	by := map[string][]int{}
 	for _, task := range tasks {
-		if _, ok := s.tasks[task]; ok {
-			held = append(held, task)
-		} else {
+		st, ok := s.tasks[task]
+		if !ok {
 			missing = append(missing, task)
+			continue
+		}
+		held = append(held, task)
+		if st.other != "" {
+			by[st.other] = append(by[st.other], task)
 		}
 	}
-	return held, missing
+	return held, missing, sortedLocs(by)
+}
+
+// copied records that peer took the replica of tasks, the worker's own
+// outputs for run.
+func (s *interStore) copied(run string, tasks []int, peer string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if run != s.run {
+		return
+	}
+	peer = strings.Clone(peer) // see putFrom
+	for _, task := range tasks {
+		if st, ok := s.tasks[task]; ok {
+			st.other = peer
+		}
+	}
 }
 
 // slice answers one fetch, a peer's or the worker's own reducer's:
@@ -438,7 +481,7 @@ func (w *Worker) serveFetch(raw net.Conn) {
 // replicack, or an error frame for a run the store has left. A put whose
 // spill failed is acknowledged: the set stays resident, just over budget.
 func (w *Worker) storeReplica(m message) message {
-	_, _, err := w.store.put(m.Run, m.TaskID, m.Parts, m.Reducers)
+	_, _, err := w.store.putFrom(m.Run, m.TaskID, m.Parts, m.Reducers, m.Fetch)
 	if errors.Is(err, errRunLeft) {
 		workerServes.With("rejected").Inc()
 		return message{Type: "error", TaskID: m.TaskID, Message: err.Error()}
@@ -504,6 +547,9 @@ func replicateExchange(c *conn, addr string, frames []message, errs []error) (in
 	return len(frames), nil
 }
 
+// errMasterLost ends a reduce task whose master connection failed.
+var errMasterLost = errors.New("netmr: master connection lost")
+
 // fetchError names the peer whose fetch (or local read) failed, so the
 // reduce error frame can carry the address the master plans around.
 type fetchError struct {
@@ -525,18 +571,47 @@ type locResult struct {
 	failovers int
 }
 
-// fetchRound pulls partition's slice from every location concurrently,
-// bounded by shuffleFanout, with results in location order. Every map
-// task the worker's own store holds, its own output or a peer's replica,
-// is read from the store (or, with stream set, left on its disk for the
-// fold to stream); only the rest of a location is fetched from its
-// address, through the connection pool. A primary's failure — a dead
-// peer, a refusal, or the worker's own output failing its checksum —
-// fails over to the map tasks' replica holders when repOf names them;
-// only when that too fails (or no replica covers a task) does the round
-// error, naming the primary so the master routes recovery around it.
+// fetchRound pulls partition's slice from every location, results in
+// location order. Every map task the worker's own store holds, its own
+// output or a peer's replica, is read from the store inline (or, with
+// stream set, left on its disk for the fold to stream); only the rest of a
+// location is fetched from its address, through the connection pool, the
+// locations that need a dial concurrently up to shuffleFanout. A primary's
+// failure — a dead peer, a refusal, or the worker's own output failing its
+// checksum — fails over to the map tasks' replica holders when repOf names
+// them; only when that too fails (or no replica covers a task) does the
+// round error, naming the primary so the master routes recovery around it.
 func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf map[int]string, stream bool) ([]locResult, error) {
-	ctx := runner.WithWorkers(context.Background(), shuffleFanout)
+	results := make([]locResult, len(locs))
+	missing := make([][]int, len(locs))
+	readErr := make([]error, len(locs)) // the worker's own output failed its read
+	var dial []int                      // the locations left to a peer
+	for i, loc := range locs {
+		res := &results[i]
+		held := loc.Tasks
+		if loc.Addr != w.fetchAddr {
+			held, missing[i], _ = w.store.split(run, loc.Tasks)
+		}
+		if len(held) > 0 {
+			var err error
+			res.parts, res.streams, err = w.store.slice(run, partition, held, stream)
+			switch {
+			case err == nil:
+				workerFetches.With("local").Inc()
+			case loc.Addr == w.fetchAddr:
+				missing[i], readErr[i] = held, err // its own output: only a replica holder can help
+			default:
+				// A replica that fails its read is no loss, the primary
+				// serves the whole location; it counts as a failover.
+				missing[i] = loc.Tasks
+				res.failovers++
+				workerFailovers.Inc()
+			}
+		}
+		if len(missing[i]) > 0 {
+			dial = append(dial, i)
+		}
+	}
 	fetch := func(res *locResult, addr string, tasks []int) error {
 		fetchStart := time.Now()
 		parts, n, err := w.pool.fetchPartition(addr, run, partition, tasks)
@@ -550,32 +625,14 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 		res.fetched += n
 		return nil
 	}
-	return runner.Map(ctx, len(locs), func(_ context.Context, i int) (res locResult, err error) {
-		loc := locs[i]
-		held, missing := loc.Tasks, []int(nil)
-		if loc.Addr != w.fetchAddr {
-			held, missing = w.store.split(run, loc.Tasks)
-		}
-		if len(held) > 0 {
-			res.parts, res.streams, err = w.store.slice(run, partition, held, stream)
-			switch {
-			case err == nil:
-				workerFetches.With("local").Inc()
-			case loc.Addr == w.fetchAddr:
-				missing = held // its own output: only a replica holder can help
-			default:
-				// A replica that fails its read is no loss, the primary
-				// serves the whole location; it counts as a failover.
-				missing, err = loc.Tasks, nil
-				res.failovers++
-				workerFailovers.Inc()
-			}
-		}
-		if err == nil && len(missing) > 0 {
-			err = fetch(&res, loc.Addr, missing)
-		}
+	ctx := runner.WithWorkers(context.Background(), shuffleFanout)
+	_, err := runner.Map(ctx, len(dial), func(_ context.Context, j int) (struct{}, error) {
+		i := dial[j]
+		loc, res, err := locs[i], &results[i], readErr[i]
 		if err == nil {
-			return res, nil
+			if err = fetch(res, loc.Addr, missing[i]); err == nil {
+				return struct{}{}, nil
+			}
 		}
 		// Re-pull the failed tasks from their replica holders. Every one
 		// must have a known replica distinct from the failed primary and
@@ -583,10 +640,10 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 		// recovery, so the primary's failure stands otherwise.
 		groups := map[string][]int{}
 		var order []string
-		for _, task := range missing {
+		for _, task := range missing[i] {
 			rep, ok := repOf[task]
 			if !ok || rep == loc.Addr {
-				return locResult{}, &fetchError{addr: loc.Addr, err: err}
+				return struct{}{}, &fetchError{addr: loc.Addr, err: err}
 			}
 			if _, seen := groups[rep]; !seen {
 				order = append(order, rep)
@@ -594,14 +651,18 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 			groups[rep] = append(groups[rep], task)
 		}
 		for _, rep := range order {
-			if fetch(&res, rep, groups[rep]) != nil {
-				return locResult{}, &fetchError{addr: loc.Addr, err: err}
+			if fetch(res, rep, groups[rep]) != nil {
+				return struct{}{}, &fetchError{addr: loc.Addr, err: err}
 			}
 			res.failovers++
 			workerFailovers.Inc()
 		}
-		return res, nil
+		return struct{}{}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // runReduceTask executes one reduce task: gather the partition's section
@@ -620,21 +681,43 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 // output is byte-identical at every budget, and a disk copy that fails
 // mid-merge costs one re-gather, not the task: the fold then runs again
 // and sends its chunks again from the first. A task launched while some
-// map outputs are not located (under the map tail, or after a loss)
-// names only those located: the worker keeps receiving morelocs frames —
-// gathering each batch as it lands — until it has covered Total map
-// outputs or the master calls the launch back.
+// map outputs are not located (under the map tail, after a loss, or
+// carried in the write of the worker's last map batch) names only those
+// located, and awaits the others until it holds Total map outputs or the
+// master calls the launch back. It wakes on whichever comes first: a
+// morelocs frame naming where some landed, or a put into its own store,
+// c's reader keeping both in view. Either way it counts every awaited map
+// output the store now holds, its own or a landed replica, to read them
+// together once nothing else is awaited, and fetches only what a morelocs
+// frame names that it still lacks: it does not wait for the master to
+// hear of outputs that are already here.
 // A gather failure is answered with an error frame naming the peer that
 // failed (Fetch), so the master can consult replica locations instead
 // of evicting the healthy reducer.
-func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
+//
+// A launch carried by a map batch runs while the batch's last answers
+// wait out their replica push: answered, non-nil then, sends them, and
+// runs before the launch's first word to the master or its first wait on
+// it, so the master hears every mapdone before any reply.
+// Reading and folding what the store holds overlaps the push.
+func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration, answered func() bool) bool {
+	alive := true
+	settle := func() bool {
+		if answered != nil {
+			alive, answered = answered(), nil
+		}
+		return alive
+	}
 	job, ok := w.registry.lookup(m.Job)
 	if !ok {
 		workerTasks.With("unknown_job").Inc()
-		_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: fmt.Sprintf("unknown job %q", m.Job)}, exchangeTimeout)
+		_ = settle() && c.send(message{Type: "error", TaskID: m.TaskID, Message: fmt.Sprintf("unknown job %q", m.Job)}, exchangeTimeout) == nil
 		return true
 	}
 	if f := w.chaos.TaskFault("reduce", m.TaskID, m.Attempt); f.Delay > 0 || f.Crash {
+		if !settle() {
+			return false
+		}
 		if f.Delay > 0 {
 			time.Sleep(f.Delay)
 		}
@@ -650,7 +733,6 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	start := time.Now()
 	folder := newSpillFolder(w.spillBudget, w.spillDir, m.Run)
 	defer folder.discard()
-	covered := 0
 	repOf := map[int]string{}
 	noteReps := func(reps []fetchLoc) {
 		for _, rep := range reps {
@@ -662,10 +744,10 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	noteReps(m.Reps)
 	var fetched int64
 	failovers, stream := 0, true // the first gather leaves the store's spilled sections on disk, for the fold to stream
-	// round gathers one batch of map outputs from their locations,
-	// concurrently.
-	round := func(locs []fetchLoc) (string, error) {
-		results, err := w.fetchRound(m.Run, m.TaskID, locs, repOf, stream)
+	have := map[int]bool{}       // the map tasks gathered
+	// round gathers one batch of map outputs from their locations.
+	round := func(batch []fetchLoc) (string, error) {
+		results, err := w.fetchRound(m.Run, m.TaskID, batch, repOf, stream)
 		if err != nil {
 			var fe *fetchError
 			if errors.As(err, &fe) {
@@ -678,28 +760,51 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 			failovers += r.failovers
 			for _, p := range r.parts {
 				folder.add(p.ID, p.Partial)
+				have[p.ID] = true
 			}
 			for _, src := range r.streams {
 				folder.stream(src)
+				have[src.task] = true
 			}
-			covered += len(r.parts) + len(r.streams)
 		}
 		return "", nil
 	}
-	locs := m.Locs // everything announced so far, should the gather have to run again
+	locs := m.Locs // everything gathered so far, should the gather have to run again
 	failedAddr, gatherErr := round(locs)
 	clock.mark(spanFetch)
-	// The master announced how many map outputs the run produces and
-	// streams the still-missing locations as their mapdones land, those
-	// queued together in one frame. The blocked recv is the await span —
-	// together with the per-round fetch spans, the overlap the trace
-	// assembler shows hiding under the map tail.
-	for gatherErr == nil && m.Total > 0 && covered < m.Total {
-		um, err := c.recv(0)
+	// The rest is awaited. A map output that lands in the store, the
+	// worker's own or a replica, counts at once and is read with the others
+	// the store holds when nothing else is awaited: by then the store has
+	// spilled what its budget could not keep, and the fold streams that
+	// from disk. The blocked wait is the await span, which with the fetch
+	// spans is the overlap the trace assembler shows hiding under the map
+	// tail.
+	stored := map[int]bool{} // awaited map outputs the store holds, read last
+	for gatherErr == nil && len(have)+len(stored) < m.Total {
+		var awaited []int
+		for task := range m.Total {
+			if !have[task] && !stored[task] {
+				awaited = append(awaited, task)
+			}
+		}
+		if held, _, others := w.store.split(m.Run, awaited); len(held) > 0 {
+			noteReps(others)
+			for _, task := range held {
+				stored[task] = true
+			}
+			continue
+		}
+		if !settle() {
+			return false
+		}
+		um, landed, err := recvOr(c, w.store.landed)
 		if err != nil {
 			return false
 		}
 		clock.mark(spanAwait)
+		if landed {
+			continue
+		}
 		if um.Type != "morelocs" || um.Run != m.Run {
 			gatherErr = fmt.Errorf("expected morelocs for run %s, got %q", m.Run, um.Type)
 			break
@@ -712,21 +817,46 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 			return true
 		}
 		noteReps(um.Reps)
-		locs = append(locs, um.Locs...)
-		failedAddr, gatherErr = round(um.Locs)
+		var fresh []fetchLoc // what the frame names that is not gathered yet
+		for _, loc := range um.Locs {
+			if loc.Tasks = slices.DeleteFunc(loc.Tasks, func(t int) bool { return have[t] || stored[t] }); len(loc.Tasks) > 0 {
+				fresh = append(fresh, loc)
+			}
+		}
+		if len(fresh) > 0 {
+			locs = append(locs, fresh...)
+			failedAddr, gatherErr = round(fresh)
+			clock.mark(spanFetch)
+		}
+	}
+	if gatherErr == nil && len(stored) > 0 {
+		own := fetchLoc{Addr: w.fetchAddr}
+		for task := range stored {
+			own.Tasks = append(own.Tasks, task)
+		}
+		sort.Ints(own.Tasks)
+		locs = append(locs, own)
+		failedAddr, gatherErr = round([]fetchLoc{own})
 		clock.mark(spanFetch)
 	}
-	// The output leaves in chunks as the fold cuts them. A chunk that cannot
-	// be sent means the master is gone: nothing is left to do.
+	// The output leaves in chunks as the fold cuts them, from the worker's
+	// one output buffer: each chunk and the result leave in their send,
+	// before the next task starts. A chunk that cannot be sent means the
+	// master is gone: nothing is left to do.
 	var lost error
-	out := foldOut{cut: func(k int, chunk section, projected int64) error {
+	out := &w.out
+	out.cut = func(k int, chunk section, projected int64) error {
+		if !settle() {
+			lost = errMasterLost
+			return lost
+		}
 		lost = c.send(message{Type: "chunk", TaskID: m.TaskID, Attempt: m.Attempt, Folded: chunk, Total: k, Bytes: projected}, exchangeTimeout)
 		return lost
-	}}
+	}
 	var merged bool
 	var foldErr error
 	if gatherErr == nil {
-		merged, foldErr = folder.fold(job, &out)
+		merged, foldErr = folder.fold(job, out)
 	}
 	if lost != nil {
 		return false
@@ -741,11 +871,25 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		stream = false
 		failovers++
 		workerFailovers.Inc()
+		if !settle() {
+			return false
+		}
+		// The batch's replicas are placed by now: where the other copy of
+		// each task the store holds lives is known.
+		var tasks []int
+		for task := range have {
+			tasks = append(tasks, task)
+		}
+		_, _, others := w.store.split(m.Run, tasks)
+		noteReps(others)
 		if failedAddr, gatherErr = round(locs); gatherErr == nil {
-			merged, foldErr = folder.fold(job, &out)
+			merged, foldErr = folder.fold(job, out)
 		}
 	}
 	if lost != nil {
+		return false
+	}
+	if !settle() {
 		return false
 	}
 	if gatherErr != nil {

@@ -414,16 +414,17 @@ func TestStragglerCannotEvictNextRun(t *testing.T) {
 // TestRunLeavesNothing: whichever way Run ends, ok, failed with its retry
 // budget exhausted or cancelled, every worker idle at its end gets the
 // release, after which its store holds no task and its spill dir no file.
-// A rogue worker that maps like the others, only faster, is back in the
-// idle pool first and draws the one reduce partition; in the failing and
-// cancelled runs it waits until both spilling workers are idle, then
-// reports a failed fetch or cancels the run. The cancelled run's reducer
+// A rogue worker that maps like the others, only faster, draws one of the
+// three reduce partitions with its map task, as every worker does; in the
+// failing and cancelled runs it waits until both spilling workers are
+// idle, their partitions done, then reports a failed fetch or cancels the
+// run. The cancelled run's reducer
 // reports its fetch failure only after the release, naming a healthy
 // worker, which must stay a live holder: after the release every holder
 // refuses the run, so the failure says nothing about it.
 func TestRunLeavesNothing(t *testing.T) {
 	master, addr := startReduceCluster(t, MasterConfig{
-		Reducers: 1, MaxAttempts: 1,
+		Reducers: 3, MaxAttempts: 1,
 	}, 0)
 	type member struct {
 		w   *Worker

@@ -39,23 +39,14 @@ func wideLines(n, width int) []string {
 // place in the task's output and returns the frame to send, or false to
 // die there, the connection closed. It returns whether the rogue lives on.
 func relayReduce(w *Worker, c *conn, m message, edit func(i int, fr message) (message, bool)) bool {
-	// A launch under the map tail names the map outputs located so far and
-	// is sent the rest as morelocs frames: the relay folds them into the
-	// task before running it, so the pipe carries the task alone.
-	for coverage(m) < m.Total {
-		u, err := c.recv(30 * time.Second)
-		if err != nil {
-			return false
-		}
-		if u.Message == "abort" {
-			return c.send(message{Type: "error", TaskID: m.TaskID, Message: "aborted"}, 5*time.Second) == nil
-		}
-		m.Locs, m.Reps = append(m.Locs, u.Locs...), append(m.Reps, u.Reps...)
-	}
+	// The task takes the master's frames (morelocs, an abort) from c's
+	// reader, as in the serve loop, and writes into a pipe the relay reads.
 	near, far := net.Pipe()
 	defer far.Close()
 	go func() {
-		w.runReduceTask(newConn(near), m, 0)
+		tc := newConn(near)
+		tc.in = c.in
+		w.runReduceTask(tc, m, 0, nil)
 		near.Close()
 	}()
 	in := newConn(far)
@@ -251,7 +242,7 @@ func TestRefoldResendsCheckedChunks(t *testing.T) {
 	go func() {
 		reducer.runReduceTask(newConn(near), message{Type: "reducetask", Job: "wordcount", Run: run,
 			Locs: []fetchLoc{{Addr: peer.fetchAddr, Tasks: []int{0, 1, 2}}, {Addr: reducer.fetchAddr, Tasks: []int{3}}},
-			Reps: []fetchLoc{{Addr: peer.fetchAddr, Tasks: []int{3}}}}, 0)
+			Reps: []fetchLoc{{Addr: peer.fetchAddr, Tasks: []int{3}}}}, 0, nil)
 		near.Close()
 	}()
 	o, in := newOutputs(1, 1<<30), newConn(far)

@@ -53,6 +53,7 @@ type JobTrace struct {
 	sealed bool
 	next   int
 	open   map[int]*trace.Event // launch ordinal → in-flight launch span
+	begun  map[int]float64      // launch ordinal → dispatch, of a launch begin moved
 	byID   map[int]int          // launch ordinal → index in spans (closed)
 	spans  []trace.Event
 }
@@ -65,6 +66,7 @@ func newJobTrace(job string, seq int) *JobTrace {
 		ID:    fmt.Sprintf("%s-%d", job, seq),
 		epoch: time.Now(),
 		open:  map[int]*trace.Event{},
+		begun: map[int]float64{},
 		byID:  map[int]int{},
 	}
 }
@@ -99,6 +101,23 @@ func (t *JobTrace) openLaunch(phase string, shard, attempt int, worker string) i
 		Launch: id, Worker: worker, Trace: t.ID,
 	}
 	return id
+}
+
+// begin moves open launch id's start to now: a reduce launch carried by
+// a map batch starts when the master has read the batch's answers. Its
+// worker starts it as it sends them, a little sooner: the close moves the
+// start back to where the worker's window begins, not past the dispatch.
+// A no-op on the nil trace of an untraced run.
+func (t *JobTrace) begin(id int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if sp, ok := t.open[id]; ok {
+		t.begun[id] = sp.Start
+		sp.Start = t.since(time.Now())
+	}
 }
 
 // closeLaunch seals one launch span with its outcome and grafts the
@@ -168,6 +187,10 @@ func (t *JobTrace) closeLocked(id int, outcome string, end, from float64, worker
 	delete(t.open, id)
 	window := spanWindow(worker)
 	sp.Start = max(sp.Start, min(from, end-window))
+	if dispatched, ok := t.begun[id]; ok {
+		sp.Start = max(dispatched, min(sp.Start, end-window))
+		delete(t.begun, id)
+	}
 	// Clock skew guard: never place worker time before dispatch.
 	base := max(end-window, sp.Start)
 	sp.End, sp.Outcome = end, outcome

@@ -45,6 +45,9 @@ func startTracedCluster(t *testing.T, n int, cfg MasterConfig) *Master {
 	if err := master.WaitForWorkers(n, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// A worker counts as joined before its handle is in the idle pool; a
+	// run that started then would hand the first worker every batch.
+	waitIdle(t, master, n)
 	return master
 }
 

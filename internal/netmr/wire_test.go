@@ -85,6 +85,7 @@ func rogueServe(t *testing.T, addr, id string, serve func(w *Worker, c *conn, m 
 	c, ack := dialAsWorker(t, addr, id, w.fetchAddr)
 	w.reducers = ack.Reducers
 	w.store.setReducers(ack.Reducers)
+	c.startReader() // as the worker's serve loop does
 	go func() {
 		for {
 			m, err := c.recv(0)

@@ -18,6 +18,7 @@ type Worker struct {
 	registry *Registry
 	chaos    *chaos.Injector
 	scratch  *shardScratch // reused across every shard this worker runs
+	out      foldOut       // reused by every reduce task this worker runs
 
 	// reducers is the cluster's reduce partition count R from the
 	// helloack, written once by Start before any task arrives: a map task
@@ -167,7 +168,6 @@ func (w *Worker) Start(masterAddr string) (err error) {
 
 	go func() {
 		defer close(w.done)
-		defer func() { _ = c.close() }()
 		w.serve(c)
 	}()
 	return nil
@@ -188,10 +188,39 @@ func (w *Worker) handshake(c *conn, id string) (message, error) {
 	return ack, nil
 }
 
+// serve runs the master's frames in order until c fails or a frame ends
+// the worker, then closes c. A reader goroutine decodes them ahead (see
+// runReduceTask), and ends with c. A reduce launch that rode in behind a
+// task frame starts as soon as the frame's last shard is mapped, while
+// that shard's answers wait out their replica push.
 func (w *Worker) serve(c *conn) {
+	c.startReader()
+	defer func() { _ = c.close() }()
 	for {
 		m, err := c.recv(0) // block until the master sends work or closes
-		if err != nil || !w.handle(c, m) {
+		if err != nil {
+			return
+		}
+		if m.Type != "taskbatch" {
+			if !w.handle(c, m) {
+				return
+			}
+			continue
+		}
+		answered, ok := w.runBatch(c, &m)
+		if !ok {
+			return
+		}
+		next, waiting, err := c.waiting()
+		switch {
+		case waiting && err == nil && next.Type == "reducetask":
+			ok = w.runReduceTask(c, next, c.lastDecode, answered)
+		case waiting:
+			ok = answered() && err == nil && w.handle(c, next)
+		default:
+			ok = answered()
+		}
+		if !ok {
 			return
 		}
 	}
@@ -202,9 +231,10 @@ func (w *Worker) serve(c *conn) {
 func (w *Worker) handle(c *conn, m message) bool {
 	switch m.Type {
 	case "taskbatch":
-		return w.runBatch(c, &m)
+		answered, ok := w.runBatch(c, &m)
+		return ok && answered()
 	case "reducetask":
-		return w.runReduceTask(c, m, c.lastDecode)
+		return w.runReduceTask(c, m, c.lastDecode, nil)
 	case "ping":
 		workerPings.Inc()
 		return c.send(message{Type: "pong"}, heartbeatTimeout) == nil
@@ -214,7 +244,8 @@ func (w *Worker) handle(c *conn, m message) bool {
 		}
 		w.store.release(m.Run)
 	default:
-		// Ignore unknown frames.
+		// Ignore unknown frames, and a morelocs for a reduce launch that
+		// answered from its own store before the master named the outputs.
 	}
 	return true
 }
@@ -231,86 +262,109 @@ const flushAfter = 2 * time.Millisecond
 
 // runBatch runs the shards of one task frame in order (mapShard) and
 // answers them, the shards mapped within flushAfter of each other
-// together (answer). run (the frame's Run) keys the stored output; with a
-// trace ID the shards record their phases, the first charged the frame's
-// wire decode. It returns false when the serve loop must exit: a send
-// failure or an injected crash, which still answers the shards before it.
-func (w *Worker) runBatch(c *conn, m *message) bool {
+// together (answer); the last shards' answers are left to the call it
+// returns. run (the frame's Run) keys the stored output; with a trace ID
+// the shards record their phases, the first charged the frame's wire
+// decode. ok is false when the serve loop must exit: a send failure or an
+// injected crash, which still answers the shards before it.
+func (w *Worker) runBatch(c *conn, m *message) (answered func() bool, ok bool) {
 	replies := make([]message, 0, len(m.Batch))
 	decode, since := c.lastDecode, time.Now()
 	for i := range m.Batch {
 		reply, ok := w.mapShard(&m.Batch[i], m.Run, m.Trace, decode)
 		if !ok {
 			if len(replies) > 0 {
-				w.answer(c, m, replies)
+				w.answer(c, m, replies)()
 			}
-			return false
+			return nil, false
 		}
 		decode = 0
 		replies = append(replies, reply)
-		if i == len(m.Batch)-1 || time.Since(since) >= flushAfter {
-			if !w.answer(c, m, replies) {
-				return false
+		if i < len(m.Batch)-1 && time.Since(since) >= flushAfter {
+			if !w.answer(c, m, replies)() {
+				return nil, false
 			}
 			replies, since = replies[:0], time.Now()
 		}
 	}
-	return true
+	return w.answer(c, m, replies), true
 }
 
-// answer sends the answers of shards mapped back to back. Their stored
-// partition sets go to the replica peer m.Rep in one exchange, and the
-// answers leave in one write, one per shard in order, each naming the
-// peer in Rep if it took the set; no answer carries a set. With a trace
-// ID the shared push is the last pushed shard's replicate span. It
-// returns false when the serve loop must exit.
-func (w *Worker) answer(c *conn, m *message, replies []message) bool {
+// answer starts the answers of shards mapped back to back and returns the
+// call that sends them. Their stored partition sets go to the replica peer
+// m.Rep in one exchange, under way on a goroutine of its own until the
+// call, and the answers leave in one write, one per shard in order, each
+// naming the peer in Rep if it took the set; no answer carries a set.
+// With a trace ID the shared push is the last pushed shard's replicate
+// span. The call returns false when the serve loop must exit.
+func (w *Worker) answer(c *conn, m *message, replies []message) func() bool {
+	if len(replies) == 0 {
+		return func() bool { return true }
+	}
 	var outs []message
 	var pushed []int // the replies of outs
 	for i := range replies {
 		if d := &replies[i]; d.Type == "mapdone" {
 			if m.Rep != "" {
-				outs = append(outs, message{Type: "replicate", Run: m.Run, TaskID: d.TaskID, Parts: d.Parts, Reducers: w.reducers})
+				outs = append(outs, message{Type: "replicate", Run: m.Run, TaskID: d.TaskID, Parts: d.Parts, Reducers: w.reducers, Fetch: w.fetchAddr})
 				pushed = append(pushed, i)
 			}
 			d.Parts = nil
 		}
 	}
+	type pushResult struct {
+		errs []error
+		took time.Duration
+	}
+	var push chan pushResult
 	if len(outs) > 0 {
-		repStart := time.Now()
-		for i, err := range w.pool.replicate(m.Rep, outs) {
-			if err == nil {
-				replies[pushed[i]].Rep = m.Rep
-				workerReplications.With("ok").Inc()
-			} else {
-				// The named peer would not take the replica: the output
-				// lives in this worker's store alone.
-				workerReplications.With("failed").Inc()
+		push = make(chan pushResult, 1)
+		go func() {
+			start := time.Now()
+			errs := w.pool.replicate(m.Rep, outs)
+			push <- pushResult{errs, time.Since(start)}
+		}()
+	}
+	return func() bool {
+		if push != nil {
+			var copied []int
+			done := <-push
+			for i, err := range done.errs {
+				if err == nil {
+					replies[pushed[i]].Rep = m.Rep
+					copied = append(copied, outs[i].TaskID)
+					workerReplications.With("ok").Inc()
+				} else {
+					// The named peer would not take the replica: the output
+					// lives in this worker's store alone.
+					workerReplications.With("failed").Inc()
+				}
+			}
+			w.store.copied(m.Run, copied, m.Rep)
+			if last := &replies[pushed[len(pushed)-1]]; m.Trace != "" {
+				last.Spans = appendSpanAfter(last.Spans, spanReplicate, done.took)
 			}
 		}
-		if last := &replies[pushed[len(pushed)-1]]; m.Trace != "" {
-			last.Spans = appendSpanAfter(last.Spans, spanReplicate, time.Since(repStart))
+		if w.closeFetchAfterMapdone {
+			// Chaos hook: the shuffle plane dies — listener and accepted
+			// peer sockets both, before the mapdones leave — but the worker
+			// does not, so the master keeps routing fetches here and
+			// reducers must fail over to the replica addresses themselves.
+			w.closeFetchPlane()
 		}
+		if c.sendFrames(replies, exchangeTimeout) != nil {
+			return false
+		}
+		if w.killAfterMapdone {
+			// Chaos hook: die right after acknowledging the map output,
+			// taking the shuffle plane — and the only primary copy —
+			// with us.
+			w.closeFetchPlane()
+			w.store.evictAll()
+			return false
+		}
+		return true
 	}
-	if w.closeFetchAfterMapdone {
-		// Chaos hook: the shuffle plane dies — listener and accepted
-		// peer sockets both, before the mapdones leave — but the worker
-		// does not, so the master keeps routing fetches here and
-		// reducers must fail over to the replica addresses themselves.
-		w.closeFetchPlane()
-	}
-	if c.sendFrames(replies, exchangeTimeout) != nil {
-		return false
-	}
-	if w.killAfterMapdone {
-		// Chaos hook: die right after acknowledging the map output,
-		// taking the shuffle plane — and the only primary copy —
-		// with us.
-		w.closeFetchPlane()
-		w.store.evictAll()
-		return false
-	}
-	return true
 }
 
 // mapShard executes one shard and returns its answer: a mapdone, its
